@@ -1,8 +1,9 @@
 """Command-line front end: triangle export, evaluation, verification, Dobinski.
 
 Exit codes: 0 success, 1 identity failure (or Dobinski outside tolerance),
-2 usage error.  Output goes to stdout unless --out is given, in which case
-the file is written atomically (temp file + rename).
+2 usage error or an arithmetic error such as a float overflow.  Output goes
+to stdout unless --out is given, in which case the file is written
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

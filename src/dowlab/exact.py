@@ -1,15 +1,23 @@
 """Exact scalars: arbitrary-precision rationals and dense polynomials in ``l``.
 
 Every number family in this package is polynomial in one formal parameter,
-printed as ``l``.  Coefficients are exact rationals (``fractions.Fraction``),
-so all identity checks are decided by literal equality, never by tolerance.
-Values are immutable and hashable and may be shared freely between threads.
+printed as ``l``.  A polynomial is stored as a tuple of ``int`` numerators
+over one positive common denominator, in lowest terms (the layout of FLINT's
+``fmpq_poly``).  Ring arithmetic is integer arithmetic on the numerators and
+touches the denominator once per polynomial, not once per coefficient;
+nearly every Whitney, Stirling and Dowling entry has integer coefficients,
+so the denominator is mostly 1.  Coefficients read back as exact rationals
+(``fractions.Fraction``), so all identity checks are decided by literal
+equality, never by tolerance.  Values are immutable and hashable and may be
+shared freely between threads.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -27,27 +35,55 @@ _TERM = re.compile(
 )
 
 
-def _as_fraction(value: int | Fraction) -> Fraction:
+def _rational(value: int | Fraction) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational; floats and bools are refused."""
     if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
-        return Fraction(value)
+        return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class LambdaPoly:
-    """Dense polynomial in ``l`` with Fraction coefficients.
+def _raw(nums: tuple[int, ...], den: int) -> "LambdaPoly":
+    """A LambdaPoly from numerators and a denominator already in canonical form."""
+    p = object.__new__(LambdaPoly)
+    p.nums = nums
+    p.den = den
+    return p
 
-    Coefficients are stored ascending by degree with trailing zeros stripped;
-    the empty tuple is the zero polynomial.  This normal form makes ``==``
-    the canonical-equality test used by every identity check.
+
+def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Canonical (numerators, denominator) of ``nums / den`` for ``den > 0``."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+    return tuple(nums), den
+
+
+def _canonical(nums: list[int], den: int) -> "LambdaPoly":
+    return _raw(*_reduced(nums, den))
+
+
+class LambdaPoly:
+    """Dense polynomial in ``l`` with exact rational coefficients.
+
+    Coefficient ``i`` is ``nums[i] / den``: ``nums`` is a tuple of ``int``
+    numerators ascending by degree, ``den`` one positive common denominator.
+    The form is canonical -- ``gcd(den, *nums) == 1``, no trailing zero
+    numerator, and ``((), 1)`` for zero -- which makes ``==`` the
+    canonical-equality test used by every identity check.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        parts = [_rational(c) for c in coeffs]
+        den = lcm(*[d for _, d in parts])
+        self.nums, self.den = _reduced([n * (den // d) for n, d in parts], den)
 
     # -- constructors ------------------------------------------------------
 
@@ -64,29 +100,40 @@ class LambdaPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients ascending by degree, as Fractions (built on each read)."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree in ``l``; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def constant(self) -> Fraction:
         """The coefficient of ``l^0``."""
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den) if self.nums else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __hash__(self) -> int:
+        # Equal to hash(self.coeffs): an integral Fraction hashes like its int.
+        if self.den == 1:
+            return hash(self.nums)
         return hash(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LambdaPoly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == LambdaPoly.coerce(other)
         return NotImplemented
@@ -95,18 +142,23 @@ class LambdaPoly:
 
     def __add__(self, other: Scalar) -> "LambdaPoly":
         other = LambdaPoly.coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, den = self.nums, self.den
+        b, bden = other.nums, other.den
+        if den != bden:
+            g = gcd(den, bden)
+            a = [n * (bden // g) for n in a]
+            b = [n * (den // g) for n in b]
+            den *= bden // g
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LambdaPoly(out)
+        out = list(map(add, a, b))
+        out += a[len(b):]
+        return _canonical(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly(tuple(-c for c in self.coeffs))
+        return _raw(tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other: Scalar) -> "LambdaPoly":
         return self + (-LambdaPoly.coerce(other))
@@ -115,26 +167,39 @@ class LambdaPoly:
         return LambdaPoly.coerce(other) + (-self)
 
     def __mul__(self, other: Scalar) -> "LambdaPoly":
+        a, den = self.nums, self.den
+        if type(other) is int:
+            if not other or not a:
+                return _raw((), 1)
+            if den != 1:
+                g = gcd(den, other)
+                den //= g
+                other //= g
+            return _raw(tuple(map(other.__mul__, a)), den)
         other = LambdaPoly.coerce(other)
-        a, b = self.coeffs, other.coeffs
+        b = other.nums
         if not a or not b:
-            return LambdaPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return LambdaPoly(out)
+            return _raw((), 1)
+        if len(a) < len(b):
+            a, b = b, a
+        # The leading product is nonzero, so only the gcd can change the form.
+        out = [0] * (len(a) + len(b) - 1)
+        width = len(a)
+        for j, cb in enumerate(b):
+            if cb:
+                out[j : j + width] = map(add, out[j : j + width], map(cb.__mul__, a))
+        return _canonical(out, den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: int | Fraction) -> "LambdaPoly":
         """Division by a nonzero rational scalar (the only unit we need)."""
-        q = _as_fraction(other)
-        if not q:
+        p, q = _rational(other)
+        if not p:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return LambdaPoly(tuple(c / q for c in self.coeffs))
+        if p < 0:
+            p, q = -p, -q
+        return _canonical([n * q for n in self.nums], self.den * p)
 
     def __pow__(self, n: int) -> "LambdaPoly":
         if n < 0:
@@ -152,42 +217,63 @@ class LambdaPoly:
 
     def eval(self, point: int | Fraction) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        q = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
+        p, q = _rational(point)
+        nums = self.nums
+        if not nums:
+            return Fraction(0)
+        # Horner over the integers: acc / q^k is the value of the top k+1 terms.
+        acc = nums[-1]
+        qpow = 1
+        for c in reversed(nums[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, self.den * qpow)
 
     def scale_lambda(self, factor: int | Fraction) -> "LambdaPoly":
         """Substitute ``l -> factor*l`` (used for the l/m and m*l/(m+1) rescalings)."""
-        q = _as_fraction(factor)
-        power = Fraction(1)
+        p, q = _rational(factor)
+        nums = self.nums
+        if not nums:
+            return _raw((), 1)
+        # nums[i] * p^i / q^i over den becomes nums[i] * p^i * q^(d-i) over den * q^d.
         out = []
-        for c in self.coeffs:
-            out.append(c * power)
+        power = 1
+        for n in nums:
+            out.append(n * power)
+            power *= p
+        power = 1
+        for i in range(len(out) - 1, -1, -1):
+            out[i] *= power
             power *= q
-        return LambdaPoly(out)
+        return _canonical(out, self.den * (power // q))
 
     # -- canonical string form ------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        nums, den = self.nums, self.den
+        if not nums:
             return "0"
         parts: list[str] = []
-        for d, c in enumerate(self.coeffs):
-            if not c:
+        for d, n in enumerate(nums):
+            if not n:
                 continue
-            mag = abs(c)
+            mag = abs(n)
+            # The text of |n|/den in lowest terms, as str(Fraction) prints it.
+            if den == 1:
+                text = str(mag)
+            else:
+                g = gcd(mag, den)
+                text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
             if d == 0:
-                body = str(mag)
-            elif mag == 1:
+                body = text
+            elif text == "1":
                 body = "l" if d == 1 else f"l^{d}"
             else:
-                body = f"{mag}*l" if d == 1 else f"{mag}*l^{d}"
+                body = f"{text}*l" if d == 1 else f"{text}*l^{d}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -222,6 +222,17 @@ class TestDobinski:
         assert code == 1
         assert "fail" in out
 
+    def test_float_overflow_exits_2(self, capsys):
+        # At x = 900 the truncated series is too large for a float; the CLI
+        # reports the OverflowError on stderr instead of raising it.
+        code, out, err = run(
+            capsys, "dobinski", "--m", "1", "--n", "3", "--x", "900",
+            "--lambda", "0", "--terms", "2600",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 def test_usage_error_without_subcommand(capsys):
     assert main([]) == 2

@@ -1,6 +1,7 @@
 """Ring, evaluation and serialization behaviour of the exact scalar layer."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -121,3 +122,139 @@ def test_canonical_idempotence(p):
 def test_scale_lambda_roundtrip(p, q):
     if q != 0:
         assert p.scale_lambda(q).scale_lambda(1 / q) == p
+
+
+# -- the integer-numerator kernel against a Fraction-list reference --------------
+#
+# The reference keeps one Fraction per coefficient, the obvious way; the
+# kernel keeps int numerators over one common denominator.  Mixed
+# denominators make the common denominator, and its reduction, do real work.
+
+mixed = st_.fractions(min_value=-50, max_value=50, max_denominator=30)
+ref_lists = st_.lists(mixed, max_size=6)
+small_ints = st_.integers(min_value=-40, max_value=40)
+
+
+def ref_strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return ref_strip(x + y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_strip(out)
+
+
+def ref_eval(a, q):
+    return sum((c * q**i for i, c in enumerate(a)), Fraction(0))
+
+
+def ref_str(a):
+    parts = []
+    for d, c in enumerate(a):
+        if not c:
+            continue
+        mag = abs(c)
+        if d == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = "l" if d == 1 else f"l^{d}"
+        else:
+            body = f"{mag}*l" if d == 1 else f"{mag}*l^{d}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(type(n) is int for n in p.nums)
+    assert p.nums == () or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+    if not p.nums:
+        assert p.den == 1
+
+
+@given(ref_lists, ref_lists)
+def test_kernel_ring_ops_match_reference(a, b):
+    pa, pb = LambdaPoly(a), LambdaPoly(b)
+    neg_b = tuple(-c for c in ref_strip(b))
+    for got, want in (
+        (pa + pb, ref_add(a, b)),
+        (pa - pb, ref_add(a, neg_b)),
+        (pa * pb, ref_mul(a, b)),
+        (-pa, tuple(-c for c in ref_strip(a))),
+    ):
+        assert got.coeffs == want
+        assert_canonical(got)
+
+
+@given(ref_lists, mixed, small_ints)
+def test_kernel_scalar_ops_match_reference(a, q, k):
+    p = LambdaPoly(a)
+    for got, want in (
+        (p * k, ref_mul(a, (k,))),
+        (k * p, ref_mul(a, (k,))),
+        (p * q, ref_mul(a, (q,))),
+        (p + k, ref_add(a, (k,))),
+        (q - p, ref_add((q,), tuple(-c for c in a))),
+        (p.scale_lambda(q), ref_strip(c * q**i for i, c in enumerate(a))),
+        (p.scale_lambda(k), ref_strip(c * k**i for i, c in enumerate(a))),
+    ):
+        assert got.coeffs == want
+        assert_canonical(got)
+    if q:
+        got = p / q
+        assert got.coeffs == ref_strip(c / q for c in a)
+        assert_canonical(got)
+
+
+@given(ref_lists, mixed)
+def test_kernel_eval_and_str_match_reference(a, q):
+    p = LambdaPoly(a)
+    value = p.eval(q)
+    assert type(value) is Fraction
+    assert value == ref_eval(ref_strip(a), q)
+    assert p.constant() == (ref_strip(a) or (Fraction(0),))[0]
+    assert str(p) == ref_str(ref_strip(a))
+
+
+@given(ref_lists, ref_lists)
+def test_kernel_hash_and_roundtrip(a, b):
+    for p in (LambdaPoly(a), LambdaPoly(a) * LambdaPoly(b), LambdaPoly(a) - LambdaPoly(b)):
+        assert_canonical(p)
+        assert hash(p) == hash(p.coeffs)
+        assert LambdaPoly.parse(str(p)) == p
+
+
+def test_kernel_reduces_to_lowest_terms():
+    half = LambdaPoly((Fraction(1, 2), Fraction(3, 2)))
+    assert (half.nums, half.den) == ((1, 3), 2)
+    assert ((half * 2).nums, (half * 2).den) == ((1, 3), 1)
+    assert ((half - half).nums, (half - half).den) == ((), 1)
+    third = LambdaPoly((Fraction(1, 3),))
+    assert ((half + third).nums, (half + third).den) == ((5, 9), 6)
+    assert hash(LambdaPoly((7, -1))) == hash((7, -1))
+
+
+def test_inexact_scalars_rejected():
+    with pytest.raises(TypeError):
+        LambdaPoly((1,)) * 0.5
+    with pytest.raises(TypeError):
+        LambdaPoly((1,)) + True
+    with pytest.raises(TypeError):
+        LambdaPoly((1,)).eval(0.5)

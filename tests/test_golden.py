@@ -1,0 +1,55 @@
+"""Byte-identity guard: SHA-256 digests of exported text that must never change.
+
+The digests were taken from the Fraction-per-coefficient implementation of
+``LambdaPoly``, before the integer-numerator kernel replaced it.  Any change
+to the scalar layer that alters one byte of a symbolic or rational result
+fails here in seconds.
+"""
+
+import contextlib
+import hashlib
+import io
+from fractions import Fraction
+
+import pytest
+
+from dowlab import cli
+from dowlab.bernoulli_euler import deg_bernoulli, deg_euler
+
+TRIANGLES = {
+    "W m=3 n_max=30 symbolic": (
+        ["--family", "W", "--m", "3", "--n-max", "30", "--symbolic"],
+        "21cfc22a2a2295ac2f2f6bef4f31074466e90c0020bb6f6766705366da249777",
+    ),
+    "VR m=2 r=3 n_max=20 symbolic": (
+        ["--family", "VR", "--m", "2", "--r", "3", "--n-max", "20", "--symbolic"],
+        "6513bcf9d4abd0e4799e7c2c6f490d463e38760fd42c262e019eebcaa233a219",
+    ),
+    "W m=3 n_max=20 at l=1/3": (
+        ["--family", "W", "--m", "3", "--n-max", "20", "--lambda", "1/3"],
+        "6360237899e26a02dc0a6d7ad7decd48774047e9ac92a1ba24862d8392e9d6e9",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(TRIANGLES))
+def test_triangle_export_digest(case):
+    args, digest = TRIANGLES[case]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["triangle", *args]) == 0
+    assert sha256(out.getvalue()) == digest
+
+
+def test_non_integer_coefficients_digest():
+    # No exported triangle has a non-integer symbolic coefficient, so the
+    # Bernoulli and Euler rows stand in: their coefficients have mixed
+    # denominators such as 1/6, 49/4 and 863/12.
+    lines = [str(deg_bernoulli(n, k)) for k in (1, 2, 3) for n in range(13)]
+    lines += [str(deg_euler(n, Fraction(1, 2))) for n in range(13)]
+    text = "".join(line + "\n" for line in lines)
+    assert sha256(text) == "65f20ed2bea4e3ce3cacf4bda1a4dd51ef4ca8e84c88835cab259b21312be5cd"
