@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -296,8 +297,8 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         cfg.terms, cfg.tol, cfg.fmt = args.terms, args.tol, args.format
         if cfg.terms < 1:
             raise UsageError("--terms must be >= 1")
-        if cfg.tol <= 0:
-            raise UsageError("--tol must be positive")
+        if not (cfg.tol > 0 and math.isfinite(cfg.tol)):
+            raise UsageError("--tol must be positive and finite")
     return cfg
 
 

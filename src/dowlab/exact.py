@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -66,6 +66,22 @@ def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 def _canonical(nums: list[int], den: int) -> "LambdaPoly":
     return _raw(*_reduced(nums, den))
+
+
+def _addsub(p: "LambdaPoly", q: "LambdaPoly", op) -> "LambdaPoly":
+    """``p + q`` or ``p - q`` (``op`` is ``operator.add`` or ``sub``)."""
+    a, den = p.nums, p.den
+    b, bden = q.nums, q.den
+    if den != bden:
+        g = gcd(den, bden)
+        a = [n * (bden // g) for n in a]
+        b = [n * (den // g) for n in b]
+        den *= bden // g
+    out = list(map(op, a, b))
+    short = len(out)
+    out += a[short:]
+    out += b[short:] if op is add else map(neg, b[short:])
+    return _canonical(out, den)
 
 
 class LambdaPoly:
@@ -141,19 +157,7 @@ class LambdaPoly:
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "LambdaPoly":
-        other = LambdaPoly.coerce(other)
-        a, den = self.nums, self.den
-        b, bden = other.nums, other.den
-        if den != bden:
-            g = gcd(den, bden)
-            a = [n * (bden // g) for n in a]
-            b = [n * (den // g) for n in b]
-            den *= bden // g
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(map(add, a, b))
-        out += a[len(b):]
-        return _canonical(out, den)
+        return _addsub(self, LambdaPoly.coerce(other), add)
 
     __radd__ = __add__
 
@@ -161,10 +165,10 @@ class LambdaPoly:
         return _raw(tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other: Scalar) -> "LambdaPoly":
-        return self + (-LambdaPoly.coerce(other))
+        return _addsub(self, LambdaPoly.coerce(other), sub)
 
     def __rsub__(self, other: Scalar) -> "LambdaPoly":
-        return LambdaPoly.coerce(other) + (-self)
+        return _addsub(LambdaPoly.coerce(other), self, sub)
 
     def __mul__(self, other: Scalar) -> "LambdaPoly":
         a, den = self.nums, self.den

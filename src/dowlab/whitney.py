@@ -13,9 +13,10 @@ entry, so none of the routes is ever trusted alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import ceil, factorial, isfinite, prod
 
 from .exact import LAMBDA, LambdaPoly
 from .bases import (
@@ -440,47 +441,63 @@ class DobinskiRequest:
             raise ValueError("n must be >= 0")
         if self.terms < 1:
             raise ValueError("terms must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-
-
-def _exp_rational(z: Fraction) -> Fraction:
-    """Taylor approximation of exp(z) over Q, far below double-ulp resolution."""
-    acc = Fraction(0)
-    term = Fraction(1)
-    j = 0
-    while j < 500:
-        acc += term
-        j += 1
-        term = term * z / j
-        if abs(term) < Fraction(1, 10**60) and j > abs(z) * 2:
-            break
-    return acc
+        if not (self.tol > 0 and isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
 
 
 def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
-    """Truncated exponential series for the Dowling polynomial vs the exact value.
+    """Truncated Dobinski-type series for the Dowling polynomial vs the exact value.
 
-    Returns (truncated, exact), both as floats.  The truncated side runs in
-    exact rationals (weights updated multiplicatively, never a bare
-    factorial) and rounds once at the end: near values around 1e7 a single
-    double ulp already exceeds 1e-9, so float accumulation could not honor
-    the advertised tolerance.  Truncation of the series is the only
-    approximation left.
+    Returns ``(truncated, exact)`` as floats, where ``truncated`` is
+    ``e^{-z} S`` with ``z = x/m`` and
+    ``S = sum_{k < terms} z^k/k! prod_{j < n} (mk + 1 - j*lambda)``,
+    and ``exact`` is the Dowling polynomial at ``(x, lambda)``.
+
+    ``S`` is exact: with ``z = p/q`` and ``lambda = a/b``, a backward Horner
+    pass keeps one integer numerator and one integer denominator, and no
+    rational is built per term.  ``e^{-z}`` is ``Decimal.exp`` (correctly
+    rounded) at ``P = 60 + digits(ceil|z|)`` significant digits, and the
+    product with ``S`` is formed at the same precision and rounded to a
+    float once.  Four decimal roundings (of ``-z``, the exp, the quotient
+    ``S`` and the product) each cost at most half of 1e-60 relative, since
+    ``|z| < 10^(P-60)``; so the decimal value is within about 2e-60
+    relative of the exact ``e^{-z} S``, and ``truncated`` is that value
+    correctly rounded to a double unless it lies that close to a rounding
+    boundary.
+    Truncation of the series is the only approximation left.
+
+    Domain: every rational ``x`` and ``lambda``.  ``OverflowError`` is
+    raised, never a silent 0 or inf, when either side is beyond double
+    range, or when the decimal context's exponent limits cannot hold the
+    truncated side (``|z|`` above about 2e18), which its trapped
+    ``Underflow``/``Overflow`` signals.  A value below double range rounds
+    to a subnormal or 0, as any float conversion does.
     """
     m, n = req.m, req.n
-    x = Fraction(req.x)
+    z = Fraction(req.x) / m
     lam = Fraction(req.lam)
-    weight = Fraction(1)
-    total = Fraction(0)
-    for k in range(req.terms):
-        base = Fraction(m * k + 1)
-        prod = Fraction(1)
-        for j in range(n):
-            prod *= base - j * lam
-        total += weight * prod
-        weight *= x / (m * (k + 1))
-    truncated = float(_exp_rational(-x / Fraction(m)) * total)
+    p, q = z.numerator, z.denominator
+    a, b = lam.numerator, lam.denominator
+    with localcontext() as ctx:
+        ctx.prec = 61 + Decimal(ceil(abs(z))).adjusted()  # 60 + digits(ceil|z|)
+        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+        ctx.traps[Underflow] = ctx.traps[Overflow] = True
+        try:
+            # first, so that an exponent out of range is refused before the sum
+            weight = (Decimal(-p) / q).exp()
+            # num_k = P(k) D_k + p num_{k+1} and D_k = q (k+1) D_{k+1}, where
+            # P(k) = prod_j (b(mk+1) - ja); at the end S b^n = num_0 / D_0
+            num, den = 0, 1
+            for k in reversed(range(req.terms)):
+                base = b * (m * k + 1)
+                num = num * p + prod([base - j * a for j in range(n)]) * den
+                den *= q * k or 1  # D_{k-1} = q k D_k; the step at k = 0 leaves D_0
+            value = weight * (Decimal(num) / (den * b**n))
+        except (Underflow, Overflow) as exc:
+            raise OverflowError("Dobinski sum is outside the decimal exponent range") from exc
+    truncated = float(value)
+    if not isfinite(truncated):
+        raise OverflowError(f"Dobinski sum {value:.6e} is outside double range")
     exact = float(dowling_poly(m, n, req.x).eval(req.lam))
     return truncated, exact
 

@@ -1,7 +1,14 @@
 """Command-line surface: formats, exit codes, atomic output."""
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from dowlab.exact import LambdaPoly
 from dowlab.cli import latex_poly, latex_poly_inverse, main
@@ -222,16 +229,66 @@ class TestDobinski:
         assert code == 1
         assert "fail" in out
 
-    def test_float_overflow_exits_2(self, capsys):
-        # At x = 900 the truncated series is too large for a float; the CLI
-        # reports the OverflowError on stderr instead of raising it.
-        code, out, err = run(
+    def test_large_x_passes(self, capsys):
+        code, out, _ = run(
             capsys, "dobinski", "--m", "1", "--n", "3", "--x", "900",
             "--lambda", "0", "--terms", "2600",
+        )
+        assert code == 0
+        assert out.endswith(" pass\n")
+
+    def test_float_overflow_exits_2(self, capsys):
+        # The Dowling value is about 1e320; the CLI reports the
+        # OverflowError on stderr instead of raising it.
+        code, out, err = run(
+            capsys, "dobinski", "--m", "1", "--n", "40", "--x", "100000000",
+            "--lambda", "0", "--terms", "1",
         )
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        code, out, err = run(
+            capsys, "dobinski", "--m", "1", "--n", "6", "--x", "2",
+            "--lambda", "0", "--terms", "2", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+
+fuzz_x = st_.one_of(
+    st_.tuples(st_.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4),
+               st_.integers(min_value=1, max_value=3000)),
+    st_.tuples(st_.integers(min_value=-10**30, max_value=10**30).map(Fraction), st_.just(1)),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st_.integers(min_value=0, max_value=3),
+    st_.integers(min_value=-1, max_value=10),
+    fuzz_x,
+    st_.fractions(max_denominator=10**6),
+    st_.one_of(st_.floats(min_value=0, exclude_min=True, allow_infinity=False), st_.floats()),
+)
+def test_dobinski_fuzz_exit_codes(m, n, x_terms, lam, tol):
+    x, terms = x_terms
+    argv = [
+        "dobinski", f"--m={m}", f"--n={n}", f"--x={x}", f"--lambda={lam}",
+        f"--terms={terms}", f"--tol={tol!r}",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert out.getvalue().endswith(" pass\n" if code == 0 else " fail\n")
 
 
 def test_usage_error_without_subcommand(capsys):

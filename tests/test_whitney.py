@@ -1,8 +1,11 @@
 """Whitney triangles, Dowling polynomials, r-variants and the Dobinski series."""
 
 from fractions import Fraction
+from math import ceil, e
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from dowlab.exact import LAMBDA, LambdaPoly
 from dowlab import stirling as st
@@ -236,8 +239,47 @@ class TestDobinski:
             wh.DobinskiRequest(m=0, n=1, x=Fraction(1), lam=Fraction(0))
         with pytest.raises(ValueError):
             wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), terms=0)
-        with pytest.raises(ValueError):
-            wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=tol)
+
+    @pytest.mark.parametrize(
+        "m, x, terms",
+        [
+            (1, Fraction(260), 807),  # x/m = 260: the old Taylor exp returned -1.65e73
+            (2, Fraction(520), 807),
+            (1, Fraction(300), 1500),
+            (1, Fraction(900), 2600),  # the old float conversion overflowed here
+            (3, Fraction(0), 1),
+            (1, Fraction(-5, 2), 200),
+        ],
+    )
+    def test_regressions(self, m, x, terms):
+        req = wh.DobinskiRequest(m=m, n=3, x=x, lam=Fraction(1, 3), terms=terms)
+        truncated, _ = wh.dobinski_eval(req)
+        assert abs(truncated - float(wh.dowling_poly(m, 3, x).eval(Fraction(1, 3)))) < req.tol
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st_.integers(min_value=1, max_value=3),
+        st_.integers(min_value=0, max_value=8),
+        st_.fractions(min_value=0, max_value=1000, max_denominator=10**4).filter(bool),
+        st_.fractions(min_value=0, max_value=1, max_denominator=9).filter(lambda q: q < 1),
+    )
+    def test_matches_exact_value(self, m, n, x, lam):
+        terms = ceil(e * x / m) + 100
+        req = wh.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=terms)
+        truncated, _ = wh.dobinski_eval(req)
+        assert abs(truncated - float(wh.dowling_poly(m, n, x).eval(lam))) < req.tol
+
+    def test_beyond_double_range_raises(self):
+        big = wh.DobinskiRequest(m=1, n=40, x=Fraction(10**8), lam=Fraction(0), terms=1)
+        with pytest.raises(OverflowError):
+            wh.dobinski_eval(big)
+        # e^{-x} itself leaves the decimal exponent range
+        huge = wh.DobinskiRequest(m=1, n=0, x=Fraction(10**19), lam=Fraction(0), terms=1)
+        with pytest.raises(OverflowError, match="decimal exponent range"):
+            wh.dobinski_eval(huge)
 
 
 class TestTriangleBuilder:
