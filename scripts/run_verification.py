@@ -6,8 +6,9 @@ Usage:
                                        [--r-set 1,2,3] [--seed 0]
                                        [--out verification_report.json]
 
-Exit code 0 when every identity passes (discrepancy findings are reported,
-not counted as failures), 1 otherwise.
+Each entry's line shows its point count and its time.  Exit code 0 when
+every identity passes (discrepancy findings are reported, not counted as
+failures), 1 otherwise.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import json
 import sys
 import time
 
-from dowlab import all_passed, report_document, verify_all
+from dowlab import CATALOG, all_passed, report_document, run_identity
 
 
 def main() -> int:
@@ -30,17 +31,20 @@ def main() -> int:
     m_set = tuple(int(v) for v in args.m_set.split(","))
     r_set = tuple(int(v) for v in args.r_set.split(","))
 
-    started = time.time()
-    reports = verify_all(args.n_max, m_set, r_set, args.seed)
-    elapsed = time.time() - started
-
-    for report in reports:
-        line = f"{report.status:18s} {report.id:24s} ({report.params_tested} points)"
-        print(line)
+    reports = []
+    started = time.perf_counter()
+    for ident in CATALOG:
+        entry_started = time.perf_counter()
+        report = run_identity(ident, args.n_max, m_set, r_set, args.seed)
+        entry_s = time.perf_counter() - entry_started
+        reports.append(report)
+        line = f"{report.status:18s} {report.id:24s} ({report.params_tested} points, {entry_s:.3f}s)"
+        print(line, flush=True)
         if report.finding:
             print(f"{'':18s} finding: {report.finding}")
         if report.counterexample:
             print(f"{'':18s} counterexample: {json.dumps(report.counterexample)}")
+    elapsed = time.perf_counter() - started
 
     document = report_document(reports, args.n_max, m_set, r_set, args.seed)
     with open(args.out, "w") as handle:

@@ -10,6 +10,7 @@ which is exact and O(n^2) in ring operations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence, Union
 
@@ -39,22 +40,30 @@ def gen_binom(alpha: int | Fraction, n: int) -> Fraction:
 
 def lambda_falling(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
     """Product x(x - step)(x - 2*step)...(x - (n-1)*step); n = 0 gives 1."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    x = LambdaPoly.coerce(x)
-    step = LambdaPoly.coerce(step)
-    out = LambdaPoly((1,))
-    for j in range(n):
-        out = out * (x - step * j)
-    return out
+    n = _order(n)
+    return _factorial_product(LambdaPoly.coerce(x), n, -LambdaPoly.coerce(step))
 
 
 def lambda_rising(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
     """Product x(x + step)(x + 2*step)...(x + (n-1)*step); n = 0 gives 1."""
+    n = _order(n)
+    return _factorial_product(LambdaPoly.coerce(x), n, LambdaPoly.coerce(step))
+
+
+def _order(n: int) -> int:
+    """A factorial's number of factors: an int >= 0 (bools and floats are refused)."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"factorial order must be an int, got {type(n).__name__}")
     if n < 0:
-        raise ValueError("rising factorial needs n >= 0")
-    x = LambdaPoly.coerce(x)
-    step = LambdaPoly.coerce(step)
+        raise ValueError("factorial order must be >= 0")
+    return n
+
+
+# The identity catalog asks for a few hundred distinct products thousands of
+# times; the bound keeps a long-lived process from growing without limit.
+@lru_cache(maxsize=4096)
+def _factorial_product(x: LambdaPoly, n: int, step: LambdaPoly) -> LambdaPoly:
+    """x(x + step)(x + 2*step)...(x + (n-1)*step) for exact, already coerced operands."""
     out = LambdaPoly((1,))
     for j in range(n):
         out = out * (x + step * j)

@@ -310,10 +310,28 @@ COMMANDS = {
 }
 
 
+# Options that take a rational.  argparse reads a value such as -5/2, -1e3 or
+# -inf after a space as an option of its own, so such a pair is joined into
+# --x=-5/2 before parsing.
+RATIONAL_OPTIONS = ("--x", "--lambda")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    out = list(argv)
+    i = 0
+    while i < len(out) - 1:
+        value = out[i + 1]
+        if out[i] in RATIONAL_OPTIONS and value.startswith("-") and not value.startswith("--"):
+            out[i : i + 2] = [f"{out[i]}={value}"]
+        i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -42,6 +42,11 @@ def _rational(value: int | Fraction) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def as_fraction(value: int | Fraction) -> Fraction:
+    """An exact rational as a Fraction; floats and bools are refused like everywhere else."""
+    return Fraction(*_rational(value))
+
+
 def _raw(nums: tuple[int, ...], den: int) -> "LambdaPoly":
     """A LambdaPoly from numerators and a denominator already in canonical form."""
     p = object.__new__(LambdaPoly)

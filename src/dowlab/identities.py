@@ -6,17 +6,11 @@ counterexample.  Entries flagged as *discrepancy* probes exist because the
 source material prints two inconsistent readings of a formula: they always
 report status ``paper-discrepancy`` together with a finding that says which
 reading the exact oracle confirms.
-
-Checks are pure and independent, so ``verify_all`` may run them on a thread
-pool (capped by the DOWLAB_THREADS environment variable); reports are merged
-in catalog order either way.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -958,18 +952,9 @@ def verify_all(
     m_set: tuple[int, ...] | list[int] = (1, 2, 3),
     r_set: tuple[int, ...] | list[int] = (1, 2, 3),
     seed: int = 0,
-    threads: int | None = None,
 ) -> list[IdentityReport]:
     """Run the whole catalog; reports come back in catalog order."""
-    if threads is None:
-        threads = int(os.environ.get("DOWLAB_THREADS", "1"))
-    idents = list(CATALOG)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda i: run_identity(i, n_max, m_set, r_set, seed), idents)
-            )
-    return [run_identity(i, n_max, m_set, r_set, seed) for i in idents]
+    return [run_identity(i, n_max, m_set, r_set, seed) for i in CATALOG]
 
 
 def all_passed(reports: list[IdentityReport]) -> bool:

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import LAMBDA, LambdaPoly
+from .exact import LAMBDA, LambdaPoly, as_fraction
 from .bases import XPoly, int_nodes, lambda_nodes, newton_convert
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
@@ -163,13 +163,17 @@ def deg_bell(n: int, x: int | Fraction) -> LambdaPoly:
     """Degenerate Bell polynomial value: sum_k S2deg(n,k) x^k at rational x."""
     if n < 0:
         raise ValueError("Bell polynomial index must be >= 0")
-    xq = Fraction(x)
+    return _bell_row_sum(n, as_fraction(x))
+
+
+@lru_cache(maxsize=4096)
+def _bell_row_sum(n: int, x: Fraction) -> LambdaPoly:
     rows = deg_stirling2_rows(n)
     acc = LambdaPoly()
     power = Fraction(1)
     for k in range(n + 1):
         acc = acc + rows[n][k] * power
-        power *= xq
+        power *= x
     return acc
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, factorial, isfinite, prod
 
-from .exact import LAMBDA, LambdaPoly
+from .exact import LAMBDA, LambdaPoly, as_fraction
 from .bases import (
     XPoly,
     binom,
@@ -209,15 +209,36 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
 
 def whitney2_diff(m: int, n: int, k: int) -> LambdaPoly:
     """Second-kind value as the kth forward difference of (mx+1)_{n,l} at x = 0."""
+    _check_m(m)
     _check_index(n, k)
+    return _forward_differences(m, n)[k] / (factorial(k) * Fraction(m) ** k)
+
+
+@lru_cache(maxsize=256)
+def _forward_differences(m: int, n: int) -> tuple[LambdaPoly, ...]:
+    """Delta^0 f(0), ..., Delta^n f(0) for f(x) = (mx+1)_{n,l}, by one chain of differences.
+
+    Each step replaces the coefficients of f by those of f(x+1) - f(x), which
+    is one degree lower because the leading terms cancel.
+    """
     f = XPoly((1,))
     for j in range(n):
         f = f * XPoly((LambdaPoly((1, -j)), LambdaPoly.const(m)))
-    shift = XPoly((1, 1))
-    for _ in range(k):
-        f = f.compose(shift) - f
-    value = f.coeffs[0] if f.coeffs else LambdaPoly()
-    return value / (factorial(k) * Fraction(m) ** k)
+    cs = list(f.coeffs)
+    diffs = [cs[0]]
+    for _ in range(n):
+        cs = [a - b for a, b in zip(_taylor_shift(cs)[:-1], cs)]
+        diffs.append(cs[0])
+    return tuple(diffs)
+
+
+def _taylor_shift(cs: list[LambdaPoly]) -> list[LambdaPoly]:
+    """Coefficients of f(x+1) from those of f(x): repeated synthetic division by x - 1."""
+    out = list(cs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = out[j] + out[j + 1]
+    return out
 
 
 def v0(m: int, n: int) -> LambdaPoly:
@@ -277,14 +298,7 @@ def dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Row polynomial sum_k W(n,k) x^k of the second-kind triangle."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows = whitney2_rows(m, n)
-    xq = Fraction(x)
-    acc = LambdaPoly()
-    power = Fraction(1)
-    for k in range(n + 1):
-        acc = acc + rows[n][k] * power
-        power *= xq
-    return acc
+    return _row_sum(m, n, as_fraction(x), False)
 
 
 def dowling_number(m: int, n: int) -> LambdaPoly:
@@ -295,13 +309,18 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Ordered variant sum_k k! W(n,k) x^k."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    return _row_sum(m, n, as_fraction(x), True)
+
+
+@lru_cache(maxsize=4096)
+def _row_sum(m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
+    """sum_k W(n,k) x^k, each term weighted by k! when ``ordered``."""
     rows = whitney2_rows(m, n)
-    xq = Fraction(x)
     acc = LambdaPoly()
     power = Fraction(1)
     for k in range(n + 1):
-        acc = acc + rows[n][k] * (power * factorial(k))
-        power *= xq
+        acc = acc + rows[n][k] * (power * factorial(k) if ordered else power)
+        power *= x
     return acc
 
 

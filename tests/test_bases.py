@@ -44,6 +44,31 @@ def test_rising():
     assert lambda_rising(1, 3, l) == LambdaPoly((1, 3, 2))
 
 
+def test_rising_is_falling_with_negated_step():
+    # both products share one memo cache, keyed by the signed step
+    for n in range(6):
+        assert lambda_rising(Fraction(5, 2), n, l) == lambda_falling(Fraction(5, 2), n, -l)
+        assert lambda_falling(3, n, 2 * l) == lambda_rising(3, n, -2 * l)
+
+
+def test_factorial_arguments_are_validated():
+    for fn in (lambda_falling, lambda_rising):
+        with pytest.raises(ValueError):
+            fn(1, -1, l)
+        for bad in ((1.0, 2, l), (1, 2, 0.5), (True, 2, l), (1, 2.0, l), (1, True, l)):
+            with pytest.raises(TypeError):
+                fn(*bad)
+
+
+def test_cached_factorial_does_not_admit_an_equal_float():
+    assert lambda_falling(2, 3, 1) == LambdaPoly((0,))
+    assert lambda_rising(2, 3, l) == LambdaPoly((8, 12, 4))
+    with pytest.raises(TypeError):
+        lambda_falling(2.0, 3, 1)
+    with pytest.raises(TypeError):
+        lambda_rising(2, 3.0, l)
+
+
 def test_basis_poly():
     assert basis_poly(2, [LambdaPoly(), l]) == XPoly((0, -l, 1))
     assert basis_poly(0, []) == XPoly((1,))

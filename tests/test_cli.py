@@ -102,6 +102,13 @@ class TestTriangle:
         assert code == 2
         assert "unknown family" in err
 
+    def test_negative_lambda_after_space(self, capsys):
+        code, out, _ = run(
+            capsys, "triangle", "--family", "W", "--m", "2", "--n-max", "2", "--lambda", "-1/2"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "3/2, 9/2, 1"
+
     def test_bad_lambda(self, capsys):
         code, _, _ = run(
             capsys, "triangle", "--family", "W", "--n-max", "1", "--lambda", "pi"
@@ -162,6 +169,20 @@ class TestEval:
     def test_malformed_poly(self, capsys):
         code, _, _ = run(capsys, "eval", "--poly", "1++2")
         assert code == 2
+
+    def test_negative_lambda_after_space(self, capsys):
+        code, out, _ = run(capsys, "eval", "--poly", "1 - l", "--lambda", "-1/2")
+        assert code == 0
+        assert out == "3/2\n"
+        code, out, _ = run(capsys, "eval", "--poly", "l", "--lambda", "-1e-3")
+        assert code == 0
+        assert out == "-1/1000\n"
+
+    def test_missing_lambda_value_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--poly", "l", "--lambda", "--symbolic")
+        assert code == 2
+        assert out == ""
+        assert "expected one argument" in err
 
 
 class TestVerify:
@@ -247,6 +268,33 @@ class TestDobinski:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_negative_values_after_space(self, capsys):
+        joined = run(
+            capsys, "dobinski", "--m", "1", "--n", "3", "--x=-5/2", "--lambda=-1/2",
+            "--terms", "200",
+        )
+        spaced = run(
+            capsys, "dobinski", "--m", "1", "--n", "3", "--x", "-5/2", "--lambda", "-1/2",
+            "--terms", "200",
+        )
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert spaced[1].endswith(" pass\n")
+        code, out, _ = run(
+            capsys, "dobinski", "--m", "2", "--n", "2", "--x", "-1e1", "--lambda", "0",
+            "--terms", "200",
+        )
+        assert code == 0
+        assert out.endswith(" pass\n")
+
+    def test_non_rational_negative_value(self, capsys):
+        code, out, err = run(
+            capsys, "dobinski", "--m", "1", "--n", "3", "--x", "-inf", "--lambda", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--x must be a rational" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):

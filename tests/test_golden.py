@@ -1,9 +1,10 @@
 """Byte-identity guard: SHA-256 digests of exported text that must never change.
 
-The digests were taken from the Fraction-per-coefficient implementation of
-``LambdaPoly``, before the integer-numerator kernel replaced it.  Any change
-to the scalar layer that alters one byte of a symbolic or rational result
-fails here in seconds.
+The triangle and Bernoulli/Euler digests were taken from the
+Fraction-per-coefficient implementation of ``LambdaPoly``, before the
+integer-numerator kernel replaced it; the ``verify`` digests were taken
+before the memo caches of the catalog's sub-terms were added.  Any change
+that alters one byte of a symbolic or rational result fails here in seconds.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dowlab import cli
+from dowlab import bases, cli, stirling, whitney
 from dowlab.bernoulli_euler import deg_bernoulli, deg_euler
 
 TRIANGLES = {
@@ -31,6 +32,20 @@ TRIANGLES = {
     ),
 }
 
+# `dowlab verify --n-max 6 --seed S` with the default m and r sets.
+VERIFY = {
+    0: "1eb95e0bf91ce2715df0490b71e8e8278866465dc208918efc05262480dee56b",
+    7: "a1a79bb199a2b14e211dc1af7fcdb5443eaa4915b57d9f296565c3562d7019c5",
+}
+
+# Memo caches of repeated sub-terms; each must stay bounded.
+MEMO_CACHES = (
+    bases._factorial_product,
+    stirling._bell_row_sum,
+    whitney._row_sum,
+    whitney._forward_differences,
+)
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -43,6 +58,20 @@ def test_triangle_export_digest(case):
     with contextlib.redirect_stdout(out):
         assert cli.main(["triangle", *args]) == 0
     assert sha256(out.getvalue()) == digest
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY))
+def test_verify_report_digest(seed):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--n-max", "6", "--seed", str(seed)]) == 0
+    assert sha256(out.getvalue()) == VERIFY[seed]
+
+
+@pytest.mark.parametrize("cache", MEMO_CACHES, ids=lambda fn: fn.__name__)
+def test_memo_cache_is_bounded(cache):
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
 
 
 def test_non_integer_coefficients_digest():

@@ -47,14 +47,6 @@ def test_determinism_same_seed():
     assert doc_a == doc_b
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    monkeypatch.setenv("DOWLAB_THREADS", "3")
-    threaded = idn.verify_all(3, [1, 2], [1], 0)
-    monkeypatch.setenv("DOWLAB_THREADS", "1")
-    serial = idn.verify_all(3, [1, 2], [1], 0)
-    assert [r.to_dict() for r in threaded] == [r.to_dict() for r in serial]
-
-
 def test_discrepancy_entries_are_decided():
     for ident in ("thm16", "thm20", "cor22", "cor22_remark", "eq81"):
         report = idn.run_identity(ident, 6, [1, 2], [1, 2], 0)

@@ -133,6 +133,13 @@ class TestBell:
                 acc = acc + st.deg_stirling2(n + 1, k + 1)
             assert st.deg_bell_number(n + 1) == acc
 
+    def test_inexact_x_refused(self):
+        assert st.deg_bell(3, 1) == LambdaPoly((5, -6, 2))
+        # an equal float or bool must not hit the cached value of x = 1
+        for bad in (1.0, True, 0.1):
+            with pytest.raises(TypeError):
+                st.deg_bell(3, bad)
+
 
 class TestRShifted:
     def test_second_kind_spot(self):

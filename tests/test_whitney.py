@@ -110,6 +110,23 @@ class TestAlternativeFormulas:
                 for k in range(n + 1):
                     assert wh.whitney2_diff(m, n, k) == wh.whitney2(m, n, k)
 
+    def test_forward_difference_path_is_independent(self, monkeypatch):
+        # the chain of differences must not lean on the recurrence or on the
+        # alternating sum of thm12, or thm14 would check nothing
+        def forbidden(*args):
+            raise AssertionError("forward differences reached another route")
+
+        expected = {(3, n, k): wh.whitney2(3, n, k) for n in range(11) for k in range(n + 1)}
+        wh._forward_differences.cache_clear()
+        monkeypatch.setattr(wh, "whitney2_rows", forbidden)
+        monkeypatch.setattr(wh, "whitney2_alt", forbidden)
+        for (m, n, k), value in expected.items():
+            assert wh.whitney2_diff(m, n, k) == value
+
+    def test_forward_difference_rejects_bad_m(self):
+        with pytest.raises(ValueError):
+            wh.whitney2_diff(0, 2, 1)
+
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
             wh.whitney2_alt(1, 2, 1, "nosuch")
@@ -171,6 +188,17 @@ class TestDowling:
         assert series.coeff(2) == LambdaPoly((6, -2))
         for n in range(5):
             assert series.coeff(n) == wh.tanny_dowling_poly(1, n, 1)
+
+    @pytest.mark.parametrize("poly", (wh.dowling_poly, wh.tanny_dowling_poly))
+    def test_inexact_x_refused(self, poly):
+        poly(1, 2, 1)
+        poly(1, 3, Fraction(1, 10))
+        # an equal float or bool must not hit the cached value of x = 1
+        for x in (1.0, True, 0.1, False):
+            with pytest.raises(TypeError):
+                poly(1, 2, x)
+        with pytest.raises(TypeError):
+            poly(1, 3, 0.1)
 
 
 class TestRWhitney:
