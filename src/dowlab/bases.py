@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar
+from .exact import LAMBDA, LambdaPoly, Scalar, check_ints
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
 NodeSequence = Sequence[LambdaPoly]
@@ -52,8 +53,7 @@ def lambda_rising(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
 
 def _order(n: int) -> int:
     """A factorial's number of factors: an int >= 0 (bools and floats are refused)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"factorial order must be an int, got {type(n).__name__}")
+    check_ints(n)
     if n < 0:
         raise ValueError("factorial order must be >= 0")
     return n
@@ -213,6 +213,27 @@ def newton_convert(p: XPoly, nodes: NodeSequence) -> list[LambdaPoly]:
         out.append(rem)
     out.append(q.coeffs[0])
     return out
+
+
+def newton_rows(
+    factor: Callable[[int], XPoly],
+    nodes: Callable[[int], NodeSequence],
+    rescale: int | Fraction = 1,
+) -> Iterator[list[LambdaPoly]]:
+    """Endless rows of the products factor(0)...factor(n-1), n = 0, 1, ...
+
+    Row n holds the Newton coefficients c_0..c_n of the nth product over
+    ``nodes(n)``, each c_k divided by ``rescale**k``.  Every triangle defined
+    by a change of basis is one choice of factor, nodes and rescale.
+    """
+    prod = XPoly((1,))
+    for n in count():
+        if n:
+            prod = prod * factor(n - 1)
+        coeffs = newton_convert(prod, nodes(n))
+        if rescale != 1:
+            coeffs = [c / Fraction(rescale) ** k for k, c in enumerate(coeffs)]
+        yield coeffs
 
 
 def int_nodes(n: int) -> list[LambdaPoly]:

@@ -47,6 +47,13 @@ def as_fraction(value: int | Fraction) -> Fraction:
     return Fraction(*_rational(value))
 
 
+def check_ints(*values: int) -> None:
+    """Refuse anything but an int, an equal float or a bool too, before a cache sees it."""
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"expected an int, got {type(value).__name__}")
+
+
 def _raw(nums: tuple[int, ...], den: int) -> "LambdaPoly":
     """A LambdaPoly from numerators and a denominator already in canonical form."""
     p = object.__new__(LambdaPoly)

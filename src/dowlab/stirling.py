@@ -3,7 +3,8 @@
 Primary computation is basis conversion straight from the defining change
 of basis; generating-function extraction is kept as an independent oracle
 path (the *_gf builders) so the identity engine can cross-check the two.
-Triangles are memoized per parameter set and immutable once built.
+Each primary triangle is served by a row store (``row_store``): one per
+parameter set, extended row by row when a larger ``n_max`` is asked for.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
+from itertools import count
+from threading import Lock
+from typing import Callable, Iterator
 
-from .exact import LAMBDA, LambdaPoly, as_fraction
-from .bases import XPoly, int_nodes, lambda_nodes, newton_convert
+from .exact import LambdaPoly, as_fraction, check_ints
+from .bases import XPoly, int_nodes, lambda_nodes, newton_rows
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
 Rows = tuple[tuple[LambdaPoly, ...], ...]
@@ -61,21 +65,70 @@ def _freeze(rows: list[list[LambdaPoly]]) -> Rows:
     return tuple(tuple(row) for row in rows)
 
 
+# -- row stores -----------------------------------------------------------------
+
+# Parameter sets whose rows stay held per family; the least recently used goes.
+STORES_HELD = 64
+
+
+def _check_index(n: int, k: int) -> None:
+    check_ints(n, k)
+    if n < 0 or k < 0 or k > n:
+        raise IndexError(f"({n}, {k}) outside triangle")
+
+
+def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
+    """Serve the endless rows ``rows_of(*params)`` as ``f(*params, n_max) -> Rows``.
+
+    ``rows_of`` checks its parameters before it returns the row iterator, so
+    a refused call stores nothing.  A store is the list of rows built so far
+    plus the live iterator; a longer ``n_max`` extends it.  The decorated
+    function has ``cache_info()`` and ``cache_clear()`` of its stores.
+    """
+
+    @lru_cache(maxsize=STORES_HELD)
+    def store(*params: int) -> tuple[list[tuple], Iterator]:
+        return [], rows_of(*params)
+
+    lock = Lock()  # one thread at a time drives a row iterator
+
+    @wraps(rows_of)
+    def rows(*args: int) -> Rows:
+        check_ints(*args)
+        n_max = args[-1]
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        built, source = store(*args[:-1])
+        if len(built) <= n_max:
+            with lock:
+                try:
+                    while len(built) <= n_max:
+                        built.append(tuple(next(source)))
+                except BaseException:
+                    store.cache_clear()  # an interrupted iterator cannot be resumed
+                    raise
+        return tuple(built[: n_max + 1])
+
+    rows.cache_info = store.cache_info
+    rows.cache_clear = store.cache_clear
+    return rows
+
+
+def _recurrence(one, weight: Callable[[int, int], object]) -> Iterator[tuple]:
+    """Rows of T(n, k) = T(n-1, k-1) + weight(n, k) T(n-1, k), from T(0, 0) = one."""
+    row = (one,)
+    for n in count(1):
+        yield row
+        inner = (row[k - 1] + row[k] * weight(n, k) for k in range(1, n))
+        row = (row[0] * weight(n, 0), *inner, row[-1])
+
+
 # -- classical Stirling numbers ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stirling1_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            upper_left = prev[k - 1] if 1 <= k else 0
-            upper = prev[k] if k <= n - 1 else 0
-            row.append(upper_left - (n - 1) * upper)
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+@row_store
+def _stirling1_rows() -> Iterator[tuple]:
+    return _recurrence(1, lambda n, k: 1 - n)
 
 
 def stirling1(n: int, k: int) -> int:
@@ -84,19 +137,11 @@ def stirling1(n: int, k: int) -> int:
     return _stirling1_rows(n)[n][k]
 
 
-@lru_cache(maxsize=None)
-def _stirling2_rows(n_max: int) -> tuple[tuple[int, ...], ...]:
+@row_store
+def _stirling2_rows() -> Iterator[tuple]:
     # Defining relation x^n = sum S_2(n,k) (x)_k, solved by Newton conversion.
-    rows = []
-    for n in range(n_max + 1):
-        power = XPoly([0] * n + [1])
-        coeffs = newton_convert(power, int_nodes(n))
-        row = []
-        for c in coeffs:
-            q = c.constant()
-            row.append(int(q))
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    rows = newton_rows(lambda j: XPoly.x(), int_nodes)
+    return ([int(c.constant()) for c in row] for row in rows)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -105,24 +150,13 @@ def stirling2(n: int, k: int) -> int:
     return _stirling2_rows(n)[n][k]
 
 
-def _check_index(n: int, k: int) -> None:
-    if n < 0 or k < 0 or k > n:
-        raise IndexError(f"({n}, {k}) outside triangle")
-
-
 # -- degenerate Stirling numbers --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def deg_stirling1_rows(n_max: int) -> Rows:
+@row_store
+def deg_stirling1_rows() -> Iterator[list[LambdaPoly]]:
     """Rows of the first-kind degenerate triangle: (x)_n in the step-l basis."""
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((-LambdaPoly.const(n - 1), LambdaPoly((1,))))
-        rows.append(newton_convert(prod, lambda_nodes(n)))
-    return _freeze(rows)
+    return newton_rows(lambda j: XPoly((-j, 1)), lambda_nodes)
 
 
 def deg_stirling1(n: int, k: int) -> LambdaPoly:
@@ -130,16 +164,9 @@ def deg_stirling1(n: int, k: int) -> LambdaPoly:
     return deg_stirling1_rows(n)[n][k]
 
 
-@lru_cache(maxsize=None)
 def deg_stirling2_rows(n_max: int) -> Rows:
     """Rows of the second-kind degenerate triangle: (x)_{n,l} in the falling basis."""
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((-LAMBDA * (n - 1), LambdaPoly((1,))))
-        rows.append(newton_convert(prod, int_nodes(n)))
-    return _freeze(rows)
+    return deg_r_stirling2_rows(0, n_max)
 
 
 def deg_stirling2(n: int, k: int) -> LambdaPoly:
@@ -148,12 +175,14 @@ def deg_stirling2(n: int, k: int) -> LambdaPoly:
 
 
 def deg_stirling1_or_zero(n: int, k: int) -> LambdaPoly:
+    check_ints(n, k)
     if k < 0 or k > n:
         return LambdaPoly()
     return deg_stirling1(n, k)
 
 
 def deg_stirling2_or_zero(n: int, k: int) -> LambdaPoly:
+    check_ints(n, k)
     if k < 0 or k > n:
         return LambdaPoly()
     return deg_stirling2(n, k)
@@ -161,6 +190,7 @@ def deg_stirling2_or_zero(n: int, k: int) -> LambdaPoly:
 
 def deg_bell(n: int, x: int | Fraction) -> LambdaPoly:
     """Degenerate Bell polynomial value: sum_k S2deg(n,k) x^k at rational x."""
+    check_ints(n)
     if n < 0:
         raise ValueError("Bell polynomial index must be >= 0")
     return _bell_row_sum(n, as_fraction(x))
@@ -184,18 +214,16 @@ def deg_bell_number(n: int) -> LambdaPoly:
 # -- degenerate r-Stirling numbers -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def deg_r_stirling2_rows(r: int, n_max: int) -> Rows:
-    """(x+r)_{n,l} in the ordinary falling basis (second kind, shift r)."""
+def _check_r(r: int) -> None:
     if r < 0:
         raise ValueError("r must be >= 0")
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly((r, -(n - 1))), LambdaPoly((1,))))
-        rows.append(newton_convert(prod, int_nodes(n)))
-    return _freeze(rows)
+
+
+@row_store
+def deg_r_stirling2_rows(r: int) -> Iterator[list[LambdaPoly]]:
+    """(x+r)_{n,l} in the ordinary falling basis (second kind, shift r)."""
+    _check_r(r)
+    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), 1)), int_nodes)
 
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
@@ -203,19 +231,11 @@ def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
     return deg_r_stirling2_rows(r, n)[n][k]
 
 
-@lru_cache(maxsize=None)
-def deg_r_stirling1_unsigned_rows(r: int, n_max: int) -> Rows:
+@row_store
+def deg_r_stirling1_unsigned_rows(r: int) -> Iterator[list[LambdaPoly]]:
     """<x+r>_n in the rising step-l basis (unsigned first kind, shift r)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly.const(r + n - 1), LambdaPoly((1,))))
-        nodes = [LAMBDA * (-j) for j in range(n)]
-        rows.append(newton_convert(prod, nodes))
-    return _freeze(rows)
+    _check_r(r)
+    return newton_rows(lambda j: XPoly((r + j, 1)), lambda n: lambda_nodes(n, -1))
 
 
 def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:

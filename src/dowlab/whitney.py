@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import ceil, factorial, isfinite, prod
+from typing import Iterator
 
-from .exact import LAMBDA, LambdaPoly, as_fraction
+from .exact import LAMBDA, ONE, ZERO, LambdaPoly, as_fraction, check_ints
 from .bases import (
     XPoly,
     binom,
@@ -26,20 +28,23 @@ from .bases import (
     lambda_falling,
     lambda_nodes,
     lambda_rising,
-    newton_convert,
+    newton_rows,
 )
 from .series import TruncatedSeries, binomial_series, deg_exp, deg_log, gf_triangle, one_series
 from .stirling import (
     Family,
     Rows,
     Triangle,
+    _check_index,
     _freeze,
+    _recurrence,
+    _stirling1_rows,
+    _stirling2_rows,
     deg_r_stirling1_unsigned_rows,
     deg_r_stirling2_rows,
     deg_stirling1_rows,
     deg_stirling2_rows,
-    stirling1,
-    stirling2,
+    row_store,
 )
 
 
@@ -51,40 +56,26 @@ class WhitneyParams:
     r: int = 1
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
+        _check_m(self.m)
+        check_ints(self.r)
         if self.r < 1:
             raise ValueError(f"r must be a positive integer, got {self.r}")
 
 
 def _check_m(m: int) -> None:
+    check_ints(m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-
-
-def _check_index(n: int, k: int) -> None:
-    if n < 0 or k < 0 or k > n:
-        raise IndexError(f"({n}, {k}) outside triangle")
 
 
 # -- second kind -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def whitney2_rows(m: int, n_max: int) -> Rows:
+@row_store
+def whitney2_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """Second-kind triangle from the two-term recurrence."""
     _check_m(m)
-    rows: list[list[LambdaPoly]] = [[LambdaPoly((1,))]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            acc = prev[k - 1] if k >= 1 else LambdaPoly()
-            if k <= n - 1:
-                acc = acc + prev[k] * (m * k + 1) - prev[k] * LAMBDA * (n - 1)
-            row.append(acc)
-        rows.append(row)
-    return _freeze(rows)
+    return _recurrence(ONE, lambda n, k: LambdaPoly((m * k + 1, 1 - n)))
 
 
 def whitney2(m: int, n: int, k: int) -> LambdaPoly:
@@ -93,26 +84,17 @@ def whitney2(m: int, n: int, k: int) -> LambdaPoly:
 
 
 def whitney2_or_zero(m: int, n: int, k: int) -> LambdaPoly:
+    check_ints(n, k)
     if k < 0 or k > n or n < 0:
         return LambdaPoly()
     return whitney2(m, n, k)
 
 
-@lru_cache(maxsize=None)
 def whitney2_rows_newton(m: int, n_max: int) -> Rows:
     """Second-kind triangle by expanding (mx+1)_{n,l} in the falling basis."""
-    _check_m(m)
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly((1, -(n - 1))), LambdaPoly.const(m)))
-        coeffs = newton_convert(prod, int_nodes(n))
-        rows.append([c / Fraction(m) ** k for k, c in enumerate(coeffs)])
-    return _freeze(rows)
+    return r_whitney2_rows(m, 1, n_max)
 
 
-@lru_cache(maxsize=None)
 def whitney2_rows_gf(m: int, n_max: int) -> Rows:
     """Second-kind triangle from the generating function e_l(t)((e_l^m(t)-1)/m)^k/k!."""
     _check_m(m)
@@ -123,21 +105,11 @@ def whitney2_rows_gf(m: int, n_max: int) -> Rows:
 # -- first kind ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def whitney1_rows(m: int, n_max: int) -> Rows:
+@row_store
+def whitney1_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """First-kind triangle from the two-term recurrence."""
     _check_m(m)
-    rows: list[list[LambdaPoly]] = [[LambdaPoly((1,))]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            acc = prev[k - 1] if k >= 1 else LambdaPoly()
-            if k <= n - 1:
-                acc = acc + prev[k] * (m - n * m - 1) + prev[k] * LAMBDA * k
-            row.append(acc)
-        rows.append(row)
-    return _freeze(rows)
+    return _recurrence(ONE, lambda n, k: LambdaPoly((m - n * m - 1, k)))
 
 
 def whitney1(m: int, n: int, k: int) -> LambdaPoly:
@@ -146,30 +118,17 @@ def whitney1(m: int, n: int, k: int) -> LambdaPoly:
 
 
 def whitney1_or_zero(m: int, n: int, k: int) -> LambdaPoly:
+    check_ints(n, k)
     if k < 0 or k > n or n < 0:
         return LambdaPoly()
     return whitney1(m, n, k)
 
 
-@lru_cache(maxsize=None)
 def whitney1_rows_newton(m: int, n_max: int) -> Rows:
-    """First-kind triangle by Newton conversion of the defining relation.
-
-    Substituting u = mx+1 turns m^n (x)_n into prod_j (u - (1+jm)), which
-    is then expanded in the step-l falling basis of u; the coefficients are
-    the first-kind numbers directly and everything stays in Q[l].
-    """
-    _check_m(m)
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly.const(-(1 + (n - 1) * m)), LambdaPoly((1,))))
-        rows.append(newton_convert(prod, lambda_nodes(n)))
-    return _freeze(rows)
+    """First-kind triangle by Newton conversion of the defining relation."""
+    return r_whitney1_rows(m, 1, n_max)
 
 
-@lru_cache(maxsize=None)
 def whitney1_rows_gf(m: int, n_max: int) -> Rows:
     """First-kind triangle from the generating function (log_l e_m(t))^k e_m^{-1}(t)/k!."""
     _check_m(m)
@@ -187,6 +146,7 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     _check_m(m)
     if path == "sum_T12":
         # valid for n < k as well, where the alternating sum vanishes
+        check_ints(n, k)
         if n < 0 or k < 0:
             raise IndexError(f"({n}, {k}) outside domain")
         acc = LambdaPoly()
@@ -244,6 +204,7 @@ def _taylor_shift(cs: list[LambdaPoly]) -> list[LambdaPoly]:
 def v0(m: int, n: int) -> LambdaPoly:
     """First-kind column k = 0: (-1)^n (m+1)(2m+1)...((n-1)m+1), free of l."""
     _check_m(m)
+    check_ints(n)
     acc = 1
     for j in range(n):
         acc *= j * m + 1
@@ -255,26 +216,26 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     _check_m(m)
     _check_index(n, k)
     if path == "quad_T8":
-        s1deg = deg_stirling1_rows(n)
+        s1, s2, s1deg = _stirling1_rows(n), _stirling2_rows(n), deg_stirling1_rows(n)
         acc = LambdaPoly()
         for j in range(k, n + 1):
             for l in range(k, j + 1):
                 inner = LambdaPoly()
                 for i in range(l, j + 1):
-                    inner = inner + s1deg[i][l] * stirling2(j, i)
+                    inner = inner + s1deg[i][l] * s2[j][i]
                 sign = -1 if (l - k) % 2 else 1
                 rising = lambda_rising(1, l - k, LAMBDA)
-                acc = acc + rising * inner * (sign * binom(l, k) * stirling1(n, j) * m ** (n - j))
+                acc = acc + rising * inner * (sign * binom(l, k) * s1[n][j] * m ** (n - j))
         return acc
     if path == "v0_T18":
-        s1deg = deg_stirling1_rows(n)
+        s1, s2, s1deg = _stirling1_rows(n), _stirling2_rows(n), deg_stirling1_rows(n)
         acc = LambdaPoly()
         for i in range(k, n + 1):
             tail = v0(m, n - i) * binom(n, i)
             inner = LambdaPoly()
             for j in range(k, i + 1):
                 for l in range(k, j + 1):
-                    inner = inner + s1deg[l][k] * (stirling2(j, l) * stirling1(i, j) * m ** (i - j))
+                    inner = inner + s1deg[l][k] * (s2[j][l] * s1[i][j] * m ** (i - j))
             acc = acc + inner * tail
         return acc
     if path == "stirling_T19":
@@ -296,6 +257,7 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
 
 def dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Row polynomial sum_k W(n,k) x^k of the second-kind triangle."""
+    check_ints(m, n)
     if n < 0:
         raise ValueError("n must be >= 0")
     return _row_sum(m, n, as_fraction(x), False)
@@ -307,6 +269,7 @@ def dowling_number(m: int, n: int) -> LambdaPoly:
 
 def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Ordered variant sum_k k! W(n,k) x^k."""
+    check_ints(m, n)
     if n < 0:
         raise ValueError("n must be >= 0")
     return _row_sum(m, n, as_fraction(x), True)
@@ -339,18 +302,11 @@ def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
 # -- r-generalizations ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def r_whitney2_rows(m: int, r: int, n_max: int) -> Rows:
+@row_store
+def r_whitney2_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
     """Second-kind r-triangle by expanding (mx+r)_{n,l} in the falling basis."""
     WhitneyParams(m, r)
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly((r, -(n - 1))), LambdaPoly.const(m)))
-        coeffs = newton_convert(prod, int_nodes(n))
-        rows.append([c / Fraction(m) ** k for k, c in enumerate(coeffs)])
-    return _freeze(rows)
+    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), m)), int_nodes, m)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -358,17 +314,16 @@ def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
     return r_whitney2_rows(m, r, n)[n][k]
 
 
-@lru_cache(maxsize=None)
-def r_whitney1_rows(m: int, r: int, n_max: int) -> Rows:
-    """First-kind r-triangle via the substitution u = mx+r (stays in Q[l])."""
+@row_store
+def r_whitney1_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
+    """First-kind r-triangle by Newton conversion of the defining relation.
+
+    Substituting u = mx+r turns m^n (x)_n into prod_j (u - (r+jm)), which
+    is then expanded in the step-l falling basis of u; the coefficients are
+    the first-kind numbers directly and everything stays in Q[l].
+    """
     WhitneyParams(m, r)
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly.const(-(r + (n - 1) * m)), LambdaPoly((1,))))
-        rows.append(newton_convert(prod, lambda_nodes(n)))
-    return _freeze(rows)
+    return newton_rows(lambda j: XPoly((-(r + j * m), 1)), lambda_nodes)
 
 
 def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -376,20 +331,16 @@ def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
     return r_whitney1_rows(m, r, n)[n][k]
 
 
-@lru_cache(maxsize=None)
 def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
     """Cross-check route without the u-substitution: convert m^n (x)_n over the
     rational-in-l nodes (j*l - r)/m and rescale by m^k afterwards."""
     WhitneyParams(m, r)
-    rows: list[list[LambdaPoly]] = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly.const(-(n - 1) * m), LambdaPoly.const(m)))
-        nodes = [(LAMBDA * j - r) / Fraction(m) for j in range(n)]
-        coeffs = newton_convert(prod, nodes)
-        rows.append([c / Fraction(m) ** k for k, c in enumerate(coeffs)])
-    return _freeze(rows)
+    rows = newton_rows(
+        lambda j: XPoly((-j * m, m)),
+        lambda n: [(LAMBDA * j - r) / Fraction(m) for j in range(n)],
+        m,
+    )
+    return _freeze(islice(rows, n_max + 1))
 
 
 def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
@@ -411,32 +362,23 @@ def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
 # -- classical limits (plain rationals, no l) --------------------------------------
 
 
-@lru_cache(maxsize=None)
 def classical_whitney2_rows(m: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """Classical second-kind numbers from (mx+1)^n = sum W m^k (x)_k over Q."""
     _check_m(m)
-    rows = []
-    base = XPoly((LambdaPoly((1,)), LambdaPoly.const(m)))
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * base
-        coeffs = newton_convert(prod, int_nodes(n))
-        rows.append(tuple(c.constant() / Fraction(m) ** k for k, c in enumerate(coeffs)))
-    return tuple(rows)
+    return _constants(newton_rows(lambda j: XPoly((1, m)), int_nodes, m), n_max)
 
 
-@lru_cache(maxsize=None)
 def classical_whitney1_rows(m: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """Classical first-kind numbers: m^n (x)_n in powers of u = mx+1 over Q."""
     _check_m(m)
-    rows = []
-    prod = XPoly((1,))
-    for n in range(n_max + 1):
-        if n:
-            prod = prod * XPoly((LambdaPoly.const(-(1 + (n - 1) * m)), LambdaPoly((1,))))
-        rows.append(tuple(c.constant() for c in prod.coeffs))
-    return tuple(rows)
+    # with every node 0 the Newton basis is the power basis of u
+    rows = newton_rows(lambda j: XPoly((-(1 + j * m), 1)), lambda n: [ZERO] * n)
+    return _constants(rows, n_max)
+
+
+def _constants(rows, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The first n_max + 1 rows, each entry read as a plain rational."""
+    return tuple(tuple(c.constant() for c in row) for row in islice(rows, n_max + 1))
 
 
 # -- Dobinski evaluation (the library's only inexact path) --------------------------
@@ -454,6 +396,7 @@ class DobinskiRequest:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        check_ints(self.m, self.n, self.terms)
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.n < 0:
@@ -531,22 +474,18 @@ def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Triangle
         raise ValueError("n_max must be >= 0")
     used_m, used_r = 1, 0
     if family is Family.S1:
-        rows = _freeze(
-            [[LambdaPoly.const(stirling1(n, k)) for k in range(n + 1)] for n in range(n_max + 1)]
-        )
+        rows = _freeze([map(LambdaPoly.const, row) for row in _stirling1_rows(n_max)])
     elif family is Family.S2:
-        rows = _freeze(
-            [[LambdaPoly.const(stirling2(n, k)) for k in range(n + 1)] for n in range(n_max + 1)]
-        )
+        rows = _freeze([map(LambdaPoly.const, row) for row in _stirling2_rows(n_max)])
     elif family is Family.S1DEG:
         rows = deg_stirling1_rows(n_max)
     elif family is Family.S2DEG:
         rows = deg_stirling2_rows(n_max)
     elif family is Family.S1DEG_R:
-        used_r = _check_r_nonneg(r)
+        used_r = r
         rows = deg_r_stirling1_unsigned_rows(r, n_max)
     elif family is Family.S2DEG_R:
-        used_r = _check_r_nonneg(r)
+        used_r = r
         rows = deg_r_stirling2_rows(r, n_max)
     elif family is Family.WDEG:
         used_m = m
@@ -563,9 +502,3 @@ def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Triangle
     else:  # pragma: no cover - Family() already rejects unknown names
         raise ValueError(f"unknown family {family!r}")
     return Triangle(family=family, m=used_m, r=used_r, n_max=n_max, rows=rows)
-
-
-def _check_r_nonneg(r: int) -> int:
-    if r < 0:
-        raise ValueError("r must be >= 0 for r-Stirling families")
-    return r

@@ -9,12 +9,15 @@ that alters one byte of a symbolic or rational result fails here in seconds.
 
 import contextlib
 import hashlib
+import importlib
 import io
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from dowlab import bases, cli, stirling, whitney
+import dowlab
+from dowlab import cli
 from dowlab.bernoulli_euler import deg_bernoulli, deg_euler
 
 TRIANGLES = {
@@ -38,13 +41,22 @@ VERIFY = {
     7: "a1a79bb199a2b14e211dc1af7fcdb5443eaa4915b57d9f296565c3562d7019c5",
 }
 
-# Memo caches of repeated sub-terms; each must stay bounded.
-MEMO_CACHES = (
-    bases._factorial_product,
-    stirling._bell_row_sum,
-    whitney._row_sum,
-    whitney._forward_differences,
-)
+
+
+def module_caches() -> dict:
+    """Every object with ``cache_info`` bound in a dowlab module, by name."""
+    caches = {}
+    for info in pkgutil.iter_modules(dowlab.__path__):
+        module = importlib.import_module(f"dowlab.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                # two caches under one name would hide one of them from the test
+                assert caches.setdefault(value.__name__, value) is value, value.__name__
+    return caches
+
+
+# Memo caches of repeated sub-terms and row stores; each must stay bounded.
+CACHES = module_caches()
 
 
 def sha256(text: str) -> str:
@@ -68,10 +80,16 @@ def test_verify_report_digest(seed):
     assert sha256(out.getvalue()) == VERIFY[seed]
 
 
-@pytest.mark.parametrize("cache", MEMO_CACHES, ids=lambda fn: fn.__name__)
-def test_memo_cache_is_bounded(cache):
-    maxsize = cache.cache_info().maxsize
+@pytest.mark.parametrize("name", sorted(CACHES))
+def test_memo_cache_is_bounded(name):
+    maxsize = CACHES[name].cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 4096
+
+
+def test_cache_discovery_finds_the_known_caches():
+    known = {"_factorial_product", "_bell_row_sum", "_row_sum", "_forward_differences"}
+    known |= {"whitney2_rows", "r_whitney1_rows", "_stirling1_rows", "deg_r_stirling2_rows"}
+    assert known <= set(CACHES)
 
 
 def test_non_integer_coefficients_digest():

@@ -5,11 +5,15 @@ machinery: set-partition enumeration for the second kind and plain integer
 convolution for falling-factorial expansions.
 """
 
+import sys
+import threading
 from itertools import product
 
 import pytest
 
+from dowlab.bases import newton_convert
 from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab import bases
 from dowlab import stirling as st
 
 l = LAMBDA
@@ -191,3 +195,115 @@ class TestTriangleType:
             tri.value(1, 3)
         with pytest.raises(IndexError):
             tri.value(5, 0)
+
+
+# Each accessor with int arguments; every one of them must refuse an equal
+# float or bool even after the int call has filled the caches.
+INT_ONLY = {
+    "stirling1": (st.stirling1, (3, 1)),
+    "stirling2": (st.stirling2, (3, 1)),
+    "deg_stirling1": (st.deg_stirling1, (3, 1)),
+    "deg_stirling2": (st.deg_stirling2, (3, 1)),
+    "deg_stirling1_or_zero": (st.deg_stirling1_or_zero, (3, 1)),
+    "deg_stirling2_or_zero": (st.deg_stirling2_or_zero, (3, 1)),
+    "deg_stirling1_rows": (st.deg_stirling1_rows, (3,)),
+    "deg_stirling2_rows": (st.deg_stirling2_rows, (3,)),
+    "deg_r_stirling2": (st.deg_r_stirling2, (3, 1, 1)),
+    "deg_r_stirling1_unsigned": (st.deg_r_stirling1_unsigned, (3, 1, 1)),
+    "deg_r_stirling2_rows": (st.deg_r_stirling2_rows, (1, 3)),
+    "deg_r_stirling1_unsigned_rows": (st.deg_r_stirling1_unsigned_rows, (1, 3)),
+    "deg_bell": (st.deg_bell, (1, 1)),
+}
+
+
+def equal_non_ints(value: int) -> list:
+    """The float equal to ``value``, and the bool too where one is equal."""
+    return [float(value)] + ([bool(value)] if value in (0, 1) else [])
+
+
+class TestIntArguments:
+    @pytest.mark.parametrize("name", sorted(INT_ONLY))
+    def test_equal_float_or_bool_refused_after_int(self, name):
+        fn, args = INT_ONLY[name]
+        fn(*args)
+        for i, value in enumerate(args):
+            for bad in equal_non_ints(value):
+                with pytest.raises(TypeError):
+                    fn(*args[:i], bad, *args[i + 1 :])
+
+    def test_negative_index_is_still_an_index_error(self):
+        for fn in (st.stirling1, st.stirling2, st.deg_stirling1, st.deg_stirling2):
+            with pytest.raises(IndexError):
+                fn(-1, 0)
+        with pytest.raises(IndexError):
+            st.deg_r_stirling2(2, -1, 0)
+
+
+class TestRowStore:
+    def test_refused_call_stores_nothing(self):
+        rows = st.deg_r_stirling2_rows
+        rows.cache_clear()
+        rows(1, 3)
+        for bad in ((-1, 3), (1.0, 3), (1, -1)):
+            with pytest.raises((ValueError, TypeError)):
+                rows(*bad)
+        assert rows.cache_info().currsize == 1
+        assert rows(2, 4)[4][4] == LambdaPoly((1,))
+        assert rows.cache_info().currsize == 2
+
+    def test_least_recently_used_store_is_evicted(self):
+        rows = st.deg_r_stirling2_rows
+        rows.cache_clear()
+        for r in range(st.STORES_HELD):
+            rows(r, 2)
+        rows(0, 2)  # touched again, so r = 1 is now the least recently used
+        rows(st.STORES_HELD, 2)  # the 65th parameter tuple
+        info = rows.cache_info()
+        assert info.currsize == st.STORES_HELD == 64
+        rows(0, 2)
+        assert rows.cache_info().hits == info.hits + 1
+        rows(1, 2)
+        assert rows.cache_info().misses == info.misses + 1
+
+    def test_interrupted_build_is_not_kept(self, monkeypatch):
+        rows = st.deg_stirling1_rows
+        expected = rows(6)
+        rows.cache_clear()
+        calls = []
+
+        def flaky(p, nodes):
+            calls.append(p)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return newton_convert(p, nodes)
+
+        monkeypatch.setattr(bases, "newton_convert", flaky)
+        with pytest.raises(KeyboardInterrupt):
+            rows(6)
+        assert rows(6) == expected
+
+    def test_threads_extend_one_store_in_order(self):
+        rows = st.deg_r_stirling1_unsigned_rows
+        expected = rows(2, 24)
+        rows.cache_clear()
+        results, errors = [], []
+
+        def worker(first):
+            try:
+                for n in range(first, 25, 4):
+                    results.append(rows(2, n) == expected[: n + 1])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 25 and all(results)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab import bases
 from dowlab import stirling as st
 from dowlab import whitney as wh
 
@@ -270,6 +271,9 @@ class TestDobinski:
         for tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=tol)
+        for bad in ({"m": 1.0}, {"n": True}, {"terms": 50.0}):
+            with pytest.raises(TypeError):
+                wh.DobinskiRequest(**{"m": 1, "n": 1, "terms": 50, **bad}, x=1, lam=0)
 
     @pytest.mark.parametrize(
         "m, x, terms",
@@ -336,3 +340,135 @@ class TestTriangleBuilder:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             wh.build_triangle("nosuch", 1, 1, 2)
+
+
+# Each accessor with int arguments; every one of them must refuse an equal
+# float or bool even after the int call has filled the caches.
+INT_ONLY = {
+    "whitney2": (wh.whitney2, (1, 3, 1)),
+    "whitney1": (wh.whitney1, (1, 3, 1)),
+    "whitney2_or_zero": (wh.whitney2_or_zero, (1, 3, 1)),
+    "whitney1_or_zero": (wh.whitney1_or_zero, (1, 3, 1)),
+    "whitney2_rows": (wh.whitney2_rows, (1, 3)),
+    "whitney1_rows": (wh.whitney1_rows, (1, 3)),
+    "whitney2_rows_newton": (wh.whitney2_rows_newton, (1, 3)),
+    "whitney1_rows_newton": (wh.whitney1_rows_newton, (1, 3)),
+    "whitney2_diff": (wh.whitney2_diff, (1, 3, 1)),
+    "r_whitney2": (wh.r_whitney2, (1, 1, 3, 1)),
+    "r_whitney1": (wh.r_whitney1, (1, 1, 3, 1)),
+    "r_whitney2_rows": (wh.r_whitney2_rows, (1, 1, 3)),
+    "r_whitney1_rows": (wh.r_whitney1_rows, (1, 1, 3)),
+    "WhitneyParams": (wh.WhitneyParams, (1, 1)),
+    "dowling_poly": (wh.dowling_poly, (1, 3, 1)),
+    "tanny_dowling_poly": (wh.tanny_dowling_poly, (1, 3, 1)),
+}
+
+
+def equal_non_ints(value: int) -> list:
+    """The float equal to ``value``, and the bool too where one is equal."""
+    return [float(value)] + ([bool(value)] if value in (0, 1) else [])
+
+
+class TestIntArguments:
+    @pytest.mark.parametrize("name", sorted(INT_ONLY))
+    def test_equal_float_or_bool_refused_after_int(self, name):
+        fn, args = INT_ONLY[name]
+        fn(*args)
+        for i, value in enumerate(args):
+            for bad in equal_non_ints(value):
+                with pytest.raises(TypeError):
+                    fn(*args[:i], bad, *args[i + 1 :])
+
+    def test_negative_index_is_still_an_index_error(self):
+        for fn in (wh.whitney2, wh.whitney1):
+            with pytest.raises(IndexError):
+                fn(1, -1, 0)
+        with pytest.raises(IndexError):
+            wh.r_whitney1(1, 1, 2, -1)
+
+
+class TestRowStore:
+    def test_one_store_extends_by_prefix(self):
+        wh.whitney2_rows.cache_clear()
+        built = [wh.whitney2_rows(3, n) for n in range(25)]
+        assert wh.whitney2_rows.cache_info().currsize == 1
+        assert wh.whitney2_rows(3, 7) == built[7]
+        for n, rows in enumerate(built):
+            wh.whitney2_rows.cache_clear()
+            assert rows == wh.whitney2_rows(3, n)
+
+    @pytest.mark.parametrize(
+        "rows, good, bad",
+        [
+            pytest.param(wh.whitney2_rows, (2, 3), (0, 3), id="whitney2_rows"),
+            pytest.param(wh.whitney1_rows, (2, 3), (-1, 3), id="whitney1_rows"),
+            pytest.param(wh.r_whitney1_rows, (2, 1, 3), (2, 0, 3), id="r_whitney1_rows"),
+            pytest.param(wh.r_whitney2_rows, (2, 1, 3), (0, 1, 3), id="r_whitney2_rows"),
+        ],
+    )
+    def test_refused_call_stores_nothing(self, rows, good, bad):
+        rows.cache_clear()
+        rows(*good)
+        with pytest.raises(ValueError):
+            rows(*bad)
+        assert rows.cache_info().currsize == 1
+        assert len(rows(*good[:-1], 5)) == 6
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("one triangle route reached the code of another")
+
+
+class TestRouteIndependence:
+    # The identity catalog compares the recurrence, Newton and GF routes;
+    # that only checks something while no route leans on another's code.
+    M_SET = (1, 2, 3)
+    N_MAX = 8
+
+    def test_recurrence_needs_no_newton_conversion(self, monkeypatch):
+        expected = {
+            m: (wh.r_whitney2_rows(m, 1, self.N_MAX), wh.r_whitney1_rows(m, 1, self.N_MAX))
+            for m in self.M_SET
+        }
+        monkeypatch.setattr(bases, "newton_convert", forbidden)
+        wh.whitney2_rows.cache_clear()
+        wh.whitney1_rows.cache_clear()
+        for m, (second, first) in expected.items():
+            assert wh.whitney2_rows(m, self.N_MAX) == second
+            assert wh.whitney1_rows(m, self.N_MAX) == first
+
+    def test_newton_route_needs_no_recurrence(self, monkeypatch):
+        expected = {
+            m: (wh.whitney2_rows(m, self.N_MAX), wh.whitney1_rows(m, self.N_MAX))
+            for m in self.M_SET
+        }
+        monkeypatch.setattr(st, "_recurrence", forbidden)
+        monkeypatch.setattr(wh, "_recurrence", forbidden)
+        wh.r_whitney2_rows.cache_clear()
+        wh.r_whitney1_rows.cache_clear()
+        for m, (second, first) in expected.items():
+            assert wh.r_whitney2_rows(m, 1, self.N_MAX) == second
+            assert wh.r_whitney1_rows(m, 1, self.N_MAX) == first
+
+    def test_gf_route_needs_neither(self, monkeypatch):
+        expected = {
+            m: (wh.whitney2_rows(m, self.N_MAX), wh.whitney1_rows(m, self.N_MAX))
+            for m in self.M_SET
+        }
+        for module in (bases, st, wh):
+            monkeypatch.setattr(module, "newton_rows", forbidden)
+        monkeypatch.setattr(bases, "newton_convert", forbidden)
+        monkeypatch.setattr(st, "_recurrence", forbidden)
+        monkeypatch.setattr(wh, "_recurrence", forbidden)
+        stores = [
+            fn
+            for module in (st, wh)
+            for name, fn in vars(module).items()
+            if name.endswith("_rows") and hasattr(fn, "cache_clear")
+        ]
+        for store in stores:
+            store.cache_clear()
+        for m, (second, first) in expected.items():
+            assert wh.whitney2_rows_gf(m, self.N_MAX) == second
+            assert wh.whitney1_rows_gf(m, self.N_MAX) == first
+        assert stores and all(store.cache_info().currsize == 0 for store in stores)
