@@ -15,7 +15,7 @@ from itertools import count
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar, check_ints
+from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, check_ints
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
 NodeSequence = Sequence[LambdaPoly]
@@ -32,7 +32,7 @@ def binom(n: int, k: int) -> int:
 
 def gen_binom(alpha: int | Fraction, n: int) -> Fraction:
     """Generalized binomial C(alpha, n) = alpha(alpha-1)...(alpha-n+1)/n! over Q."""
-    a = Fraction(alpha)
+    a = as_fraction(alpha)
     num = Fraction(1)
     for j in range(n):
         num *= a - j

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import LambdaPoly
+from .exact import ONE, LambdaPoly, as_fraction, dot
 from .bases import binom, gen_binom
 from .series import binomial_series, deg_exp, one_series, t_series
 from .stirling import deg_stirling1_rows, deg_stirling2_rows
@@ -23,23 +23,12 @@ def deg_bernoulli(n: int, k: int) -> LambdaPoly:
         raise ValueError("n and k must be >= 0")
     s1 = deg_stirling1_rows(n + k)
     s2 = deg_stirling2_rows(n)
-    acc = LambdaPoly()
-    for l in range(n + 1):
-        acc = acc + s1[l + k][k] * s2[n][l] / binom(l + k, k)
-    return acc
+    return dot((Fraction(1, binom(l + k, k)), s1[l + k][k], s2[n][l]) for l in range(n + 1))
 
 
 def deg_euler(n: int, alpha: int | Fraction) -> LambdaPoly:
     """Order-alpha degenerate Euler number; alpha may be any rational."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    a = Fraction(alpha)
-    s2 = deg_stirling2_rows(n)
-    acc = LambdaPoly()
-    for l in range(n + 1):
-        weight = Fraction(-1, 2) ** l * gen_binom(a + l - 1, l) * factorial(l)
-        acc = acc + s2[n][l] * weight
-    return acc
+    return deg_euler_sum_variant(n, alpha, -1)
 
 
 def deg_euler_sum_variant(n: int, alpha: int | Fraction, shift: int) -> LambdaPoly:
@@ -47,13 +36,12 @@ def deg_euler_sum_variant(n: int, alpha: int | Fraction, shift: int) -> LambdaPo
     theorem's form, shift = +1 the variant printed in the derivation."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = Fraction(alpha)
-    s2 = deg_stirling2_rows(n)
-    acc = LambdaPoly()
-    for l in range(n + 1):
-        weight = Fraction(-1, 2) ** l * gen_binom(a + l + shift, l) * factorial(l)
-        acc = acc + s2[n][l] * weight
-    return acc
+    a = as_fraction(alpha)
+    row = deg_stirling2_rows(n)[n]
+    return dot(
+        (Fraction(-1, 2) ** l * gen_binom(a + l + shift, l) * factorial(l), row[l], ONE)
+        for l in range(n + 1)
+    )
 
 
 def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
@@ -81,6 +69,6 @@ def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     half = (deg_exp(1, 1, n_max) - one_series(n_max)).scaled(Fraction(1, 2))
-    outer = binomial_series(-Fraction(alpha), 1, n_max)
+    outer = binomial_series(-as_fraction(alpha), 1, n_max)
     composed = outer.compose(half)
     return [composed.coeff(n) for n in range(n_max + 1)]

@@ -6,10 +6,11 @@ over one positive common denominator, in lowest terms (the layout of FLINT's
 ``fmpq_poly``).  Ring arithmetic is integer arithmetic on the numerators and
 touches the denominator once per polynomial, not once per coefficient;
 nearly every Whitney, Stirling and Dowling entry has integer coefficients,
-so the denominator is mostly 1.  Coefficients read back as exact rationals
-(``fractions.Fraction``), so all identity checks are decided by literal
-equality, never by tolerance.  Values are immutable and hashable and may be
-shared freely between threads.
+so the denominator is mostly 1.  ``dot`` sums many products the same way,
+over one denominator for the whole sum.  Coefficients read back as exact
+rationals (``fractions.Fraction``), so all identity checks are decided by
+literal equality, never by tolerance.  Values are immutable and hashable and
+may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -96,6 +97,44 @@ def _addsub(p: "LambdaPoly", q: "LambdaPoly", op) -> "LambdaPoly":
     return _canonical(out, den)
 
 
+def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "LambdaPoly":
+    """The sum of ``c * p * q`` over the ``(c, p, q)`` triples of ``terms``.
+
+    ``c`` is an exact rational and ``p``, ``q`` are LambdaPolys.  Every
+    product is added into one list of int numerators over one common
+    denominator and the sum is canonicalized once, so no term builds a
+    polynomial of its own.  Terms with a zero factor are skipped; a float or
+    bool ``c`` is refused even then.
+    """
+    acc: list[int] = []
+    den = 1
+    for c, p, q in terms:
+        cnum, cden = (c, 1) if type(c) is int else _rational(c)
+        a, b = p.nums, q.nums
+        if not cnum or not a or not b:
+            continue
+        tden = cden * p.den * q.den
+        if tden != den:
+            # Bring the sum and the term over lcm(den, tden).
+            g = gcd(den, tden)
+            if g != tden:
+                grow = tden // g
+                acc = [n * grow for n in acc]
+                den *= grow
+            cnum *= den // tden
+        if len(a) < len(b):
+            a, b = b, a
+        width = len(a)
+        missing = width + len(b) - 1 - len(acc)
+        if missing > 0:
+            acc += [0] * missing
+        for j, cb in enumerate(b):
+            if cb:
+                cb *= cnum
+                acc[j : j + width] = map(add, acc[j : j + width], map(cb.__mul__, a))
+    return _canonical(acc, den)
+
+
 class LambdaPoly:
     """Dense polynomial in ``l`` with exact rational coefficients.
 
@@ -123,6 +162,8 @@ class LambdaPoly:
     def coerce(cls, value: Scalar) -> "LambdaPoly":
         if isinstance(value, LambdaPoly):
             return value
+        if type(value) is int:  # not a bool: that goes on to be refused
+            return _raw((value,) if value else (), 1)
         return cls((value,))
 
     # -- structure ---------------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 from typing import Callable, Optional
 
-from .exact import LAMBDA, LambdaPoly
+from .exact import LAMBDA, ONE, LambdaPoly, dot
 from .bases import binom, lambda_falling, lambda_rising
 from .series import (
     binomial_series,
@@ -203,9 +204,7 @@ def _chk_orthogonality(p: SweepParams) -> CheckResult:
         for n in range(p.n_max + 1):
             for j in range(n + 1):
                 tested += 1
-                acc = LambdaPoly()
-                for k in range(j, n + 1):
-                    acc = acc + wh.whitney1(m, n, k) * wh.whitney2(m, k, j)
+                acc = dot((1, wh.whitney1(m, n, k), wh.whitney2(m, k, j)) for k in range(j, n + 1))
                 want = LambdaPoly.const(1 if n == j else 0)
                 if acc != want:
                     return tested, _ce({"m": m, "n": n, "j": j}, acc, want), None
@@ -217,9 +216,7 @@ def _chk_stirling_orthogonality(p: SweepParams) -> CheckResult:
     for n in range(p.n_max + 1):
         for j in range(n + 1):
             tested += 1
-            acc = LambdaPoly()
-            for k in range(j, n + 1):
-                acc = acc + st.deg_stirling1(n, k) * st.deg_stirling2(k, j)
+            acc = dot((1, st.deg_stirling1(n, k), st.deg_stirling2(k, j)) for k in range(j, n + 1))
             want = LambdaPoly.const(1 if n == j else 0)
             if acc != want:
                 return tested, _ce({"n": n, "j": j}, acc, want), None
@@ -243,9 +240,7 @@ def _chk_eq29_30(p: SweepParams) -> CheckResult:
     for n in range(p.n_max + 1):
         tested += 1
         bell_next = st.deg_bell_number(n + 1)
-        acc = LambdaPoly()
-        for k in range(n + 1):
-            acc = acc + st.deg_stirling2(n + 1, k + 1)
+        acc = dot((1, st.deg_stirling2(n + 1, k + 1), ONE) for k in range(n + 1))
         if bell_next != acc:
             return tested, _ce({"n": n, "part": "eq29"}, bell_next, acc), None
         tested += 1
@@ -374,10 +369,10 @@ def _chk_lemma15(p: SweepParams) -> CheckResult:
         for _ in range(5):
             z = _rand_rational(rng)
             tested += 1
-            acc = LambdaPoly()
-            for j in range(n + 1):
-                sign = -1 if j % 2 else 1
-                acc = acc + lambda_falling(z - j, n, LAMBDA) * (sign * binom(n, j))
+            acc = dot(
+                ((-1) ** j * binom(n, j), lambda_falling(z - j, n, LAMBDA), ONE)
+                for j in range(n + 1)
+            )
             if acc != LambdaPoly.const(factorial(n)):
                 return tested, _ce({"n": n, "z": str(z)}, acc, factorial(n)), None
     return tested, None, None
@@ -387,16 +382,23 @@ def _thm16_sum(m: int, n: int, k: int, with_falling_factor: bool) -> LambdaPoly:
     """Right side of the row recursion for W(n+1,k); the derivation carries a
     (m)_{l-i,l} factor that the displayed theorem omits, and the lower bound
     l = k-1 is clamped at 0 for k = 0."""
-    acc = LambdaPoly()
-    for l in range(max(k - 1, 0), n + 1):
-        inner = wh.whitney2_or_zero(m, l, k)
-        for i in range(max(k - 1, 0), l + 1):
-            term = wh.whitney2_or_zero(m, i, k - 1) * binom(l, i)
-            if with_falling_factor:
-                term = term * lambda_falling(m, l - i, LAMBDA)
-            inner = inner + term
-        acc = acc + inner * ((-LAMBDA) ** (n - l)) * Fraction(factorial(n), factorial(l))
-    return acc
+    low = max(k - 1, 0)
+
+    def inner(l: int) -> LambdaPoly:
+        terms = (
+            (
+                binom(l, i),
+                wh.whitney2_or_zero(m, i, k - 1),
+                lambda_falling(m, l - i, LAMBDA) if with_falling_factor else ONE,
+            )
+            for i in range(low, l + 1)
+        )
+        return dot(chain([(1, wh.whitney2_or_zero(m, l, k), ONE)], terms))
+
+    return dot(
+        (Fraction(factorial(n), factorial(l)), inner(l), (-LAMBDA) ** (n - l))
+        for l in range(low, n + 1)
+    )
 
 
 def _chk_thm16(p: SweepParams) -> CheckResult:
@@ -431,14 +433,21 @@ def _chk_thm17(p: SweepParams) -> CheckResult:
         for n in range(p.n_max):
             tested += 1
             want = wh.dowling_number(m, n + 1)
-            acc = LambdaPoly()
-            for l in range(n + 1):
-                outer = (-LAMBDA) ** (n - l) * (binom(n, l) * factorial(n - l))
-                for i in range(l + 1):
-                    delta = 2 if i == 0 else 1
-                    acc = acc + outer * lambda_falling(m, i, LAMBDA) * wh.dowling_number(
-                        m, l - i
-                    ) * (binom(l, i) * delta)
+            acc = dot(
+                (
+                    binom(n, l) * factorial(n - l),
+                    (-LAMBDA) ** (n - l),
+                    dot(
+                        (
+                            binom(l, i) * (2 if i == 0 else 1),
+                            lambda_falling(m, i, LAMBDA),
+                            wh.dowling_number(m, l - i),
+                        )
+                        for i in range(l + 1)
+                    ),
+                )
+                for l in range(n + 1)
+            )
             if acc != want:
                 return tested, _ce({"m": m, "n": n}, acc, want), None
     return tested, None, None
@@ -452,15 +461,15 @@ def _chk_thm20(p: SweepParams) -> CheckResult:
             for k in range(n + 1):
                 tested += 1
                 lhs = st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k)
-                corrected = LambdaPoly()
-                printed = LambdaPoly()
-                for i in range(k, n + 1):
-                    common = wh.whitney1(m, n, i) * lambda_falling(1, i - k, LAMBDA)
-                    corrected = corrected + common * binom(i, k)
-                    printed = printed + common * binom(n, i)
+                parts = [
+                    (i, wh.whitney1(m, n, i), lambda_falling(1, i - k, LAMBDA))
+                    for i in range(k, n + 1)
+                ]
+                corrected = dot((binom(i, k), w, f) for i, w, f in parts)
                 if corrected != lhs:
                     return tested, _ce({"m": m, "n": n, "k": k}, corrected, lhs), None
-                if printed_fails is None and printed != lhs:
+                # the printed form only matters until its first failure
+                if printed_fails is None and dot((binom(n, i), w, f) for i, w, f in parts) != lhs:
                     printed_fails = {"m": m, "n": n, "k": k}
     if printed_fails is not None:
         finding = (
@@ -480,14 +489,14 @@ def _chk_thm21(p: SweepParams) -> CheckResult:
             for k in range(n + 1):
                 tested += 1
                 lhs = wh.whitney2(m + 1, n, k)
-                acc = LambdaPoly()
-                for j in range(n + 1):
-                    sign = -1 if (n - j) % 2 else 1
-                    acc = acc + (
-                        wh.whitney2_or_zero(m, j, k).scale_lambda(scale)
-                        * lambda_rising(1, n - j, LAMBDA * m)
-                        * (sign * binom(n, j) * (m + 1) ** j)
+                acc = dot(
+                    (
+                        (-1) ** (n - j) * binom(n, j) * (m + 1) ** j,
+                        wh.whitney2_or_zero(m, j, k).scale_lambda(scale),
+                        lambda_rising(1, n - j, LAMBDA * m),
                     )
+                    for j in range(n + 1)
+                )
                 rhs = acc / Fraction((m + 1) ** k * m ** (n - k))
                 if lhs != rhs:
                     return tested, _ce({"m": m, "n": n, "k": k}, lhs, rhs), None
@@ -496,15 +505,19 @@ def _chk_thm21(p: SweepParams) -> CheckResult:
 
 def _cor22_sum(m: int, n: int, x: Fraction, poly_fn, rescale: bool) -> LambdaPoly:
     scale = Fraction(m, m + 1)
-    acc = LambdaPoly()
-    for j in range(n + 1):
-        sign = -1 if (n - j) % 2 else 1
-        inner = poly_fn(m, j, x * scale)
-        if rescale:
-            inner = inner.scale_lambda(scale)
-        acc = acc + inner * lambda_rising(1, n - j, LAMBDA * m) * (
-            sign * binom(n, j) * (m + 1) ** j
+
+    def inner(j: int) -> LambdaPoly:
+        value = poly_fn(m, j, x * scale)
+        return value.scale_lambda(scale) if rescale else value
+
+    acc = dot(
+        (
+            (-1) ** (n - j) * binom(n, j) * (m + 1) ** j,
+            inner(j),
+            lambda_rising(1, n - j, LAMBDA * m),
         )
+        for j in range(n + 1)
+    )
     return acc / Fraction(m**n)
 
 
@@ -549,10 +562,14 @@ def _chk_thm23(p: SweepParams) -> CheckResult:
             for x in X_SAMPLES:
                 tested += 1
                 lhs = wh.dowling_poly(m, n, x)
-                acc = LambdaPoly()
-                for i in range(n + 1):
-                    bell = st.deg_bell(i, x / m).scale_lambda(Fraction(1, m))
-                    acc = acc + bell * lambda_falling(1, n - i, LAMBDA) * (binom(n, i) * m**i)
+                acc = dot(
+                    (
+                        binom(n, i) * m**i,
+                        st.deg_bell(i, x / m).scale_lambda(Fraction(1, m)),
+                        lambda_falling(1, n - i, LAMBDA),
+                    )
+                    for i in range(n + 1)
+                )
                 if lhs != acc:
                     return tested, _ce({"m": m, "n": n, "x": str(x)}, lhs, acc), None
     return tested, None, None
@@ -563,22 +580,22 @@ def _chk_lemma24(p: SweepParams) -> CheckResult:
     for n in range(p.n_max + 1):
         for j in range(n + 1):
             want = LambdaPoly.const(1 if n == j else 0)
-            first = LambdaPoly()
-            second = LambdaPoly()
-            for k in range(j, n + 1):
-                sign_kj = -1 if (k - j) % 2 else 1
-                sign_nk = -1 if (n - k) % 2 else 1
-                weight = binom(n, k) * binom(k, j)
-                first = first + (
-                    lambda_falling(1, n - k, LAMBDA)
-                    * lambda_rising(1, k - j, LAMBDA)
-                    * (sign_kj * weight)
+            first = dot(
+                (
+                    (-1) ** (k - j) * binom(n, k) * binom(k, j),
+                    lambda_falling(1, n - k, LAMBDA),
+                    lambda_rising(1, k - j, LAMBDA),
                 )
-                second = second + (
-                    lambda_rising(1, n - k, LAMBDA)
-                    * lambda_falling(1, k - j, LAMBDA)
-                    * (sign_nk * weight)
+                for k in range(j, n + 1)
+            )
+            second = dot(
+                (
+                    (-1) ** (n - k) * binom(n, k) * binom(k, j),
+                    lambda_rising(1, n - k, LAMBDA),
+                    lambda_falling(1, k - j, LAMBDA),
                 )
+                for k in range(j, n + 1)
+            )
             tested += 2
             if first != want:
                 return tested, _ce({"n": n, "j": j, "form": "falling-rising"}, first, want), None
@@ -593,36 +610,32 @@ def _chk_thm25(p: SweepParams) -> CheckResult:
     tested = 0
     for _ in range(3):
         b = [_rand_poly(rng) for _ in range(n_max + 1)]
-        a = []
-        for n in range(n_max + 1):
-            acc = LambdaPoly()
-            for k in range(n + 1):
-                acc = acc + b[k] * lambda_falling(1, n - k, LAMBDA) * binom(n, k)
-            a.append(acc)
+        a = [_falling_transform(b, n) for n in range(n_max + 1)]
         for n in range(n_max + 1):
             tested += 1
-            acc = LambdaPoly()
-            for k in range(n + 1):
-                sign = -1 if (n - k) % 2 else 1
-                acc = acc + a[k] * lambda_rising(1, n - k, LAMBDA) * (sign * binom(n, k))
+            acc = _rising_transform(a, n)
             if acc != b[n]:
                 return tested, _ce({"n": n, "direction": "forward-inverse"}, acc, b[n]), None
         # converse direction: start from the inverse transform
-        c = []
-        for n in range(n_max + 1):
-            acc = LambdaPoly()
-            for k in range(n + 1):
-                sign = -1 if (n - k) % 2 else 1
-                acc = acc + b[k] * lambda_rising(1, n - k, LAMBDA) * (sign * binom(n, k))
-            c.append(acc)
+        c = [_rising_transform(b, n) for n in range(n_max + 1)]
         for n in range(n_max + 1):
             tested += 1
-            acc = LambdaPoly()
-            for k in range(n + 1):
-                acc = acc + c[k] * lambda_falling(1, n - k, LAMBDA) * binom(n, k)
+            acc = _falling_transform(c, n)
             if acc != b[n]:
                 return tested, _ce({"n": n, "direction": "inverse-forward"}, acc, b[n]), None
     return tested, None, None
+
+
+def _falling_transform(b: list[LambdaPoly], n: int) -> LambdaPoly:
+    """sum_k C(n,k) (1)_{n-k,l} b_k, the forward transform of thm25."""
+    return dot((binom(n, k), b[k], lambda_falling(1, n - k, LAMBDA)) for k in range(n + 1))
+
+
+def _rising_transform(a: list[LambdaPoly], n: int) -> LambdaPoly:
+    """sum_k (-1)^(n-k) C(n,k) <1>_{n-k,l} a_k, the inverse transform of thm25."""
+    return dot(
+        ((-1) ** (n - k) * binom(n, k), a[k], lambda_rising(1, n - k, LAMBDA)) for k in range(n + 1)
+    )
 
 
 def _chk_thm26(p: SweepParams) -> CheckResult:
@@ -632,12 +645,14 @@ def _chk_thm26(p: SweepParams) -> CheckResult:
             for x in X_SAMPLES:
                 tested += 1
                 lhs = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
-                acc = LambdaPoly()
-                for k in range(n + 1):
-                    sign = -1 if (n - k) % 2 else 1
-                    acc = acc + wh.dowling_poly(m, k, x) * lambda_rising(1, n - k, LAMBDA) * (
-                        sign * binom(n, k)
+                acc = dot(
+                    (
+                        (-1) ** (n - k) * binom(n, k),
+                        wh.dowling_poly(m, k, x),
+                        lambda_rising(1, n - k, LAMBDA),
                     )
+                    for k in range(n + 1)
+                )
                 if lhs != acc:
                     return tested, _ce({"m": m, "n": n, "x": str(x)}, lhs, acc), None
     return tested, None, None
@@ -762,9 +777,10 @@ def _chk_eq77(p: SweepParams) -> CheckResult:
                 if ones[n][k] != wh.whitney2(m, n, k):
                     params = {"m": m, "n": n, "k": k, "part": "r=1"}
                     return tested, _ce(params, ones[n][k], wh.whitney2(m, n, k)), None
-    # r = 0 at m = 1 is the plain second-kind degenerate triangle
+    # r = 0 at m = 1 is the plain second-kind degenerate triangle; its
+    # generating function is the oracle, as deg_stirling2_rows is this store
     zero_r = st.deg_r_stirling2_rows(0, p.n_max)
-    plain = st.deg_stirling2_rows(p.n_max)
+    plain = st.deg_stirling2_rows_gf(p.n_max)
     for n in range(p.n_max + 1):
         for k in range(n + 1):
             tested += 1

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial
 from typing import Iterable, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar
+from .exact import LAMBDA, ONE, LambdaPoly, Scalar, as_fraction, dot
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,7 @@ class TruncatedSeries:
         # EGF product = binomial convolution of the coefficient sequences.
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for i in range(n + 1):
-            acc = LambdaPoly()
-            for k in range(i + 1):
-                if a[k].is_zero() or b[i - k].is_zero():
-                    continue
-                acc = acc + a[k] * b[i - k] * comb(i, k)
-            out.append(acc)
+        out = (dot((comb(i, k), a[k], b[i - k]) for k in range(i + 1)) for i in range(n + 1))
         return TruncatedSeries(n, tuple(out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
@@ -99,7 +93,7 @@ class TruncatedSeries:
 
     def scale_t(self, factor: int | Fraction) -> "TruncatedSeries":
         """Substitute t -> factor*t."""
-        q = Fraction(factor)
+        q = as_fraction(factor)
         power = Fraction(1)
         out = []
         for c in self.coeffs:
@@ -131,10 +125,8 @@ class TruncatedSeries:
         n = min(num.order, den.order)
         out: list[LambdaPoly] = []
         for i in range(n + 1):
-            acc = num.coeffs[i]
-            for k in range(i):
-                acc = acc - out[k] * den.coeffs[i - k] * comb(i, k)
-            out.append(acc / g0)
+            terms = ((-comb(i, k), out[k], den.coeffs[i - k]) for k in range(i))
+            out.append(dot(chain([(1, num.coeffs[i], ONE)], terms)) / g0)
         return TruncatedSeries(n, tuple(out))
 
     def _shift_down(self, s: int) -> "TruncatedSeries":
@@ -185,23 +177,16 @@ class TruncatedSeries:
         h = [LambdaPoly() for _ in range(n + 1)]
         h[0] = LambdaPoly((1,))
         for i in range(n):
-            acc = LambdaPoly()
-            for j in range(i + 1):
-                if j + 1 < len(f):
-                    acc = acc + f[j + 1] * h[i - j] * (j + 1)
-            h[i + 1] = acc / (i + 1)
+            h[i + 1] = dot((j + 1, f[j + 1], h[i - j]) for j in range(i + 1)) / (i + 1)
         return TruncatedSeries._from_ordinary(h, n)
 
 
 def _ord_mul(a: list[LambdaPoly], b: list[LambdaPoly], order: int) -> list[LambdaPoly]:
-    out = [LambdaPoly() for _ in range(order + 1)]
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j in range(min(order - i, len(b) - 1) + 1):
-            if not b[j].is_zero():
-                out[i + j] = out[i + j] + ca * b[j]
-    return out
+    """The ordinary product of two coefficient lists, truncated at t^order."""
+    return [
+        dot((1, a[i], b[s - i]) for i in range(max(0, s - len(b) + 1), min(s, len(a) - 1) + 1))
+        for s in range(order + 1)
+    ]
 
 
 def one_series(order: int) -> TruncatedSeries:
@@ -238,8 +223,8 @@ def deg_log(order: int) -> TruncatedSeries:
 
 def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> TruncatedSeries:
     """(1 + c*t)^alpha as an EGF: a_n = n! * C(alpha, n) * c^n."""
-    a = Fraction(alpha)
-    q = Fraction(c)
+    a = as_fraction(alpha)
+    q = as_fraction(c)
     out = [LambdaPoly((1,))]
     cur = Fraction(1)
     for n in range(1, order + 1):

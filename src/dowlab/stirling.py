@@ -17,7 +17,7 @@ from itertools import count
 from threading import Lock
 from typing import Callable, Iterator
 
-from .exact import LambdaPoly, as_fraction, check_ints
+from .exact import ONE, LambdaPoly, as_fraction, check_ints, dot
 from .bases import XPoly, int_nodes, lambda_nodes, newton_rows
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
@@ -198,13 +198,8 @@ def deg_bell(n: int, x: int | Fraction) -> LambdaPoly:
 
 @lru_cache(maxsize=4096)
 def _bell_row_sum(n: int, x: Fraction) -> LambdaPoly:
-    rows = deg_stirling2_rows(n)
-    acc = LambdaPoly()
-    power = Fraction(1)
-    for k in range(n + 1):
-        acc = acc + rows[n][k] * power
-        power *= x
-    return acc
+    row = deg_stirling2_rows(n)[n]
+    return dot((x**k, row[k], ONE) for k in range(n + 1))
 
 
 def deg_bell_number(n: int) -> LambdaPoly:

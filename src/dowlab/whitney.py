@@ -20,7 +20,7 @@ from itertools import islice
 from math import ceil, factorial, isfinite, prod
 from typing import Iterator
 
-from .exact import LAMBDA, ONE, ZERO, LambdaPoly, as_fraction, check_ints
+from .exact import LAMBDA, ONE, ZERO, LambdaPoly, as_fraction, check_ints, dot
 from .bases import (
     XPoly,
     binom,
@@ -149,19 +149,22 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
         check_ints(n, k)
         if n < 0 or k < 0:
             raise IndexError(f"({n}, {k}) outside domain")
-        acc = LambdaPoly()
-        for l in range(k + 1):
-            sign = -1 if (k - l) % 2 else 1
-            acc = acc + lambda_falling(l * m + 1, n, LAMBDA) * (sign * binom(k, l))
+        acc = dot(
+            ((-1) ** (k - l) * binom(k, l), lambda_falling(l * m + 1, n, LAMBDA), ONE)
+            for l in range(k + 1)
+        )
         return acc / (factorial(k) * Fraction(m) ** k)
     _check_index(n, k)
     if path == "stirling_T13":
         s2 = deg_stirling2_rows(n)
-        acc = LambdaPoly()
-        for i in range(k, n + 1):
-            term = s2[i][k].scale_lambda(Fraction(1, m))
-            acc = acc + term * lambda_falling(1, n - i, LAMBDA) * (binom(n, i) * m ** (i - k))
-        return acc
+        return dot(
+            (
+                binom(n, i) * m ** (i - k),
+                s2[i][k].scale_lambda(Fraction(1, m)),
+                lambda_falling(1, n - i, LAMBDA),
+            )
+            for i in range(k, n + 1)
+        )
     if path == "gf_T1":
         return whitney2_rows_gf(m, n)[n][k]
     raise ValueError(f"unknown second-kind path {path!r}")
@@ -217,36 +220,39 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     _check_index(n, k)
     if path == "quad_T8":
         s1, s2, s1deg = _stirling1_rows(n), _stirling2_rows(n), deg_stirling1_rows(n)
-        acc = LambdaPoly()
-        for j in range(k, n + 1):
-            for l in range(k, j + 1):
-                inner = LambdaPoly()
-                for i in range(l, j + 1):
-                    inner = inner + s1deg[i][l] * s2[j][i]
-                sign = -1 if (l - k) % 2 else 1
-                rising = lambda_rising(1, l - k, LAMBDA)
-                acc = acc + rising * inner * (sign * binom(l, k) * s1[n][j] * m ** (n - j))
-        return acc
+        return dot(
+            (
+                (-1) ** (l - k) * binom(l, k) * s1[n][j] * m ** (n - j),
+                lambda_rising(1, l - k, LAMBDA),
+                dot((s2[j][i], s1deg[i][l], ONE) for i in range(l, j + 1)),
+            )
+            for j in range(k, n + 1)
+            for l in range(k, j + 1)
+        )
     if path == "v0_T18":
         s1, s2, s1deg = _stirling1_rows(n), _stirling2_rows(n), deg_stirling1_rows(n)
-        acc = LambdaPoly()
-        for i in range(k, n + 1):
-            tail = v0(m, n - i) * binom(n, i)
-            inner = LambdaPoly()
-            for j in range(k, i + 1):
-                for l in range(k, j + 1):
-                    inner = inner + s1deg[l][k] * (s2[j][l] * s1[i][j] * m ** (i - j))
-            acc = acc + inner * tail
-        return acc
+        return dot(
+            (
+                binom(n, i),
+                v0(m, n - i),
+                dot(
+                    (s2[j][l] * s1[i][j] * m ** (i - j), s1deg[l][k], ONE)
+                    for j in range(k, i + 1)
+                    for l in range(k, j + 1)
+                ),
+            )
+            for i in range(k, n + 1)
+        )
     if path == "stirling_T19":
         s1deg = deg_stirling1_rows(n)
-        acc = LambdaPoly()
-        for q in range(k, n + 1):
-            term = s1deg[n][q].scale_lambda(Fraction(1, m))
-            sign = -1 if (q - k) % 2 else 1
-            rising = lambda_rising(1, q - k, LAMBDA)
-            acc = acc + term * rising * (sign * binom(q, k) * m ** (n - q))
-        return acc
+        return dot(
+            (
+                (-1) ** (q - k) * binom(q, k) * m ** (n - q),
+                s1deg[n][q].scale_lambda(Fraction(1, m)),
+                lambda_rising(1, q - k, LAMBDA),
+            )
+            for q in range(k, n + 1)
+        )
     if path == "gf_T5":
         return whitney1_rows_gf(m, n)[n][k]
     raise ValueError(f"unknown first-kind path {path!r}")
@@ -278,13 +284,8 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
 @lru_cache(maxsize=4096)
 def _row_sum(m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
     """sum_k W(n,k) x^k, each term weighted by k! when ``ordered``."""
-    rows = whitney2_rows(m, n)
-    acc = LambdaPoly()
-    power = Fraction(1)
-    for k in range(n + 1):
-        acc = acc + rows[n][k] * (power * factorial(k) if ordered else power)
-        power *= x
-    return acc
+    row = whitney2_rows(m, n)[n]
+    return dot((x**k * factorial(k) if ordered else x**k, row[k], ONE) for k in range(n + 1))
 
 
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:

@@ -110,6 +110,12 @@ def test_gen_binom():
     assert gen_binom(7, 3) == comb(7, 3)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, True, False])
+def test_gen_binom_refuses_inexact_top(alpha):
+    with pytest.raises(TypeError):
+        gen_binom(alpha, 2)
+
+
 def test_xpoly_compose_shift():
     p = XPoly((0, 0, 1))  # X^2
     shifted = p.compose(XPoly((1, 1)))  # (X+1)^2

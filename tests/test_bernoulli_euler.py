@@ -101,3 +101,13 @@ def test_validation():
         be.deg_bernoulli(-1, 0)
     with pytest.raises(ValueError):
         be.deg_euler(-1, 1)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, True])
+def test_euler_refuses_inexact_order(alpha):
+    with pytest.raises(TypeError):
+        be.deg_euler(3, alpha)
+    with pytest.raises(TypeError):
+        be.deg_euler_sum_variant(3, alpha, 1)
+    with pytest.raises(TypeError):
+        be.deg_euler_gf_binomial(3, alpha)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot
 
 l = LAMBDA
 
@@ -258,3 +258,65 @@ def test_inexact_scalars_rejected():
         LambdaPoly((1,)) + True
     with pytest.raises(TypeError):
         LambdaPoly((1,)).eval(0.5)
+
+
+# -- the fused multiply-accumulate kernel against the loop it replaces -----------
+
+scalars = st_.one_of(small_ints, mixed, st_.just(0))
+mixed_polys = ref_lists.map(LambdaPoly)
+triples = st_.lists(st_.tuples(scalars, mixed_polys, mixed_polys), max_size=6)
+
+
+def loop_dot(terms):
+    acc = LambdaPoly()
+    for c, p, q in terms:
+        acc = acc + p * q * c
+    return acc
+
+
+@given(triples)
+def test_dot_matches_the_accumulate_loop(terms):
+    got = dot(terms)
+    assert got == loop_dot(terms)
+    assert_canonical(got)
+    assert dot(iter(terms)) == got
+    assert dot(t for t in terms) == got
+
+
+@given(mixed_polys, mixed_polys, mixed)
+def test_dot_skips_zero_terms(p, q, c):
+    assert dot([(0, p, q), (c, ZERO, q), (c, p, ZERO)]) == ZERO
+    assert dot([(c, p, q), (0, p, q), (c, ZERO, q)]) == p * q * c
+    assert dot([(c, p, q), (-c, p, q)]) == ZERO
+
+
+def test_dot_of_nothing_is_zero():
+    for empty in ([], (), iter([])):
+        got = dot(empty)
+        assert got == ZERO
+        assert (got.nums, got.den) == ((), 1)
+
+
+def test_dot_keeps_lowest_terms_across_denominators():
+    half = LambdaPoly((Fraction(1, 2), Fraction(3, 2)))
+    third = LambdaPoly((Fraction(1, 3),))
+    got = dot([(Fraction(1, 5), half, third), (Fraction(-1, 5), half, third), (2, half, ONE)])
+    assert (got.nums, got.den) == ((1, 3), 1)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 0.0, True, False])
+def test_dot_refuses_inexact_scalars(c):
+    with pytest.raises(TypeError):
+        dot([(c, LAMBDA, ONE)])
+    with pytest.raises(TypeError):
+        dot([(1, LAMBDA, ONE), (c, ZERO, ZERO)])
+
+
+def test_coerce_int_fast_path():
+    assert LambdaPoly.coerce(7) == LambdaPoly((7,))
+    assert_canonical(LambdaPoly.coerce(-3))
+    zero = LambdaPoly.coerce(0)
+    assert (zero.nums, zero.den) == ((), 1)
+    for bad in (True, False, 0.5, 1.0):
+        with pytest.raises(TypeError):
+            LambdaPoly.coerce(bad)

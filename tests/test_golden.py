@@ -3,7 +3,8 @@
 The triangle and Bernoulli/Euler digests were taken from the
 Fraction-per-coefficient implementation of ``LambdaPoly``, before the
 integer-numerator kernel replaced it; the ``verify`` digests were taken
-before the memo caches of the catalog's sub-terms were added.  Any change
+before the memo caches of the catalog's sub-terms were added, and the
+n_max 10 one before the catalog's sums moved onto ``exact.dot``.  Any change
 that alters one byte of a symbolic or rational result fails here in seconds.
 """
 
@@ -40,6 +41,12 @@ VERIFY = {
     0: "1eb95e0bf91ce2715df0490b71e8e8278866465dc208918efc05262480dee56b",
     7: "a1a79bb199a2b14e211dc1af7fcdb5443eaa4915b57d9f296565c3562d7019c5",
 }
+
+# The command of the verify workload in perfbench/run.py, at seed 3.
+VERIFY_N10 = (
+    ["--n-max", "10", "--m-set", "1,2,3", "--r-set", "1,2,3", "--seed", "3"],
+    "6571fe5787718d9e492c4ab7d0cff74be251a375e28af191a01380398b329e94",
+)
 
 
 
@@ -78,6 +85,14 @@ def test_verify_report_digest(seed):
     with contextlib.redirect_stdout(out):
         assert cli.main(["verify", "--n-max", "6", "--seed", str(seed)]) == 0
     assert sha256(out.getvalue()) == VERIFY[seed]
+
+
+def test_verify_report_digest_at_n_max_10():
+    args, digest = VERIFY_N10
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", *args]) == 0
+    assert sha256(out.getvalue()) == digest
 
 
 @pytest.mark.parametrize("name", sorted(CACHES))

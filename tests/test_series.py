@@ -153,6 +153,12 @@ def test_binomial_series_half():
     assert s.coeff(2) == LambdaPoly((-1,))
 
 
+@pytest.mark.parametrize("alpha, c", [(0.5, 1), (1, 0.5), (True, 1), (1, True)])
+def test_binomial_series_refuses_inexact_arguments(alpha, c):
+    with pytest.raises(TypeError):
+        binomial_series(alpha, c, 2)
+
+
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_binomial_series_whitney1_column(m):
     s = binomial_series(Fraction(-1, m), m, 6)
@@ -175,6 +181,12 @@ def test_scale_t():
     neg = lg.scale_t(-1)
     for n in range(5):
         assert neg.coeff(n) == lg.coeff(n) * ((-1) ** n)
+
+
+@pytest.mark.parametrize("factor", [0.5, -1.0, True])
+def test_scale_t_refuses_inexact_factor(factor):
+    with pytest.raises(TypeError):
+        deg_log(4).scale_t(factor)
 
 
 def test_truncation_to_min_order():
