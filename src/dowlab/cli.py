@@ -89,12 +89,8 @@ def _parse_int_set(text: str, what: str) -> tuple[int, ...]:
 
 
 def latex_poly(text: str) -> str:
-    """Canonical grammar -> LaTeX body; inverse of latex_poly_inverse."""
+    """Canonical grammar -> LaTeX body."""
     return text.replace("l", "\\lambda")
-
-
-def latex_poly_inverse(text: str) -> str:
-    return text.replace("\\lambda", "l")
 
 
 def _entry_strings(cfg: CliConfig) -> list[list[str]]:

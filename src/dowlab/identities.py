@@ -6,6 +6,10 @@ counterexample.  Entries flagged as *discrepancy* probes exist because the
 source material prints two inconsistent readings of a formula: they always
 report status ``paper-discrepancy`` together with a finding that says which
 reading the exact oracle confirms.
+
+An entry that compares two routes to the same values is a ``Row``: two
+sides, each naming the routes it computes by (recurrence, Newton conversion,
+generating function, explicit formula), compared over one sweep.
 """
 
 from __future__ import annotations
@@ -13,20 +17,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, product
 from math import factorial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .exact import LAMBDA, ONE, LambdaPoly, dot
 from .bases import binom, lambda_falling, lambda_rising
-from .series import (
-    binomial_series,
-    deg_exp,
-    deg_log,
-    gf_triangle,
-    one_series,
-    t_series,
-)
+from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series, t_series
 from . import bernoulli_euler as be
 from . import stirling as st
 from . import whitney as wh
@@ -99,66 +97,111 @@ def _rand_poly(rng: random.Random) -> LambdaPoly:
 
 
 # --------------------------------------------------------------------------
-# generating-function routes agree with the primary routes
+# cross-route rows: two routes to the same values agree at every point
 # --------------------------------------------------------------------------
 
+# The routes a side may compute by; a side's route is their union.
+RECURRENCE, NEWTON, GF, EXPLICIT = (
+    frozenset({name}) for name in ("recurrence", "newton", "gf", "explicit")
+)
 
-def _triangle_compare(p: SweepParams, lhs_rows, rhs_value) -> CheckResult:
+
+@dataclass(frozen=True)
+class Side:
+    """One side of a cross-route row: the routes it reaches, and its values.
+
+    ``values(*outer, n_max)`` runs once per tuple of the row's outer
+    parameters and returns the reader of the side's value at each point.
+    Library functions are looked up on their module when a side runs.
+    """
+
+    route: frozenset[str]
+    values: Callable[..., Callable[..., LambdaPoly]]
+
+
+def _rows(route: frozenset[str], build: Callable) -> Side:
+    """A side read from the triangle ``build(*outer, n_max)``."""
+
+    def values(*args) -> Callable[[int, int], LambdaPoly]:
+        rows = build(*args)
+        return lambda n, k: rows[n][k]
+
+    return Side(route, values)
+
+
+def _each(route: frozenset[str], value: Callable) -> Side:
+    """A side computed as ``value(*outer, *point)`` at each point."""
+    return Side(route, lambda *args: partial(value, *args[:-1]))
+
+
+Runner = Callable[[SweepParams, Side, Side], CheckResult]
+
+
+def _triangle(*outer: str) -> Runner:
+    """Compare at every (n, k) of the triangle, for each tuple of the outer
+    parameters, each named "m" or "r"."""
+
+    def run(p: SweepParams, lhs: Side, rhs: Side) -> CheckResult:
+        tested = 0
+        for fixed in product(*(getattr(p, f"{name}_set") for name in outer)):
+            left, right = lhs.values(*fixed, p.n_max), rhs.values(*fixed, p.n_max)
+            for n in range(p.n_max + 1):
+                for k in range(n + 1):
+                    tested += 1
+                    a, b = left(n, k), right(n, k)
+                    if a != b:
+                        params = {**dict(zip(outer, fixed)), "n": n, "k": k}
+                        return tested, _ce(params, a, b), None
+        return tested, None, None
+
+    return run
+
+
+def _column(name: str, values: Iterable) -> Runner:
+    """Compare at every n, for each value of the outer parameter ``name``."""
+
+    def run(p: SweepParams, lhs: Side, rhs: Side) -> CheckResult:
+        tested = 0
+        for v in values:
+            left, right = lhs.values(v, p.n_max), rhs.values(v, p.n_max)
+            for n in range(p.n_max + 1):
+                tested += 1
+                a, b = left(n), right(n)
+                if a != b:
+                    return tested, _ce({"n": n, name: v}, a, b), None
+        return tested, None, None
+
+    return run
+
+
+def _series(p: SweepParams, lhs: Side, rhs: Side) -> CheckResult:
+    """Compare at every coefficient n, for each m and x sample."""
     tested = 0
-    for m in p.m_set:
-        rows = lhs_rows(m, p.n_max)
+    for m, x in product(p.m_set, X_SAMPLES):
+        left, right = lhs.values(m, x, p.n_max), rhs.values(m, x, p.n_max)
         for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                tested += 1
-                lhs = rows[n][k]
-                rhs = rhs_value(m, n, k)
-                if lhs != rhs:
-                    return tested, _ce({"m": m, "n": n, "k": k}, lhs, rhs), None
+            tested += 1
+            a, b = left(n), right(n)
+            if a != b:
+                return tested, _ce({"m": m, "n": n, "x": str(x)}, a, b), None
     return tested, None, None
 
 
-def _chk_thm1(p: SweepParams) -> CheckResult:
-    return _triangle_compare(p, wh.whitney2_rows_gf, wh.whitney2)
+@dataclass(frozen=True)
+class Row:
+    """A catalog entry whose two sides must agree over the sweep ``run``."""
+
+    run: Runner
+    lhs: Side
+    rhs: Side
+
+    def __call__(self, p: SweepParams) -> CheckResult:
+        return self.run(p, self.lhs, self.rhs)
 
 
-def _chk_thm5(p: SweepParams) -> CheckResult:
-    return _triangle_compare(p, wh.whitney1_rows_gf, wh.whitney1)
-
-
-def _chk_thm6(p: SweepParams) -> CheckResult:
-    return _triangle_compare(p, wh.whitney2_rows_newton, wh.whitney2)
-
-
-def _chk_thm7(p: SweepParams) -> CheckResult:
-    return _triangle_compare(p, wh.whitney1_rows_newton, wh.whitney1)
-
-
-def _chk_thm3(p: SweepParams) -> CheckResult:
-    tested = 0
-    for m in p.m_set:
-        for x in X_SAMPLES:
-            series = wh.dowling_gf(m, x, p.n_max)
-            for n in range(p.n_max + 1):
-                tested += 1
-                lhs = series.coeff(n)
-                rhs = wh.dowling_poly(m, n, x)
-                if lhs != rhs:
-                    return tested, _ce({"m": m, "n": n, "x": str(x)}, lhs, rhs), None
-    return tested, None, None
-
-
-def _chk_thm9(p: SweepParams) -> CheckResult:
-    tested = 0
-    for m in p.m_set:
-        for x in X_SAMPLES:
-            series = wh.tanny_dowling_gf(m, x, p.n_max)
-            for n in range(p.n_max + 1):
-                tested += 1
-                lhs = series.coeff(n)
-                rhs = wh.tanny_dowling_poly(m, n, x)
-                if lhs != rhs:
-                    return tested, _ce({"m": m, "n": n, "x": str(x)}, lhs, rhs), None
-    return tested, None, None
+# --------------------------------------------------------------------------
+# structural identities
+# --------------------------------------------------------------------------
 
 
 def _chk_eq12(p: SweepParams) -> CheckResult:
@@ -169,33 +212,6 @@ def _chk_eq12(p: SweepParams) -> CheckResult:
         if lhs.coeff(n) != rhs.coeff(n):
             return n + 1, _ce({"n": n}, lhs.coeff(n), rhs.coeff(n)), None
     return order + 1, None, None
-
-
-def _chk_eq17(p: SweepParams) -> CheckResult:
-    gf = st.deg_stirling2_rows_gf(p.n_max)
-    tested = 0
-    for n in range(p.n_max + 1):
-        for k in range(n + 1):
-            tested += 1
-            if gf[n][k] != st.deg_stirling2(n, k):
-                return tested, _ce({"n": n, "k": k}, gf[n][k], st.deg_stirling2(n, k)), None
-    return tested, None, None
-
-
-def _chk_eq18(p: SweepParams) -> CheckResult:
-    gf = st.deg_stirling1_rows_gf(p.n_max)
-    tested = 0
-    for n in range(p.n_max + 1):
-        for k in range(n + 1):
-            tested += 1
-            if gf[n][k] != st.deg_stirling1(n, k):
-                return tested, _ce({"n": n, "k": k}, gf[n][k], st.deg_stirling1(n, k)), None
-    return tested, None, None
-
-
-# --------------------------------------------------------------------------
-# structural identities
-# --------------------------------------------------------------------------
 
 
 def _chk_orthogonality(p: SweepParams) -> CheckResult:
@@ -220,18 +236,6 @@ def _chk_stirling_orthogonality(p: SweepParams) -> CheckResult:
             want = LambdaPoly.const(1 if n == j else 0)
             if acc != want:
                 return tested, _ce({"n": n, "j": j}, acc, want), None
-    return tested, None, None
-
-
-def _chk_cor2(p: SweepParams) -> CheckResult:
-    tested = 0
-    for n in range(p.n_max + 1):
-        for k in range(n + 1):
-            tested += 1
-            lhs = wh.whitney2(1, n, k)
-            rhs = st.deg_stirling2(n + 1, k + 1) + LAMBDA * n * st.deg_stirling2_or_zero(n, k + 1)
-            if lhs != rhs:
-                return tested, _ce({"n": n, "k": k}, lhs, rhs), None
     return tested, None, None
 
 
@@ -289,19 +293,6 @@ def _chk_thm10(p: SweepParams) -> CheckResult:
     return tested, None, None
 
 
-def _chk_thm12(p: SweepParams) -> CheckResult:
-    tested = 0
-    for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                tested += 1
-                lhs = wh.whitney2_alt(m, n, k, "sum_T12")
-                rhs = wh.whitney2(m, n, k)
-                if lhs != rhs:
-                    return tested, _ce({"m": m, "n": n, "k": k}, lhs, rhs), None
-    return tested, None, None
-
-
 def _chk_thm12_zero(p: SweepParams) -> CheckResult:
     tested = 0
     for m in p.m_set:
@@ -311,54 +302,6 @@ def _chk_thm12_zero(p: SweepParams) -> CheckResult:
                 value = wh.whitney2_alt(m, n, k, "sum_T12")
                 if not value.is_zero():
                     return tested, _ce({"m": m, "n": n, "k": k}, value, 0), None
-    return tested, None, None
-
-
-def _chk_thm13(p: SweepParams) -> CheckResult:
-    def rhs(m: int, n: int, k: int) -> LambdaPoly:
-        return wh.whitney2_alt(m, n, k, "stirling_T13")
-
-    return _pointwise(p, rhs, wh.whitney2)
-
-
-def _chk_thm14(p: SweepParams) -> CheckResult:
-    def rhs(m: int, n: int, k: int) -> LambdaPoly:
-        return wh.whitney2_diff(m, n, k)
-
-    return _pointwise(p, rhs, wh.whitney2)
-
-
-def _chk_thm8(p: SweepParams) -> CheckResult:
-    def lhs(m: int, n: int, k: int) -> LambdaPoly:
-        return wh.whitney1_alt(m, n, k, "quad_T8")
-
-    return _pointwise(p, lhs, wh.whitney1)
-
-
-def _chk_thm18(p: SweepParams) -> CheckResult:
-    def lhs(m: int, n: int, k: int) -> LambdaPoly:
-        return wh.whitney1_alt(m, n, k, "v0_T18")
-
-    return _pointwise(p, lhs, wh.whitney1)
-
-
-def _chk_thm19(p: SweepParams) -> CheckResult:
-    def lhs(m: int, n: int, k: int) -> LambdaPoly:
-        return wh.whitney1_alt(m, n, k, "stirling_T19")
-
-    return _pointwise(p, lhs, wh.whitney1)
-
-
-def _pointwise(p: SweepParams, lhs_fn, rhs_fn) -> CheckResult:
-    tested = 0
-    for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                tested += 1
-                lhs = lhs_fn(m, n, k)
-                rhs = rhs_fn(m, n, k)
-                if lhs != rhs:
-                    return tested, _ce({"m": m, "n": n, "k": k}, lhs, rhs), None
     return tested, None, None
 
 
@@ -663,49 +606,6 @@ def _chk_thm26(p: SweepParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _chk_eq68(p: SweepParams) -> CheckResult:
-    tested = 0
-    for m in p.m_set:
-        for r in p.r_set:
-            gf = wh.r_whitney1_rows_gf(m, r, p.n_max)
-            rows = wh.r_whitney1_rows(m, r, p.n_max)
-            for n in range(p.n_max + 1):
-                for k in range(n + 1):
-                    tested += 1
-                    if gf[n][k] != rows[n][k]:
-                        params = {"m": m, "r": r, "n": n, "k": k}
-                        return tested, _ce(params, gf[n][k], rows[n][k]), None
-    return tested, None, None
-
-
-def _chk_eq71(p: SweepParams) -> CheckResult:
-    tested = 0
-    for m in p.m_set:
-        for r in p.r_set:
-            gf = wh.r_whitney2_rows_gf(m, r, p.n_max)
-            rows = wh.r_whitney2_rows(m, r, p.n_max)
-            for n in range(p.n_max + 1):
-                for k in range(n + 1):
-                    tested += 1
-                    if gf[n][k] != rows[n][k]:
-                        params = {"m": m, "r": r, "n": n, "k": k}
-                        return tested, _ce(params, gf[n][k], rows[n][k]), None
-    return tested, None, None
-
-
-def _chk_eq73(p: SweepParams) -> CheckResult:
-    tested = 0
-    for r in p.r_set:
-        gf = st.deg_r_stirling1_unsigned_rows_gf(r, p.n_max)
-        rows = st.deg_r_stirling1_unsigned_rows(r, p.n_max)
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                tested += 1
-                if gf[n][k] != rows[n][k]:
-                    return tested, _ce({"r": r, "n": n, "k": k}, gf[n][k], rows[n][k]), None
-    return tested, None, None
-
-
 def _chk_eq74(p: SweepParams) -> CheckResult:
     tested = 0
     for r in p.r_set:
@@ -795,30 +695,6 @@ def _chk_eq77(p: SweepParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _chk_thm27_bernoulli(p: SweepParams) -> CheckResult:
-    tested = 0
-    for k in range(5):
-        gf = be.deg_bernoulli_gf(p.n_max, k)
-        for n in range(p.n_max + 1):
-            tested += 1
-            lhs = be.deg_bernoulli(n, k)
-            if lhs != gf[n]:
-                return tested, _ce({"n": n, "k": k}, lhs, gf[n]), None
-    return tested, None, None
-
-
-def _chk_thm27_euler(p: SweepParams) -> CheckResult:
-    tested = 0
-    for alpha in (1, 2, 3):
-        gf = be.deg_euler_gf(p.n_max, alpha)
-        for n in range(p.n_max + 1):
-            tested += 1
-            lhs = be.deg_euler(n, alpha)
-            if lhs != gf[n]:
-                return tested, _ce({"n": n, "alpha": alpha}, lhs, gf[n]), None
-    return tested, None, None
-
-
 def _chk_eq81(p: SweepParams) -> CheckResult:
     tested = 0
     variant_fails = None
@@ -889,30 +765,47 @@ def _register(ident: str, checker: Checker, discrepancy: bool = False) -> None:
     CATALOG[ident] = IdentityCheck(id=ident, checker=checker, discrepancy=discrepancy)
 
 
+_W2 = _each(RECURRENCE, lambda *a: wh.whitney2(*a))
+_V1 = _each(RECURRENCE, lambda *a: wh.whitney1(*a))
+
+# A Row entry checks that two routes agree.  thm8 and thm18 share one: their
+# explicit formulas read the classical first-kind table, which the recurrence
+# builds.
 _register("eq12", _chk_eq12)
-_register("eq17", _chk_eq17)
-_register("eq18", _chk_eq18)
-_register("thm1", _chk_thm1)
-_register("cor2", _chk_cor2)
-_register("thm3", _chk_thm3)
+_register("eq17", Row(_triangle(), _rows(GF, lambda *a: st.deg_stirling2_rows_gf(*a)),
+                      _each(NEWTON, lambda *a: st.deg_stirling2(*a))))
+_register("eq18", Row(_triangle(), _rows(GF, lambda *a: st.deg_stirling1_rows_gf(*a)),
+                      _each(NEWTON, lambda *a: st.deg_stirling1(*a))))
+_register("thm1", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney2_rows_gf(*a)), _W2))
+_register("cor2", Row(_triangle(), _each(RECURRENCE, lambda n, k: wh.whitney2(1, n, k)),
+                      _each(NEWTON, lambda n, k: st.deg_stirling2(n + 1, k + 1)
+                            + LAMBDA * n * st.deg_stirling2_or_zero(n, k + 1))))
+_register("thm3", Row(_series, Side(GF, lambda *a: wh.dowling_gf(*a).coeff),
+                      _each(RECURRENCE, lambda m, x, n: wh.dowling_poly(m, n, x))))
 _register("eq29_30", _chk_eq29_30)
 _register("cor4", _chk_cor4)
-_register("thm5", _chk_thm5)
-_register("thm6", _chk_thm6)
-_register("thm7", _chk_thm7)
-_register("thm8", _chk_thm8)
-_register("thm9", _chk_thm9)
+_register("thm5", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney1_rows_gf(*a)), _V1))
+_register("thm6", Row(_triangle("m"), _rows(NEWTON, lambda *a: wh.whitney2_rows_newton(*a)), _W2))
+_register("thm7", Row(_triangle("m"), _rows(NEWTON, lambda *a: wh.whitney1_rows_newton(*a)), _V1))
+_register("thm8", Row(_triangle("m"), _each(EXPLICIT | RECURRENCE | NEWTON,
+                                            lambda *a: wh.whitney1_alt(*a, "quad_T8")), _V1))
+_register("thm9", Row(_series, Side(GF, lambda *a: wh.tanny_dowling_gf(*a).coeff),
+                      _each(RECURRENCE, lambda m, x, n: wh.tanny_dowling_poly(m, n, x))))
 _register("thm10", _chk_thm10)
 _register("cor11", _chk_cor11)
-_register("thm12", _chk_thm12)
+_register("thm12", Row(_triangle("m"), _each(EXPLICIT, lambda *a: wh.whitney2_alt(*a, "sum_T12")),
+                       _W2))
 _register("thm12_zero", _chk_thm12_zero)
-_register("thm13", _chk_thm13)
-_register("thm14", _chk_thm14)
+_register("thm13", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
+                                             lambda *a: wh.whitney2_alt(*a, "stirling_T13")), _W2))
+_register("thm14", Row(_triangle("m"), _each(EXPLICIT, lambda *a: wh.whitney2_diff(*a)), _W2))
 _register("lemma15", _chk_lemma15)
 _register("thm16", _chk_thm16, discrepancy=True)
 _register("thm17", _chk_thm17)
-_register("thm18", _chk_thm18)
-_register("thm19", _chk_thm19)
+_register("thm18", Row(_triangle("m"), _each(EXPLICIT | RECURRENCE | NEWTON,
+                                             lambda *a: wh.whitney1_alt(*a, "v0_T18")), _V1))
+_register("thm19", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
+                                             lambda *a: wh.whitney1_alt(*a, "stirling_T19")), _V1))
 _register("thm20", _chk_thm20, discrepancy=True)
 _register("thm21", _chk_thm21)
 _register("cor22", _chk_cor22, discrepancy=True)
@@ -923,16 +816,30 @@ _register("thm25", _chk_thm25)
 _register("thm26", _chk_thm26)
 _register("orthogonality", _chk_orthogonality)
 _register("stirling_orthogonality", _chk_stirling_orthogonality)
-_register("eq68", _chk_eq68)
-_register("eq71", _chk_eq71)
-_register("eq73", _chk_eq73)
+_register("eq68", Row(_triangle("m", "r"), _rows(GF, lambda *a: wh.r_whitney1_rows_gf(*a)),
+                      _rows(NEWTON, lambda *a: wh.r_whitney1_rows(*a))))
+_register("eq71", Row(_triangle("m", "r"), _rows(GF, lambda *a: wh.r_whitney2_rows_gf(*a)),
+                      _rows(NEWTON, lambda *a: wh.r_whitney2_rows(*a))))
+_register("eq73", Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling1_unsigned_rows_gf(*a)),
+                      _rows(NEWTON, lambda *a: st.deg_r_stirling1_unsigned_rows(*a))))
 _register("eq74", _chk_eq74)
 _register("eq75", _chk_eq75)
 _register("eq77", _chk_eq77)
-_register("thm27_bernoulli", _chk_thm27_bernoulli)
-_register("thm27_euler", _chk_thm27_euler)
+_register("thm27_bernoulli", Row(
+    _column("k", range(5)),
+    _each(EXPLICIT | NEWTON, lambda k, n: be.deg_bernoulli(n, k)),
+    Side(GF, lambda k, n_max: be.deg_bernoulli_gf(n_max, k).__getitem__),
+))
+_register("thm27_euler", Row(
+    _column("alpha", (1, 2, 3)),
+    _each(EXPLICIT | NEWTON, lambda alpha, n: be.deg_euler(n, alpha)),
+    Side(GF, lambda alpha, n_max: be.deg_euler_gf(n_max, alpha).__getitem__),
+))
 _register("eq81", _chk_eq81, discrepancy=True)
 _register("classical_limits", _chk_classical_limits)
+
+# The cross-route entries, by id.
+ROWS: dict[str, Row] = {i: e.checker for i, e in CATALOG.items() if isinstance(e.checker, Row)}
 
 
 def run_identity(

@@ -54,12 +54,6 @@ class Triangle:
             raise IndexError(f"({n}, {k}) outside triangle of size {self.n_max}")
         return self.rows[n][k]
 
-    def value_or_zero(self, n: int, k: int) -> LambdaPoly:
-        """Like value(), but 0 outside the triangle; identity sums rely on this."""
-        if 0 <= k <= n <= self.n_max:
-            return self.rows[n][k]
-        return LambdaPoly()
-
 
 def _freeze(rows: list[list[LambdaPoly]]) -> Rows:
     return tuple(tuple(row) for row in rows)
@@ -172,13 +166,6 @@ def deg_stirling2_rows(n_max: int) -> Rows:
 def deg_stirling2(n: int, k: int) -> LambdaPoly:
     _check_index(n, k)
     return deg_stirling2_rows(n)[n][k]
-
-
-def deg_stirling1_or_zero(n: int, k: int) -> LambdaPoly:
-    check_ints(n, k)
-    if k < 0 or k > n:
-        return LambdaPoly()
-    return deg_stirling1(n, k)
 
 
 def deg_stirling2_or_zero(n: int, k: int) -> LambdaPoly:

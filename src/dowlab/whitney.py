@@ -117,13 +117,6 @@ def whitney1(m: int, n: int, k: int) -> LambdaPoly:
     return whitney1_rows(m, n)[n][k]
 
 
-def whitney1_or_zero(m: int, n: int, k: int) -> LambdaPoly:
-    check_ints(n, k)
-    if k < 0 or k > n or n < 0:
-        return LambdaPoly()
-    return whitney1(m, n, k)
-
-
 def whitney1_rows_newton(m: int, n_max: int) -> Rows:
     """First-kind triangle by Newton conversion of the defining relation."""
     return r_whitney1_rows(m, 1, n_max)
@@ -165,8 +158,6 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
             )
             for i in range(k, n + 1)
         )
-    if path == "gf_T1":
-        return whitney2_rows_gf(m, n)[n][k]
     raise ValueError(f"unknown second-kind path {path!r}")
 
 
@@ -253,8 +244,6 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
             )
             for q in range(k, n + 1)
         )
-    if path == "gf_T5":
-        return whitney1_rows_gf(m, n)[n][k]
     raise ValueError(f"unknown first-kind path {path!r}")
 
 

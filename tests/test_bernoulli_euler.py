@@ -111,3 +111,36 @@ def test_euler_refuses_inexact_order(alpha):
         be.deg_euler_sum_variant(3, alpha, 1)
     with pytest.raises(TypeError):
         be.deg_euler_gf_binomial(3, alpha)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(fn, args, id=f"{fn.__name__}{args}")
+        for fn, args in [
+            (be.deg_bernoulli, (3, True)),
+            (be.deg_bernoulli, (3, 1.0)),
+            (be.deg_bernoulli, (True, 1)),
+            (be.deg_bernoulli, (3.0, 1)),
+            (be.deg_bernoulli_gf, (2, True)),
+            (be.deg_bernoulli_gf, (2, 1.0)),
+            (be.deg_bernoulli_gf, (True, 1)),
+            (be.deg_bernoulli_gf, (2.0, 1)),
+            (be.deg_euler_gf, (3, True)),
+            (be.deg_euler_gf, (3, 1.0)),
+            (be.deg_euler_gf, (True, 1)),
+            (be.deg_euler_gf, (3.0, 1)),
+            (be.deg_euler_sum_variant, (True, 1, -1)),
+            (be.deg_euler_sum_variant, (3.0, 1, -1)),
+            (be.deg_euler, (True, 1)),
+            (be.deg_euler, (3.0, 1)),
+            (be.deg_euler_gf_binomial, (True, 1)),
+            (be.deg_euler_gf_binomial, (3.0, 1)),
+        ]
+    ],
+)
+def test_integer_orders_and_indices_refuse_float_and_bool(fn, args):
+    # an equal float or bool is refused before any work, as by the triangle
+    # accessors, instead of being read as the int it equals
+    with pytest.raises(TypeError, match="expected an int"):
+        fn(*args)

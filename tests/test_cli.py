@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dowlab.exact import LambdaPoly
-from dowlab.cli import latex_poly, latex_poly_inverse, main
+from dowlab.cli import latex_poly, main
+
+
+def latex_poly_inverse(text: str) -> str:
+    """LaTeX body -> canonical grammar, the inverse of ``latex_poly``."""
+    return text.replace("\\lambda", "l")
 
 
 def run(capsys, *argv):

@@ -1,12 +1,18 @@
-"""The identity engine: sweeps, reports, determinism, fault injection."""
+"""The identity engine: sweeps, reports, determinism, fault injection, route independence."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from dowlab.exact import LambdaPoly
+from dowlab import bases, series
+from dowlab import bernoulli_euler as be
 from dowlab import identities as idn
+from dowlab import stirling as st
 from dowlab import whitney as wh
+from test_whitney import forbidden
 
 
 def test_catalog_is_large_enough():
@@ -55,23 +61,118 @@ def test_discrepancy_entries_are_decided():
         assert "fails at" in report.finding, f"{ident} finding undecided on this range"
 
 
-def test_fault_injection_yields_counterexample(monkeypatch):
-    real = wh.whitney2
+# One row per outer shape: the module attribute the row reads, the arguments
+# whose value is corrupted (for a triangle store, its parameters without
+# n_max, and then entry (3, 1) is corrupted), and the counterexample expected.
+FAULTS = {
+    "thm6": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "k": 1}),
+    "eq17": (st, "deg_stirling2", (3, 1), {"n": 3, "k": 1}),
+    "eq73": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
+    "eq68": (wh, "r_whitney1_rows", (2, 1), {"m": 2, "r": 1, "n": 3, "k": 1}),
+}
 
-    def corrupted(m, n, k):
-        value = real(m, n, k)
-        if (m, n, k) == (1, 3, 1):
+
+@pytest.mark.parametrize("ident", FAULTS)
+def test_fault_injection_yields_counterexample(monkeypatch, ident):
+    module, name, at, params = FAULTS[ident]
+    real = getattr(module, name)
+    is_store = hasattr(real, "cache_info")
+
+    def corrupted(*args):
+        value = real(*args)
+        if is_store and args[:-1] == at:
+            rows = [list(row) for row in value]
+            rows[3][1] = rows[3][1] + 1
+            return rows
+        if not is_store and args == at:
             return value + 1
         return value
 
-    monkeypatch.setattr(wh, "whitney2", corrupted)
-    report = idn.run_identity("thm6", 4, [1], [1], 0)
+    monkeypatch.setattr(module, name, corrupted)
+    report = idn.run_identity(ident, 4, [1, 2], [1, 2], 0)
     assert report.status == "fail"
     assert report.counterexample is not None
-    assert report.counterexample["params"] == {"m": 1, "n": 3, "k": 1}
+    assert report.counterexample["params"] == params
     # counterexample sides are canonical grammar strings
     LambdaPoly.parse(report.counterexample["lhs"])
     LambdaPoly.parse(report.counterexample["rhs"])
+
+
+def test_catalog_order_matches_the_benchmark():
+    # the benchmark names one per-layer metric per entry, in catalog order
+    bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    prefix, suffix = "identities.entry.", ".s"
+    entries = [
+        metric["name"][len(prefix) : -len(suffix)]
+        for metric in bench["per_layer"]
+        if metric["name"].startswith(prefix)
+    ]
+    assert list(idn.CATALOG) == entries
+    discrepancies = {ident for ident, entry in idn.CATALOG.items() if entry.discrepancy}
+    assert discrepancies == {"thm16", "thm20", "cor22", "cor22_remark", "eq81"}
+
+
+# The code that only one route reaches; an explicit formula has none of its own.
+# The product and quotient of the series ring count as GF code too: the series
+# oracles of thm3, thm9 and thm27 reach them without gf_triangle.
+ROUTE_PRIMITIVES = {
+    "recurrence": [(st, "_recurrence"), (wh, "_recurrence")],
+    "newton": [(bases, "newton_rows"), (st, "newton_rows"), (wh, "newton_rows"),
+               (bases, "newton_convert")],
+    "gf": [(series, "gf_triangle"), (st, "gf_triangle"), (wh, "gf_triangle"),
+           (series.TruncatedSeries, "__mul__"), (series.TruncatedSeries, "divide")],
+    "explicit": [],
+}
+SWEEP = idn.SweepParams(n_max=6, m_set=(1, 2, 3), r_set=(1, 2), seed=0)
+
+
+def clear_caches() -> None:
+    for module in (bases, series, st, wh, be):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_declared_route_sharings():
+    rows = idn.ROWS
+    assert rows and all(idn.CATALOG[ident].checker is row for ident, row in rows.items())
+    for row in rows.values():
+        assert row.lhs.route and row.lhs.route <= set(ROUTE_PRIMITIVES)
+        assert row.rhs.route and row.rhs.route <= set(ROUTE_PRIMITIVES)
+    # any new sharing must be declared here on purpose
+    shared = {ident for ident, row in rows.items() if row.lhs.route & row.rhs.route}
+    assert shared == {"thm8", "thm18"}
+
+
+@pytest.mark.parametrize("side_name", ("lhs", "rhs"))
+@pytest.mark.parametrize("ident", sorted(idn.ROWS))
+def test_row_side_needs_no_route_of_the_other_side(monkeypatch, ident, side_name):
+    # Each side alone, with cold caches and with every route that only the
+    # other side declares patched to raise, reproduces the other side's values.
+    row = idn.ROWS[ident]
+    other_name = "rhs" if side_name == "lhs" else "lhs"
+    side, other = getattr(row, side_name), getattr(row, other_name)
+    seen = {}
+
+    def record(*args):
+        read = other.values(*args)
+
+        def value(*point):
+            seen[args, point] = read(*point)
+            return seen[args, point]
+
+        return value
+
+    def replay(*args):
+        return lambda *point: seen[args, point]
+
+    recorded = replace(row, **{other_name: idn.Side(other.route, record)})(SWEEP)
+    assert recorded[0] > 0 and recorded[1] is None
+    for route in other.route - side.route:
+        for module, name in ROUTE_PRIMITIVES[route]:
+            monkeypatch.setattr(module, name, forbidden)
+    clear_caches()
+    assert replace(row, **{other_name: idn.Side(other.route, replay)})(SWEEP) == recorded
 
 
 def test_report_document_shape():
