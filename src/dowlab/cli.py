@@ -1,9 +1,9 @@
 """Command-line front end: triangle export, evaluation, verification, Dobinski.
 
 Exit codes: 0 success, 1 identity failure (or Dobinski outside tolerance),
-2 usage error or an arithmetic error such as a float overflow.  Output goes
-to stdout unless --out is given, in which case the file is written
-atomically (temp file + rename).
+2 usage error, an arithmetic error such as a float overflow, or an --out
+path that cannot be written.  Output goes to stdout unless --out is given,
+in which case the file is written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -130,15 +130,17 @@ def _write_output(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dowlab-")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dowlab-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, out)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
 
 
 # -- subcommands --------------------------------------------------------------
@@ -323,11 +325,19 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# The parser of this process, built by the first ``main`` call; parsing does
+# not change it, so later calls (and calls after a usage error or --help)
+# reuse it.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_join_negative_values(argv))
+        args = _parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,7 +13,7 @@ entry, so none of the routes is ever trusted alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -408,8 +408,10 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     ``S`` is exact: with ``z = p/q`` and ``lambda = a/b``, a backward Horner
     pass keeps one integer numerator and one integer denominator, and no
     rational is built per term.  ``e^{-z}`` is ``Decimal.exp`` (correctly
-    rounded) at ``P = 60 + digits(ceil|z|)`` significant digits, and the
-    product with ``S`` is formed at the same precision and rounded to a
+    rounded) at ``P = 60 + digits(ceil|z|)`` significant digits.  The
+    quotient ``S`` is rounded to ``P`` digits from integer division
+    (``_decimal_quotient``), never by converting the bigints to ``Decimal``;
+    the product with ``S`` is formed at the same precision and rounded to a
     float once.  Four decimal roundings (of ``-z``, the exp, the quotient
     ``S`` and the product) each cost at most half of 1e-60 relative, since
     ``|z| < 10^(P-60)``; so the decimal value is within about 2e-60
@@ -444,7 +446,7 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
                 base = b * (m * k + 1)
                 num = num * p + prod([base - j * a for j in range(n)]) * den
                 den *= q * k or 1  # D_{k-1} = q k D_k; the step at k = 0 leaves D_0
-            value = weight * (Decimal(num) / (den * b**n))
+            value = weight * _decimal_quotient(num, den * b**n)
         except (Underflow, Overflow) as exc:
             raise OverflowError("Dobinski sum is outside the decimal exponent range") from exc
     truncated = float(value)
@@ -452,6 +454,31 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
         raise OverflowError(f"Dobinski sum {value:.6e} is outside double range")
     exact = float(dowling_poly(m, n, req.x).eval(req.lam))
     return truncated, exact
+
+
+def _decimal_quotient(num: int, den: int) -> Decimal:
+    """``num / den`` (``den > 0``) correctly rounded in the active decimal context.
+
+    Equal to ``Decimal(num) / Decimal(den)``, but CPython converts an int to
+    ``Decimal`` in time quadratic in its length, so the digits come from one
+    integer division: ``t = floor(|num| 10^e / den)`` with at least
+    ``prec + 2`` digits, then a sticky digit (1 if a remainder is left).  If
+    the division is exact, ``10 t`` is the value; otherwise the value and
+    ``10 t + 1`` both lie strictly inside ``(10 t, 10 t + 10)``, which holds
+    no rounding boundary of ``prec`` digits.  So one rounding gives the same
+    result in every rounding mode.
+    """
+    ctx = getcontext()
+    size = abs(num)
+    g = size.bit_length() - den.bit_length() - 1  # |num| / den > 2^g
+    # 30102/10^5 < log10(2) < 30103/10^5, so the floor is at most g*log10(2)
+    e = ctx.prec + 1 - (g * (30102 if g >= 0 else 30103)) // 100000
+    if e >= 0:
+        t, rem = divmod(size * 10**e, den)
+    else:
+        t, rem = divmod(size, den * 10**-e)
+    digits = 10 * t + (rem != 0)
+    return ctx.create_decimal(-digits if num < 0 else digits).scaleb(-e - 1)
 
 
 # -- triangle export ------------------------------------------------------------

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dowlab.exact import LambdaPoly
+from dowlab import cli
 from dowlab.cli import latex_poly, main
 
 
@@ -350,3 +353,86 @@ def test_usage_error_without_subcommand(capsys):
 
 def test_unknown_flag(capsys):
     assert main(["triangle", "--family", "W", "--n-max", "1", "--bogus"]) == 2
+
+
+# One short run of every command that can write --out.
+OUT_COMMANDS = {
+    "triangle": ["triangle", "--family", "W", "--m", "3", "--n-max", "2"],
+    "verify": ["verify", "--id", "eq17", "--n-max", "3"],
+    "dobinski": ["dobinski", "--m", "1", "--n", "2", "--x", "3", "--lambda", "0"],
+}
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_missing_directory_exits_2(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, *OUT_COMMANDS[command], "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out ")
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_directory_target_leaves_no_temp_file(self, capsys, tmp_path, command):
+        # the temp file is made, then the rename onto a directory fails
+        target = tmp_path / "adir"
+        target.mkdir()
+        code, out, err = run(capsys, *OUT_COMMANDS[command], "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out ")
+        assert [p.name for p in tmp_path.rglob("*")] == ["adir"]
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        builds = []
+        build = cli._build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        for argv in (*OUT_COMMANDS.values(), ["triangle"], ["eval", "--poly", "1 - l"]):
+            main(argv)
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_reuse_after_usage_error_and_help_matches_a_fresh_process(
+        self, capfd, monkeypatch
+    ):
+        # a usage error (exit 2) and --help (exit 0) leave the parser as built,
+        # so every call prints what the same call prints in a new interpreter
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_parser", None)
+        calls = [
+            ["dobinski", "--m", "1", "--n", "2", "--x", "-5/2", "--lambda", "1/3"],
+            ["dobinski", "--m", "1", "--bogus"],
+            ["dobinski", "--help"],
+            ["dobinski", "--m", "1", "--n", "2", "--x", "-5/2", "--lambda", "1/3"],
+            ["triangle", "--family", "W", "--n-max", "1"],
+            ["--help"],
+            ["triangle", "--family", "W", "--n-max", "1"],
+            ["dobinski", "--m", "1", "--bogus"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            captured = capfd.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+        fresh = {}
+        for argv in map(tuple, calls):
+            if argv not in fresh:
+                done = subprocess.run(
+                    [sys.executable, "-m", "dowlab.cli", *argv],
+                    capture_output=True, text=True, env=env,
+                )
+                fresh[argv] = (done.returncode, done.stdout, done.stderr)
+        assert [c[0] for c in in_process] == [0, 2, 0, 0, 0, 0, 0, 2]
+        assert in_process == [fresh[tuple(argv)] for argv in calls]

@@ -4,7 +4,8 @@ The triangle and Bernoulli/Euler digests were taken from the
 Fraction-per-coefficient implementation of ``LambdaPoly``, before the
 integer-numerator kernel replaced it; the ``verify`` digests were taken
 before the memo caches of the catalog's sub-terms were added, and the
-n_max 10 one before the catalog's sums moved onto ``exact.dot``.  Any change
+n_max 10 one before the catalog's sums moved onto ``exact.dot``; the
+Dobinski digest before its quotient was rounded from integers.  Any change
 that alters one byte of a symbolic or rational result fails here in seconds.
 """
 
@@ -12,6 +13,8 @@ import contextlib
 import hashlib
 import importlib
 import io
+import itertools
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -48,6 +51,16 @@ VERIFY_N10 = (
     "6571fe5787718d9e492c4ab7d0cff74be251a375e28af191a01380398b329e94",
 )
 
+
+# `dowlab dobinski --format json` over this grid, one process, in this order;
+# terms = ceil(e |x| / m) + 100 as in the benchmark's sweeps.
+DOBINSKI_GRID = (
+    (1, 2, 3),
+    (0, 4, 8),
+    ("-5/2", "1/100", "7", "150", "9871/10"),
+    ("0", "1/3", "-3/7"),
+)
+DOBINSKI_DIGEST = "028d7f39f6e67b13d89e6b6db6f9573d0d6725eda629501f302b4d8131ad6980"
 
 
 def module_caches() -> dict:
@@ -93,6 +106,17 @@ def test_verify_report_digest_at_n_max_10():
     with contextlib.redirect_stdout(out):
         assert cli.main(["verify", *args]) == 0
     assert sha256(out.getvalue()) == digest
+
+
+def test_dobinski_output_digest():
+    out = io.StringIO()
+    for m, n, x, lam in itertools.product(*DOBINSKI_GRID):
+        terms = math.ceil(math.e * abs(Fraction(x)) / m) + 100
+        argv = ["dobinski", "--m", str(m), "--n", str(n), "--x", x, "--lambda", lam,
+                "--terms", str(terms), "--format", "json"]
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+    assert sha256(out.getvalue()) == DOBINSKI_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(CACHES))

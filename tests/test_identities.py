@@ -175,6 +175,28 @@ def test_row_side_needs_no_route_of_the_other_side(monkeypatch, ident, side_name
     assert replace(row, **{other_name: idn.Side(other.route, replay)})(SWEEP) == recorded
 
 
+def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch):
+    # Corrupt S2deg(3, 1) in the Newton store behind deg_bell_number: eq29's
+    # other side comes from the GF exp(e_l(t) - 1), so eq29 must fail at
+    # n = 2 (B(3)), before eq30 sees the corrupted value.
+    real = st.deg_r_stirling2_rows
+
+    def corrupted(r, n_max):
+        rows = [list(row) for row in real(r, n_max)]
+        if r == 0 and n_max >= 3:
+            rows[3][1] = rows[3][1] + 1
+        return rows
+
+    monkeypatch.setattr(st, "deg_r_stirling2_rows", corrupted)
+    clear_caches()
+    try:
+        report = idn.run_identity("eq29_30", 4, [1], [1], 0)
+    finally:
+        clear_caches()
+    assert report.status == "fail"
+    assert report.counterexample["params"] == {"n": 2, "part": "eq29"}
+
+
 def test_report_document_shape():
     reports = [idn.run_identity("cor4", 4, [1], [1], 0)]
     doc = idn.report_document(reports, 4, [1], [1], 0)

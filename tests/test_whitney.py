@@ -1,5 +1,8 @@
 """Whitney triangles, Dowling polynomials, r-variants and the Dobinski series."""
 
+import decimal
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, e
 
@@ -242,6 +245,47 @@ class TestRWhitney:
             wh.r_whitney1(0, 1, 1, 0)
 
 
+ROUNDINGS = (
+    decimal.ROUND_HALF_EVEN, decimal.ROUND_HALF_UP, decimal.ROUND_HALF_DOWN,
+    decimal.ROUND_UP, decimal.ROUND_DOWN, decimal.ROUND_CEILING, decimal.ROUND_FLOOR,
+    decimal.ROUND_05UP,
+)
+
+
+@st_.composite
+def quotient_cases(draw):
+    """``(num, den, prec)``: either sign, |num| < den or |num| >> den,
+    terminating quotients, exact ties at the rounding digit and values just
+    beside them, operands of up to 40k bits, precisions 1..100."""
+    prec = draw(st_.integers(1, 100))
+    sign = draw(st_.sampled_from((1, -1)))
+    kind = draw(st_.sampled_from(("below", "above", "terminating", "tie")))
+    # hypothesis draws the sizes; the bits of a 40k-bit operand come from a seeded PRNG
+    rng = random.Random(draw(st_.integers(0, 2**32)))
+    if kind == "tie":
+        # (10c + d) 10^s with c of prec digits is a value of prec digits (d = 0)
+        # or halfway between two of them (d = 5): hit it exactly with
+        # den = 2^i 5^j, or miss it by 1/den with a large den
+        c = draw(st_.integers(10 ** (prec - 1), 10**prec - 1))
+        point = 10 * c + draw(st_.sampled_from((0, 5)))
+        if draw(st_.booleans()):
+            i, j = draw(st_.integers(0, 300)), draw(st_.integers(0, 300))
+            s = draw(st_.integers(-min(i, j), 40))
+            return sign * point * 2 ** (i + s) * 5 ** (j + s), 2**i * 5**j, prec
+        base = rng.getrandbits(draw(st_.integers(1, 40000))) | 1
+        num = point * base + draw(st_.sampled_from((-1, 1)))
+        return sign * num, base * 10 ** draw(st_.integers(0, 60)), prec
+    if kind == "terminating":
+        den = 2 ** draw(st_.integers(0, 3000)) * 5 ** draw(st_.integers(0, 3000))
+        return sign * rng.getrandbits(draw(st_.integers(0, 40000))), den, prec
+    if kind == "below":
+        den = rng.getrandbits(draw(st_.integers(1, 40000))) | 1
+        return sign * rng.randrange(den), den, prec
+    den = rng.getrandbits(draw(st_.integers(1, 20000))) | 1
+    num = den * rng.getrandbits(draw(st_.integers(1, 20000))) + rng.randrange(den)
+    return sign * num, den, prec
+
+
 class TestDobinski:
     def test_closed_form_two(self):
         req = wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), terms=50)
@@ -310,6 +354,22 @@ class TestDobinski:
         huge = wh.DobinskiRequest(m=1, n=0, x=Fraction(10**19), lam=Fraction(0), terms=1)
         with pytest.raises(OverflowError, match="decimal exponent range"):
             wh.dobinski_eval(huge)
+
+    @settings(deadline=None, max_examples=300)
+    @given(quotient_cases(), st_.sampled_from(ROUNDINGS))
+    def test_quotient_is_decimal_division(self, case, rounding):
+        num, den, prec = case
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = prec, rounding
+            assert wh._decimal_quotient(num, den) == Decimal(num) / Decimal(den)
+
+    def test_quotient_digit_estimate_at_wide_bit_gaps(self):
+        # 0.3 for log10(2) would lose a digit per ~1000 bits of den over num
+        for gap in (1, 999, 3322, 10**4, 4 * 10**4):
+            for num, den in ((3, 7 << gap), (-(7 << gap), 3)):
+                with localcontext() as ctx:
+                    ctx.prec = 30
+                    assert wh._decimal_quotient(num, den) == Decimal(num) / Decimal(den)
 
 
 class TestTriangleBuilder:
