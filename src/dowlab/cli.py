@@ -1,9 +1,13 @@
 """Command-line front end: triangle export, evaluation, verification, Dobinski.
 
 Exit codes: 0 success, 1 identity failure (or Dobinski outside tolerance),
-2 usage error, an arithmetic error such as a float overflow, or an --out
-path that cannot be written.  Output goes to stdout unless --out is given,
-in which case the file is written atomically (temp file + rename).
+2 usage error, an arithmetic error such as a float overflow, an --out path
+that cannot be written, or a stdout that cannot be written (a closed pipe, a
+full disk).  Output goes to stdout unless --out is given, in which case the
+file is written atomically (temp file + rename) with the mode a new file
+gets from the umask.  A triangle is written row by row as it is rendered:
+if rendering fails part way, stdout holds a prefix of the document, while
+--out leaves the target as it was.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .exact import LambdaPoly
 from .stirling import Family
@@ -93,48 +97,97 @@ def latex_poly(text: str) -> str:
     return text.replace("l", "\\lambda")
 
 
-def _entry_strings(cfg: CliConfig) -> list[list[str]]:
+def _entry_strings(cfg: CliConfig) -> Iterator[list[str]]:
+    """The entry strings of the triangle, one row list at a time.
+
+    The triangle is built by this call, so every argument error is raised
+    before any output is opened; only the strings are made lazily.
+    """
     triangle = build_triangle(cfg.family, cfg.m, cfg.r, cfg.n_max)
-    rows = []
-    for n in range(cfg.n_max + 1):
-        row = []
-        for k in range(n + 1):
-            value = triangle.value(n, k)
-            if cfg.lam is None:
-                row.append(str(value))
-            else:
-                row.append(str(value.eval(cfg.lam)))
-        rows.append(row)
-    return rows
+    lam = cfg.lam
+    if lam is None:
+        return (list(map(str, row)) for row in triangle.rows)
+    return ([str(value.eval(lam)) for value in row] for row in triangle.rows)
 
 
-def _render_triangle(cfg: CliConfig) -> str:
+def _render_triangle(cfg: CliConfig) -> Iterator[str]:
+    """The export document in ``cfg.fmt`` as text chunks, one row per chunk."""
     rows = _entry_strings(cfg)
     if cfg.fmt == "csv":
-        return "\n".join(", ".join(row) for row in rows) + "\n"
+        return (", ".join(row) + "\n" for row in rows)
     if cfg.fmt == "latex":
-        return "\n".join(" & ".join(latex_poly(e) for e in row) + r" \\" for row in rows) + "\n"
-    document = {
+        return (" & ".join(map(latex_poly, row)) + " \\\\\n" for row in rows)
+    return _json_chunks(cfg, rows)
+
+
+def _json_chunks(cfg: CliConfig, rows: Iterator[list[str]]) -> Iterator[str]:
+    """``json.dumps(document, indent=2) + "\n"``, written out one row at a time.
+
+    The row list and every row are non-empty, so none of them is the
+    one-line ``[]`` that ``json.dumps`` writes for an empty list.
+    """
+    header = {
         "family": cfg.family.value,
         "m": cfg.m,
         "r": cfg.r,
         "lambda": "symbolic" if cfg.lam is None else str(cfg.lam),
         "n_max": cfg.n_max,
-        "rows": rows,
     }
-    return json.dumps(document, indent=2) + "\n"
+    yield json.dumps(header, indent=2)[: -len("\n}")] + ',\n  "rows": ['
+    separator = "\n"
+    for row in rows:
+        yield separator + "    [\n      " + ",\n      ".join(map(json.dumps, row)) + "\n    ]"
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+def _umask() -> int:
+    # os.umask reads the mask only by setting it, so set it back at once
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def _discard_stdout(stdout) -> None:
+    """Point the stdout descriptor at devnull once a write to it failed, so
+    the interpreter's flush at exit does not fail again and print a warning."""
+    try:
+        fd = stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor behind it, such as an in-process capture
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the text ``chunks`` (a str is one chunk) to stdout, or to ``out``.
+
+    Each chunk is written as it comes.  ``out`` is written to a temp file in
+    its directory that is renamed onto it at the end, so a failure at any
+    point leaves ``out`` as it was and removes the temp file.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out is None:
-        sys.stdout.write(text)
+        stdout = sys.stdout
+        try:
+            for chunk in chunks:
+                stdout.write(chunk)
+            stdout.flush()
+        except OSError as exc:
+            _discard_stdout(stdout)
+            raise UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     directory = os.path.dirname(os.path.abspath(out))
     tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dowlab-")
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            # mkstemp makes the file 0600; give it what open() gives a new file
+            os.fchmod(fd, 0o666 & ~_umask())
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp_path, out)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc

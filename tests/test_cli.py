@@ -1,10 +1,13 @@
 """Command-line surface: formats, exit codes, atomic output."""
 
+import errno
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -15,6 +18,8 @@ from hypothesis import strategies as st_
 from dowlab.exact import LambdaPoly
 from dowlab import cli
 from dowlab.cli import latex_poly, main
+from dowlab.stirling import Family
+from dowlab.whitney import build_triangle
 
 
 def latex_poly_inverse(text: str) -> str:
@@ -436,3 +441,201 @@ class TestParserReuse:
                 fresh[argv] = (done.returncode, done.stdout, done.stderr)
         assert [c[0] for c in in_process] == [0, 2, 0, 0, 0, 0, 0, 2]
         assert in_process == [fresh[tuple(argv)] for argv in calls]
+
+
+def joined_export(family, m, r, n_max, lam, fmt) -> str:
+    """The export as one string, rendered as it was before the export was
+    streamed: every entry string, then every row, then the joined document."""
+    triangle = build_triangle(family, m, r, n_max)
+    rows = []
+    for n in range(n_max + 1):
+        row = []
+        for k in range(n + 1):
+            value = triangle.value(n, k)
+            row.append(str(value) if lam is None else str(value.eval(Fraction(lam))))
+        rows.append(row)
+    if fmt == "csv":
+        return "\n".join(", ".join(row) for row in rows) + "\n"
+    if fmt == "latex":
+        return "\n".join(" & ".join(latex_poly(e) for e in row) + r" \\" for row in rows) + "\n"
+    document = {
+        "family": Family(family).value,
+        "m": m,
+        "r": r,
+        "lambda": "symbolic" if lam is None else str(Fraction(lam)),
+        "n_max": n_max,
+        "rows": rows,
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def triangle_argv(family, m, r, n_max, lam, fmt) -> list[str]:
+    argv = ["triangle", "--family", family, "--m", str(m), "--r", str(r),
+            "--n-max", str(n_max), "--format", fmt]
+    return argv + (["--symbolic"] if lam is None else ["--lambda", lam])
+
+
+class TestStreamedExport:
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_same_bytes_as_the_joined_document(self, capsys, family, fmt):
+        for lam, n_max in itertools.product((None, "0", "1/2", "-3/7", "5"), (0, 1, 6)):
+            args = (family, 3, 2, n_max, lam, fmt)
+            code, out, err = run(capsys, *triangle_argv(*args))
+            assert (code, err) == (0, "")
+            assert out == joined_export(*args), args
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_memory_is_the_held_triangle_plus_about_one_row(self, capsys, tmp_path, fmt):
+        args = ("Wdeg", 3, 1, 60, None, fmt)
+        target = tmp_path / f"w.{fmt}"
+        main(triangle_argv(*args[:3], 1, None, fmt))  # imports and the parser, untraced
+        triangle = build_triangle(*args[:4])  # the row store holds it from here on
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([*triangle_argv(*args), "--out", str(target)]) == 0
+            added = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        longest_row = max(len(", ".join(map(str, row))) for row in triangle.rows)
+        # one row's entry strings, its text and its encoded bytes: a few
+        # copies of one row, where the whole document is 15 rows long
+        assert target.stat().st_size > 15 * longest_row
+        assert added < 8 * longest_row
+
+    @staticmethod
+    def fail_at_call(monkeypatch, calls: int) -> None:
+        """Make the ``calls``-th ``str`` of a LambdaPoly raise, as CPython's
+        limit on the digits of ``str(int)`` does."""
+        seen = itertools.count(1)
+        to_str = LambdaPoly.__str__
+
+        def failing(self):
+            if next(seen) == calls:
+                raise ValueError("Exceeds the limit for integer string conversion")
+            return to_str(self)
+
+        monkeypatch.setattr(LambdaPoly, "__str__", failing)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_failure_mid_stream_leaves_out_untouched(self, capsys, monkeypatch, tmp_path, fmt):
+        target = tmp_path / "tri.txt"
+        target.write_text("kept\n")
+        self.fail_at_call(monkeypatch, 200)  # in row 19 of 31
+        code, out, err = run(
+            capsys, *triangle_argv("W", 3, 1, 30, None, fmt), "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: Exceeds the limit for integer string conversion\n"
+        assert target.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["tri.txt"]
+
+    def test_failure_mid_stream_leaves_a_prefix_on_stdout(self, capsys, monkeypatch):
+        argv = triangle_argv("W", 3, 1, 30, None, "csv")
+        whole = joined_export("Wdeg", 3, 1, 30, None, "csv")
+        self.fail_at_call(monkeypatch, 200)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert whole.startswith(out) and 0 < len(out) < len(whole)
+
+    def test_argument_errors_come_before_the_output_is_opened(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, "triangle", "--family", "W", "--m", "0", "--n-max", "3", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: m must be a positive integer, got 0\n"
+
+
+class FailingStdout:
+    """A stdout whose every write raises ``error``."""
+
+    def __init__(self, error: OSError) -> None:
+        self.error = error
+
+    def write(self, text: str) -> int:
+        raise self.error
+
+    def flush(self) -> None:
+        pass
+
+
+STDOUT_ERRORS = {
+    "EPIPE": BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+    "ENOSPC": OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+}
+
+
+def run_cli(argv, **kwargs) -> subprocess.Popen:
+    # block-buffered stdout, the default, so a write can fail only at a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.Popen(
+        [sys.executable, "-m", "dowlab.cli", *argv], env=env, stderr=subprocess.PIPE,
+        **kwargs,
+    )
+
+
+class TestUnwritableStdout:
+    @pytest.mark.parametrize("error", sorted(STDOUT_ERRORS))
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_write_error_exits_2(self, monkeypatch, capsys, command, error):
+        exc = STDOUT_ERRORS[error]
+        monkeypatch.setattr(sys, "stdout", FailingStdout(exc))
+        assert main(OUT_COMMANDS[command]) == 2
+        assert capsys.readouterr().err == f"error: cannot write stdout: {exc.strerror}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_full_device(self, command):
+        with open("/dev/full", "w") as full:
+            proc = run_cli(OUT_COMMANDS[command], stdout=full)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == "error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_pipe_closed_before_the_first_write(self, command):
+        # the output fits in stdout's buffer, so the write fails only when it
+        # is flushed, and the buffer still holds it at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli(OUT_COMMANDS[command], stdout=write_end)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == "error: cannot write stdout: Broken pipe\n"
+
+    def test_pipe_closed_after_the_first_read(self):
+        # 7.5 MB of output: far more than a pipe buffers, so the writer is
+        # still writing when the reader goes away
+        proc = run_cli(
+            ["triangle", "--family", "W", "--m", "3", "--n-max", "80"], stdout=subprocess.PIPE
+        )
+        assert proc.stdout.read(20) == b"1\n1, 1\n1 - l, 5 - l,"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+class TestOutMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_out_gets_the_mode_of_a_new_file(self, capsys, tmp_path, command, umask):
+        old = os.umask(umask)
+        try:
+            code, _, _ = run(capsys, *OUT_COMMANDS[command], "--out", str(tmp_path / "x"))
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert code == 0
+        mode = (tmp_path / "x").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask == (tmp_path / "plain").stat().st_mode & 0o777

@@ -5,7 +5,8 @@ Fraction-per-coefficient implementation of ``LambdaPoly``, before the
 integer-numerator kernel replaced it; the ``verify`` digests were taken
 before the memo caches of the catalog's sub-terms were added, and the
 n_max 10 one before the catalog's sums moved onto ``exact.dot``; the
-Dobinski digest before its quotient was rounded from integers.  Any change
+Dobinski digest before its quotient was rounded from integers; the JSON and
+LaTeX triangle digests before the export was streamed row by row.  Any change
 that alters one byte of a symbolic or rational result fails here in seconds.
 """
 
@@ -37,6 +38,18 @@ TRIANGLES = {
         ["--family", "W", "--m", "3", "--n-max", "20", "--lambda", "1/3"],
         "6360237899e26a02dc0a6d7ad7decd48774047e9ac92a1ba24862d8392e9d6e9",
     ),
+}
+
+# Two of the triangles above in the other export formats.
+TRIANGLE_FORMATS = {
+    ("W m=3 n_max=30 symbolic", "json"):
+        "5364d4b565f8e558e67e727ac625155adb284d36cbb97e3a6ea2150126028642",
+    ("W m=3 n_max=30 symbolic", "latex"):
+        "07ded32d62f1725bde9701447cbb72fb7e0d8a6ae9fa061c765a4a22e5b421ef",
+    ("W m=3 n_max=20 at l=1/3", "json"):
+        "caea7b9056379086125961b717fdd1c9c4d7934f5e649cd0b85ed38fd32447bb",
+    ("W m=3 n_max=20 at l=1/3", "latex"):
+        "260aad02ad69b886266602c3f794581087aecee70d483e6fc090e637a47f1d03",
 }
 
 # `dowlab verify --n-max 6 --seed S` with the default m and r sets.
@@ -90,6 +103,15 @@ def test_triangle_export_digest(case):
     with contextlib.redirect_stdout(out):
         assert cli.main(["triangle", *args]) == 0
     assert sha256(out.getvalue()) == digest
+
+
+@pytest.mark.parametrize("case, fmt", sorted(TRIANGLE_FORMATS))
+def test_triangle_format_digest(case, fmt):
+    args, _ = TRIANGLES[case]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["triangle", *args, "--format", fmt]) == 0
+    assert sha256(out.getvalue()) == TRIANGLE_FORMATS[case, fmt]
 
 
 @pytest.mark.parametrize("seed", sorted(VERIFY))
