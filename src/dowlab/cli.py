@@ -361,10 +361,11 @@ COMMANDS = {
 }
 
 
-# Options that take a rational.  argparse reads a value such as -5/2, -1e3 or
-# -inf after a space as an option of its own, so such a pair is joined into
+# Options whose value may be negative: the rationals, and --tol, which then
+# gets its own error.  argparse reads a value such as -5/2, -1e3 or -inf
+# after a space as an option of its own, so such a pair is joined into
 # --x=-5/2 before parsing.
-RATIONAL_OPTIONS = ("--x", "--lambda")
+SIGNED_OPTIONS = ("--x", "--lambda", "--tol")
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -372,7 +373,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(out) - 1:
         value = out[i + 1]
-        if out[i] in RATIONAL_OPTIONS and value.startswith("-") and not value.startswith("--"):
+        if out[i] in SIGNED_OPTIONS and value.startswith("-") and not value.startswith("--"):
             out[i : i + 2] = [f"{out[i]}={value}"]
         i += 1
     return out

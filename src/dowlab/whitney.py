@@ -405,15 +405,18 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     ``S = sum_{k < terms} z^k/k! prod_{j < n} (mk + 1 - j*lambda)``,
     and ``exact`` is the Dowling polynomial at ``(x, lambda)``.
 
-    ``S`` is exact: with ``z = p/q`` and ``lambda = a/b``, a backward Horner
-    pass keeps one integer numerator and one integer denominator, and no
-    rational is built per term.  ``e^{-z}`` is ``Decimal.exp`` (correctly
-    rounded) at ``P = 60 + digits(ceil|z|)`` significant digits.  The
-    quotient ``S`` is rounded to ``P`` digits from integer division
-    (``_decimal_quotient``), never by converting the bigints to ``Decimal``;
-    the product with ``S`` is formed at the same precision and rounded to a
-    float once.  Four decimal roundings (of ``-z``, the exp, the quotient
-    ``S`` and the product) each cost at most half of 1e-60 relative, since
+    ``S`` is exact: with ``z = p/q`` and ``lambda = a/b``, ``S b^n`` is one
+    quotient of two integers, summed by binary splitting
+    (``_dobinski_split``) with balanced big-integer products, so its cost
+    is quasi-linear in ``terms`` rather than quadratic (the sum at
+    ``x = 10^4``, ``terms = 27284`` takes about 0.2 s on one x86-64 core
+    under CPython 3.11).  ``e^{-z}`` is ``Decimal.exp`` (correctly rounded)
+    at ``P = 60 + digits(ceil|z|)`` significant digits.  The quotient ``S``
+    is rounded to ``P`` digits from integer division (``_decimal_quotient``),
+    never by converting the bigints to ``Decimal``; the product with ``S``
+    is formed at the same precision and rounded to a float once.  Four
+    decimal roundings (of ``-z``, the exp, the quotient ``S`` and the
+    product) each cost at most half of 1e-60 relative, since
     ``|z| < 10^(P-60)``; so the decimal value is within about 2e-60
     relative of the exact ``e^{-z} S``, and ``truncated`` is that value
     correctly rounded to a double unless it lies that close to a rounding
@@ -439,13 +442,7 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
         try:
             # first, so that an exponent out of range is refused before the sum
             weight = (Decimal(-p) / q).exp()
-            # num_k = P(k) D_k + p num_{k+1} and D_k = q (k+1) D_{k+1}, where
-            # P(k) = prod_j (b(mk+1) - ja); at the end S b^n = num_0 / D_0
-            num, den = 0, 1
-            for k in reversed(range(req.terms)):
-                base = b * (m * k + 1)
-                num = num * p + prod([base - j * a for j in range(n)]) * den
-                den *= q * k or 1  # D_{k-1} = q k D_k; the step at k = 0 leaves D_0
+            _, den, num = _dobinski_split(m, n, p, q, a, b, 0, req.terms)
             value = weight * _decimal_quotient(num, den * b**n)
         except (Underflow, Overflow) as exc:
             raise OverflowError("Dobinski sum is outside the decimal exponent range") from exc
@@ -454,6 +451,49 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
         raise OverflowError(f"Dobinski sum {value:.6e} is outside double range")
     exact = float(dowling_poly(m, n, req.x).eval(req.lam))
     return truncated, exact
+
+
+# terms per leaf of _dobinski_split: leaves of 8 are about a third slower on
+# the benchmark's sweeps, and 32 to 256 time alike
+_SPLIT_LEAF = 32
+
+
+def _dobinski_split(
+    m: int, n: int, p: int, q: int, a: int, b: int, lo: int, hi: int
+) -> tuple[int, int, int]:
+    """``(P, Q, T)`` of the terms ``lo <= k < hi`` of ``S b^n``, by binary splitting.
+
+    ``S b^n = sum_k F(k) prod_{i <= k} p_i / q_i`` with
+    ``F(k) = prod_{j < n} (b(mk+1) - ja)``, ``p_i = p`` and ``q_i = q i``,
+    except that ``k = 0`` contributes ``p_0 = q_0 = 1``.  Over the range,
+    ``P = prod p_k``, ``Q = prod q_k`` and
+    ``T / Q = sum_k F(k) prod_{lo <= i <= k} p_i / q_i``.  Two halves merge
+    as ``P1 P2, Q1 Q2, T1 Q2 + P1 T2`` (Haible and Papanikolaou, 1998), so
+    the big products are balanced and the sum costs O(M(N) log N) for
+    results of N bits, instead of the O(N^2) of one Horner pass.
+    """
+    if hi - lo > _SPLIT_LEAF:
+        mid = (lo + hi) // 2
+        p1, q1, t1 = _dobinski_split(m, n, p, q, a, b, lo, mid)
+        p2, q2, t2 = _dobinski_split(m, n, p, q, a, b, mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    # the leaf: a backward Horner pass, k from hi - 1 down to lo; factor j of
+    # F(k) runs over k as an arithmetic progression with step b m
+    step, top = b * m, b * (m * (hi - 1) + 1)
+    if n:
+        ranges = [range(top - j * a, top - j * a - step * (hi - lo), -step) for j in range(n)]
+        factors = map(prod, zip(*ranges))
+    else:
+        factors = [1] * (hi - lo)  # zip() of no ranges would be empty
+    # num_k = F(k) D_k + p num_{k+1} and D_{k-1} = q k D_k, so that
+    # num_lo / D_lo = sum_k F(k) prod_{lo < i <= k} p / (q i); p_lo comes last
+    num, den = 0, 1
+    for k, factor in zip(range(hi - 1, lo - 1, -1), factors):
+        num = num * p + factor * den
+        den *= q * k or 1
+    if lo:
+        return p ** (hi - lo), den, num * p
+    return p ** (hi - 1), den, num
 
 
 def _decimal_quotient(num: int, den: int) -> Decimal:

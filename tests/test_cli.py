@@ -319,6 +319,24 @@ class TestDobinski:
         assert out == ""
         assert "--tol" in err
 
+    @pytest.mark.parametrize("tol", ["-1e-9", "-inf"])
+    def test_negative_tolerance_after_space(self, capsys, tol):
+        code, out, err = run(
+            capsys, "dobinski", "--m", "1", "--n", "3", "--x", "1", "--lambda", "0",
+            "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --tol must be positive and finite\n"
+
+    def test_tolerance_after_equals_sign_is_unchanged(self, capsys):
+        joined = run(capsys, "dobinski", "--m", "1", "--n", "3", "--x", "1", "--lambda", "0",
+                     "--tol=1e-9")
+        spaced = run(capsys, "dobinski", "--m", "1", "--n", "3", "--x", "1", "--lambda", "0",
+                     "--tol", "1e-9")
+        line = "truncated=15.0 exact=15.0 diff=0.000e+00 tol=1e-09 pass\n"
+        assert joined == spaced == (0, line, "")
+
 
 fuzz_x = st_.one_of(
     st_.tuples(st_.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4),

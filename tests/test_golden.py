@@ -6,8 +6,10 @@ integer-numerator kernel replaced it; the ``verify`` digests were taken
 before the memo caches of the catalog's sub-terms were added, and the
 n_max 10 one before the catalog's sums moved onto ``exact.dot``; the
 Dobinski digest before its quotient was rounded from integers; the JSON and
-LaTeX triangle digests before the export was streamed row by row.  Any change
-that alters one byte of a symbolic or rational result fails here in seconds.
+LaTeX triangle digests before the export was streamed row by row; the
+large-x Dobinski digest before the truncated sum moved from one backward
+Horner pass to binary splitting.  Any change that alters one byte of a
+symbolic or rational result fails here in seconds.
 """
 
 import contextlib
@@ -75,6 +77,11 @@ DOBINSKI_GRID = (
 )
 DOBINSKI_DIGEST = "028d7f39f6e67b13d89e6b6db6f9573d0d6725eda629501f302b4d8131ad6980"
 
+# The same command at large x, where the sum runs to tens of thousands of
+# terms; the product is taken in the order x, n, m, lambda.
+DOBINSKI_LARGE_X_GRID = ((2500, 10000), (0, 8), (1, 3), ("0", "1/3"))
+DOBINSKI_LARGE_X_DIGEST = "2b3633fb48e66d89e89cc3b984068b18fe62bba48d2e7c41b81e835d68d6c1d1"
+
 
 def module_caches() -> dict:
     """Every object with ``cache_info`` bound in a dowlab module, by name."""
@@ -139,6 +146,17 @@ def test_dobinski_output_digest():
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
     assert sha256(out.getvalue()) == DOBINSKI_DIGEST
+
+
+def test_dobinski_large_x_digest():
+    out = io.StringIO()
+    for x, n, m, lam in itertools.product(*DOBINSKI_LARGE_X_GRID):
+        terms = math.ceil(math.e * x / m) + 100
+        argv = ["dobinski", "--m", str(m), "--n", str(n), "--x", str(x), "--lambda", lam,
+                "--terms", str(terms), "--format", "json"]
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+    assert sha256(out.getvalue()) == DOBINSKI_LARGE_X_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(CACHES))

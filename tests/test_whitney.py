@@ -4,7 +4,7 @@ import decimal
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import ceil, e
+from math import ceil, e, prod
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +286,45 @@ def quotient_cases(draw):
     return sign * num, den, prec
 
 
+def dobinski_series(m: int, n: int, x: Fraction, lam: Fraction, terms: int) -> Fraction:
+    """Oracle: sum_{k < terms} z^k/k! prod_{j < n} (mk + 1 - j lam), z = x/m, in Fractions."""
+    z, total, power = x / m, Fraction(0), Fraction(1)  # power = z^k / k!
+    for k in range(terms):
+        value = power
+        for j in range(n):
+            value *= m * k + 1 - j * lam
+        total += value
+        power = power * z / (k + 1)
+    return total
+
+
+def dobinski_horner(m: int, n: int, p: int, q: int, a: int, b: int, terms: int) -> Fraction:
+    """Oracle: S b^n by the backward Horner pass that binary splitting replaced."""
+    num, den = 0, 1
+    for k in reversed(range(terms)):
+        base = b * (m * k + 1)
+        num = num * p + prod([base - j * a for j in range(n)]) * den
+        den *= q * k or 1
+    return Fraction(num, den)
+
+
+def check_dobinski_split(m: int, n: int, x: Fraction, lam: Fraction, terms: int) -> None:
+    z = x / m
+    p, q, a, b = z.numerator, z.denominator, lam.numerator, lam.denominator
+    _, den, num = wh._dobinski_split(m, n, p, q, a, b, 0, terms)
+    split = Fraction(num, den)
+    assert split == dobinski_horner(m, n, p, q, a, b, terms)
+    assert split == dobinski_series(m, n, x, lam, terms) * b**n
+
+
+# both signs and zero
+signed_fractions = st_.one_of(
+    st_.just(Fraction(0)), st_.fractions(min_value=-40, max_value=40, max_denominator=12)
+)
+# terms either side of one leaf and of two and four leaves
+SPLIT_EDGES = (1, 2, 31, 32, 33, 63, 64, 65, 128, 129)
+
+
 class TestDobinski:
     def test_closed_form_two(self):
         req = wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), terms=50)
@@ -354,6 +393,26 @@ class TestDobinski:
         huge = wh.DobinskiRequest(m=1, n=0, x=Fraction(10**19), lam=Fraction(0), terms=1)
         with pytest.raises(OverflowError, match="decimal exponent range"):
             wh.dobinski_eval(huge)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st_.integers(min_value=1, max_value=3),
+        st_.integers(min_value=0, max_value=8),
+        signed_fractions,
+        signed_fractions,
+        st_.one_of(st_.sampled_from((31, 32, 33, 64, 65)), st_.integers(1, 300)),
+    )
+    def test_split_sum_is_the_exact_series(self, m, n, x, lam, terms):
+        check_dobinski_split(m, n, x, lam, terms)
+
+    @pytest.mark.parametrize("terms", SPLIT_EDGES)
+    @pytest.mark.parametrize(
+        "m, n, x, lam",
+        [(1, 0, Fraction(3), Fraction(0)), (2, 5, Fraction(-7, 3), Fraction(1, 3)),
+         (3, 8, Fraction(25, 2), Fraction(-5, 4)), (1, 4, Fraction(0), Fraction(2))],
+    )
+    def test_split_sum_across_leaf_boundaries(self, m, n, x, lam, terms):
+        check_dobinski_split(m, n, x, lam, terms)
 
     @settings(deadline=None, max_examples=300)
     @given(quotient_cases(), st_.sampled_from(ROUNDINGS))
