@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -196,11 +197,29 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
             os.unlink(tmp_path)
 
 
+@contextmanager
+def _unlimited_int_str() -> Iterator[None]:
+    """Lift the interpreter's limit on the digits of int <-> str conversions
+    (CPython 3.11 and later; 4300 by default) for the duration, so that exact
+    results of any size render.  The limit is process-wide, so it is restored
+    afterwards: inputs are parsed under it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_triangle(cfg: CliConfig) -> int:
-    _write_output(_render_triangle(cfg), cfg.out)
+    with _unlimited_int_str():
+        _write_output(_render_triangle(cfg), cfg.out)
     return 0
 
 
@@ -216,8 +235,9 @@ def cmd_eval(cfg: CliConfig) -> int:
             value = triangle.value(cfg.n, cfg.k)
         except IndexError as exc:
             raise UsageError(str(exc))
-    text = str(value) if cfg.lam is None else str(value.eval(cfg.lam))
-    _write_output(text + "\n", cfg.out)
+    with _unlimited_int_str():
+        text = str(value) if cfg.lam is None else str(value.eval(cfg.lam))
+        _write_output(text + "\n", cfg.out)
     return 0
 
 

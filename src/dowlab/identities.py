@@ -1,11 +1,17 @@
 """Catalog of the number-family identities as executable, exact checks.
 
-Every entry sweeps a finite parameter grid and compares both sides by
-canonical polynomial equality; the first mismatch is captured as a
-counterexample.  Entries flagged as *discrepancy* probes exist because the
-source material prints two inconsistent readings of a formula: they always
-report status ``paper-discrepancy`` together with a finding that says which
-reading the exact oracle confirms.
+Every entry is a generator of comparisons: it yields ``(params, lhs, rhs)``
+at each point of a finite parameter grid, in a fixed order.  One loop,
+``_sweep``, runs them all: it counts each comparison it makes, decides it by
+canonical polynomial equality, and stops at the first mismatch, which it
+reports as the counterexample.  ``params_tested`` is the number of
+comparisons made, the failing one included; nothing past the first
+counterexample is computed.
+
+Entries flagged as *discrepancy* probes exist because the source material
+prints two inconsistent readings of a formula.  They compare the reading the
+derivation supports, note where the printed one first fails, and return that
+as their finding; they report status ``paper-discrepancy``.
 
 An entry that compares two routes to the same values is a ``Row``: two
 sides, each naming the routes it computes by (recurrence, Newton conversion,
@@ -20,7 +26,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, product
 from math import factorial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from .exact import LAMBDA, ONE, LambdaPoly, dot
 from .bases import binom, lambda_falling, lambda_rising
@@ -75,6 +81,9 @@ class IdentityReport:
 CheckResult = tuple[int, Optional[dict], Optional[str]]
 Checker = Callable[[SweepParams], CheckResult]
 
+# An entry's comparisons: (params, lhs, rhs) at each point, then its finding.
+Points = Generator[tuple[dict, object, object], None, Optional[str]]
+
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -83,8 +92,28 @@ class IdentityCheck:
     discrepancy: bool = False
 
 
-def _ce(params: dict, lhs, rhs) -> dict:
-    return {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
+def _sweep(points: Points) -> CheckResult:
+    """Count the comparisons of ``points`` and stop at the first mismatch.
+
+    The generator is not resumed after a mismatch, so nothing past the
+    first counterexample is computed.  When every comparison holds, the
+    generator's return value is the finding.
+    """
+    tested = 0
+    while True:
+        try:
+            params, lhs, rhs = next(points)
+        except StopIteration as done:
+            return tested, None, done.value
+        tested += 1
+        if lhs != rhs:
+            return tested, {"params": params, "lhs": str(lhs), "rhs": str(rhs)}, None
+
+
+def _finding(fails_at: Optional[dict], fails: str, agrees: str) -> str:
+    """A discrepancy probe's finding: ``fails`` with its ``%s`` set to the
+    first point where the printed reading failed, or ``agrees`` if none did."""
+    return agrees if fails_at is None else fails % (fails_at,)
 
 
 def _rand_rational(rng: random.Random) -> Fraction:
@@ -134,25 +163,20 @@ def _each(route: frozenset[str], value: Callable) -> Side:
     return Side(route, lambda *args: partial(value, *args[:-1]))
 
 
-Runner = Callable[[SweepParams, Side, Side], CheckResult]
+Runner = Callable[[SweepParams, Side, Side], Points]
 
 
 def _triangle(*outer: str) -> Runner:
     """Compare at every (n, k) of the triangle, for each tuple of the outer
     parameters, each named "m" or "r"."""
 
-    def run(p: SweepParams, lhs: Side, rhs: Side) -> CheckResult:
-        tested = 0
+    def run(p: SweepParams, lhs: Side, rhs: Side) -> Points:
         for fixed in product(*(getattr(p, f"{name}_set") for name in outer)):
             left, right = lhs.values(*fixed, p.n_max), rhs.values(*fixed, p.n_max)
+            at = dict(zip(outer, fixed))
             for n in range(p.n_max + 1):
                 for k in range(n + 1):
-                    tested += 1
-                    a, b = left(n, k), right(n, k)
-                    if a != b:
-                        params = {**dict(zip(outer, fixed)), "n": n, "k": k}
-                        return tested, _ce(params, a, b), None
-        return tested, None, None
+                    yield {**at, "n": n, "k": k}, left(n, k), right(n, k)
 
     return run
 
@@ -160,31 +184,21 @@ def _triangle(*outer: str) -> Runner:
 def _column(name: str, values: Iterable) -> Runner:
     """Compare at every n, for each value of the outer parameter ``name``."""
 
-    def run(p: SweepParams, lhs: Side, rhs: Side) -> CheckResult:
-        tested = 0
+    def run(p: SweepParams, lhs: Side, rhs: Side) -> Points:
         for v in values:
             left, right = lhs.values(v, p.n_max), rhs.values(v, p.n_max)
             for n in range(p.n_max + 1):
-                tested += 1
-                a, b = left(n), right(n)
-                if a != b:
-                    return tested, _ce({"n": n, name: v}, a, b), None
-        return tested, None, None
+                yield {"n": n, name: v}, left(n), right(n)
 
     return run
 
 
-def _series(p: SweepParams, lhs: Side, rhs: Side) -> CheckResult:
+def _series(p: SweepParams, lhs: Side, rhs: Side) -> Points:
     """Compare at every coefficient n, for each m and x sample."""
-    tested = 0
     for m, x in product(p.m_set, X_SAMPLES):
         left, right = lhs.values(m, x, p.n_max), rhs.values(m, x, p.n_max)
         for n in range(p.n_max + 1):
-            tested += 1
-            a, b = left(n), right(n)
-            if a != b:
-                return tested, _ce({"m": m, "n": n, "x": str(x)}, a, b), None
-    return tested, None, None
+            yield {"m": m, "n": n, "x": str(x)}, left(n), right(n)
 
 
 @dataclass(frozen=True)
@@ -196,7 +210,7 @@ class Row:
     rhs: Side
 
     def __call__(self, p: SweepParams) -> CheckResult:
-        return self.run(p, self.lhs, self.rhs)
+        return _sweep(self.run(p, self.lhs, self.rhs))
 
 
 # --------------------------------------------------------------------------
@@ -204,125 +218,84 @@ class Row:
 # --------------------------------------------------------------------------
 
 
-def _chk_eq12(p: SweepParams) -> CheckResult:
+def _chk_eq12(p: SweepParams) -> Points:
     order = 16
     lhs = deg_log(order).compose(deg_exp(1, 1, order) - one_series(order))
     rhs = t_series(order)
     for n in range(order + 1):
-        if lhs.coeff(n) != rhs.coeff(n):
-            return n + 1, _ce({"n": n}, lhs.coeff(n), rhs.coeff(n)), None
-    return order + 1, None, None
+        yield {"n": n}, lhs.coeff(n), rhs.coeff(n)
 
 
-def _chk_orthogonality(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_orthogonality(p: SweepParams) -> Points:
     for m in p.m_set:
         for n in range(p.n_max + 1):
             for j in range(n + 1):
-                tested += 1
                 acc = dot((1, wh.whitney1(m, n, k), wh.whitney2(m, k, j)) for k in range(j, n + 1))
-                want = LambdaPoly.const(1 if n == j else 0)
-                if acc != want:
-                    return tested, _ce({"m": m, "n": n, "j": j}, acc, want), None
-    return tested, None, None
+                yield {"m": m, "n": n, "j": j}, acc, LambdaPoly.const(1 if n == j else 0)
 
 
-def _chk_stirling_orthogonality(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_stirling_orthogonality(p: SweepParams) -> Points:
     for n in range(p.n_max + 1):
         for j in range(n + 1):
-            tested += 1
             acc = dot((1, st.deg_stirling1(n, k), st.deg_stirling2(k, j)) for k in range(j, n + 1))
-            want = LambdaPoly.const(1 if n == j else 0)
-            if acc != want:
-                return tested, _ce({"n": n, "j": j}, acc, want), None
-    return tested, None, None
+            yield {"n": n, "j": j}, acc, LambdaPoly.const(1 if n == j else 0)
 
 
-def _chk_eq29_30(p: SweepParams) -> CheckResult:
+def _chk_eq29_30(p: SweepParams) -> Points:
     # eq29 reads the Bell numbers from the GF exp(e_l(t) - 1), whose coefficient
     # n is sum_k S2deg(n, k); deg_bell_number is a row sum of the Newton store
     order = p.n_max + 1
     bell_gf = (deg_exp(1, 1, order) - one_series(order)).exp()
-    tested = 0
     for n in range(p.n_max + 1):
-        tested += 1
         bell_next = st.deg_bell_number(n + 1)
-        acc = bell_gf.coeff(n + 1)
-        if bell_next != acc:
-            return tested, _ce({"n": n, "part": "eq29"}, bell_next, acc), None
-        tested += 1
+        yield {"n": n, "part": "eq29"}, bell_next, bell_gf.coeff(n + 1)
         lhs = wh.dowling_number(1, n)
-        rhs = bell_next + LAMBDA * n * st.deg_bell_number(n)
-        if lhs != rhs:
-            return tested, _ce({"n": n, "part": "eq30"}, lhs, rhs), None
-    return tested, None, None
+        yield {"n": n, "part": "eq30"}, lhs, bell_next + LAMBDA * n * st.deg_bell_number(n)
 
 
-def _chk_cor4(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_cor4(p: SweepParams) -> Points:
     for n in range(p.n_max + 1):
-        tested += 1
         lhs = wh.dowling_number(1, n)
-        rhs = st.deg_bell_number(n + 1) + LAMBDA * n * st.deg_bell_number(n)
-        if lhs != rhs:
-            return tested, _ce({"n": n}, lhs, rhs), None
-    return tested, None, None
+        yield {"n": n}, lhs, st.deg_bell_number(n + 1) + LAMBDA * n * st.deg_bell_number(n)
 
 
-def _chk_cor11(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_cor11(p: SweepParams) -> Points:
     for x in X_SAMPLES:
         for n in range(p.n_max + 1):
-            tested += 1
             lhs = wh.dowling_poly(1, n, x) * x
-            rhs = st.deg_bell(n + 1, x) + LAMBDA * n * st.deg_bell(n, x)
-            if lhs != rhs:
-                return tested, _ce({"n": n, "x": str(x)}, lhs, rhs), None
-    return tested, None, None
+            yield {"n": n, "x": str(x)}, lhs, st.deg_bell(n + 1, x) + LAMBDA * n * st.deg_bell(n, x)
 
 
-def _chk_thm10(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm10(p: SweepParams) -> Points:
+    # the one inexact comparison: within the tolerance, the sides count as equal
     for m in p.m_set:
         for n in range(min(p.n_max, 8) + 1):
             for x in DOBINSKI_X:
                 for lam in DOBINSKI_LAMBDA:
-                    tested += 1
                     req = wh.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=200, tol=1e-9)
                     truncated, exact = wh.dobinski_eval(req)
-                    if abs(truncated - exact) >= req.tol:
-                        params = {"m": m, "n": n, "x": str(x), "lambda": str(lam)}
-                        return tested, _ce(params, truncated, exact), None
-    return tested, None, None
+                    if abs(truncated - exact) < req.tol:
+                        exact = truncated
+                    yield {"m": m, "n": n, "x": str(x), "lambda": str(lam)}, truncated, exact
 
 
-def _chk_thm12_zero(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm12_zero(p: SweepParams) -> Points:
     for m in p.m_set:
         for k in range(1, p.n_max + 1):
             for n in range(k):
-                tested += 1
-                value = wh.whitney2_alt(m, n, k, "sum_T12")
-                if not value.is_zero():
-                    return tested, _ce({"m": m, "n": n, "k": k}, value, 0), None
-    return tested, None, None
+                yield {"m": m, "n": n, "k": k}, wh.whitney2_alt(m, n, k, "sum_T12"), 0
 
 
-def _chk_lemma15(p: SweepParams) -> CheckResult:
+def _chk_lemma15(p: SweepParams) -> Points:
     rng = p.rng("lemma15")
-    tested = 0
     for n in range(min(p.n_max, 10) + 1):
         for _ in range(5):
             z = _rand_rational(rng)
-            tested += 1
             acc = dot(
                 ((-1) ** j * binom(n, j), lambda_falling(z - j, n, LAMBDA), ONE)
                 for j in range(n + 1)
             )
-            if acc != LambdaPoly.const(factorial(n)):
-                return tested, _ce({"n": n, "z": str(z)}, acc, factorial(n)), None
-    return tested, None, None
+            yield {"n": n, "z": str(z)}, acc, factorial(n)
 
 
 def _thm16_sum(m: int, n: int, k: int, with_falling_factor: bool) -> LambdaPoly:
@@ -348,37 +321,31 @@ def _thm16_sum(m: int, n: int, k: int, with_falling_factor: bool) -> LambdaPoly:
     )
 
 
-def _chk_thm16(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm16(p: SweepParams) -> Points:
     displayed_fails = None
     for m in p.m_set:
         for n in range(p.n_max):
             for k in range(n + 2):
-                tested += 1
+                params = {"m": m, "n": n, "k": k}
                 want = wh.whitney2(m, n + 1, k)
-                corrected = _thm16_sum(m, n, k, with_falling_factor=True)
-                if corrected != want:
-                    return tested, _ce({"m": m, "n": n, "k": k}, corrected, want), None
+                yield params, _thm16_sum(m, n, k, with_falling_factor=True), want
                 if displayed_fails is None:
-                    displayed = _thm16_sum(m, n, k, with_falling_factor=False)
-                    if displayed != want:
-                        displayed_fails = {"m": m, "n": n, "k": k}
-    finding = (
+                    if _thm16_sum(m, n, k, with_falling_factor=False) != want:
+                        displayed_fails = params
+    verified = (
         "recursion verified with lower bound max(k-1,0) and the (m)_{l-i,l} factor "
         "from the derivation restored; "
     )
-    if displayed_fails is not None:
-        finding += f"the displayed form (factor omitted) first fails at {displayed_fails}"
-    else:
-        finding += "the displayed form agrees on this range (too small to separate)"
-    return tested, None, finding
+    return _finding(
+        displayed_fails,
+        verified + "the displayed form (factor omitted) first fails at %s",
+        verified + "the displayed form agrees on this range (too small to separate)",
+    )
 
 
-def _chk_thm17(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm17(p: SweepParams) -> Points:
     for m in p.m_set:
         for n in range(p.n_max):
-            tested += 1
             want = wh.dowling_number(m, n + 1)
             acc = dot(
                 (
@@ -395,46 +362,37 @@ def _chk_thm17(p: SweepParams) -> CheckResult:
                 )
                 for l in range(n + 1)
             )
-            if acc != want:
-                return tested, _ce({"m": m, "n": n}, acc, want), None
-    return tested, None, None
+            yield {"m": m, "n": n}, acc, want
 
 
-def _chk_thm20(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm20(p: SweepParams) -> Points:
     printed_fails = None
     for m in p.m_set:
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 1
+                params = {"m": m, "n": n, "k": k}
                 lhs = st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k)
                 parts = [
                     (i, wh.whitney1(m, n, i), lambda_falling(1, i - k, LAMBDA))
                     for i in range(k, n + 1)
                 ]
-                corrected = dot((binom(i, k), w, f) for i, w, f in parts)
-                if corrected != lhs:
-                    return tested, _ce({"m": m, "n": n, "k": k}, corrected, lhs), None
+                yield params, dot((binom(i, k), w, f) for i, w, f in parts), lhs
                 # the printed form only matters until its first failure
                 if printed_fails is None and dot((binom(n, i), w, f) for i, w, f in parts) != lhs:
-                    printed_fails = {"m": m, "n": n, "k": k}
-    if printed_fails is not None:
-        finding = (
-            f"printed binomial C(n,i) first fails at {printed_fails}; "
-            "the C(i,k) form from the derivation holds on the whole sweep"
-        )
-    else:
-        finding = "printed and derived binomials agree on this range (too small to separate)"
-    return tested, None, finding
+                    printed_fails = params
+    return _finding(
+        printed_fails,
+        "printed binomial C(n,i) first fails at %s; "
+        "the C(i,k) form from the derivation holds on the whole sweep",
+        "printed and derived binomials agree on this range (too small to separate)",
+    )
 
 
-def _chk_thm21(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm21(p: SweepParams) -> Points:
     for m in p.m_set:
         scale = Fraction(m, m + 1)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 1
                 lhs = wh.whitney2(m + 1, n, k)
                 acc = dot(
                     (
@@ -444,10 +402,7 @@ def _chk_thm21(p: SweepParams) -> CheckResult:
                     )
                     for j in range(n + 1)
                 )
-                rhs = acc / Fraction((m + 1) ** k * m ** (n - k))
-                if lhs != rhs:
-                    return tested, _ce({"m": m, "n": n, "k": k}, lhs, rhs), None
-    return tested, None, None
+                yield {"m": m, "n": n, "k": k}, lhs, acc / Fraction((m + 1) ** k * m ** (n - k))
 
 
 def _cor22_sum(m: int, n: int, x: Fraction, poly_fn, rescale: bool) -> LambdaPoly:
@@ -468,46 +423,40 @@ def _cor22_sum(m: int, n: int, x: Fraction, poly_fn, rescale: bool) -> LambdaPol
     return acc / Fraction(m**n)
 
 
-def _chk_cor22_generic(p: SweepParams, poly_fn, label: str) -> CheckResult:
-    tested = 0
+def _chk_cor22_generic(p: SweepParams, poly_fn, label: str) -> Points:
     printed_fails = None
     for m in p.m_set:
         for n in range(p.n_max + 1):
             for x in X_SAMPLES:
-                tested += 1
+                params = {"m": m, "n": n, "x": str(x)}
                 lhs = poly_fn(m + 1, n, x)
-                rhs = _cor22_sum(m, n, x, poly_fn, rescale=True)
-                if lhs != rhs:
-                    return tested, _ce({"m": m, "n": n, "x": str(x)}, lhs, rhs), None
+                yield params, lhs, _cor22_sum(m, n, x, poly_fn, rescale=True)
                 if printed_fails is None:
-                    printed = _cor22_sum(m, n, x, poly_fn, rescale=False)
-                    if printed != lhs:
-                        printed_fails = {"m": m, "n": n, "x": str(x)}
-    finding = (
+                    if _cor22_sum(m, n, x, poly_fn, rescale=False) != lhs:
+                        printed_fails = params
+    holds = (
         f"{label} holds with the inner polynomial taken at the rescaled parameter "
         "m*l/(m+1), as the m->m+1 triangle identity requires; "
     )
-    if printed_fails is not None:
-        finding += f"the printed form (no rescale) first fails at {printed_fails}"
-    else:
-        finding += "the printed form agrees on this range (too small to separate)"
-    return tested, None, finding
+    return _finding(
+        printed_fails,
+        holds + "the printed form (no rescale) first fails at %s",
+        holds + "the printed form agrees on this range (too small to separate)",
+    )
 
 
-def _chk_cor22(p: SweepParams) -> CheckResult:
+def _chk_cor22(p: SweepParams) -> Points:
     return _chk_cor22_generic(p, wh.dowling_poly, "row-polynomial reduction")
 
 
-def _chk_cor22_remark(p: SweepParams) -> CheckResult:
+def _chk_cor22_remark(p: SweepParams) -> Points:
     return _chk_cor22_generic(p, wh.tanny_dowling_poly, "ordered-variant reduction")
 
 
-def _chk_thm23(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm23(p: SweepParams) -> Points:
     for m in p.m_set:
         for n in range(p.n_max + 1):
             for x in X_SAMPLES:
-                tested += 1
                 lhs = wh.dowling_poly(m, n, x)
                 acc = dot(
                     (
@@ -517,13 +466,10 @@ def _chk_thm23(p: SweepParams) -> CheckResult:
                     )
                     for i in range(n + 1)
                 )
-                if lhs != acc:
-                    return tested, _ce({"m": m, "n": n, "x": str(x)}, lhs, acc), None
-    return tested, None, None
+                yield {"m": m, "n": n, "x": str(x)}, lhs, acc
 
 
-def _chk_lemma24(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_lemma24(p: SweepParams) -> Points:
     for n in range(p.n_max + 1):
         for j in range(n + 1):
             want = LambdaPoly.const(1 if n == j else 0)
@@ -535,6 +481,7 @@ def _chk_lemma24(p: SweepParams) -> CheckResult:
                 )
                 for k in range(j, n + 1)
             )
+            yield {"n": n, "j": j, "form": "falling-rising"}, first, want
             second = dot(
                 (
                     (-1) ** (n - k) * binom(n, k) * binom(k, j),
@@ -543,34 +490,21 @@ def _chk_lemma24(p: SweepParams) -> CheckResult:
                 )
                 for k in range(j, n + 1)
             )
-            tested += 2
-            if first != want:
-                return tested, _ce({"n": n, "j": j, "form": "falling-rising"}, first, want), None
-            if second != want:
-                return tested, _ce({"n": n, "j": j, "form": "rising-falling"}, second, want), None
-    return tested, None, None
+            yield {"n": n, "j": j, "form": "rising-falling"}, second, want
 
 
-def _chk_thm25(p: SweepParams) -> CheckResult:
+def _chk_thm25(p: SweepParams) -> Points:
     rng = p.rng("thm25")
     n_max = min(p.n_max, 12)
-    tested = 0
     for _ in range(3):
         b = [_rand_poly(rng) for _ in range(n_max + 1)]
         a = [_falling_transform(b, n) for n in range(n_max + 1)]
         for n in range(n_max + 1):
-            tested += 1
-            acc = _rising_transform(a, n)
-            if acc != b[n]:
-                return tested, _ce({"n": n, "direction": "forward-inverse"}, acc, b[n]), None
+            yield {"n": n, "direction": "forward-inverse"}, _rising_transform(a, n), b[n]
         # converse direction: start from the inverse transform
         c = [_rising_transform(b, n) for n in range(n_max + 1)]
         for n in range(n_max + 1):
-            tested += 1
-            acc = _falling_transform(c, n)
-            if acc != b[n]:
-                return tested, _ce({"n": n, "direction": "inverse-forward"}, acc, b[n]), None
-    return tested, None, None
+            yield {"n": n, "direction": "inverse-forward"}, _falling_transform(c, n), b[n]
 
 
 def _falling_transform(b: list[LambdaPoly], n: int) -> LambdaPoly:
@@ -585,12 +519,10 @@ def _rising_transform(a: list[LambdaPoly], n: int) -> LambdaPoly:
     )
 
 
-def _chk_thm26(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_thm26(p: SweepParams) -> Points:
     for m in p.m_set:
         for n in range(p.n_max + 1):
             for x in X_SAMPLES:
-                tested += 1
                 lhs = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
                 acc = dot(
                     (
@@ -600,9 +532,7 @@ def _chk_thm26(p: SweepParams) -> CheckResult:
                     )
                     for k in range(n + 1)
                 )
-                if lhs != acc:
-                    return tested, _ce({"m": m, "n": n, "x": str(x)}, lhs, acc), None
-    return tested, None, None
+                yield {"m": m, "n": n, "x": str(x)}, lhs, acc
 
 
 # --------------------------------------------------------------------------
@@ -610,88 +540,60 @@ def _chk_thm26(p: SweepParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _chk_eq74(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_eq74(p: SweepParams) -> Points:
     for r in p.r_set:
         prefactor = binomial_series(-r, 1, p.n_max)
         gf = gf_triangle(deg_log(p.n_max), prefactor, p.n_max)
         bracket = st.deg_r_stirling1_unsigned_rows(r, p.n_max)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 1
                 sign = -1 if (n - k) % 2 else 1
-                if gf[n][k] != bracket[n][k] * sign:
-                    params = {"r": r, "n": n, "k": k}
-                    return tested, _ce(params, gf[n][k], bracket[n][k] * sign), None
-    return tested, None, None
+                yield {"r": r, "n": n, "k": k}, gf[n][k], bracket[n][k] * sign
 
 
-def _chk_eq75(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_eq75(p: SweepParams) -> Points:
     for r in p.r_set:
         rows = wh.r_whitney1_rows(1, r, p.n_max)
         bracket = st.deg_r_stirling1_unsigned_rows(r, p.n_max)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 1
                 sign = -1 if (n - k) % 2 else 1
-                if rows[n][k] != bracket[n][k] * sign:
-                    params = {"r": r, "n": n, "k": k, "part": "bracket"}
-                    return tested, _ce(params, rows[n][k], bracket[n][k] * sign), None
+                yield {"r": r, "n": n, "k": k, "part": "bracket"}, rows[n][k], bracket[n][k] * sign
     for m in p.m_set:
         ones = wh.r_whitney1_rows(m, 1, p.n_max)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 1
-                if ones[n][k] != wh.whitney1(m, n, k):
-                    params = {"m": m, "n": n, "k": k, "part": "r=1"}
-                    return tested, _ce(params, ones[n][k], wh.whitney1(m, n, k)), None
+                yield {"m": m, "n": n, "k": k, "part": "r=1"}, ones[n][k], wh.whitney1(m, n, k)
     # r = 0 at m = 1: the generating function degrades to the plain
     # first-kind one, so the triangle must too
     zero_r = gf_triangle(deg_log(p.n_max), one_series(p.n_max), p.n_max)
     s1 = st.deg_stirling1_rows(p.n_max)
     for n in range(p.n_max + 1):
         for k in range(n + 1):
-            tested += 1
-            if zero_r[n][k] != s1[n][k]:
-                params = {"n": n, "k": k, "part": "r=0"}
-                return tested, _ce(params, zero_r[n][k], s1[n][k]), None
-    return tested, None, None
+            yield {"n": n, "k": k, "part": "r=0"}, zero_r[n][k], s1[n][k]
 
 
-def _chk_eq77(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_eq77(p: SweepParams) -> Points:
     for r in p.r_set:
         gf = st.deg_r_stirling2_rows_gf(r, p.n_max)
         rows = st.deg_r_stirling2_rows(r, p.n_max)
         braces = wh.r_whitney2_rows(1, r, p.n_max)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 2
-                if gf[n][k] != rows[n][k]:
-                    return tested, _ce({"r": r, "n": n, "k": k}, gf[n][k], rows[n][k]), None
-                if braces[n][k] != rows[n][k]:
-                    params = {"r": r, "n": n, "k": k, "part": "m=1"}
-                    return tested, _ce(params, braces[n][k], rows[n][k]), None
+                yield {"r": r, "n": n, "k": k}, gf[n][k], rows[n][k]
+                yield {"r": r, "n": n, "k": k, "part": "m=1"}, braces[n][k], rows[n][k]
     for m in p.m_set:
         ones = wh.r_whitney2_rows(m, 1, p.n_max)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 1
-                if ones[n][k] != wh.whitney2(m, n, k):
-                    params = {"m": m, "n": n, "k": k, "part": "r=1"}
-                    return tested, _ce(params, ones[n][k], wh.whitney2(m, n, k)), None
+                yield {"m": m, "n": n, "k": k, "part": "r=1"}, ones[n][k], wh.whitney2(m, n, k)
     # r = 0 at m = 1 is the plain second-kind degenerate triangle; its
     # generating function is the oracle, as deg_stirling2_rows is this store
     zero_r = st.deg_r_stirling2_rows(0, p.n_max)
     plain = st.deg_stirling2_rows_gf(p.n_max)
     for n in range(p.n_max + 1):
         for k in range(n + 1):
-            tested += 1
-            if zero_r[n][k] != plain[n][k]:
-                params = {"n": n, "k": k, "part": "r=0"}
-                return tested, _ce(params, zero_r[n][k], plain[n][k]), None
-    return tested, None, None
+            yield {"n": n, "k": k, "part": "r=0"}, zero_r[n][k], plain[n][k]
 
 
 # --------------------------------------------------------------------------
@@ -699,28 +601,21 @@ def _chk_eq77(p: SweepParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _chk_eq81(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_eq81(p: SweepParams) -> Points:
     variant_fails = None
     for alpha in (Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(2)):
         oracle = be.deg_euler_gf_binomial(p.n_max, alpha)
         for n in range(p.n_max + 1):
-            tested += 1
-            theorem = be.deg_euler(n, alpha)
-            if theorem != oracle[n]:
-                return tested, _ce({"n": n, "alpha": str(alpha)}, theorem, oracle[n]), None
-            if variant_fails is None:
-                variant = be.deg_euler_sum_variant(n, alpha, +1)
-                if variant != oracle[n]:
-                    variant_fails = {"n": n, "alpha": str(alpha)}
-    if variant_fails is not None:
-        finding = (
-            "the binomial top alpha+l-1 matches the binomial-series oracle "
-            f"everywhere; the intermediate alpha+l+1 variant first fails at {variant_fails}"
-        )
-    else:
-        finding = "both binomial tops agree on this range (too small to separate)"
-    return tested, None, finding
+            params = {"n": n, "alpha": str(alpha)}
+            yield params, be.deg_euler(n, alpha), oracle[n]
+            if variant_fails is None and be.deg_euler_sum_variant(n, alpha, +1) != oracle[n]:
+                variant_fails = params
+    return _finding(
+        variant_fails,
+        "the binomial top alpha+l-1 matches the binomial-series oracle "
+        "everywhere; the intermediate alpha+l+1 variant first fails at %s",
+        "both binomial tops agree on this range (too small to separate)",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -728,34 +623,22 @@ def _chk_eq81(p: SweepParams) -> CheckResult:
 # --------------------------------------------------------------------------
 
 
-def _chk_classical_limits(p: SweepParams) -> CheckResult:
-    tested = 0
+def _chk_classical_limits(p: SweepParams) -> Points:
     for m in p.m_set:
         w_cl = wh.classical_whitney2_rows(m, p.n_max)
         v_cl = wh.classical_whitney1_rows(m, p.n_max)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                tested += 2
                 got_w = wh.whitney2(m, n, k).eval(0)
-                if got_w != w_cl[n][k]:
-                    params = {"m": m, "n": n, "k": k, "family": "W"}
-                    return tested, _ce(params, got_w, w_cl[n][k]), None
+                yield {"m": m, "n": n, "k": k, "family": "W"}, got_w, w_cl[n][k]
                 got_v = wh.whitney1(m, n, k).eval(0)
-                if got_v != v_cl[n][k]:
-                    params = {"m": m, "n": n, "k": k, "family": "V"}
-                    return tested, _ce(params, got_v, v_cl[n][k]), None
+                yield {"m": m, "n": n, "k": k, "family": "V"}, got_v, v_cl[n][k]
     for n in range(p.n_max + 1):
         for k in range(n + 1):
-            tested += 2
             got1 = st.deg_stirling1(n, k).eval(0)
-            if got1 != st.stirling1(n, k):
-                params = {"n": n, "k": k, "family": "S1"}
-                return tested, _ce(params, got1, st.stirling1(n, k)), None
+            yield {"n": n, "k": k, "family": "S1"}, got1, st.stirling1(n, k)
             got2 = st.deg_stirling2(n, k).eval(0)
-            if got2 != st.stirling2(n, k):
-                params = {"n": n, "k": k, "family": "S2"}
-                return tested, _ce(params, got2, st.stirling2(n, k)), None
-    return tested, None, None
+            yield {"n": n, "k": k, "family": "S2"}, got2, st.stirling2(n, k)
 
 
 # --------------------------------------------------------------------------
@@ -765,7 +648,10 @@ def _chk_classical_limits(p: SweepParams) -> CheckResult:
 CATALOG: dict[str, IdentityCheck] = {}
 
 
-def _register(ident: str, checker: Checker, discrepancy: bool = False) -> None:
+def _register(
+    ident: str, entry: Row | Callable[[SweepParams], Points], discrepancy: bool = False
+) -> None:
+    checker = entry if isinstance(entry, Row) else lambda p: _sweep(entry(p))
     CATALOG[ident] = IdentityCheck(id=ident, checker=checker, discrepancy=discrepancy)
 
 

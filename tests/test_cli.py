@@ -197,6 +197,27 @@ class TestEval:
         assert out == ""
         assert "expected one argument" in err
 
+    def test_value_past_the_int_str_digit_limit_renders(self, capsys):
+        # 10^5000 has more digits than CPython's default int -> str limit (4300)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "eval", "--poly", "l^5000", "--lambda", "10")
+        assert (code, err) == (0, "")
+        assert out == "1" + "0" * 5000 + "\n"
+        # the triangle export renders its entries the same way: W(2, k) at
+        # m = 1 is 1 - l, 3 - l, 1
+        code, out, _ = run(
+            capsys, "triangle", "--family", "W", "--n-max", "2", "--lambda", "1e5000"
+        )
+        assert code == 0
+        assert out.splitlines()[2] == f"-{'9' * 5000}, -{'9' * 4999}7, 1"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_input_is_parsed_under_the_int_str_digit_limit(self, capsys):
+        code, out, err = run(capsys, "eval", "--poly", "1" * 5000, "--lambda", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
+
 
 class TestVerify:
     def test_single_identity(self, capsys):
@@ -270,6 +291,18 @@ class TestDobinski:
         )
         assert code == 0
         assert out.endswith(" pass\n")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="pass/fail compares two rounded doubles: an exact value halfway "
+        "between two doubles fails however many terms are summed",
+    )
+    def test_halfway_value_passes(self, capsys):
+        code, out, _ = run(
+            capsys, "dobinski", "--m", "1", "--n", "8", "--x", "101",
+            "--lambda", "0", "--terms", "375",
+        )
+        assert code == 0, out
 
     def test_float_overflow_exits_2(self, capsys):
         # The Dowling value is about 1e320; the CLI reports the

@@ -1,7 +1,9 @@
 """The identity engine: sweeps, reports, determinism, fault injection, route independence."""
 
+import importlib.util
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -61,14 +63,37 @@ def test_discrepancy_entries_are_decided():
         assert "fails at" in report.finding, f"{ident} finding undecided on this range"
 
 
-# One row per outer shape: the module attribute the row reads, the arguments
-# whose value is corrupted (for a triangle store, its parameters without
-# n_max, and then entry (3, 1) is corrupted), and the counterexample expected.
+def test_sweep_stops_at_the_first_mismatch():
+    def points():
+        yield {"n": 0}, LambdaPoly.const(1), 1
+        yield {"n": 1}, LambdaPoly([0, 2]), LambdaPoly([0, 3])
+        raise AssertionError("resumed after a mismatch")
+
+    counterexample = {"params": {"n": 1}, "lhs": "2*l", "rhs": "3*l"}
+    assert idn._sweep(points()) == (2, counterexample, None)
+
+
+def test_sweep_returns_the_finding_of_a_sweep_without_mismatch():
+    def points():
+        yield {"n": 0}, LambdaPoly.const(1), 1
+        yield {"n": 1}, 0, LambdaPoly.const(0)
+        return "decided"
+
+    assert idn._sweep(points()) == (2, None, "decided")
+
+
+# One row per shape of the points an entry yields: the module attribute the
+# entry reads, the arguments whose value is corrupted (for a triangle store,
+# its parameters without n_max, and then entry (3, 1) is corrupted), and the
+# counterexample expected.
 FAULTS = {
     "thm6": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "k": 1}),
     "eq17": (st, "deg_stirling2", (3, 1), {"n": 3, "k": 1}),
     "eq73": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
     "eq68": (wh, "r_whitney1_rows", (2, 1), {"m": 2, "r": 1, "n": 3, "k": 1}),
+    "orthogonality": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "j": 1}),
+    "eq74": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
+    "thm20": (st, "deg_stirling1", (3, 1), {"m": 1, "n": 3, "k": 1}),
 }
 
 
@@ -98,6 +123,27 @@ def test_fault_injection_yields_counterexample(monkeypatch, ident):
     LambdaPoly.parse(report.counterexample["rhs"])
 
 
+def test_thm10_counterexample_keeps_both_floats(monkeypatch):
+    # thm10 is the one tolerance comparison: a point whose exact side moves
+    # by 1e-6 fails, and the counterexample shows the two floats compared
+    real = wh.dowling_poly
+    at = (1, 2, Fraction(1))
+
+    def corrupted(m, n, x):
+        value = real(m, n, x)
+        return value + Fraction(1, 10**6) if (m, n, x) == at else value
+
+    monkeypatch.setattr(wh, "dowling_poly", corrupted)
+    report = idn.run_identity("thm10", 4, [1, 2], [1], 0)
+    assert report.status == "fail"
+    ce = report.counterexample
+    assert ce["params"] == {"m": 1, "n": 2, "x": "1", "lambda": "0"}
+    truncated, exact = float(ce["lhs"]), float(ce["rhs"])
+    assert ce["lhs"] == repr(truncated) and ce["rhs"] == repr(exact)
+    assert exact == float(real(*at).eval(0) + Fraction(1, 10**6))
+    assert abs(truncated - exact) == pytest.approx(1e-6)
+
+
 def test_catalog_order_matches_the_benchmark():
     # the benchmark names one per-layer metric per entry, in catalog order
     bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
@@ -110,6 +156,24 @@ def test_catalog_order_matches_the_benchmark():
     assert list(idn.CATALOG) == entries
     discrepancies = {ident for ident, entry in idn.CATALOG.items() if entry.discrepancy}
     assert discrepancies == {"thm16", "thm20", "cor22", "cor22_remark", "eq81"}
+
+
+def test_benchmark_span_targets_exist():
+    # the benchmark's tracer wraps each (module, path) of its span list and
+    # skips, without failing, any it cannot find
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for targets in tracer.SPANS.values():
+        for module_name, target in targets:
+            owner = importlib.import_module(f"dowlab.{module_name}")
+            for attr in target.split("."):
+                owner = getattr(owner, attr, None)
+            if owner is None:
+                missing.append(f"{module_name}.{target}")
+    assert missing == []
 
 
 # The code that only one route reaches; an explicit formula has none of its own.
