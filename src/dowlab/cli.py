@@ -19,7 +19,6 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -36,30 +35,6 @@ FAMILY_ALIASES = {
 }
 
 FORMATS = ("csv", "json", "latex")
-
-
-@dataclass
-class CliConfig:
-    """Validated arguments of one CLI invocation."""
-
-    command: str
-    family: Optional[Family] = None
-    m: int = 1
-    r: int = 1
-    n_max: int = 0
-    lam: Optional[Fraction] = None  # None means symbolic
-    x: Optional[Fraction] = None
-    fmt: str = "csv"
-    seed: int = 0
-    terms: int = 200
-    tol: float = 1e-9
-    out: Optional[str] = None
-    ident: Optional[str] = None
-    n: int = 0
-    k: int = 0
-    poly: Optional[str] = None
-    m_set: tuple[int, ...] = (1, 2, 3)
-    r_set: tuple[int, ...] = (1, 2, 3)
 
 
 class UsageError(Exception):
@@ -98,7 +73,7 @@ def latex_poly(text: str) -> str:
     return text.replace("l", "\\lambda")
 
 
-def _entry_strings(cfg: CliConfig) -> Iterator[list[str]]:
+def _entry_strings(cfg: argparse.Namespace) -> Iterator[list[str]]:
     """The entry strings of the triangle, one row list at a time.
 
     The triangle is built by this call, so every argument error is raised
@@ -111,7 +86,7 @@ def _entry_strings(cfg: CliConfig) -> Iterator[list[str]]:
     return ([str(value.eval(lam)) for value in row] for row in triangle.rows)
 
 
-def _render_triangle(cfg: CliConfig) -> Iterator[str]:
+def _render_triangle(cfg: argparse.Namespace) -> Iterator[str]:
     """The export document in ``cfg.fmt`` as text chunks, one row per chunk."""
     rows = _entry_strings(cfg)
     if cfg.fmt == "csv":
@@ -121,7 +96,7 @@ def _render_triangle(cfg: CliConfig) -> Iterator[str]:
     return _json_chunks(cfg, rows)
 
 
-def _json_chunks(cfg: CliConfig, rows: Iterator[list[str]]) -> Iterator[str]:
+def _json_chunks(cfg: argparse.Namespace, rows: Iterator[list[str]]) -> Iterator[str]:
     """``json.dumps(document, indent=2) + "\n"``, written out one row at a time.
 
     The row list and every row are non-empty, so none of them is the
@@ -217,13 +192,13 @@ def _unlimited_int_str() -> Iterator[None]:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_triangle(cfg: CliConfig) -> int:
+def cmd_triangle(cfg: argparse.Namespace) -> int:
     with _unlimited_int_str():
         _write_output(_render_triangle(cfg), cfg.out)
     return 0
 
 
-def cmd_eval(cfg: CliConfig) -> int:
+def cmd_eval(cfg: argparse.Namespace) -> int:
     if cfg.poly is not None:
         try:
             value = LambdaPoly.parse(cfg.poly)
@@ -241,7 +216,7 @@ def cmd_eval(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: CliConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     if cfg.ident is not None:
         if cfg.ident not in CATALOG:
             raise UsageError(f"unknown identity id {cfg.ident!r}")
@@ -253,25 +228,19 @@ def cmd_verify(cfg: CliConfig) -> int:
     return 0 if all_passed(reports) else 1
 
 
-def cmd_dobinski(cfg: CliConfig) -> int:
+def cmd_dobinski(cfg: argparse.Namespace) -> int:
     request = DobinskiRequest(
         m=cfg.m, n=cfg.n, x=cfg.x, lam=cfg.lam, terms=cfg.terms, tol=cfg.tol
     )
     truncated, exact = dobinski_eval(request)
     diff = abs(truncated - exact)
-    ok = diff < cfg.tol
+    ok = request.passes(truncated, exact)
+    status = "pass" if ok else "fail"
     if cfg.fmt == "json":
         line = json.dumps(
-            {
-                "truncated": truncated,
-                "exact": exact,
-                "diff": diff,
-                "tol": cfg.tol,
-                "status": "pass" if ok else "fail",
-            }
+            {"truncated": truncated, "exact": exact, "diff": diff, "tol": cfg.tol, "status": status}
         )
     else:
-        status = "pass" if ok else "fail"
         line = f"truncated={truncated!r} exact={exact!r} diff={diff:.3e} tol={cfg.tol:g} {status}"
     _write_output(line + "\n", cfg.out)
     return 0 if ok else 1
@@ -287,90 +256,78 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tri = sub.add_parser("triangle", help="export one triangle family")
-    tri.add_argument("--family", required=True)
-    tri.add_argument("--m", type=int, default=1)
-    tri.add_argument("--r", type=int, default=1)
-    tri.add_argument("--n-max", type=int, required=True)
-    tri.add_argument("--lambda", dest="lam", default=None, metavar="Q")
-    tri.add_argument("--symbolic", action="store_true")
-    tri.add_argument("--format", choices=FORMATS, default="csv")
-    tri.add_argument("--out", default=None)
+    # options that mean the same in every subcommand that takes them: --out,
+    # and the triangle and lambda whose entries triangle and eval print
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    entry = argparse.ArgumentParser(add_help=False)
+    entry.add_argument("--m", type=int, default=1)
+    entry.add_argument("--r", type=int, default=1)
+    entry.add_argument("--lambda", dest="lam", default=None, metavar="Q")
+    entry.add_argument("--symbolic", action="store_true")
 
-    ev = sub.add_parser("eval", help="evaluate a polynomial or a triangle entry")
+    tri = sub.add_parser("triangle", parents=[entry, out], help="export one triangle family")
+    tri.add_argument("--family", required=True)
+    tri.add_argument("--n-max", type=int, required=True)
+    tri.add_argument("--format", dest="fmt", choices=FORMATS, default="csv")
+
+    ev = sub.add_parser(
+        "eval", parents=[entry, out], help="evaluate a polynomial or a triangle entry"
+    )
     ev.add_argument("--poly", default=None, help="polynomial in the canonical grammar")
     ev.add_argument("--family", default=None)
-    ev.add_argument("--m", type=int, default=1)
-    ev.add_argument("--r", type=int, default=1)
     ev.add_argument("--n", type=int, default=0)
     ev.add_argument("--k", type=int, default=0)
-    ev.add_argument("--lambda", dest="lam", default=None, metavar="Q")
-    ev.add_argument("--symbolic", action="store_true")
-    ev.add_argument("--out", default=None)
 
-    ver = sub.add_parser("verify", help="run the identity catalog")
+    ver = sub.add_parser("verify", parents=[out], help="run the identity catalog")
     ver.add_argument("--id", dest="ident", default=None)
     ver.add_argument("--n-max", type=int, default=8)
     ver.add_argument("--m-set", default="1,2,3")
     ver.add_argument("--r-set", default="1,2,3")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--out", default=None)
 
-    dob = sub.add_parser("dobinski", help="truncated series vs exact Dowling value")
+    dob = sub.add_parser("dobinski", parents=[out], help="truncated series vs exact Dowling value")
     dob.add_argument("--m", type=int, required=True)
     dob.add_argument("--n", type=int, required=True)
     dob.add_argument("--x", required=True)
     dob.add_argument("--lambda", dest="lam", required=True, metavar="Q")
     dob.add_argument("--terms", type=int, default=200)
     dob.add_argument("--tol", type=float, default=1e-9)
-    dob.add_argument("--format", choices=("text", "json"), default="text")
-    dob.add_argument("--out", default=None)
+    dob.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(command=args.command)
-    cfg.out = getattr(args, "out", None)
-    if args.command == "triangle":
-        cfg.family = _parse_family(args.family)
-        cfg.m, cfg.r, cfg.n_max = args.m, args.r, args.n_max
-        cfg.fmt = args.format
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check ``args`` and convert their values in place; the namespace is the
+    command's config.  When several arguments are bad, the first check that
+    fails, in the order below, gives the error."""
+    if args.command in ("triangle", "eval"):
+        if args.command == "eval" and (args.poly is None) == (args.family is None):
+            raise UsageError("eval needs exactly one of --poly or --family")
+        if args.family is not None:
+            args.family = _parse_family(args.family)
+        if args.command == "triangle" and args.n_max < 0:
+            raise UsageError("--n-max must be >= 0")
+        if args.lam is not None and args.symbolic:
+            raise UsageError("--lambda and --symbolic are mutually exclusive")
+        if args.lam is not None:
+            args.lam = _parse_rational(args.lam, "--lambda")
+    elif args.command == "verify":
+        args.m_set = _parse_int_set(args.m_set, "--m-set")
+        args.r_set = _parse_int_set(args.r_set, "--r-set")
         if args.n_max < 0:
             raise UsageError("--n-max must be >= 0")
-        if args.lam is not None and args.symbolic:
-            raise UsageError("--lambda and --symbolic are mutually exclusive")
-        cfg.lam = None if args.lam is None else _parse_rational(args.lam, "--lambda")
-    elif args.command == "eval":
-        if (args.poly is None) == (args.family is None):
-            raise UsageError("eval needs exactly one of --poly or --family")
-        cfg.poly = args.poly
-        if args.family is not None:
-            cfg.family = _parse_family(args.family)
-            cfg.m, cfg.r, cfg.n, cfg.k = args.m, args.r, args.n, args.k
-        if args.lam is not None and args.symbolic:
-            raise UsageError("--lambda and --symbolic are mutually exclusive")
-        cfg.lam = None if args.lam is None else _parse_rational(args.lam, "--lambda")
-    elif args.command == "verify":
-        cfg.ident = args.ident
-        cfg.n_max = args.n_max
-        cfg.seed = args.seed
-        cfg.m_set = _parse_int_set(args.m_set, "--m-set")
-        cfg.r_set = _parse_int_set(args.r_set, "--r-set")
-        if cfg.n_max < 0:
-            raise UsageError("--n-max must be >= 0")
     elif args.command == "dobinski":
-        cfg.m, cfg.n = args.m, args.n
-        cfg.x = _parse_rational(args.x, "--x")
+        args.x = _parse_rational(args.x, "--x")
         if args.lam == "symbolic":
             raise UsageError("dobinski needs a numeric --lambda")
-        cfg.lam = _parse_rational(args.lam, "--lambda")
-        cfg.terms, cfg.tol, cfg.fmt = args.terms, args.tol, args.format
-        if cfg.terms < 1:
+        args.lam = _parse_rational(args.lam, "--lambda")
+        if args.terms < 1:
             raise UsageError("--terms must be >= 1")
-        if not (cfg.tol > 0 and math.isfinite(cfg.tol)):
+        if not (args.tol > 0 and math.isfinite(args.tol)):
             raise UsageError("--tol must be positive and finite")
-    return cfg
+    return args
 
 
 COMMANDS = {

@@ -16,6 +16,7 @@ may be shared freely between threads.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
@@ -353,20 +354,26 @@ class LambdaPoly:
             if match is None:
                 raise ValueError(f"malformed polynomial term: {chunk!r}")
             sign = -1 if match.group("sign") == "-" else 1
-            if match.group("bare"):
-                coef = Fraction(1)
-                deg = int(match.group("bdeg") or 1)
-            else:
-                try:
-                    coef = Fraction(match.group("coef"))
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in term: {chunk!r}")
-                if "*l" in chunk:
-                    deg = int(match.group("deg") or 1)
+            try:
+                if match.group("bare"):
+                    coef = Fraction(1)
+                    deg = int(match.group("bdeg") or 1)
                 else:
-                    deg = 0
+                    coef = Fraction(match.group("coef"))
+                    deg = int(match.group("deg") or 1) if "*l" in chunk else 0
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in term: {chunk!r}")
+            except ValueError:
+                # _TERM admits only digit strings, so this is the interpreter's
+                # limit on the digits of an int read from a string
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"number of more than {limit} digits in term: {chunk!r}")
             by_degree[deg] = by_degree.get(deg, Fraction(0)) + sign * coef
-        out = [Fraction(0)] * (max(by_degree) + 1)
+        top = max(by_degree)
+        try:
+            out = [Fraction(0)] * (top + 1)
+        except (MemoryError, OverflowError):
+            raise ValueError(f"degree {top} is too large for a polynomial")
         for deg, coef in by_degree.items():
             out[deg] = coef
         return cls(out)

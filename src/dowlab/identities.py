@@ -274,7 +274,7 @@ def _chk_thm10(p: SweepParams) -> Points:
                 for lam in DOBINSKI_LAMBDA:
                     req = wh.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=200, tol=1e-9)
                     truncated, exact = wh.dobinski_eval(req)
-                    if abs(truncated - exact) < req.tol:
+                    if req.passes(truncated, exact):
                         exact = truncated
                     yield {"m": m, "n": n, "x": str(x), "lambda": str(lam)}, truncated, exact
 

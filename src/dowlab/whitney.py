@@ -396,6 +396,11 @@ class DobinskiRequest:
         if not (self.tol > 0 and isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
 
+    def passes(self, truncated: float, exact: float) -> bool:
+        """Whether ``dobinski_eval``'s two sides agree: they differ by less
+        than ``tol``.  The CLI and the catalog both decide pass/fail here."""
+        return abs(truncated - exact) < self.tol
+
 
 def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     """Truncated Dobinski-type series for the Dowling polynomial vs the exact value.

@@ -216,7 +216,24 @@ class TestEval:
     def test_input_is_parsed_under_the_int_str_digit_limit(self, capsys):
         code, out, err = run(capsys, "eval", "--poly", "1" * 5000, "--lambda", "1")
         assert (code, out) == (2, "")
-        assert err.startswith("error: Exceeds the limit")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: number of more than {limit} digits in term: {'1' * 5000!r}\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_exponent_past_the_int_str_digit_limit(self, capsys):
+        term = "l^" + "1" * 5000
+        code, out, err = run(capsys, "eval", "--poly", f"1 + {term}")
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == f"error: number of more than {limit} digits in term: {'+' + term!r}\n"
+
+    # the list of coefficients is refused by its size check, before any
+    # allocation: a MemoryError up to sys.maxsize entries, an OverflowError past it
+    @pytest.mark.parametrize("degree", ["1000000000000000000", "100000000000000000000"])
+    def test_huge_exponent_is_a_usage_error(self, capsys, degree):
+        code, out, err = run(capsys, "eval", "--poly", f"l^{degree}")
+        assert (code, out) == (2, "")
+        assert err == f"error: degree {degree} is too large for a polynomial\n"
 
 
 class TestVerify:
@@ -409,6 +426,73 @@ def test_usage_error_without_subcommand(capsys):
 
 def test_unknown_flag(capsys):
     assert main(["triangle", "--family", "W", "--n-max", "1", "--bogus"]) == 2
+
+
+UNKNOWN_Q = (
+    "error: unknown family 'Q'; choose one of: S1, S2, S1deg, S2deg, S1degR, S2degR, "
+    "Wdeg, Vdeg, WdegR, VdegR, W, V, WR, VR"
+)
+NOT_RATIONAL = "error: {} must be a rational like 3 or -1/4, got {!r}"
+
+# Calls with two or more bad arguments, and the one error each reports.  An
+# error of the CLI's own is the whole of stderr; an argparse error is the
+# last line, after the usage lines, up to the list of choices, whose quoting
+# differs between Python releases.
+PRECEDENCE = [
+    ("triangle --family Q --n-max -1", UNKNOWN_Q),
+    ("triangle --family Q --n-max 1 --lambda x --symbolic", UNKNOWN_Q),
+    ("triangle --family W --n-max -1 --lambda 1 --symbolic", "error: --n-max must be >= 0"),
+    ("triangle --family W --n-max -1 --lambda x", "error: --n-max must be >= 0"),
+    ("triangle --family W --n-max 1 --lambda x --symbolic",
+     "error: --lambda and --symbolic are mutually exclusive"),
+    ("triangle --family W --m 0 --n-max 1 --lambda x", NOT_RATIONAL.format("--lambda", "x")),
+    ("triangle --family W --m 0 --r -1 --n-max 1", "error: m must be a positive integer, got 0"),
+    ("triangle --family Q --n-max -1 --format xml",
+     "dowlab triangle: error: argument --format: invalid choice: 'xml'"),
+    ("triangle --family Q --n-max x",
+     "dowlab triangle: error: argument --n-max: invalid int value: 'x'"),
+    ("eval --poly l --family Q --lambda x", "error: eval needs exactly one of --poly or --family"),
+    ("eval --family Q --lambda 1 --symbolic", UNKNOWN_Q),
+    ("eval --family W --lambda x --symbolic",
+     "error: --lambda and --symbolic are mutually exclusive"),
+    ("eval --poly 1++2 --lambda x", NOT_RATIONAL.format("--lambda", "x")),
+    ("eval --poly 1++2 --lambda 1 --symbolic",
+     "error: --lambda and --symbolic are mutually exclusive"),
+    ("eval --family W --m 0 --n 1 --k 5 --lambda x", NOT_RATIONAL.format("--lambda", "x")),
+    ("eval --family W --m 0 --n 1 --k 5", "error: m must be a positive integer, got 0"),
+    ("eval --family W --n -1 --k 5 --lambda 1/2", "error: (-1, 5) outside triangle of size 0"),
+    ("eval --family Q --n x", "dowlab eval: error: argument --n: invalid int value: 'x'"),
+    ("verify --n-max -1 --m-set a",
+     "error: --m-set must be a comma-separated integer list, got 'a'"),
+    ("verify --m-set 1 --r-set a --n-max -1",
+     "error: --r-set must be a comma-separated integer list, got 'a'"),
+    ("verify --m-set a --r-set b",
+     "error: --m-set must be a comma-separated integer list, got 'a'"),
+    ("verify --n-max -1 --id nosuch", "error: --n-max must be >= 0"),
+    ("verify --m-set 0 --id nosuch", "error: unknown identity id 'nosuch'"),
+    ("verify --n-max x --m-set a",
+     "dowlab verify: error: argument --n-max: invalid int value: 'x'"),
+    ("dobinski --m 1 --n 1 --x 1 --lambda 1/0 --terms 0", NOT_RATIONAL.format("--lambda", "1/0")),
+    ("dobinski --m 1 --n 1 --x 1 --lambda 0 --terms 0 --tol -1", "error: --terms must be >= 1"),
+    ("dobinski --m 1 --n 1 --x y --lambda symbolic --terms 0", NOT_RATIONAL.format("--x", "y")),
+    ("dobinski --m 1 --n 1 --x 1 --lambda symbolic --terms 0",
+     "error: dobinski needs a numeric --lambda"),
+    ("dobinski --m 0 --n -1 --x 1 --lambda 0 --tol -1",
+     "error: --tol must be positive and finite"),
+    ("dobinski --m 0 --n -1 --x 1 --lambda 0", "error: m must be a positive integer"),
+    ("dobinski --m 1 --n -1 --x 1/0 --lambda 0 --tol x",
+     "dowlab dobinski: error: argument --tol: invalid float value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, error", PRECEDENCE)
+def test_error_precedence(capsys, argv, error):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    if error.startswith("error: "):
+        assert err == error + "\n"
+    else:
+        assert err.splitlines()[-1].startswith(error)
 
 
 # One short run of every command that can write --out.

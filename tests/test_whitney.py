@@ -356,6 +356,13 @@ class TestDobinski:
             with pytest.raises(TypeError):
                 wh.DobinskiRequest(**{"m": 1, "n": 1, "terms": 50, **bad}, x=1, lam=0)
 
+    def test_pass_rule_is_a_strict_tolerance(self):
+        req = wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=0.5)
+        assert req.passes(2.0, 2.0)
+        assert req.passes(2.25, 2.0) and req.passes(2.0, 2.25)
+        assert not req.passes(2.5, 2.0)
+        assert not req.passes(2.0, 2.5)
+
     @pytest.mark.parametrize(
         "m, x, terms",
         [
