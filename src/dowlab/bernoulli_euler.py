@@ -52,7 +52,7 @@ def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
     if n_max < 0 or k < 0:
         raise ValueError("n_max and k must be >= 0")
     order = n_max + 1
-    quotient = t_series(order).divide(deg_exp(1, 1, order) - one_series(order), 1)
+    quotient = t_series(order).divide(deg_exp(1, order) - one_series(order), 1)
     powered = quotient**k
     return [powered.coeff(n) for n in range(n_max + 1)]
 
@@ -63,7 +63,7 @@ def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
     if n_max < 0 or order_k < 0:
         raise ValueError("n_max and the order must be >= 0")
     two = one_series(n_max).scaled(2)
-    quotient = two.divide(deg_exp(1, 1, n_max) + one_series(n_max), 0)
+    quotient = two.divide(deg_exp(1, n_max) + one_series(n_max), 0)
     powered = quotient**order_k
     return [powered.coeff(n) for n in range(n_max + 1)]
 
@@ -73,7 +73,7 @@ def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]
     check_ints(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    half = (deg_exp(1, 1, n_max) - one_series(n_max)).scaled(Fraction(1, 2))
+    half = (deg_exp(1, n_max) - one_series(n_max)).scaled(Fraction(1, 2))
     outer = binomial_series(-as_fraction(alpha), 1, n_max)
     composed = outer.compose(half)
     return [composed.coeff(n) for n in range(n_max + 1)]

@@ -220,7 +220,7 @@ class Row:
 
 def _chk_eq12(p: SweepParams) -> Points:
     order = 16
-    lhs = deg_log(order).compose(deg_exp(1, 1, order) - one_series(order))
+    lhs = deg_log(order).compose(deg_exp(1, order) - one_series(order))
     rhs = t_series(order)
     for n in range(order + 1):
         yield {"n": n}, lhs.coeff(n), rhs.coeff(n)
@@ -245,7 +245,7 @@ def _chk_eq29_30(p: SweepParams) -> Points:
     # eq29 reads the Bell numbers from the GF exp(e_l(t) - 1), whose coefficient
     # n is sum_k S2deg(n, k); deg_bell_number is a row sum of the Newton store
     order = p.n_max + 1
-    bell_gf = (deg_exp(1, 1, order) - one_series(order)).exp()
+    bell_gf = (deg_exp(1, order) - one_series(order)).exp()
     for n in range(p.n_max + 1):
         bell_next = st.deg_bell_number(n + 1)
         yield {"n": n, "part": "eq29"}, bell_next, bell_gf.coeff(n + 1)
@@ -566,7 +566,7 @@ def _chk_eq75(p: SweepParams) -> Points:
                 yield {"m": m, "n": n, "k": k, "part": "r=1"}, ones[n][k], wh.whitney1(m, n, k)
     # r = 0 at m = 1: the generating function degrades to the plain
     # first-kind one, so the triangle must too
-    zero_r = gf_triangle(deg_log(p.n_max), one_series(p.n_max), p.n_max)
+    zero_r = st.deg_stirling1_rows_gf(p.n_max)
     s1 = st.deg_stirling1_rows(p.n_max)
     for n in range(p.n_max + 1):
         for k in range(n + 1):

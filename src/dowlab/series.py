@@ -197,21 +197,19 @@ def t_series(order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs((0, 1), order)
 
 
-def deg_exp(x: Scalar, m_scale: int, order: int) -> TruncatedSeries:
-    """(1 + l*m_scale*t)^(x/l) truncated: a_n = m_scale^n * x(x-l)...(x-(n-1)l)."""
-    if m_scale < 1:
-        raise ValueError("m_scale must be a positive integer")
+def deg_exp(x: Scalar, order: int) -> TruncatedSeries:
+    """e_l^x(t) = (1 + l*t)^(x/l) truncated: a_n = x(x-l)...(x-(n-1)l)."""
     xp = LambdaPoly.coerce(x)
     out = [LambdaPoly((1,))]
     cur = LambdaPoly((1,))
     for n in range(1, order + 1):
-        cur = cur * (xp - LAMBDA * (n - 1)) * m_scale
+        cur = cur * (xp - LAMBDA * (n - 1))
         out.append(cur)
     return TruncatedSeries(order, tuple(out))
 
 
 def deg_log(order: int) -> TruncatedSeries:
-    """Compositional inverse of deg_exp(1,1,.) - 1: a_n = (l-1)(l-2)...(l-(n-1))."""
+    """Compositional inverse of deg_exp(1, .) - 1: a_n = (l-1)(l-2)...(l-(n-1))."""
     out = [LambdaPoly()]
     cur = LambdaPoly((1,))
     for n in range(1, order + 1):
@@ -239,15 +237,15 @@ def gf_triangle(
     """Lower triangle whose (n,k) entry is the nth coefficient of prefactor*base^k/k!.
 
     This is the shared extraction step for every generating function of the
-    package: the kth power is built incrementally so the whole triangle costs
-    n_max series products.
+    package: the running product starts at the prefactor and takes one more
+    factor base/k per column, so the whole triangle costs n_max series
+    products.
     """
     rows = [[LambdaPoly() for _ in range(n + 1)] for n in range(n_max + 1)]
-    acc = one_series(n_max)
+    acc = prefactor.truncate(n_max)  # a series of order n_max < 0 is a ValueError
     for k in range(n_max + 1):
         if k:
             acc = (acc * base).scaled(Fraction(1, k))
-        term = acc * prefactor
         for n in range(k, n_max + 1):
-            rows[n][k] = term.coeff(n)
+            rows[n][k] = acc.coeff(n)
     return tuple(tuple(row) for row in rows)

@@ -229,8 +229,8 @@ def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:
 
 
 def deg_stirling2_rows_gf(n_max: int) -> Rows:
-    """Oracle: coefficients of (e_l(t)-1)^k / k!."""
-    return gf_triangle(deg_exp(1, 1, n_max) - one_series(n_max), one_series(n_max), n_max)
+    """Oracle: coefficients of (e_l(t)-1)^k / k!, the r = 0 case of the r-oracle."""
+    return deg_r_stirling2_rows_gf(0, n_max)
 
 
 def deg_stirling1_rows_gf(n_max: int) -> Rows:
@@ -240,8 +240,8 @@ def deg_stirling1_rows_gf(n_max: int) -> Rows:
 
 def deg_r_stirling2_rows_gf(r: int, n_max: int) -> Rows:
     """Oracle: coefficients of (e_l(t)-1)^k e_l^r(t) / k!."""
-    base = deg_exp(1, 1, n_max) - one_series(n_max)
-    return gf_triangle(base, deg_exp(r, 1, n_max), n_max)
+    base = deg_exp(1, n_max) - one_series(n_max)
+    return gf_triangle(base, deg_exp(r, n_max), n_max)
 
 
 def deg_r_stirling1_unsigned_rows_gf(r: int, n_max: int) -> Rows:

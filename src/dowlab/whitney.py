@@ -97,9 +97,7 @@ def whitney2_rows_newton(m: int, n_max: int) -> Rows:
 
 def whitney2_rows_gf(m: int, n_max: int) -> Rows:
     """Second-kind triangle from the generating function e_l(t)((e_l^m(t)-1)/m)^k/k!."""
-    _check_m(m)
-    base = (deg_exp(m, 1, n_max) - one_series(n_max)).scaled(Fraction(1, m))
-    return gf_triangle(base, deg_exp(1, 1, n_max), n_max)
+    return r_whitney2_rows_gf(m, 1, n_max)
 
 
 # -- first kind ---------------------------------------------------------------
@@ -124,11 +122,7 @@ def whitney1_rows_newton(m: int, n_max: int) -> Rows:
 
 def whitney1_rows_gf(m: int, n_max: int) -> Rows:
     """First-kind triangle from the generating function (log_l e_m(t))^k e_m^{-1}(t)/k!."""
-    _check_m(m)
-    e_m = binomial_series(Fraction(1, m), m, n_max)
-    base = deg_log(n_max).compose(e_m - one_series(n_max))
-    prefactor = binomial_series(Fraction(-1, m), m, n_max)
-    return gf_triangle(base, prefactor, n_max)
+    return r_whitney1_rows_gf(m, 1, n_max)
 
 
 # -- alternative explicit formulas ---------------------------------------------
@@ -277,16 +271,20 @@ def _row_sum(m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
     return dot((x**k * factorial(k) if ordered else x**k, row[k], ONE) for k in range(n + 1))
 
 
+def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
+    """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
+    _check_m(m)
+    return (deg_exp(m, n_max) - one_series(n_max)).scaled(Fraction(x, m))
+
+
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """Oracle: e_l(t) / (1 - x (e_l^m(t)-1)/m) generates the ordered polynomials."""
-    base = (deg_exp(m, 1, n_max) - one_series(n_max)).scaled(Fraction(x, m))
-    return deg_exp(1, 1, n_max).divide(one_series(n_max) - base, 0)
+    return deg_exp(1, n_max).divide(one_series(n_max) - _gf_base(m, x, n_max), 0)
 
 
 def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """Oracle: e_l(t) exp(x (e_l^m(t)-1)/m) generates the Dowling polynomials."""
-    base = (deg_exp(m, 1, n_max) - one_series(n_max)).scaled(Fraction(x, m))
-    return deg_exp(1, 1, n_max) * base.exp()
+    return deg_exp(1, n_max) * _gf_base(m, x, n_max).exp()
 
 
 # -- r-generalizations ----------------------------------------------------------
@@ -336,8 +334,7 @@ def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
 def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
     """Oracle: coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!."""
     WhitneyParams(m, r)
-    base = (deg_exp(m, 1, n_max) - one_series(n_max)).scaled(Fraction(1, m))
-    return gf_triangle(base, deg_exp(r, 1, n_max), n_max)
+    return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max), n_max)
 
 
 def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:

@@ -750,13 +750,12 @@ class TestUnwritableStdout:
     def test_pipe_closed_after_the_first_read(self):
         # 7.5 MB of output: far more than a pipe buffers, so the writer is
         # still writing when the reader goes away
-        proc = run_cli(
-            ["triangle", "--family", "W", "--m", "3", "--n-max", "80"], stdout=subprocess.PIPE
-        )
-        assert proc.stdout.read(20) == b"1\n1, 1\n1 - l, 5 - l,"
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 2
+        argv = ["triangle", "--family", "W", "--m", "3", "--n-max", "80"]
+        with run_cli(argv, stdout=subprocess.PIPE) as proc:
+            assert proc.stdout.read(20) == b"1\n1, 1\n1 - l, 5 - l,"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
         assert err == "error: cannot write stdout: Broken pipe\n"
 
 

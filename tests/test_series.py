@@ -13,6 +13,7 @@ from dowlab.series import (
     binomial_series,
     deg_exp,
     deg_log,
+    gf_triangle,
     one_series,
     t_series,
 )
@@ -22,7 +23,7 @@ l = LAMBDA
 
 
 def test_deg_exp_coefficients():
-    e = deg_exp(1, 1, 3)
+    e = deg_exp(1, 3)
     assert list(e.coeffs) == [
         LambdaPoly((1,)),
         LambdaPoly((1,)),
@@ -32,21 +33,43 @@ def test_deg_exp_coefficients():
 
 
 def test_deg_exp_zero_exponent():
-    assert deg_exp(0, 1, 4) == one_series(4)
+    assert deg_exp(0, 4) == one_series(4)
 
 
 def test_deg_exp_constant_exponent():
-    assert deg_exp(2, 1, 2).coeff(2) == LambdaPoly((4, -2))  # 2(2-l)
+    assert deg_exp(2, 2).coeff(2) == LambdaPoly((4, -2))  # 2(2-l)
 
 
 def test_mul_square_of_exp():
     n = 6
-    assert deg_exp(1, 1, n) * deg_exp(1, 1, n) == deg_exp(2, 1, n)
+    assert deg_exp(1, n) * deg_exp(1, n) == deg_exp(2, n)
 
 
 def test_mul_identity():
-    f = deg_exp(3, 2, 5)
+    f = deg_exp(3, 5).scale_t(2)
     assert f * one_series(5) == f
+
+
+@pytest.mark.parametrize("n", (0, 1, 5, 12))
+def test_gf_triangle_costs_one_product_per_column(monkeypatch, n):
+    base, prefactor = deg_exp(1, n) - one_series(n), deg_exp(2, n)
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append((self.order, other.order))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    gf_triangle(base, prefactor, n)
+    assert len(products) == n
+
+
+def test_gf_triangle_refuses_short_inputs():
+    with pytest.raises(ValueError):
+        gf_triangle(t_series(3), one_series(3), -1)
+    with pytest.raises(IndexError):
+        gf_triangle(t_series(3), one_series(2), 3)
 
 
 def test_mul_t_squared():
@@ -57,24 +80,24 @@ def test_mul_t_squared():
 class TestDivision:
     def test_bernoulli_generator(self):
         n = 4
-        q = t_series(n).divide(deg_exp(1, 1, n) - one_series(n), 1)
+        q = t_series(n).divide(deg_exp(1, n) - one_series(n), 1)
         assert q.coeff(0) == LambdaPoly((1,))
         assert q.coeff(1) == LambdaPoly((Fraction(-1, 2), Fraction(1, 2)))
 
     def test_self_division(self):
-        f = deg_exp(1, 1, 5) - one_series(5)
+        f = deg_exp(1, 5) - one_series(5)
         assert f.divide(f, 1) == one_series(4)
 
     def test_shifted_numerator(self):
         # (e_l(t)-1)/t: true function division, so a_1 = (1-l)/2
         n = 4
-        q = (deg_exp(1, 1, n) - one_series(n)).divide(t_series(n), 1)
+        q = (deg_exp(1, n) - one_series(n)).divide(t_series(n), 1)
         assert q.coeff(0) == LambdaPoly((1,))
         assert q.coeff(1) == LambdaPoly((Fraction(1, 2), Fraction(-1, 2)))
 
     def test_rejects_noninvertible_constant(self):
         f = one_series(3)
-        g = deg_exp(1, 1, 3) - one_series(3)  # constant term 0
+        g = deg_exp(1, 3) - one_series(3)  # constant term 0
         with pytest.raises(ValueError):
             f.divide(g, 0)
 
@@ -91,17 +114,17 @@ class TestDivision:
 class TestComposition:
     def test_log_inverts_exp(self):
         n = 16
-        comp = deg_log(n).compose(deg_exp(1, 1, n) - one_series(n))
+        comp = deg_log(n).compose(deg_exp(1, n) - one_series(n))
         assert comp == t_series(n)
 
     def test_identity_inner(self):
-        f = deg_exp(2, 1, 6)
+        f = deg_exp(2, 6)
         assert f.compose(t_series(6)) == f
 
     def test_bell_numbers(self):
         n = 3
         exp_t = TruncatedSeries.from_coeffs([1] * (n + 1), n)  # e^t
-        bell = exp_t.compose(deg_exp(1, 1, n) - one_series(n))
+        bell = exp_t.compose(deg_exp(1, n) - one_series(n))
         assert bell.coeff(2) == LambdaPoly((2, -1))
         assert bell.coeff(3) == LambdaPoly((5, -6, 2))
 
@@ -120,7 +143,7 @@ class TestExp:
 
     def test_exp_matches_compose(self):
         n = 8
-        inner = deg_exp(1, 1, n) - one_series(n)
+        inner = deg_exp(1, n) - one_series(n)
         exp_t = TruncatedSeries.from_coeffs([1] * (n + 1), n)
         assert inner.exp() == exp_t.compose(inner)
 
@@ -190,7 +213,7 @@ def test_scale_t_refuses_inexact_factor(factor):
 
 
 def test_truncation_to_min_order():
-    a = deg_exp(1, 1, 6)
+    a = deg_exp(1, 6)
     b = one_series(3)
     assert (a * b).order == 3
     assert (a + b).order == 3

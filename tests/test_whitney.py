@@ -191,6 +191,15 @@ class TestDowling:
         for n in range(5):
             assert series.coeff(n) == wh.tanny_dowling_poly(1, n, 1)
 
+    @pytest.mark.parametrize("oracle", (wh.dowling_gf, wh.tanny_dowling_gf))
+    def test_gf_oracle_refuses_a_bad_m(self, oracle):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match=f"^m must be a positive integer, got {m}$"):
+                oracle(m, 1, 3)
+        for m in (1.0, True):
+            with pytest.raises(TypeError):
+                oracle(m, 1, 3)
+
     @pytest.mark.parametrize("poly", (wh.dowling_poly, wh.tanny_dowling_poly))
     def test_inexact_x_refused(self, poly):
         poly(1, 2, 1)
