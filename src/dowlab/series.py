@@ -17,6 +17,11 @@ from typing import Iterable, Union
 from .exact import LAMBDA, ONE, LambdaPoly, Scalar, as_fraction, dot
 
 
+def _leading_zeros(coeffs: tuple[LambdaPoly, ...]) -> int:
+    """The number of zero coefficients before the first nonzero one."""
+    return next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """EGF truncated at t^order; coeffs[n] multiplies t^n/n!."""
@@ -69,9 +74,15 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # EGF product = binomial convolution of the coefficient sequences.
+        # Term k of coefficient i vanishes unless a[k] and b[i - k] are past
+        # the leading zeros of their series, so the sum starts there.
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = (dot((comb(i, k), a[k], b[i - k]) for k in range(i + 1)) for i in range(n + 1))
+        lo_a, lo_b = _leading_zeros(a), _leading_zeros(b)
+        out = (
+            dot((comb(i, k), a[k], b[i - k]) for k in range(lo_a, i - lo_b + 1))
+            for i in range(n + 1)
+        )
         return TruncatedSeries(n, tuple(out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":

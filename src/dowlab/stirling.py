@@ -17,8 +17,8 @@ from itertools import count
 from threading import Lock
 from typing import Callable, Iterator
 
-from .exact import ONE, LambdaPoly, as_fraction, check_ints, dot
-from .bases import XPoly, int_nodes, lambda_nodes, newton_rows
+from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
+from .bases import XPoly, newton_rows
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
 Rows = tuple[tuple[LambdaPoly, ...], ...]
@@ -134,7 +134,7 @@ def stirling1(n: int, k: int) -> int:
 @row_store
 def _stirling2_rows() -> Iterator[tuple]:
     # Defining relation x^n = sum S_2(n,k) (x)_k, solved by Newton conversion.
-    rows = newton_rows(lambda j: XPoly.x(), int_nodes)
+    rows = newton_rows(lambda j: XPoly.x(), lambda k: k)
     return ([int(c.constant()) for c in row] for row in rows)
 
 
@@ -150,7 +150,7 @@ def stirling2(n: int, k: int) -> int:
 @row_store
 def deg_stirling1_rows() -> Iterator[list[LambdaPoly]]:
     """Rows of the first-kind degenerate triangle: (x)_n in the step-l basis."""
-    return newton_rows(lambda j: XPoly((-j, 1)), lambda_nodes)
+    return newton_rows(lambda j: XPoly((-j, 1)), lambda k: LAMBDA * k)
 
 
 def deg_stirling1(n: int, k: int) -> LambdaPoly:
@@ -197,6 +197,7 @@ def deg_bell_number(n: int) -> LambdaPoly:
 
 
 def _check_r(r: int) -> None:
+    check_ints(r)
     if r < 0:
         raise ValueError("r must be >= 0")
 
@@ -205,7 +206,7 @@ def _check_r(r: int) -> None:
 def deg_r_stirling2_rows(r: int) -> Iterator[list[LambdaPoly]]:
     """(x+r)_{n,l} in the ordinary falling basis (second kind, shift r)."""
     _check_r(r)
-    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), 1)), int_nodes)
+    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), 1)), lambda k: k)
 
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
@@ -217,7 +218,7 @@ def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
 def deg_r_stirling1_unsigned_rows(r: int) -> Iterator[list[LambdaPoly]]:
     """<x+r>_n in the rising step-l basis (unsigned first kind, shift r)."""
     _check_r(r)
-    return newton_rows(lambda j: XPoly((r + j, 1)), lambda n: lambda_nodes(n, -1))
+    return newton_rows(lambda j: XPoly((r + j, 1)), lambda k: LAMBDA * -k)
 
 
 def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:
@@ -240,12 +241,14 @@ def deg_stirling1_rows_gf(n_max: int) -> Rows:
 
 def deg_r_stirling2_rows_gf(r: int, n_max: int) -> Rows:
     """Oracle: coefficients of (e_l(t)-1)^k e_l^r(t) / k!."""
+    _check_r(r)
     base = deg_exp(1, n_max) - one_series(n_max)
     return gf_triangle(base, deg_exp(r, n_max), n_max)
 
 
 def deg_r_stirling1_unsigned_rows_gf(r: int, n_max: int) -> Rows:
     """Oracle: coefficients of (1-t)^(-r) (-log_l(1-t))^k / k!."""
+    _check_r(r)
     neg_log = deg_log(n_max).scale_t(-1).scaled(-1)
     prefactor = binomial_series(-r, -1, n_max)
     return gf_triangle(neg_log, prefactor, n_max)

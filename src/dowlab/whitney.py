@@ -20,13 +20,11 @@ from itertools import islice
 from math import ceil, factorial, isfinite, prod
 from typing import Iterator
 
-from .exact import LAMBDA, ONE, ZERO, LambdaPoly, as_fraction, check_ints, dot
+from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
 from .bases import (
     XPoly,
     binom,
-    int_nodes,
     lambda_falling,
-    lambda_nodes,
     lambda_rising,
     newton_rows,
 )
@@ -294,7 +292,7 @@ def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
 def r_whitney2_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
     """Second-kind r-triangle by expanding (mx+r)_{n,l} in the falling basis."""
     WhitneyParams(m, r)
-    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), m)), int_nodes, m)
+    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), m)), lambda k: k, m)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -311,7 +309,7 @@ def r_whitney1_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
     the first-kind numbers directly and everything stays in Q[l].
     """
     WhitneyParams(m, r)
-    return newton_rows(lambda j: XPoly((-(r + j * m), 1)), lambda_nodes)
+    return newton_rows(lambda j: XPoly((-(r + j * m), 1)), lambda k: LAMBDA * k)
 
 
 def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -325,7 +323,7 @@ def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
     WhitneyParams(m, r)
     rows = newton_rows(
         lambda j: XPoly((-j * m, m)),
-        lambda n: [(LAMBDA * j - r) / Fraction(m) for j in range(n)],
+        lambda k: (LAMBDA * k - r) / Fraction(m),
         m,
     )
     return _freeze(islice(rows, n_max + 1))
@@ -352,14 +350,14 @@ def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
 def classical_whitney2_rows(m: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """Classical second-kind numbers from (mx+1)^n = sum W m^k (x)_k over Q."""
     _check_m(m)
-    return _constants(newton_rows(lambda j: XPoly((1, m)), int_nodes, m), n_max)
+    return _constants(newton_rows(lambda j: XPoly((1, m)), lambda k: k, m), n_max)
 
 
 def classical_whitney1_rows(m: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """Classical first-kind numbers: m^n (x)_n in powers of u = mx+1 over Q."""
     _check_m(m)
     # with every node 0 the Newton basis is the power basis of u
-    rows = newton_rows(lambda j: XPoly((-(1 + j * m), 1)), lambda n: [ZERO] * n)
+    rows = newton_rows(lambda j: XPoly((-(1 + j * m), 1)), lambda k: 0)
     return _constants(rows, n_max)
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab import whitney as wh
 from dowlab.bases import (
     XPoly,
     basis_poly,
@@ -19,6 +21,7 @@ from dowlab.bases import (
     lambda_nodes,
     lambda_rising,
     newton_convert,
+    newton_rows,
 )
 
 l = LAMBDA
@@ -181,3 +184,63 @@ def test_alternating_falling_sum_is_factorial(n):
             sign = -1 if j % 2 else 1
             acc = acc + lambda_falling(z - j, n, l) * (sign * binom(n, j))
         assert acc == LambdaPoly((factorial(n),))
+
+
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+linear_factors = st_.tuples(small_polys, nonzero_polys).map(XPoly)
+node_values = {
+    "int": st_.integers(min_value=-4, max_value=4),
+    "lambda": st_.fractions(min_value=-3, max_value=3, max_denominator=2).map(lambda q: l * q),
+    "rational": st_.fractions(min_value=-4, max_value=4, max_denominator=3).map(LambdaPoly.const),
+}
+
+
+@st_.composite
+def newton_row_cases(draw):
+    factors = draw(st_.lists(linear_factors, min_size=0, max_size=6))
+    kind = draw(st_.sampled_from(sorted(node_values)))
+    nodes = draw(st_.lists(node_values[kind], min_size=len(factors), max_size=len(factors)))
+    rescale = draw(st_.sampled_from([1, 3, Fraction(-2, 5)]))
+    return factors, nodes, rescale
+
+
+@settings(deadline=None, max_examples=80)
+@given(newton_row_cases())
+def test_newton_rows_extend_like_a_full_conversion(case):
+    # row n, extended from row n - 1, equals one conversion of the whole product
+    factors, nodes, rescale = case
+    rows = newton_rows(factors.__getitem__, nodes.__getitem__, rescale)
+    rows = list(islice(rows, len(factors) + 1))
+    product = XPoly((1,))
+    for n, row in enumerate(rows):
+        if n:
+            product = product * factors[n - 1]
+        expected = newton_convert(product, nodes[:n])
+        assert row == [c / Fraction(rescale) ** k for k, c in enumerate(expected)]
+
+
+@pytest.mark.parametrize("factor", [XPoly((1,)), XPoly(), XPoly((0, 0, 1)), XPoly((1, l, 3))])
+def test_newton_rows_refuse_a_factor_not_linear_in_x(factor):
+    rows = newton_rows(lambda j: factor, lambda k: k)
+    assert next(rows) == [LambdaPoly((1,))]
+    with pytest.raises(ValueError, match="X-degree 1"):
+        next(rows)
+
+
+def test_newton_rows_cost_a_few_multiplications_per_entry(monkeypatch):
+    # each row extends the previous one; a full re-conversion per row costs
+    # O(n^2) multiplications per row (14760 for this triangle)
+    calls = []
+    mul = LambdaPoly.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(LambdaPoly, "__mul__", counted)
+    monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
+    wh.r_whitney1_rows.cache_clear()
+    rows = wh.r_whitney1_rows(3, 2, 40)
+    entries = sum(len(row) for row in rows)
+    assert entries == 861
+    assert len(calls) <= 3 * entries

@@ -11,9 +11,8 @@ from itertools import product
 
 import pytest
 
-from dowlab.bases import newton_convert
+from dowlab.bases import XPoly
 from dowlab.exact import LAMBDA, LambdaPoly
-from dowlab import bases
 from dowlab import stirling as st
 
 l = LAMBDA
@@ -179,6 +178,24 @@ class TestRShifted:
             r, n_max
         )
 
+    @pytest.mark.parametrize(
+        "oracle, store",
+        [
+            (st.deg_r_stirling2_rows_gf, st.deg_r_stirling2_rows),
+            (st.deg_r_stirling1_unsigned_rows_gf, st.deg_r_stirling1_unsigned_rows),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "r, error, message",
+        [(-1, ValueError, "r must be >= 0"), (True, TypeError, "expected an int, got bool")],
+    )
+    def test_gf_oracle_refuses_an_r_like_its_store(self, oracle, store, r, error, message):
+        with pytest.raises(error) as from_store:
+            store(r, 2)
+        with pytest.raises(error) as from_oracle:
+            oracle(r, 2)
+        assert str(from_oracle.value) == str(from_store.value) == message
+
 
 class TestTriangleType:
     def test_strict_and_lenient_access(self):
@@ -269,13 +286,15 @@ class TestRowStore:
         rows.cache_clear()
         calls = []
 
-        def flaky(p, nodes):
-            calls.append(p)
-            if len(calls) == 4:
+        def flaky(coeffs):
+            # the store's factor builds one XPoly per row: the third is row 3's,
+            # so the build of the 4th row is interrupted
+            calls.append(coeffs)
+            if len(calls) == 3:
                 raise KeyboardInterrupt
-            return newton_convert(p, nodes)
+            return XPoly(coeffs)
 
-        monkeypatch.setattr(bases, "newton_convert", flaky)
+        monkeypatch.setattr(st, "XPoly", flaky)
         with pytest.raises(KeyboardInterrupt):
             rows(6)
         assert rows(6) == expected

@@ -562,6 +562,8 @@ class TestRouteIndependence:
             m: (wh.r_whitney2_rows(m, 1, self.N_MAX), wh.r_whitney1_rows(m, 1, self.N_MAX))
             for m in self.M_SET
         }
+        for module in (bases, st, wh):
+            monkeypatch.setattr(module, "newton_rows", forbidden)
         monkeypatch.setattr(bases, "newton_convert", forbidden)
         wh.whitney2_rows.cache_clear()
         wh.whitney1_rows.cache_clear()
