@@ -8,7 +8,9 @@ n_max 10 one before the catalog's sums moved onto ``exact.dot``; the
 Dobinski digest before its quotient was rounded from integers; the JSON and
 LaTeX triangle digests before the export was streamed row by row; the
 large-x Dobinski digest before the truncated sum moved from one backward
-Horner pass to binary splitting.  Any change that alters one byte of a
+Horner pass to binary splitting; the S1, S2, S1deg, S2deg, S1degR, S2degR, V
+and WR digests before the Newton kernel took its linear factors as pairs
+over a ring given as a parameter.  Any change that alters one byte of a
 symbolic or rational result fails here in seconds.
 """
 
@@ -39,6 +41,46 @@ TRIANGLES = {
     "W m=3 n_max=20 at l=1/3": (
         ["--family", "W", "--m", "3", "--n-max", "20", "--lambda", "1/3"],
         "6360237899e26a02dc0a6d7ad7decd48774047e9ac92a1ba24862d8392e9d6e9",
+    ),
+    "S1 n_max=25 symbolic": (
+        ["--family", "S1", "--n-max", "25", "--symbolic"],
+        "29f9313fc7909efc4e48aaefe5b009326144873cf4b2c5b53630a5fe12c41592",
+    ),
+    "S2 n_max=25 symbolic": (
+        ["--family", "S2", "--n-max", "25", "--symbolic"],
+        "e48d4f7565f9f893ce14f1d5c43a29f504a50b72b65f4badc3ed474a6feff801",
+    ),
+    "S1deg n_max=20 symbolic": (
+        ["--family", "S1deg", "--n-max", "20", "--symbolic"],
+        "8a616c244820cf7de3799fe80137ffc2645d3ce2be241f5f0e89cfb1b2c99ced",
+    ),
+    "S2deg n_max=20 symbolic": (
+        ["--family", "S2deg", "--n-max", "20", "--symbolic"],
+        "4d7da85e08e3ade6f31cf234b3f59afec35463a78efccc893578979cd75a47e8",
+    ),
+    "S1degR r=0 n_max=20 symbolic": (
+        ["--family", "S1degR", "--r", "0", "--n-max", "20", "--symbolic"],
+        "f5ca121791a75f269c024f300e3f62102c75a87a9577b242a2a195d0f899f0ba",
+    ),
+    "S1degR r=2 n_max=20 symbolic": (
+        ["--family", "S1degR", "--r", "2", "--n-max", "20", "--symbolic"],
+        "311f48b47c6e5569552fd847f7c61447b0454d99cd9e519332ffa8b236b2ed99",
+    ),
+    "S2degR r=2 n_max=20 symbolic": (
+        ["--family", "S2degR", "--r", "2", "--n-max", "20", "--symbolic"],
+        "8b4964dd6243ce6ce1c0e5fac4047b58f00416e347bdf57b25b8d0d71494745a",
+    ),
+    "V m=3 n_max=20 symbolic": (
+        ["--family", "V", "--m", "3", "--n-max", "20", "--symbolic"],
+        "92886c91d6b71fd8991eadf012df465861828c94768c5c2a54c4e43bff6d84ef",
+    ),
+    "WR m=3 r=2 n_max=20 symbolic": (
+        ["--family", "WR", "--m", "3", "--r", "2", "--n-max", "20", "--symbolic"],
+        "0783db45fff3280b6cce4283ca7b2a0b1a3343a1780e1e5f45c26f0ae76d55d1",
+    ),
+    "WR m=3 r=2 n_max=20 at l=-3/7": (
+        ["--family", "WR", "--m", "3", "--r", "2", "--n-max", "20", "--lambda", "-3/7"],
+        "d865d47be6d5f4837c078c8c5d14452b523b53a7a7614f2ac19a2b7f1296fab7",
     ),
 }
 
