@@ -3,10 +3,10 @@
 The basis machinery expresses a polynomial in a formal variable X as a
 combination of products (X - a_0)(X - a_1)...; choosing the node sequence
 a_j = j gives the ordinary falling-factorial basis, a_j = j*l the
-step-l one, and so on.  ``newton_convert`` converts one polynomial by
+step-l one, and so on.  ``newton_convert`` converts one ``XPoly`` by
 repeated synthetic division, exact and O(n^2) in ring operations;
-``newton_rows`` extends a triangle row by row, multiplying in Newton form
-with O(n) ring operations per row.
+``newton_rows`` extends a triangle row by row over any ring, multiplying
+by linear factors given as pairs in Newton form, O(n) operations per row.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import count
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import LAMBDA, ONE, LambdaPoly, Scalar, as_fraction, check_ints
+from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, check_ints
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
 NodeSequence = Sequence[LambdaPoly]
@@ -218,38 +218,38 @@ def newton_convert(p: XPoly, nodes: NodeSequence) -> list[LambdaPoly]:
 
 
 def newton_rows(
-    factor: Callable[[int], XPoly],
-    node: Callable[[int], Scalar],
-    rescale: int | Fraction = 1,
-) -> Iterator[list[LambdaPoly]]:
+    one,
+    factor: Callable[[int], tuple],
+    node: Callable[[int], object],
+) -> Iterator[list]:
     """Endless rows of the products factor(0)...factor(n-1), n = 0, 1, ...
 
     Row n holds the Newton coefficients c_0..c_n of the nth product over the
-    nodes node(0), node(1), ..., each c_k divided by ``rescale**k``.  Every
-    triangle defined by a change of basis is one choice of factor, node and
-    rescale.  Each factor must be linear in X; the kth node may not depend
-    on the row.
+    nodes node(0), node(1), ...; row 0 is ``[one]``.  ``factor(j)`` is the
+    pair ``(f_0, f_1)`` of the linear factor f_0 + f_1 X.  Factors, nodes
+    and ``one`` share one ring: ``ONE`` for Q[l], ``1`` for plain integers.
+    Every triangle defined by a change of basis is one choice of factor and
+    node.  The kth node may not depend on the row.
+
+    To divide c_k by s^k, expand in u = sX instead: pass ``(f_0, f_1/s)``
+    and the nodes s a_k.  The Newton basis in u over s a_0, s a_1, ... is
+    s^k N_k, so the coefficients come out already divided.
 
     Row n + 1 extends row n in O(n) ring operations: X N_k = N_{k+1} + a_k N_k
     in the basis N_k = (X - a_0)...(X - a_{k-1}), so multiplying by
     f_0 + f_1 X gives c'_k = f_1 c_{k-1} + (f_0 + f_1 a_k) c_k.
     """
-    scale = Fraction(rescale)
-    nodes: list[Scalar] = []
-    row = [ONE]
+    nodes = []
+    row = [one]
     for n in count():
         yield row
-        f = factor(n)
-        if f.degree != 1:
-            raise ValueError(f"factor {n} must have X-degree 1, got {f.degree}")
-        f0, f1 = f.coeffs
+        f0, f1 = factor(n)
         nodes.append(node(n))
-        lead = f1 / scale
         stay = [f0 + f1 * a for a in nodes]
         row = [
             stay[0] * row[0],
-            *(lead * row[k - 1] + stay[k] * row[k] for k in range(1, n + 1)),
-            lead * row[n],
+            *(f1 * row[k - 1] + stay[k] * row[k] for k in range(1, n + 1)),
+            f1 * row[n],
         ]
 
 

@@ -370,13 +370,14 @@ class LambdaPoly:
                 raise ValueError(f"number of more than {limit} digits in term: {chunk!r}")
             by_degree[deg] = by_degree.get(deg, Fraction(0)) + sign * coef
         top = max(by_degree)
+        den = lcm(*[coef.denominator for coef in by_degree.values()])
         try:
-            out = [Fraction(0)] * (top + 1)
+            nums = [0] * (top + 1)
         except (MemoryError, OverflowError):
             raise ValueError(f"degree {top} is too large for a polynomial")
         for deg, coef in by_degree.items():
-            out[deg] = coef
-        return cls(out)
+            nums[deg] = coef.numerator * (den // coef.denominator)
+        return _canonical(nums, den)
 
 
 ZERO = LambdaPoly()

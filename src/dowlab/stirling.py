@@ -18,7 +18,7 @@ from threading import Lock
 from typing import Callable, Iterator
 
 from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
-from .bases import XPoly, newton_rows
+from .bases import newton_rows
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
 Rows = tuple[tuple[LambdaPoly, ...], ...]
@@ -134,8 +134,7 @@ def stirling1(n: int, k: int) -> int:
 @row_store
 def _stirling2_rows() -> Iterator[tuple]:
     # Defining relation x^n = sum S_2(n,k) (x)_k, solved by Newton conversion.
-    rows = newton_rows(lambda j: XPoly.x(), lambda k: k)
-    return ([int(c.constant()) for c in row] for row in rows)
+    return newton_rows(1, lambda j: (0, 1), lambda k: k)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -150,7 +149,7 @@ def stirling2(n: int, k: int) -> int:
 @row_store
 def deg_stirling1_rows() -> Iterator[list[LambdaPoly]]:
     """Rows of the first-kind degenerate triangle: (x)_n in the step-l basis."""
-    return newton_rows(lambda j: XPoly((-j, 1)), lambda k: LAMBDA * k)
+    return newton_rows(ONE, lambda j: (-j, 1), lambda k: LAMBDA * k)
 
 
 def deg_stirling1(n: int, k: int) -> LambdaPoly:
@@ -206,7 +205,7 @@ def _check_r(r: int) -> None:
 def deg_r_stirling2_rows(r: int) -> Iterator[list[LambdaPoly]]:
     """(x+r)_{n,l} in the ordinary falling basis (second kind, shift r)."""
     _check_r(r)
-    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), 1)), lambda k: k)
+    return newton_rows(ONE, lambda j: (LambdaPoly((r, -j)), 1), lambda k: k)
 
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
@@ -218,7 +217,7 @@ def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
 def deg_r_stirling1_unsigned_rows(r: int) -> Iterator[list[LambdaPoly]]:
     """<x+r>_n in the rising step-l basis (unsigned first kind, shift r)."""
     _check_r(r)
-    return newton_rows(lambda j: XPoly((r + j, 1)), lambda k: LAMBDA * -k)
+    return newton_rows(ONE, lambda j: (r + j, 1), lambda k: LAMBDA * -k)
 
 
 def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:

@@ -290,9 +290,10 @@ def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
 
 @row_store
 def r_whitney2_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
-    """Second-kind r-triangle by expanding (mx+r)_{n,l} in the falling basis."""
+    """Second-kind r-triangle: (mx+r)_{n,l} = sum W m^k (x)_k, expanded in u = mx
+    over the nodes 0, m, 2m, ..., whose Newton basis is m^k (x)_k."""
     WhitneyParams(m, r)
-    return newton_rows(lambda j: XPoly((LambdaPoly((r, -j)), m)), lambda k: k, m)
+    return newton_rows(ONE, lambda j: (LambdaPoly((r, -j)), 1), lambda k: m * k)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -309,7 +310,7 @@ def r_whitney1_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
     the first-kind numbers directly and everything stays in Q[l].
     """
     WhitneyParams(m, r)
-    return newton_rows(lambda j: XPoly((-(r + j * m), 1)), lambda k: LAMBDA * k)
+    return newton_rows(ONE, lambda j: (-(r + j * m), 1), lambda k: LAMBDA * k)
 
 
 def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -318,14 +319,11 @@ def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
 
 
 def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
-    """Cross-check route without the u-substitution: convert m^n (x)_n over the
-    rational-in-l nodes (j*l - r)/m and rescale by m^k afterwards."""
+    """Cross-check route without the shift by r: m^n (x)_n over the rational-in-l
+    nodes (k*l - r)/m, coefficient k divided by m^k, which is m^n (x)_n
+    expanded in u = mx over the nodes k*l - r."""
     WhitneyParams(m, r)
-    rows = newton_rows(
-        lambda j: XPoly((-j * m, m)),
-        lambda k: (LAMBDA * k - r) / Fraction(m),
-        m,
-    )
+    rows = newton_rows(ONE, lambda j: (-j * m, 1), lambda k: LAMBDA * k - r)
     return _freeze(islice(rows, n_max + 1))
 
 
@@ -344,26 +342,21 @@ def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
     return gf_triangle(base, prefactor, n_max)
 
 
-# -- classical limits (plain rationals, no l) --------------------------------------
+# -- classical limits (plain integers, no l) ---------------------------------------
 
 
-def classical_whitney2_rows(m: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Classical second-kind numbers from (mx+1)^n = sum W m^k (x)_k over Q."""
+def classical_whitney2_rows(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Classical second-kind numbers from (mx+1)^n = sum W m^k (x)_k, in u = mx."""
     _check_m(m)
-    return _constants(newton_rows(lambda j: XPoly((1, m)), lambda k: k, m), n_max)
+    return _freeze(islice(newton_rows(1, lambda j: (1, 1), lambda k: m * k), n_max + 1))
 
 
-def classical_whitney1_rows(m: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Classical first-kind numbers: m^n (x)_n in powers of u = mx+1 over Q."""
+def classical_whitney1_rows(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Classical first-kind numbers: m^n (x)_n in powers of u = mx+1."""
     _check_m(m)
     # with every node 0 the Newton basis is the power basis of u
-    rows = newton_rows(lambda j: XPoly((-(1 + j * m), 1)), lambda k: 0)
-    return _constants(rows, n_max)
-
-
-def _constants(rows, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The first n_max + 1 rows, each entry read as a plain rational."""
-    return tuple(tuple(c.constant() for c in row) for row in islice(rows, n_max + 1))
+    rows = newton_rows(1, lambda j: (-(1 + j * m), 1), lambda k: 0)
+    return _freeze(islice(rows, n_max + 1))
 
 
 # -- Dobinski evaluation (the library's only inexact path) --------------------------

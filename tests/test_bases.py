@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab.exact import LAMBDA, ONE, LambdaPoly
 from dowlab import whitney as wh
 from dowlab.bases import (
     XPoly,
@@ -187,7 +187,7 @@ def test_alternating_falling_sum_is_factorial(n):
 
 
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
-linear_factors = st_.tuples(small_polys, nonzero_polys).map(XPoly)
+linear_factors = st_.tuples(small_polys, nonzero_polys)
 node_values = {
     "int": st_.integers(min_value=-4, max_value=4),
     "lambda": st_.fractions(min_value=-3, max_value=3, max_denominator=2).map(lambda q: l * q),
@@ -200,31 +200,42 @@ def newton_row_cases(draw):
     factors = draw(st_.lists(linear_factors, min_size=0, max_size=6))
     kind = draw(st_.sampled_from(sorted(node_values)))
     nodes = draw(st_.lists(node_values[kind], min_size=len(factors), max_size=len(factors)))
-    rescale = draw(st_.sampled_from([1, 3, Fraction(-2, 5)]))
-    return factors, nodes, rescale
+    scale = draw(st_.sampled_from([1, 3, Fraction(-2, 5)]))
+    return factors, nodes, scale
 
 
 @settings(deadline=None, max_examples=80)
 @given(newton_row_cases())
 def test_newton_rows_extend_like_a_full_conversion(case):
-    # row n, extended from row n - 1, equals one conversion of the whole product
-    factors, nodes, rescale = case
-    rows = newton_rows(factors.__getitem__, nodes.__getitem__, rescale)
+    # row n, extended from row n - 1, equals one conversion of the whole
+    # product; expanding in u = sX over the nodes s*a_k divides c_k by s^k
+    factors, nodes, s = case
+    rows = newton_rows(ONE, lambda j: (factors[j][0], factors[j][1] / s), lambda k: s * nodes[k])
     rows = list(islice(rows, len(factors) + 1))
     product = XPoly((1,))
     for n, row in enumerate(rows):
         if n:
-            product = product * factors[n - 1]
+            product = product * XPoly(factors[n - 1])
         expected = newton_convert(product, nodes[:n])
-        assert row == [c / Fraction(rescale) ** k for k, c in enumerate(expected)]
+        assert row == [c / Fraction(s) ** k for k, c in enumerate(expected)]
 
 
-@pytest.mark.parametrize("factor", [XPoly((1,)), XPoly(), XPoly((0, 0, 1)), XPoly((1, l, 3))])
-def test_newton_rows_refuse_a_factor_not_linear_in_x(factor):
-    rows = newton_rows(lambda j: factor, lambda k: k)
-    assert next(rows) == [LambdaPoly((1,))]
-    with pytest.raises(ValueError, match="X-degree 1"):
-        next(rows)
+small_ints = st_.integers(min_value=-5, max_value=5)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st_.lists(st_.tuples(small_ints, small_ints), min_size=0, max_size=7),
+    st_.lists(small_ints, min_size=7, max_size=7),
+)
+def test_newton_rows_over_the_integers_are_the_constants_over_q_lambda(factors, nodes):
+    # one kernel, two rings: the row-0 entry alone picks the ring
+    n_rows = len(factors) + 1
+    ints = list(islice(newton_rows(1, factors.__getitem__, nodes.__getitem__), n_rows))
+    polys = list(islice(newton_rows(ONE, factors.__getitem__, nodes.__getitem__), n_rows))
+    assert all(type(c) is int for row in ints for c in row)
+    assert all(type(c) is LambdaPoly for row in polys for c in row)
+    assert ints == [[c.constant() for c in row] for row in polys]
 
 
 def test_newton_rows_cost_a_few_multiplications_per_entry(monkeypatch):

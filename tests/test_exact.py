@@ -1,5 +1,6 @@
 """Ring, evaluation and serialization behaviour of the exact scalar layer."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -86,6 +87,10 @@ class TestGrammar:
         assert LambdaPoly.parse("3/4*l^2") == LambdaPoly((0, 0, Fraction(3, 4)))
         assert LambdaPoly.parse("0") == LambdaPoly()
         assert LambdaPoly.parse(" 1 -3*l+ 2*l^2 ") == LambdaPoly((1, -3, 2))
+        assert LambdaPoly.parse("l - l") == LambdaPoly()
+        assert LambdaPoly.parse("1 + l^2 - l^2") == LambdaPoly((1,))
+        assert LambdaPoly.parse("1/6 + 1/4*l + 1/12*l") == LambdaPoly((Fraction(1, 6), Fraction(1, 3)))
+        assert LambdaPoly.parse("2/4*l^2 + 3/6") == LambdaPoly((Fraction(1, 2), 0, Fraction(1, 2)))
 
     @pytest.mark.parametrize("bad", ["", "1 +", "1++2", "x", "l^", "1//2", "2*", "1/0"])
     def test_parse_rejects_garbage(self, bad):
@@ -95,6 +100,19 @@ class TestGrammar:
     @given(polys)
     def test_roundtrip(self, p):
         assert LambdaPoly.parse(str(p)) == p
+
+    def test_parse_of_a_high_degree_stores_one_int_per_degree(self):
+        # a Fraction or a (numerator, denominator) pair per degree costs
+        # about 100 bytes each; one int list and its tuple cost about 24
+        degree = 10**6
+        tracemalloc.start()
+        try:
+            p = LambdaPoly.parse("3/2*l^1000000 - 1/3")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (p.nums[0], p.nums[-1], p.den, p.degree) == (-2, 9, 6, degree)
+        assert peak < 40 * degree
 
 
 @given(polys, polys, polys)

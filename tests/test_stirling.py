@@ -11,7 +11,6 @@ from itertools import product
 
 import pytest
 
-from dowlab.bases import XPoly
 from dowlab.exact import LAMBDA, LambdaPoly
 from dowlab import stirling as st
 
@@ -285,18 +284,24 @@ class TestRowStore:
         expected = rows(6)
         rows.cache_clear()
         calls = []
+        newton_rows = st.newton_rows
 
-        def flaky(coeffs):
-            # the store's factor builds one XPoly per row: the third is row 3's,
-            # so the build of the 4th row is interrupted
-            calls.append(coeffs)
-            if len(calls) == 3:
-                raise KeyboardInterrupt
-            return XPoly(coeffs)
+        def flaky_rows(one, factor, node):
+            # the store asks its factor once per row: the fourth call is
+            # factor(3), so the build of row 4 is interrupted
+            def flaky(j):
+                calls.append(j)
+                if len(calls) == 4:
+                    raise KeyboardInterrupt
+                return factor(j)
 
-        monkeypatch.setattr(st, "XPoly", flaky)
+            return newton_rows(one, flaky, node)
+
+        monkeypatch.setattr(st, "newton_rows", flaky_rows)
         with pytest.raises(KeyboardInterrupt):
             rows(6)
+        assert calls == [0, 1, 2, 3]
+        assert rows.cache_info().currsize == 0
         assert rows(6) == expected
 
     def test_threads_extend_one_store_in_order(self):
