@@ -2,8 +2,10 @@
 
 The closed sums over the two degenerate Stirling triangles are the primary
 route; extraction from the Carlitz generating functions is the independent
-oracle.  For non-integer Euler order the generating function is realized by
-composing a binomial series with (e_l(t)-1)/2, never by a fractional power.
+oracle.  For non-integer Euler order the generating function is the power
+(1 + g)^(-alpha) of the series g = (e_l(t)-1)/2, whose constant term is 0,
+solved term by term from (1 + g) H' = -alpha g' H; no fractional power of a
+number is ever taken.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import factorial
 
 from .exact import ONE, LambdaPoly, as_fraction, check_ints, dot
 from .bases import binom, gen_binom
-from .series import binomial_series, deg_exp, one_series, t_series
+from .series import deg_exp, one_series, power_of_one_plus, t_series
 from .stirling import deg_stirling1_rows, deg_stirling2_rows
 
 
@@ -69,11 +71,11 @@ def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
 
 
 def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]:
-    """Oracle for any rational order: ((e_l(t)-1)/2 + 1)^(-alpha) by composition."""
+    """Oracle for any rational order: ((e_l(t)-1)/2 + 1)^(-alpha), solved from
+    the first-order recurrence of a power of a series (``power_of_one_plus``)."""
     check_ints(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     half = (deg_exp(1, n_max) - one_series(n_max)).scaled(Fraction(1, 2))
-    outer = binomial_series(-as_fraction(alpha), 1, n_max)
-    composed = outer.compose(half)
-    return [composed.coeff(n) for n in range(n_max + 1)]
+    powered = power_of_one_plus(half, -as_fraction(alpha))
+    return [powered.coeff(n) for n in range(n_max + 1)]

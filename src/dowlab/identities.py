@@ -23,14 +23,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, product
 from math import factorial
 from typing import Callable, Generator, Iterable, Optional
 
 from .exact import LAMBDA, ONE, LambdaPoly, dot
 from .bases import binom, lambda_falling, lambda_rising
-from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series, t_series
+from .series import (
+    binomial_series,
+    deg_exp,
+    deg_log,
+    deg_log_of_one_plus,
+    gf_triangle,
+    one_series,
+    t_series,
+)
 from . import bernoulli_euler as be
 from . import stirling as st
 from . import whitney as wh
@@ -220,7 +228,7 @@ class Row:
 
 def _chk_eq12(p: SweepParams) -> Points:
     order = 16
-    lhs = deg_log(order).compose(deg_exp(1, order) - one_series(order))
+    lhs = deg_log_of_one_plus(deg_exp(1, order) - one_series(order))
     rhs = t_series(order)
     for n in range(order + 1):
         yield {"n": n}, lhs.coeff(n), rhs.coeff(n)
@@ -303,22 +311,31 @@ def _thm16_sum(m: int, n: int, k: int, with_falling_factor: bool) -> LambdaPoly:
     (m)_{l-i,l} factor that the displayed theorem omits, and the lower bound
     l = k-1 is clamped at 0 for k = 0."""
     low = max(k - 1, 0)
-
-    def inner(l: int) -> LambdaPoly:
-        terms = (
-            (
-                binom(l, i),
-                wh.whitney2_or_zero(m, i, k - 1),
-                lambda_falling(m, l - i, LAMBDA) if with_falling_factor else ONE,
-            )
-            for i in range(low, l + 1)
-        )
-        return dot(chain([(1, wh.whitney2_or_zero(m, l, k), ONE)], terms))
-
     return dot(
-        (Fraction(factorial(n), factorial(l)), inner(l), (-LAMBDA) ** (n - l))
+        (
+            Fraction(factorial(n), factorial(l)),
+            _thm16_inner(m, k, l, with_falling_factor),
+            (-LAMBDA) ** (n - l),
+        )
         for l in range(low, n + 1)
     )
+
+
+# The inner sum of thm16 does not depend on n, so it is built once per key
+# instead of once per (n, k); the bound keeps a long-lived process from
+# growing without limit.
+@lru_cache(maxsize=4096)
+def _thm16_inner(m: int, k: int, l: int, with_falling_factor: bool) -> LambdaPoly:
+    """W(l,k) + sum_i C(l,i) W(i,k-1) [(m)_{l-i,l}], the inner sum of thm16."""
+    terms = (
+        (
+            binom(l, i),
+            wh.whitney2_or_zero(m, i, k - 1),
+            lambda_falling(m, l - i, LAMBDA) if with_falling_factor else ONE,
+        )
+        for i in range(max(k - 1, 0), l + 1)
+    )
+    return dot(chain([(1, wh.whitney2_or_zero(m, l, k), ONE)], terms))
 
 
 def _chk_thm16(p: SweepParams) -> Points:

@@ -167,9 +167,14 @@ class TruncatedSeries:
         return TruncatedSeries(order, tuple(out))
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(t)), defined only when inner has zero constant term."""
+        """self(inner(t)), defined only when inner has zero constant term.
+
+        A Horner loop of truncated products, O(order^3) coefficient products;
+        powers and log_l of 1 + inner are cheaper by ``power_of_one_plus``
+        and ``deg_log_of_one_plus``.
+        """
         if not inner.coeffs[0].is_zero():
-            raise ValueError("composition needs an inner series with zero constant term")
+            raise ValueError(_NONZERO_INNER)
         n = min(self.order, inner.order)
         f = self.truncate(n)._ordinary()
         g = inner.truncate(n)._ordinary()
@@ -190,6 +195,43 @@ class TruncatedSeries:
         for i in range(n):
             h[i + 1] = dot((j + 1, f[j + 1], h[i - j]) for j in range(i + 1)) / (i + 1)
         return TruncatedSeries._from_ordinary(h, n)
+
+
+_NONZERO_INNER = "composition needs an inner series with zero constant term"
+
+
+def _first_order(g: TruncatedSeries, beta: LambdaPoly, c: int, h0: int) -> TruncatedSeries:
+    """H = F(g(t)) for the F with (1+u) F'(u) = beta F(u) + c and F(0) = h0.
+
+    H satisfies (1+g) H' = g' (beta H + c).  In ordinary coefficients,
+    n h_n = c n g_n + sum_{k=1}^{n} (beta k - (n-k)) g_k h_{n-k} (Miller's
+    recurrence for powers of a series); in the EGF coefficients a_k of g
+    this reads H_n = c a_n + sum_k (beta C(n-1,k-1) - C(n-1,k)) a_k H_{n-k},
+    so each coefficient costs O(n) products and needs no division.
+    """
+    a = g.coeffs
+    if not a[0].is_zero():
+        raise ValueError(_NONZERO_INNER)
+    beta_a = [beta * x for x in a]
+    h = [LambdaPoly.const(h0)]
+    for n in range(1, g.order + 1):
+        terms = chain(
+            ((comb(n - 1, k - 1), beta_a[k], h[n - k]) for k in range(1, n + 1)),
+            ((-comb(n - 1, k), a[k], h[n - k]) for k in range(1, n)),
+            [(c, a[n], ONE)],
+        )
+        h.append(dot(terms))
+    return TruncatedSeries(g.order, tuple(h))
+
+
+def power_of_one_plus(g: TruncatedSeries, beta: Scalar) -> TruncatedSeries:
+    """(1 + g(t))^beta for an inner series g with zero constant term."""
+    return _first_order(g, LambdaPoly.coerce(beta), 0, 1)
+
+
+def deg_log_of_one_plus(g: TruncatedSeries) -> TruncatedSeries:
+    """log_l(1 + g(t)) = ((1 + g(t))^l - 1)/l, with zero constant term in g."""
+    return _first_order(g, LAMBDA, 1, 0)
 
 
 def _ord_mul(a: list[LambdaPoly], b: list[LambdaPoly], order: int) -> list[LambdaPoly]:

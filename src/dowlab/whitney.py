@@ -21,14 +21,15 @@ from math import ceil, factorial, isfinite, prod
 from typing import Iterator
 
 from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
-from .bases import (
-    XPoly,
-    binom,
-    lambda_falling,
-    lambda_rising,
-    newton_rows,
+from .bases import binom, lambda_falling, lambda_rising, newton_rows
+from .series import (
+    TruncatedSeries,
+    binomial_series,
+    deg_exp,
+    deg_log_of_one_plus,
+    gf_triangle,
+    one_series,
 )
-from .series import TruncatedSeries, binomial_series, deg_exp, deg_log, gf_triangle, one_series
 from .stirling import (
     Family,
     Rows,
@@ -162,29 +163,14 @@ def whitney2_diff(m: int, n: int, k: int) -> LambdaPoly:
 
 @lru_cache(maxsize=256)
 def _forward_differences(m: int, n: int) -> tuple[LambdaPoly, ...]:
-    """Delta^0 f(0), ..., Delta^n f(0) for f(x) = (mx+1)_{n,l}, by one chain of differences.
-
-    Each step replaces the coefficients of f by those of f(x+1) - f(x), which
-    is one degree lower because the leading terms cancel.
-    """
-    f = XPoly((1,))
-    for j in range(n):
-        f = f * XPoly((LambdaPoly((1, -j)), LambdaPoly.const(m)))
-    cs = list(f.coeffs)
-    diffs = [cs[0]]
-    for _ in range(n):
-        cs = [a - b for a, b in zip(_taylor_shift(cs)[:-1], cs)]
-        diffs.append(cs[0])
-    return tuple(diffs)
-
-
-def _taylor_shift(cs: list[LambdaPoly]) -> list[LambdaPoly]:
-    """Coefficients of f(x+1) from those of f(x): repeated synthetic division by x - 1."""
-    out = list(cs)
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] = out[j] + out[j + 1]
-    return out
+    """Delta^0 f(0), ..., Delta^n f(0) for f(x) = (mx+1)_{n,l}, by the definition
+    Delta^k f(0) = sum_i (-1)^(k-i) C(k,i) f(i): one dot over the values
+    f(0), ..., f(n) per k."""
+    f = [lambda_falling(m * i + 1, n, LAMBDA) for i in range(n + 1)]
+    return tuple(
+        dot(((-1) ** (k - i) * binom(k, i), f[i], ONE) for i in range(k + 1))
+        for k in range(n + 1)
+    )
 
 
 def v0(m: int, n: int) -> LambdaPoly:
@@ -202,30 +188,18 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     _check_m(m)
     _check_index(n, k)
     if path == "quad_T8":
-        s1, s2, s1deg = _stirling1_rows(n), _stirling2_rows(n), deg_stirling1_rows(n)
+        s1 = _stirling1_rows(n)
         return dot(
             (
                 (-1) ** (l - k) * binom(l, k) * s1[n][j] * m ** (n - j),
                 lambda_rising(1, l - k, LAMBDA),
-                dot((s2[j][i], s1deg[i][l], ONE) for i in range(l, j + 1)),
+                _t8_inner(j, l),
             )
             for j in range(k, n + 1)
             for l in range(k, j + 1)
         )
     if path == "v0_T18":
-        s1, s2, s1deg = _stirling1_rows(n), _stirling2_rows(n), deg_stirling1_rows(n)
-        return dot(
-            (
-                binom(n, i),
-                v0(m, n - i),
-                dot(
-                    (s2[j][l] * s1[i][j] * m ** (i - j), s1deg[l][k], ONE)
-                    for j in range(k, i + 1)
-                    for l in range(k, j + 1)
-                ),
-            )
-            for i in range(k, n + 1)
-        )
+        return dot((binom(n, i), v0(m, n - i), _t18_inner(m, i, k)) for i in range(k, n + 1))
     if path == "stirling_T19":
         s1deg = deg_stirling1_rows(n)
         return dot(
@@ -237,6 +211,27 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
             for q in range(k, n + 1)
         )
     raise ValueError(f"unknown first-kind path {path!r}")
+
+
+# The inner sums of thm8 and thm18 do not depend on n, so each is built once
+# per key instead of once per (n, k); the bound keeps a long-lived process
+# from growing without limit.
+@lru_cache(maxsize=4096)
+def _t8_inner(j: int, l: int) -> LambdaPoly:
+    """sum_i S2(j,i) S1deg(i,l), the inner sum of thm8."""
+    s2, s1deg = _stirling2_rows(j), deg_stirling1_rows(j)
+    return dot((s2[j][i], s1deg[i][l], ONE) for i in range(l, j + 1))
+
+
+@lru_cache(maxsize=4096)
+def _t18_inner(m: int, i: int, k: int) -> LambdaPoly:
+    """sum_{j,l} S2(j,l) S1(i,j) m^(i-j) S1deg(l,k), the inner double sum of thm18."""
+    s1, s2, s1deg = _stirling1_rows(i), _stirling2_rows(i), deg_stirling1_rows(i)
+    return dot(
+        (s2[j][l] * s1[i][j] * m ** (i - j), s1deg[l][k], ONE)
+        for j in range(k, i + 1)
+        for l in range(k, j + 1)
+    )
 
 
 # -- Dowling and Tanny-Dowling polynomials ----------------------------------------
@@ -334,10 +329,13 @@ def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
 
 
 def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
-    """Oracle: coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!."""
+    """Oracle: coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!.
+
+    The base log_l(e_m(t)) is log_l(1 + g) with g = e_m(t) - 1, solved from
+    its first-order recurrence rather than by composing two series."""
     WhitneyParams(m, r)
     e_m = binomial_series(Fraction(1, m), m, n_max)
-    base = deg_log(n_max).compose(e_m - one_series(n_max))
+    base = deg_log_of_one_plus(e_m - one_series(n_max))
     prefactor = binomial_series(Fraction(-r, m), m, n_max)
     return gf_triangle(base, prefactor, n_max)
 

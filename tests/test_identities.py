@@ -47,6 +47,23 @@ def test_trivial_sweep_has_no_failures():
     assert all(r.status != "fail" for r in reports)
 
 
+@pytest.mark.parametrize(
+    "ident, inner, keys",
+    [
+        # one inner sum per pair 0 <= l <= j <= 12, whatever m and n
+        ("thm8", wh._t8_inner, 91),
+        # one inner double sum per m in {1, 2, 3} and pair 0 <= k <= i <= 12
+        ("thm18", wh._t18_inner, 3 * 91),
+    ],
+)
+def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys):
+    inner.cache_clear()
+    assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status == "pass"
+    info = inner.cache_info()
+    assert info.misses == keys
+    assert info.hits > info.misses
+
+
 def test_determinism_same_seed():
     a = idn.verify_all(3, [1], [1], 11)
     b = idn.verify_all(3, [1], [1], 11)
@@ -178,13 +195,15 @@ def test_benchmark_span_targets_exist():
 
 # The code that only one route reaches; an explicit formula has none of its own.
 # The product and quotient of the series ring count as GF code too: the series
-# oracles of thm3, thm9 and thm27 reach them without gf_triangle.
+# oracles of thm3, thm9 and thm27 reach them without gf_triangle.  So does the
+# first-order solver behind powers and log_l of a series.
 ROUTE_PRIMITIVES = {
     "recurrence": [(st, "_recurrence"), (wh, "_recurrence")],
     "newton": [(bases, "newton_rows"), (st, "newton_rows"), (wh, "newton_rows"),
                (bases, "newton_convert")],
     "gf": [(series, "gf_triangle"), (st, "gf_triangle"), (wh, "gf_triangle"),
-           (series.TruncatedSeries, "__mul__"), (series.TruncatedSeries, "divide")],
+           (series.TruncatedSeries, "__mul__"), (series.TruncatedSeries, "divide"),
+           (series, "_first_order")],
     "explicit": [],
 }
 SWEEP = idn.SweepParams(n_max=6, m_set=(1, 2, 3), r_set=(1, 2), seed=0)

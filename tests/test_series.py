@@ -13,8 +13,10 @@ from dowlab.series import (
     binomial_series,
     deg_exp,
     deg_log,
+    deg_log_of_one_plus,
     gf_triangle,
     one_series,
+    power_of_one_plus,
     t_series,
 )
 from dowlab.whitney import v0
@@ -248,3 +250,51 @@ unit_series = st_.lists(small_polys, min_size=0, max_size=4).map(
 @given(series, unit_series)
 def test_div_inverts_mul(f, g):
     assert (f * g).divide(g, 0) == f
+
+
+# An inner series for the first-order solver: zero constant term, rational
+# or low-degree coefficients, any order from 0 to 12.
+inner_series = st_.integers(min_value=0, max_value=12).flatmap(
+    lambda order: st_.lists(small_polys, min_size=order, max_size=order).map(
+        lambda cs: TruncatedSeries.from_coeffs([LambdaPoly()] + cs, order)
+    )
+)
+rational_inner_series = st_.integers(min_value=0, max_value=12).flatmap(
+    lambda order: st_.lists(
+        st_.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=order, max_size=order
+    ).map(lambda cs: TruncatedSeries.from_coeffs([0] + cs, order))
+)
+exponents = st_.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestFirstOrderSolver:
+    """Powers and log_l of 1 + g from the first-order recurrence, against
+    the Horner composition ``compose`` as reference."""
+
+    @settings(deadline=None)
+    @given(st_.one_of(rational_inner_series, inner_series), exponents)
+    def test_power_equals_composition(self, g, beta):
+        assert power_of_one_plus(g, beta) == binomial_series(beta, 1, g.order).compose(g)
+
+    @settings(deadline=None)
+    @given(st_.one_of(rational_inner_series, inner_series))
+    def test_deg_log_equals_composition(self, g):
+        assert deg_log_of_one_plus(g) == deg_log(g.order).compose(g)
+
+    def test_order_zero(self):
+        zero = TruncatedSeries.from_coeffs((), 0)
+        assert power_of_one_plus(zero, Fraction(-1, 2)) == one_series(0)
+        assert deg_log_of_one_plus(zero) == zero
+
+    def test_log_inverts_exp(self):
+        n = 16
+        assert deg_log_of_one_plus(deg_exp(1, n) - one_series(n)) == t_series(n)
+
+    def test_rejects_nonzero_constant_like_compose(self):
+        g = deg_exp(1, 4)  # constant term 1
+        with pytest.raises(ValueError) as reference:
+            deg_log(4).compose(g)
+        for solve in (lambda: power_of_one_plus(g, 2), lambda: deg_log_of_one_plus(g)):
+            with pytest.raises(ValueError) as refused:
+                solve()
+            assert str(refused.value) == str(reference.value)
