@@ -20,11 +20,12 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .exact import LambdaPoly
 from .stirling import Family
-from .whitney import DobinskiRequest, build_triangle, dobinski_eval
+from .whitney import DobinskiRequest, build_triangle, dobinski_eval, family_rows
 from .identities import CATALOG, all_passed, report_document, run_identity, verify_all
 
 FAMILY_ALIASES = {
@@ -76,14 +77,16 @@ def latex_poly(text: str) -> str:
 def _entry_strings(cfg: argparse.Namespace) -> Iterator[list[str]]:
     """The entry strings of the triangle, one row list at a time.
 
-    The triangle is built by this call, so every argument error is raised
-    before any output is opened; only the strings are made lazily.
+    The rows are drawn from the family's row generator as they are rendered,
+    so one row is held at a time and no row store is filled.  The generator
+    is made by this call, which checks m and r, so every argument error is
+    raised before any output is opened.
     """
-    triangle = build_triangle(cfg.family, cfg.m, cfg.r, cfg.n_max)
+    rows = islice(family_rows(cfg.family, cfg.m, cfg.r), cfg.n_max + 1)
     lam = cfg.lam
     if lam is None:
-        return (list(map(str, row)) for row in triangle.rows)
-    return ([str(value.eval(lam)) for value in row] for row in triangle.rows)
+        return (list(map(str, row)) for row in rows)
+    return ([str(value.eval(lam)) for value in row] for row in rows)
 
 
 def _render_triangle(cfg: argparse.Namespace) -> Iterator[str]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import ceil, factorial, isfinite, prod
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
 from .bases import binom, lambda_falling, lambda_rising, newton_rows
@@ -189,15 +189,7 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     _check_index(n, k)
     if path == "quad_T8":
         s1 = _stirling1_rows(n)
-        return dot(
-            (
-                (-1) ** (l - k) * binom(l, k) * s1[n][j] * m ** (n - j),
-                lambda_rising(1, l - k, LAMBDA),
-                _t8_inner(j, l),
-            )
-            for j in range(k, n + 1)
-            for l in range(k, j + 1)
-        )
+        return dot((s1[n][j] * m ** (n - j), _t8_outer(j, k), ONE) for j in range(k, n + 1))
     if path == "v0_T18":
         return dot((binom(n, i), v0(m, n - i), _t18_inner(m, i, k)) for i in range(k, n + 1))
     if path == "stirling_T19":
@@ -216,6 +208,15 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
 # The inner sums of thm8 and thm18 do not depend on n, so each is built once
 # per key instead of once per (n, k); the bound keeps a long-lived process
 # from growing without limit.
+@lru_cache(maxsize=4096)
+def _t8_outer(j: int, k: int) -> LambdaPoly:
+    """sum_l (-1)^(l-k) C(l,k) <1>_{l-k,l} sum_i S2(j,i) S1deg(i,l), the l-sum of thm8."""
+    return dot(
+        ((-1) ** (l - k) * binom(l, k), lambda_rising(1, l - k, LAMBDA), _t8_inner(j, l))
+        for l in range(k, j + 1)
+    )
+
+
 @lru_cache(maxsize=4096)
 def _t8_inner(j: int, l: int) -> LambdaPoly:
     """sum_i S2(j,i) S1deg(i,l), the inner sum of thm8."""
@@ -515,38 +516,50 @@ def _decimal_quotient(num: int, den: int) -> Decimal:
 # -- triangle export ------------------------------------------------------------
 
 
+def _const_rows(rows: Iterator[tuple[int, ...]]) -> Iterator[tuple[LambdaPoly, ...]]:
+    return (tuple(map(LambdaPoly.const, row)) for row in rows)
+
+
+# Each family's primary route, as the row generator that its store wraps,
+# and whether it reads m and r; S2deg is the r = 0 case of S2degR.
+_PRIMARY: dict[Family, tuple[Callable[..., Iterator], bool, bool]] = {
+    Family.S1: (lambda: _const_rows(_stirling1_rows.__wrapped__()), False, False),
+    Family.S2: (lambda: _const_rows(_stirling2_rows.__wrapped__()), False, False),
+    Family.S1DEG: (deg_stirling1_rows.__wrapped__, False, False),
+    Family.S2DEG: (lambda: deg_r_stirling2_rows.__wrapped__(0), False, False),
+    Family.S1DEG_R: (deg_r_stirling1_unsigned_rows.__wrapped__, False, True),
+    Family.S2DEG_R: (deg_r_stirling2_rows.__wrapped__, False, True),
+    Family.WDEG: (whitney2_rows.__wrapped__, True, False),
+    Family.VDEG: (whitney1_rows.__wrapped__, True, False),
+    Family.WDEG_R: (r_whitney2_rows.__wrapped__, True, True),
+    Family.VDEG_R: (r_whitney1_rows.__wrapped__, True, True),
+}
+
+
+def family_rows(family: Family | str, m: int, r: int) -> Iterator[Sequence[LambdaPoly]]:
+    """The endless rows 0, 1, 2, ... of ``family`` at (m, r), by its primary route.
+
+    The rows come straight from the generator that the family's row store
+    wraps, so no store is filled and each row can be dropped once it is used.
+    The m and r that the family reads are checked by this call, before any
+    row is built; the ones it does not read are ignored.
+    """
+    rows_of, uses_m, uses_r = _PRIMARY[Family(family)]
+    return rows_of(*(m,) * uses_m, *(r,) * uses_r)
+
+
 def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Triangle:
-    """Materialize one family as an immutable Triangle (primary route each)."""
+    """Rows 0..n_max of ``family_rows(family, m, r)`` as an immutable Triangle.
+
+    No row store is used.  The Triangle records m = 1 for a family that does
+    not read m, and r = 0 for one that does not read r.
+    """
     family = Family(family)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    used_m, used_r = 1, 0
-    if family is Family.S1:
-        rows = _freeze([map(LambdaPoly.const, row) for row in _stirling1_rows(n_max)])
-    elif family is Family.S2:
-        rows = _freeze([map(LambdaPoly.const, row) for row in _stirling2_rows(n_max)])
-    elif family is Family.S1DEG:
-        rows = deg_stirling1_rows(n_max)
-    elif family is Family.S2DEG:
-        rows = deg_stirling2_rows(n_max)
-    elif family is Family.S1DEG_R:
-        used_r = r
-        rows = deg_r_stirling1_unsigned_rows(r, n_max)
-    elif family is Family.S2DEG_R:
-        used_r = r
-        rows = deg_r_stirling2_rows(r, n_max)
-    elif family is Family.WDEG:
-        used_m = m
-        rows = whitney2_rows(m, n_max)
-    elif family is Family.VDEG:
-        used_m = m
-        rows = whitney1_rows(m, n_max)
-    elif family is Family.WDEG_R:
-        used_m, used_r = m, r
-        rows = r_whitney2_rows(m, r, n_max)
-    elif family is Family.VDEG_R:
-        used_m, used_r = m, r
-        rows = r_whitney1_rows(m, r, n_max)
-    else:  # pragma: no cover - Family() already rejects unknown names
-        raise ValueError(f"unknown family {family!r}")
-    return Triangle(family=family, m=used_m, r=used_r, n_max=n_max, rows=rows)
+    check_ints(n_max)
+    _, uses_m, uses_r = _PRIMARY[family]
+    rows = _freeze(islice(family_rows(family, m, r), n_max + 1))
+    return Triangle(
+        family=family, m=m if uses_m else 1, r=r if uses_r else 0, n_max=n_max, rows=rows
+    )

@@ -17,6 +17,8 @@ from hypothesis import strategies as st_
 
 from dowlab.exact import LambdaPoly
 from dowlab import cli
+from dowlab import stirling as st
+from dowlab import whitney as wh
 from dowlab.cli import latex_poly, main
 from dowlab.stirling import Family
 from dowlab.whitney import build_triangle
@@ -684,6 +686,46 @@ class TestStreamedExport:
         assert code == 2
         assert out == ""
         assert err == "error: m must be a positive integer, got 0\n"
+
+
+# Every row store; an export or an entry evaluation must leave each one empty.
+ROW_STORES = (
+    st._stirling1_rows, st._stirling2_rows, st.deg_stirling1_rows, st.deg_r_stirling2_rows,
+    st.deg_r_stirling1_unsigned_rows, wh.whitney2_rows, wh.whitney1_rows, wh.r_whitney2_rows,
+    wh.r_whitney1_rows,
+)
+
+
+class TestExportFillsNoStore:
+    def test_memory_is_about_one_row_without_a_held_triangle(self, capsys, tmp_path):
+        target = tmp_path / "w.csv"
+        main(triangle_argv("Wdeg", 3, 1, 1, None, "csv"))  # imports and the parser, untraced
+        wh.whitney2_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([*triangle_argv("Wdeg", 3, 1, 60, None, "csv"), "--out", str(target)]) == 0
+            added = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        longest_row = max(map(len, target.read_text().splitlines()))
+        # the rows being combined, one row's strings, its text and its bytes;
+        # the triangle in a row store would be about 20 rows
+        assert added < 8 * longest_row
+        assert wh.whitney2_rows.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("command", ["triangle", "eval"])
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_every_store_stays_empty(self, capsys, family, command):
+        for store in ROW_STORES:
+            store.cache_clear()
+        if command == "triangle":
+            argv = triangle_argv(family, 3, 2, 12, None, "csv")
+        else:
+            argv = ["eval", "--family", family, "--m", "3", "--r", "2", "--n", "12", "--k", "5"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert [store.cache_info().currsize for store in ROW_STORES] == [0] * len(ROW_STORES)
 
 
 class FailingStdout:

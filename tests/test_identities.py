@@ -54,10 +54,14 @@ def test_trivial_sweep_has_no_failures():
         ("thm8", wh._t8_inner, 91),
         # one inner double sum per m in {1, 2, 3} and pair 0 <= k <= i <= 12
         ("thm18", wh._t18_inner, 3 * 91),
+        # one l-sum per pair 0 <= k <= j <= 12, whatever m and n
+        ("thm8", wh._t8_outer, 91),
     ],
 )
 def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys):
-    inner.cache_clear()
+    # all of them, since a warm l-sum of thm8 would skip its inner sums
+    for cache in (wh._t8_outer, wh._t8_inner, wh._t18_inner):
+        cache.cache_clear()
     assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status == "pass"
     info = inner.cache_info()
     assert info.misses == keys

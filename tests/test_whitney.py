@@ -473,6 +473,39 @@ class TestTriangleBuilder:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             wh.build_triangle("nosuch", 1, 1, 2)
+        with pytest.raises(ValueError):
+            wh.family_rows("nosuch", 1, 1)
+
+    @pytest.mark.parametrize("family", [f.value for f in st.Family])
+    def test_rows_are_the_store_rows(self, family):
+        # the export's rows and the catalog's store rows come from one generator
+        store, params = {
+            "S1": (st._stirling1_rows, ()),
+            "S2": (st._stirling2_rows, ()),
+            "S1deg": (st.deg_stirling1_rows, ()),
+            "S2deg": (st.deg_r_stirling2_rows, (0,)),
+            "S1degR": (st.deg_r_stirling1_unsigned_rows, (2,)),
+            "S2degR": (st.deg_r_stirling2_rows, (2,)),
+            "Wdeg": (wh.whitney2_rows, (3,)),
+            "Vdeg": (wh.whitney1_rows, (3,)),
+            "WdegR": (wh.r_whitney2_rows, (3, 2)),
+            "VdegR": (wh.r_whitney1_rows, (3, 2)),
+        }[family]
+        tri = wh.build_triangle(family, 3, 2, 12)
+        assert tri.rows == tuple(tuple(map(LambdaPoly.coerce, row)) for row in store(*params, 12))
+        assert (tri.m, tri.r) == (
+            3 if family.startswith(("W", "V")) else 1,
+            2 if family.endswith("R") else 0,
+        )
+
+    def test_argument_errors_come_before_any_row(self):
+        for m, r in ((0, 1), (1, 0), (-2, 3)):
+            with pytest.raises(ValueError):
+                wh.family_rows("VdegR", m, r)
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            wh.family_rows("S1degR", 1, -1)
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            wh.build_triangle("Wdeg", 1, 1, -1)
 
 
 # Each accessor with int arguments; every one of them must refuse an equal
@@ -493,6 +526,8 @@ INT_ONLY = {
     "WhitneyParams": (wh.WhitneyParams, (1, 1)),
     "dowling_poly": (wh.dowling_poly, (1, 3, 1)),
     "tanny_dowling_poly": (wh.tanny_dowling_poly, (1, 3, 1)),
+    "build_triangle": (lambda m, r, n_max: wh.build_triangle("WdegR", m, r, n_max), (1, 1, 3)),
+    "family_rows": (lambda m, r: wh.family_rows("WdegR", m, r), (1, 1)),
 }
 
 
