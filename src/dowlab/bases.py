@@ -5,8 +5,9 @@ combination of products (X - a_0)(X - a_1)...; choosing the node sequence
 a_j = j gives the ordinary falling-factorial basis, a_j = j*l the
 step-l one, and so on.  ``newton_convert`` converts one ``XPoly`` by
 repeated synthetic division, exact and O(n^2) in ring operations;
-``newton_rows`` extends a triangle row by row over any ring, multiplying
-by linear factors given as pairs in Newton form, O(n) operations per row.
+``newton_rows`` extends the Newton rows of a product of monic linear
+factors (X - b_j), given by their roots, row by row over any ring, with one
+multiplication per entry.
 """
 
 from __future__ import annotations
@@ -219,38 +220,36 @@ def newton_convert(p: XPoly, nodes: NodeSequence) -> list[LambdaPoly]:
 
 def newton_rows(
     one,
-    factor: Callable[[int], tuple],
+    root: Callable[[int], object],
     node: Callable[[int], object],
-) -> Iterator[list]:
-    """Endless rows of the products factor(0)...factor(n-1), n = 0, 1, ...
+) -> Iterator[tuple]:
+    """Endless rows of the monic products (X - b_0)...(X - b_{n-1}), n = 0, 1, ...
 
-    Row n holds the Newton coefficients c_0..c_n of the nth product over the
-    nodes node(0), node(1), ...; row 0 is ``[one]``.  ``factor(j)`` is the
-    pair ``(f_0, f_1)`` of the linear factor f_0 + f_1 X.  Factors, nodes
-    and ``one`` share one ring: ``ONE`` for Q[l], ``1`` for plain integers.
-    Every triangle defined by a change of basis is one choice of factor and
-    node.  The kth node may not depend on the row.
+    Row n is the tuple of Newton coefficients c_0..c_n of the nth product
+    over the nodes a_k = node(k), where b_j = root(j); row 0 is ``(one,)``.
+    Roots, nodes and ``one`` share one ring: ``ONE`` for Q[l], ``1`` for
+    plain integers.  Every triangle defined by a change of basis is one
+    choice of root and node.  The kth node may not depend on the row.
 
-    To divide c_k by s^k, expand in u = sX instead: pass ``(f_0, f_1/s)``
-    and the nodes s a_k.  The Newton basis in u over s a_0, s a_1, ... is
-    s^k N_k, so the coefficients come out already divided.
+    A product that is monic only in u = sX is passed as roots s b_j and
+    nodes s a_k, and then c_k comes out times s^(n-k).
 
-    Row n + 1 extends row n in O(n) ring operations: X N_k = N_{k+1} + a_k N_k
-    in the basis N_k = (X - a_0)...(X - a_{k-1}), so multiplying by
-    f_0 + f_1 X gives c'_k = f_1 c_{k-1} + (f_0 + f_1 a_k) c_k.
+    Row n + 1 extends row n with one ring multiplication per entry:
+    X N_k = N_{k+1} + a_k N_k in the basis N_k = (X - a_0)...(X - a_{k-1}),
+    so multiplying by X - b_n gives c'_k = c_{k-1} + (a_k - b_n) c_k, with
+    c'_{n+1} = c_n.
     """
     nodes = []
-    row = [one]
+    row = (one,)
     for n in count():
         yield row
-        f0, f1 = factor(n)
+        b = root(n)
         nodes.append(node(n))
-        stay = [f0 + f1 * a for a in nodes]
-        row = [
-            stay[0] * row[0],
-            *(f1 * row[k - 1] + stay[k] * row[k] for k in range(1, n + 1)),
-            f1 * row[n],
-        ]
+        row = (
+            (nodes[0] - b) * row[0],
+            *(row[k - 1] + (nodes[k] - b) * row[k] for k in range(1, n + 1)),
+            row[n],
+        )
 
 
 def int_nodes(n: int) -> list[LambdaPoly]:

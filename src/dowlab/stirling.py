@@ -1,8 +1,10 @@
 """Classical and degenerate Stirling numbers, Bell polynomials, r-variants.
 
-Primary computation is basis conversion straight from the defining change
-of basis; generating-function extraction is kept as an independent oracle
-path (the *_gf builders) so the identity engine can cross-check the two.
+The classical first-kind table comes from its two-term recurrence; every
+other primary triangle is a Newton-basis conversion straight from the
+defining change of basis.  Generating-function extraction is kept as an
+independent oracle path (the *_gf builders) so the identity engine can
+cross-check the two.
 Each primary triangle is served by a row store (``row_store``): one per
 parameter set, extended row by row when a larger ``n_max`` is asked for.
 """
@@ -55,10 +57,6 @@ class Triangle:
         return self.rows[n][k]
 
 
-def _freeze(rows: list[list[LambdaPoly]]) -> Rows:
-    return tuple(tuple(row) for row in rows)
-
-
 # -- row stores -----------------------------------------------------------------
 
 # Parameter sets whose rows stay held per family; the least recently used goes.
@@ -74,7 +72,8 @@ def _check_index(n: int, k: int) -> None:
 def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     """Serve the endless rows ``rows_of(*params)`` as ``f(*params, n_max) -> Rows``.
 
-    ``rows_of`` checks its parameters before it returns the row iterator, so
+    ``rows_of`` yields each row as a tuple, which the store keeps as it
+    comes.  It checks its parameters before it returns the row iterator, so
     a refused call stores nothing.  A store is the list of rows built so far
     plus the live iterator; a longer ``n_max`` extends it.  The decorated
     function has ``cache_info()`` and ``cache_clear()`` of its stores.
@@ -97,7 +96,7 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
             with lock:
                 try:
                     while len(built) <= n_max:
-                        built.append(tuple(next(source)))
+                        built.append(next(source))
                 except BaseException:
                     store.cache_clear()  # an interrupted iterator cannot be resumed
                     raise
@@ -134,7 +133,7 @@ def stirling1(n: int, k: int) -> int:
 @row_store
 def _stirling2_rows() -> Iterator[tuple]:
     # Defining relation x^n = sum S_2(n,k) (x)_k, solved by Newton conversion.
-    return newton_rows(1, lambda j: (0, 1), lambda k: k)
+    return newton_rows(1, lambda j: 0, lambda k: k)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -147,9 +146,9 @@ def stirling2(n: int, k: int) -> int:
 
 
 @row_store
-def deg_stirling1_rows() -> Iterator[list[LambdaPoly]]:
+def deg_stirling1_rows() -> Iterator[tuple[LambdaPoly, ...]]:
     """Rows of the first-kind degenerate triangle: (x)_n in the step-l basis."""
-    return newton_rows(ONE, lambda j: (-j, 1), lambda k: LAMBDA * k)
+    return newton_rows(ONE, lambda j: j, lambda k: LAMBDA * k)
 
 
 def deg_stirling1(n: int, k: int) -> LambdaPoly:
@@ -202,10 +201,10 @@ def _check_r(r: int) -> None:
 
 
 @row_store
-def deg_r_stirling2_rows(r: int) -> Iterator[list[LambdaPoly]]:
+def deg_r_stirling2_rows(r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """(x+r)_{n,l} in the ordinary falling basis (second kind, shift r)."""
     _check_r(r)
-    return newton_rows(ONE, lambda j: (LambdaPoly((r, -j)), 1), lambda k: k)
+    return newton_rows(ONE, lambda j: LambdaPoly((-r, j)), lambda k: k)
 
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
@@ -214,10 +213,10 @@ def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
 
 
 @row_store
-def deg_r_stirling1_unsigned_rows(r: int) -> Iterator[list[LambdaPoly]]:
+def deg_r_stirling1_unsigned_rows(r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """<x+r>_n in the rising step-l basis (unsigned first kind, shift r)."""
     _check_r(r)
-    return newton_rows(ONE, lambda j: (r + j, 1), lambda k: LAMBDA * -k)
+    return newton_rows(ONE, lambda j: -(r + j), lambda k: LAMBDA * -k)
 
 
 def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:

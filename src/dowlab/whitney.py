@@ -1,10 +1,11 @@
 """Degenerate Whitney numbers, Dowling/Tanny-Dowling polynomials, r-variants.
 
-Three independent computation routes exist for each triangle:
+Three independent computation routes exist:
 
-* the two-term recurrences (cheapest, the default),
-* Newton conversion of the defining change of basis,
-* coefficient extraction from the generating functions.
+* the two-term recurrences, primary for W and V (cheapest),
+* Newton conversion of the defining change of basis, primary for the
+  r-triangles, which have no recurrence here; W and V are their r = 1 case,
+* coefficient extraction from the generating functions, for every triangle.
 
 The identity engine and the acceptance suite compare all three entry by
 entry, so none of the routes is ever trusted alone.
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import ceil, factorial, isfinite, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
 from .bases import binom, lambda_falling, lambda_rising, newton_rows
@@ -35,7 +36,6 @@ from .stirling import (
     Rows,
     Triangle,
     _check_index,
-    _freeze,
     _recurrence,
     _stirling1_rows,
     _stirling2_rows,
@@ -285,11 +285,11 @@ def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
 
 
 @row_store
-def r_whitney2_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
+def r_whitney2_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """Second-kind r-triangle: (mx+r)_{n,l} = sum W m^k (x)_k, expanded in u = mx
     over the nodes 0, m, 2m, ..., whose Newton basis is m^k (x)_k."""
     WhitneyParams(m, r)
-    return newton_rows(ONE, lambda j: (LambdaPoly((r, -j)), 1), lambda k: m * k)
+    return newton_rows(ONE, lambda j: LambdaPoly((-r, j)), lambda k: m * k)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -298,7 +298,7 @@ def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
 
 
 @row_store
-def r_whitney1_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
+def r_whitney1_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """First-kind r-triangle by Newton conversion of the defining relation.
 
     Substituting u = mx+r turns m^n (x)_n into prod_j (u - (r+jm)), which
@@ -306,7 +306,7 @@ def r_whitney1_rows(m: int, r: int) -> Iterator[list[LambdaPoly]]:
     the first-kind numbers directly and everything stays in Q[l].
     """
     WhitneyParams(m, r)
-    return newton_rows(ONE, lambda j: (-(r + j * m), 1), lambda k: LAMBDA * k)
+    return newton_rows(ONE, lambda j: r + j * m, lambda k: LAMBDA * k)
 
 
 def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
@@ -319,8 +319,8 @@ def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
     nodes (k*l - r)/m, coefficient k divided by m^k, which is m^n (x)_n
     expanded in u = mx over the nodes k*l - r."""
     WhitneyParams(m, r)
-    rows = newton_rows(ONE, lambda j: (-j * m, 1), lambda k: LAMBDA * k - r)
-    return _freeze(islice(rows, n_max + 1))
+    rows = newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k - r)
+    return tuple(islice(rows, n_max + 1))
 
 
 def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
@@ -347,15 +347,15 @@ def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
 def classical_whitney2_rows(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     """Classical second-kind numbers from (mx+1)^n = sum W m^k (x)_k, in u = mx."""
     _check_m(m)
-    return _freeze(islice(newton_rows(1, lambda j: (1, 1), lambda k: m * k), n_max + 1))
+    return tuple(islice(newton_rows(1, lambda j: -1, lambda k: m * k), n_max + 1))
 
 
 def classical_whitney1_rows(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     """Classical first-kind numbers: m^n (x)_n in powers of u = mx+1."""
     _check_m(m)
     # with every node 0 the Newton basis is the power basis of u
-    rows = newton_rows(1, lambda j: (-(1 + j * m), 1), lambda k: 0)
-    return _freeze(islice(rows, n_max + 1))
+    rows = newton_rows(1, lambda j: 1 + j * m, lambda k: 0)
+    return tuple(islice(rows, n_max + 1))
 
 
 # -- Dobinski evaluation (the library's only inexact path) --------------------------
@@ -374,6 +374,9 @@ class DobinskiRequest:
 
     def __post_init__(self) -> None:
         check_ints(self.m, self.n, self.terms)
+        # a float or bool x or lambda is refused here, before the series is summed
+        as_fraction(self.x)
+        as_fraction(self.lam)
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.n < 0:
@@ -536,7 +539,7 @@ _PRIMARY: dict[Family, tuple[Callable[..., Iterator], bool, bool]] = {
 }
 
 
-def family_rows(family: Family | str, m: int, r: int) -> Iterator[Sequence[LambdaPoly]]:
+def family_rows(family: Family | str, m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """The endless rows 0, 1, 2, ... of ``family`` at (m, r), by its primary route.
 
     The rows come straight from the generator that the family's row store
@@ -559,7 +562,7 @@ def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Triangle
         raise ValueError("n_max must be >= 0")
     check_ints(n_max)
     _, uses_m, uses_r = _PRIMARY[family]
-    rows = _freeze(islice(family_rows(family, m, r), n_max + 1))
+    rows = tuple(islice(family_rows(family, m, r), n_max + 1))
     return Triangle(
         family=family, m=m if uses_m else 1, r=r if uses_r else 0, n_max=n_max, rows=rows
     )

@@ -20,6 +20,7 @@ from dowlab import cli
 from dowlab import stirling as st
 from dowlab import whitney as wh
 from dowlab.cli import latex_poly, main
+from dowlab.identities import CATALOG
 from dowlab.stirling import Family
 from dowlab.whitney import build_triangle
 
@@ -266,6 +267,25 @@ class TestVerify:
     def test_bad_m_set(self, capsys):
         code, _, _ = run(capsys, "verify", "--m-set", "1,x")
         assert code == 2
+
+    def test_script_writes_the_same_report_as_the_cli(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = os.path.join(os.path.dirname(src), "scripts", "run_verification.py")
+
+        def verify(command, out):
+            return subprocess.run(
+                [sys.executable, *command, "--n-max", "3", "--out", str(out)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            )
+
+        by_script = verify([script], tmp_path / "script.json")
+        by_cli = verify(["-m", "dowlab.cli", "verify"], tmp_path / "cli.json")
+        assert (by_script.returncode, by_cli.returncode) == (0, 0)
+        assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
+        # each entry line starts with its status and id; detail lines are indented
+        lines = by_script.stdout.splitlines()
+        printed = {line.split()[1] for line in lines if line and not line[0].isspace()}
+        assert set(CATALOG) <= printed
 
 
 class TestDobinski:

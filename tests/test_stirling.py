@@ -286,14 +286,14 @@ class TestRowStore:
         calls = []
         newton_rows = st.newton_rows
 
-        def flaky_rows(one, factor, node):
-            # the store asks its factor once per row: the fourth call is
-            # factor(3), so the build of row 4 is interrupted
+        def flaky_rows(one, root, node):
+            # the store asks for one root per row: the fourth call is
+            # root(3), so the build of row 4 is interrupted
             def flaky(j):
                 calls.append(j)
                 if len(calls) == 4:
                     raise KeyboardInterrupt
-                return factor(j)
+                return root(j)
 
             return newton_rows(one, flaky, node)
 

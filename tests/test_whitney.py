@@ -361,9 +361,17 @@ class TestDobinski:
         for tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=tol)
-        for bad in ({"m": 1.0}, {"n": True}, {"terms": 50.0}):
+        for bad in (
+            {"m": 1.0},
+            {"n": True},
+            {"terms": 50.0},
+            {"x": 0.5},
+            {"lam": 0.25},
+            {"x": True},
+            {"lam": False},
+        ):
             with pytest.raises(TypeError):
-                wh.DobinskiRequest(**{"m": 1, "n": 1, "terms": 50, **bad}, x=1, lam=0)
+                wh.DobinskiRequest(**{"m": 1, "n": 1, "terms": 50, "x": 1, "lam": 0, **bad})
 
     def test_pass_rule_is_a_strict_tolerance(self):
         req = wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=0.5)
