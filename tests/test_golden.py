@@ -10,8 +10,10 @@ LaTeX triangle digests before the export was streamed row by row; the
 large-x Dobinski digest before the truncated sum moved from one backward
 Horner pass to binary splitting; the S1, S2, S1deg, S2deg, S1degR, S2degR, V
 and WR digests before the Newton kernel took its linear factors as pairs
-over a ring given as a parameter.  Any change that alters one byte of a
-symbolic or rational result fails here in seconds.
+over a ring given as a parameter; the verify digest at n_max 16 before the
+exact kernel took fast paths for integral and one-coefficient operands.  Any
+change that alters one byte of a symbolic or rational result fails here in
+seconds.
 """
 
 import contextlib
@@ -108,6 +110,14 @@ VERIFY_N10 = (
     "6571fe5787718d9e492c4ab7d0cff74be251a375e28af191a01380398b329e94",
 )
 
+# `dowlab verify --n-max 16 --seed 0` with the default m and r sets: past
+# the benchmark's n_max 10, where more of the catalog's operands have
+# several coefficients.
+VERIFY_N16 = (
+    ["--n-max", "16", "--seed", "0"],
+    "8b68cdbcfa664d89841a86d8c4faa052d2780d614d20a7c55e2ca1caacc8d01b",
+)
+
 
 # `dowlab dobinski --format json` over this grid, one process, in this order;
 # terms = ceil(e |x| / m) + 100 as in the benchmark's sweeps.
@@ -173,6 +183,14 @@ def test_verify_report_digest(seed):
 
 def test_verify_report_digest_at_n_max_10():
     args, digest = VERIFY_N10
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", *args]) == 0
+    assert sha256(out.getvalue()) == digest
+
+
+def test_verify_report_digest_at_n_max_16():
+    args, digest = VERIFY_N16
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["verify", *args]) == 0
