@@ -44,29 +44,37 @@ def gen_binom(alpha: int | Fraction, n: int) -> Fraction:
 
 def lambda_falling(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
     """Product x(x - step)(x - 2*step)...(x - (n-1)*step); n = 0 gives 1."""
-    n = _order(n)
-    return _factorial_product(LambdaPoly.coerce(x), n, -LambdaPoly.coerce(step))
+    _check_factorial(x, n, step)
+    return _factorial_product(x, n, step, -1)
 
 
 def lambda_rising(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
     """Product x(x + step)(x + 2*step)...(x + (n-1)*step); n = 0 gives 1."""
-    n = _order(n)
-    return _factorial_product(LambdaPoly.coerce(x), n, LambdaPoly.coerce(step))
+    _check_factorial(x, n, step)
+    return _factorial_product(x, n, step, 1)
 
 
-def _order(n: int) -> int:
-    """A factorial's number of factors: an int >= 0 (bools and floats are refused)."""
+def _check_factorial(x: Scalar, n: int, step: Scalar) -> None:
+    """Refuse what the cache must not see: an order that is not an int >= 0,
+    and a float or bool x or step, which could hit an equal int's entry."""
     check_ints(n)
     if n < 0:
         raise ValueError("factorial order must be >= 0")
-    return n
+    for value in (x, step):
+        if type(value) not in (int, Fraction) and not isinstance(value, LambdaPoly):
+            as_fraction(value)  # refuses a float or bool with the usual message
 
 
 # The identity catalog asks for a few hundred distinct products thousands of
-# times; the bound keeps a long-lived process from growing without limit.
-@lru_cache(maxsize=4096)
-def _factorial_product(x: LambdaPoly, n: int, step: LambdaPoly) -> LambdaPoly:
-    """x(x + step)(x + 2*step)...(x + (n-1)*step) for exact, already coerced operands."""
+# times, so the cache is keyed on the arguments as passed, with no coercion
+# on a hit; typed, so that an int and the constant polynomial equal to it
+# keep separate entries.  The bound keeps a long-lived process from growing
+# without limit.
+@lru_cache(maxsize=4096, typed=True)
+def _factorial_product(x: Scalar, n: int, step: Scalar, sign: int) -> LambdaPoly:
+    """x(x + sign*step)(x + 2*sign*step)...(x + (n-1)*sign*step) for checked arguments."""
+    x = LambdaPoly.coerce(x)
+    step = LambdaPoly.coerce(step) * sign
     out = LambdaPoly((1,))
     for j in range(n):
         out = out * (x + step * j)

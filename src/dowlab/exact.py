@@ -39,7 +39,10 @@ _TERM = re.compile(
 
 def _rational(value: int | Fraction) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational; floats and bools are refused."""
-    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is Fraction or (isinstance(value, (Fraction, int)) and kind is not bool):
         return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -108,9 +111,13 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
     bool ``c`` is refused even then.
     """
     acc: list[int] = []
+    size = 0  # len(acc)
     den = 1
     for c, p, q in terms:
-        cnum, cden = (c, 1) if type(c) is int else _rational(c)
+        if type(c) is int:
+            cnum, cden = c, 1
+        else:
+            cnum, cden = _rational(c)
         a, b = p.nums, q.nums
         if not cnum or not a or not b:
             continue
@@ -126,9 +133,18 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
         if len(a) < len(b):
             a, b = b, a
         width = len(a)
-        missing = width + len(b) - 1 - len(acc)
-        if missing > 0:
-            acc += [0] * missing
+        if len(b) == 1:
+            # One coefficient, nonzero: the term is a scaled copy of a.
+            if width > size:
+                acc += [0] * (width - size)
+                size = width
+            cb = b[0] * cnum
+            acc[:width] = map(add, acc[:width], map(cb.__mul__, a))
+            continue
+        top = width + len(b) - 1
+        if top > size:
+            acc += [0] * (top - size)
+            size = top
         for j, cb in enumerate(b):
             if cb:
                 cb *= cnum
@@ -149,6 +165,10 @@ class LambdaPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
+        coeffs = list(coeffs)
+        if all(type(c) is int for c in coeffs):
+            self.nums, self.den = _reduced(coeffs, 1)
+            return
         parts = [_rational(c) for c in coeffs]
         den = lcm(*[d for _, d in parts])
         self.nums, self.den = _reduced([n * (den // d) for n, d in parts], den)
@@ -196,7 +216,10 @@ class LambdaPoly:
         return bool(self.nums)
 
     def __hash__(self) -> int:
-        # Equal to hash(self.coeffs): an integral Fraction hashes like its int.
+        # A constant hashes like the number it equals, any other polynomial
+        # like self.coeffs; an integral Fraction hashes like its int.
+        if len(self.nums) <= 1:
+            return hash(self.constant())
         if self.den == 1:
             return hash(self.nums)
         return hash(self.coeffs)
@@ -204,6 +227,8 @@ class LambdaPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LambdaPoly):
             return self.nums == other.nums and self.den == other.den
+        if type(other) is int:
+            return self.den == 1 and self.nums == ((other,) if other else ())
         if isinstance(other, (int, Fraction)):
             return self == LambdaPoly.coerce(other)
         return NotImplemented
@@ -241,6 +266,8 @@ class LambdaPoly:
         if len(a) < len(b):
             a, b = b, a
         # The leading product is nonzero, so only the gcd can change the form.
+        if len(b) == 1:
+            return _canonical(list(map(b[0].__mul__, a)), den * other.den)
         out = [0] * (len(a) + len(b) - 1)
         width = len(a)
         for j, cb in enumerate(b):
@@ -260,8 +287,13 @@ class LambdaPoly:
         return _canonical([n * q for n in self.nums], self.den * p)
 
     def __pow__(self, n: int) -> "LambdaPoly":
+        check_ints(n)
         if n < 0:
             raise ValueError("negative polynomial power")
+        nums = self.nums
+        if nums and not any(nums[:-1]):
+            # A monomial c*l^d: its power is c^n * l^(d n), already in lowest terms.
+            return _raw((0,) * ((len(nums) - 1) * n) + (nums[-1] ** n,), self.den**n)
         out = LambdaPoly((1,))
         base = self
         while n:

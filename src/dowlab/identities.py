@@ -424,20 +424,25 @@ def _chk_thm21(p: SweepParams) -> Points:
 
 def _cor22_sum(m: int, n: int, x: Fraction, poly_fn, rescale: bool) -> LambdaPoly:
     scale = Fraction(m, m + 1)
-
-    def inner(j: int) -> LambdaPoly:
-        value = poly_fn(m, j, x * scale)
-        return value.scale_lambda(scale) if rescale else value
-
     acc = dot(
         (
             (-1) ** (n - j) * binom(n, j) * (m + 1) ** j,
-            inner(j),
+            _cor22_inner(m, j, x, poly_fn) if rescale else poly_fn(m, j, x * scale),
             lambda_rising(1, n - j, LAMBDA * m),
         )
         for j in range(n + 1)
     )
     return acc / Fraction(m**n)
+
+
+# The inner polynomial of cor22 does not depend on n, so it is built once per
+# key instead of once per (n, j); the bound keeps a long-lived process from
+# growing without limit.
+@lru_cache(maxsize=4096)
+def _cor22_inner(m: int, j: int, x: Fraction, poly_fn) -> LambdaPoly:
+    """poly_fn(m, j, x m/(m+1)) with l -> m l/(m+1), the inner polynomial of cor22."""
+    scale = Fraction(m, m + 1)
+    return poly_fn(m, j, x * scale).scale_lambda(scale)
 
 
 def _chk_cor22_generic(p: SweepParams, poly_fn, label: str) -> Points:

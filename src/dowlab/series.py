@@ -14,7 +14,7 @@ from itertools import chain
 from math import comb, factorial
 from typing import Iterable, Union
 
-from .exact import LAMBDA, ONE, LambdaPoly, Scalar, as_fraction, dot
+from .exact import LAMBDA, ONE, LambdaPoly, Scalar, as_fraction, check_ints, dot
 
 
 def _leading_zeros(coeffs: tuple[LambdaPoly, ...]) -> int:
@@ -86,6 +86,7 @@ class TruncatedSeries:
         return TruncatedSeries(n, tuple(out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
+        check_ints(n)
         if n < 0:
             raise ValueError("negative series power")
         out = one_series(self.order)

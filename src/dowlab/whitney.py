@@ -401,11 +401,16 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     and ``exact`` is the Dowling polynomial at ``(x, lambda)``.
 
     ``S`` is exact: with ``z = p/q`` and ``lambda = a/b``, ``S b^n`` is one
-    quotient of two integers, summed by binary splitting
-    (``_dobinski_split``) with balanced big-integer products, so its cost
-    is quasi-linear in ``terms`` rather than quadratic (the sum at
-    ``x = 10^4``, ``terms = 27284`` takes about 0.2 s on one x86-64 core
-    under CPython 3.11).  ``e^{-z}`` is ``Decimal.exp`` (correctly rounded)
+    quotient of two integers (``_dobinski_sum``).  Its weight
+    ``F(k) = prod_{j < n} (b(mk+1) - ja)`` is a polynomial of degree n in
+    k, so ``S b^n`` is a combination of at most n + 1 truncated
+    exponentials ``E_N(z) = sum_{j <= N} z^j/j!``, which all follow exactly
+    from the one at ``N = terms - 1``.  That one is summed by binary
+    splitting (``_dobinski_split``) with balanced big-integer products, so
+    its cost is quasi-linear in ``terms`` rather than quadratic (the sum at
+    ``x = 10^4``, ``terms = 27284`` takes about 0.07 s on one x86-64 core
+    under CPython 3.11), and it is shared by every n and lambda at the same
+    ``z`` and ``terms``.  ``e^{-z}`` is ``Decimal.exp`` (correctly rounded)
     at ``P = 60 + digits(ceil|z|)`` significant digits.  The quotient ``S``
     is rounded to ``P`` digits from integer division (``_decimal_quotient``),
     never by converting the bigints to ``Decimal``; the product with ``S``
@@ -429,16 +434,13 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     z = Fraction(req.x) / m
     lam = Fraction(req.lam)
     p, q = z.numerator, z.denominator
-    a, b = lam.numerator, lam.denominator
-    with localcontext() as ctx:
-        ctx.prec = 61 + Decimal(ceil(abs(z))).adjusted()  # 60 + digits(ceil|z|)
-        ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
-        ctx.traps[Underflow] = ctx.traps[Overflow] = True
+    prec = 61 + Decimal(ceil(abs(z))).adjusted()  # 60 + digits(ceil|z|)
+    with _decimal_context(prec):
         try:
             # first, so that an exponent out of range is refused before the sum
-            weight = (Decimal(-p) / q).exp()
-            _, den, num = _dobinski_split(m, n, p, q, a, b, 0, req.terms)
-            value = weight * _decimal_quotient(num, den * b**n)
+            weight = _exp_of_negated(p, q, prec)
+            num, den = _dobinski_sum(m, n, p, q, lam.numerator, lam.denominator, req.terms)
+            value = weight * _decimal_quotient(num, den)
         except (Underflow, Overflow) as exc:
             raise OverflowError("Dobinski sum is outside the decimal exponent range") from exc
     truncated = float(value)
@@ -448,43 +450,84 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     return truncated, exact
 
 
+def _decimal_context(prec: int):
+    """The active decimal context at ``prec`` digits, with the widest exponent
+    range and ``Underflow`` and ``Overflow`` trapped, entered by ``with``."""
+    ctx = getcontext().copy()
+    ctx.prec, ctx.Emin, ctx.Emax = prec, MIN_EMIN, MAX_EMAX
+    ctx.traps[Underflow] = ctx.traps[Overflow] = True
+    return localcontext(ctx)
+
+
+# thm10 evaluates 27 points (n, lambda) at each z; the Dobinski sweeps of
+# the benchmark see a new z at nearly every call, so a few entries suffice.
+@lru_cache(maxsize=8)
+def _exp_of_negated(p: int, q: int, prec: int) -> Decimal:
+    """``e^{-p/q}`` correctly rounded to ``prec`` digits, in ``_decimal_context(prec)``."""
+    with _decimal_context(prec):
+        return (Decimal(-p) / q).exp()
+
+
+@lru_cache(maxsize=8)
+def _truncated_exp(p: int, q: int, terms: int) -> tuple[int, int, int]:
+    """``(p^(terms-1), q^(terms-1) (terms-1)!, num)`` with ``E_{terms-1}(p/q)``
+    equal to ``num`` over the second entry."""
+    return _dobinski_split(p, q, 0, terms)
+
+
+def _dobinski_sum(m: int, n: int, p: int, q: int, a: int, b: int, terms: int) -> tuple[int, int]:
+    """``(num, den)`` with ``num / den = S``, for ``z = p/q`` and ``lambda = a/b``.
+
+    ``F(k) = prod_{j < n} (b(mk+1) - ja) = sum_i D_i C(k, i)`` with
+    ``D_i`` the ith forward difference of F at 0, and
+    ``sum_{k < T} C(k, i) z^k/k! = z^i E_{T-1-i}(z) / i!``, so with
+    ``T = terms`` and ``E_N = num_N / (q^N N!)``,
+    ``S b^n = sum_{i <= min(n, T-1)} D_i C(T-1, i) p^i num_{T-1-i} / (q^(T-1) (T-1)!)``.
+    ``num_{N-1} = (num_N - p^N) / (q N)`` exactly, so one truncated
+    exponential gives all the others.
+    """
+    power, den, num = _truncated_exp(p, q, terms)  # power = p^(T-1), num = num_{T-1}
+    top = min(n, terms - 1) if p else 0  # p^i = 0 for i >= 1 when z = 0
+    diffs = [prod(b * (m * k + 1) - j * a for j in range(n)) for k in range(top + 1)]
+    total, weight = 0, 1  # weight = C(T-1, i) p^i
+    for i in range(top + 1):
+        total += diffs[0] * weight * num
+        diffs = [v - u for u, v in zip(diffs, diffs[1:])]  # the differences of order i + 1
+        if diffs:
+            order = terms - 1 - i  # num = num_order and power = p^order; step both down
+            num = (num - power) // (q * order)
+            power //= p
+            weight = weight * order // (i + 1) * p
+    return total, den * b**n
+
+
 # terms per leaf of _dobinski_split: leaves of 8 are about a third slower on
 # the benchmark's sweeps, and 32 to 256 time alike
 _SPLIT_LEAF = 32
 
 
-def _dobinski_split(
-    m: int, n: int, p: int, q: int, a: int, b: int, lo: int, hi: int
-) -> tuple[int, int, int]:
-    """``(P, Q, T)`` of the terms ``lo <= k < hi`` of ``S b^n``, by binary splitting.
+def _dobinski_split(p: int, q: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """``(P, Q, T)`` of the terms ``lo <= k < hi`` of ``E(p/q)``, by binary splitting.
 
-    ``S b^n = sum_k F(k) prod_{i <= k} p_i / q_i`` with
-    ``F(k) = prod_{j < n} (b(mk+1) - ja)``, ``p_i = p`` and ``q_i = q i``,
-    except that ``k = 0`` contributes ``p_0 = q_0 = 1``.  Over the range,
-    ``P = prod p_k``, ``Q = prod q_k`` and
-    ``T / Q = sum_k F(k) prod_{lo <= i <= k} p_i / q_i``.  Two halves merge
-    as ``P1 P2, Q1 Q2, T1 Q2 + P1 T2`` (Haible and Papanikolaou, 1998), so
-    the big products are balanced and the sum costs O(M(N) log N) for
-    results of N bits, instead of the O(N^2) of one Horner pass.
+    ``E(p/q) = sum_k prod_{i <= k} p_i / q_i`` with ``p_i = p`` and
+    ``q_i = q i``, except that ``k = 0`` contributes ``p_0 = q_0 = 1``.
+    Over the range, ``P = prod p_k``, ``Q = prod q_k`` and
+    ``T / Q = sum_k prod_{lo <= i <= k} p_i / q_i``.  Two halves merge as
+    ``P1 P2, Q1 Q2, T1 Q2 + P1 T2`` (Haible and Papanikolaou, 1998), so the
+    big products are balanced and the sum costs O(M(N) log N) for results
+    of N bits, instead of the O(N^2) of one Horner pass.
     """
     if hi - lo > _SPLIT_LEAF:
         mid = (lo + hi) // 2
-        p1, q1, t1 = _dobinski_split(m, n, p, q, a, b, lo, mid)
-        p2, q2, t2 = _dobinski_split(m, n, p, q, a, b, mid, hi)
+        p1, q1, t1 = _dobinski_split(p, q, lo, mid)
+        p2, q2, t2 = _dobinski_split(p, q, mid, hi)
         return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-    # the leaf: a backward Horner pass, k from hi - 1 down to lo; factor j of
-    # F(k) runs over k as an arithmetic progression with step b m
-    step, top = b * m, b * (m * (hi - 1) + 1)
-    if n:
-        ranges = [range(top - j * a, top - j * a - step * (hi - lo), -step) for j in range(n)]
-        factors = map(prod, zip(*ranges))
-    else:
-        factors = [1] * (hi - lo)  # zip() of no ranges would be empty
-    # num_k = F(k) D_k + p num_{k+1} and D_{k-1} = q k D_k, so that
-    # num_lo / D_lo = sum_k F(k) prod_{lo < i <= k} p / (q i); p_lo comes last
+    # the leaf: a backward Horner pass, k from hi - 1 down to lo, with
+    # num_k = D_k + p num_{k+1} and D_{k-1} = q k D_k, so that
+    # num_lo / D_lo = sum_k prod_{lo < i <= k} p / (q i); p_lo comes last
     num, den = 0, 1
-    for k, factor in zip(range(hi - 1, lo - 1, -1), factors):
-        num = num * p + factor * den
+    for k in range(hi - 1, lo - 1, -1):
+        num = num * p + den
         den *= q * k or 1
     if lo:
         return p ** (hi - lo), den, num * p

@@ -62,6 +62,13 @@ def test_pow():
     assert (1 + l) ** 0 == LambdaPoly((1,))
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, 0.0])
+def test_pow_refuses_a_bool_or_float_exponent(bad):
+    for base in (l, 1 + l, LambdaPoly()):
+        with pytest.raises(TypeError, match="expected an int"):
+            base**bad
+
+
 def test_scale_lambda():
     p = LambdaPoly((1, 2, 4))
     assert p.scale_lambda(Fraction(1, 2)) == LambdaPoly((1, 1, 1))
@@ -255,8 +262,17 @@ def test_kernel_eval_and_str_match_reference(a, q):
 def test_kernel_hash_and_roundtrip(a, b):
     for p in (LambdaPoly(a), LambdaPoly(a) * LambdaPoly(b), LambdaPoly(a) - LambdaPoly(b)):
         assert_canonical(p)
-        assert hash(p) == hash(p.coeffs)
+        assert hash(p) == (hash(p.coeffs) if p.degree >= 1 else hash(p.constant()))
         assert LambdaPoly.parse(str(p)) == p
+
+
+@given(st_.one_of(st_.integers(), mixed))
+def test_constant_hashes_like_the_number_it_equals(v):
+    p = LambdaPoly.coerce(v)
+    assert p == v
+    assert hash(p) == hash(v)
+    assert v in {p}
+    assert p in {v}
 
 
 def test_kernel_reduces_to_lowest_terms():
@@ -338,3 +354,95 @@ def test_coerce_int_fast_path():
     for bad in (True, False, 0.5, 1.0):
         with pytest.raises(TypeError):
             LambdaPoly.coerce(bad)
+
+
+# -- fast paths of the kernel against the general path or the reference -----------
+#
+# Each fast path must give the canonical (nums, den) that the general path
+# gives; the references below know nothing of the fast paths.
+
+one_coeff_polys = mixed.map(lambda c: LambdaPoly((c,)))
+int_lists = st_.lists(small_ints, max_size=6)
+int_polys = int_lists.map(LambdaPoly)
+exact_scalars = st_.one_of(small_ints, mixed)
+
+
+def form(p):
+    return p.nums, p.den
+
+
+@given(st_.lists(st_.tuples(exact_scalars, st_.one_of(one_coeff_polys, mixed_polys, int_polys),
+                            st_.one_of(one_coeff_polys, int_polys)), max_size=8))
+def test_dot_fast_paths_match_the_accumulate_loop(terms):
+    # one-coefficient operands on either side, integral and mixed
+    # denominators, int and Fraction scalars
+    got = dot(terms)
+    assert_canonical(got)
+    assert form(got) == form(loop_dot(terms))
+    assert form(dot([(c, q, p) for c, p, q in terms])) == form(got)
+    want = ()
+    for c, p, q in terms:
+        want = ref_add(want, ref_mul(ref_mul(p.coeffs, q.coeffs), (Fraction(c),)))
+    assert got.coeffs == want
+
+
+@given(st_.sampled_from([0.5, 1.0, True, False]), mixed_polys, one_coeff_polys)
+def test_dot_fast_paths_refuse_inexact_scalars(c, p, q):
+    for terms in ([(c, p, q)], [(c, q, ONE)], [(1, q, p), (c, ONE, ONE)]):
+        with pytest.raises(TypeError):
+            dot(terms)
+
+
+@given(st_.one_of(ref_lists, st_.lists(mixed, max_size=1)), st_.lists(mixed, max_size=1))
+def test_mul_by_one_coefficient_matches_reference(a, b):
+    p, q = LambdaPoly(a), LambdaPoly(b)
+    for got in (p * q, q * p):
+        assert_canonical(got)
+        assert got.coeffs == ref_mul(a, b)
+
+
+@given(ref_lists, st_.one_of(st_.integers(), mixed))
+def test_eq_against_numbers_matches_coerce(a, v):
+    p = LambdaPoly(a)
+    # the numerators of p as ints too: equal to p only where its denominator is 1
+    for number in (v, *p.nums[:1]):
+        want = form(p) == form(LambdaPoly((Fraction(number),)))
+        assert (p == number) is want
+        assert (number == p) is want
+        assert (p != number) is (not want)
+    assert LambdaPoly.coerce(v) == v
+    assert LambdaPoly((Fraction(1, 3), 1)) != 1 and LambdaPoly((Fraction(1, 3),)) != 1
+
+
+def test_eq_against_bools_and_floats():
+    with pytest.raises(TypeError):
+        ONE == True  # noqa: E712
+    assert ONE != 1.0
+    assert not LAMBDA == 0.5
+
+
+@given(mixed, st_.integers(0, 4), st_.integers(0, 6))
+def test_monomial_pow_matches_repeated_product(c, d, n):
+    p = LambdaPoly((0,) * d + (c,))
+    want = LambdaPoly((1,))
+    for _ in range(n):
+        want = want * p
+    got = p**n
+    assert_canonical(got)
+    assert form(got) == form(want)
+    assert got.coeffs == ref_strip(((0,) * (d * n) + (c**n,)) if c else (Fraction(int(n == 0)),))
+
+
+def test_monomial_pow_of_negated_lambda():
+    assert (-LAMBDA) ** 3 == LambdaPoly((0, 0, 0, -1))
+    assert (-LAMBDA) ** 0 == ONE
+    assert ZERO**0 == ONE and ZERO**3 == ZERO
+
+
+@given(int_lists)
+def test_int_tuple_construction_matches_fraction_construction(a):
+    got = LambdaPoly(a)
+    assert_canonical(got)
+    assert form(got) == form(LambdaPoly(map(Fraction, a)))
+    assert form(LambdaPoly(iter(a))) == form(got)
+    assert got.coeffs == ref_strip(map(Fraction, a))

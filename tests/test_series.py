@@ -74,6 +74,18 @@ def test_gf_triangle_refuses_short_inputs():
         gf_triangle(t_series(3), one_series(2), 3)
 
 
+def test_pow_is_repeated_product():
+    e = deg_exp(1, 5)
+    assert e**0 == one_series(5)
+    assert e**3 == e * e * e
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 0.0])
+def test_pow_refuses_a_bool_or_float_exponent(bad):
+    with pytest.raises(TypeError, match="expected an int"):
+        deg_exp(1, 5) ** bad
+
+
 def test_mul_t_squared():
     tt = t_series(4) * t_series(4)
     assert list(tt.coeffs) == [LambdaPoly(), LambdaPoly(), LambdaPoly((2,)), LambdaPoly(), LambdaPoly()]

@@ -318,10 +318,11 @@ def dobinski_horner(m: int, n: int, p: int, q: int, a: int, b: int, terms: int) 
 
 
 def check_dobinski_split(m: int, n: int, x: Fraction, lam: Fraction, terms: int) -> None:
+    # S b^n from the split truncated exponential, against both oracles
     z = x / m
     p, q, a, b = z.numerator, z.denominator, lam.numerator, lam.denominator
-    _, den, num = wh._dobinski_split(m, n, p, q, a, b, 0, terms)
-    split = Fraction(num, den)
+    num, den = wh._dobinski_sum(m, n, p, q, a, b, terms)
+    split = Fraction(num, den) * b**n
     assert split == dobinski_horner(m, n, p, q, a, b, terms)
     assert split == dobinski_series(m, n, x, lam, terms) * b**n
 
@@ -437,6 +438,16 @@ class TestDobinski:
     )
     def test_split_sum_across_leaf_boundaries(self, m, n, x, lam, terms):
         check_dobinski_split(m, n, x, lam, terms)
+
+    @pytest.mark.parametrize(
+        "m, n, x, lam",
+        [(1, 8, Fraction(3), Fraction(0)), (2, 5, Fraction(-7, 3), Fraction(1, 3)),
+         (3, 8, Fraction(25, 2), Fraction(-5, 4)), (1, 4, Fraction(0), Fraction(2))],
+    )
+    def test_split_sum_with_no_more_terms_than_n(self, m, n, x, lam):
+        # only the differences of F up to order terms - 1 take part
+        for terms in range(1, n + 1):
+            check_dobinski_split(m, n, x, lam, terms)
 
     @settings(deadline=None, max_examples=300)
     @given(quotient_cases(), st_.sampled_from(ROUNDINGS))
