@@ -229,8 +229,10 @@ class LambdaPoly:
             return self.nums == other.nums and self.den == other.den
         if type(other) is int:
             return self.den == 1 and self.nums == ((other,) if other else ())
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return self == LambdaPoly.coerce(other)
+        # a bool, like a float, is no exact rational: it equals no polynomial,
+        # also where it hashes like an equal constant
         return NotImplemented
 
     # -- ring arithmetic ----------------------------------------------------
