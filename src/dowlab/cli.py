@@ -66,6 +66,8 @@ def _parse_int_set(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"{what} must be a comma-separated integer list, got {text!r}")
     if not values:
         raise UsageError(f"{what} must not be empty")
+    if len(set(values)) != len(values):
+        raise UsageError(f"{what} must not repeat a value, got {text!r}")
     return values
 
 

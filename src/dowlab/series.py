@@ -159,43 +159,35 @@ class TruncatedSeries:
 
     # -- composition and exponential ------------------------------------------
 
-    def _ordinary(self) -> list[LambdaPoly]:
-        return [c / factorial(n) for n, c in enumerate(self.coeffs)]
-
-    @staticmethod
-    def _from_ordinary(coeffs: list[LambdaPoly], order: int) -> "TruncatedSeries":
-        out = [coeffs[n] * factorial(n) if n < len(coeffs) else LambdaPoly() for n in range(order + 1)]
-        return TruncatedSeries(order, tuple(out))
-
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), defined only when inner has zero constant term.
 
-        A Horner loop of truncated products, O(order^3) coefficient products;
-        powers and log_l of 1 + inner are cheaper by ``power_of_one_plus``
-        and ``deg_log_of_one_plus``.
+        The sum of a_k inner^k/k!, read off the columns of
+        ``gf_triangle(inner, 1, n)``: O(order^3) coefficient products; powers
+        and log_l of 1 + inner are cheaper by ``power_of_one_plus`` and
+        ``deg_log_of_one_plus``.
         """
         if not inner.coeffs[0].is_zero():
             raise ValueError(_NONZERO_INNER)
         n = min(self.order, inner.order)
-        f = self.truncate(n)._ordinary()
-        g = inner.truncate(n)._ordinary()
-        acc = [LambdaPoly()] * (n + 1)
-        for c in reversed(f):
-            acc = _ord_mul(acc, g, n)
-            acc[0] = acc[0] + c
-        return TruncatedSeries._from_ordinary(acc, n)
+        a = self.coeffs
+        rows = gf_triangle(inner, one_series(n), n)
+        return TruncatedSeries(
+            n, tuple(dot((1, a[k], c) for k, c in enumerate(row)) for row in rows)
+        )
 
     def exp(self) -> "TruncatedSeries":
-        """exp(self), via h' = f'h; defined only for zero constant term."""
-        if not self.coeffs[0].is_zero():
+        """exp(self), defined only for zero constant term.
+
+        H = exp(F) solves H' = F'H: H_{i+1} = sum_j C(i, j) F_{j+1} H_{i-j}.
+        """
+        f = self.coeffs
+        if not f[0].is_zero():
             raise ValueError("series exponential needs zero constant term")
-        n = self.order
-        f = self._ordinary()
-        h = [LambdaPoly() for _ in range(n + 1)]
-        h[0] = LambdaPoly((1,))
-        for i in range(n):
-            h[i + 1] = dot((j + 1, f[j + 1], h[i - j]) for j in range(i + 1)) / (i + 1)
-        return TruncatedSeries._from_ordinary(h, n)
+        h = [ONE]
+        for i in range(self.order):
+            h.append(dot((comb(i, j), f[j + 1], h[i - j]) for j in range(i + 1)))
+        return TruncatedSeries(self.order, tuple(h))
 
 
 _NONZERO_INNER = "composition needs an inner series with zero constant term"
@@ -233,14 +225,6 @@ def power_of_one_plus(g: TruncatedSeries, beta: Scalar) -> TruncatedSeries:
 def deg_log_of_one_plus(g: TruncatedSeries) -> TruncatedSeries:
     """log_l(1 + g(t)) = ((1 + g(t))^l - 1)/l, with zero constant term in g."""
     return _first_order(g, LAMBDA, 1, 0)
-
-
-def _ord_mul(a: list[LambdaPoly], b: list[LambdaPoly], order: int) -> list[LambdaPoly]:
-    """The ordinary product of two coefficient lists, truncated at t^order."""
-    return [
-        dot((1, a[i], b[s - i]) for i in range(max(0, s - len(b) + 1), min(s, len(a) - 1) + 1))
-        for s in range(order + 1)
-    ]
 
 
 def one_series(order: int) -> TruncatedSeries:

@@ -48,7 +48,8 @@ def test_rising():
 
 
 def test_rising_is_falling_with_negated_step():
-    # both products share one memo cache, keyed by the signed step
+    # one memo cache keyed by the step as given plus a separate sign, so
+    # lambda_rising(x, n, s) and lambda_falling(x, n, -s) are two entries
     for n in range(6):
         assert lambda_rising(Fraction(5, 2), n, l) == lambda_falling(Fraction(5, 2), n, -l)
         assert lambda_falling(3, n, 2 * l) == lambda_rising(3, n, -2 * l)

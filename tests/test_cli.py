@@ -490,6 +490,9 @@ PRECEDENCE = [
      "error: --r-set must be a comma-separated integer list, got 'a'"),
     ("verify --m-set a --r-set b",
      "error: --m-set must be a comma-separated integer list, got 'a'"),
+    ("verify --m-set 1,1 --n-max -1", "error: --m-set must not repeat a value, got '1,1'"),
+    ("verify --m-set 1 --r-set 2,3,2 --n-max -1",
+     "error: --r-set must not repeat a value, got '2,3,2'"),
     ("verify --n-max -1 --id nosuch", "error: --n-max must be >= 0"),
     ("verify --m-set 0 --id nosuch", "error: unknown identity id 'nosuch'"),
     ("verify --n-max x --m-set a",

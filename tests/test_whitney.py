@@ -4,6 +4,7 @@ import decimal
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from math import ceil, e, prod
 
 import pytest
@@ -525,6 +526,36 @@ class TestTriangleBuilder:
             wh.family_rows("S1degR", 1, -1)
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             wh.build_triangle("Wdeg", 1, 1, -1)
+
+
+# The GF oracle of each family that reads m or r, and the family's second
+# route where it has one, as functions of (m, r, n_max).
+GF_ORACLES = {
+    "Wdeg": lambda m, r, n_max: wh.whitney2_rows_gf(m, n_max),
+    "Vdeg": lambda m, r, n_max: wh.whitney1_rows_gf(m, n_max),
+    "WdegR": wh.r_whitney2_rows_gf,
+    "VdegR": wh.r_whitney1_rows_gf,
+    "S1degR": lambda m, r, n_max: st.deg_r_stirling1_unsigned_rows_gf(r, n_max),
+    "S2degR": lambda m, r, n_max: st.deg_r_stirling2_rows_gf(r, n_max),
+}
+SECOND_ROUTES = {
+    "Wdeg": lambda m, r, n_max: wh.r_whitney2_rows(m, 1, n_max),
+    "Vdeg": lambda m, r, n_max: wh.r_whitney1_rows(m, 1, n_max),
+    "VdegR": wh.r_whitney1_rows_direct,
+}
+
+
+@pytest.mark.parametrize("family", sorted(GF_ORACLES))
+@settings(deadline=None, max_examples=40)
+@given(m=st_.integers(1, 12), n_max=st_.integers(0, 10), data=st_.data())
+def test_routes_agree_over_the_accepted_domain(family, m, n_max, data):
+    # the catalog checks m, r in {1, 2, 3} only; the CLI exports any m >= 1,
+    # any r >= 1 for the r-Whitney families and any r >= 0 for r-Stirling
+    r = data.draw(st_.integers(1 if family.startswith(("W", "V")) else 0, 12))
+    rows = tuple(islice(wh.family_rows(family, m, r), n_max + 1))
+    assert rows == GF_ORACLES[family](m, r, n_max)
+    if family in SECOND_ROUTES:
+        assert rows == SECOND_ROUTES[family](m, r, n_max)
 
 
 # Each accessor with int arguments; every one of them must refuse an equal
