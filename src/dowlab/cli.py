@@ -64,8 +64,6 @@ def _parse_int_set(text: str, what: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"{what} must be a comma-separated integer list, got {text!r}")
-    if not values:
-        raise UsageError(f"{what} must not be empty")
     if len(set(values)) != len(values):
         raise UsageError(f"{what} must not repeat a value, got {text!r}")
     return values
@@ -210,11 +208,11 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
     else:
-        triangle = build_triangle(cfg.family, cfg.m, cfg.r, max(cfg.n, 0))
-        try:
-            value = triangle.value(cfg.n, cfg.k)
-        except IndexError as exc:
-            raise UsageError(str(exc))
+        n_max = max(cfg.n, 0)
+        rows = build_triangle(cfg.family, cfg.m, cfg.r, n_max)
+        if not 0 <= cfg.k <= cfg.n:
+            raise UsageError(f"({cfg.n}, {cfg.k}) outside triangle of size {n_max}")
+        value = rows[cfg.n][cfg.k]
     with _unlimited_int_str():
         text = str(value) if cfg.lam is None else str(value.eval(cfg.lam))
         _write_output(text + "\n", cfg.out)
@@ -379,10 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         return COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, IndexError, ArithmeticError) as exc:
+    except (UsageError, ValueError, IndexError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -7,11 +7,11 @@ independent oracle path (the *_gf builders) so the identity engine can
 cross-check the two.
 Each primary triangle is served by a row store (``row_store``): one per
 parameter set, extended row by row when a larger ``n_max`` is asked for.
+Each scalar accessor reads one entry in place through its store's ``entry``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -41,22 +41,6 @@ class Family(str, Enum):
     VDEG_R = "VdegR"
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Lower-triangular table of one number family at fixed (m, r)."""
-
-    family: Family
-    m: int
-    r: int
-    n_max: int
-    rows: Rows
-
-    def value(self, n: int, k: int) -> LambdaPoly:
-        if not (0 <= k <= n <= self.n_max):
-            raise IndexError(f"({n}, {k}) outside triangle of size {self.n_max}")
-        return self.rows[n][k]
-
-
 # -- row stores -----------------------------------------------------------------
 
 # Parameter sets whose rows stay held per family; the least recently used goes.
@@ -76,7 +60,9 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     comes.  It checks its parameters before it returns the row iterator, so
     a refused call stores nothing.  A store is the list of rows built so far
     plus the live iterator; a longer ``n_max`` extends it.  The decorated
-    function has ``cache_info()`` and ``cache_clear()`` of its stores.
+    function has ``cache_info()`` and ``cache_clear()`` of its stores, and
+    ``entry(*params, n, k)``, which reads one entry of the same store in
+    place; only ``f`` copies rows out of it.
     """
 
     @lru_cache(maxsize=STORES_HELD)
@@ -85,23 +71,35 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
 
     lock = Lock()  # one thread at a time drives a row iterator
 
+    def built_to(params: tuple[int, ...], n: int) -> list[tuple]:
+        """The rows of the store of ``params``, extended to hold row ``n``."""
+        built, source = store(*params)
+        if len(built) <= n:
+            with lock:
+                try:
+                    while len(built) <= n:
+                        built.append(next(source))
+                except BaseException:
+                    store.cache_clear()  # an interrupted iterator cannot be resumed
+                    raise
+        return built
+
     @wraps(rows_of)
     def rows(*args: int) -> Rows:
         check_ints(*args)
         n_max = args[-1]
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        built, source = store(*args[:-1])
-        if len(built) <= n_max:
-            with lock:
-                try:
-                    while len(built) <= n_max:
-                        built.append(next(source))
-                except BaseException:
-                    store.cache_clear()  # an interrupted iterator cannot be resumed
-                    raise
-        return tuple(built[: n_max + 1])
+        return tuple(built_to(args[:-1], n_max)[: n_max + 1])
 
+    def entry(*args: int):
+        """Entry (n, k) of the triangle at ``params``, for ``args = (*params, n, k)``."""
+        params, (n, k) = args[:-2], args[-2:]
+        check_ints(*params)
+        _check_index(n, k)
+        return built_to(params, n)[n][k]
+
+    rows.entry = entry
     rows.cache_info = store.cache_info
     rows.cache_clear = store.cache_clear
     return rows
@@ -126,8 +124,7 @@ def _stirling1_rows() -> Iterator[tuple]:
 
 def stirling1(n: int, k: int) -> int:
     """Signed Stirling number of the first kind."""
-    _check_index(n, k)
-    return _stirling1_rows(n)[n][k]
+    return _stirling1_rows.entry(n, k)
 
 
 @row_store
@@ -138,8 +135,7 @@ def _stirling2_rows() -> Iterator[tuple]:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind."""
-    _check_index(n, k)
-    return _stirling2_rows(n)[n][k]
+    return _stirling2_rows.entry(n, k)
 
 
 # -- degenerate Stirling numbers --------------------------------------------
@@ -152,8 +148,7 @@ def deg_stirling1_rows() -> Iterator[tuple[LambdaPoly, ...]]:
 
 
 def deg_stirling1(n: int, k: int) -> LambdaPoly:
-    _check_index(n, k)
-    return deg_stirling1_rows(n)[n][k]
+    return deg_stirling1_rows.entry(n, k)
 
 
 def deg_stirling2_rows(n_max: int) -> Rows:
@@ -162,8 +157,7 @@ def deg_stirling2_rows(n_max: int) -> Rows:
 
 
 def deg_stirling2(n: int, k: int) -> LambdaPoly:
-    _check_index(n, k)
-    return deg_stirling2_rows(n)[n][k]
+    return deg_r_stirling2_rows.entry(0, n, k)
 
 
 def deg_stirling2_or_zero(n: int, k: int) -> LambdaPoly:
@@ -208,8 +202,7 @@ def deg_r_stirling2_rows(r: int) -> Iterator[tuple[LambdaPoly, ...]]:
 
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
-    _check_index(n, k)
-    return deg_r_stirling2_rows(r, n)[n][k]
+    return deg_r_stirling2_rows.entry(r, n, k)
 
 
 @row_store
@@ -220,8 +213,7 @@ def deg_r_stirling1_unsigned_rows(r: int) -> Iterator[tuple[LambdaPoly, ...]]:
 
 
 def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:
-    _check_index(n, k)
-    return deg_r_stirling1_unsigned_rows(r, n)[n][k]
+    return deg_r_stirling1_unsigned_rows.entry(r, n, k)
 
 
 # -- generating-function oracle paths ------------------------------------------

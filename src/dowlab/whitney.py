@@ -34,7 +34,6 @@ from .series import (
 from .stirling import (
     Family,
     Rows,
-    Triangle,
     _check_index,
     _recurrence,
     _stirling1_rows,
@@ -78,8 +77,7 @@ def whitney2_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
 
 
 def whitney2(m: int, n: int, k: int) -> LambdaPoly:
-    _check_index(n, k)
-    return whitney2_rows(m, n)[n][k]
+    return whitney2_rows.entry(m, n, k)
 
 
 def whitney2_or_zero(m: int, n: int, k: int) -> LambdaPoly:
@@ -110,8 +108,7 @@ def whitney1_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
 
 
 def whitney1(m: int, n: int, k: int) -> LambdaPoly:
-    _check_index(n, k)
-    return whitney1_rows(m, n)[n][k]
+    return whitney1_rows.entry(m, n, k)
 
 
 def whitney1_rows_newton(m: int, n_max: int) -> Rows:
@@ -293,8 +290,7 @@ def r_whitney2_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    _check_index(n, k)
-    return r_whitney2_rows(m, r, n)[n][k]
+    return r_whitney2_rows.entry(m, r, n, k)
 
 
 @row_store
@@ -310,8 +306,7 @@ def r_whitney1_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
 
 
 def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    _check_index(n, k)
-    return r_whitney1_rows(m, r, n)[n][k]
+    return r_whitney1_rows.entry(m, r, n, k)
 
 
 def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
@@ -594,18 +589,9 @@ def family_rows(family: Family | str, m: int, r: int) -> Iterator[tuple[LambdaPo
     return rows_of(*(m,) * uses_m, *(r,) * uses_r)
 
 
-def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Triangle:
-    """Rows 0..n_max of ``family_rows(family, m, r)`` as an immutable Triangle.
-
-    No row store is used.  The Triangle records m = 1 for a family that does
-    not read m, and r = 0 for one that does not read r.
-    """
-    family = Family(family)
+def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Rows:
+    """Rows 0..n_max of ``family_rows(family, m, r)``; no row store is used."""
+    check_ints(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    check_ints(n_max)
-    _, uses_m, uses_r = _PRIMARY[family]
-    rows = tuple(islice(family_rows(family, m, r), n_max + 1))
-    return Triangle(
-        family=family, m=m if uses_m else 1, r=r if uses_r else 0, n_max=n_max, rows=rows
-    )
+    return tuple(islice(family_rows(family, m, r), n_max + 1))

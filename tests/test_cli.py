@@ -170,6 +170,16 @@ class TestEval:
         assert code == 0
         assert out.strip() == "-4"
 
+    @pytest.mark.parametrize("mode", (["--symbolic"], ["--lambda", "1/2"]))
+    @pytest.mark.parametrize("family", [f.value for f in Family])
+    def test_family_entry_is_the_export_entry(self, capsys, family, mode):
+        args = ["--family", family, "--m", "3", "--r", "2", *mode]
+        code, out, err = run(capsys, "triangle", *args, "--n-max", "6", "--format", "json")
+        assert (code, err) == (0, "")
+        expected = json.loads(out)["rows"][6][3]
+        code, out, err = run(capsys, "eval", *args, "--n", "6", "--k", "3")
+        assert (code, out, err) == (0, expected + "\n", "")
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "eval", "--lambda", "1/2")
         assert code == 2
@@ -267,6 +277,12 @@ class TestVerify:
     def test_bad_m_set(self, capsys):
         code, _, _ = run(capsys, "verify", "--m-set", "1,x")
         assert code == 2
+
+    @pytest.mark.parametrize("option", ("--m-set", "--r-set"))
+    def test_empty_set_is_a_usage_error(self, capsys, option):
+        code, out, err = run(capsys, "verify", option, "")
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must be a comma-separated integer list, got ''\n"
 
     def test_script_writes_the_same_report_as_the_cli(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -611,7 +627,7 @@ def joined_export(family, m, r, n_max, lam, fmt) -> str:
     for n in range(n_max + 1):
         row = []
         for k in range(n + 1):
-            value = triangle.value(n, k)
+            value = triangle[n][k]
             row.append(str(value) if lam is None else str(value.eval(Fraction(lam))))
         rows.append(row)
     if fmt == "csv":
@@ -650,7 +666,7 @@ class TestStreamedExport:
         args = ("Wdeg", 3, 1, 60, None, fmt)
         target = tmp_path / f"w.{fmt}"
         main(triangle_argv(*args[:3], 1, None, fmt))  # imports and the parser, untraced
-        triangle = build_triangle(*args[:4])  # the row store holds it from here on
+        triangle = build_triangle(*args[:4])  # held here from now on, outside the trace
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -658,7 +674,7 @@ class TestStreamedExport:
             added = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        longest_row = max(len(", ".join(map(str, row))) for row in triangle.rows)
+        longest_row = max(len(", ".join(map(str, row))) for row in triangle)
         # one row's entry strings, its text and its encoded bytes: a few
         # copies of one row, where the whole document is 15 rows long
         assert target.stat().st_size > 15 * longest_row

@@ -196,20 +196,15 @@ class TestRShifted:
         assert str(from_oracle.value) == str(from_store.value) == message
 
 
-class TestTriangleType:
+class TestEntryAccess:
     def test_strict_and_lenient_access(self):
-        tri = st.Triangle(
-            family=st.Family.S2DEG,
-            m=1,
-            r=0,
-            n_max=4,
-            rows=st.deg_stirling2_rows(4),
-        )
-        assert tri.value(2, 1) == 1 - l
+        rows = st.deg_stirling2_rows(4)
+        assert rows[2][1] == st.deg_stirling2(2, 1) == 1 - l
         with pytest.raises(IndexError):
-            tri.value(1, 3)
+            st.deg_stirling2(1, 3)
         with pytest.raises(IndexError):
-            tri.value(5, 0)
+            st.deg_stirling2(-1, 0)
+        assert st.deg_stirling2_or_zero(1, 3) == st.deg_stirling2_or_zero(-1, 0) == 0
 
 
 # Each accessor with int arguments; every one of them must refuse an equal
@@ -314,6 +309,36 @@ class TestRowStore:
             try:
                 for n in range(first, 25, 4):
                     results.append(rows(2, n) == expected[: n + 1])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 25 and all(results)
+
+    def test_threads_read_entries_while_others_extend(self):
+        # entry(...) and rows(...) drive the same store under its one lock
+        rows = st.deg_r_stirling1_unsigned_rows
+        expected = rows(3, 24)
+        rows.cache_clear()
+        results, errors = [], []
+
+        def worker(first):
+            try:
+                for n in range(first, 25, 4):
+                    if first % 2:
+                        results.append(rows(3, n) == expected[: n + 1])
+                    else:
+                        results.append(rows.entry(3, n, n // 2) == expected[n][n // 2])
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 

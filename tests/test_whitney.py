@@ -482,13 +482,13 @@ class TestTriangleBuilder:
         for family, expect in samples.items():
             n, k = spots[family]
             tri = wh.build_triangle(family, 1, 1, 3)
-            assert tri.value(n, k) == expect
+            assert tri[n][k] == expect
 
     def test_r_families(self):
         tri = wh.build_triangle("WdegR", 2, 3, 2)
-        assert tri.value(1, 0) == LambdaPoly((3,))
+        assert tri[1][0] == LambdaPoly((3,))
         tri1 = wh.build_triangle("VdegR", 2, 3, 2)
-        assert tri1.value(1, 0) == LambdaPoly((-3,))
+        assert tri1[1][0] == LambdaPoly((-3,))
 
     def test_bad_family(self):
         with pytest.raises(ValueError):
@@ -512,11 +512,7 @@ class TestTriangleBuilder:
             "VdegR": (wh.r_whitney1_rows, (3, 2)),
         }[family]
         tri = wh.build_triangle(family, 3, 2, 12)
-        assert tri.rows == tuple(tuple(map(LambdaPoly.coerce, row)) for row in store(*params, 12))
-        assert (tri.m, tri.r) == (
-            3 if family.startswith(("W", "V")) else 1,
-            2 if family.endswith("R") else 0,
-        )
+        assert tri == tuple(tuple(map(LambdaPoly.coerce, row)) for row in store(*params, 12))
 
     def test_argument_errors_come_before_any_row(self):
         for m, r in ((0, 1), (1, 0), (-2, 3)):
@@ -630,6 +626,91 @@ class TestRowStore:
             rows(*bad)
         assert rows.cache_info().currsize == 1
         assert len(rows(*good[:-1], 5)) == 6
+
+
+# Each scalar accessor, as (its row store, the store parameters it reads,
+# the accessor called with those parameters and (n, k)).
+M_ = st_.integers(1, 4)
+R_ = st_.integers(1, 3)
+READERS = {
+    "stirling1": (st._stirling1_rows, st_.tuples(), st.stirling1),
+    "stirling2": (st._stirling2_rows, st_.tuples(), st.stirling2),
+    "deg_stirling1": (st.deg_stirling1_rows, st_.tuples(), st.deg_stirling1),
+    "deg_stirling2": (
+        st.deg_r_stirling2_rows, st_.just((0,)), lambda r, n, k: st.deg_stirling2(n, k)
+    ),
+    "deg_r_stirling2": (
+        st.deg_r_stirling2_rows,
+        st_.tuples(st_.integers(0, 3)),
+        lambda r, n, k: st.deg_r_stirling2(n, k, r),
+    ),
+    "deg_r_stirling1_unsigned": (
+        st.deg_r_stirling1_unsigned_rows,
+        st_.tuples(st_.integers(0, 3)),
+        lambda r, n, k: st.deg_r_stirling1_unsigned(n, k, r),
+    ),
+    "whitney2": (wh.whitney2_rows, st_.tuples(M_), wh.whitney2),
+    "whitney1": (wh.whitney1_rows, st_.tuples(M_), wh.whitney1),
+    "r_whitney2": (wh.r_whitney2_rows, st_.tuples(M_, R_), wh.r_whitney2),
+    "r_whitney1": (wh.r_whitney1_rows, st_.tuples(M_, R_), wh.r_whitney1),
+}
+
+
+def refusal(call, *args) -> tuple:
+    """The type and message of the exception ``call(*args)`` raises."""
+    with pytest.raises((TypeError, IndexError)) as info:
+        call(*args)
+    return info.type, str(info.value)
+
+
+class TestEntryReader:
+    def test_every_store_has_an_accessor(self):
+        stores = {
+            fn for module in (st, wh) for fn in vars(module).values() if hasattr(fn, "entry")
+        }
+        assert stores == {store for store, _, _ in READERS.values()}
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @settings(deadline=None, max_examples=30)
+    @given(data=st_.data())
+    def test_entry_is_the_store_entry(self, name, data):
+        store, params, accessor = READERS[name]
+        p = data.draw(params)
+        n = data.draw(st_.integers(0, 30))
+        k = data.draw(st_.integers(0, n))
+        assert store.entry(*p, n, k) == store(*p, n)[n][k] == accessor(*p, n, k)
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @settings(deadline=None, max_examples=30)
+    @given(data=st_.data())
+    def test_refusals_match_the_accessor(self, name, data):
+        store, params, accessor = READERS[name]
+        p = data.draw(params)
+        n, k = data.draw(st_.integers(-3, 33)), data.draw(st_.integers(-3, 33))
+        if not 0 <= k <= n:
+            expected = (IndexError, f"({n}, {k}) outside triangle")
+            assert refusal(store.entry, *p, n, k) == refusal(accessor, *p, n, k) == expected
+        args = (*p, abs(n), abs(k))
+        # deg_stirling2 fixes r = 0 for its store, so only n and k are its arguments
+        i = data.draw(st_.integers(1 if name == "deg_stirling2" else 0, len(args) - 1))
+        bad = data.draw(st_.sampled_from(equal_non_ints(args[i])))
+        args = (*args[:i], bad, *args[i + 1 :])
+        expected = (TypeError, f"expected an int, got {type(bad).__name__}")
+        assert refusal(store.entry, *args) == refusal(accessor, *args) == expected
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @settings(deadline=None, max_examples=5)
+    @given(data=st_.data())
+    def test_entry_fills_the_store_that_rows_reads(self, name, data):
+        store, params, _ = READERS[name]
+        p = data.draw(params)
+        store.cache_clear()
+        store.entry(*p, 20, 7)
+        before = store.cache_info()
+        assert len(store(*p, 20)) == 21
+        after = store.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.currsize == before.currsize == 1
 
 
 def forbidden(*args, **kwargs):
