@@ -196,7 +196,7 @@ class TestRShifted:
         assert str(from_oracle.value) == str(from_store.value) == message
 
 
-class TestEntryAccess:
+class TestTriangleType:
     def test_strict_and_lenient_access(self):
         rows = st.deg_stirling2_rows(4)
         assert rows[2][1] == st.deg_stirling2(2, 1) == 1 - l
