@@ -44,19 +44,17 @@ def gen_binom(alpha: int | Fraction, n: int) -> Fraction:
 
 def lambda_falling(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
     """Product x(x - step)(x - 2*step)...(x - (n-1)*step); n = 0 gives 1."""
-    _check_factorial(x, n, step)
     return _factorial_product(x, n, step, -1)
 
 
 def lambda_rising(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
     """Product x(x + step)(x + 2*step)...(x + (n-1)*step); n = 0 gives 1."""
-    _check_factorial(x, n, step)
     return _factorial_product(x, n, step, 1)
 
 
 def _check_factorial(x: Scalar, n: int, step: Scalar) -> None:
-    """Refuse what the cache must not see: an order that is not an int >= 0,
-    and a float or bool x or step, which could hit an equal int's entry."""
+    """Refuse what the cache must not hold: an order that is not an int >= 0
+    (a negative one would cache 1), and a float or bool x or step."""
     check_ints(n)
     if n < 0:
         raise ValueError("factorial order must be >= 0")
@@ -67,12 +65,15 @@ def _check_factorial(x: Scalar, n: int, step: Scalar) -> None:
 
 # The identity catalog asks for a few hundred distinct products thousands of
 # times, so the cache is keyed on the arguments as passed, with no coercion
-# on a hit; typed, so that an int and the constant polynomial equal to it
-# keep separate entries.  The bound keeps a long-lived process from growing
+# or check on a hit; typed, so that an int and the constant polynomial equal
+# to it keep separate entries, and a float or bool never reaches an equal
+# int's entry.  So the arguments are checked on a miss only, and a refused
+# call caches nothing.  The bound keeps a long-lived process from growing
 # without limit.
 @lru_cache(maxsize=4096, typed=True)
 def _factorial_product(x: Scalar, n: int, step: Scalar, sign: int) -> LambdaPoly:
-    """x(x + sign*step)(x + 2*sign*step)...(x + (n-1)*sign*step) for checked arguments."""
+    """x(x + sign*step)(x + 2*sign*step)...(x + (n-1)*sign*step)."""
+    _check_factorial(x, n, step)
     x = LambdaPoly.coerce(x)
     step = LambdaPoly.coerce(step) * sign
     out = LambdaPoly((1,))

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional
 
 from .exact import LambdaPoly
 from .stirling import Family
-from .whitney import DobinskiRequest, build_triangle, dobinski_eval, family_rows
+from .whitney import DobinskiRequest, dobinski_eval, family_rows
 from .identities import CATALOG, all_passed, report_document, run_identity, verify_all
 
 FAMILY_ALIASES = {
@@ -208,11 +208,10 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
     else:
-        n_max = max(cfg.n, 0)
-        rows = build_triangle(cfg.family, cfg.m, cfg.r, n_max)
+        rows = family_rows(cfg.family, cfg.m, cfg.r)  # refuses a bad m or r first
         if not 0 <= cfg.k <= cfg.n:
-            raise UsageError(f"({cfg.n}, {cfg.k}) outside triangle of size {n_max}")
-        value = rows[cfg.n][cfg.k]
+            raise UsageError(f"({cfg.n}, {cfg.k}) outside triangle of size {max(cfg.n, 0)}")
+        value = next(islice(rows, cfg.n, None))[cfg.k]
     with _unlimited_int_str():
         text = str(value) if cfg.lam is None else str(value.eval(cfg.lam))
         _write_output(text + "\n", cfg.out)

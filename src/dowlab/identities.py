@@ -118,9 +118,18 @@ def _sweep(points: Points) -> CheckResult:
             return tested, {"params": params, "lhs": str(lhs), "rhs": str(rhs)}, None
 
 
-def _finding(fails_at: Optional[dict], fails: str, agrees: str) -> str:
-    """A discrepancy probe's finding: ``fails`` with its ``%s`` set to the
-    first point where the printed reading failed, or ``agrees`` if none did."""
+def _probe(
+    points: Iterable[tuple[dict, object, object, Callable[[], object]]], fails: str, agrees: str
+) -> Points:
+    """Compare each ``(params, lhs, rhs, printed)`` point and return the
+    finding: ``fails`` with its ``%s`` set to the first point where the printed
+    reading ``printed()`` differs from ``lhs``, or ``agrees`` if none did.
+    ``printed`` is not called again once it has differed."""
+    fails_at = None
+    for params, lhs, rhs, printed in points:
+        yield params, lhs, rhs
+        if fails_at is None and printed() != lhs:
+            fails_at = params
     return agrees if fails_at is None else fails % (fails_at,)
 
 
@@ -156,14 +165,19 @@ class Side:
     values: Callable[..., Callable[..., LambdaPoly]]
 
 
+def _entries(rows) -> Callable[[int, int], LambdaPoly]:
+    """The reader of ``rows[n][k]``."""
+    return lambda n, k: rows[n][k]
+
+
+def _signed(rows) -> Callable[[int, int], LambdaPoly]:
+    """The reader of ``(-1)^(n-k) rows[n][k]``."""
+    return lambda n, k: rows[n][k] * (-1) ** (n - k)
+
+
 def _rows(route: frozenset[str], build: Callable) -> Side:
     """A side read from the triangle ``build(*outer, n_max)``."""
-
-    def values(*args) -> Callable[[int, int], LambdaPoly]:
-        rows = build(*args)
-        return lambda n, k: rows[n][k]
-
-    return Side(route, values)
+    return Side(route, lambda *args: _entries(build(*args)))
 
 
 def _each(route: frozenset[str], value: Callable) -> Side:
@@ -174,6 +188,16 @@ def _each(route: frozenset[str], value: Callable) -> Side:
 Runner = Callable[[SweepParams, Side, Side], Points]
 
 
+def _cells(
+    n_max: int, left: Callable, right: Callable, at: dict, tail: Optional[dict] = None
+) -> Points:
+    """Compare ``left(n, k)`` with ``right(n, k)`` at every (n, k) of the
+    triangle, row by row; a point's params are ``at``, n, k, then ``tail``."""
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            yield {**at, "n": n, "k": k, **(tail or {})}, left(n, k), right(n, k)
+
+
 def _triangle(*outer: str) -> Runner:
     """Compare at every (n, k) of the triangle, for each tuple of the outer
     parameters, each named "m" or "r"."""
@@ -181,10 +205,7 @@ def _triangle(*outer: str) -> Runner:
     def run(p: SweepParams, lhs: Side, rhs: Side) -> Points:
         for fixed in product(*(getattr(p, f"{name}_set") for name in outer)):
             left, right = lhs.values(*fixed, p.n_max), rhs.values(*fixed, p.n_max)
-            at = dict(zip(outer, fixed))
-            for n in range(p.n_max + 1):
-                for k in range(n + 1):
-                    yield {**at, "n": n, "k": k}, left(n, k), right(n, k)
+            yield from _cells(p.n_max, left, right, dict(zip(outer, fixed)))
 
     return run
 
@@ -339,25 +360,20 @@ def _thm16_inner(m: int, k: int, l: int, with_falling_factor: bool) -> LambdaPol
 
 
 def _chk_thm16(p: SweepParams) -> Points:
-    displayed_fails = None
-    for m in p.m_set:
-        for n in range(p.n_max):
-            for k in range(n + 2):
-                params = {"m": m, "n": n, "k": k}
-                want = wh.whitney2(m, n + 1, k)
-                yield params, _thm16_sum(m, n, k, with_falling_factor=True), want
-                if displayed_fails is None:
-                    if _thm16_sum(m, n, k, with_falling_factor=False) != want:
-                        displayed_fails = params
+    points = (
+        ({"m": m, "n": n, "k": k}, _thm16_sum(m, n, k, with_falling_factor=True),
+         wh.whitney2(m, n + 1, k), partial(_thm16_sum, m, n, k, with_falling_factor=False))
+        for m in p.m_set for n in range(p.n_max) for k in range(n + 2)
+    )
     verified = (
         "recursion verified with lower bound max(k-1,0) and the (m)_{l-i,l} factor "
         "from the derivation restored; "
     )
-    return _finding(
-        displayed_fails,
+    return (yield from _probe(
+        points,
         verified + "the displayed form (factor omitted) first fails at %s",
         verified + "the displayed form agrees on this range (too small to separate)",
-    )
+    ))
 
 
 def _chk_thm17(p: SweepParams) -> Points:
@@ -382,27 +398,26 @@ def _chk_thm17(p: SweepParams) -> Points:
             yield {"m": m, "n": n}, acc, want
 
 
+def _thm20_point(m: int, n: int, k: int) -> tuple:
+    """thm20 at (m, n, k): the C(i,k) form, the rescaled S1deg side, and the
+    printed C(n,i) form, deferred."""
+    scaled = st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k)
+    parts = [(i, wh.whitney1(m, n, i), lambda_falling(1, i - k, LAMBDA)) for i in range(k, n + 1)]
+    derived = dot((binom(i, k), w, f) for i, w, f in parts)
+    printed = partial(dot, ((binom(n, i), w, f) for i, w, f in parts))
+    return {"m": m, "n": n, "k": k}, derived, scaled, printed
+
+
 def _chk_thm20(p: SweepParams) -> Points:
-    printed_fails = None
-    for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                params = {"m": m, "n": n, "k": k}
-                lhs = st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k)
-                parts = [
-                    (i, wh.whitney1(m, n, i), lambda_falling(1, i - k, LAMBDA))
-                    for i in range(k, n + 1)
-                ]
-                yield params, dot((binom(i, k), w, f) for i, w, f in parts), lhs
-                # the printed form only matters until its first failure
-                if printed_fails is None and dot((binom(n, i), w, f) for i, w, f in parts) != lhs:
-                    printed_fails = params
-    return _finding(
-        printed_fails,
+    points = (
+        _thm20_point(m, n, k) for m in p.m_set for n in range(p.n_max + 1) for k in range(n + 1)
+    )
+    return (yield from _probe(
+        points,
         "printed binomial C(n,i) first fails at %s; "
         "the C(i,k) form from the derivation holds on the whole sweep",
         "printed and derived binomials agree on this range (too small to separate)",
-    )
+    ))
 
 
 def _chk_thm21(p: SweepParams) -> Points:
@@ -446,25 +461,21 @@ def _cor22_inner(m: int, j: int, x: Fraction, poly_fn) -> LambdaPoly:
 
 
 def _chk_cor22_generic(p: SweepParams, poly_fn, label: str) -> Points:
-    printed_fails = None
-    for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for x in X_SAMPLES:
-                params = {"m": m, "n": n, "x": str(x)}
-                lhs = poly_fn(m + 1, n, x)
-                yield params, lhs, _cor22_sum(m, n, x, poly_fn, rescale=True)
-                if printed_fails is None:
-                    if _cor22_sum(m, n, x, poly_fn, rescale=False) != lhs:
-                        printed_fails = params
+    points = (
+        ({"m": m, "n": n, "x": str(x)}, poly_fn(m + 1, n, x),
+         _cor22_sum(m, n, x, poly_fn, rescale=True),
+         partial(_cor22_sum, m, n, x, poly_fn, rescale=False))
+        for m in p.m_set for n in range(p.n_max + 1) for x in X_SAMPLES
+    )
     holds = (
         f"{label} holds with the inner polynomial taken at the rescaled parameter "
         "m*l/(m+1), as the m->m+1 triangle identity requires; "
     )
-    return _finding(
-        printed_fails,
+    return (yield from _probe(
+        points,
         holds + "the printed form (no rescale) first fails at %s",
         holds + "the printed form agrees on this range (too small to separate)",
-    )
+    ))
 
 
 def _chk_cor22(p: SweepParams) -> Points:
@@ -562,37 +573,19 @@ def _chk_thm26(p: SweepParams) -> Points:
 # --------------------------------------------------------------------------
 
 
-def _chk_eq74(p: SweepParams) -> Points:
-    for r in p.r_set:
-        prefactor = binomial_series(-r, 1, p.n_max)
-        gf = gf_triangle(deg_log(p.n_max), prefactor, p.n_max)
-        bracket = st.deg_r_stirling1_unsigned_rows(r, p.n_max)
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                sign = -1 if (n - k) % 2 else 1
-                yield {"r": r, "n": n, "k": k}, gf[n][k], bracket[n][k] * sign
-
-
 def _chk_eq75(p: SweepParams) -> Points:
     for r in p.r_set:
         rows = wh.r_whitney1_rows(1, r, p.n_max)
-        bracket = st.deg_r_stirling1_unsigned_rows(r, p.n_max)
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                sign = -1 if (n - k) % 2 else 1
-                yield {"r": r, "n": n, "k": k, "part": "bracket"}, rows[n][k], bracket[n][k] * sign
+        bracket = _signed(st.deg_r_stirling1_unsigned_rows(r, p.n_max))
+        yield from _cells(p.n_max, _entries(rows), bracket, {"r": r}, {"part": "bracket"})
     for m in p.m_set:
-        ones = wh.r_whitney1_rows(m, 1, p.n_max)
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                yield {"m": m, "n": n, "k": k, "part": "r=1"}, ones[n][k], wh.whitney1(m, n, k)
+        ones = _entries(wh.r_whitney1_rows(m, 1, p.n_max))
+        yield from _cells(p.n_max, ones, partial(wh.whitney1, m), {"m": m}, {"part": "r=1"})
     # r = 0 at m = 1: the generating function degrades to the plain
     # first-kind one, so the triangle must too
-    zero_r = st.deg_stirling1_rows_gf(p.n_max)
-    s1 = st.deg_stirling1_rows(p.n_max)
-    for n in range(p.n_max + 1):
-        for k in range(n + 1):
-            yield {"n": n, "k": k, "part": "r=0"}, zero_r[n][k], s1[n][k]
+    zero_r = _entries(st.deg_stirling1_rows_gf(p.n_max))
+    s1 = _entries(st.deg_stirling1_rows(p.n_max))
+    yield from _cells(p.n_max, zero_r, s1, {}, {"part": "r=0"})
 
 
 def _chk_eq77(p: SweepParams) -> Points:
@@ -605,17 +598,13 @@ def _chk_eq77(p: SweepParams) -> Points:
                 yield {"r": r, "n": n, "k": k}, gf[n][k], rows[n][k]
                 yield {"r": r, "n": n, "k": k, "part": "m=1"}, braces[n][k], rows[n][k]
     for m in p.m_set:
-        ones = wh.r_whitney2_rows(m, 1, p.n_max)
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                yield {"m": m, "n": n, "k": k, "part": "r=1"}, ones[n][k], wh.whitney2(m, n, k)
+        ones = _entries(wh.r_whitney2_rows(m, 1, p.n_max))
+        yield from _cells(p.n_max, ones, partial(wh.whitney2, m), {"m": m}, {"part": "r=1"})
     # r = 0 at m = 1 is the plain second-kind degenerate triangle; its
     # generating function is the oracle, as deg_stirling2_rows is this store
-    zero_r = st.deg_r_stirling2_rows(0, p.n_max)
-    plain = st.deg_stirling2_rows_gf(p.n_max)
-    for n in range(p.n_max + 1):
-        for k in range(n + 1):
-            yield {"n": n, "k": k, "part": "r=0"}, zero_r[n][k], plain[n][k]
+    zero_r = _entries(st.deg_r_stirling2_rows(0, p.n_max))
+    plain = _entries(st.deg_stirling2_rows_gf(p.n_max))
+    yield from _cells(p.n_max, zero_r, plain, {}, {"part": "r=0"})
 
 
 # --------------------------------------------------------------------------
@@ -624,20 +613,19 @@ def _chk_eq77(p: SweepParams) -> Points:
 
 
 def _chk_eq81(p: SweepParams) -> Points:
-    variant_fails = None
-    for alpha in (Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(2)):
-        oracle = be.deg_euler_gf_binomial(p.n_max, alpha)
-        for n in range(p.n_max + 1):
-            params = {"n": n, "alpha": str(alpha)}
-            yield params, be.deg_euler(n, alpha), oracle[n]
-            if variant_fails is None and be.deg_euler_sum_variant(n, alpha, +1) != oracle[n]:
-                variant_fails = params
-    return _finding(
-        variant_fails,
+    points = (
+        ({"n": n, "alpha": str(alpha)}, be.deg_euler(n, alpha), oracle[n],
+         partial(be.deg_euler_sum_variant, n, alpha, +1))
+        for alpha in (Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(2))
+        for oracle in [be.deg_euler_gf_binomial(p.n_max, alpha)]
+        for n in range(p.n_max + 1)
+    )
+    return (yield from _probe(
+        points,
         "the binomial top alpha+l-1 matches the binomial-series oracle "
         "everywhere; the intermediate alpha+l+1 variant first fails at %s",
         "both binomial tops agree on this range (too small to separate)",
-    )
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -734,7 +722,9 @@ _register("eq71", Row(_triangle("m", "r"), _rows(GF, lambda *a: wh.r_whitney2_ro
                       _rows(NEWTON, lambda *a: wh.r_whitney2_rows(*a))))
 _register("eq73", Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling1_unsigned_rows_gf(*a)),
                       _rows(NEWTON, lambda *a: st.deg_r_stirling1_unsigned_rows(*a))))
-_register("eq74", _chk_eq74)
+_register("eq74", Row(_triangle("r"),
+                      _rows(GF, lambda r, n: gf_triangle(deg_log(n), binomial_series(-r, 1, n), n)),
+                      Side(NEWTON, lambda r, n: _signed(st.deg_r_stirling1_unsigned_rows(r, n)))))
 _register("eq75", _chk_eq75)
 _register("eq77", _chk_eq77)
 _register("thm27_bernoulli", Row(

@@ -160,14 +160,16 @@ def whitney2_diff(m: int, n: int, k: int) -> LambdaPoly:
 
 @lru_cache(maxsize=256)
 def _forward_differences(m: int, n: int) -> tuple[LambdaPoly, ...]:
-    """Delta^0 f(0), ..., Delta^n f(0) for f(x) = (mx+1)_{n,l}, by the definition
-    Delta^k f(0) = sum_i (-1)^(k-i) C(k,i) f(i): one dot over the values
-    f(0), ..., f(n) per k."""
-    f = [lambda_falling(m * i + 1, n, LAMBDA) for i in range(n + 1)]
-    return tuple(
-        dot(((-1) ** (k - i) * binom(k, i), f[i], ONE) for i in range(k + 1))
-        for k in range(n + 1)
-    )
+    """Delta^0 f(0), ..., Delta^n f(0) for f(x) = (mx+1)_{n,l}, from the
+    difference table of the values f(0), ..., f(n): each row holds the
+    differences of consecutive entries of the one before, and Delta^k f(0)
+    heads row k."""
+    row = [lambda_falling(m * i + 1, n, LAMBDA) for i in range(n + 1)]
+    heads = []
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(heads)
 
 
 def v0(m: int, n: int) -> LambdaPoly:

@@ -180,6 +180,22 @@ class TestEval:
         code, out, err = run(capsys, "eval", *args, "--n", "6", "--k", "3")
         assert (code, out, err) == (0, expected + "\n", "")
 
+    def test_family_entry_holds_about_one_row(self, capsys):
+        argv = ["eval", "--family", "W", "--m", "3", "--n", "60", "--k", "3"]
+        main([*argv[:5], "--n", "1", "--k", "0"])  # imports and the parser, untraced
+        longest_row = max(len(", ".join(map(str, row))) for row in build_triangle("Wdeg", 3, 1, 60))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            added = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the recurrence holds the row it extends and the one it builds; all
+        # 61 rows take about 16 times the longest row's text
+        assert added < 4 * longest_row
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "eval", "--lambda", "1/2")
         assert code == 2

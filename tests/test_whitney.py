@@ -126,6 +126,15 @@ class TestAlternativeFormulas:
         for (m, n, k), value in expected.items():
             assert wh.whitney2_diff(m, n, k) == value
 
+    def test_forward_differences_take_no_binomial_sum(self, monkeypatch):
+        # the differences come from the difference table, not from the
+        # binomial sum sum_i (-1)^(k-i) C(k,i) f(i), which is thm12's formula
+        expected = {(3, n, k): wh.whitney2(3, n, k) for n in range(11) for k in range(n + 1)}
+        wh._forward_differences.cache_clear()
+        monkeypatch.setattr(wh, "binom", forbidden)
+        for (m, n, k), value in expected.items():
+            assert wh.whitney2_diff(m, n, k) == value
+
     def test_forward_difference_rejects_bad_m(self):
         with pytest.raises(ValueError):
             wh.whitney2_diff(0, 2, 1)
