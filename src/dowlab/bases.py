@@ -1,4 +1,5 @@
-"""Generalized falling factorials and Newton-form basis conversion.
+"""Generalized falling factorials, the binomial transform pair over them, and
+Newton-form basis conversion.
 
 The basis machinery expresses a polynomial in a formal variable X as a
 combination of products (X - a_0)(X - a_1)...; choosing the node sequence
@@ -18,12 +19,15 @@ from itertools import count
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, check_ints
+from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, check_ints, dot
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
 NodeSequence = Sequence[LambdaPoly]
 
 XScalar = Union[int, Fraction, LambdaPoly, "XPoly"]
+
+# One term (j, c_j, v_j) of a binomial transform: an int weight and a value.
+TransformTerms = Iterable[tuple[int, int, LambdaPoly]]
 
 
 def binom(n: int, k: int) -> int:
@@ -50,6 +54,24 @@ def lambda_falling(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
 def lambda_rising(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
     """Product x(x + step)(x + 2*step)...(x + (n-1)*step); n = 0 gives 1."""
     return _factorial_product(x, n, step, 1)
+
+
+def falling_transform(n: int, terms: TransformTerms, step: Scalar = LAMBDA) -> LambdaPoly:
+    """sum_j C(n,j) c_j v_j (1)_{n-j,step} over the (j, c_j, v_j) of ``terms``.
+
+    With ``rising_transform`` at the same step, this is the degenerate
+    binomial transform pair of Theorem 25: a_n = sum_k C(n,k) (1)_{n-k,l} b_k
+    holds for all n exactly when b_n = sum_k (-1)^(n-k) C(n,k) <1>_{n-k,l} a_k
+    does, with l the step.
+    """
+    return dot((binom(n, j) * c, v, lambda_falling(1, n - j, step)) for j, c, v in terms)
+
+
+def rising_transform(n: int, terms: TransformTerms, step: Scalar = LAMBDA) -> LambdaPoly:
+    """sum_j (-1)^(n-j) C(n,j) c_j v_j <1>_{n-j,step}, the inverse of ``falling_transform``."""
+    return dot(
+        ((-1) ** (n - j) * binom(n, j) * c, v, lambda_rising(1, n - j, step)) for j, c, v in terms
+    )
 
 
 def _check_factorial(x: Scalar, n: int, step: Scalar) -> None:

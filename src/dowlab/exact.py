@@ -135,10 +135,14 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
         width = len(a)
         if len(b) == 1:
             # One coefficient, nonzero: the term is a scaled copy of a.
+            cb = b[0] * cnum
+            if not size:
+                acc = list(map(cb.__mul__, a))
+                size = width
+                continue
             if width > size:
                 acc += [0] * (width - size)
                 size = width
-            cb = b[0] * cnum
             acc[:width] = map(add, acc[:width], map(cb.__mul__, a))
             continue
         top = width + len(b) - 1
@@ -261,21 +265,7 @@ class LambdaPoly:
                 den //= g
                 other //= g
             return _raw(tuple(map(other.__mul__, a)), den)
-        other = LambdaPoly.coerce(other)
-        b = other.nums
-        if not a or not b:
-            return _raw((), 1)
-        if len(a) < len(b):
-            a, b = b, a
-        # The leading product is nonzero, so only the gcd can change the form.
-        if len(b) == 1:
-            return _canonical(list(map(b[0].__mul__, a)), den * other.den)
-        out = [0] * (len(a) + len(b) - 1)
-        width = len(a)
-        for j, cb in enumerate(b):
-            if cb:
-                out[j : j + width] = map(add, out[j : j + width], map(cb.__mul__, a))
-        return _canonical(out, den * other.den)
+        return dot(((1, self, LambdaPoly.coerce(other)),))
 
     __rmul__ = __mul__
 

@@ -29,7 +29,7 @@ from math import factorial
 from typing import Callable, Generator, Iterable, Optional
 
 from .exact import LAMBDA, ONE, LambdaPoly, dot
-from .bases import binom, lambda_falling, lambda_rising
+from .bases import binom, falling_transform, lambda_falling, lambda_rising, rising_transform
 from .series import (
     binomial_series,
     deg_exp,
@@ -420,34 +420,29 @@ def _chk_thm20(p: SweepParams) -> Points:
     ))
 
 
+def _thm21_rhs(m: int, n: int, k: int) -> LambdaPoly:
+    """W_{m+1}(n,k) as the step-ml rising transform of (m+1)^j W_m(j,k) at
+    l -> m l/(m+1), over (m+1)^k m^(n-k)."""
+    scale = Fraction(m, m + 1)
+    terms = ((j, (m + 1) ** j, wh.whitney2(m, j, k).scale_lambda(scale)) for j in range(k, n + 1))
+    return rising_transform(n, terms, LAMBDA * m) / ((m + 1) ** k * m ** (n - k))
+
+
 def _chk_thm21(p: SweepParams) -> Points:
+    # both sides read the recurrence, so this is no cross-route row
     for m in p.m_set:
-        scale = Fraction(m, m + 1)
         for n in range(p.n_max + 1):
             for k in range(n + 1):
-                lhs = wh.whitney2(m + 1, n, k)
-                acc = dot(
-                    (
-                        (-1) ** (n - j) * binom(n, j) * (m + 1) ** j,
-                        wh.whitney2_or_zero(m, j, k).scale_lambda(scale),
-                        lambda_rising(1, n - j, LAMBDA * m),
-                    )
-                    for j in range(n + 1)
-                )
-                yield {"m": m, "n": n, "k": k}, lhs, acc / Fraction((m + 1) ** k * m ** (n - k))
+                yield {"m": m, "n": n, "k": k}, wh.whitney2(m + 1, n, k), _thm21_rhs(m, n, k)
 
 
 def _cor22_sum(m: int, n: int, x: Fraction, poly_fn, rescale: bool) -> LambdaPoly:
     scale = Fraction(m, m + 1)
-    acc = dot(
-        (
-            (-1) ** (n - j) * binom(n, j) * (m + 1) ** j,
-            _cor22_inner(m, j, x, poly_fn) if rescale else poly_fn(m, j, x * scale),
-            lambda_rising(1, n - j, LAMBDA * m),
-        )
+    terms = (
+        (j, (m + 1) ** j, _cor22_inner(m, j, x, poly_fn) if rescale else poly_fn(m, j, x * scale))
         for j in range(n + 1)
     )
-    return acc / Fraction(m**n)
+    return rising_transform(n, terms, LAMBDA * m) / m**n
 
 
 # The inner polynomial of cor22 does not depend on n, so it is built once per
@@ -486,44 +481,41 @@ def _chk_cor22_remark(p: SweepParams) -> Points:
     return _chk_cor22_generic(p, wh.tanny_dowling_poly, "ordered-variant reduction")
 
 
-def _chk_thm23(p: SweepParams) -> Points:
-    for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for x in X_SAMPLES:
-                lhs = wh.dowling_poly(m, n, x)
-                acc = dot(
-                    (
-                        binom(n, i) * m**i,
-                        st.deg_bell(i, x / m).scale_lambda(Fraction(1, m)),
-                        lambda_falling(1, n - i, LAMBDA),
-                    )
-                    for i in range(n + 1)
-                )
-                yield {"m": m, "n": n, "x": str(x)}, lhs, acc
+def _terms(values: Iterable[LambdaPoly]) -> Iterable[tuple[int, int, LambdaPoly]]:
+    """The binomial-transform terms (j, 1, v_j) of the sequence ``values``."""
+    return ((j, 1, v) for j, v in enumerate(values))
+
+
+def _dowling(m: int, x: Fraction, n: int) -> LambdaPoly:
+    return wh.dowling_poly(m, n, x)
+
+
+def _scaled_bell(m: int, x: Fraction, n: int) -> LambdaPoly:
+    """m^n Bdeg_n(x/m) at l -> l/m, the left side of thm26."""
+    return st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
+
+
+def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
+    """The falling transform of ``_scaled_bell``, the right side of thm23."""
+    return falling_transform(n, _terms(_scaled_bell(m, x, i) for i in range(n + 1)))
+
+
+def _dowling_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
+    """The rising transform of the Dowling polynomials, the right side of thm26."""
+    return rising_transform(n, _terms(_dowling(m, x, k) for k in range(n + 1)))
 
 
 def _chk_lemma24(p: SweepParams) -> Points:
     for n in range(p.n_max + 1):
         for j in range(n + 1):
             want = LambdaPoly.const(1 if n == j else 0)
-            first = dot(
-                (
-                    (-1) ** (k - j) * binom(n, k) * binom(k, j),
-                    lambda_falling(1, n - k, LAMBDA),
-                    lambda_rising(1, k - j, LAMBDA),
-                )
-                for k in range(j, n + 1)
+            span = range(j, n + 1)
+            rising = (
+                (k, (-1) ** (k - j) * binom(k, j), lambda_rising(1, k - j, LAMBDA)) for k in span
             )
-            yield {"n": n, "j": j, "form": "falling-rising"}, first, want
-            second = dot(
-                (
-                    (-1) ** (n - k) * binom(n, k) * binom(k, j),
-                    lambda_rising(1, n - k, LAMBDA),
-                    lambda_falling(1, k - j, LAMBDA),
-                )
-                for k in range(j, n + 1)
-            )
-            yield {"n": n, "j": j, "form": "rising-falling"}, second, want
+            yield {"n": n, "j": j, "form": "falling-rising"}, falling_transform(n, rising), want
+            falling = ((k, binom(k, j), lambda_falling(1, k - j, LAMBDA)) for k in span)
+            yield {"n": n, "j": j, "form": "rising-falling"}, rising_transform(n, falling), want
 
 
 def _chk_thm25(p: SweepParams) -> Points:
@@ -531,41 +523,15 @@ def _chk_thm25(p: SweepParams) -> Points:
     n_max = min(p.n_max, 12)
     for _ in range(3):
         b = [_rand_poly(rng) for _ in range(n_max + 1)]
-        a = [_falling_transform(b, n) for n in range(n_max + 1)]
+        a = [falling_transform(n, _terms(b[: n + 1])) for n in range(n_max + 1)]
         for n in range(n_max + 1):
-            yield {"n": n, "direction": "forward-inverse"}, _rising_transform(a, n), b[n]
+            inverse = rising_transform(n, _terms(a[: n + 1]))
+            yield {"n": n, "direction": "forward-inverse"}, inverse, b[n]
         # converse direction: start from the inverse transform
-        c = [_rising_transform(b, n) for n in range(n_max + 1)]
+        c = [rising_transform(n, _terms(b[: n + 1])) for n in range(n_max + 1)]
         for n in range(n_max + 1):
-            yield {"n": n, "direction": "inverse-forward"}, _falling_transform(c, n), b[n]
-
-
-def _falling_transform(b: list[LambdaPoly], n: int) -> LambdaPoly:
-    """sum_k C(n,k) (1)_{n-k,l} b_k, the forward transform of thm25."""
-    return dot((binom(n, k), b[k], lambda_falling(1, n - k, LAMBDA)) for k in range(n + 1))
-
-
-def _rising_transform(a: list[LambdaPoly], n: int) -> LambdaPoly:
-    """sum_k (-1)^(n-k) C(n,k) <1>_{n-k,l} a_k, the inverse transform of thm25."""
-    return dot(
-        ((-1) ** (n - k) * binom(n, k), a[k], lambda_rising(1, n - k, LAMBDA)) for k in range(n + 1)
-    )
-
-
-def _chk_thm26(p: SweepParams) -> Points:
-    for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for x in X_SAMPLES:
-                lhs = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
-                acc = dot(
-                    (
-                        (-1) ** (n - k) * binom(n, k),
-                        wh.dowling_poly(m, k, x),
-                        lambda_rising(1, n - k, LAMBDA),
-                    )
-                    for k in range(n + 1)
-                )
-                yield {"m": m, "n": n, "x": str(x)}, lhs, acc
+            forward = falling_transform(n, _terms(c[: n + 1]))
+            yield {"n": n, "direction": "inverse-forward"}, forward, b[n]
 
 
 # --------------------------------------------------------------------------
@@ -667,6 +633,7 @@ def _register(
 
 _W2 = _each(RECURRENCE, lambda *a: wh.whitney2(*a))
 _V1 = _each(RECURRENCE, lambda *a: wh.whitney1(*a))
+_DOWLING = _each(RECURRENCE, _dowling)
 
 # A Row entry checks that two routes agree.  thm8 and thm18 share one: their
 # explicit formulas read the classical first-kind table, which the recurrence
@@ -680,8 +647,7 @@ _register("thm1", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney2_rows_gf(*
 _register("cor2", Row(_triangle(), _each(RECURRENCE, lambda n, k: wh.whitney2(1, n, k)),
                       _each(NEWTON, lambda n, k: st.deg_stirling2(n + 1, k + 1)
                             + LAMBDA * n * st.deg_stirling2_or_zero(n, k + 1))))
-_register("thm3", Row(_series, Side(GF, lambda *a: wh.dowling_gf(*a).coeff),
-                      _each(RECURRENCE, lambda m, x, n: wh.dowling_poly(m, n, x))))
+_register("thm3", Row(_series, Side(GF, lambda *a: wh.dowling_gf(*a).coeff), _DOWLING))
 _register("eq29_30", _chk_eq29_30)
 _register("cor4", _chk_cor4)
 _register("thm5", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney1_rows_gf(*a)), _V1))
@@ -710,10 +676,11 @@ _register("thm20", _chk_thm20, discrepancy=True)
 _register("thm21", _chk_thm21)
 _register("cor22", _chk_cor22, discrepancy=True)
 _register("cor22_remark", _chk_cor22_remark, discrepancy=True)
-_register("thm23", _chk_thm23)
+_register("thm23", Row(_series, _DOWLING, _each(EXPLICIT | NEWTON, _bell_transform)))
 _register("lemma24", _chk_lemma24)
 _register("thm25", _chk_thm25)
-_register("thm26", _chk_thm26)
+_register("thm26", Row(_series, _each(NEWTON, _scaled_bell),
+                       _each(EXPLICIT | RECURRENCE, _dowling_transform)))
 _register("orthogonality", _chk_orthogonality)
 _register("stirling_orthogonality", _chk_stirling_orthogonality)
 _register("eq68", Row(_triangle("m", "r"), _rows(GF, lambda *a: wh.r_whitney1_rows_gf(*a)),

@@ -22,7 +22,7 @@ from math import ceil, factorial, isfinite, prod
 from typing import Callable, Iterator
 
 from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
-from .bases import binom, lambda_falling, lambda_rising, newton_rows
+from .bases import binom, falling_transform, lambda_falling, lambda_rising, newton_rows
 from .series import (
     TruncatedSeries,
     binomial_series,
@@ -64,6 +64,15 @@ def _check_m(m: int) -> None:
     check_ints(m)
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
+
+
+def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
+    """Rows 0..n_max of ``rows``; an ``n_max`` that is not an int >= 0 is refused
+    as the row stores refuse it."""
+    check_ints(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return tuple(islice(rows, n_max + 1))
 
 
 # -- second kind -------------------------------------------------------------
@@ -140,13 +149,8 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     _check_index(n, k)
     if path == "stirling_T13":
         s2 = deg_stirling2_rows(n)
-        return dot(
-            (
-                binom(n, i) * m ** (i - k),
-                s2[i][k].scale_lambda(Fraction(1, m)),
-                lambda_falling(1, n - i, LAMBDA),
-            )
-            for i in range(k, n + 1)
+        return falling_transform(
+            n, ((i, m ** (i - k), s2[i][k].scale_lambda(Fraction(1, m))) for i in range(k, n + 1))
         )
     raise ValueError(f"unknown second-kind path {path!r}")
 
@@ -175,7 +179,7 @@ def _forward_differences(m: int, n: int) -> tuple[LambdaPoly, ...]:
 def v0(m: int, n: int) -> LambdaPoly:
     """First-kind column k = 0: (-1)^n (m+1)(2m+1)...((n-1)m+1), free of l."""
     _check_m(m)
-    check_ints(n)
+    _check_index(n, 0)
     acc = 1
     for j in range(n):
         acc *= j * m + 1
@@ -267,7 +271,7 @@ def _row_sum(m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
 def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
     _check_m(m)
-    return (deg_exp(m, n_max) - one_series(n_max)).scaled(Fraction(x, m))
+    return (deg_exp(m, n_max) - one_series(n_max)).scaled(as_fraction(x) / m)
 
 
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
@@ -316,8 +320,7 @@ def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
     nodes (k*l - r)/m, coefficient k divided by m^k, which is m^n (x)_n
     expanded in u = mx over the nodes k*l - r."""
     WhitneyParams(m, r)
-    rows = newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k - r)
-    return tuple(islice(rows, n_max + 1))
+    return _first_rows(newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k - r), n_max)
 
 
 def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
@@ -344,15 +347,14 @@ def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
 def classical_whitney2_rows(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     """Classical second-kind numbers from (mx+1)^n = sum W m^k (x)_k, in u = mx."""
     _check_m(m)
-    return tuple(islice(newton_rows(1, lambda j: -1, lambda k: m * k), n_max + 1))
+    return _first_rows(newton_rows(1, lambda j: -1, lambda k: m * k), n_max)
 
 
 def classical_whitney1_rows(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     """Classical first-kind numbers: m^n (x)_n in powers of u = mx+1."""
     _check_m(m)
     # with every node 0 the Newton basis is the power basis of u
-    rows = newton_rows(1, lambda j: 1 + j * m, lambda k: 0)
-    return tuple(islice(rows, n_max + 1))
+    return _first_rows(newton_rows(1, lambda j: 1 + j * m, lambda k: 0), n_max)
 
 
 # -- Dobinski evaluation (the library's only inexact path) --------------------------
@@ -593,7 +595,4 @@ def family_rows(family: Family | str, m: int, r: int) -> Iterator[tuple[LambdaPo
 
 def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Rows:
     """Rows 0..n_max of ``family_rows(family, m, r)``; no row store is used."""
-    check_ints(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return tuple(islice(family_rows(family, m, r), n_max + 1))
+    return _first_rows(family_rows(family, m, r), n_max)

@@ -15,6 +15,7 @@ from dowlab.bases import (
     XPoly,
     basis_poly,
     binom,
+    falling_transform,
     gen_binom,
     int_nodes,
     lambda_falling,
@@ -22,6 +23,7 @@ from dowlab.bases import (
     lambda_rising,
     newton_convert,
     newton_rows,
+    rising_transform,
 )
 
 l = LAMBDA
@@ -185,6 +187,31 @@ def test_alternating_falling_sum_is_factorial(n):
             sign = -1 if j % 2 else 1
             acc = acc + lambda_falling(z - j, n, l) * (sign * binom(n, j))
         assert acc == LambdaPoly((factorial(n),))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st_.lists(st_.tuples(st_.integers(-4, 4), small_polys), min_size=1, max_size=8),
+    st_.integers(min_value=1, max_value=5),
+)
+def test_transform_pair_inverts_at_steps_l_and_ml(weighted, m):
+    # Theorem 25 at step m*l, where m = 1 is the step l itself: either
+    # transform of the weighted sequence c_j v_j, transformed back by the
+    # other one, gives that sequence again
+    step = l * m
+    seq = [v * c for c, v in weighted]
+
+    def plain(values, n):
+        return ((j, 1, values[j]) for j in range(n + 1))
+
+    def weights(n):
+        return ((j, c, v) for j, (c, v) in enumerate(weighted[: n + 1]))
+
+    span = range(len(seq))
+    forward = [falling_transform(n, weights(n), step) for n in span]
+    assert [rising_transform(n, plain(forward, n), step) for n in span] == seq
+    inverse = [rising_transform(n, weights(n), step) for n in span]
+    assert [falling_transform(n, plain(inverse, n), step) for n in span] == seq
 
 
 node_values = {

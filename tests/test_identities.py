@@ -115,6 +115,8 @@ FAULTS = {
     "orthogonality": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "j": 1}),
     "eq74": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
     "thm20": (st, "deg_stirling1", (3, 1), {"m": 1, "n": 3, "k": 1}),
+    "thm23": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
+    "thm26": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
 }
 
 

@@ -74,6 +74,12 @@ class TestFirstKind:
         for n in range(9):
             assert wh.whitney1(m, n, 0) == wh.v0(m, n)
 
+    def test_v0_refuses_a_negative_n(self):
+        # as the column k = 0 of the triangle does
+        for column_zero in (wh.v0, lambda m, n: wh.whitney1(m, n, 0)):
+            with pytest.raises(IndexError, match=r"^\(-1, 0\) outside triangle$"):
+                column_zero(2, -1)
+
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_three_routes_agree(self, m):
         n_max = 8
@@ -209,6 +215,13 @@ class TestDowling:
         for m in (1.0, True):
             with pytest.raises(TypeError):
                 oracle(m, 1, 3)
+
+    @pytest.mark.parametrize("oracle", (wh.dowling_gf, wh.tanny_dowling_gf))
+    def test_gf_oracle_refuses_an_inexact_x(self, oracle):
+        # as the row polynomials do: a bool is no x = 1, a float no rational
+        for x in (True, False, 1.0, 0.5):
+            with pytest.raises(TypeError, match="^expected an exact rational, got "):
+                oracle(1, x, 3)
 
     @pytest.mark.parametrize("poly", (wh.dowling_poly, wh.tanny_dowling_poly))
     def test_inexact_x_refused(self, poly):
@@ -531,6 +544,28 @@ class TestTriangleBuilder:
             wh.family_rows("S1degR", 1, -1)
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             wh.build_triangle("Wdeg", 1, 1, -1)
+
+
+# The builders that take the first rows of an endless row generator, as
+# functions of n_max.
+FIRST_ROWS = {
+    "classical_whitney2_rows": lambda n_max: wh.classical_whitney2_rows(2, n_max),
+    "classical_whitney1_rows": lambda n_max: wh.classical_whitney1_rows(2, n_max),
+    "r_whitney1_rows_direct": lambda n_max: wh.r_whitney1_rows_direct(2, 1, n_max),
+    "build_triangle": lambda n_max: wh.build_triangle("Wdeg", 2, 1, n_max),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_ROWS))
+def test_first_rows_refuse_a_bad_n_max(name):
+    # as the row stores do, instead of an empty triangle or islice's message
+    build = FIRST_ROWS[name]
+    assert len(build(0)) == 1
+    for n_max in (-1, -2):
+        with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+            build(n_max)
+    with pytest.raises(TypeError, match="^expected an int, got float$"):
+        build(2.0)
 
 
 # The GF oracle of each family that reads m or r, and the family's second
