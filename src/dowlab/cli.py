@@ -23,6 +23,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
+# Every module loads here, not inside a command: the benchmark's tracer wraps
+# the span targets it finds in sys.modules after ``import dowlab.cli``.
 from .exact import LambdaPoly
 from .stirling import Family
 from .whitney import DobinskiRequest, dobinski_eval, family_rows

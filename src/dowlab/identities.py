@@ -423,9 +423,18 @@ def _chk_thm20(p: SweepParams) -> Points:
 def _thm21_rhs(m: int, n: int, k: int) -> LambdaPoly:
     """W_{m+1}(n,k) as the step-ml rising transform of (m+1)^j W_m(j,k) at
     l -> m l/(m+1), over (m+1)^k m^(n-k)."""
-    scale = Fraction(m, m + 1)
-    terms = ((j, (m + 1) ** j, wh.whitney2(m, j, k).scale_lambda(scale)) for j in range(k, n + 1))
+    terms = ((j, (m + 1) ** j, _thm21_row(m, j)[k]) for j in range(k, n + 1))
     return rising_transform(n, terms, LAMBDA * m) / ((m + 1) ** k * m ** (n - k))
+
+
+# The rescaled rows of thm21 do not depend on n or k, so each is built once
+# per key instead of once per (n, k); the bound keeps a long-lived process
+# from growing without limit.
+@lru_cache(maxsize=4096)
+def _thm21_row(m: int, j: int) -> tuple[LambdaPoly, ...]:
+    """Row j of W_m with l -> m l/(m+1), the terms of thm21's transform."""
+    scale = Fraction(m, m + 1)
+    return tuple(wh.whitney2(m, j, k).scale_lambda(scale) for k in range(j + 1))
 
 
 def _chk_thm21(p: SweepParams) -> Points:
@@ -490,6 +499,10 @@ def _dowling(m: int, x: Fraction, n: int) -> LambdaPoly:
     return wh.dowling_poly(m, n, x)
 
 
+# thm23's transform reads every earlier value at each n, so each is built once
+# per key; thm26 reads the same values.  The bound keeps a long-lived process
+# from growing without limit.
+@lru_cache(maxsize=4096)
 def _scaled_bell(m: int, x: Fraction, n: int) -> LambdaPoly:
     """m^n Bdeg_n(x/m) at l -> l/m, the left side of thm26."""
     return st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n

@@ -148,9 +148,9 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
         return acc / (factorial(k) * Fraction(m) ** k)
     _check_index(n, k)
     if path == "stirling_T13":
-        s2 = deg_stirling2_rows(n)
         return falling_transform(
-            n, ((i, m ** (i - k), s2[i][k].scale_lambda(Fraction(1, m))) for i in range(k, n + 1))
+            n,
+            ((i, m ** (i - k), _row_over_m(deg_stirling2_rows, m, i)[k]) for i in range(k, n + 1)),
         )
     raise ValueError(f"unknown second-kind path {path!r}")
 
@@ -196,16 +196,26 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     if path == "v0_T18":
         return dot((binom(n, i), v0(m, n - i), _t18_inner(m, i, k)) for i in range(k, n + 1))
     if path == "stirling_T19":
-        s1deg = deg_stirling1_rows(n)
+        row = _row_over_m(deg_stirling1_rows, m, n)
         return dot(
             (
                 (-1) ** (q - k) * binom(q, k) * m ** (n - q),
-                s1deg[n][q].scale_lambda(Fraction(1, m)),
+                row[q],
                 lambda_rising(1, q - k, LAMBDA),
             )
             for q in range(k, n + 1)
         )
     raise ValueError(f"unknown first-kind path {path!r}")
+
+
+# thm13 and thm19 read each degenerate Stirling entry at l -> l/m for many
+# (n, k), so each row is rescaled once per (store, m, n); the bound keeps a
+# long-lived process from growing without limit.
+@lru_cache(maxsize=4096)
+def _row_over_m(store: Callable[[int], Rows], m: int, n: int) -> tuple[LambdaPoly, ...]:
+    """Row n of the one-parameter triangle ``store`` with l -> l/m in every entry."""
+    scale = Fraction(1, m)
+    return tuple(value.scale_lambda(scale) for value in store(n)[n])
 
 
 # The inner sums of thm8 and thm18 do not depend on n, so each is built once

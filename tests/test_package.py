@@ -1,6 +1,10 @@
 """The package namespace and the hygiene of its modules."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import dowlab
 
 SRC = Path(dowlab.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 
 
 def test_every_exported_name_resolves():
@@ -15,11 +20,70 @@ def test_every_exported_name_resolves():
     # at ``from dowlab import *``
     assert [name for name in dowlab.__all__ if not hasattr(dowlab, name)] == []
     assert len(set(dowlab.__all__)) == len(dowlab.__all__)
+    for module_name, names in dowlab._EXPORTS.items():
+        module = importlib.import_module(f"dowlab.{module_name}")
+        for name in names:
+            value = getattr(dowlab, name)
+            assert value is vars(module)[name], name
+            # a function or class is exported from the module that defines it
+            if getattr(value, "__module__", "").startswith("dowlab."):
+                assert value.__module__ == module.__name__, name
+    namespace: dict = {}
+    exec("from dowlab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dowlab.__all__)
+    assert set(dowlab.__all__) <= set(dir(dowlab))
+    with pytest.raises(AttributeError, match="^module 'dowlab' has no attribute 'nope'$"):
+        dowlab.nope  # noqa: B018
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The dowlab modules loaded by ``statement`` in a fresh interpreter that
+    imports the package from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    report = "import sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'dowlab'))"
+    code = f"{statement}\n{report}"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _loaded_after("import dowlab") == ["dowlab"]
+
+
+def test_a_submodule_import_loads_only_what_it_needs():
+    assert _loaded_after("import dowlab.exact") == ["dowlab", "dowlab.exact"]
+
+
+def test_a_name_loads_its_module_on_first_read():
+    loaded = _loaded_after("import dowlab\nassert str(dowlab.LambdaPoly.parse('l')) == 'l'")
+    assert loaded == ["dowlab", "dowlab.exact"]
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # every module but the CLI, which the package namespace does not name
+    names = [name for name in MODULES if name != "cli"]
+    check = f"import dowlab, types\nfor n in {names!r}: assert type(getattr(dowlab, n)) is types.ModuleType"
+    assert _loaded_after(check) == ["dowlab", *(f"dowlab.{n}" for n in names)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_imports_on_its_own(name):
+    # a relative import missing from a module would otherwise be hidden by
+    # whichever module happened to load first
+    assert f"dowlab.{name}" in _loaded_after(f"import dowlab.{name}")
+
+
+def test_the_cli_loads_every_module():
+    # the benchmark's tracer wraps what it finds in sys.modules after
+    # ``import dowlab.cli``, so every module must be loaded by then
+    assert _loaded_after("import dowlab.cli") == ["dowlab", *(f"dowlab.{n}" for n in MODULES)]
 
 
 def _unused_imports(path: Path) -> list[str]:
     """The names that the module at ``path`` imports and never reads; a name
-    listed in its ``__all__`` counts as read, being exported."""
+    listed in a literal ``__all__`` counts as read, being exported."""
     tree = ast.parse(path.read_text(), str(path))
     imported = set()
     for node in ast.walk(tree):
@@ -29,7 +93,7 @@ def _unused_imports(path: Path) -> list[str]:
             imported.update((a.asname or a.name) for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             read.update(ast.literal_eval(node.value))
