@@ -499,13 +499,11 @@ def _dowling(m: int, x: Fraction, n: int) -> LambdaPoly:
     return wh.dowling_poly(m, n, x)
 
 
-# thm23's transform reads every earlier value at each n, so each is built once
-# per key; thm26 reads the same values.  The bound keeps a long-lived process
-# from growing without limit.
-@lru_cache(maxsize=4096)
 def _scaled_bell(m: int, x: Fraction, n: int) -> LambdaPoly:
     """m^n Bdeg_n(x/m) at l -> l/m, the left side of thm26."""
-    return st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
+    # cached in whitney, not here: a side of a declared row keeps its memo
+    # below this module, where a cold-cache recomputation of the side reaches it
+    return wh._bell_over_m(m, n, x)
 
 
 def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:

@@ -38,6 +38,7 @@ from .stirling import (
     _recurrence,
     _stirling1_rows,
     _stirling2_rows,
+    deg_bell,
     deg_r_stirling1_unsigned_rows,
     deg_r_stirling2_rows,
     deg_stirling1_rows,
@@ -276,6 +277,15 @@ def _row_sum(m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
     """sum_k W(n,k) x^k, each term weighted by k! when ``ordered``."""
     row = whitney2_rows(m, n)[n]
     return dot((x**k * factorial(k) if ordered else x**k, row[k], ONE) for k in range(n + 1))
+
+
+# thm23's transform reads every earlier value at each n, and thm26 reads the
+# same values, so each is built once per key; the bound keeps a long-lived
+# process from growing without limit.
+@lru_cache(maxsize=4096)
+def _bell_over_m(m: int, n: int, x: Fraction) -> LambdaPoly:
+    """m^n Bdeg_n(x/m) with l -> l/m, Theorem 26's form of D_m(n, x)."""
+    return deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
 
 
 def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:

@@ -229,7 +229,7 @@ def test_cache_discovery_finds_the_known_caches():
     known = {"_factorial_product", "_bell_row_sum", "_row_sum", "_forward_differences"}
     known |= {"whitney2_rows", "r_whitney1_rows", "_stirling1_rows", "deg_r_stirling2_rows"}
     known |= {"_t8_outer", "_t8_inner", "_t18_inner", "_thm16_inner"}
-    known |= {"_row_over_m", "_thm21_row", "_scaled_bell"}
+    known |= {"_row_over_m", "_thm21_row", "_bell_over_m"}
     assert known <= set(CACHES)
 
 

@@ -61,13 +61,13 @@ def test_trivial_sweep_has_no_failures():
         ("thm19", wh._row_over_m, 3 * 13),
         ("thm21", idn._thm21_row, 3 * 13),
         # one rescaled Bell value per m, x sample and n = 0..12
-        ("thm23", idn._scaled_bell, 3 * len(idn.X_SAMPLES) * 13),
+        ("thm23", wh._bell_over_m, 3 * len(idn.X_SAMPLES) * 13),
     ],
 )
 def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys):
     # all of them, since a warm l-sum of thm8 would skip its inner sums
     for cache in (wh._t8_outer, wh._t8_inner, wh._t18_inner, wh._row_over_m,
-                  idn._thm21_row, idn._scaled_bell):
+                  idn._thm21_row, wh._bell_over_m):
         cache.cache_clear()
     assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status == "pass"
     info = inner.cache_info()
