@@ -312,7 +312,7 @@ class LambdaPoly:
         return Fraction(acc, self.den * qpow)
 
     def scale_lambda(self, factor: int | Fraction) -> "LambdaPoly":
-        """Substitute ``l -> factor*l`` (used for the l/m and m*l/(m+1) rescalings)."""
+        """Substitute ``l -> factor*l``."""
         p, q = _rational(factor)
         nums = self.nums
         if not nums:

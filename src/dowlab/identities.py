@@ -398,10 +398,9 @@ def _chk_thm17(p: SweepParams) -> Points:
             yield {"m": m, "n": n}, acc, want
 
 
-def _thm20_point(m: int, n: int, k: int) -> tuple:
-    """thm20 at (m, n, k): the C(i,k) form, the rescaled S1deg side, and the
-    printed C(n,i) form, deferred."""
-    scaled = st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k)
+def _thm20_point(m: int, n: int, k: int, scaled: LambdaPoly) -> tuple:
+    """thm20 at (m, n, k): the C(i,k) form, the rescaled S1deg side ``scaled``,
+    m^(n-k) S1deg(n,k | l/m), and the printed C(n,i) form, deferred."""
     parts = [(i, wh.whitney1(m, n, i), lambda_falling(1, i - k, LAMBDA)) for i in range(k, n + 1)]
     derived = dot((binom(i, k), w, f) for i, w, f in parts)
     printed = partial(dot, ((binom(n, i), w, f) for i, w, f in parts))
@@ -410,7 +409,9 @@ def _thm20_point(m: int, n: int, k: int) -> tuple:
 
 def _chk_thm20(p: SweepParams) -> Points:
     points = (
-        _thm20_point(m, n, k) for m in p.m_set for n in range(p.n_max + 1) for k in range(n + 1)
+        _thm20_point(m, n, k, scaled[n][k])
+        for m in p.m_set for scaled in [wh._stirling1_over_m_rows(m, p.n_max)]
+        for n in range(p.n_max + 1) for k in range(n + 1)
     )
     return (yield from _probe(
         points,
@@ -421,54 +422,32 @@ def _chk_thm20(p: SweepParams) -> Points:
 
 
 def _thm21_rhs(m: int, n: int, k: int) -> LambdaPoly:
-    """W_{m+1}(n,k) as the step-ml rising transform of (m+1)^j W_m(j,k) at
-    l -> m l/(m+1), over (m+1)^k m^(n-k)."""
-    terms = ((j, (m + 1) ** j, _thm21_row(m, j)[k]) for j in range(k, n + 1))
-    return rising_transform(n, terms, LAMBDA * m) / ((m + 1) ** k * m ** (n - k))
+    """W_{m+1}(n,k) as the step-ml rising transform of column k of the
+    rescaled triangle (m+1)^(j-k) W_m(j,k | m l/(m+1)), over m^(n-k)."""
+    entry = wh._whitney2_rescaled_rows.entry
+    terms = ((j, 1, entry(m, j, k)) for j in range(k, n + 1))
+    return rising_transform(n, terms, LAMBDA * m) / m ** (n - k)
 
 
-# The rescaled rows of thm21 do not depend on n or k, so each is built once
-# per key instead of once per (n, k); the bound keeps a long-lived process
-# from growing without limit.
-@lru_cache(maxsize=4096)
-def _thm21_row(m: int, j: int) -> tuple[LambdaPoly, ...]:
-    """Row j of W_m with l -> m l/(m+1), the terms of thm21's transform."""
-    scale = Fraction(m, m + 1)
-    return tuple(wh.whitney2(m, j, k).scale_lambda(scale) for k in range(j + 1))
-
-
-def _chk_thm21(p: SweepParams) -> Points:
-    # both sides read the recurrence, so this is no cross-route row
-    for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                yield {"m": m, "n": n, "k": k}, wh.whitney2(m + 1, n, k), _thm21_rhs(m, n, k)
-
-
-def _cor22_sum(m: int, n: int, x: Fraction, poly_fn, rescale: bool) -> LambdaPoly:
-    scale = Fraction(m, m + 1)
-    terms = (
-        (j, (m + 1) ** j, _cor22_inner(m, j, x, poly_fn) if rescale else poly_fn(m, j, x * scale))
-        for j in range(n + 1)
-    )
+def _cor22_sum(m: int, n: int, x: Fraction, ordered: bool, rescale: bool) -> LambdaPoly:
+    """The step-ml rising transform of (m+1)^j times the row polynomial of W_m
+    at x m/(m+1), over m^n; ordered (weighted by k!) for the remark.  With
+    ``rescale`` the polynomial is taken at m l/(m+1), which makes term j the
+    row sum of the rescaled triangle at m x; without it, at l as printed."""
+    if rescale:
+        store, y, c = wh._whitney2_rescaled_rows, m * x, 1
+    else:
+        store, y, c = wh.whitney2_rows, x * Fraction(m, m + 1), m + 1
+    terms = ((j, c**j, wh._row_sum(store, m, j, y, ordered)) for j in range(n + 1))
     return rising_transform(n, terms, LAMBDA * m) / m**n
 
 
-# The inner polynomial of cor22 does not depend on n, so it is built once per
-# key instead of once per (n, j); the bound keeps a long-lived process from
-# growing without limit.
-@lru_cache(maxsize=4096)
-def _cor22_inner(m: int, j: int, x: Fraction, poly_fn) -> LambdaPoly:
-    """poly_fn(m, j, x m/(m+1)) with l -> m l/(m+1), the inner polynomial of cor22."""
-    scale = Fraction(m, m + 1)
-    return poly_fn(m, j, x * scale).scale_lambda(scale)
-
-
-def _chk_cor22_generic(p: SweepParams, poly_fn, label: str) -> Points:
+def _chk_cor22_generic(p: SweepParams, ordered: bool, label: str) -> Points:
+    poly_fn = wh.tanny_dowling_poly if ordered else wh.dowling_poly
     points = (
         ({"m": m, "n": n, "x": str(x)}, poly_fn(m + 1, n, x),
-         _cor22_sum(m, n, x, poly_fn, rescale=True),
-         partial(_cor22_sum, m, n, x, poly_fn, rescale=False))
+         _cor22_sum(m, n, x, ordered, rescale=True),
+         partial(_cor22_sum, m, n, x, ordered, rescale=False))
         for m in p.m_set for n in range(p.n_max + 1) for x in X_SAMPLES
     )
     holds = (
@@ -483,11 +462,11 @@ def _chk_cor22_generic(p: SweepParams, poly_fn, label: str) -> Points:
 
 
 def _chk_cor22(p: SweepParams) -> Points:
-    return _chk_cor22_generic(p, wh.dowling_poly, "row-polynomial reduction")
+    return _chk_cor22_generic(p, False, "row-polynomial reduction")
 
 
 def _chk_cor22_remark(p: SweepParams) -> Points:
-    return _chk_cor22_generic(p, wh.tanny_dowling_poly, "ordered-variant reduction")
+    return _chk_cor22_generic(p, True, "ordered-variant reduction")
 
 
 def _terms(values: Iterable[LambdaPoly]) -> Iterable[tuple[int, int, LambdaPoly]]:
@@ -499,16 +478,11 @@ def _dowling(m: int, x: Fraction, n: int) -> LambdaPoly:
     return wh.dowling_poly(m, n, x)
 
 
-def _scaled_bell(m: int, x: Fraction, n: int) -> LambdaPoly:
-    """m^n Bdeg_n(x/m) at l -> l/m, the left side of thm26."""
-    # cached in whitney, not here: a side of a declared row keeps its memo
-    # below this module, where a cold-cache recomputation of the side reaches it
-    return wh._bell_over_m(m, n, x)
-
-
 def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
-    """The falling transform of ``_scaled_bell``, the right side of thm23."""
-    return falling_transform(n, _terms(_scaled_bell(m, x, i) for i in range(n + 1)))
+    """The falling transform of m^i Bdeg_i(x/m) at l -> l/m, i = 0..n, the
+    right side of thm23; each is a row sum of the rescaled S2deg triangle."""
+    bells = (wh._row_sum(wh._stirling2_over_m_rows, m, i, x, False) for i in range(n + 1))
+    return falling_transform(n, _terms(bells))
 
 
 def _dowling_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
@@ -684,14 +658,18 @@ _register("thm18", Row(_triangle("m"), _each(EXPLICIT | RECURRENCE | NEWTON,
 _register("thm19", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
                                              lambda *a: wh.whitney1_alt(*a, "stirling_T19")), _V1))
 _register("thm20", _chk_thm20, discrepancy=True)
-_register("thm21", _chk_thm21)
+_register("thm21", Row(_triangle("m"), _each(RECURRENCE, lambda m, n, k: wh.whitney2(m + 1, n, k)),
+                       _each(EXPLICIT | NEWTON, _thm21_rhs)))
 _register("cor22", _chk_cor22, discrepancy=True)
 _register("cor22_remark", _chk_cor22_remark, discrepancy=True)
 _register("thm23", Row(_series, _DOWLING, _each(EXPLICIT | NEWTON, _bell_transform)))
 _register("lemma24", _chk_lemma24)
 _register("thm25", _chk_thm25)
-_register("thm26", Row(_series, _each(NEWTON, _scaled_bell),
-                       _each(EXPLICIT | RECURRENCE, _dowling_transform)))
+_register("thm26", Row(
+    _series,
+    _each(NEWTON, lambda m, x, n: wh._row_sum(wh._stirling2_over_m_rows, m, n, x, False)),
+    _each(EXPLICIT | RECURRENCE, _dowling_transform),
+))
 _register("orthogonality", _chk_orthogonality)
 _register("stirling_orthogonality", _chk_stirling_orthogonality)
 _register("eq68", Row(_triangle("m", "r"), _rows(GF, lambda *a: wh.r_whitney1_rows_gf(*a)),

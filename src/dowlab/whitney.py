@@ -38,11 +38,9 @@ from .stirling import (
     _recurrence,
     _stirling1_rows,
     _stirling2_rows,
-    deg_bell,
     deg_r_stirling1_unsigned_rows,
     deg_r_stirling2_rows,
     deg_stirling1_rows,
-    deg_stirling2_rows,
     row_store,
 )
 
@@ -149,10 +147,8 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
         return acc / (factorial(k) * Fraction(m) ** k)
     _check_index(n, k)
     if path == "stirling_T13":
-        return falling_transform(
-            n,
-            ((i, m ** (i - k), _row_over_m(deg_stirling2_rows, m, i)[k]) for i in range(k, n + 1)),
-        )
+        entry = _stirling2_over_m_rows.entry
+        return falling_transform(n, ((i, 1, entry(m, i, k)) for i in range(k, n + 1)))
     raise ValueError(f"unknown second-kind path {path!r}")
 
 
@@ -197,26 +193,12 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     if path == "v0_T18":
         return dot((binom(n, i), v0(m, n - i), _t18_inner(m, i, k)) for i in range(k, n + 1))
     if path == "stirling_T19":
-        row = _row_over_m(deg_stirling1_rows, m, n)
+        row = _stirling1_over_m_rows(m, n)[n]
         return dot(
-            (
-                (-1) ** (q - k) * binom(q, k) * m ** (n - q),
-                row[q],
-                lambda_rising(1, q - k, LAMBDA),
-            )
+            ((-1) ** (q - k) * binom(q, k), row[q], lambda_rising(1, q - k, LAMBDA))
             for q in range(k, n + 1)
         )
     raise ValueError(f"unknown first-kind path {path!r}")
-
-
-# thm13 and thm19 read each degenerate Stirling entry at l -> l/m for many
-# (n, k), so each row is rescaled once per (store, m, n); the bound keeps a
-# long-lived process from growing without limit.
-@lru_cache(maxsize=4096)
-def _row_over_m(store: Callable[[int], Rows], m: int, n: int) -> tuple[LambdaPoly, ...]:
-    """Row n of the one-parameter triangle ``store`` with l -> l/m in every entry."""
-    scale = Fraction(1, m)
-    return tuple(value.scale_lambda(scale) for value in store(n)[n])
 
 
 # The inner sums of thm8 and thm18 do not depend on n, so each is built once
@@ -257,7 +239,7 @@ def dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     check_ints(m, n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _row_sum(m, n, as_fraction(x), False)
+    return _row_sum(whitney2_rows, m, n, as_fraction(x), False)
 
 
 def dowling_number(m: int, n: int) -> LambdaPoly:
@@ -269,23 +251,18 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     check_ints(m, n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _row_sum(m, n, as_fraction(x), True)
+    return _row_sum(whitney2_rows, m, n, as_fraction(x), True)
 
 
+# thm23 and cor22 read every earlier row sum at each n, so each is built once
+# per key; the bound keeps a long-lived process from growing without limit.
 @lru_cache(maxsize=4096)
-def _row_sum(m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
-    """sum_k W(n,k) x^k, each term weighted by k! when ``ordered``."""
-    row = whitney2_rows(m, n)[n]
+def _row_sum(store: Callable, m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
+    """sum_k T(n,k) x^k over row n of ``store(m, n)``, each term weighted by k!
+    when ``ordered``: over ``whitney2_rows`` the (Tanny-)Dowling polynomials,
+    over ``_stirling2_over_m_rows`` m^n Bdeg_n(x/m) at l -> l/m (thm23, thm26)."""
+    row = store(m, n)[n]
     return dot((x**k * factorial(k) if ordered else x**k, row[k], ONE) for k in range(n + 1))
-
-
-# thm23's transform reads every earlier value at each n, and thm26 reads the
-# same values, so each is built once per key; the bound keeps a long-lived
-# process from growing without limit.
-@lru_cache(maxsize=4096)
-def _bell_over_m(m: int, n: int, x: Fraction) -> LambdaPoly:
-    """m^n Bdeg_n(x/m) with l -> l/m, Theorem 26's form of D_m(n, x)."""
-    return deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
 
 
 def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
@@ -302,6 +279,37 @@ def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
 def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """Oracle: e_l(t) exp(x (e_l^m(t)-1)/m) generates the Dowling polynomials."""
     return deg_exp(1, n_max) * _gf_base(m, x, n_max).exp()
+
+
+# -- rescaled triangles ---------------------------------------------------------
+
+# Theorems 13, 19-21, 23 and 26 and Corollary 22 read degenerate Stirling and
+# Whitney numbers at l/m or m l/(m+1).  Cleared of powers of m or m+1, each such
+# triangle is a change of basis in u = mx (or m(m+1)x), which the Newton kernel
+# builds with no l rescaled.  The first two are the kernels of
+# ``r_whitney2_rows`` and ``r_whitney1_rows_direct`` at r = 0.
+
+
+@row_store
+def _stirling2_over_m_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
+    """m^(n-k) S2deg(n, k | l/m): (u)_{n,l} = sum_k T(n,k) m^k (x)_k in u = mx."""
+    _check_m(m)
+    return newton_rows(ONE, lambda j: LambdaPoly((0, j)), lambda k: m * k)
+
+
+@row_store
+def _stirling1_over_m_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
+    """m^(n-k) S1deg(n, k | l/m): m^n (x)_n = sum_k T(n,k) (u)_{k,l} in u = mx."""
+    _check_m(m)
+    return newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k)
+
+
+@row_store
+def _whitney2_rescaled_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
+    """(m+1)^(n-k) W_m(n, k | m l/(m+1)): (m+1)^n (mx+1)_{n,m l/(m+1)}
+    = sum_k T(n,k) (m(m+1))^k (x)_k in u = m(m+1)x."""
+    _check_m(m)
+    return newton_rows(ONE, lambda j: LambdaPoly((-(m + 1), j * m)), lambda k: m * (m + 1) * k)
 
 
 # -- r-generalizations ----------------------------------------------------------

@@ -56,23 +56,54 @@ def test_trivial_sweep_has_no_failures():
         ("thm18", wh._t18_inner, 3 * 91),
         # one l-sum per pair 0 <= k <= j <= 12, whatever m and n
         ("thm8", wh._t8_outer, 91),
-        # one rescaled row per m in {1, 2, 3} and row 0..12, whatever n and k
-        ("thm13", wh._row_over_m, 3 * 13),
-        ("thm19", wh._row_over_m, 3 * 13),
-        ("thm21", idn._thm21_row, 3 * 13),
-        # one rescaled Bell value per m, x sample and n = 0..12
-        ("thm23", wh._bell_over_m, 3 * len(idn.X_SAMPLES) * 13),
     ],
 )
 def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys):
     # all of them, since a warm l-sum of thm8 would skip its inner sums
-    for cache in (wh._t8_outer, wh._t8_inner, wh._t18_inner, wh._row_over_m,
-                  idn._thm21_row, wh._bell_over_m):
+    for cache in (wh._t8_outer, wh._t8_inner, wh._t18_inner):
         cache.cache_clear()
     assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status == "pass"
     info = inner.cache_info()
     assert info.misses == keys
     assert info.hits > info.misses
+
+
+# The entries that read degenerate Stirling or Whitney numbers at a rescaled
+# l, and the rescaled triangles they read them from.
+RESCALED_ENTRIES = ("thm13", "thm19", "thm20", "thm21", "cor22", "cor22_remark", "thm23", "thm26")
+RESCALED_STORES = (wh._stirling2_over_m_rows, wh._stirling1_over_m_rows, wh._whitney2_rescaled_rows)
+
+
+def test_rescaled_entries_rescale_no_lambda(monkeypatch):
+    # each rescaled value is an entry of a Newton-kernel triangle, so none is
+    # made by substituting for l, even with every cache cold
+    calls = []
+    real = LambdaPoly.scale_lambda
+    monkeypatch.setattr(LambdaPoly, "scale_lambda", lambda *a: calls.append(a) or real(*a))
+    clear_caches()
+    for ident in RESCALED_ENTRIES:
+        assert idn.run_identity(ident, 10, (1, 2, 3), (1, 2, 3), 0).status != "fail"
+    assert calls == []
+
+
+def test_rescaled_stores_hold_one_triangle_per_m(monkeypatch):
+    # a cold run builds rows 0..12 once for each m and store, however many
+    # (n, k) read them; no other Newton-kernel triangle of whitney is read
+    built = []
+    real = wh.newton_rows
+
+    def counted(*args):
+        built.append(0)
+        for row in real(*args):
+            built[-1] += 1
+            yield row
+
+    monkeypatch.setattr(wh, "newton_rows", counted)
+    clear_caches()
+    for ident in RESCALED_ENTRIES:
+        assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status != "fail"
+    assert [store.cache_info().currsize for store in RESCALED_STORES] == [3, 3, 3]
+    assert built == [13] * 9
 
 
 def test_determinism_same_seed():
@@ -121,7 +152,8 @@ FAULTS = {
     "eq68": (wh, "r_whitney1_rows", (2, 1), {"m": 2, "r": 1, "n": 3, "k": 1}),
     "orthogonality": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "j": 1}),
     "eq74": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
-    "thm20": (st, "deg_stirling1", (3, 1), {"m": 1, "n": 3, "k": 1}),
+    "thm20": (wh, "_stirling1_over_m_rows", (1,), {"m": 1, "n": 3, "k": 1}),
+    "thm21": (wh, "whitney2", (2, 3, 1), {"m": 1, "n": 3, "k": 1}),
     "thm23": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
     "thm26": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
 }
@@ -223,7 +255,7 @@ SWEEP = idn.SweepParams(n_max=6, m_set=(1, 2, 3), r_set=(1, 2), seed=0)
 
 
 def clear_caches() -> None:
-    for module in (bases, series, st, wh, be):
+    for module in (bases, series, st, wh, be, idn):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()

@@ -598,6 +598,44 @@ def test_routes_agree_over_the_accepted_domain(family, m, n_max, data):
         assert rows == SECOND_ROUTES[family](m, r, n_max)
 
 
+# Each rescaled triangle of the catalog, and its definition: an entry of the
+# original triangle at (m, n, k) with l rescaled, times the power of m or m+1
+# that clears the rescaling.
+RESCALED = {
+    "_stirling2_over_m_rows": (
+        wh._stirling2_over_m_rows,
+        lambda m, n, k: st.deg_stirling2(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k),
+    ),
+    "_stirling1_over_m_rows": (
+        wh._stirling1_over_m_rows,
+        lambda m, n, k: st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k),
+    ),
+    "_whitney2_rescaled_rows": (
+        wh._whitney2_rescaled_rows,
+        lambda m, n, k: wh.whitney2(m, n, k).scale_lambda(Fraction(m, m + 1)) * (m + 1) ** (n - k),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESCALED))
+@settings(deadline=None, max_examples=15)
+@given(m=st_.integers(1, 12), n_max=st_.integers(0, 16))
+def test_rescaled_store_is_the_rescaled_triangle(name, m, n_max):
+    store, definition = RESCALED[name]
+    expected = tuple(
+        tuple(definition(m, n, k) for k in range(n + 1)) for n in range(n_max + 1)
+    )
+    assert store(m, n_max) == expected
+
+
+@settings(deadline=None, max_examples=15)
+@given(m=st_.integers(1, 12), n=st_.integers(0, 16), x=st_.fractions(max_denominator=10))
+def test_rescaled_bell_value_is_a_row_sum(m, n, x):
+    # m^n Bdeg_n(x/m) at l -> l/m, which thm23 transforms and thm26 compares
+    expected = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
+    assert wh._row_sum(wh._stirling2_over_m_rows, m, n, x, False) == expected
+
+
 # Each accessor with int arguments; every one of them must refuse an equal
 # float or bool even after the int call has filled the caches.
 INT_ONLY = {
@@ -661,6 +699,11 @@ class TestRowStore:
             pytest.param(wh.whitney1_rows, (2, 3), (-1, 3), id="whitney1_rows"),
             pytest.param(wh.r_whitney1_rows, (2, 1, 3), (2, 0, 3), id="r_whitney1_rows"),
             pytest.param(wh.r_whitney2_rows, (2, 1, 3), (0, 1, 3), id="r_whitney2_rows"),
+            pytest.param(wh._stirling2_over_m_rows, (2, 3), (0, 3), id="_stirling2_over_m_rows"),
+            pytest.param(wh._stirling1_over_m_rows, (2, 3), (0, 3), id="_stirling1_over_m_rows"),
+            pytest.param(
+                wh._whitney2_rescaled_rows, (2, 3), (0, 3), id="_whitney2_rescaled_rows"
+            ),
         ],
     )
     def test_refused_call_stores_nothing(self, rows, good, bad):
@@ -697,6 +740,16 @@ READERS = {
     "whitney1": (wh.whitney1_rows, st_.tuples(M_), wh.whitney1),
     "r_whitney2": (wh.r_whitney2_rows, st_.tuples(M_, R_), wh.r_whitney2),
     "r_whitney1": (wh.r_whitney1_rows, st_.tuples(M_, R_), wh.r_whitney1),
+    # the rescaled triangles of the catalog are read through their entry alone
+    "stirling2_over_m": (
+        wh._stirling2_over_m_rows, st_.tuples(M_), wh._stirling2_over_m_rows.entry
+    ),
+    "stirling1_over_m": (
+        wh._stirling1_over_m_rows, st_.tuples(M_), wh._stirling1_over_m_rows.entry
+    ),
+    "whitney2_rescaled": (
+        wh._whitney2_rescaled_rows, st_.tuples(M_), wh._whitney2_rescaled_rows.entry
+    ),
 }
 
 
