@@ -47,6 +47,28 @@ def test_trivial_sweep_has_no_failures():
     assert all(r.status != "fail" for r in reports)
 
 
+# The entries that read degenerate Stirling or Whitney numbers at a rescaled
+# l, and the rescaled triangles they read them from.
+RESCALED_ENTRIES = ("thm13", "thm19", "thm20", "thm21", "cor22", "cor22_remark", "thm23", "thm26")
+RESCALED_STORES = (wh._stirling2_over_m_rows, wh._stirling1_over_m_rows, wh._whitney2_rescaled_rows)
+
+
+def count_newton_rows(monkeypatch) -> list[int]:
+    """Route whitney's ``newton_rows`` through a counter; the list it returns
+    gets one entry per triangle begun, the number of rows drawn from it."""
+    built = []
+    real = wh.newton_rows
+
+    def counted(*args):
+        built.append(0)
+        for row in real(*args):
+            built[-1] += 1
+            yield row
+
+    monkeypatch.setattr(wh, "newton_rows", counted)
+    return built
+
+
 @pytest.mark.parametrize(
     "ident, inner, keys",
     [
@@ -56,22 +78,25 @@ def test_trivial_sweep_has_no_failures():
         ("thm18", wh._t18_inner, 3 * 91),
         # one l-sum per pair 0 <= k <= j <= 12, whatever m and n
         ("thm8", wh._t8_outer, 91),
+        # one rescaled row per m in {1, 2, 3} and row 0..12, whatever n and k;
+        # the ids name the per-row caches that these row stores replaced
+        pytest.param("thm13", wh._stirling2_over_m_rows, 3 * 13, id="thm13-_row_over_m-39"),
+        pytest.param("thm19", wh._stirling1_over_m_rows, 3 * 13, id="thm19-_row_over_m-39"),
+        pytest.param("thm21", wh._whitney2_rescaled_rows, 3 * 13, id="thm21-_thm21_row-39"),
     ],
 )
-def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys):
+def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys, monkeypatch):
+    built = count_newton_rows(monkeypatch)
     # all of them, since a warm l-sum of thm8 would skip its inner sums
-    for cache in (wh._t8_outer, wh._t8_inner, wh._t18_inner):
-        cache.cache_clear()
+    clear_caches()
     assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status == "pass"
     info = inner.cache_info()
-    assert info.misses == keys
+    if inner in RESCALED_STORES:
+        # one store per m, whose rows are each drawn once
+        assert (info.misses, sum(built)) == (3, keys)
+    else:
+        assert info.misses == keys
     assert info.hits > info.misses
-
-
-# The entries that read degenerate Stirling or Whitney numbers at a rescaled
-# l, and the rescaled triangles they read them from.
-RESCALED_ENTRIES = ("thm13", "thm19", "thm20", "thm21", "cor22", "cor22_remark", "thm23", "thm26")
-RESCALED_STORES = (wh._stirling2_over_m_rows, wh._stirling1_over_m_rows, wh._whitney2_rescaled_rows)
 
 
 def test_rescaled_entries_rescale_no_lambda(monkeypatch):
@@ -89,16 +114,7 @@ def test_rescaled_entries_rescale_no_lambda(monkeypatch):
 def test_rescaled_stores_hold_one_triangle_per_m(monkeypatch):
     # a cold run builds rows 0..12 once for each m and store, however many
     # (n, k) read them; no other Newton-kernel triangle of whitney is read
-    built = []
-    real = wh.newton_rows
-
-    def counted(*args):
-        built.append(0)
-        for row in real(*args):
-            built[-1] += 1
-            yield row
-
-    monkeypatch.setattr(wh, "newton_rows", counted)
+    built = count_newton_rows(monkeypatch)
     clear_caches()
     for ident in RESCALED_ENTRIES:
         assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status != "fail"
