@@ -8,7 +8,7 @@ step-l one, and so on.  ``newton_convert`` converts one ``XPoly`` by
 repeated synthetic division, exact and O(n^2) in ring operations;
 ``newton_rows`` extends the Newton rows of a product of monic linear
 factors (X - b_j), given by their roots, row by row over any ring, with one
-multiplication per entry.
+``exact.muladd`` per entry.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import count
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, check_ints, dot
+from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, check_ints, dot, muladd
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
 NodeSequence = Sequence[LambdaPoly]
@@ -265,7 +265,7 @@ def newton_rows(
     A product that is monic only in u = sX is passed as roots s b_j and
     nodes s a_k, and then c_k comes out times s^(n-k).
 
-    Row n + 1 extends row n with one ring multiplication per entry:
+    Row n + 1 extends row n with one ``muladd`` per entry:
     X N_k = N_{k+1} + a_k N_k in the basis N_k = (X - a_0)...(X - a_{k-1}),
     so multiplying by X - b_n gives c'_k = c_{k-1} + (a_k - b_n) c_k, with
     c'_{n+1} = c_n.
@@ -278,7 +278,7 @@ def newton_rows(
         nodes.append(node(n))
         row = (
             (nodes[0] - b) * row[0],
-            *(row[k - 1] + (nodes[k] - b) * row[k] for k in range(1, n + 1)),
+            *(muladd(row[k - 1], nodes[k] - b, row[k]) for k in range(1, n + 1)),
             row[n],
         )
 

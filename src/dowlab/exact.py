@@ -7,12 +7,13 @@ over one positive common denominator, in lowest terms (the layout of FLINT's
 touches the denominator once per polynomial, not once per coefficient;
 nearly every Whitney, Stirling and Dowling entry has integer coefficients,
 so the denominator is mostly 1.  ``dot`` sums many products the same way,
-over one denominator for the whole sum.  Coefficients read back as exact
-rationals (``fractions.Fraction``), so all identity checks are decided by
-literal equality, never by tolerance.  Values are immutable and hashable and
-may be shared freely between threads.  ``Record`` is the base of the
-package's other immutable values (``TruncatedSeries``, ``WhitneyParams``,
-``DobinskiRequest``).
+over one denominator for the whole sum, and ``muladd`` is the row step
+``p + w * q`` of every triangle's recurrence and Newton kernel.
+Coefficients read back as exact rationals (``fractions.Fraction``), so all
+identity checks are decided by literal equality, never by tolerance.
+Values are immutable and hashable and may be shared freely between threads.
+``Record`` is the base of the package's other immutable values
+(``TruncatedSeries``, ``WhitneyParams``, ``DobinskiRequest``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, neg, sub
 from typing import Iterable, Union
@@ -59,6 +61,12 @@ def check_ints(*values: int) -> None:
     for value in values:
         if type(value) is not int:
             raise TypeError(f"expected an int, got {type(value).__name__}")
+
+
+# What follows a coefficient of degree d, and what stands for a coefficient
+# of magnitude 1 there; str() of a longer polynomial extends copies of both.
+_SUFFIX = ("", "*l", *(f"*l^{d}" for d in range(2, 257)))
+_UNIT = ("1", "l", *(f"l^{d}" for d in range(2, 257)))
 
 
 def _raw(nums: tuple[int, ...], den: int) -> "LambdaPoly":
@@ -156,6 +164,28 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
                 cb *= cnum
                 acc[j : j + width] = map(add, acc[j : j + width], map(cb.__mul__, a))
     return _canonical(acc, den)
+
+
+def muladd(p: "LambdaPoly | int", w: Scalar, q: "LambdaPoly | int") -> "LambdaPoly | int":
+    """``p + w * q``: the step c'_k = c_{k-1} + w c_k of a triangle's row.
+
+    ``p`` and ``q`` are LambdaPolys and ``w`` an exact scalar, or all three
+    are ``int``s (the ring of plain integers).  When every denominator is 1
+    and ``w`` has at most two coefficients, as in every row step of the
+    package, each coefficient p_i + w_0 q_i + w_1 q_{i-1} is written once
+    into one int list and canonicalized once; any other input goes through
+    ``dot``.
+    """
+    if type(q) is int:
+        return p + w * q
+    w = LambdaPoly.coerce(w)
+    c = w.nums
+    if p.den != 1 or q.den != 1 or w.den != 1 or len(c) > 2:
+        return dot(((1, p, ONE), (1, w, q)))
+    w0, w1 = (*c, 0, 0)[:2]
+    b = q.nums
+    out = [x + w0 * y + w1 * z for x, y, z in zip_longest(p.nums, b, (0, *b), fillvalue=0)]
+    return _canonical(out, 1)
 
 
 class LambdaPoly:
@@ -337,27 +367,26 @@ class LambdaPoly:
         nums, den = self.nums, self.den
         if not nums:
             return "0"
-        parts: list[str] = []
-        for d, n in enumerate(nums):
-            if not n:
-                continue
-            mag = abs(n)
-            # The text of |n|/den in lowest terms, as str(Fraction) prints it.
-            if den == 1:
-                text = str(mag)
-            else:
+        suffix, unit = _SUFFIX, _UNIT
+        if len(nums) > len(suffix):
+            suffix = (*suffix, *(f"*l^{d}" for d in range(len(suffix), len(nums))))
+            unit = (*unit, *(f"l^{d}" for d in range(len(unit), len(nums))))
+        if den == 1:
+            text = str
+        else:
+
+            def text(mag: int) -> str:
+                # |n|/den in lowest terms, as str(Fraction) prints it
                 g = gcd(mag, den)
-                text = str(mag // g) if g == den else f"{mag // g}/{den // g}"
-            if d == 0:
-                body = text
-            elif text == "1":
-                body = "l" if d == 1 else f"l^{d}"
-            else:
-                body = f"{text}*l" if d == 1 else f"{text}*l^{d}"
-            if not parts:
-                parts.append(body if n > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if n > 0 else f"- {body}")
+                return str(mag // g) if g == den else f"{mag // g}/{den // g}"
+
+        parts = [
+            ("+ " if n > 0 else "- ") + (u if (mag := abs(n)) == den else text(mag) + s)
+            for n, s, u in zip(nums, suffix, unit)
+            if n
+        ]
+        first = parts[0]
+        parts[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(parts)
 
     def __repr__(self) -> str:

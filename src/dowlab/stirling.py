@@ -19,7 +19,7 @@ from itertools import count
 from threading import Lock
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot
+from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot, muladd
 from .bases import newton_rows
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
@@ -110,7 +110,7 @@ def _recurrence(one, weight: Callable[[int, int], object]) -> Iterator[tuple]:
     row = (one,)
     for n in count(1):
         yield row
-        inner = (row[k - 1] + row[k] * weight(n, k) for k in range(1, n))
+        inner = (muladd(row[k - 1], weight(n, k), row[k]) for k in range(1, n))
         row = (row[0] * weight(n, 0), *inner, row[-1])
 
 

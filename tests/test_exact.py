@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot
+from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, muladd
 from dowlab.series import TruncatedSeries
 from dowlab.whitney import DobinskiRequest, WhitneyParams
 
@@ -91,6 +91,24 @@ class TestGrammar:
         assert str(LambdaPoly((0, -1))) == "-l"
         assert str(LambdaPoly()) == "0"
         assert str(LambdaPoly((Fraction(-1, 2), Fraction(1, 2)))) == "-1/2 + 1/2*l"
+        # a coefficient of magnitude 1 at degree 0, 1 and 2
+        assert str(LambdaPoly((1, 1, 1))) == "1 + l + l^2"
+        assert str(LambdaPoly((-1, -1, -1))) == "-1 - l - l^2"
+        assert str(LambdaPoly((-1, 0, 1))) == "-1 + l^2"
+        assert str(LambdaPoly((0, 0, -1))) == "-l^2"
+        # a negative leading term, and a zero constant term
+        assert str(LambdaPoly((-7, 0, 3))) == "-7 + 3*l^2"
+        assert str(LambdaPoly((0, -2, 5))) == "-2*l + 5*l^2"
+        assert str(LambdaPoly((0, 3, 0, -4))) == "3*l - 4*l^3"
+        # coefficients that end in 1 but are not 1
+        assert str(LambdaPoly((0, 11))) == "11*l"
+        assert str(LambdaPoly((0, 21))) == "21*l"
+        assert str(LambdaPoly((0, -31))) == "-31*l"
+        assert str(LambdaPoly((5, 11, -21, 31))) == "5 + 11*l - 21*l^2 + 31*l^3"
+        # fractional polynomials with a coefficient whose gcd with den is den
+        assert str(LambdaPoly((Fraction(3, 2), 3))) == "3/2 + 3*l"
+        assert str(LambdaPoly((Fraction(1, 2), -1, 2))) == "1/2 - l + 2*l^2"
+        assert str(LambdaPoly((-2, Fraction(-1, 6), 1))) == "-2 - 1/6*l + l^2"
 
     def test_parse_examples(self):
         assert LambdaPoly.parse("1 - 3*l + 2*l^2") == LambdaPoly((1, -3, 2))
@@ -453,6 +471,37 @@ def test_int_tuple_construction_matches_fraction_construction(a):
     assert form(got) == form(LambdaPoly(map(Fraction, a)))
     assert form(LambdaPoly(iter(a))) == form(got)
     assert got.coeffs == ref_strip(map(Fraction, a))
+
+
+# -- the row step p + w*q of the recurrence and Newton kernels -------------------
+#
+# Triangle entries grow past 2^64 within a few dozen rows, and their signs
+# alternate.  Integral operands with a multiplier of degree 0 or 1 take the
+# fast path; any other input the general one.
+
+wide_ints = st_.one_of(small_ints, st_.integers(min_value=-(2**70), max_value=2**70))
+step_polys = st_.one_of(st_.just(ZERO), mixed_polys, st_.lists(wide_ints, max_size=6).map(LambdaPoly))
+multipliers = st_.one_of(
+    st_.just(ZERO),
+    wide_ints,
+    mixed,
+    st_.lists(wide_ints, min_size=1, max_size=4).map(LambdaPoly),  # degree 0 to 3
+    st_.lists(st_.one_of(wide_ints, mixed), min_size=1, max_size=4).map(LambdaPoly),
+)
+
+
+@given(step_polys, multipliers, step_polys)
+def test_muladd_is_p_plus_w_times_q(p, w, q):
+    got = muladd(p, w, q)
+    assert_canonical(got)
+    assert form(got) == form(p + w * q)
+    assert got.coeffs == ref_add(p.coeffs, ref_mul(LambdaPoly.coerce(w).coeffs, q.coeffs))
+
+
+@given(wide_ints, wide_ints, wide_ints)
+def test_muladd_serves_the_int_ring(p, w, q):
+    got = muladd(p, w, q)
+    assert type(got) is int and got == p + w * q
 
 
 # Each Record class, the arguments of one instance, and the defaults of its

@@ -21,9 +21,11 @@ import hashlib
 import importlib
 import io
 import itertools
+import json
 import math
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,18 @@ VERIFY_N16 = (
 )
 
 
+# The commands of the export workload in perfbench/run.py, under the keys of
+# their digests in perfbench/reference.json, which is read as data: W is the
+# recurrence route and VR the Newton route at the sizes the benchmark runs.
+BENCHMARK_EXPORTS = {
+    "W-m3-n80": ["--family", "W", "--m", "3", "--n-max", "80"],
+    **{
+        f"VR-m3-r{r}-n40": ["--family", "VR", "--m", "3", "--r", str(r), "--n-max", "40"]
+        for r in (1, 2, 3)
+    },
+}
+BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
 # `dowlab dobinski --format json` over this grid, one process, in this order;
 # terms = ceil(e |x| / m) + 100 as in the benchmark's sweeps.
 DOBINSKI_GRID = (
@@ -171,6 +185,19 @@ def test_triangle_format_digest(case, fmt):
     with contextlib.redirect_stdout(out):
         assert cli.main(["triangle", *args, "--format", fmt]) == 0
     assert sha256(out.getvalue()) == TRIANGLE_FORMATS[case, fmt]
+
+
+def test_benchmark_exports_cover_the_reference():
+    assert sorted(BENCHMARK_EXPORTS) == sorted(json.loads(BENCHMARK_REFERENCE.read_text())["export"])
+
+
+@pytest.mark.parametrize("key", sorted(BENCHMARK_EXPORTS))
+def test_benchmark_export_digest(key, tmp_path):
+    digest = json.loads(BENCHMARK_REFERENCE.read_text())["export"][key]
+    out = tmp_path / f"{key}.csv"
+    argv = ["triangle", *BENCHMARK_EXPORTS[key], "--symbolic", "--format", "csv", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed", sorted(VERIFY))
