@@ -4,22 +4,21 @@ Newton-form basis conversion.
 The basis machinery expresses a polynomial in a formal variable X as a
 combination of products (X - a_0)(X - a_1)...; choosing the node sequence
 a_j = j gives the ordinary falling-factorial basis, a_j = j*l the
-step-l one, and so on.  ``newton_convert`` converts one ``XPoly`` by
-repeated synthetic division, exact and O(n^2) in ring operations;
-``newton_rows`` extends the Newton rows of a product of monic linear
-factors (X - b_j), given by their roots, row by row over any ring, with one
-``exact.muladd`` per entry.
+step-l one, and so on.  ``newton_rows``, the kernel of every Newton route,
+extends the Newton rows of a product of monic linear factors (X - b_j), given
+by their roots, row by row over any ring, with one ``exact.muladd`` per entry.
+``newton_convert`` (one ``XPoly`` by repeated synthetic division, O(n^2)) is
+kept only as the tests' reference for that kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, check_ints, dot, muladd
+from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, bounded, check_ints, dot, muladd
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
 NodeSequence = Sequence[LambdaPoly]
@@ -85,14 +84,11 @@ def _check_factorial(x: Scalar, n: int, step: Scalar) -> None:
             as_fraction(value)  # refuses a float or bool with the usual message
 
 
-# The identity catalog asks for a few hundred distinct products thousands of
-# times, so the cache is keyed on the arguments as passed, with no coercion
-# or check on a hit; typed, so that an int and the constant polynomial equal
-# to it keep separate entries, and a float or bool never reaches an equal
-# int's entry.  So the arguments are checked on a miss only, and a refused
-# call caches nothing.  The bound keeps a long-lived process from growing
-# without limit.
-@lru_cache(maxsize=4096, typed=True)
+# The identity catalog asks for a few hundred distinct products thousands of times,
+# so the cache is keyed on the arguments as passed, with no coercion or check on a
+# hit: its typed keys keep a float or bool from an equal int's entry.  The arguments
+# are checked on a miss only, and a refused call caches nothing.
+@bounded(4096)
 def _factorial_product(x: Scalar, n: int, step: Scalar, sign: int) -> LambdaPoly:
     """x(x + sign*step)(x + 2*sign*step)...(x + (n-1)*sign*step)."""
     _check_factorial(x, n, step)

@@ -13,7 +13,8 @@ Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
 ``Record`` is the base of the package's other immutable values
-(``TruncatedSeries``, ``WhitneyParams``, ``DobinskiRequest``).
+(``TruncatedSeries``, ``WhitneyParams``, ``DobinskiRequest``).  ``bounded``
+makes every cache of the package and lists it in ``CACHES``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, neg, sub
@@ -61,6 +63,22 @@ def check_ints(*values: int) -> None:
     for value in values:
         if type(value) is not int:
             raise TypeError(f"expected an int, got {type(value).__name__}")
+
+
+# Every memo and row store of the package, in the order they were made.
+CACHES: list = []
+
+
+def bounded(maxsize: int):
+    """``functools.lru_cache(maxsize, typed=True)``, its wrapper listed in ``CACHES``.
+    The bound keeps a long-lived process from growing without limit; typed keys
+    keep an int apart from an equal float, bool or constant polynomial."""
+
+    def register(fn):
+        CACHES.append(lru_cache(maxsize=maxsize, typed=True)(fn))
+        return CACHES[-1]
+
+    return register
 
 
 # What follows a coefficient of degree d, and what stands for a coefficient

@@ -23,12 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, product
 from math import factorial
 from typing import Callable, Generator, Iterable, Optional
 
-from .exact import LAMBDA, ONE, LambdaPoly, dot
+from .exact import LAMBDA, ONE, LambdaPoly, bounded, dot
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, rising_transform
 from .series import (
     binomial_series,
@@ -255,19 +255,21 @@ def _chk_eq12(p: SweepParams) -> Points:
         yield {"n": n}, lhs.coeff(n), rhs.coeff(n)
 
 
+def _orthogonal(n_max: int, first: Callable, second: Callable, at: dict) -> Points:
+    """Compare sum_k first(n, k) second(k, j) with [n = j] at each (n, j); params ``at``, n, j."""
+    for n in range(n_max + 1):
+        for j in range(n + 1):
+            acc = dot((1, first(n, k), second(k, j)) for k in range(j, n + 1))
+            yield {**at, "n": n, "j": j}, acc, LambdaPoly.const(1 if n == j else 0)
+
+
 def _chk_orthogonality(p: SweepParams) -> Points:
     for m in p.m_set:
-        for n in range(p.n_max + 1):
-            for j in range(n + 1):
-                acc = dot((1, wh.whitney1(m, n, k), wh.whitney2(m, k, j)) for k in range(j, n + 1))
-                yield {"m": m, "n": n, "j": j}, acc, LambdaPoly.const(1 if n == j else 0)
+        yield from _orthogonal(p.n_max, partial(wh.whitney1, m), partial(wh.whitney2, m), {"m": m})
 
 
 def _chk_stirling_orthogonality(p: SweepParams) -> Points:
-    for n in range(p.n_max + 1):
-        for j in range(n + 1):
-            acc = dot((1, st.deg_stirling1(n, k), st.deg_stirling2(k, j)) for k in range(j, n + 1))
-            yield {"n": n, "j": j}, acc, LambdaPoly.const(1 if n == j else 0)
+    return _orthogonal(p.n_max, st.deg_stirling1, st.deg_stirling2, {})
 
 
 def _chk_eq29_30(p: SweepParams) -> Points:
@@ -342,10 +344,8 @@ def _thm16_sum(m: int, n: int, k: int, with_falling_factor: bool) -> LambdaPoly:
     )
 
 
-# The inner sum of thm16 does not depend on n, so it is built once per key
-# instead of once per (n, k); the bound keeps a long-lived process from
-# growing without limit.
-@lru_cache(maxsize=4096)
+# The inner sum of thm16 does not depend on n, so it is built once per key, not per (n, k).
+@bounded(4096)
 def _thm16_inner(m: int, k: int, l: int, with_falling_factor: bool) -> LambdaPoly:
     """W(l,k) + sum_i C(l,i) W(i,k-1) [(m)_{l-i,l}], the inner sum of thm16."""
     terms = (
@@ -438,7 +438,7 @@ def _cor22_sum(m: int, n: int, x: Fraction, ordered: bool, rescale: bool) -> Lam
         store, y, c = wh._whitney2_rescaled_rows, m * x, 1
     else:
         store, y, c = wh.whitney2_rows, x * Fraction(m, m + 1), m + 1
-    terms = ((j, c**j, wh._row_sum(store, m, j, y, ordered)) for j in range(n + 1))
+    terms = ((j, c**j, st._row_sum(store, m, j, y, ordered)) for j in range(n + 1))
     return rising_transform(n, terms, LAMBDA * m) / m**n
 
 
@@ -481,7 +481,7 @@ def _dowling(m: int, x: Fraction, n: int) -> LambdaPoly:
 def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
     """The falling transform of m^i Bdeg_i(x/m) at l -> l/m, i = 0..n, the
     right side of thm23; each is a row sum of the rescaled S2deg triangle."""
-    bells = (wh._row_sum(wh._stirling2_over_m_rows, m, i, x, False) for i in range(n + 1))
+    bells = (st._row_sum(wh._stirling2_over_m_rows, m, i, x, False) for i in range(n + 1))
     return falling_transform(n, _terms(bells))
 
 
@@ -667,7 +667,7 @@ _register("lemma24", _chk_lemma24)
 _register("thm25", _chk_thm25)
 _register("thm26", Row(
     _series,
-    _each(NEWTON, lambda m, x, n: wh._row_sum(wh._stirling2_over_m_rows, m, n, x, False)),
+    _each(NEWTON, lambda m, x, n: st._row_sum(wh._stirling2_over_m_rows, m, n, x, False)),
     _each(EXPLICIT | RECURRENCE, _dowling_transform),
 ))
 _register("orthogonality", _chk_orthogonality)

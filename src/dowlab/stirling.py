@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import count
+from math import factorial
 from threading import Lock
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, check_ints, dot, muladd
+from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, bounded, check_ints, dot, muladd
 from .bases import newton_rows
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
@@ -65,7 +66,8 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     place; only ``f`` copies rows out of it.
     """
 
-    @lru_cache(maxsize=STORES_HELD)
+    @bounded(STORES_HELD)
+    @wraps(rows_of)  # the store's cache is named after its triangle
     def store(*params: int) -> tuple[list[tuple], Iterator]:
         return [], rows_of(*params)
 
@@ -103,6 +105,17 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     rows.cache_info = store.cache_info
     rows.cache_clear = store.cache_clear
     return rows
+
+
+# thm23 and cor22 read every earlier row sum at each n, so each is built once per key.
+@bounded(4096)
+def _row_sum(store: Callable, m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
+    """sum_k T(n,k) x^k over row n of the row store ``store(m, n)``, each term
+    weighted by k! when ``ordered``: over ``deg_r_stirling2_rows`` at m = 0 the
+    degenerate Bell polynomials, over ``whitney2_rows`` the (Tanny-)Dowling
+    polynomials, over ``_stirling2_over_m_rows`` m^n Bdeg_n(x/m) at l -> l/m."""
+    row = store(m, n)[n]
+    return dot((x**k * factorial(k) if ordered else x**k, row[k], ONE) for k in range(n + 1))
 
 
 def _recurrence(one, weight: Callable[[int, int], object]) -> Iterator[tuple]:
@@ -172,13 +185,7 @@ def deg_bell(n: int, x: int | Fraction) -> LambdaPoly:
     check_ints(n)
     if n < 0:
         raise ValueError("Bell polynomial index must be >= 0")
-    return _bell_row_sum(n, as_fraction(x))
-
-
-@lru_cache(maxsize=4096)
-def _bell_row_sum(n: int, x: Fraction) -> LambdaPoly:
-    row = deg_stirling2_rows(n)[n]
-    return dot((x**k, row[k], ONE) for k in range(n + 1))
+    return _row_sum(deg_r_stirling2_rows, 0, n, as_fraction(x), False)
 
 
 def deg_bell_number(n: int) -> LambdaPoly:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, getcontext, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import ceil, factorial, isfinite, prod
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, Record, as_fraction, check_ints, dot
+from .exact import LAMBDA, ONE, LambdaPoly, Record, as_fraction, bounded, check_ints, dot
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, newton_rows
 from .series import (
     TruncatedSeries,
@@ -35,6 +34,7 @@ from .stirling import (
     Rows,
     _check_index,
     _recurrence,
+    _row_sum,
     _stirling1_rows,
     _stirling2_rows,
     deg_r_stirling1_unsigned_rows,
@@ -157,7 +157,7 @@ def whitney2_diff(m: int, n: int, k: int) -> LambdaPoly:
     return _forward_differences(m, n)[k] / (factorial(k) * Fraction(m) ** k)
 
 
-@lru_cache(maxsize=256)
+@bounded(256)
 def _forward_differences(m: int, n: int) -> tuple[LambdaPoly, ...]:
     """Delta^0 f(0), ..., Delta^n f(0) for f(x) = (mx+1)_{n,l}, from the
     difference table of the values f(0), ..., f(n): each row holds the
@@ -200,9 +200,8 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
 
 
 # The inner sums of thm8 and thm18 do not depend on n, so each is built once
-# per key instead of once per (n, k); the bound keeps a long-lived process
-# from growing without limit.
-@lru_cache(maxsize=4096)
+# per key instead of once per (n, k).
+@bounded(4096)
 def _t8_outer(j: int, k: int) -> LambdaPoly:
     """sum_l (-1)^(l-k) C(l,k) <1>_{l-k,l} sum_i S2(j,i) S1deg(i,l), the l-sum of thm8."""
     return dot(
@@ -211,14 +210,14 @@ def _t8_outer(j: int, k: int) -> LambdaPoly:
     )
 
 
-@lru_cache(maxsize=4096)
+@bounded(4096)
 def _t8_inner(j: int, l: int) -> LambdaPoly:
     """sum_i S2(j,i) S1deg(i,l), the inner sum of thm8."""
     s2, s1deg = _stirling2_rows(j), deg_stirling1_rows(j)
     return dot((s2[j][i], s1deg[i][l], ONE) for i in range(l, j + 1))
 
 
-@lru_cache(maxsize=4096)
+@bounded(4096)
 def _t18_inner(m: int, i: int, k: int) -> LambdaPoly:
     """sum_{j,l} S2(j,l) S1(i,j) m^(i-j) S1deg(l,k), the inner double sum of thm18."""
     s1, s2, s1deg = _stirling1_rows(i), _stirling2_rows(i), deg_stirling1_rows(i)
@@ -250,17 +249,6 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _row_sum(whitney2_rows, m, n, as_fraction(x), True)
-
-
-# thm23 and cor22 read every earlier row sum at each n, so each is built once
-# per key; the bound keeps a long-lived process from growing without limit.
-@lru_cache(maxsize=4096)
-def _row_sum(store: Callable, m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
-    """sum_k T(n,k) x^k over row n of ``store(m, n)``, each term weighted by k!
-    when ``ordered``: over ``whitney2_rows`` the (Tanny-)Dowling polynomials,
-    over ``_stirling2_over_m_rows`` m^n Bdeg_n(x/m) at l -> l/m (thm23, thm26)."""
-    row = store(m, n)[n]
-    return dot((x**k * factorial(k) if ordered else x**k, row[k], ONE) for k in range(n + 1))
 
 
 def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
@@ -483,14 +471,14 @@ def _decimal_context(prec: int):
 
 # thm10 evaluates 27 points (n, lambda) at each z; the Dobinski sweeps of
 # the benchmark see a new z at nearly every call, so a few entries suffice.
-@lru_cache(maxsize=8)
+@bounded(8)
 def _exp_of_negated(p: int, q: int, prec: int) -> Decimal:
     """``e^{-p/q}`` correctly rounded to ``prec`` digits, in ``_decimal_context(prec)``."""
     with _decimal_context(prec):
         return (Decimal(-p) / q).exp()
 
 
-@lru_cache(maxsize=8)
+@bounded(8)
 def _truncated_exp(p: int, q: int, terms: int) -> tuple[int, int, int]:
     """``(p^(terms-1), q^(terms-1) (terms-1)!, num)`` with ``E_{terms-1}(p/q)``
     equal to ``num`` over the second entry."""

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from dowlab.exact import LambdaPoly
+from dowlab.exact import CACHES, LambdaPoly
 from dowlab import cli
 from dowlab import stirling as st
 from dowlab import whitney as wh
@@ -23,6 +23,7 @@ from dowlab.cli import latex_poly, main
 from dowlab.identities import CATALOG
 from dowlab.stirling import Family
 from dowlab.whitney import build_triangle
+from test_whitney import clear_caches
 
 
 def latex_poly_inverse(text: str) -> str:
@@ -743,14 +744,6 @@ class TestStreamedExport:
         assert err == "error: m must be a positive integer, got 0\n"
 
 
-# Every row store; an export or an entry evaluation must leave each one empty.
-ROW_STORES = (
-    st._stirling1_rows, st._stirling2_rows, st.deg_stirling1_rows, st.deg_r_stirling2_rows,
-    st.deg_r_stirling1_unsigned_rows, wh.whitney2_rows, wh.whitney1_rows, wh.r_whitney2_rows,
-    wh.r_whitney1_rows,
-)
-
-
 class TestExportFillsNoStore:
     def test_memory_is_about_one_row_without_a_held_triangle(self, capsys, tmp_path):
         target = tmp_path / "w.csv"
@@ -772,15 +765,15 @@ class TestExportFillsNoStore:
     @pytest.mark.parametrize("command", ["triangle", "eval"])
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_every_store_stays_empty(self, capsys, family, command):
-        for store in ROW_STORES:
-            store.cache_clear()
+        clear_caches()  # an export or an entry evaluation leaves every cache empty
         if command == "triangle":
             argv = triangle_argv(family, 3, 2, 12, None, "csv")
         else:
             argv = ["eval", "--family", family, "--m", "3", "--r", "2", "--n", "12", "--k", "5"]
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "") and out
-        assert [store.cache_info().currsize for store in ROW_STORES] == [0] * len(ROW_STORES)
+        held = {cache.__name__: cache.cache_info().currsize for cache in CACHES}
+        assert held == dict.fromkeys(held, 0)
 
 
 class FailingStdout:

@@ -11,13 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from dowlab.exact import LambdaPoly
+from dowlab.exact import CACHES, LambdaPoly
 from dowlab import bases, series
-from dowlab import bernoulli_euler as be
 from dowlab import identities as idn
 from dowlab import stirling as st
 from dowlab import whitney as wh
-from test_whitney import forbidden
+from test_whitney import clear_caches, forbidden
 
 
 def test_catalog_is_large_enough():
@@ -297,13 +296,6 @@ ROUTE_PRIMITIVES = {
 SWEEP = idn.SweepParams(n_max=6, m_set=(1, 2, 3), r_set=(1, 2), seed=0)
 
 
-def clear_caches() -> None:
-    for module in (bases, series, st, wh, be, idn):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def test_declared_route_sharings():
     rows = idn.ROWS
     assert rows and all(idn.CATALOG[ident].checker is row for ident, row in rows.items())
@@ -366,6 +358,15 @@ def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch):
         clear_caches()
     assert report.status == "fail"
     assert report.counterexample["params"] == {"n": 2, "part": "eq29"}
+
+
+def test_a_warm_run_reports_what_a_cold_run_reports():
+    # the warm run reads back every memo and row store the cold one filled
+    clear_caches()
+    cold = json.dumps(idn.report_document(idn.verify_all(6), 6, (1, 2, 3), (1, 2, 3), 0))
+    held = [cache.cache_info().currsize for cache in CACHES]
+    assert json.dumps(idn.report_document(idn.verify_all(6), 6, (1, 2, 3), (1, 2, 3), 0)) == cold
+    assert [cache.cache_info().currsize for cache in CACHES] == held
 
 
 def test_report_document_shape():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dowlab
+from dowlab.exact import CACHES
 
 SRC = Path(dowlab.__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
@@ -179,3 +180,27 @@ def test_an_unused_import_is_found(tmp_path):
         "def f(n: int) -> int:\n    return comb(n, 2) + len(os.sep)\n"
     )
     assert _unused_imports(module) == ["regex"]
+
+
+def _names(path: Path) -> set:
+    """Every identifier that the module at ``path`` reads, binds, imports or looks up."""
+    nodes = ast.walk(ast.parse(path.read_text(), str(path)))
+    return {getattr(node, key, None) for node in nodes for key in ("id", "attr", "name")}
+
+
+def test_only_exact_names_lru_cache():
+    # every other module makes its caches with exact.bounded, which lists them
+    assert [path.name for path in SRC.glob("*.py") if "lru_cache" in _names(path)] == ["exact.py"]
+
+
+def test_every_cache_is_registered():
+    # a memo's cache_info is bound to the memo itself, a row store's to the
+    # cache of its parameter sets; the registry holds those and nothing else
+    found = {
+        value.cache_info.__self__
+        for module in map(importlib.import_module, (f"dowlab.{name}" for name in MODULES))
+        for value in vars(module).values()
+        if hasattr(value, "cache_info")
+    }
+    assert found == set(CACHES)
+    assert len({cache.__name__ for cache in CACHES}) == len(CACHES)  # the tests' ids

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab.exact import CACHES, LAMBDA, LambdaPoly
 from dowlab import bases
 from dowlab import stirling as st
 from dowlab import whitney as wh
@@ -814,6 +814,12 @@ def forbidden(*args, **kwargs):
     raise AssertionError("one triangle route reached the code of another")
 
 
+def clear_caches() -> None:
+    """Empty every memo and row store of the package."""
+    for cache in CACHES:
+        cache.cache_clear()
+
+
 class TestRouteIndependence:
     # The identity catalog compares the recurrence, Newton and GF routes;
     # that only checks something while no route leans on another's code.
@@ -828,8 +834,7 @@ class TestRouteIndependence:
         for module in (bases, st, wh):
             monkeypatch.setattr(module, "newton_rows", forbidden)
         monkeypatch.setattr(bases, "newton_convert", forbidden)
-        wh.whitney2_rows.cache_clear()
-        wh.whitney1_rows.cache_clear()
+        clear_caches()
         for m, (second, first) in expected.items():
             assert wh.whitney2_rows(m, self.N_MAX) == second
             assert wh.whitney1_rows(m, self.N_MAX) == first
@@ -841,8 +846,7 @@ class TestRouteIndependence:
         }
         monkeypatch.setattr(st, "_recurrence", forbidden)
         monkeypatch.setattr(wh, "_recurrence", forbidden)
-        wh.r_whitney2_rows.cache_clear()
-        wh.r_whitney1_rows.cache_clear()
+        clear_caches()
         for m, (second, first) in expected.items():
             assert wh.r_whitney2_rows(m, 1, self.N_MAX) == second
             assert wh.r_whitney1_rows(m, 1, self.N_MAX) == first
@@ -857,15 +861,9 @@ class TestRouteIndependence:
         monkeypatch.setattr(bases, "newton_convert", forbidden)
         monkeypatch.setattr(st, "_recurrence", forbidden)
         monkeypatch.setattr(wh, "_recurrence", forbidden)
-        stores = [
-            fn
-            for module in (st, wh)
-            for name, fn in vars(module).items()
-            if name.endswith("_rows") and hasattr(fn, "cache_clear")
-        ]
-        for store in stores:
-            store.cache_clear()
+        clear_caches()
         for m, (second, first) in expected.items():
             assert wh.whitney2_rows_gf(m, self.N_MAX) == second
             assert wh.whitney1_rows_gf(m, self.N_MAX) == first
-        assert stores and all(store.cache_info().currsize == 0 for store in stores)
+        # no row store and no memo was read
+        assert all(cache.cache_info().currsize == 0 for cache in CACHES)
