@@ -7,8 +7,14 @@ over one positive common denominator, in lowest terms (the layout of FLINT's
 touches the denominator once per polynomial, not once per coefficient;
 nearly every Whitney, Stirling and Dowling entry has integer coefficients,
 so the denominator is mostly 1.  ``dot`` sums many products the same way,
-over one denominator for the whole sum, and ``muladd`` is the row step
-``p + w * q`` of every triangle's recurrence and Newton kernel.
+over one denominator for the whole sum: each term's scalar is folded into
+its shorter operand once, and every product is added into one int list by
+the schoolbook loop ``acc[i + j] += a_j * b_i``, which skips zero
+coefficients and which a product of two polynomials uses too; the sum is
+canonicalized once at the end.  The operands are short (a few coefficients
+under 32 bits), so plain int steps beat slicing or packing.  ``muladd`` is
+the row step ``p + w * q`` of every triangle's recurrence and Newton kernel,
+and ``linear`` builds its multiplier ``w`` from two ints.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
@@ -113,6 +119,24 @@ def _canonical(nums: list[int], den: int) -> "LambdaPoly":
     return _raw(*_reduced(nums, den))
 
 
+def linear(c0: int, c1: int) -> "LambdaPoly":
+    """``c0 + c1*l`` from two ints, in canonical form (``c1``, or both, may be 0):
+    the multiplier of a row step, built without a pass over a list."""
+    if c1:
+        return _raw((c0, c1), 1)
+    return _raw((c0,) if c0 else (), 1)
+
+
+def _shift(a: tuple[int, ...], den: int, c: int) -> "LambdaPoly":
+    """``a / den + c`` for canonical ``(a, den)`` and an int ``c``.  Only the
+    constant numerator moves, by a multiple of ``den``, so the gcd with ``den``
+    and the form stay canonical."""
+    head = (a[0] if a else 0) + c * den
+    if len(a) > 1:
+        return _raw((head, *a[1:]), den)
+    return _raw((head,), den) if head else _raw((), 1)
+
+
 def _addsub(p: "LambdaPoly", q: "LambdaPoly", op) -> "LambdaPoly":
     """``p + q`` or ``p - q`` (``op`` is ``operator.add`` or ``sub``)."""
     a, den = p.nums, p.den
@@ -127,6 +151,21 @@ def _addsub(p: "LambdaPoly", q: "LambdaPoly", op) -> "LambdaPoly":
     out += a[short:]
     out += b[short:] if op is add else map(neg, b[short:])
     return _canonical(out, den)
+
+
+def _addmul(acc: list[int], a: tuple[int, ...], b: tuple[int, ...], c: int) -> None:
+    """Add ``c * a * b`` into ``acc``, which reaches index ``len(a) + len(b) - 2``.
+
+    The one product loop of the kernel: ``c`` is folded into each nonzero
+    coefficient of ``b`` (the shorter operand) once, and every product is
+    added in place, since a few plain int steps cost less than slicing the
+    list for operands this short.
+    """
+    for i, y in enumerate(b):
+        if y:
+            y *= c
+            for j, x in enumerate(a, i):
+                acc[j] += x * y
 
 
 def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "LambdaPoly":
@@ -160,28 +199,27 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
             cnum *= den // tden
         if len(a) < len(b):
             a, b = b, a
-        width = len(a)
-        if len(b) == 1:
-            # One coefficient, nonzero: the term is a scaled copy of a.
-            cb = b[0] * cnum
-            if not size:
-                acc = list(map(cb.__mul__, a))
-                size = width
-                continue
-            if width > size:
-                acc += [0] * (width - size)
-                size = width
-            acc[:width] = map(add, acc[:width], map(cb.__mul__, a))
+        top = len(a) + len(b) - 1
+        if not size and len(b) == 1:
+            # The first term, with one coefficient: a scaled copy of a.
+            y = b[0] * cnum
+            acc = [x * y for x in a]
+            size = top
             continue
-        top = width + len(b) - 1
         if top > size:
             acc += [0] * (top - size)
             size = top
-        for j, cb in enumerate(b):
-            if cb:
-                cb *= cnum
-                acc[j : j + width] = map(add, acc[j : j + width], map(cb.__mul__, a))
-    return _canonical(acc, den)
+        _addmul(acc, a, b, cnum)
+    while acc and not acc[-1]:
+        acc.pop()
+    if not acc:
+        return _raw((), 1)
+    if den != 1:
+        g = gcd(den, *acc)
+        if g != 1:
+            den //= g
+            acc = [n // g for n in acc]
+    return _raw(tuple(acc), den)
 
 
 def muladd(p: "LambdaPoly | int", w: Scalar, q: "LambdaPoly | int") -> "LambdaPoly | int":
@@ -270,13 +308,15 @@ class LambdaPoly:
         return bool(self.nums)
 
     def __hash__(self) -> int:
-        # A constant hashes like the number it equals, any other polynomial
-        # like self.coeffs; an integral Fraction hashes like its int.
-        if len(self.nums) <= 1:
-            return hash(self.constant())
+        # A constant hashes like the number it equals: an integral one through
+        # its int, with no Fraction built, as an integral Fraction hashes like
+        # its int.  Any other polynomial hashes like self.coeffs.
+        nums = self.nums
+        if len(nums) > 1:
+            return hash(nums) if self.den == 1 else hash(self.coeffs)
         if self.den == 1:
-            return hash(self.nums)
-        return hash(self.coeffs)
+            return hash(nums[0]) if nums else hash(0)
+        return hash(Fraction(nums[0], self.den))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LambdaPoly):
@@ -292,6 +332,8 @@ class LambdaPoly:
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "LambdaPoly":
+        if type(other) is int:
+            return _shift(self.nums, self.den, other)
         return _addsub(self, LambdaPoly.coerce(other), add)
 
     __radd__ = __add__
@@ -300,9 +342,13 @@ class LambdaPoly:
         return _raw(tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other: Scalar) -> "LambdaPoly":
+        if type(other) is int:
+            return _shift(self.nums, self.den, -other)
         return _addsub(self, LambdaPoly.coerce(other), sub)
 
     def __rsub__(self, other: Scalar) -> "LambdaPoly":
+        if type(other) is int:
+            return _shift(tuple(map(neg, self.nums)), self.den, other)
         return _addsub(LambdaPoly.coerce(other), self, sub)
 
     def __mul__(self, other: Scalar) -> "LambdaPoly":
@@ -315,7 +361,15 @@ class LambdaPoly:
                 den //= g
                 other //= g
             return _raw(tuple(map(other.__mul__, a)), den)
-        return dot(((1, self, LambdaPoly.coerce(other)),))
+        other = LambdaPoly.coerce(other)
+        b = other.nums
+        if not a or not b:
+            return _raw((), 1)
+        if len(a) < len(b):
+            a, b = b, a
+        acc = [0] * (len(a) + len(b) - 1)
+        _addmul(acc, a, b, 1)
+        return _canonical(acc, den * other.den)
 
     __rmul__ = __mul__
 

@@ -16,11 +16,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import wraps
 from itertools import count
-from math import factorial
 from threading import Lock
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, bounded, check_ints, dot, muladd
+from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, bounded, check_ints, dot, linear, muladd
 from .bases import newton_rows
 from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
 
@@ -113,9 +112,17 @@ def _row_sum(store: Callable, m: int, n: int, x: Fraction, ordered: bool) -> Lam
     """sum_k T(n,k) x^k over row n of the row store ``store(m, n)``, each term
     weighted by k! when ``ordered``: over ``deg_r_stirling2_rows`` at m = 0 the
     degenerate Bell polynomials, over ``whitney2_rows`` the (Tanny-)Dowling
-    polynomials, over ``_stirling2_over_m_rows`` m^n Bdeg_n(x/m) at l -> l/m."""
+    polynomials, over ``_stirling2_over_m_rows`` m^n Bdeg_n(x/m) at l -> l/m.
+    At x = p/q the weights are the ints p^k q^(n-k) (times k!), and the sum
+    is divided by q^n once."""
     row = store(m, n)[n]
-    return dot((x**k * factorial(k) if ordered else x**k, row[k], ONE) for k in range(n + 1))
+    p, q = x.numerator, x.denominator
+    terms = []
+    weight = 1  # p^k, times k! when ordered
+    for k in range(n + 1):
+        terms.append((weight * q ** (n - k), row[k], ONE))
+        weight *= p * (k + 1) if ordered else p
+    return dot(terms) / q**n
 
 
 def _recurrence(one, weight: Callable[[int, int], object]) -> Iterator[tuple]:
@@ -205,7 +212,7 @@ def _check_r(r: int) -> None:
 def deg_r_stirling2_rows(r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """(x+r)_{n,l} in the ordinary falling basis (second kind, shift r)."""
     _check_r(r)
-    return newton_rows(ONE, lambda j: LambdaPoly((-r, j)), lambda k: k)
+    return newton_rows(ONE, lambda j: linear(-r, j), lambda k: k)
 
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:

@@ -19,7 +19,7 @@ from itertools import islice
 from math import ceil, factorial, isfinite, prod
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, Record, as_fraction, bounded, check_ints, dot
+from .exact import LAMBDA, ONE, LambdaPoly, Record, as_fraction, bounded, check_ints, dot, linear
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, newton_rows
 from .series import (
     TruncatedSeries,
@@ -79,7 +79,7 @@ def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
 def whitney2_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """Second-kind triangle from the two-term recurrence."""
     _check_m(m)
-    return _recurrence(ONE, lambda n, k: LambdaPoly((m * k + 1, 1 - n)))
+    return _recurrence(ONE, lambda n, k: linear(m * k + 1, 1 - n))
 
 
 def whitney2(m: int, n: int, k: int) -> LambdaPoly:
@@ -110,7 +110,7 @@ def whitney2_rows_gf(m: int, n_max: int) -> Rows:
 def whitney1_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """First-kind triangle from the two-term recurrence."""
     _check_m(m)
-    return _recurrence(ONE, lambda n, k: LambdaPoly((m - n * m - 1, k)))
+    return _recurrence(ONE, lambda n, k: linear(m - n * m - 1, k))
 
 
 def whitney1(m: int, n: int, k: int) -> LambdaPoly:
@@ -280,7 +280,7 @@ def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
 def _stirling2_over_m_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """m^(n-k) S2deg(n, k | l/m): (u)_{n,l} = sum_k T(n,k) m^k (x)_k in u = mx."""
     _check_m(m)
-    return newton_rows(ONE, lambda j: LambdaPoly((0, j)), lambda k: m * k)
+    return newton_rows(ONE, lambda j: linear(0, j), lambda k: m * k)
 
 
 @row_store
@@ -295,7 +295,7 @@ def _whitney2_rescaled_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """(m+1)^(n-k) W_m(n, k | m l/(m+1)): (m+1)^n (mx+1)_{n,m l/(m+1)}
     = sum_k T(n,k) (m(m+1))^k (x)_k in u = m(m+1)x."""
     _check_m(m)
-    return newton_rows(ONE, lambda j: LambdaPoly((-(m + 1), j * m)), lambda k: m * (m + 1) * k)
+    return newton_rows(ONE, lambda j: linear(-(m + 1), j * m), lambda k: m * (m + 1) * k)
 
 
 # -- r-generalizations ----------------------------------------------------------
@@ -306,7 +306,7 @@ def r_whitney2_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """Second-kind r-triangle: (mx+r)_{n,l} = sum W m^k (x)_k, expanded in u = mx
     over the nodes 0, m, 2m, ..., whose Newton basis is m^k (x)_k."""
     WhitneyParams(m, r)
-    return newton_rows(ONE, lambda j: LambdaPoly((-r, j)), lambda k: m * k)
+    return newton_rows(ONE, lambda j: linear(-r, j), lambda k: m * k)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, muladd
+from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, muladd
 from dowlab.series import TruncatedSeries
 from dowlab.whitney import DobinskiRequest, WhitneyParams
 
@@ -259,6 +259,9 @@ def test_kernel_scalar_ops_match_reference(a, q, k):
         (k * p, ref_mul(a, (k,))),
         (p * q, ref_mul(a, (q,))),
         (p + k, ref_add(a, (k,))),
+        (k + p, ref_add(a, (k,))),
+        (p - k, ref_add(a, (-k,))),
+        (k - p, ref_add((k,), tuple(-c for c in a))),
         (q - p, ref_add((q,), tuple(-c for c in a))),
         (p.scale_lambda(q), ref_strip(c * q**i for i, c in enumerate(a))),
         (p.scale_lambda(k), ref_strip(c * k**i for i, c in enumerate(a))),
@@ -289,13 +292,20 @@ def test_kernel_hash_and_roundtrip(a, b):
         assert LambdaPoly.parse(str(p)) == p
 
 
-@given(st_.one_of(st_.integers(), mixed))
+@given(st_.one_of(
+    st_.integers(),
+    mixed,
+    st_.integers(min_value=-(2**100), max_value=2**100),  # past the hash modulus 2^61 - 1
+    st_.sampled_from([0, -1, Fraction(0), Fraction(-6, 3), Fraction(-7, 2)]),
+))
 def test_constant_hashes_like_the_number_it_equals(v):
-    p = LambdaPoly.coerce(v)
-    assert p == v
-    assert hash(p) == hash(v)
-    assert v in {p}
-    assert p in {v}
+    # an integral constant hashes through its int numerator, any other through
+    # a Fraction; however it is built, it hashes like the int or Fraction it equals
+    for p in (LambdaPoly.coerce(v), LambdaPoly((v,)), dot([(v, ONE, ONE)]), LAMBDA - LAMBDA + v):
+        assert p == v
+        assert hash(p) == hash(v)
+        assert v in {p}
+        assert p in {v}
 
 
 def test_kernel_reduces_to_lowest_terms():
@@ -394,8 +404,17 @@ def form(p):
     return p.nums, p.den
 
 
-@given(st_.lists(st_.tuples(exact_scalars, st_.one_of(one_coeff_polys, mixed_polys, int_polys),
-                            st_.one_of(one_coeff_polys, int_polys)), max_size=8))
+# operands whose interior coefficients are often zero, which the product loop skips
+gappy_polys = st_.lists(
+    st_.one_of(st_.just(0), small_ints, mixed), min_size=3, max_size=7
+).map(LambdaPoly)
+operands = st_.one_of(one_coeff_polys, mixed_polys, int_polys, gappy_polys)
+dot_terms = st_.tuples(exact_scalars, operands, operands)
+
+
+# short sums, and sums of 12 or more terms whose scalars mix ints with
+# Fractions of a different denominator per term
+@given(st_.one_of(st_.lists(dot_terms, max_size=6), st_.lists(dot_terms, min_size=12, max_size=16)))
 def test_dot_fast_paths_match_the_accumulate_loop(terms):
     # one-coefficient operands on either side, integral and mixed
     # denominators, int and Fraction scalars
@@ -407,11 +426,19 @@ def test_dot_fast_paths_match_the_accumulate_loop(terms):
     for c, p, q in terms:
         want = ref_add(want, ref_mul(ref_mul(p.coeffs, q.coeffs), (Fraction(c),)))
     assert got.coeffs == want
+    # the sum and its negation, in either order, cancel to the canonical zero
+    negated = [(-c, p, q) for c, p, q in terms]
+    assert form(dot(terms + negated)) == ((), 1)
+    assert form(dot(negated[::-1] + terms)) == ((), 1)
 
 
-@given(st_.sampled_from([0.5, 1.0, True, False]), mixed_polys, one_coeff_polys)
-def test_dot_fast_paths_refuse_inexact_scalars(c, p, q):
-    for terms in ([(c, p, q)], [(c, q, ONE)], [(1, q, p), (c, ONE, ONE)]):
+@given(st_.sampled_from([0.5, 1.0, 0.0, True, False]), mixed_polys, one_coeff_polys,
+       st_.lists(dot_terms, max_size=14))
+def test_dot_fast_paths_refuse_inexact_scalars(c, p, q, before):
+    # refused wherever it stands, also when a factor is zero and the term
+    # would add nothing
+    for terms in ([(c, p, q)], [(c, q, ONE)], [(1, q, p), (c, ONE, ONE)],
+                  [(c, ZERO, q)], [(c, p, ZERO)], [*before, (c, ZERO, ZERO)]):
         with pytest.raises(TypeError):
             dot(terms)
 
@@ -471,6 +498,9 @@ def test_int_tuple_construction_matches_fraction_construction(a):
     assert form(got) == form(LambdaPoly(map(Fraction, a)))
     assert form(LambdaPoly(iter(a))) == form(got)
     assert got.coeffs == ref_strip(map(Fraction, a))
+    # the two-int constructor of the row steps' multipliers, zeros included
+    c0, c1 = (*a, 0, 0)[:2]
+    assert form(linear(c0, c1)) == form(LambdaPoly((c0, c1)))
 
 
 # -- the row step p + w*q of the recurrence and Newton kernels -------------------

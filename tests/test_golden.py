@@ -4,8 +4,8 @@ The triangle and Bernoulli/Euler digests were taken from the
 Fraction-per-coefficient implementation of ``LambdaPoly``, before the
 integer-numerator kernel replaced it; the ``verify`` digests were taken
 before the memo caches of the catalog's sub-terms were added, and the
-n_max 10 one before the catalog's sums moved onto ``exact.dot``; the
-Dobinski digest before its quotient was rounded from integers; the JSON and
+n_max 10 ones are the benchmark's own, read from ``perfbench/reference.json``;
+the Dobinski digest before its quotient was rounded from integers; the JSON and
 LaTeX triangle digests before the export was streamed row by row; the
 large-x Dobinski digest before the truncated sum moved from one backward
 Horner pass to binary splitting; the S1, S2, S1deg, S2deg, S1degR, S2degR, V
@@ -104,12 +104,6 @@ VERIFY = {
     7: "a1a79bb199a2b14e211dc1af7fcdb5443eaa4915b57d9f296565c3562d7019c5",
 }
 
-# The command of the verify workload in perfbench/run.py, at seed 3.
-VERIFY_N10 = (
-    ["--n-max", "10", "--m-set", "1,2,3", "--r-set", "1,2,3", "--seed", "3"],
-    "6571fe5787718d9e492c4ab7d0cff74be251a375e28af191a01380398b329e94",
-)
-
 # `dowlab verify --n-max 16 --seed 0` with the default m and r sets: past
 # the benchmark's n_max 10, where more of the catalog's operands have
 # several coefficients.
@@ -130,6 +124,10 @@ BENCHMARK_EXPORTS = {
     },
 }
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+# The verify seeds of perfbench/reference.json, whose digests are read as data
+# too; each runs the command of the verify workload in perfbench/run.py.
+BENCHMARK_VERIFY_SEEDS = tuple(range(8))
 
 # `dowlab dobinski --format json` over this grid, one process, in this order;
 # terms = ceil(e |x| / m) + 100 as in the benchmark's sweeps.
@@ -194,12 +192,18 @@ def test_verify_report_digest(seed):
     assert sha256(out.getvalue()) == VERIFY[seed]
 
 
-def test_verify_report_digest_at_n_max_10():
-    args, digest = VERIFY_N10
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["verify", *args]) == 0
-    assert sha256(out.getvalue()) == digest
+def test_benchmark_verify_seeds_cover_the_reference():
+    verify = json.loads(BENCHMARK_REFERENCE.read_text())["verify"]
+    assert sorted(BENCHMARK_VERIFY_SEEDS) == sorted(map(int, verify))
+
+
+@pytest.mark.parametrize("seed", BENCHMARK_VERIFY_SEEDS)
+def test_benchmark_verify_digest(seed, tmp_path):
+    digest = json.loads(BENCHMARK_REFERENCE.read_text())["verify"][str(seed)]
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--n-max", "10", "--m-set", "1,2,3", "--r-set", "1,2,3", "--seed", str(seed)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_report_digest_at_n_max_16():

@@ -5,7 +5,7 @@ import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import ceil, e, prod
+from math import ceil, e, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -634,6 +634,33 @@ def test_rescaled_bell_value_is_a_row_sum(m, n, x):
     # m^n Bdeg_n(x/m) at l -> l/m, which thm23 transforms and thm26 compares
     expected = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
     assert wh._row_sum(wh._stirling2_over_m_rows, m, n, x, False) == expected
+
+
+# The stores whose row sums the package reads, each at one m (r = 0 for the Bell store).
+ROW_SUM_STORES = (
+    (st.deg_r_stirling2_rows, 0),
+    (wh.whitney2_rows, 2),
+    (wh._stirling2_over_m_rows, 3),
+    (wh._whitney2_rescaled_rows, 2),
+)
+
+
+@pytest.mark.parametrize("ordered", (False, True))
+@pytest.mark.parametrize(
+    "x", (Fraction(0), Fraction(1), Fraction(-3), Fraction(-7, 4), Fraction(2, 3)), ids=str
+)
+def test_row_sum_is_the_fraction_power_sum(x, ordered):
+    # the int weights p^k q^(n-k) k! over q^n give the canonical form of
+    # sum_k T(n,k) x^k k! taken with Fraction powers
+    row_sum = wh._row_sum.__wrapped__  # past the memo
+    for store, m in ROW_SUM_STORES:
+        for n in range(10):
+            row = store(m, n)[n]
+            want = LambdaPoly()
+            for k in range(n + 1):
+                want = want + row[k] * (x**k * (factorial(k) if ordered else 1))
+            got = row_sum(store, m, n, x, ordered)
+            assert (got.nums, got.den) == (want.nums, want.den)
 
 
 # Each accessor with int arguments; every one of them must refuse an equal
