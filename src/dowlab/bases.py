@@ -14,11 +14,12 @@ kept only as the tests' reference for that kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
-from math import comb, factorial
+from itertools import count, zip_longest
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, bounded, check_ints, dot, muladd
+from .exact import _addmul, _canonical
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
 NodeSequence = Sequence[LambdaPoly]
@@ -90,14 +91,21 @@ def _check_factorial(x: Scalar, n: int, step: Scalar) -> None:
 # are checked on a miss only, and a refused call caches nothing.
 @bounded(4096)
 def _factorial_product(x: Scalar, n: int, step: Scalar, sign: int) -> LambdaPoly:
-    """x(x + sign*step)(x + 2*sign*step)...(x + (n-1)*sign*step)."""
+    """x(x + sign*step)(x + 2*sign*step)...(x + (n-1)*sign*step): over one
+    denominator D of x and step, every factor is a list of int numerators
+    multiplied in by the kernel's product loop, and D^n divides out once."""
     _check_factorial(x, n, step)
-    x = LambdaPoly.coerce(x)
-    step = LambdaPoly.coerce(step) * sign
-    out = LambdaPoly((1,))
+    x, step = LambdaPoly.coerce(x), LambdaPoly.coerce(step)
+    den = lcm(x.den, step.den)
+    a = [c * (den // x.den) for c in x.nums]
+    b = [c * sign * (den // step.den) for c in step.nums]
+    out = [1]
     for j in range(n):
-        out = out * (x + step * j)
-    return out
+        factor = [u + j * v for u, v in zip_longest(a, b, fillvalue=0)]
+        acc = [0] * (len(out) + len(factor) - 1)
+        _addmul(acc, out, factor, 1)
+        out = acc
+    return _canonical(out, den**n)
 
 
 class XPoly:

@@ -479,7 +479,7 @@ class LambdaPoly:
         for chunk in chunks:
             match = _TERM.match(chunk)
             if match is None:
-                raise ValueError(f"malformed polynomial term: {chunk!r}")
+                raise ValueError(f"malformed polynomial term {chunk!r} in {text!r}")
             sign = -1 if match.group("sign") == "-" else 1
             try:
                 if match.group("bare"):
@@ -489,7 +489,7 @@ class LambdaPoly:
                     coef = Fraction(match.group("coef"))
                     deg = int(match.group("deg") or 1) if "*l" in chunk else 0
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in term: {chunk!r}")
+                raise ValueError(f"zero denominator in term {chunk!r} of {text!r}")
             except ValueError:
                 # _TERM admits only digit strings, so this is the interpreter's
                 # limit on the digits of an int read from a string

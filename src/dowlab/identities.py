@@ -1,27 +1,31 @@
 """Catalog of the number-family identities as executable, exact checks.
 
-Every entry is a generator of comparisons: it yields ``(params, lhs, rhs)``
-at each point of a finite parameter grid, in a fixed order.  One loop,
-``_sweep``, runs them all: it counts each comparison it makes, decides it by
-canonical polynomial equality, and stops at the first mismatch, which it
-reports as the counterexample.  ``params_tested`` is the number of
-comparisons made, the failing one included; nothing past the first
-counterexample is computed.
+Every entry yields comparisons ``(params, lhs, rhs)`` at each point of a
+finite parameter grid, in a fixed order.  One loop, ``_sweep``, runs them all:
+it counts each comparison it makes, decides it by canonical polynomial
+equality, and stops at the first mismatch, which it reports as the
+counterexample.  ``params_tested`` is the number of comparisons made, the
+failing one included; nothing past the first counterexample is computed.
+
+An entry that compares two routes to the same values is a ``Row``: two sides,
+each naming the routes it computes by (recurrence, Newton conversion,
+generating function, explicit formula), read at the points of one runner.
+An entry of several comparisons is a tuple of rows, its ``Parts``, each
+labelled by the ``tail`` params that end its points; the rows of an inner
+tuple run in lockstep, one point of each in turn.  ``ROWS`` lists them all.
 
 Entries flagged as *discrepancy* probes exist because the source material
-prints two inconsistent readings of a formula.  They compare the reading the
-derivation supports, note where the printed one first fails, and return that
-as their finding; they report status ``paper-discrepancy``.
-
-An entry that compares two routes to the same values is a ``Row``: two
-sides, each naming the routes it computes by (recurrence, Newton conversion,
-generating function, explicit formula), compared over one sweep.
+prints two inconsistent readings of a formula.  A ``Probe`` is a row whose lhs
+is the reading the derivation supports, with the printed reading deferred:
+its finding is the first point where the printed one differs from lhs, and
+it reports status ``paper-discrepancy``.  The entries with no route pair stay
+generators of points.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
@@ -143,7 +147,7 @@ def _rand_poly(rng: random.Random) -> LambdaPoly:
 
 
 # --------------------------------------------------------------------------
-# cross-route rows: two routes to the same values agree at every point
+# declared entries: two routes to the same values agree at every point
 # --------------------------------------------------------------------------
 
 # The routes a side may compute by; a side's route is their union.
@@ -154,7 +158,7 @@ RECURRENCE, NEWTON, GF, EXPLICIT = (
 
 @dataclass(frozen=True)
 class Side:
-    """One side of a cross-route row: the routes it reaches, and its values.
+    """One side of a row: the routes it reaches, and its values.
 
     ``values(*outer, n_max)`` runs once per tuple of the row's outer
     parameters and returns the reader of the side's value at each point.
@@ -185,65 +189,225 @@ def _each(route: frozenset[str], value: Callable) -> Side:
     return Side(route, lambda *args: partial(value, *args[:-1]))
 
 
-Runner = Callable[[SweepParams, Side, Side], Points]
+# A runner yields, for each tuple of a row's outer parameters, that tuple and
+# the (params, point) cells read there; the sides' readers take the point.
+Cells = Iterable[tuple[dict, tuple]]
+Runner = Callable[[SweepParams], Iterable[tuple[tuple, Cells]]]
 
 
-def _cells(
-    n_max: int, left: Callable, right: Callable, at: dict, tail: Optional[dict] = None
-) -> Points:
-    """Compare ``left(n, k)`` with ``right(n, k)`` at every (n, k) of the
-    triangle, row by row; a point's params are ``at``, n, k, then ``tail``."""
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            yield {**at, "n": n, "k": k, **(tail or {})}, left(n, k), right(n, k)
+def _grid(outer: tuple[str, ...], cells: Callable[[int], Cells], **over: Iterable) -> Runner:
+    """The cells ``cells(n_max)`` for each tuple of the sweep sets named
+    ``outer`` (each "m" or "r") and then of the values given as keywords.
+    A point's params are the outer ones, the cell's, then the keywords', a
+    Fraction shown as its str (JSON has no rationals)."""
 
-
-def _triangle(*outer: str) -> Runner:
-    """Compare at every (n, k) of the triangle, for each tuple of the outer
-    parameters, each named "m" or "r"."""
-
-    def run(p: SweepParams, lhs: Side, rhs: Side) -> Points:
-        for fixed in product(*(getattr(p, f"{name}_set") for name in outer)):
-            left, right = lhs.values(*fixed, p.n_max), rhs.values(*fixed, p.n_max)
-            yield from _cells(p.n_max, left, right, dict(zip(outer, fixed)))
+    def run(p: SweepParams) -> Iterable[tuple[tuple, Cells]]:
+        axes = [getattr(p, f"{name}_set") for name in outer] + list(over.values())
+        for fixed in product(*axes):
+            at = dict(zip(outer, fixed))
+            given = zip(over, fixed[len(outer):])
+            shown = {name: str(v) if isinstance(v, Fraction) else v for name, v in given}
+            yield fixed, (({**at, **params, **shown}, point) for params, point in cells(p.n_max))
 
     return run
 
 
-def _column(name: str, values: Iterable) -> Runner:
-    """Compare at every n, for each value of the outer parameter ``name``."""
-
-    def run(p: SweepParams, lhs: Side, rhs: Side) -> Points:
-        for v in values:
-            left, right = lhs.values(v, p.n_max), rhs.values(v, p.n_max)
-            for n in range(p.n_max + 1):
-                yield {"n": n, name: v}, left(n), right(n)
-
-    return run
+def _triangle(*outer: str, ahead: int = 0) -> Runner:
+    """Every (n, k) of the triangle, for each tuple of the outer parameters.
+    For sides that read row n + ``ahead``, the rows stop ``ahead`` short of
+    n_max and k runs to n + ``ahead``."""
+    return _grid(outer, lambda n_max: (
+        ({"n": n, "k": k}, (n, k))
+        for n in range(n_max + 1 - ahead) for k in range(n + 1 + ahead)
+    ))
 
 
-def _series(p: SweepParams, lhs: Side, rhs: Side) -> Points:
-    """Compare at every coefficient n, for each m and x sample."""
-    for m, x in product(p.m_set, X_SAMPLES):
-        left, right = lhs.values(m, x, p.n_max), rhs.values(m, x, p.n_max)
-        for n in range(p.n_max + 1):
-            yield {"m": m, "n": n, "x": str(x)}, left(n), right(n)
+def _column(*outer: str, ahead: int = 0, **over: Iterable) -> Runner:
+    """Every n up to n_max - ``ahead``, for each tuple of the outer parameters
+    and then of the values given as keywords."""
+    return _grid(outer, lambda n_max: (({"n": n}, (n,)) for n in range(n_max + 1 - ahead)), **over)
+
+
+# Every coefficient n of a series, for each m and x sample.
+_SERIES = _column("m", x=X_SAMPLES)
 
 
 @dataclass(frozen=True)
 class Row:
-    """A catalog entry whose two sides must agree over the sweep ``run``."""
+    """Two sides that must agree at every point of ``run``; as a part of an
+    entry, its points' params end with ``tail``."""
 
     run: Runner
     lhs: Side
     rhs: Side
+    tail: dict = field(default_factory=dict)
+
+    def read(self, p: SweepParams, *sides: Side) -> Iterable[tuple[dict, tuple, list]]:
+        """Each point's params and point, with the readers of ``sides`` there."""
+        for outer, cells in self.run(p):
+            readers = [side.values(*outer, p.n_max) for side in sides]
+            for params, point in cells:
+                yield {**params, **self.tail}, point, readers
+
+    def rows(self) -> Iterable[Row]:
+        return (self,)
+
+    def points(self, p: SweepParams) -> Points:
+        for params, point, (left, right) in self.read(p, self.lhs, self.rhs):
+            yield params, left(*point), right(*point)
 
     def __call__(self, p: SweepParams) -> CheckResult:
-        return _sweep(self.run(p, self.lhs, self.rhs))
+        return _sweep(self.points(p))
+
+
+def _lockstep(streams: list[Points]) -> Points:
+    """One point of each stream in turn, until one ends."""
+    while True:
+        for stream in streams:
+            point = next(stream, None)
+            if point is None:
+                return
+            yield point
+
+
+@dataclass(frozen=True)
+class Parts:
+    """An entry of several parts run in turn, each a tuple of rows run in lockstep."""
+
+    parts: tuple[tuple[Row, ...], ...]
+
+    def rows(self) -> Iterable[Row]:
+        return chain.from_iterable(self.parts)
+
+    def points(self, p: SweepParams) -> Points:
+        for rows in self.parts:
+            yield from _lockstep([row.points(p) for row in rows])
+
+    def __call__(self, p: SweepParams) -> CheckResult:
+        return _sweep(self.points(p))
+
+
+@dataclass(frozen=True)
+class Probe:
+    """A discrepancy entry: ``row`` decides it, its lhs the reading the
+    derivation supports; ``printed`` is the reading as printed, read at each
+    point until it first differs from lhs (see ``_probe``)."""
+
+    row: Row
+    printed: Side
+    fails: str
+    agrees: str
+
+    def rows(self) -> Iterable[Row]:
+        return (self.row,)
+
+    def __call__(self, p: SweepParams) -> CheckResult:
+        row = self.row
+        points = (
+            (params, left(*point), right(*point), partial(printed, *point))
+            for params, point, (left, right, printed) in row.read(p, row.lhs, row.rhs, self.printed)
+        )
+        return _sweep(_probe(points, self.fails, self.agrees))
 
 
 # --------------------------------------------------------------------------
-# structural identities
+# the sides' formulas
+# --------------------------------------------------------------------------
+
+
+def _bell_gf(n_max: int) -> Callable[[int], LambdaPoly]:
+    """The reader of B(n + 1) off the GF exp(e_l(t) - 1) of sum_k S2deg(n, k)."""
+    order = n_max + 1
+    series = (deg_exp(1, order) - one_series(order)).exp()
+    return lambda n: series.coeff(n + 1)
+
+
+def _thm16_sum(m: int, n: int, k: int, with_falling_factor: bool) -> LambdaPoly:
+    """Right side of the row recursion for W(n+1,k); the derivation carries a
+    (m)_{l-i,l} factor that the displayed theorem omits, and the lower bound
+    l = k-1 is clamped at 0 for k = 0."""
+    return dot(
+        (Fraction(factorial(n), factorial(l)), _thm16_inner(m, k, l, with_falling_factor),
+         (-LAMBDA) ** (n - l))
+        for l in range(max(k - 1, 0), n + 1)
+    )
+
+
+# The inner sum of thm16 does not depend on n, so it is built once per key, not per (n, k).
+@bounded(4096)
+def _thm16_inner(m: int, k: int, l: int, with_falling_factor: bool) -> LambdaPoly:
+    """W(l,k) + sum_i C(l,i) W(i,k-1) [(m)_{l-i,l}], the inner sum of thm16."""
+    terms = (
+        (binom(l, i), wh.whitney2_or_zero(m, i, k - 1),
+         lambda_falling(m, l - i, LAMBDA) if with_falling_factor else ONE)
+        for i in range(max(k - 1, 0), l + 1)
+    )
+    return dot(chain([(1, wh.whitney2_or_zero(m, l, k), ONE)], terms))
+
+
+def _thm17_sum(m: int, n: int) -> LambdaPoly:
+    """sum_l C(n,l) (n-l)! (-l)^(n-l) sum_i C(l,i) [2 if i = 0] (m)_{i,l} D(l-i),
+    Theorem 17's expansion of the Dowling number D_m(n+1)."""
+    inner = lambda l: dot(
+        (binom(l, i) * (2 if i == 0 else 1), lambda_falling(m, i, LAMBDA),
+         wh.dowling_number(m, l - i))
+        for i in range(l + 1)
+    )
+    return dot(
+        (binom(n, l) * factorial(n - l), (-LAMBDA) ** (n - l), inner(l)) for l in range(n + 1)
+    )
+
+
+def _thm20_sum(m: int, n: int, k: int, printed: bool) -> LambdaPoly:
+    """m^(n-k) S1deg(n,k | l/m) as sum_i C(i,k) V(n,i) (1)_{i-k,l}, the form the
+    derivation gives, or with the printed binomial C(n,i) in place of C(i,k)."""
+    return dot(
+        (binom(n, i) if printed else binom(i, k), wh.whitney1(m, n, i),
+         lambda_falling(1, i - k, LAMBDA))
+        for i in range(k, n + 1)
+    )
+
+
+def _thm21_rhs(m: int, n: int, k: int) -> LambdaPoly:
+    """W_{m+1}(n,k) as the step-ml rising transform of column k of the
+    rescaled triangle (m+1)^(j-k) W_m(j,k | m l/(m+1)), over m^(n-k)."""
+    entry = wh._whitney2_rescaled_rows.entry
+    terms = ((j, 1, entry(m, j, k)) for j in range(k, n + 1))
+    return rising_transform(n, terms, LAMBDA * m) / m ** (n - k)
+
+
+def _cor22_sum(ordered: bool, rescale: bool, m: int, n: int, x: Fraction) -> LambdaPoly:
+    """The step-ml rising transform of (m+1)^j times the row polynomial of W_m
+    at x m/(m+1), over m^n; ordered (weighted by k!) for the remark.  With
+    ``rescale`` the polynomial is taken at m l/(m+1), which makes term j the
+    row sum of the rescaled triangle at m x; without it, at l as printed."""
+    if rescale:
+        store, y, c = wh._whitney2_rescaled_rows, m * x, 1
+    else:
+        store, y, c = wh.whitney2_rows, x * Fraction(m, m + 1), m + 1
+    terms = ((j, c**j, st._row_sum(store, m, j, y, ordered)) for j in range(n + 1))
+    return rising_transform(n, terms, LAMBDA * m) / m**n
+
+
+def _terms(values: Iterable[LambdaPoly]) -> Iterable[tuple[int, int, LambdaPoly]]:
+    """The binomial-transform terms (j, 1, v_j) of the sequence ``values``."""
+    return ((j, 1, v) for j, v in enumerate(values))
+
+
+def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
+    """The falling transform of m^i Bdeg_i(x/m) at l -> l/m, i = 0..n, the
+    right side of thm23; each is a row sum of the rescaled S2deg triangle."""
+    bells = (st._row_sum(wh._stirling2_over_m_rows, m, i, x, False) for i in range(n + 1))
+    return falling_transform(n, _terms(bells))
+
+
+def _dowling_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
+    """The rising transform of the Dowling polynomials, the right side of thm26."""
+    return rising_transform(n, _terms(wh.dowling_poly(m, k, x) for k in range(n + 1)))
+
+
+# --------------------------------------------------------------------------
+# hand-written entries: no route pair
 # --------------------------------------------------------------------------
 
 
@@ -270,31 +434,6 @@ def _chk_orthogonality(p: SweepParams) -> Points:
 
 def _chk_stirling_orthogonality(p: SweepParams) -> Points:
     return _orthogonal(p.n_max, st.deg_stirling1, st.deg_stirling2, {})
-
-
-def _chk_eq29_30(p: SweepParams) -> Points:
-    # eq29 reads the Bell numbers from the GF exp(e_l(t) - 1), whose coefficient
-    # n is sum_k S2deg(n, k); deg_bell_number is a row sum of the Newton store
-    order = p.n_max + 1
-    bell_gf = (deg_exp(1, order) - one_series(order)).exp()
-    for n in range(p.n_max + 1):
-        bell_next = st.deg_bell_number(n + 1)
-        yield {"n": n, "part": "eq29"}, bell_next, bell_gf.coeff(n + 1)
-        lhs = wh.dowling_number(1, n)
-        yield {"n": n, "part": "eq30"}, lhs, bell_next + LAMBDA * n * st.deg_bell_number(n)
-
-
-def _chk_cor4(p: SweepParams) -> Points:
-    for n in range(p.n_max + 1):
-        lhs = wh.dowling_number(1, n)
-        yield {"n": n}, lhs, st.deg_bell_number(n + 1) + LAMBDA * n * st.deg_bell_number(n)
-
-
-def _chk_cor11(p: SweepParams) -> Points:
-    for x in X_SAMPLES:
-        for n in range(p.n_max + 1):
-            lhs = wh.dowling_poly(1, n, x) * x
-            yield {"n": n, "x": str(x)}, lhs, st.deg_bell(n + 1, x) + LAMBDA * n * st.deg_bell(n, x)
 
 
 def _chk_thm10(p: SweepParams) -> Points:
@@ -329,167 +468,6 @@ def _chk_lemma15(p: SweepParams) -> Points:
             yield {"n": n, "z": str(z)}, acc, factorial(n)
 
 
-def _thm16_sum(m: int, n: int, k: int, with_falling_factor: bool) -> LambdaPoly:
-    """Right side of the row recursion for W(n+1,k); the derivation carries a
-    (m)_{l-i,l} factor that the displayed theorem omits, and the lower bound
-    l = k-1 is clamped at 0 for k = 0."""
-    low = max(k - 1, 0)
-    return dot(
-        (
-            Fraction(factorial(n), factorial(l)),
-            _thm16_inner(m, k, l, with_falling_factor),
-            (-LAMBDA) ** (n - l),
-        )
-        for l in range(low, n + 1)
-    )
-
-
-# The inner sum of thm16 does not depend on n, so it is built once per key, not per (n, k).
-@bounded(4096)
-def _thm16_inner(m: int, k: int, l: int, with_falling_factor: bool) -> LambdaPoly:
-    """W(l,k) + sum_i C(l,i) W(i,k-1) [(m)_{l-i,l}], the inner sum of thm16."""
-    terms = (
-        (
-            binom(l, i),
-            wh.whitney2_or_zero(m, i, k - 1),
-            lambda_falling(m, l - i, LAMBDA) if with_falling_factor else ONE,
-        )
-        for i in range(max(k - 1, 0), l + 1)
-    )
-    return dot(chain([(1, wh.whitney2_or_zero(m, l, k), ONE)], terms))
-
-
-def _chk_thm16(p: SweepParams) -> Points:
-    points = (
-        ({"m": m, "n": n, "k": k}, _thm16_sum(m, n, k, with_falling_factor=True),
-         wh.whitney2(m, n + 1, k), partial(_thm16_sum, m, n, k, with_falling_factor=False))
-        for m in p.m_set for n in range(p.n_max) for k in range(n + 2)
-    )
-    verified = (
-        "recursion verified with lower bound max(k-1,0) and the (m)_{l-i,l} factor "
-        "from the derivation restored; "
-    )
-    return (yield from _probe(
-        points,
-        verified + "the displayed form (factor omitted) first fails at %s",
-        verified + "the displayed form agrees on this range (too small to separate)",
-    ))
-
-
-def _chk_thm17(p: SweepParams) -> Points:
-    for m in p.m_set:
-        for n in range(p.n_max):
-            want = wh.dowling_number(m, n + 1)
-            acc = dot(
-                (
-                    binom(n, l) * factorial(n - l),
-                    (-LAMBDA) ** (n - l),
-                    dot(
-                        (
-                            binom(l, i) * (2 if i == 0 else 1),
-                            lambda_falling(m, i, LAMBDA),
-                            wh.dowling_number(m, l - i),
-                        )
-                        for i in range(l + 1)
-                    ),
-                )
-                for l in range(n + 1)
-            )
-            yield {"m": m, "n": n}, acc, want
-
-
-def _thm20_point(m: int, n: int, k: int, scaled: LambdaPoly) -> tuple:
-    """thm20 at (m, n, k): the C(i,k) form, the rescaled S1deg side ``scaled``,
-    m^(n-k) S1deg(n,k | l/m), and the printed C(n,i) form, deferred."""
-    parts = [(i, wh.whitney1(m, n, i), lambda_falling(1, i - k, LAMBDA)) for i in range(k, n + 1)]
-    derived = dot((binom(i, k), w, f) for i, w, f in parts)
-    printed = partial(dot, ((binom(n, i), w, f) for i, w, f in parts))
-    return {"m": m, "n": n, "k": k}, derived, scaled, printed
-
-
-def _chk_thm20(p: SweepParams) -> Points:
-    points = (
-        _thm20_point(m, n, k, scaled[n][k])
-        for m in p.m_set for scaled in [wh._stirling1_over_m_rows(m, p.n_max)]
-        for n in range(p.n_max + 1) for k in range(n + 1)
-    )
-    return (yield from _probe(
-        points,
-        "printed binomial C(n,i) first fails at %s; "
-        "the C(i,k) form from the derivation holds on the whole sweep",
-        "printed and derived binomials agree on this range (too small to separate)",
-    ))
-
-
-def _thm21_rhs(m: int, n: int, k: int) -> LambdaPoly:
-    """W_{m+1}(n,k) as the step-ml rising transform of column k of the
-    rescaled triangle (m+1)^(j-k) W_m(j,k | m l/(m+1)), over m^(n-k)."""
-    entry = wh._whitney2_rescaled_rows.entry
-    terms = ((j, 1, entry(m, j, k)) for j in range(k, n + 1))
-    return rising_transform(n, terms, LAMBDA * m) / m ** (n - k)
-
-
-def _cor22_sum(m: int, n: int, x: Fraction, ordered: bool, rescale: bool) -> LambdaPoly:
-    """The step-ml rising transform of (m+1)^j times the row polynomial of W_m
-    at x m/(m+1), over m^n; ordered (weighted by k!) for the remark.  With
-    ``rescale`` the polynomial is taken at m l/(m+1), which makes term j the
-    row sum of the rescaled triangle at m x; without it, at l as printed."""
-    if rescale:
-        store, y, c = wh._whitney2_rescaled_rows, m * x, 1
-    else:
-        store, y, c = wh.whitney2_rows, x * Fraction(m, m + 1), m + 1
-    terms = ((j, c**j, st._row_sum(store, m, j, y, ordered)) for j in range(n + 1))
-    return rising_transform(n, terms, LAMBDA * m) / m**n
-
-
-def _chk_cor22_generic(p: SweepParams, ordered: bool, label: str) -> Points:
-    poly_fn = wh.tanny_dowling_poly if ordered else wh.dowling_poly
-    points = (
-        ({"m": m, "n": n, "x": str(x)}, poly_fn(m + 1, n, x),
-         _cor22_sum(m, n, x, ordered, rescale=True),
-         partial(_cor22_sum, m, n, x, ordered, rescale=False))
-        for m in p.m_set for n in range(p.n_max + 1) for x in X_SAMPLES
-    )
-    holds = (
-        f"{label} holds with the inner polynomial taken at the rescaled parameter "
-        "m*l/(m+1), as the m->m+1 triangle identity requires; "
-    )
-    return (yield from _probe(
-        points,
-        holds + "the printed form (no rescale) first fails at %s",
-        holds + "the printed form agrees on this range (too small to separate)",
-    ))
-
-
-def _chk_cor22(p: SweepParams) -> Points:
-    return _chk_cor22_generic(p, False, "row-polynomial reduction")
-
-
-def _chk_cor22_remark(p: SweepParams) -> Points:
-    return _chk_cor22_generic(p, True, "ordered-variant reduction")
-
-
-def _terms(values: Iterable[LambdaPoly]) -> Iterable[tuple[int, int, LambdaPoly]]:
-    """The binomial-transform terms (j, 1, v_j) of the sequence ``values``."""
-    return ((j, 1, v) for j, v in enumerate(values))
-
-
-def _dowling(m: int, x: Fraction, n: int) -> LambdaPoly:
-    return wh.dowling_poly(m, n, x)
-
-
-def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
-    """The falling transform of m^i Bdeg_i(x/m) at l -> l/m, i = 0..n, the
-    right side of thm23; each is a row sum of the rescaled S2deg triangle."""
-    bells = (st._row_sum(wh._stirling2_over_m_rows, m, i, x, False) for i in range(n + 1))
-    return falling_transform(n, _terms(bells))
-
-
-def _dowling_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
-    """The rising transform of the Dowling polynomials, the right side of thm26."""
-    return rising_transform(n, _terms(_dowling(m, x, k) for k in range(n + 1)))
-
-
 def _chk_lemma24(p: SweepParams) -> Points:
     for n in range(p.n_max + 1):
         for j in range(n + 1):
@@ -520,109 +498,61 @@ def _chk_thm25(p: SweepParams) -> Points:
 
 
 # --------------------------------------------------------------------------
-# r-generalizations
-# --------------------------------------------------------------------------
-
-
-def _chk_eq75(p: SweepParams) -> Points:
-    for r in p.r_set:
-        rows = wh.r_whitney1_rows(1, r, p.n_max)
-        bracket = _signed(st.deg_r_stirling1_unsigned_rows(r, p.n_max))
-        yield from _cells(p.n_max, _entries(rows), bracket, {"r": r}, {"part": "bracket"})
-    for m in p.m_set:
-        ones = _entries(wh.r_whitney1_rows(m, 1, p.n_max))
-        yield from _cells(p.n_max, ones, partial(wh.whitney1, m), {"m": m}, {"part": "r=1"})
-    # r = 0 at m = 1: the generating function degrades to the plain
-    # first-kind one, so the triangle must too
-    zero_r = _entries(st.deg_stirling1_rows_gf(p.n_max))
-    s1 = _entries(st.deg_stirling1_rows(p.n_max))
-    yield from _cells(p.n_max, zero_r, s1, {}, {"part": "r=0"})
-
-
-def _chk_eq77(p: SweepParams) -> Points:
-    for r in p.r_set:
-        gf = st.deg_r_stirling2_rows_gf(r, p.n_max)
-        rows = st.deg_r_stirling2_rows(r, p.n_max)
-        braces = wh.r_whitney2_rows(1, r, p.n_max)
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                yield {"r": r, "n": n, "k": k}, gf[n][k], rows[n][k]
-                yield {"r": r, "n": n, "k": k, "part": "m=1"}, braces[n][k], rows[n][k]
-    for m in p.m_set:
-        ones = _entries(wh.r_whitney2_rows(m, 1, p.n_max))
-        yield from _cells(p.n_max, ones, partial(wh.whitney2, m), {"m": m}, {"part": "r=1"})
-    # r = 0 at m = 1 is the plain second-kind degenerate triangle; its
-    # generating function is the oracle, as deg_stirling2_rows is this store
-    zero_r = _entries(st.deg_r_stirling2_rows(0, p.n_max))
-    plain = _entries(st.deg_stirling2_rows_gf(p.n_max))
-    yield from _cells(p.n_max, zero_r, plain, {}, {"part": "r=0"})
-
-
-# --------------------------------------------------------------------------
-# higher-order Bernoulli / Euler
-# --------------------------------------------------------------------------
-
-
-def _chk_eq81(p: SweepParams) -> Points:
-    points = (
-        ({"n": n, "alpha": str(alpha)}, be.deg_euler(n, alpha), oracle[n],
-         partial(be.deg_euler_sum_variant, n, alpha, +1))
-        for alpha in (Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(2))
-        for oracle in [be.deg_euler_gf_binomial(p.n_max, alpha)]
-        for n in range(p.n_max + 1)
-    )
-    return (yield from _probe(
-        points,
-        "the binomial top alpha+l-1 matches the binomial-series oracle "
-        "everywhere; the intermediate alpha+l+1 variant first fails at %s",
-        "both binomial tops agree on this range (too small to separate)",
-    ))
-
-
-# --------------------------------------------------------------------------
-# classical limits
-# --------------------------------------------------------------------------
-
-
-def _chk_classical_limits(p: SweepParams) -> Points:
-    for m in p.m_set:
-        w_cl = wh.classical_whitney2_rows(m, p.n_max)
-        v_cl = wh.classical_whitney1_rows(m, p.n_max)
-        for n in range(p.n_max + 1):
-            for k in range(n + 1):
-                got_w = wh.whitney2(m, n, k).eval(0)
-                yield {"m": m, "n": n, "k": k, "family": "W"}, got_w, w_cl[n][k]
-                got_v = wh.whitney1(m, n, k).eval(0)
-                yield {"m": m, "n": n, "k": k, "family": "V"}, got_v, v_cl[n][k]
-    for n in range(p.n_max + 1):
-        for k in range(n + 1):
-            got1 = st.deg_stirling1(n, k).eval(0)
-            yield {"n": n, "k": k, "family": "S1"}, got1, st.stirling1(n, k)
-            got2 = st.deg_stirling2(n, k).eval(0)
-            yield {"n": n, "k": k, "family": "S2"}, got2, st.stirling2(n, k)
-
-
-# --------------------------------------------------------------------------
 # catalog and runners
 # --------------------------------------------------------------------------
 
 CATALOG: dict[str, IdentityCheck] = {}
 
+# Every declared comparison, by its entry's id and then, in brackets, the
+# values of its tail, if it has one.
+ROWS: dict[str, Row] = {}
 
-def _register(
-    ident: str, entry: Row | Callable[[SweepParams], Points], discrepancy: bool = False
-) -> None:
-    checker = entry if isinstance(entry, Row) else lambda p: _sweep(entry(p))
-    CATALOG[ident] = IdentityCheck(id=ident, checker=checker, discrepancy=discrepancy)
+
+def _register(ident: str, entry: Row | Probe | tuple | Callable[[SweepParams], Points]) -> None:
+    if isinstance(entry, tuple):
+        entry = Parts(tuple(part if isinstance(part, tuple) else (part,) for part in entry))
+    if isinstance(entry, (Row, Parts, Probe)):
+        for row in entry.rows():
+            label = ", ".join(map(str, row.tail.values()))
+            ROWS[f"{ident}[{label}]" if label else ident] = row
+        checker = entry
+    else:
+        checker = lambda p: _sweep(entry(p))
+    CATALOG[ident] = IdentityCheck(ident, checker, discrepancy=isinstance(entry, Probe))
+
+
+def _probe_cor22(ordered: bool, label: str) -> Probe:
+    """cor22 or its remark: the Dowling or Tanny-Dowling polynomial of W_{m+1}
+    against the step-ml rising transform of the rescaled row polynomials of W_m."""
+    holds = (
+        f"{label} holds with the inner polynomial taken at the rescaled parameter "
+        "m*l/(m+1), as the m->m+1 triangle identity requires; "
+    )
+    cells = lambda n_max: (({"n": n, "x": str(x)}, (n, x))  # each x sample at each n
+                           for n in range(n_max + 1) for x in X_SAMPLES)
+    poly = lambda m, n, x: (wh.tanny_dowling_poly if ordered else wh.dowling_poly)(m + 1, n, x)
+    return Probe(
+        Row(_grid(("m",), cells), _each(RECURRENCE, poly),
+            _each(EXPLICIT | NEWTON, partial(_cor22_sum, ordered, True))),
+        _each(EXPLICIT | RECURRENCE, partial(_cor22_sum, ordered, False)),
+        holds + "the printed form (no rescale) first fails at %s",
+        holds + "the printed form agrees on this range (too small to separate)",
+    )
 
 
 _W2 = _each(RECURRENCE, lambda *a: wh.whitney2(*a))
 _V1 = _each(RECURRENCE, lambda *a: wh.whitney1(*a))
-_DOWLING = _each(RECURRENCE, _dowling)
+_DOWLING = _each(RECURRENCE, lambda m, x, n: wh.dowling_poly(m, n, x))
+_DOWLING_1 = _each(RECURRENCE, lambda n: wh.dowling_number(1, n))
+_BELL_STEP = _each(NEWTON, lambda n: st.deg_bell_number(n + 1) + LAMBDA * n * st.deg_bell_number(n))
+_SIGNED_R_S1 = Side(NEWTON, lambda r, n: _signed(st.deg_r_stirling1_unsigned_rows(r, n)))
+_R_S2 = _rows(NEWTON, lambda *a: st.deg_r_stirling2_rows(*a))
 
-# A Row entry checks that two routes agree.  thm8 and thm18 share one: their
-# explicit formulas read the classical first-kind table, which the recurrence
-# builds.
+# Each row checks that two routes agree.  Sharings, each listed in the tests:
+# the explicit formulas of thm8 and thm18 read the classical first-kind table,
+# which the recurrence builds, and those of thm16 and thm17 read the
+# recurrence's own W and Dowling numbers; eq75's bracket, eq77's m = 1 and the
+# classical S2 limit compare two Newton-kernel triangles.
 _register("eq12", _chk_eq12)
 _register("eq17", Row(_triangle(), _rows(GF, lambda *a: st.deg_stirling2_rows_gf(*a)),
                       _each(NEWTON, lambda *a: st.deg_stirling2(*a))))
@@ -632,18 +562,26 @@ _register("thm1", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney2_rows_gf(*
 _register("cor2", Row(_triangle(), _each(RECURRENCE, lambda n, k: wh.whitney2(1, n, k)),
                       _each(NEWTON, lambda n, k: st.deg_stirling2(n + 1, k + 1)
                             + LAMBDA * n * st.deg_stirling2_or_zero(n, k + 1))))
-_register("thm3", Row(_series, Side(GF, lambda *a: wh.dowling_gf(*a).coeff), _DOWLING))
-_register("eq29_30", _chk_eq29_30)
-_register("cor4", _chk_cor4)
+_register("thm3", Row(_SERIES, Side(GF, lambda *a: wh.dowling_gf(*a).coeff), _DOWLING))
+_register("eq29_30", ((
+    Row(_column(), _each(NEWTON, lambda n: st.deg_bell_number(n + 1)), Side(GF, _bell_gf),
+        {"part": "eq29"}),
+    Row(_column(), _DOWLING_1, _BELL_STEP, {"part": "eq30"}),
+),))
+_register("cor4", Row(_column(), _DOWLING_1, _BELL_STEP))
 _register("thm5", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney1_rows_gf(*a)), _V1))
 _register("thm6", Row(_triangle("m"), _rows(NEWTON, lambda *a: wh.whitney2_rows_newton(*a)), _W2))
 _register("thm7", Row(_triangle("m"), _rows(NEWTON, lambda *a: wh.whitney1_rows_newton(*a)), _V1))
 _register("thm8", Row(_triangle("m"), _each(EXPLICIT | RECURRENCE | NEWTON,
                                             lambda *a: wh.whitney1_alt(*a, "quad_T8")), _V1))
-_register("thm9", Row(_series, Side(GF, lambda *a: wh.tanny_dowling_gf(*a).coeff),
+_register("thm9", Row(_SERIES, Side(GF, lambda *a: wh.tanny_dowling_gf(*a).coeff),
                       _each(RECURRENCE, lambda m, x, n: wh.tanny_dowling_poly(m, n, x))))
 _register("thm10", _chk_thm10)
-_register("cor11", _chk_cor11)
+_register("cor11", Row(
+    _column(x=X_SAMPLES),
+    _each(RECURRENCE, lambda x, n: wh.dowling_poly(1, n, x) * x),
+    _each(NEWTON, lambda x, n: st.deg_bell(n + 1, x) + LAMBDA * n * st.deg_bell(n, x)),
+))
 _register("thm12", Row(_triangle("m"), _each(EXPLICIT, lambda *a: wh.whitney2_alt(*a, "sum_T12")),
                        _W2))
 _register("thm12_zero", _chk_thm12_zero)
@@ -651,22 +589,41 @@ _register("thm13", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
                                              lambda *a: wh.whitney2_alt(*a, "stirling_T13")), _W2))
 _register("thm14", Row(_triangle("m"), _each(EXPLICIT, lambda *a: wh.whitney2_diff(*a)), _W2))
 _register("lemma15", _chk_lemma15)
-_register("thm16", _chk_thm16, discrepancy=True)
-_register("thm17", _chk_thm17)
+_thm16_verified = (
+    "recursion verified with lower bound max(k-1,0) and the (m)_{l-i,l} factor "
+    "from the derivation restored; "
+)
+_register("thm16", Probe(
+    Row(_triangle("m", ahead=1),
+        _each(EXPLICIT | RECURRENCE, partial(_thm16_sum, with_falling_factor=True)),
+        _each(RECURRENCE, lambda m, n, k: wh.whitney2(m, n + 1, k))),
+    _each(EXPLICIT | RECURRENCE, partial(_thm16_sum, with_falling_factor=False)),
+    _thm16_verified + "the displayed form (factor omitted) first fails at %s",
+    _thm16_verified + "the displayed form agrees on this range (too small to separate)",
+))
+_register("thm17", Row(_column("m", ahead=1), _each(EXPLICIT | RECURRENCE, _thm17_sum),
+                       _each(RECURRENCE, lambda m, n: wh.dowling_number(m, n + 1))))
 _register("thm18", Row(_triangle("m"), _each(EXPLICIT | RECURRENCE | NEWTON,
                                              lambda *a: wh.whitney1_alt(*a, "v0_T18")), _V1))
 _register("thm19", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
                                              lambda *a: wh.whitney1_alt(*a, "stirling_T19")), _V1))
-_register("thm20", _chk_thm20, discrepancy=True)
+_register("thm20", Probe(
+    Row(_triangle("m"), _each(EXPLICIT | RECURRENCE, partial(_thm20_sum, printed=False)),
+        _rows(NEWTON, lambda *a: wh._stirling1_over_m_rows(*a))),
+    _each(EXPLICIT | RECURRENCE, partial(_thm20_sum, printed=True)),
+    "printed binomial C(n,i) first fails at %s; "
+    "the C(i,k) form from the derivation holds on the whole sweep",
+    "printed and derived binomials agree on this range (too small to separate)",
+))
 _register("thm21", Row(_triangle("m"), _each(RECURRENCE, lambda m, n, k: wh.whitney2(m + 1, n, k)),
                        _each(EXPLICIT | NEWTON, _thm21_rhs)))
-_register("cor22", _chk_cor22, discrepancy=True)
-_register("cor22_remark", _chk_cor22_remark, discrepancy=True)
-_register("thm23", Row(_series, _DOWLING, _each(EXPLICIT | NEWTON, _bell_transform)))
+_register("cor22", _probe_cor22(False, "row-polynomial reduction"))
+_register("cor22_remark", _probe_cor22(True, "ordered-variant reduction"))
+_register("thm23", Row(_SERIES, _DOWLING, _each(EXPLICIT | NEWTON, _bell_transform)))
 _register("lemma24", _chk_lemma24)
 _register("thm25", _chk_thm25)
 _register("thm26", Row(
-    _series,
+    _SERIES,
     _each(NEWTON, lambda m, x, n: st._row_sum(wh._stirling2_over_m_rows, m, n, x, False)),
     _each(EXPLICIT | RECURRENCE, _dowling_transform),
 ))
@@ -680,24 +637,58 @@ _register("eq73", Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling1_un
                       _rows(NEWTON, lambda *a: st.deg_r_stirling1_unsigned_rows(*a))))
 _register("eq74", Row(_triangle("r"),
                       _rows(GF, lambda r, n: gf_triangle(deg_log(n), binomial_series(-r, 1, n), n)),
-                      Side(NEWTON, lambda r, n: _signed(st.deg_r_stirling1_unsigned_rows(r, n)))))
-_register("eq75", _chk_eq75)
-_register("eq77", _chk_eq77)
+                      _SIGNED_R_S1))
+# r = 0 at m = 1: the generating function degrades to the plain first-kind
+# one, so the triangle must too
+_register("eq75", (
+    Row(_triangle("r"), _rows(NEWTON, lambda r, n: wh.r_whitney1_rows(1, r, n)), _SIGNED_R_S1,
+        {"part": "bracket"}),
+    Row(_triangle("m"), _rows(NEWTON, lambda m, n: wh.r_whitney1_rows(m, 1, n)), _V1,
+        {"part": "r=1"}),
+    Row(_triangle(), _rows(GF, lambda n: st.deg_stirling1_rows_gf(n)),
+        _rows(NEWTON, lambda n: st.deg_stirling1_rows(n)), {"part": "r=0"}),
+))
+# r = 0 at m = 1 is the plain second-kind degenerate triangle; its
+# generating function is the oracle, as deg_stirling2_rows is this store
+_register("eq77", (
+    (Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling2_rows_gf(*a)), _R_S2),
+     Row(_triangle("r"), _rows(NEWTON, lambda r, n: wh.r_whitney2_rows(1, r, n)), _R_S2,
+         {"part": "m=1"})),
+    Row(_triangle("m"), _rows(NEWTON, lambda m, n: wh.r_whitney2_rows(m, 1, n)), _W2,
+        {"part": "r=1"}),
+    Row(_triangle(), _rows(NEWTON, lambda n: st.deg_r_stirling2_rows(0, n)),
+        _rows(GF, lambda n: st.deg_stirling2_rows_gf(n)), {"part": "r=0"}),
+))
 _register("thm27_bernoulli", Row(
-    _column("k", range(5)),
+    _column(k=range(5)),
     _each(EXPLICIT | NEWTON, lambda k, n: be.deg_bernoulli(n, k)),
     Side(GF, lambda k, n_max: be.deg_bernoulli_gf(n_max, k).__getitem__),
 ))
 _register("thm27_euler", Row(
-    _column("alpha", (1, 2, 3)),
+    _column(alpha=(1, 2, 3)),
     _each(EXPLICIT | NEWTON, lambda alpha, n: be.deg_euler(n, alpha)),
     Side(GF, lambda alpha, n_max: be.deg_euler_gf(n_max, alpha).__getitem__),
 ))
-_register("eq81", _chk_eq81, discrepancy=True)
-_register("classical_limits", _chk_classical_limits)
-
-# The cross-route entries, by id.
-ROWS: dict[str, Row] = {i: e.checker for i, e in CATALOG.items() if isinstance(e.checker, Row)}
+_register("eq81", Probe(
+    Row(_column(alpha=(Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(2))),
+        _each(EXPLICIT | NEWTON, lambda alpha, n: be.deg_euler(n, alpha)),
+        Side(GF, lambda alpha, n_max: be.deg_euler_gf_binomial(n_max, alpha).__getitem__)),
+    _each(EXPLICIT | NEWTON, lambda alpha, n: be.deg_euler_sum_variant(n, alpha, +1)),
+    "the binomial top alpha+l-1 matches the binomial-series oracle "
+    "everywhere; the intermediate alpha+l+1 variant first fails at %s",
+    "both binomial tops agree on this range (too small to separate)",
+))
+# the l -> 0 limits against the classical tables
+_register("classical_limits", (
+    (Row(_triangle("m"), _each(RECURRENCE, lambda *a: wh.whitney2(*a).eval(0)),
+         _rows(NEWTON, lambda *a: wh.classical_whitney2_rows(*a)), {"family": "W"}),
+     Row(_triangle("m"), _each(RECURRENCE, lambda *a: wh.whitney1(*a).eval(0)),
+         _rows(NEWTON, lambda *a: wh.classical_whitney1_rows(*a)), {"family": "V"})),
+    (Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling1(*a).eval(0)),
+         _each(RECURRENCE, lambda *a: st.stirling1(*a)), {"family": "S1"}),
+     Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling2(*a).eval(0)),
+         _each(NEWTON, lambda *a: st.stirling2(*a)), {"family": "S2"})),
+))
 
 
 def run_identity(

@@ -49,12 +49,35 @@ def test_rising():
     assert lambda_rising(1, 3, l) == LambdaPoly((1, 3, 2))
 
 
+# x and step of every kind the products take: ints, rationals with large and
+# coprime denominators, degree-1 polynomials, and negative and zero steps
+FACTOR_XS = (
+    3, 0, -2, Fraction(5, 2), Fraction(-5, 10**12 + 39), Fraction(10**30 + 1, 3**40),
+    l, LambdaPoly((Fraction(1, 6), Fraction(-3, 4))),
+)
+FACTOR_STEPS = (
+    l, -l, 2 * l, 0, 1, -3, Fraction(-2, 7), Fraction(1, 10**15 + 37),
+    LambdaPoly((Fraction(1, 2), Fraction(-3, 5))),
+)
+
+
+def product_of_factors(x, n, step):
+    """x(x + step)...(x + (n-1) step), one LambdaPoly product per factor."""
+    out = ONE
+    for j in range(n):
+        out = out * (LambdaPoly.coerce(x) + LambdaPoly.coerce(step) * j)
+    return out
+
+
 def test_rising_is_falling_with_negated_step():
     # one memo cache keyed by the step as given plus a separate sign, so
-    # lambda_rising(x, n, s) and lambda_falling(x, n, -s) are two entries
-    for n in range(6):
-        assert lambda_rising(Fraction(5, 2), n, l) == lambda_falling(Fraction(5, 2), n, -l)
-        assert lambda_falling(3, n, 2 * l) == lambda_rising(3, n, -2 * l)
+    # lambda_rising(x, n, s) and lambda_falling(x, n, -s) are two entries;
+    # each is the canonical product of its factors, n = 0 included
+    for x in FACTOR_XS:
+        for step in FACTOR_STEPS:
+            for n in range(6):
+                want = product_of_factors(x, n, step)
+                assert lambda_rising(x, n, step) == lambda_falling(x, n, -step) == want
 
 
 def test_factorial_arguments_are_validated():

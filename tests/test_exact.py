@@ -122,10 +122,14 @@ class TestGrammar:
         assert LambdaPoly.parse("1/6 + 1/4*l + 1/12*l") == LambdaPoly((Fraction(1, 6), Fraction(1, 3)))
         assert LambdaPoly.parse("2/4*l^2 + 3/6") == LambdaPoly((Fraction(1, 2), 0, Fraction(1, 2)))
 
-    @pytest.mark.parametrize("bad", ["", "1 +", "1++2", "x", "l^", "1//2", "2*", "1/0"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1 +", "1++2", "x", "l^", "1//2", "2*", "1/0", "2*l^-1", "l^+2"]
+    )
     def test_parse_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             LambdaPoly.parse(bad)
+        # the message quotes the input as typed, not only a chunk of it
+        assert repr(bad) in str(refused.value) if bad else "empty" in str(refused.value)
 
     @given(polys)
     def test_roundtrip(self, p):

@@ -174,6 +174,10 @@ FAULTS = {
     "thm21": (wh, "whitney2", (2, 3, 1), {"m": 1, "n": 3, "k": 1}),
     "thm23": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
     "thm26": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
+    # a labelled part: its tail ends the params
+    "eq75": (wh, "whitney1", (2, 3, 1), {"m": 2, "n": 3, "k": 1, "part": "r=1"}),
+    # a probe fails on its compared sides, whatever its printed reading finds
+    "thm16": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 2, "k": 1}),
 }
 
 
@@ -195,7 +199,7 @@ def test_fault_injection_yields_counterexample(monkeypatch, ident):
 
     monkeypatch.setattr(module, name, corrupted)
     report = idn.run_identity(ident, 4, [1, 2], [1, 2], 0)
-    assert report.status == "fail"
+    assert report.status == "fail" and report.finding is None
     assert report.counterexample is not None
     assert report.counterexample["params"] == params
     # counterexample sides are canonical grammar strings
@@ -296,15 +300,41 @@ ROUTE_PRIMITIVES = {
 SWEEP = idn.SweepParams(n_max=6, m_set=(1, 2, 3), r_set=(1, 2), seed=0)
 
 
+# The declared forms of an entry; each lists its rows with ``rows()``.
+DECLARED = (idn.Row, idn.Parts, idn.Probe)
+
+
 def test_declared_route_sharings():
     rows = idn.ROWS
-    assert rows and all(idn.CATALOG[ident].checker is row for ident, row in rows.items())
+    # every row of every declared entry, keyed by the entry's id and its tail
+    declared = [
+        (ident, row)
+        for ident, entry in idn.CATALOG.items()
+        if isinstance(entry.checker, DECLARED)
+        for row in entry.checker.rows()
+    ]
+    assert rows and len(rows) == len(declared)
+    assert all(any(rows[key] is row for key in rows if key.partition("[")[0] == ident)
+               for ident, row in declared)
     for row in rows.values():
         assert row.lhs.route and row.lhs.route <= set(ROUTE_PRIMITIVES)
         assert row.rhs.route and row.rhs.route <= set(ROUTE_PRIMITIVES)
-    # any new sharing must be declared here on purpose
+    # any new sharing must be declared here on purpose: the explicit sides of
+    # thm8, thm16, thm17 and thm18 read the recurrence's tables, and the other
+    # three compare two triangles of the Newton kernel
     shared = {ident for ident, row in rows.items() if row.lhs.route & row.rhs.route}
-    assert shared == {"thm8", "thm18"}
+    assert shared == {
+        "thm8", "thm16", "thm17", "thm18", "eq75[bracket]", "eq77[m=1]", "classical_limits[S2]"
+    }
+
+
+def test_only_entries_without_a_route_pair_are_hand_written():
+    # a new cross-route entry is declared, so the route tests above see it
+    written = {i for i, e in idn.CATALOG.items() if not isinstance(e.checker, DECLARED)}
+    assert written == {
+        "eq12", "thm10", "thm12_zero", "lemma15", "lemma24", "thm25",
+        "orthogonality", "stirling_orthogonality",
+    }
 
 
 @pytest.mark.parametrize("side_name", ("lhs", "rhs"))
@@ -358,6 +388,24 @@ def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch):
         clear_caches()
     assert report.status == "fail"
     assert report.counterexample["params"] == {"n": 2, "part": "eq29"}
+
+
+def test_lockstep_parts_alternate_point_by_point():
+    # the rows of an inner tuple take turns, so a failing run stops at the
+    # same first counterexample as when each entry was one loop
+    sweep = idn.SweepParams(n_max=2, m_set=(1, 2), r_set=(1,), seed=0)
+
+    def params(ident):
+        return [params for params, _, _ in idn.CATALOG[ident].checker.points(sweep)]
+
+    parts = [{"n": n, "part": part} for n in range(3) for part in ("eq29", "eq30")]
+    assert params("eq29_30") == parts
+    families = [at.get("family") for at in params("classical_limits")]
+    assert families == ["W", "V"] * 12 + ["S1", "S2"] * 6
+    eq77 = params("eq77")
+    assert eq77[:3] == [{"r": 1, "n": 0, "k": 0}, {"r": 1, "n": 0, "k": 0, "part": "m=1"},
+                        {"r": 1, "n": 1, "k": 0}]
+    assert [at.get("part") for at in eq77[12:]] == ["r=1"] * 12 + ["r=0"] * 6
 
 
 def test_a_warm_run_reports_what_a_cold_run_reports():
