@@ -15,8 +15,8 @@ labelled by the ``tail`` params that end its points; the rows of an inner
 tuple run in lockstep, one point of each in turn.  ``ROWS`` lists them all.
 
 Entries flagged as *discrepancy* probes exist because the source material
-prints two inconsistent readings of a formula.  A ``Probe`` is a row whose lhs
-is the reading the derivation supports, with the printed reading deferred:
+prints two inconsistent readings of a formula.  A ``Probe`` holds a row whose
+lhs is the reading the derivation supports, and the printed reading, deferred:
 its finding is the first point where the printed one differs from lhs, and
 it reports status ``paper-discrepancy``.  The entries with no route pair stay
 generators of points.
