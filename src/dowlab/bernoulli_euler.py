@@ -11,11 +11,10 @@ number is ever taken.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .exact import ONE, LambdaPoly, as_fraction, check_ints, dot
-from .bases import binom, gen_binom
-from .series import deg_exp, one_series, power_of_one_plus, t_series
+from .exact import ONE, LambdaPoly, as_fraction, bounded, check_ints, dot
+from .bases import binom
+from .series import TruncatedSeries, deg_exp, one_series, power_of_one_plus, t_series
 from .stirling import deg_stirling1_rows, deg_stirling2_rows
 
 
@@ -40,12 +39,13 @@ def deg_euler_sum_variant(n: int, alpha: int | Fraction, shift: int) -> LambdaPo
     check_ints(n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = as_fraction(alpha)
+    x = as_fraction(alpha) + shift
     row = deg_stirling2_rows(n)[n]
-    return dot(
-        (Fraction(-1, 2) ** l * gen_binom(a + l + shift, l) * factorial(l), row[l], ONE)
-        for l in range(n + 1)
-    )
+    # (-1/2)^l C(x + l, l) l! = prod_{i <= l} -(x + i)/2, one product per l
+    weights = [Fraction(1)]
+    for i in range(1, n + 1):
+        weights.append(weights[-1] * (x + i) / -2)
+    return dot((w, s, ONE) for w, s in zip(weights, row))
 
 
 def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
@@ -53,10 +53,15 @@ def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
     check_ints(n_max, k)
     if n_max < 0 or k < 0:
         raise ValueError("n_max and k must be >= 0")
-    order = n_max + 1
-    quotient = t_series(order).divide(deg_exp(1, order) - one_series(order), 1)
-    powered = quotient**k
+    powered = _bernoulli_quotient(n_max + 1) ** k
     return [powered.coeff(n) for n in range(n_max + 1)]
+
+
+# Each order of the Bernoulli and Euler oracles powers the same quotient.
+@bounded(16)
+def _bernoulli_quotient(order: int) -> TruncatedSeries:
+    """t/(e_l(t)-1) to t^order."""
+    return t_series(order).divide(deg_exp(1, order) - one_series(order), 1)
 
 
 def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
@@ -64,10 +69,14 @@ def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
     check_ints(n_max, order_k)
     if n_max < 0 or order_k < 0:
         raise ValueError("n_max and the order must be >= 0")
-    two = one_series(n_max).scaled(2)
-    quotient = two.divide(deg_exp(1, n_max) + one_series(n_max), 0)
-    powered = quotient**order_k
+    powered = _euler_quotient(n_max) ** order_k
     return [powered.coeff(n) for n in range(n_max + 1)]
+
+
+@bounded(16)
+def _euler_quotient(order: int) -> TruncatedSeries:
+    """2/(e_l(t)+1) to t^order."""
+    return one_series(order).scaled(2).divide(deg_exp(1, order) + one_series(order), 0)
 
 
 def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]:

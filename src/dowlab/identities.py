@@ -191,23 +191,26 @@ def _each(route: frozenset[str], value: Callable) -> Side:
 
 # A runner yields, for each tuple of a row's outer parameters, that tuple and
 # the (params, point) cells read there; the sides' readers take the point.
+# Each point's params end with the row's ``tail``.
 Cells = Iterable[tuple[dict, tuple]]
-Runner = Callable[[SweepParams], Iterable[tuple[tuple, Cells]]]
+Runner = Callable[[SweepParams, dict], Iterable[tuple[tuple, Cells]]]
 
 
 def _grid(outer: tuple[str, ...], cells: Callable[[int], Cells], **over: Iterable) -> Runner:
     """The cells ``cells(n_max)`` for each tuple of the sweep sets named
     ``outer`` (each "m" or "r") and then of the values given as keywords.
-    A point's params are the outer ones, the cell's, then the keywords', a
-    Fraction shown as its str (JSON has no rationals)."""
+    A point's params are the outer ones, the cell's, the keywords', a
+    Fraction shown as its str (JSON has no rationals), then the tail's."""
 
-    def run(p: SweepParams) -> Iterable[tuple[tuple, Cells]]:
+    def run(p: SweepParams, tail: dict) -> Iterable[tuple[tuple, Cells]]:
         axes = [getattr(p, f"{name}_set") for name in outer] + list(over.values())
         for fixed in product(*axes):
             at = dict(zip(outer, fixed))
             given = zip(over, fixed[len(outer):])
             shown = {name: str(v) if isinstance(v, Fraction) else v for name, v in given}
-            yield fixed, (({**at, **params, **shown}, point) for params, point in cells(p.n_max))
+            yield fixed, (
+                ({**at, **params, **shown, **tail}, point) for params, point in cells(p.n_max)
+            )
 
     return run
 
@@ -244,10 +247,10 @@ class Row:
 
     def read(self, p: SweepParams, *sides: Side) -> Iterable[tuple[dict, tuple, list]]:
         """Each point's params and point, with the readers of ``sides`` there."""
-        for outer, cells in self.run(p):
+        for outer, cells in self.run(p, self.tail):
             readers = [side.values(*outer, p.n_max) for side in sides]
             for params, point in cells:
-                yield {**params, **self.tail}, point, readers
+                yield params, point, readers
 
     def rows(self) -> Iterable[Row]:
         return (self,)

@@ -9,11 +9,22 @@ operations truncate to the smaller order of their operands.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import comb, factorial
 from typing import Iterable, Union
 
-from .exact import LAMBDA, ONE, LambdaPoly, Record, Scalar, as_fraction, check_ints, dot
+from .exact import (
+    LAMBDA,
+    ONE,
+    ZERO,
+    LambdaPoly,
+    Record,
+    Scalar,
+    as_fraction,
+    bounded,
+    check_ints,
+    dot,
+)
 
 
 def _leading_zeros(coeffs: tuple[LambdaPoly, ...]) -> int:
@@ -73,28 +84,32 @@ class TruncatedSeries(Record):
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # EGF product = binomial convolution of the coefficient sequences.
         # Term k of coefficient i vanishes unless a[k] and b[i - k] are past
-        # the leading zeros of their series, so the sum starts there.
+        # the leading zeros of their series, so the sum starts there, and the
+        # coefficients below lo_a + lo_b are zero.
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         lo_a, lo_b = _leading_zeros(a), _leading_zeros(b)
+        lo = min(lo_a + lo_b, n + 1)
         out = (
             dot((comb(i, k), a[k], b[i - k]) for k in range(lo_a, i - lo_b + 1))
-            for i in range(n + 1)
+            for i in range(lo, n + 1)
         )
-        return TruncatedSeries(n, tuple(out))
+        return TruncatedSeries(n, (*repeat(ZERO, lo), *out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         check_ints(n)
         if n < 0:
             raise ValueError("negative series power")
-        out = one_series(self.order)
+        # binary powering with no product by one and no square left unused
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return one_series(self.order) if out is None else out
 
     def scaled(self, factor: Union[int, Fraction, LambdaPoly]) -> "TruncatedSeries":
         """Multiply every coefficient by a scalar."""
@@ -267,6 +282,8 @@ def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> Tru
     return TruncatedSeries(order, tuple(out))
 
 
+# A default catalog run asks for 23 distinct triangles, so all of them stay held.
+@bounded(32)
 def gf_triangle(
     base: TruncatedSeries, prefactor: TruncatedSeries, n_max: int
 ) -> tuple[tuple[LambdaPoly, ...], ...]:
@@ -274,14 +291,16 @@ def gf_triangle(
 
     This is the shared extraction step for every generating function of the
     package: the running product starts at the prefactor and takes one more
-    factor base/k per column, so the whole triangle costs n_max series
-    products.
+    factor base/k per column, each coefficient divided by the int k, so the
+    whole triangle costs n_max series products.  Triangles are held by their
+    (base, prefactor, n_max), so the catalog entries that ask for the same
+    triangle share one build.
     """
-    rows = [[LambdaPoly() for _ in range(n + 1)] for n in range(n_max + 1)]
     acc = prefactor.truncate(n_max)  # a series of order n_max < 0 is a ValueError
-    for k in range(n_max + 1):
-        if k:
-            acc = (acc * base).scaled(Fraction(1, k))
-        for n in range(k, n_max + 1):
-            rows[n][k] = acc.coeff(n)
-    return tuple(tuple(row) for row in rows)
+    columns = [acc.coeffs]
+    for k in range(1, n_max + 1):
+        acc = acc * base
+        acc = TruncatedSeries(acc.order, tuple(c / k for c in acc.coeffs))
+        columns.append(acc.coeffs)
+    # a series shorter than n_max is an IndexError
+    return tuple(tuple(column[n] for column in columns[: n + 1]) for n in range(n_max + 1))

@@ -251,10 +251,22 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     return _row_sum(whitney2_rows, m, n, as_fraction(x), True)
 
 
+# The bases of the generating functions, each built once per parameter set:
+# every r of a triangle oracle, and thm3 and thm9 at each x, read the same one.
+@bounded(64)
 def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
     _check_m(m)
     return (deg_exp(m, n_max) - one_series(n_max)).scaled(as_fraction(x) / m)
+
+
+@bounded(64)
+def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
+    """log_l(e_m(t)), the base of the first-kind generating functions: log_l(1 + g)
+    with g = e_m(t) - 1, solved from its first-order recurrence rather than by
+    composing two series."""
+    e_m = binomial_series(Fraction(1, m), m, n_max)
+    return deg_log_of_one_plus(e_m - one_series(n_max))
 
 
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
@@ -344,15 +356,10 @@ def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
 
 
 def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
-    """Oracle: coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!.
-
-    The base log_l(e_m(t)) is log_l(1 + g) with g = e_m(t) - 1, solved from
-    its first-order recurrence rather than by composing two series."""
+    """Oracle: coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!."""
     WhitneyParams(m, r)
-    e_m = binomial_series(Fraction(1, m), m, n_max)
-    base = deg_log_of_one_plus(e_m - one_series(n_max))
     prefactor = binomial_series(Fraction(-r, m), m, n_max)
-    return gf_triangle(base, prefactor, n_max)
+    return gf_triangle(_gf_log_base(m, n_max), prefactor, n_max)
 
 
 # -- classical limits (plain integers, no l) ---------------------------------------

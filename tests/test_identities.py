@@ -1,6 +1,8 @@
 """The identity engine: sweeps, reports, determinism, fault injection, route independence."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from dowlab.exact import CACHES, LambdaPoly
-from dowlab import bases, series
+from dowlab import bases, cli, series
 from dowlab import identities as idn
 from dowlab import stirling as st
 from dowlab import whitney as wh
@@ -278,10 +280,17 @@ assert tracer.missing == [], tracer.missing
 assert tracer.catalog == list(idn.CATALOG) and len(tracer.catalog) >= 24
 assert hasattr(be.deg_bernoulli, "__wrapped__") and idn.be is be
 assert hasattr(idn.CATALOG["thm27_bernoulli"].checker, "__wrapped__")
+# the traced catalog reports what an untraced one does: a cache on a span
+# target whose result is not rows fails the tracer's row count here
+assert dowlab.cli.main(["verify", "--n-max", "4"]) == 0
 """
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    untraced = io.StringIO()
+    with contextlib.redirect_stdout(untraced):
+        assert cli.main(["verify", "--n-max", "4"]) == 0
+    assert done.stdout == untraced.getvalue()
 
 
 # The code that only one route reaches; an explicit formula has none of its own.
@@ -406,6 +415,16 @@ def test_lockstep_parts_alternate_point_by_point():
     assert eq77[:3] == [{"r": 1, "n": 0, "k": 0}, {"r": 1, "n": 0, "k": 0, "part": "m=1"},
                         {"r": 1, "n": 1, "k": 0}]
     assert [at.get("part") for at in eq77[12:]] == ["r=1"] * 12 + ["r=0"] * 6
+
+
+def test_a_cold_catalog_builds_each_gf_triangle_once():
+    # thm1, thm5, eq74, eq75 and eq77 ask for triangles that eq17, eq18,
+    # eq68 and eq71 build: 37 requests for 23 distinct triangles
+    clear_caches()
+    idn.verify_all(10, (1, 2, 3), (1, 2, 3), 0)
+    info = series.gf_triangle.cache_info()
+    assert (info.misses, info.hits) == (23, 14)
+    assert info.currsize == 23
 
 
 def test_a_warm_run_reports_what_a_cold_run_reports():

@@ -63,6 +63,7 @@ def test_gf_triangle_costs_one_product_per_column(monkeypatch, n):
         return mul(self, other)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    gf_triangle.cache_clear()  # a triangle held from an earlier test costs no product
     gf_triangle(base, prefactor, n)
     assert len(products) == n
 

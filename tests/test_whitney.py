@@ -892,5 +892,11 @@ class TestRouteIndependence:
         for m, (second, first) in expected.items():
             assert wh.whitney2_rows_gf(m, self.N_MAX) == second
             assert wh.whitney1_rows_gf(m, self.N_MAX) == first
-        # no row store and no memo was read
-        assert all(cache.cache_info().currsize == 0 for cache in CACHES)
+        # no row store and no memo was read: only the GF route's own stores,
+        # its triangles and the series they are built from, hold anything
+        held = {cache.__name__: cache.cache_info().currsize for cache in CACHES}
+        assert held["gf_triangle"] == 2 * len(self.M_SET)
+        gf_stores = {"gf_triangle", "_gf_base", "_gf_log_base", "_bernoulli_quotient",
+                     "_euler_quotient"}
+        assert gf_stores <= set(held)
+        assert all(size == 0 for name, size in held.items() if name not in gf_stores)
