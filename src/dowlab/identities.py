@@ -388,7 +388,7 @@ def _cor22_sum(ordered: bool, rescale: bool, m: int, n: int, x: Fraction) -> Lam
         store, y, c = wh._whitney2_rescaled_rows, m * x, 1
     else:
         store, y, c = wh.whitney2_rows, x * Fraction(m, m + 1), m + 1
-    terms = ((j, c**j, st._row_sum(store, m, j, y, ordered)) for j in range(n + 1))
+    terms = ((j, c**j, st._row_sum(store, (m,), j, y, ordered)) for j in range(n + 1))
     return rising_transform(n, terms, LAMBDA * m) / m**n
 
 
@@ -400,7 +400,7 @@ def _terms(values: Iterable[LambdaPoly]) -> Iterable[tuple[int, int, LambdaPoly]
 def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
     """The falling transform of m^i Bdeg_i(x/m) at l -> l/m, i = 0..n, the
     right side of thm23; each is a row sum of the rescaled S2deg triangle."""
-    bells = (st._row_sum(wh._stirling2_over_m_rows, m, i, x, False) for i in range(n + 1))
+    bells = (st._row_sum(st._second_kind_rows, (m, 0), i, x, False) for i in range(n + 1))
     return falling_transform(n, _terms(bells))
 
 
@@ -612,7 +612,7 @@ _register("thm19", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
                                              lambda *a: wh.whitney1_alt(*a, "stirling_T19")), _V1))
 _register("thm20", Probe(
     Row(_triangle("m"), _each(EXPLICIT | RECURRENCE, partial(_thm20_sum, printed=False)),
-        _rows(NEWTON, lambda *a: wh._stirling1_over_m_rows(*a))),
+        _rows(NEWTON, lambda m, n: st._first_kind_rows(m, 0, n))),
     _each(EXPLICIT | RECURRENCE, partial(_thm20_sum, printed=True)),
     "printed binomial C(n,i) first fails at %s; "
     "the C(i,k) form from the derivation holds on the whole sweep",
@@ -627,7 +627,7 @@ _register("lemma24", _chk_lemma24)
 _register("thm25", _chk_thm25)
 _register("thm26", Row(
     _SERIES,
-    _each(NEWTON, lambda m, x, n: st._row_sum(wh._stirling2_over_m_rows, m, n, x, False)),
+    _each(NEWTON, lambda m, x, n: st._row_sum(st._second_kind_rows, (m, 0), n, x, False)),
     _each(EXPLICIT | RECURRENCE, _dowling_transform),
 ))
 _register("orthogonality", _chk_orthogonality)
@@ -651,8 +651,8 @@ _register("eq75", (
     Row(_triangle(), _rows(GF, lambda n: st.deg_stirling1_rows_gf(n)),
         _rows(NEWTON, lambda n: st.deg_stirling1_rows(n)), {"part": "r=0"}),
 ))
-# r = 0 at m = 1 is the plain second-kind degenerate triangle; its
-# generating function is the oracle, as deg_stirling2_rows is this store
+# r = 0 at m = 1 is S2deg, with its GF as the oracle; the m = 1 part reads the kernel
+# at (1, r) on both sides, so it cannot fail (it is kept for params_tested).
 _register("eq77", (
     (Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling2_rows_gf(*a)), _R_S2),
      Row(_triangle("r"), _rows(NEWTON, lambda r, n: wh.r_whitney2_rows(1, r, n)), _R_S2,

@@ -292,15 +292,16 @@ def gf_triangle(
     This is the shared extraction step for every generating function of the
     package: the running product starts at the prefactor and takes one more
     factor base/k per column, each coefficient divided by the int k, so the
-    whole triangle costs n_max series products.  Triangles are held by their
-    (base, prefactor, n_max), so the catalog entries that ask for the same
-    triangle share one build.
+    whole triangle costs n_max series products; the leading zeros (k of them
+    when base(0) = 0) are left as they are.  Triangles are held by their
+    (base, prefactor, n_max), so catalog entries share one build.
     """
     acc = prefactor.truncate(n_max)  # a series of order n_max < 0 is a ValueError
     columns = [acc.coeffs]
     for k in range(1, n_max + 1):
         acc = acc * base
-        acc = TruncatedSeries(acc.order, tuple(c / k for c in acc.coeffs))
+        a, lo = acc.coeffs, _leading_zeros(acc.coeffs)
+        acc = TruncatedSeries(acc.order, (*a[:lo], *(c / k for c in a[lo:])))
         columns.append(acc.coeffs)
     # a series shorter than n_max is an IndexError
     return tuple(tuple(column[n] for column in columns[: n + 1]) for n in range(n_max + 1))

@@ -62,7 +62,8 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     plus the live iterator; a longer ``n_max`` extends it.  The decorated
     function has ``cache_info()`` and ``cache_clear()`` of its stores, and
     ``entry(*params, n, k)``, which reads one entry of the same store in
-    place; only ``f`` copies rows out of it.
+    place; only ``f`` copies rows out of it.  Both call a keyword ``check`` on
+    the params after n_max or (n, k): ``check_ints``, or a reader's stricter one.
     """
 
     @bounded(STORES_HELD)
@@ -86,18 +87,20 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
         return built
 
     @wraps(rows_of)
-    def rows(*args: int) -> Rows:
+    def rows(*args: int, check: Callable = check_ints) -> Rows:
         check_ints(*args)
         n_max = args[-1]
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
+        check(*args[:-1])
         return tuple(built_to(args[:-1], n_max)[: n_max + 1])
 
-    def entry(*args: int):
+    def entry(*args: int, check: Callable = check_ints):
         """Entry (n, k) of the triangle at ``params``, for ``args = (*params, n, k)``."""
         params, (n, k) = args[:-2], args[-2:]
         check_ints(*params)
         _check_index(n, k)
+        check(*params)
         return built_to(params, n)[n][k]
 
     rows.entry = entry
@@ -108,14 +111,12 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
 
 # thm23 and cor22 read every earlier row sum at each n, so each is built once per key.
 @bounded(4096)
-def _row_sum(store: Callable, m: int, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
-    """sum_k T(n,k) x^k over row n of the row store ``store(m, n)``, each term
-    weighted by k! when ``ordered``: over ``deg_r_stirling2_rows`` at m = 0 the
-    degenerate Bell polynomials, over ``whitney2_rows`` the (Tanny-)Dowling
-    polynomials, over ``_stirling2_over_m_rows`` m^n Bdeg_n(x/m) at l -> l/m.
-    At x = p/q the weights are the ints p^k q^(n-k) (times k!), and the sum
-    is divided by q^n once."""
-    row = store(m, n)[n]
+def _row_sum(store: Callable, params: tuple, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
+    """sum_k T(n,k) x^k over row n of ``store(*params, n)``, weighted by k! when
+    ``ordered``: the degenerate Bell polynomials at (1, 0) of ``_second_kind_rows``,
+    m^n Bdeg_n(x/m) at l -> l/m at (m, 0), the (Tanny-)Dowling polynomials over
+    ``whitney2_rows``.  At x = p/q, int weights p^k q^(n-k) (times k!) over q^n."""
+    row = store(*params, n)[n]
     p, q = x.numerator, x.denominator
     terms = []
     weight = 1  # p^k, times k! when ordered
@@ -160,24 +161,55 @@ def stirling2(n: int, k: int) -> int:
 
 # -- degenerate Stirling numbers --------------------------------------------
 
+# The degenerate r-Whitney numbers hold the degenerate Stirling ones: the r-Stirling
+# numbers at m = 1 (eq77), and at r = 0 the rescaled m^(n-k) T(n,k | l/m) of thm13,
+# thm19-20, thm23 and thm26.  So each kind is one row store over (m >= 1, r >= 0).
+
+
+def _check_m(m: int) -> None:
+    check_ints(m)
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+
+
+def _check_r(r: int) -> None:
+    check_ints(r)
+    if r < 0:
+        raise ValueError("r must be >= 0")
+
 
 @row_store
-def deg_stirling1_rows() -> Iterator[tuple[LambdaPoly, ...]]:
+def _second_kind_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
+    """W_{m,r}: (mx+r)_{n,l} = sum_k W m^k (x)_k in u = mx, over the nodes 0, m, 2m, ..."""
+    _check_m(m)
+    _check_r(r)
+    return newton_rows(ONE, lambda j: linear(-r, j), lambda k: m * k)
+
+
+@row_store
+def _first_kind_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
+    """w_{m,r}: m^n (x)_n = prod_j (u - (r+jm)) = sum_k w (u)_{k,l} in u = mx + r."""
+    _check_m(m)
+    _check_r(r)
+    return newton_rows(ONE, lambda j: r + j * m, lambda k: LAMBDA * k)
+
+
+def deg_stirling1_rows(n_max: int) -> Rows:
     """Rows of the first-kind degenerate triangle: (x)_n in the step-l basis."""
-    return newton_rows(ONE, lambda j: j, lambda k: LAMBDA * k)
+    return _first_kind_rows(1, 0, n_max)
 
 
 def deg_stirling1(n: int, k: int) -> LambdaPoly:
-    return deg_stirling1_rows.entry(n, k)
+    return _first_kind_rows.entry(1, 0, n, k)
 
 
 def deg_stirling2_rows(n_max: int) -> Rows:
     """Rows of the second-kind degenerate triangle: (x)_{n,l} in the falling basis."""
-    return deg_r_stirling2_rows(0, n_max)
+    return _second_kind_rows(1, 0, n_max)
 
 
 def deg_stirling2(n: int, k: int) -> LambdaPoly:
-    return deg_r_stirling2_rows.entry(0, n, k)
+    return _second_kind_rows.entry(1, 0, n, k)
 
 
 def deg_stirling2_or_zero(n: int, k: int) -> LambdaPoly:
@@ -192,7 +224,7 @@ def deg_bell(n: int, x: int | Fraction) -> LambdaPoly:
     check_ints(n)
     if n < 0:
         raise ValueError("Bell polynomial index must be >= 0")
-    return _row_sum(deg_r_stirling2_rows, 0, n, as_fraction(x), False)
+    return _row_sum(_second_kind_rows, (1, 0), n, as_fraction(x), False)
 
 
 def deg_bell_number(n: int) -> LambdaPoly:
@@ -202,21 +234,13 @@ def deg_bell_number(n: int) -> LambdaPoly:
 # -- degenerate r-Stirling numbers -------------------------------------------
 
 
-def _check_r(r: int) -> None:
-    check_ints(r)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-
-
-@row_store
-def deg_r_stirling2_rows(r: int) -> Iterator[tuple[LambdaPoly, ...]]:
+def deg_r_stirling2_rows(r: int, n_max: int) -> Rows:
     """(x+r)_{n,l} in the ordinary falling basis (second kind, shift r)."""
-    _check_r(r)
-    return newton_rows(ONE, lambda j: linear(-r, j), lambda k: k)
+    return _second_kind_rows(1, r, n_max)
 
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
-    return deg_r_stirling2_rows.entry(r, n, k)
+    return _second_kind_rows.entry(1, r, n, k)
 
 
 @row_store

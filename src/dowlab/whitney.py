@@ -33,12 +33,14 @@ from .stirling import (
     Family,
     Rows,
     _check_index,
+    _check_m,
+    _first_kind_rows,
     _recurrence,
     _row_sum,
+    _second_kind_rows,
     _stirling1_rows,
     _stirling2_rows,
     deg_r_stirling1_unsigned_rows,
-    deg_r_stirling2_rows,
     deg_stirling1_rows,
     row_store,
 )
@@ -55,12 +57,6 @@ class WhitneyParams(Record):
         if r < 1:
             raise ValueError(f"r must be a positive integer, got {r}")
         self._set(m, r)
-
-
-def _check_m(m: int) -> None:
-    check_ints(m)
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
 
 
 def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
@@ -145,8 +141,8 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
         return acc / (factorial(k) * Fraction(m) ** k)
     _check_index(n, k)
     if path == "stirling_T13":
-        entry = _stirling2_over_m_rows.entry
-        return falling_transform(n, ((i, 1, entry(m, i, k)) for i in range(k, n + 1)))
+        entry = _second_kind_rows.entry
+        return falling_transform(n, ((i, 1, entry(m, 0, i, k)) for i in range(k, n + 1)))
     raise ValueError(f"unknown second-kind path {path!r}")
 
 
@@ -191,7 +187,7 @@ def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     if path == "v0_T18":
         return dot((binom(n, i), v0(m, n - i), _t18_inner(m, i, k)) for i in range(k, n + 1))
     if path == "stirling_T19":
-        row = _stirling1_over_m_rows(m, n)[n]
+        row = _first_kind_rows(m, 0, n)[n]
         return dot(
             ((-1) ** (q - k) * binom(q, k), row[q], lambda_rising(1, q - k, LAMBDA))
             for q in range(k, n + 1)
@@ -236,7 +232,7 @@ def dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     check_ints(m, n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _row_sum(whitney2_rows, m, n, as_fraction(x), False)
+    return _row_sum(whitney2_rows, (m,), n, as_fraction(x), False)
 
 
 def dowling_number(m: int, n: int) -> LambdaPoly:
@@ -248,7 +244,7 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     check_ints(m, n)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _row_sum(whitney2_rows, m, n, as_fraction(x), True)
+    return _row_sum(whitney2_rows, (m,), n, as_fraction(x), True)
 
 
 # The bases of the generating functions, each built once per parameter set:
@@ -284,22 +280,8 @@ def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
 # Theorems 13, 19-21, 23 and 26 and Corollary 22 read degenerate Stirling and
 # Whitney numbers at l/m or m l/(m+1).  Cleared of powers of m or m+1, each such
 # triangle is a change of basis in u = mx (or m(m+1)x), which the Newton kernel
-# builds with no l rescaled.  The first two are the kernels of
-# ``r_whitney2_rows`` and ``r_whitney1_rows_direct`` at r = 0.
-
-
-@row_store
-def _stirling2_over_m_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """m^(n-k) S2deg(n, k | l/m): (u)_{n,l} = sum_k T(n,k) m^k (x)_k in u = mx."""
-    _check_m(m)
-    return newton_rows(ONE, lambda j: linear(0, j), lambda k: m * k)
-
-
-@row_store
-def _stirling1_over_m_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """m^(n-k) S1deg(n, k | l/m): m^n (x)_n = sum_k T(n,k) (u)_{k,l} in u = mx."""
-    _check_m(m)
-    return newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k)
+# builds with no l rescaled.  The Stirling ones are the r = 0 triangles of
+# ``stirling._second_kind_rows`` and ``stirling._first_kind_rows``.
 
 
 @row_store
@@ -313,38 +295,28 @@ def _whitney2_rescaled_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
 # -- r-generalizations ----------------------------------------------------------
 
 
-@row_store
-def r_whitney2_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """Second-kind r-triangle: (mx+r)_{n,l} = sum W m^k (x)_k, expanded in u = mx
-    over the nodes 0, m, 2m, ..., whose Newton basis is m^k (x)_k."""
-    WhitneyParams(m, r)
-    return newton_rows(ONE, lambda j: linear(-r, j), lambda k: m * k)
+def r_whitney2_rows(m: int, r: int, n_max: int) -> Rows:
+    """Second-kind r-triangle: (mx+r)_{n,l} = sum W m^k (x)_k, by the Newton kernel."""
+    return _second_kind_rows(m, r, n_max, check=WhitneyParams)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    return r_whitney2_rows.entry(m, r, n, k)
+    return _second_kind_rows.entry(m, r, n, k, check=WhitneyParams)
 
 
-@row_store
-def r_whitney1_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """First-kind r-triangle by Newton conversion of the defining relation.
-
-    Substituting u = mx+r turns m^n (x)_n into prod_j (u - (r+jm)), which
-    is then expanded in the step-l falling basis of u; the coefficients are
-    the first-kind numbers directly and everything stays in Q[l].
-    """
-    WhitneyParams(m, r)
-    return newton_rows(ONE, lambda j: r + j * m, lambda k: LAMBDA * k)
+def r_whitney1_rows(m: int, r: int, n_max: int) -> Rows:
+    """First-kind r-triangle: m^n (x)_n = sum w (mx+r)_{k,l}, by the Newton kernel."""
+    return _first_kind_rows(m, r, n_max, check=WhitneyParams)
 
 
 def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    return r_whitney1_rows.entry(m, r, n, k)
+    return _first_kind_rows.entry(m, r, n, k, check=WhitneyParams)
 
 
 def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
-    """Cross-check route without the shift by r: m^n (x)_n over the rational-in-l
-    nodes (k*l - r)/m, coefficient k divided by m^k, which is m^n (x)_n
-    expanded in u = mx over the nodes k*l - r."""
+    """Cross-check route: the first-kind kernel with the shift r moved from its
+    roots onto its nodes, m^n (x)_n over the rational-in-l nodes (k*l - r)/m with
+    coefficient k divided by m^k, i.e. expanded in u = mx over the nodes k*l - r."""
     WhitneyParams(m, r)
     return _first_rows(newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k - r), n_max)
 
@@ -583,19 +555,19 @@ def _const_rows(rows: Iterator[tuple[int, ...]]) -> Iterator[tuple[LambdaPoly, .
     return (tuple(map(LambdaPoly.const, row)) for row in rows)
 
 
-# Each family's primary route, as the row generator that its store wraps,
-# and whether it reads m and r; S2deg is the r = 0 case of S2degR.
-_PRIMARY: dict[Family, tuple[Callable[..., Iterator], bool, bool]] = {
-    Family.S1: (lambda: _const_rows(_stirling1_rows.__wrapped__()), False, False),
-    Family.S2: (lambda: _const_rows(_stirling2_rows.__wrapped__()), False, False),
-    Family.S1DEG: (deg_stirling1_rows.__wrapped__, False, False),
-    Family.S2DEG: (lambda: deg_r_stirling2_rows.__wrapped__(0), False, False),
-    Family.S1DEG_R: (deg_r_stirling1_unsigned_rows.__wrapped__, False, True),
-    Family.S2DEG_R: (deg_r_stirling2_rows.__wrapped__, False, True),
-    Family.WDEG: (whitney2_rows.__wrapped__, True, False),
-    Family.VDEG: (whitney1_rows.__wrapped__, True, False),
-    Family.WDEG_R: (r_whitney2_rows.__wrapped__, True, True),
-    Family.VDEG_R: (r_whitney1_rows.__wrapped__, True, True),
+# Each family's primary route, as its endless rows at (m, r): the generator its row
+# store wraps, bound here so that a wrapper later put on the store's name is not used.
+_PRIMARY: dict[Family, Callable[[int, int], Iterator]] = {
+    Family.S1: lambda m, r, rows=_stirling1_rows.__wrapped__: _const_rows(rows()),
+    Family.S2: lambda m, r, rows=_stirling2_rows.__wrapped__: _const_rows(rows()),
+    Family.S1DEG: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(1, 0),
+    Family.S2DEG: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, 0),
+    Family.S1DEG_R: lambda m, r, rows=deg_r_stirling1_unsigned_rows.__wrapped__: rows(r),
+    Family.S2DEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, r),
+    Family.WDEG: lambda m, r, rows=whitney2_rows.__wrapped__: rows(m),
+    Family.VDEG: lambda m, r, rows=whitney1_rows.__wrapped__: rows(m),
+    Family.WDEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(m, r),
+    Family.VDEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(m, r),
 }
 
 
@@ -607,8 +579,10 @@ def family_rows(family: Family | str, m: int, r: int) -> Iterator[tuple[LambdaPo
     The m and r that the family reads are checked by this call, before any
     row is built; the ones it does not read are ignored.
     """
-    rows_of, uses_m, uses_r = _PRIMARY[Family(family)]
-    return rows_of(*(m,) * uses_m, *(r,) * uses_r)
+    family = Family(family)
+    if family in (Family.WDEG_R, Family.VDEG_R):
+        WhitneyParams(m, r)  # their kernels take r = 0 as well
+    return _PRIMARY[family](m, r)
 
 
 def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Rows:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dowlab.exact import LAMBDA, ONE, LambdaPoly
+from dowlab import stirling as st
 from dowlab import whitney as wh
 from dowlab.bases import (
     XPoly,
@@ -299,7 +300,7 @@ def test_newton_rows_cost_a_few_multiplications_per_entry(monkeypatch):
 
     monkeypatch.setattr(LambdaPoly, "__mul__", counted)
     monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
-    wh.r_whitney1_rows.cache_clear()
+    st._first_kind_rows.cache_clear()  # the store that r_whitney1_rows reads
     rows = wh.r_whitney1_rows(3, 2, 40)
     entries = sum(len(row) for row in rows)
     assert entries == 861

@@ -502,6 +502,9 @@ PRECEDENCE = [
      "error: --lambda and --symbolic are mutually exclusive"),
     ("triangle --family W --m 0 --n-max 1 --lambda x", NOT_RATIONAL.format("--lambda", "x")),
     ("triangle --family W --m 0 --r -1 --n-max 1", "error: m must be a positive integer, got 0"),
+    ("triangle --family WR --m 3 --r 0 --n-max 2", "error: r must be a positive integer, got 0"),
+    ("triangle --family WR --m 0 --r 0 --n-max 2", "error: m must be a positive integer, got 0"),
+    ("triangle --family S2degR --r -1 --n-max 2", "error: r must be >= 0"),
     ("triangle --family Q --n-max -1 --format xml",
      "dowlab triangle: error: argument --format: invalid choice: 'xml'"),
     ("triangle --family Q --n-max x",
@@ -515,6 +518,7 @@ PRECEDENCE = [
      "error: --lambda and --symbolic are mutually exclusive"),
     ("eval --family W --m 0 --n 1 --k 5 --lambda x", NOT_RATIONAL.format("--lambda", "x")),
     ("eval --family W --m 0 --n 1 --k 5", "error: m must be a positive integer, got 0"),
+    ("eval --family VR --m 2 --r 0 --n 1 --k 5", "error: r must be a positive integer, got 0"),
     ("eval --family W --n -1 --k 5 --lambda 1/2", "error: (-1, 5) outside triangle of size 0"),
     ("eval --family Q --n x", "dowlab eval: error: argument --n: invalid int value: 'x'"),
     ("verify --n-max -1 --m-set a",

@@ -54,14 +54,16 @@ def test_trivial_sweep_has_no_failures():
 # The entries that read degenerate Stirling or Whitney numbers at a rescaled
 # l, and the rescaled triangles they read them from.
 RESCALED_ENTRIES = ("thm13", "thm19", "thm20", "thm21", "cor22", "cor22_remark", "thm23", "thm26")
-RESCALED_STORES = (wh._stirling2_over_m_rows, wh._stirling1_over_m_rows, wh._whitney2_rescaled_rows)
+# The Stirling ones are the r = 0 rows of the two Newton kernels.
+RESCALED_STORES = (st._second_kind_rows, st._first_kind_rows, wh._whitney2_rescaled_rows)
 
 
 def count_newton_rows(monkeypatch) -> list[int]:
-    """Route whitney's ``newton_rows`` through a counter; the list it returns
-    gets one entry per triangle begun, the number of rows drawn from it."""
+    """Route the ``newton_rows`` of stirling and whitney through a counter; the
+    list it returns gets one entry per triangle begun, the number of rows
+    drawn from it."""
     built = []
-    real = wh.newton_rows
+    real = bases.newton_rows
 
     def counted(*args):
         built.append(0)
@@ -69,6 +71,7 @@ def count_newton_rows(monkeypatch) -> list[int]:
             built[-1] += 1
             yield row
 
+    monkeypatch.setattr(st, "newton_rows", counted)
     monkeypatch.setattr(wh, "newton_rows", counted)
     return built
 
@@ -84,8 +87,8 @@ def count_newton_rows(monkeypatch) -> list[int]:
         ("thm8", wh._t8_outer, 91),
         # one rescaled row per m in {1, 2, 3} and row 0..12, whatever n and k;
         # the ids name the per-row caches that these row stores replaced
-        pytest.param("thm13", wh._stirling2_over_m_rows, 3 * 13, id="thm13-_row_over_m-39"),
-        pytest.param("thm19", wh._stirling1_over_m_rows, 3 * 13, id="thm19-_row_over_m-39"),
+        pytest.param("thm13", st._second_kind_rows, 3 * 13, id="thm13-_row_over_m-39"),
+        pytest.param("thm19", st._first_kind_rows, 3 * 13, id="thm19-_row_over_m-39"),
         pytest.param("thm21", wh._whitney2_rescaled_rows, 3 * 13, id="thm21-_thm21_row-39"),
     ],
 )
@@ -117,7 +120,7 @@ def test_rescaled_entries_rescale_no_lambda(monkeypatch):
 
 def test_rescaled_stores_hold_one_triangle_per_m(monkeypatch):
     # a cold run builds rows 0..12 once for each m and store, however many
-    # (n, k) read them; no other Newton-kernel triangle of whitney is read
+    # (n, k) read them; no other Newton-kernel triangle is read
     built = count_newton_rows(monkeypatch)
     clear_caches()
     for ident in RESCALED_ENTRIES:
@@ -172,7 +175,7 @@ FAULTS = {
     "eq68": (wh, "r_whitney1_rows", (2, 1), {"m": 2, "r": 1, "n": 3, "k": 1}),
     "orthogonality": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "j": 1}),
     "eq74": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
-    "thm20": (wh, "_stirling1_over_m_rows", (1,), {"m": 1, "n": 3, "k": 1}),
+    "thm20": (st, "_first_kind_rows", (1, 0), {"m": 1, "n": 3, "k": 1}),
     "thm21": (wh, "whitney2", (2, 3, 1), {"m": 1, "n": 3, "k": 1}),
     "thm23": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
     "thm26": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
@@ -187,7 +190,7 @@ FAULTS = {
 def test_fault_injection_yields_counterexample(monkeypatch, ident):
     module, name, at, params = FAULTS[ident]
     real = getattr(module, name)
-    is_store = hasattr(real, "cache_info")
+    is_store = name.endswith("_rows")
 
     def corrupted(*args):
         value = real(*args)
@@ -262,6 +265,10 @@ def test_benchmark_span_targets_exist():
     assert missing == []
 
 
+FAMILIES = [family.value for family in st.Family]
+EXPORT_ARGS = ["--m", "2", "--r", "2", "--n-max", "4"]
+
+
 def test_benchmark_tracer_wraps_the_lazily_registered_modules():
     # the tracer wraps what sys.modules holds right after ``import
     # dowlab.cli``, where identities and bernoulli_euler have not run yet;
@@ -283,6 +290,10 @@ assert hasattr(idn.CATALOG["thm27_bernoulli"].checker, "__wrapped__")
 # the traced catalog reports what an untraced one does: a cache on a span
 # target whose result is not rows fails the tracer's row count here
 assert dowlab.cli.main(["verify", "--n-max", "4"]) == 0
+# and so does every export, whose rows come from the generators behind the
+# wrapped row stores
+for family in {FAMILIES!r}:
+    assert dowlab.cli.main(["triangle", "--family", family, *{EXPORT_ARGS!r}]) == 0
 """
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
@@ -290,6 +301,8 @@ assert dowlab.cli.main(["verify", "--n-max", "4"]) == 0
     untraced = io.StringIO()
     with contextlib.redirect_stdout(untraced):
         assert cli.main(["verify", "--n-max", "4"]) == 0
+        for family in FAMILIES:
+            assert cli.main(["triangle", "--family", family, *EXPORT_ARGS]) == 0
     assert done.stdout == untraced.getvalue()
 
 
@@ -378,18 +391,19 @@ def test_row_side_needs_no_route_of_the_other_side(monkeypatch, ident, side_name
 
 
 def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch):
-    # Corrupt S2deg(3, 1) in the Newton store behind deg_bell_number: eq29's
-    # other side comes from the GF exp(e_l(t) - 1), so eq29 must fail at
-    # n = 2 (B(3)), before eq30 sees the corrupted value.
-    real = st.deg_r_stirling2_rows
+    # Corrupt S2deg(3, 1) in the Newton store behind deg_bell_number, the
+    # second-kind kernel at (1, 0): eq29's other side comes from the GF
+    # exp(e_l(t) - 1), so eq29 must fail at n = 2 (B(3)), before eq30 sees
+    # the corrupted value.
+    real = st._second_kind_rows
 
-    def corrupted(r, n_max):
-        rows = [list(row) for row in real(r, n_max)]
-        if r == 0 and n_max >= 3:
+    def corrupted(m, r, n_max):
+        rows = [list(row) for row in real(m, r, n_max)]
+        if (m, r) == (1, 0) and n_max >= 3:
             rows[3][1] = rows[3][1] + 1
         return rows
 
-    monkeypatch.setattr(st, "deg_r_stirling2_rows", corrupted)
+    monkeypatch.setattr(st, "_second_kind_rows", corrupted)
     clear_caches()
     try:
         report = idn.run_identity("eq29_30", 4, [1], [1], 0)
@@ -425,6 +439,18 @@ def test_a_cold_catalog_builds_each_gf_triangle_once():
     info = series.gf_triangle.cache_info()
     assert (info.misses, info.hits) == (23, 14)
     assert info.currsize == 23
+
+
+def test_a_cold_catalog_builds_each_kernel_triangle_once():
+    # each Newton kernel is one store over (m, r): the rescaled triangles of
+    # thm13, thm19-20, thm23 and thm26 at (1..3, 0), the r-Whitney triangles
+    # at {1,2,3}^2; S1deg, S2deg and the Bell numbers at (1, 0) and the
+    # r-Stirling triangles at (1, r) are among those keys, not stores apart
+    clear_caches()
+    idn.verify_all(10, (1, 2, 3), (1, 2, 3), 0)
+    for store in (st._second_kind_rows, st._first_kind_rows):
+        info = store.cache_info()
+        assert (info.misses, info.currsize) == (12, 12)
 
 
 def test_a_warm_run_reports_what_a_cold_run_reports():

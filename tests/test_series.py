@@ -19,6 +19,7 @@ from dowlab.series import (
     power_of_one_plus,
     t_series,
 )
+from dowlab.stirling import deg_r_stirling2_rows
 from dowlab.whitney import v0
 
 l = LAMBDA
@@ -66,6 +67,25 @@ def test_gf_triangle_costs_one_product_per_column(monkeypatch, n):
     gf_triangle.cache_clear()  # a triangle held from an earlier test costs no product
     gf_triangle(base, prefactor, n)
     assert len(products) == n
+
+
+def test_gf_triangle_divides_no_leading_zero(monkeypatch):
+    # column k has k leading zeros, which stay as the product wrote them, so
+    # only its coefficients k..n_max are divided by k: 10 + 9 + ... + 1
+    base, prefactor = deg_exp(1, 10) - one_series(10), deg_exp(2, 10)
+    divisions = []
+    div = LambdaPoly.__truediv__
+
+    def counted(self, other):
+        divisions.append(other)
+        return div(self, other)
+
+    monkeypatch.setattr(LambdaPoly, "__truediv__", counted)
+    gf_triangle.cache_clear()  # a held triangle would cost no division
+    rows = gf_triangle(base, prefactor, 10)
+    assert len(divisions) == 55
+    # the coefficients of (e_l(t)-1)^k e_l^2(t) / k!, by the Newton route
+    assert rows == deg_r_stirling2_rows(2, 10)
 
 
 def test_gf_triangle_refuses_short_inputs():

@@ -249,35 +249,37 @@ class TestIntArguments:
 
 
 class TestRowStore:
+    # deg_r_stirling2_rows(r) reads the second-kind kernel at (1, r), and
+    # deg_stirling1_rows the first-kind kernel at (1, 0)
     def test_refused_call_stores_nothing(self):
-        rows = st.deg_r_stirling2_rows
-        rows.cache_clear()
+        store, rows = st._second_kind_rows, st.deg_r_stirling2_rows
+        store.cache_clear()
         rows(1, 3)
         for bad in ((-1, 3), (1.0, 3), (1, -1)):
             with pytest.raises((ValueError, TypeError)):
                 rows(*bad)
-        assert rows.cache_info().currsize == 1
+        assert store.cache_info().currsize == 1
         assert rows(2, 4)[4][4] == LambdaPoly((1,))
-        assert rows.cache_info().currsize == 2
+        assert store.cache_info().currsize == 2
 
     def test_least_recently_used_store_is_evicted(self):
-        rows = st.deg_r_stirling2_rows
-        rows.cache_clear()
+        store, rows = st._second_kind_rows, st.deg_r_stirling2_rows
+        store.cache_clear()
         for r in range(st.STORES_HELD):
             rows(r, 2)
         rows(0, 2)  # touched again, so r = 1 is now the least recently used
         rows(st.STORES_HELD, 2)  # the 65th parameter tuple
-        info = rows.cache_info()
+        info = store.cache_info()
         assert info.currsize == st.STORES_HELD == 64
         rows(0, 2)
-        assert rows.cache_info().hits == info.hits + 1
+        assert store.cache_info().hits == info.hits + 1
         rows(1, 2)
-        assert rows.cache_info().misses == info.misses + 1
+        assert store.cache_info().misses == info.misses + 1
 
     def test_interrupted_build_is_not_kept(self, monkeypatch):
-        rows = st.deg_stirling1_rows
+        store, rows = st._first_kind_rows, st.deg_stirling1_rows
         expected = rows(6)
-        rows.cache_clear()
+        store.cache_clear()
         calls = []
         newton_rows = st.newton_rows
 
@@ -296,7 +298,7 @@ class TestRowStore:
         with pytest.raises(KeyboardInterrupt):
             rows(6)
         assert calls == [0, 1, 2, 3]
-        assert rows.cache_info().currsize == 0
+        assert store.cache_info().currsize == 0
         assert rows(6) == expected
 
     def test_threads_extend_one_store_in_order(self):

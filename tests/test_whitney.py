@@ -524,14 +524,14 @@ class TestTriangleBuilder:
         store, params = {
             "S1": (st._stirling1_rows, ()),
             "S2": (st._stirling2_rows, ()),
-            "S1deg": (st.deg_stirling1_rows, ()),
-            "S2deg": (st.deg_r_stirling2_rows, (0,)),
+            "S1deg": (st._first_kind_rows, (1, 0)),
+            "S2deg": (st._second_kind_rows, (1, 0)),
             "S1degR": (st.deg_r_stirling1_unsigned_rows, (2,)),
-            "S2degR": (st.deg_r_stirling2_rows, (2,)),
+            "S2degR": (st._second_kind_rows, (1, 2)),
             "Wdeg": (wh.whitney2_rows, (3,)),
             "Vdeg": (wh.whitney1_rows, (3,)),
-            "WdegR": (wh.r_whitney2_rows, (3, 2)),
-            "VdegR": (wh.r_whitney1_rows, (3, 2)),
+            "WdegR": (st._second_kind_rows, (3, 2)),
+            "VdegR": (st._first_kind_rows, (3, 2)),
         }[family]
         tri = wh.build_triangle(family, 3, 2, 12)
         assert tri == tuple(tuple(map(LambdaPoly.coerce, row)) for row in store(*params, 12))
@@ -598,16 +598,18 @@ def test_routes_agree_over_the_accepted_domain(family, m, n_max, data):
         assert rows == SECOND_ROUTES[family](m, r, n_max)
 
 
-# Each rescaled triangle of the catalog, and its definition: an entry of the
-# original triangle at (m, n, k) with l rescaled, times the power of m or m+1
-# that clears the rescaling.
+# Each rescaled triangle of the catalog, as rows(m, n_max), and its
+# definition: an entry of the original triangle at (m, n, k) with l rescaled,
+# times the power of m or m+1 that clears the rescaling.  The Stirling ones
+# are the r = 0 rows of the Newton kernels; their keys name the stores that
+# held them before the kernels did.
 RESCALED = {
     "_stirling2_over_m_rows": (
-        wh._stirling2_over_m_rows,
+        lambda m, n_max: st._second_kind_rows(m, 0, n_max),
         lambda m, n, k: st.deg_stirling2(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k),
     ),
     "_stirling1_over_m_rows": (
-        wh._stirling1_over_m_rows,
+        lambda m, n_max: st._first_kind_rows(m, 0, n_max),
         lambda m, n, k: st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k),
     ),
     "_whitney2_rescaled_rows": (
@@ -621,11 +623,11 @@ RESCALED = {
 @settings(deadline=None, max_examples=15)
 @given(m=st_.integers(1, 12), n_max=st_.integers(0, 16))
 def test_rescaled_store_is_the_rescaled_triangle(name, m, n_max):
-    store, definition = RESCALED[name]
+    rows, definition = RESCALED[name]
     expected = tuple(
         tuple(definition(m, n, k) for k in range(n + 1)) for n in range(n_max + 1)
     )
-    assert store(m, n_max) == expected
+    assert rows(m, n_max) == expected
 
 
 @settings(deadline=None, max_examples=15)
@@ -633,15 +635,16 @@ def test_rescaled_store_is_the_rescaled_triangle(name, m, n_max):
 def test_rescaled_bell_value_is_a_row_sum(m, n, x):
     # m^n Bdeg_n(x/m) at l -> l/m, which thm23 transforms and thm26 compares
     expected = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
-    assert wh._row_sum(wh._stirling2_over_m_rows, m, n, x, False) == expected
+    assert wh._row_sum(st._second_kind_rows, (m, 0), n, x, False) == expected
 
 
-# The stores whose row sums the package reads, each at one m (r = 0 for the Bell store).
+# The stores whose row sums the package reads, each at one parameter tuple:
+# the Bell store at (1, 0), the rescaled Bell store at (3, 0).
 ROW_SUM_STORES = (
-    (st.deg_r_stirling2_rows, 0),
-    (wh.whitney2_rows, 2),
-    (wh._stirling2_over_m_rows, 3),
-    (wh._whitney2_rescaled_rows, 2),
+    (st._second_kind_rows, (1, 0)),
+    (wh.whitney2_rows, (2,)),
+    (st._second_kind_rows, (3, 0)),
+    (wh._whitney2_rescaled_rows, (2,)),
 )
 
 
@@ -653,13 +656,13 @@ def test_row_sum_is_the_fraction_power_sum(x, ordered):
     # the int weights p^k q^(n-k) k! over q^n give the canonical form of
     # sum_k T(n,k) x^k k! taken with Fraction powers
     row_sum = wh._row_sum.__wrapped__  # past the memo
-    for store, m in ROW_SUM_STORES:
+    for store, params in ROW_SUM_STORES:
         for n in range(10):
-            row = store(m, n)[n]
+            row = store(*params, n)[n]
             want = LambdaPoly()
             for k in range(n + 1):
                 want = want + row[k] * (x**k * (factorial(k) if ordered else 1))
-            got = row_sum(store, m, n, x, ordered)
+            got = row_sum(store, params, n, x, ordered)
             assert (got.nums, got.den) == (want.nums, want.den)
 
 
@@ -719,27 +722,47 @@ class TestRowStore:
             wh.whitney2_rows.cache_clear()
             assert rows == wh.whitney2_rows(3, n)
 
+    # (the store, the rows function that reads it, a good and a bad call);
+    # the ids of the kernel's r = 0 rows name the stores that held them before
     @pytest.mark.parametrize(
-        "rows, good, bad",
+        "store, rows, good, bad",
         [
-            pytest.param(wh.whitney2_rows, (2, 3), (0, 3), id="whitney2_rows"),
-            pytest.param(wh.whitney1_rows, (2, 3), (-1, 3), id="whitney1_rows"),
-            pytest.param(wh.r_whitney1_rows, (2, 1, 3), (2, 0, 3), id="r_whitney1_rows"),
-            pytest.param(wh.r_whitney2_rows, (2, 1, 3), (0, 1, 3), id="r_whitney2_rows"),
-            pytest.param(wh._stirling2_over_m_rows, (2, 3), (0, 3), id="_stirling2_over_m_rows"),
-            pytest.param(wh._stirling1_over_m_rows, (2, 3), (0, 3), id="_stirling1_over_m_rows"),
-            pytest.param(
-                wh._whitney2_rescaled_rows, (2, 3), (0, 3), id="_whitney2_rescaled_rows"
-            ),
+            pytest.param(wh.whitney2_rows, wh.whitney2_rows, (2, 3), (0, 3), id="whitney2_rows"),
+            pytest.param(wh.whitney1_rows, wh.whitney1_rows, (2, 3), (-1, 3), id="whitney1_rows"),
+            pytest.param(st._first_kind_rows, wh.r_whitney1_rows, (2, 1, 3), (2, 0, 3),
+                         id="r_whitney1_rows"),
+            pytest.param(st._second_kind_rows, wh.r_whitney2_rows, (2, 1, 3), (0, 1, 3),
+                         id="r_whitney2_rows"),
+            pytest.param(st._second_kind_rows, st._second_kind_rows, (2, 0, 3), (0, 0, 3),
+                         id="_stirling2_over_m_rows"),
+            pytest.param(st._first_kind_rows, st._first_kind_rows, (2, 0, 3), (0, 0, 3),
+                         id="_stirling1_over_m_rows"),
+            pytest.param(wh._whitney2_rescaled_rows, wh._whitney2_rescaled_rows, (2, 3), (0, 3),
+                         id="_whitney2_rescaled_rows"),
         ],
     )
-    def test_refused_call_stores_nothing(self, rows, good, bad):
-        rows.cache_clear()
+    def test_refused_call_stores_nothing(self, store, rows, good, bad):
+        store.cache_clear()
         rows(*good)
         with pytest.raises(ValueError):
             rows(*bad)
-        assert rows.cache_info().currsize == 1
+        assert store.cache_info().currsize == 1
         assert len(rows(*good[:-1], 5)) == 6
+
+    @pytest.mark.parametrize("store, read", [(st._second_kind_rows, wh.r_whitney2),
+                                             (st._first_kind_rows, wh.r_whitney1)])
+    def test_r_whitney_entry_refuses_what_its_store_takes(self, store, read):
+        # the kernel store takes r = 0 for the rescaled triangles; the r-Whitney
+        # numbers refuse it, after (n, k) and m, and store nothing
+        store.cache_clear()
+        for r in (0, -1):
+            with pytest.raises(ValueError, match=f"^r must be a positive integer, got {r}$"):
+                read(2, r, 3, 1)
+        with pytest.raises(IndexError):
+            read(0, 0, 1, 3)
+        with pytest.raises(ValueError, match="^m must be a positive integer, got 0$"):
+            read(0, 0, 3, 1)
+        assert store.cache_info().currsize == 0
 
 
 # Each scalar accessor, as (its row store, the store parameters it reads,
@@ -749,14 +772,16 @@ R_ = st_.integers(1, 3)
 READERS = {
     "stirling1": (st._stirling1_rows, st_.tuples(), st.stirling1),
     "stirling2": (st._stirling2_rows, st_.tuples(), st.stirling2),
-    "deg_stirling1": (st.deg_stirling1_rows, st_.tuples(), st.deg_stirling1),
+    "deg_stirling1": (
+        st._first_kind_rows, st_.just((1, 0)), lambda m, r, n, k: st.deg_stirling1(n, k)
+    ),
     "deg_stirling2": (
-        st.deg_r_stirling2_rows, st_.just((0,)), lambda r, n, k: st.deg_stirling2(n, k)
+        st._second_kind_rows, st_.just((1, 0)), lambda m, r, n, k: st.deg_stirling2(n, k)
     ),
     "deg_r_stirling2": (
-        st.deg_r_stirling2_rows,
-        st_.tuples(st_.integers(0, 3)),
-        lambda r, n, k: st.deg_r_stirling2(n, k, r),
+        st._second_kind_rows,
+        st_.tuples(st_.just(1), st_.integers(0, 3)),
+        lambda m, r, n, k: st.deg_r_stirling2(n, k, r),
     ),
     "deg_r_stirling1_unsigned": (
         st.deg_r_stirling1_unsigned_rows,
@@ -765,19 +790,24 @@ READERS = {
     ),
     "whitney2": (wh.whitney2_rows, st_.tuples(M_), wh.whitney2),
     "whitney1": (wh.whitney1_rows, st_.tuples(M_), wh.whitney1),
-    "r_whitney2": (wh.r_whitney2_rows, st_.tuples(M_, R_), wh.r_whitney2),
-    "r_whitney1": (wh.r_whitney1_rows, st_.tuples(M_, R_), wh.r_whitney1),
+    "r_whitney2": (st._second_kind_rows, st_.tuples(M_, R_), wh.r_whitney2),
+    "r_whitney1": (st._first_kind_rows, st_.tuples(M_, R_), wh.r_whitney1),
     # the rescaled triangles of the catalog are read through their entry alone
     "stirling2_over_m": (
-        wh._stirling2_over_m_rows, st_.tuples(M_), wh._stirling2_over_m_rows.entry
+        st._second_kind_rows, st_.tuples(M_, st_.just(0)), st._second_kind_rows.entry
     ),
     "stirling1_over_m": (
-        wh._stirling1_over_m_rows, st_.tuples(M_), wh._stirling1_over_m_rows.entry
+        st._first_kind_rows, st_.tuples(M_, st_.just(0)), st._first_kind_rows.entry
     ),
     "whitney2_rescaled": (
         wh._whitney2_rescaled_rows, st_.tuples(M_), wh._whitney2_rescaled_rows.entry
     ),
 }
+
+
+# The number of leading store parameters that an accessor fixes: m = 1 for
+# the r-Stirling numbers, and r = 0 too for the degenerate Stirling numbers.
+FIXED_PARAMS = {"deg_stirling1": 2, "deg_stirling2": 2, "deg_r_stirling2": 1}
 
 
 def refusal(call, *args) -> tuple:
@@ -815,8 +845,8 @@ class TestEntryReader:
             expected = (IndexError, f"({n}, {k}) outside triangle")
             assert refusal(store.entry, *p, n, k) == refusal(accessor, *p, n, k) == expected
         args = (*p, abs(n), abs(k))
-        # deg_stirling2 fixes r = 0 for its store, so only n and k are its arguments
-        i = data.draw(st_.integers(1 if name == "deg_stirling2" else 0, len(args) - 1))
+        # an accessor that fixes leading store parameters does not take them
+        i = data.draw(st_.integers(FIXED_PARAMS.get(name, 0), len(args) - 1))
         bad = data.draw(st_.sampled_from(equal_non_ints(args[i])))
         args = (*args[:i], bad, *args[i + 1 :])
         expected = (TypeError, f"expected an int, got {type(bad).__name__}")
