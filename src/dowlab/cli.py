@@ -371,11 +371,11 @@ COMMANDS = {
 }
 
 
-# Options whose value may be negative: the rationals, and --tol, which then
-# gets its own error.  argparse reads a value such as -5/2, -1e3 or -inf
-# after a space as an option of its own, so such a pair is joined into
-# --x=-5/2 before parsing.
-SIGNED_OPTIONS = ("--x", "--lambda", "--tol")
+# Options whose value may start with a minus: the rationals, a polynomial
+# such as -l, the integer sets, and --tol, which then gets its own error.
+# argparse reads a value such as -5/2, -1e3, -l or -1,2 after a space as an
+# option of its own, so such a pair is joined into --x=-5/2 before parsing.
+SIGNED_OPTIONS = ("--x", "--lambda", "--tol", "--poly", "--m-set", "--r-set")
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:

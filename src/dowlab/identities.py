@@ -34,15 +34,7 @@ from typing import Callable, Generator, Iterable, Optional
 
 from .exact import LAMBDA, ONE, LambdaPoly, bounded, dot
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, rising_transform
-from .series import (
-    binomial_series,
-    deg_exp,
-    deg_log,
-    deg_log_of_one_plus,
-    gf_triangle,
-    one_series,
-    t_series,
-)
+from .series import deg_exp, deg_log_of_one_plus, one_series, t_series
 from . import bernoulli_euler as be
 from . import stirling as st
 from . import whitney as wh
@@ -172,11 +164,6 @@ class Side:
 def _entries(rows) -> Callable[[int, int], LambdaPoly]:
     """The reader of ``rows[n][k]``."""
     return lambda n, k: rows[n][k]
-
-
-def _signed(rows) -> Callable[[int, int], LambdaPoly]:
-    """The reader of ``(-1)^(n-k) rows[n][k]``."""
-    return lambda n, k: rows[n][k] * (-1) ** (n - k)
 
 
 def _rows(route: frozenset[str], build: Callable) -> Side:
@@ -548,7 +535,8 @@ _V1 = _each(RECURRENCE, lambda *a: wh.whitney1(*a))
 _DOWLING = _each(RECURRENCE, lambda m, x, n: wh.dowling_poly(m, n, x))
 _DOWLING_1 = _each(RECURRENCE, lambda n: wh.dowling_number(1, n))
 _BELL_STEP = _each(NEWTON, lambda n: st.deg_bell_number(n + 1) + LAMBDA * n * st.deg_bell_number(n))
-_SIGNED_R_S1 = Side(NEWTON, lambda r, n: _signed(st.deg_r_stirling1_unsigned_rows(r, n)))
+_SIGNED_R_S1 = _rows(NEWTON,  # (-1)^(n-k) S1degR(n, k)
+                     lambda r, n: tuple(st._alternating(st.deg_r_stirling1_unsigned_rows(r, n))))
 _R_S2 = _rows(NEWTON, lambda *a: st.deg_r_stirling2_rows(*a))
 
 # Each row checks that two routes agree.  Sharings, each listed in the tests:
@@ -639,7 +627,7 @@ _register("eq71", Row(_triangle("m", "r"), _rows(GF, lambda *a: wh.r_whitney2_ro
 _register("eq73", Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling1_unsigned_rows_gf(*a)),
                       _rows(NEWTON, lambda *a: st.deg_r_stirling1_unsigned_rows(*a))))
 _register("eq74", Row(_triangle("r"),
-                      _rows(GF, lambda r, n: gf_triangle(deg_log(n), binomial_series(-r, 1, n), n)),
+                      _rows(GF, lambda r, n: st._first_kind_gf(1, r, n)),
                       _SIGNED_R_S1))
 # r = 0 at m = 1: the generating function degrades to the plain first-kind
 # one, so the triangle must too

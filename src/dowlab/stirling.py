@@ -2,9 +2,11 @@
 
 The classical first-kind table comes from its two-term recurrence; every
 other primary triangle is a Newton-basis conversion straight from the
-defining change of basis.  Generating-function extraction is kept as an
-independent oracle path (the *_gf builders) so the identity engine can
-cross-check the two.
+defining change of basis, and generating-function extraction (the *_gf
+builders) is an independent oracle route for the identity engine.  Each kind
+of degenerate r-Whitney number has one kernel per route over (m >= 1, r >= 0),
+which every degenerate Stirling and r-Whitney triangle reads at its own
+(m, r); S1degR is the first-kind store at (1, r), signed (-1)^(n-k).
 Each primary triangle is served by a row store (``row_store``): one per
 parameter set, extended row by row when a larger ``n_max`` is asked for.
 Each scalar accessor reads one entry in place through its store's ``entry``.
@@ -17,11 +19,12 @@ from fractions import Fraction
 from functools import wraps
 from itertools import count
 from threading import Lock
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .exact import LAMBDA, ONE, LambdaPoly, as_fraction, bounded, check_ints, dot, linear, muladd
 from .bases import newton_rows
-from .series import binomial_series, deg_exp, deg_log, gf_triangle, one_series
+from .series import (TruncatedSeries, binomial_series, deg_exp, deg_log, deg_log_of_one_plus,
+                     gf_triangle, one_series)
 
 Rows = tuple[tuple[LambdaPoly, ...], ...]
 
@@ -163,7 +166,7 @@ def stirling2(n: int, k: int) -> int:
 
 # The degenerate r-Whitney numbers hold the degenerate Stirling ones: the r-Stirling
 # numbers at m = 1 (eq77), and at r = 0 the rescaled m^(n-k) T(n,k | l/m) of thm13,
-# thm19-20, thm23 and thm26.  So each kind is one row store over (m >= 1, r >= 0).
+# thm19-20, thm23 and thm26.  So each kind is one row store over (m, r), and one GF kernel.
 
 
 def _check_m(m: int) -> None:
@@ -175,7 +178,7 @@ def _check_m(m: int) -> None:
 def _check_r(r: int) -> None:
     check_ints(r)
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise ValueError(f"r must be an integer >= 0, got {r}")
 
 
 @row_store
@@ -243,39 +246,73 @@ def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
     return _second_kind_rows.entry(1, r, n, k)
 
 
-@row_store
-def deg_r_stirling1_unsigned_rows(r: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """<x+r>_n in the rising step-l basis (unsigned first kind, shift r)."""
-    _check_r(r)
-    return newton_rows(ONE, lambda j: -(r + j), lambda k: LAMBDA * -k)
+def _alternating(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """Each row n of ``rows`` with entry k times (-1)^(n-k)."""
+    for n, row in enumerate(rows):
+        yield tuple(-v if (n - k) % 2 else v for k, v in enumerate(row))
+
+
+def deg_r_stirling1_unsigned_rows(r: int, n_max: int) -> Rows:
+    """<x+r>_n in the rising step-l basis: the first-kind kernel at (1, r) under X -> -X."""
+    return tuple(_alternating(_first_kind_rows(1, r, n_max)))
 
 
 def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:
-    return deg_r_stirling1_unsigned_rows.entry(r, n, k)
+    value = _first_kind_rows.entry(1, r, n, k)
+    return -value if (n - k) % 2 else value
 
 
-# -- generating-function oracle paths ------------------------------------------
+# -- generating-function kernels and oracles ------------------------------------
+
+# The bases of the generating functions, each built once per parameter set:
+# every r of a kernel, and thm3 and thm9 at each x, read the same one.
+@bounded(64)
+def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
+    """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
+    _check_m(m)
+    return (deg_exp(m, n_max) - one_series(n_max)).scaled(as_fraction(x) / m)
+
+
+@bounded(64)
+def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
+    """log_l(e_m(t)), the base of the first-kind generating functions: log_l(1 + g),
+    g = e_m(t) - 1, from its first-order recurrence rather than a composition."""
+    e_m = binomial_series(Fraction(1, m), m, n_max)
+    return deg_log_of_one_plus(e_m - one_series(n_max))
+
+
+def _second_kind_gf(m: int, r: int, n_max: int) -> Rows:
+    """Coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!: ``_second_kind_rows`` by GF."""
+    _check_m(m)
+    _check_r(r)
+    return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max), n_max)
+
+
+def _first_kind_gf(m: int, r: int, n_max: int) -> Rows:
+    """Coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!: ``_first_kind_rows`` by GF."""
+    _check_m(m)
+    _check_r(r)
+    prefactor = binomial_series(Fraction(-r, m), m, n_max)  # e_m(t) = (1+mt)^(1/m)
+    return gf_triangle(_gf_log_base(m, n_max), prefactor, n_max)
 
 
 def deg_stirling2_rows_gf(n_max: int) -> Rows:
-    """Oracle: coefficients of (e_l(t)-1)^k / k!, the r = 0 case of the r-oracle."""
-    return deg_r_stirling2_rows_gf(0, n_max)
+    """Oracle: coefficients of (e_l(t)-1)^k / k!."""
+    return _second_kind_gf(1, 0, n_max)
 
 
 def deg_stirling1_rows_gf(n_max: int) -> Rows:
     """Oracle: coefficients of (log_l(1+t))^k / k!."""
-    return gf_triangle(deg_log(n_max), one_series(n_max), n_max)
+    return _first_kind_gf(1, 0, n_max)
 
 
 def deg_r_stirling2_rows_gf(r: int, n_max: int) -> Rows:
     """Oracle: coefficients of (e_l(t)-1)^k e_l^r(t) / k!."""
-    _check_r(r)
-    base = deg_exp(1, n_max) - one_series(n_max)
-    return gf_triangle(base, deg_exp(r, n_max), n_max)
+    return _second_kind_gf(1, r, n_max)
 
 
 def deg_r_stirling1_unsigned_rows_gf(r: int, n_max: int) -> Rows:
-    """Oracle: coefficients of (1-t)^(-r) (-log_l(1-t))^k / k!."""
+    """Oracle: coefficients of (1-t)^(-r) (-log_l(1-t))^k / k!, by a series of its own."""
     _check_r(r)
     neg_log = deg_log(n_max).scale_t(-1).scaled(-1)
     prefactor = binomial_series(-r, -1, n_max)

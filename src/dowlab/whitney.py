@@ -7,6 +7,7 @@ Three independent computation routes exist:
   r-triangles, which have no recurrence here; W and V are their r = 1 case,
 * coefficient extraction from the generating functions, for every triangle.
 
+The r-triangles of the last two read the kernels of ``stirling`` at (m, r).
 The identity engine and the acceptance suite compare all three entry by
 entry, so none of the routes is ever trusted alone.
 """
@@ -21,29 +22,11 @@ from typing import Callable, Iterator
 
 from .exact import LAMBDA, ONE, LambdaPoly, Record, as_fraction, bounded, check_ints, dot, linear
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, newton_rows
-from .series import (
-    TruncatedSeries,
-    binomial_series,
-    deg_exp,
-    deg_log_of_one_plus,
-    gf_triangle,
-    one_series,
-)
-from .stirling import (
-    Family,
-    Rows,
-    _check_index,
-    _check_m,
-    _first_kind_rows,
-    _recurrence,
-    _row_sum,
-    _second_kind_rows,
-    _stirling1_rows,
-    _stirling2_rows,
-    deg_r_stirling1_unsigned_rows,
-    deg_stirling1_rows,
-    row_store,
-)
+from .series import TruncatedSeries, deg_exp, one_series
+from .stirling import (Family, Rows, _alternating, _check_index, _check_m, _first_kind_gf,
+                       _first_kind_rows, _gf_base, _recurrence, _row_sum, _second_kind_gf,
+                       _second_kind_rows, _stirling1_rows, _stirling2_rows, deg_stirling1_rows,
+                       row_store)
 
 
 class WhitneyParams(Record):
@@ -247,24 +230,6 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     return _row_sum(whitney2_rows, (m,), n, as_fraction(x), True)
 
 
-# The bases of the generating functions, each built once per parameter set:
-# every r of a triangle oracle, and thm3 and thm9 at each x, read the same one.
-@bounded(64)
-def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
-    """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
-    _check_m(m)
-    return (deg_exp(m, n_max) - one_series(n_max)).scaled(as_fraction(x) / m)
-
-
-@bounded(64)
-def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
-    """log_l(e_m(t)), the base of the first-kind generating functions: log_l(1 + g)
-    with g = e_m(t) - 1, solved from its first-order recurrence rather than by
-    composing two series."""
-    e_m = binomial_series(Fraction(1, m), m, n_max)
-    return deg_log_of_one_plus(e_m - one_series(n_max))
-
-
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """Oracle: e_l(t) / (1 - x (e_l^m(t)-1)/m) generates the ordered polynomials."""
     return deg_exp(1, n_max).divide(one_series(n_max) - _gf_base(m, x, n_max), 0)
@@ -322,16 +287,15 @@ def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
 
 
 def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
-    """Oracle: coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!."""
+    """Oracle: coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!, by the GF kernel."""
     WhitneyParams(m, r)
-    return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max), n_max)
+    return _second_kind_gf(m, r, n_max)
 
 
 def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
-    """Oracle: coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!."""
+    """Oracle: coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!, by the GF kernel."""
     WhitneyParams(m, r)
-    prefactor = binomial_series(Fraction(-r, m), m, n_max)
-    return gf_triangle(_gf_log_base(m, n_max), prefactor, n_max)
+    return _first_kind_gf(m, r, n_max)
 
 
 # -- classical limits (plain integers, no l) ---------------------------------------
@@ -562,7 +526,7 @@ _PRIMARY: dict[Family, Callable[[int, int], Iterator]] = {
     Family.S2: lambda m, r, rows=_stirling2_rows.__wrapped__: _const_rows(rows()),
     Family.S1DEG: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(1, 0),
     Family.S2DEG: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, 0),
-    Family.S1DEG_R: lambda m, r, rows=deg_r_stirling1_unsigned_rows.__wrapped__: rows(r),
+    Family.S1DEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: _alternating(rows(1, r)),
     Family.S2DEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, r),
     Family.WDEG: lambda m, r, rows=whitney2_rows.__wrapped__: rows(m),
     Family.VDEG: lambda m, r, rows=whitney1_rows.__wrapped__: rows(m),

@@ -406,6 +406,21 @@ class TestDobinski:
         assert code == 0
         assert out.endswith(" pass\n")
 
+    # a polynomial such as -l (how str prints -lambda) and an integer set may
+    # start with a minus too
+    @pytest.mark.parametrize(
+        "command, option, value, expected",
+        [
+            ("eval", "--poly", "-l", (0, "-l\n", "")),
+            ("verify", "--m-set", "-1,2", (2, "", "error: m must be a positive integer, got -1\n")),
+            ("verify", "--r-set", "-1,2", (2, "", "error: r must be a positive integer, got -1\n")),
+        ],
+    )
+    def test_signed_value_after_space(self, capsys, command, option, value, expected):
+        joined = run(capsys, command, f"{option}={value}")
+        spaced = run(capsys, command, option, value)
+        assert spaced == joined == expected
+
     def test_non_rational_negative_value(self, capsys):
         code, out, err = run(
             capsys, "dobinski", "--m", "1", "--n", "3", "--x", "-inf", "--lambda", "0"
@@ -504,7 +519,7 @@ PRECEDENCE = [
     ("triangle --family W --m 0 --r -1 --n-max 1", "error: m must be a positive integer, got 0"),
     ("triangle --family WR --m 3 --r 0 --n-max 2", "error: r must be a positive integer, got 0"),
     ("triangle --family WR --m 0 --r 0 --n-max 2", "error: m must be a positive integer, got 0"),
-    ("triangle --family S2degR --r -1 --n-max 2", "error: r must be >= 0"),
+    ("triangle --family S2degR --r -1 --n-max 2", "error: r must be an integer >= 0, got -1"),
     ("triangle --family Q --n-max -1 --format xml",
      "dowlab triangle: error: argument --format: invalid choice: 'xml'"),
     ("triangle --family Q --n-max x",

@@ -171,10 +171,10 @@ def test_sweep_returns_the_finding_of_a_sweep_without_mismatch():
 FAULTS = {
     "thm6": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "k": 1}),
     "eq17": (st, "deg_stirling2", (3, 1), {"n": 3, "k": 1}),
-    "eq73": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
+    "eq73": (st, "_first_kind_rows", (1, 2), {"r": 2, "n": 3, "k": 1}),
     "eq68": (wh, "r_whitney1_rows", (2, 1), {"m": 2, "r": 1, "n": 3, "k": 1}),
     "orthogonality": (wh, "whitney2", (1, 3, 1), {"m": 1, "n": 3, "j": 1}),
-    "eq74": (st, "deg_r_stirling1_unsigned_rows", (2,), {"r": 2, "n": 3, "k": 1}),
+    "eq74": (st, "_first_kind_rows", (1, 2), {"r": 2, "n": 3, "k": 1}),
     "thm20": (st, "_first_kind_rows", (1, 0), {"m": 1, "n": 3, "k": 1}),
     "thm21": (wh, "whitney2", (2, 3, 1), {"m": 1, "n": 3, "k": 1}),
     "thm23": (wh, "dowling_poly", (1, 3, Fraction(1, 2)), {"m": 1, "n": 3, "x": "1/2"}),
@@ -314,7 +314,7 @@ ROUTE_PRIMITIVES = {
     "recurrence": [(st, "_recurrence"), (wh, "_recurrence")],
     "newton": [(bases, "newton_rows"), (st, "newton_rows"), (wh, "newton_rows"),
                (bases, "newton_convert")],
-    "gf": [(series, "gf_triangle"), (st, "gf_triangle"), (wh, "gf_triangle"),
+    "gf": [(series, "gf_triangle"), (st, "gf_triangle"),
            (series.TruncatedSeries, "__mul__"), (series.TruncatedSeries, "divide"),
            (series, "_first_order")],
     "explicit": [],

@@ -186,7 +186,8 @@ class TestRShifted:
     )
     @pytest.mark.parametrize(
         "r, error, message",
-        [(-1, ValueError, "r must be >= 0"), (True, TypeError, "expected an int, got bool")],
+        [(-1, ValueError, "r must be an integer >= 0, got -1"),
+         (True, TypeError, "expected an int, got bool")],
     )
     def test_gf_oracle_refuses_an_r_like_its_store(self, oracle, store, r, error, message):
         with pytest.raises(error) as from_store:
@@ -302,15 +303,15 @@ class TestRowStore:
         assert rows(6) == expected
 
     def test_threads_extend_one_store_in_order(self):
-        rows = st.deg_r_stirling1_unsigned_rows
-        expected = rows(2, 24)
+        rows = st._first_kind_rows  # the kernel behind S1degR, here at r = 2
+        expected = rows(1, 2, 24)
         rows.cache_clear()
         results, errors = [], []
 
         def worker(first):
             try:
                 for n in range(first, 25, 4):
-                    results.append(rows(2, n) == expected[: n + 1])
+                    results.append(rows(1, 2, n) == expected[: n + 1])
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -329,8 +330,8 @@ class TestRowStore:
 
     def test_threads_read_entries_while_others_extend(self):
         # entry(...) and rows(...) drive the same store under its one lock
-        rows = st.deg_r_stirling1_unsigned_rows
-        expected = rows(3, 24)
+        rows = st._first_kind_rows
+        expected = rows(1, 3, 24)
         rows.cache_clear()
         results, errors = [], []
 
@@ -338,9 +339,9 @@ class TestRowStore:
             try:
                 for n in range(first, 25, 4):
                     if first % 2:
-                        results.append(rows(3, n) == expected[: n + 1])
+                        results.append(rows(1, 3, n) == expected[: n + 1])
                     else:
-                        results.append(rows.entry(3, n, n // 2) == expected[n][n // 2])
+                        results.append(rows.entry(1, 3, n, n // 2) == expected[n][n // 2])
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 

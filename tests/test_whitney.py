@@ -13,6 +13,8 @@ from hypothesis import strategies as st_
 
 from dowlab.exact import CACHES, LAMBDA, LambdaPoly
 from dowlab import bases
+from dowlab import identities as idn
+from dowlab import series
 from dowlab import stirling as st
 from dowlab import whitney as wh
 
@@ -540,7 +542,7 @@ class TestTriangleBuilder:
         for m, r in ((0, 1), (1, 0), (-2, 3)):
             with pytest.raises(ValueError):
                 wh.family_rows("VdegR", m, r)
-        with pytest.raises(ValueError, match="r must be >= 0"):
+        with pytest.raises(ValueError, match="^r must be an integer >= 0, got -1$"):
             wh.family_rows("S1degR", 1, -1)
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             wh.build_triangle("Wdeg", 1, 1, -1)
@@ -783,10 +785,11 @@ READERS = {
         st_.tuples(st_.just(1), st_.integers(0, 3)),
         lambda m, r, n, k: st.deg_r_stirling2(n, k, r),
     ),
+    # the unsigned first kind is the first-kind kernel at (1, r) under X -> -X
     "deg_r_stirling1_unsigned": (
-        st.deg_r_stirling1_unsigned_rows,
-        st_.tuples(st_.integers(0, 3)),
-        lambda r, n, k: st.deg_r_stirling1_unsigned(n, k, r),
+        st._first_kind_rows,
+        st_.tuples(st_.just(1), st_.integers(0, 3)),
+        lambda m, r, n, k: st.deg_r_stirling1_unsigned(n, k, r) * (-1) ** (n - k),
     ),
     "whitney2": (wh.whitney2_rows, st_.tuples(M_), wh.whitney2),
     "whitney1": (wh.whitney1_rows, st_.tuples(M_), wh.whitney1),
@@ -807,7 +810,9 @@ READERS = {
 
 # The number of leading store parameters that an accessor fixes: m = 1 for
 # the r-Stirling numbers, and r = 0 too for the degenerate Stirling numbers.
-FIXED_PARAMS = {"deg_stirling1": 2, "deg_stirling2": 2, "deg_r_stirling2": 1}
+FIXED_PARAMS = {
+    "deg_stirling1": 2, "deg_stirling2": 2, "deg_r_stirling2": 1, "deg_r_stirling1_unsigned": 1
+}
 
 
 def refusal(call, *args) -> tuple:
@@ -875,6 +880,66 @@ def clear_caches() -> None:
     """Empty every memo and row store of the package."""
     for cache in CACHES:
         cache.cache_clear()
+
+
+def _eq74_gf(r: int, n_max: int) -> tuple:
+    """The rows of eq74's GF side, read off the catalog's declared row."""
+    read = idn.ROWS["eq74"].lhs.values(r, n_max)
+    return tuple(tuple(read(n, k) for k in range(n + 1)) for n in range(n_max + 1))
+
+
+# Each triangle reader of the Newton and GF routes: its arguments before
+# n_max, its kernel and the (m, r) it reads that kernel at, and a call that
+# it refuses.  S1degR reads the first-kind kernel under X -> -X.
+NEWTON_2, NEWTON_1 = st._second_kind_rows, st._first_kind_rows
+GF_2, GF_1 = st._second_kind_gf, st._first_kind_gf
+KERNEL_READERS = {
+    "deg_stirling2_rows": (st.deg_stirling2_rows, (), NEWTON_2, (1, 0), (-1,)),
+    "deg_r_stirling2_rows": (st.deg_r_stirling2_rows, (2,), NEWTON_2, (1, 2), (-1, 4)),
+    "whitney2_rows_newton": (wh.whitney2_rows_newton, (3,), NEWTON_2, (3, 1), (0, 4)),
+    "r_whitney2_rows": (wh.r_whitney2_rows, (3, 2), NEWTON_2, (3, 2), (3, 0, 4)),
+    "deg_stirling1_rows": (st.deg_stirling1_rows, (), NEWTON_1, (1, 0), (-1,)),
+    "deg_r_stirling1_unsigned_rows": (
+        st.deg_r_stirling1_unsigned_rows, (2,), NEWTON_1, (1, 2), (-1, 4)
+    ),
+    "whitney1_rows_newton": (wh.whitney1_rows_newton, (3,), NEWTON_1, (3, 1), (0, 4)),
+    "r_whitney1_rows": (wh.r_whitney1_rows, (3, 2), NEWTON_1, (3, 2), (3, 0, 4)),
+    "deg_stirling2_rows_gf": (st.deg_stirling2_rows_gf, (), GF_2, (1, 0), (-1,)),
+    "deg_r_stirling2_rows_gf": (st.deg_r_stirling2_rows_gf, (2,), GF_2, (1, 2), (-1, 4)),
+    "whitney2_rows_gf": (wh.whitney2_rows_gf, (3,), GF_2, (3, 1), (0, 4)),
+    "r_whitney2_rows_gf": (wh.r_whitney2_rows_gf, (3, 2), GF_2, (3, 2), (3, 0, 4)),
+    "deg_stirling1_rows_gf": (st.deg_stirling1_rows_gf, (), GF_1, (1, 0), (-1,)),
+    "eq74_gf": (_eq74_gf, (2,), GF_1, (1, 2), (-1, 4)),
+    "whitney1_rows_gf": (wh.whitney1_rows_gf, (3,), GF_1, (3, 1), (0, 4)),
+    "r_whitney1_rows_gf": (wh.r_whitney1_rows_gf, (3, 2), GF_1, (3, 2), (3, 0, 4)),
+}
+# what a GF kernel fills: its triangles and the bases they are built from
+GF_CACHES = (series.gf_triangle, st._gf_base, st._gf_log_base)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_READERS))
+def test_reader_is_its_kernel_at_its_parameters(name):
+    reader, args, kernel, (m, r), refused = KERNEL_READERS[name]
+    filled = (kernel,) if hasattr(kernel, "cache_info") else GF_CACHES
+    clear_caches()
+    with pytest.raises(ValueError):
+        reader(*refused)
+    assert [cache.cache_info().currsize for cache in filled] == [0] * len(filled)
+    rows = kernel(m, r, 9)
+    if name == "deg_r_stirling1_unsigned_rows":
+        rows = tuple(tuple(v * (-1) ** (n - k) for k, v in enumerate(row))
+                     for n, row in enumerate(rows))
+    assert reader(*args, 9) == rows
+
+
+def test_seven_row_stores():
+    # the two recurrences, the classical Stirling tables, one Newton kernel per
+    # kind and the rescaled W triangle; every other triangle reads one of them
+    stores = {
+        fn.cache_info.__self__
+        for module in (st, wh) for fn in vars(module).values() if hasattr(fn, "entry")
+    }
+    assert len(stores) == 7 and stores <= set(CACHES)
 
 
 class TestRouteIndependence:
