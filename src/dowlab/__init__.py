@@ -57,7 +57,6 @@ _EXPORTS = {
     ),
     "whitney": (
         "DobinskiRequest",
-        "WhitneyParams",
         "build_triangle",
         "dobinski_eval",
         "dowling_number",

@@ -19,7 +19,7 @@ Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
 ``Record`` is the base of the package's other immutable values
-(``TruncatedSeries``, ``WhitneyParams``, ``DobinskiRequest``).  ``bounded``
+(``TruncatedSeries``, ``DobinskiRequest``).  ``bounded``
 makes every cache of the package and lists it in ``CACHES``.
 """
 

@@ -91,7 +91,6 @@ Points = Generator[tuple[dict, object, object], None, Optional[str]]
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    id: str
     checker: Checker
     discrepancy: bool = False
 
@@ -508,7 +507,7 @@ def _register(ident: str, entry: Row | Probe | tuple | Callable[[SweepParams], P
         checker = entry
     else:
         checker = lambda p: _sweep(entry(p))
-    CATALOG[ident] = IdentityCheck(ident, checker, discrepancy=isinstance(entry, Probe))
+    CATALOG[ident] = IdentityCheck(checker, discrepancy=isinstance(entry, Probe))
 
 
 def _probe_cor22(ordered: bool, label: str) -> Probe:
@@ -535,8 +534,7 @@ _V1 = _each(RECURRENCE, lambda *a: wh.whitney1(*a))
 _DOWLING = _each(RECURRENCE, lambda m, x, n: wh.dowling_poly(m, n, x))
 _DOWLING_1 = _each(RECURRENCE, lambda n: wh.dowling_number(1, n))
 _BELL_STEP = _each(NEWTON, lambda n: st.deg_bell_number(n + 1) + LAMBDA * n * st.deg_bell_number(n))
-_SIGNED_R_S1 = _rows(NEWTON,  # (-1)^(n-k) S1degR(n, k)
-                     lambda r, n: tuple(st._alternating(st.deg_r_stirling1_unsigned_rows(r, n))))
+_SIGNED_R_S1 = _rows(NEWTON, lambda r, n: st._first_kind_rows(1, r, n))  # (-1)^(n-k) S1degR
 _R_S2 = _rows(NEWTON, lambda *a: st.deg_r_stirling2_rows(*a))
 
 # Each row checks that two routes agree.  Sharings, each listed in the tests:

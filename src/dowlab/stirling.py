@@ -60,13 +60,14 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     """Serve the endless rows ``rows_of(*params)`` as ``f(*params, n_max) -> Rows``.
 
     ``rows_of`` yields each row as a tuple, which the store keeps as it
-    comes.  It checks its parameters before it returns the row iterator, so
-    a refused call stores nothing.  A store is the list of rows built so far
-    plus the live iterator; a longer ``n_max`` extends it.  The decorated
-    function has ``cache_info()`` and ``cache_clear()`` of its stores, and
+    comes.  It checks the values of its parameters (m >= 1, r >= 0 for the
+    kernels) before it returns the row iterator, so a refused call stores
+    nothing.  A store is the list of rows built so far plus the live
+    iterator; a longer ``n_max`` extends it.  The decorated function has
+    ``cache_info()`` and ``cache_clear()`` of its stores, and
     ``entry(*params, n, k)``, which reads one entry of the same store in
-    place; only ``f`` copies rows out of it.  Both call a keyword ``check`` on
-    the params after n_max or (n, k): ``check_ints``, or a reader's stricter one.
+    place; only ``f`` copies rows out of it.  Both refuse a non-int argument
+    first, then a bad ``n_max`` or (n, k), then what ``rows_of`` refuses.
     """
 
     @bounded(STORES_HELD)
@@ -90,20 +91,18 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
         return built
 
     @wraps(rows_of)
-    def rows(*args: int, check: Callable = check_ints) -> Rows:
+    def rows(*args: int) -> Rows:
         check_ints(*args)
         n_max = args[-1]
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        check(*args[:-1])
         return tuple(built_to(args[:-1], n_max)[: n_max + 1])
 
-    def entry(*args: int, check: Callable = check_ints):
+    def entry(*args: int):
         """Entry (n, k) of the triangle at ``params``, for ``args = (*params, n, k)``."""
         params, (n, k) = args[:-2], args[-2:]
         check_ints(*params)
         _check_index(n, k)
-        check(*params)
         return built_to(params, n)[n][k]
 
     rows.entry = entry

@@ -7,7 +7,8 @@ Three independent computation routes exist:
   r-triangles, which have no recurrence here; W and V are their r = 1 case,
 * coefficient extraction from the generating functions, for every triangle.
 
-The r-triangles of the last two read the kernels of ``stirling`` at (m, r).
+The r-triangles of the last two read the kernels of ``stirling`` at (m, r),
+over their one domain m >= 1, r >= 0, which only the kernels check.
 The identity engine and the acceptance suite compare all three entry by
 entry, so none of the routes is ever trusted alone.
 """
@@ -23,23 +24,10 @@ from typing import Callable, Iterator
 from .exact import LAMBDA, ONE, LambdaPoly, Record, as_fraction, bounded, check_ints, dot, linear
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, newton_rows
 from .series import TruncatedSeries, deg_exp, one_series
-from .stirling import (Family, Rows, _alternating, _check_index, _check_m, _first_kind_gf,
-                       _first_kind_rows, _gf_base, _recurrence, _row_sum, _second_kind_gf,
-                       _second_kind_rows, _stirling1_rows, _stirling2_rows, deg_stirling1_rows,
-                       row_store)
-
-
-class WhitneyParams(Record):
-    """Validated (m, r) parameter pair; m is a group order, so m >= 1."""
-
-    __slots__ = ("m", "r")
-
-    def __init__(self, m: int, r: int = 1) -> None:
-        _check_m(m)
-        check_ints(r)
-        if r < 1:
-            raise ValueError(f"r must be a positive integer, got {r}")
-        self._set(m, r)
+from .stirling import (Family, Rows, _alternating, _check_index, _check_m, _check_r,
+                       _first_kind_gf, _first_kind_rows, _gf_base, _recurrence, _row_sum,
+                       _second_kind_gf, _second_kind_rows, _stirling1_rows, _stirling2_rows,
+                       deg_stirling1_rows, row_store)
 
 
 def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
@@ -262,39 +250,38 @@ def _whitney2_rescaled_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
 
 def r_whitney2_rows(m: int, r: int, n_max: int) -> Rows:
     """Second-kind r-triangle: (mx+r)_{n,l} = sum W m^k (x)_k, by the Newton kernel."""
-    return _second_kind_rows(m, r, n_max, check=WhitneyParams)
+    return _second_kind_rows(m, r, n_max)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    return _second_kind_rows.entry(m, r, n, k, check=WhitneyParams)
+    return _second_kind_rows.entry(m, r, n, k)
 
 
 def r_whitney1_rows(m: int, r: int, n_max: int) -> Rows:
     """First-kind r-triangle: m^n (x)_n = sum w (mx+r)_{k,l}, by the Newton kernel."""
-    return _first_kind_rows(m, r, n_max, check=WhitneyParams)
+    return _first_kind_rows(m, r, n_max)
 
 
 def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    return _first_kind_rows.entry(m, r, n, k, check=WhitneyParams)
+    return _first_kind_rows.entry(m, r, n, k)
 
 
 def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
     """Cross-check route: the first-kind kernel with the shift r moved from its
     roots onto its nodes, m^n (x)_n over the rational-in-l nodes (k*l - r)/m with
     coefficient k divided by m^k, i.e. expanded in u = mx over the nodes k*l - r."""
-    WhitneyParams(m, r)
+    _check_m(m)
+    _check_r(r)
     return _first_rows(newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k - r), n_max)
 
 
 def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:
     """Oracle: coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!, by the GF kernel."""
-    WhitneyParams(m, r)
     return _second_kind_gf(m, r, n_max)
 
 
 def r_whitney1_rows_gf(m: int, r: int, n_max: int) -> Rows:
     """Oracle: coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!, by the GF kernel."""
-    WhitneyParams(m, r)
     return _first_kind_gf(m, r, n_max)
 
 
@@ -329,8 +316,7 @@ class DobinskiRequest(Record):
         # a float or bool x or lambda is refused here, before the series is summed
         as_fraction(x)
         as_fraction(lam)
-        if m < 1:
-            raise ValueError("m must be a positive integer")
+        _check_m(m)
         if n < 0:
             raise ValueError("n must be >= 0")
         if terms < 1:
@@ -541,12 +527,10 @@ def family_rows(family: Family | str, m: int, r: int) -> Iterator[tuple[LambdaPo
     The rows come straight from the generator that the family's row store
     wraps, so no store is filled and each row can be dropped once it is used.
     The m and r that the family reads are checked by this call, before any
-    row is built; the ones it does not read are ignored.
+    row is built, on the one domain m >= 1, r >= 0 of the kernels; the ones it
+    does not read are ignored.
     """
-    family = Family(family)
-    if family in (Family.WDEG_R, Family.VDEG_R):
-        WhitneyParams(m, r)  # their kernels take r = 0 as well
-    return _PRIMARY[family](m, r)
+    return _PRIMARY[Family(family)](m, r)
 
 
 def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Rows:

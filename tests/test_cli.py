@@ -51,6 +51,22 @@ class TestTriangle:
         assert code == 0
         assert out.splitlines() == ["1", "-1, 1"]
 
+    @pytest.mark.parametrize("r_whitney, stirling", [
+        ("WR", (["--family", "S2degR", "--r", "0"], ["--family", "S2deg"])),
+        ("VR", (["--family", "S1deg"],)),
+    ], ids=("WR", "VR"))
+    def test_r_whitney_at_m_1_r_0_is_the_degenerate_stirling_triangle(
+        self, capsys, r_whitney, stirling
+    ):
+        # r = 0 is in the one domain of every (m, r) reader, and there the
+        # kernels' m = 1 triangles are the degenerate Stirling ones
+        code, out, err = run(capsys, "triangle", "--family", r_whitney, "--m", "1", "--r", "0",
+                             "--n-max", "12")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 13
+        for argv in stirling:
+            assert run(capsys, "triangle", *argv, "--n-max", "12") == (0, out, "")
+
     def test_trivial_triangle(self, capsys):
         code, out, _ = run(capsys, "triangle", "--family", "W", "--m", "1", "--n-max", "0")
         assert code == 0
@@ -413,7 +429,7 @@ class TestDobinski:
         [
             ("eval", "--poly", "-l", (0, "-l\n", "")),
             ("verify", "--m-set", "-1,2", (2, "", "error: m must be a positive integer, got -1\n")),
-            ("verify", "--r-set", "-1,2", (2, "", "error: r must be a positive integer, got -1\n")),
+            ("verify", "--r-set", "-1,2", (2, "", "error: r must be an integer >= 0, got -1\n")),
         ],
     )
     def test_signed_value_after_space(self, capsys, command, option, value, expected):
@@ -517,8 +533,9 @@ PRECEDENCE = [
      "error: --lambda and --symbolic are mutually exclusive"),
     ("triangle --family W --m 0 --n-max 1 --lambda x", NOT_RATIONAL.format("--lambda", "x")),
     ("triangle --family W --m 0 --r -1 --n-max 1", "error: m must be a positive integer, got 0"),
-    ("triangle --family WR --m 3 --r 0 --n-max 2", "error: r must be a positive integer, got 0"),
+    ("triangle --family WR --m 3 --r -1 --n-max 2", "error: r must be an integer >= 0, got -1"),
     ("triangle --family WR --m 0 --r 0 --n-max 2", "error: m must be a positive integer, got 0"),
+    ("triangle --family WR --m 0 --r -1 --n-max 2", "error: m must be a positive integer, got 0"),
     ("triangle --family S2degR --r -1 --n-max 2", "error: r must be an integer >= 0, got -1"),
     ("triangle --family Q --n-max -1 --format xml",
      "dowlab triangle: error: argument --format: invalid choice: 'xml'"),
@@ -533,7 +550,7 @@ PRECEDENCE = [
      "error: --lambda and --symbolic are mutually exclusive"),
     ("eval --family W --m 0 --n 1 --k 5 --lambda x", NOT_RATIONAL.format("--lambda", "x")),
     ("eval --family W --m 0 --n 1 --k 5", "error: m must be a positive integer, got 0"),
-    ("eval --family VR --m 2 --r 0 --n 1 --k 5", "error: r must be a positive integer, got 0"),
+    ("eval --family VR --m 2 --r -1 --n 1 --k 5", "error: r must be an integer >= 0, got -1"),
     ("eval --family W --n -1 --k 5 --lambda 1/2", "error: (-1, 5) outside triangle of size 0"),
     ("eval --family Q --n x", "dowlab eval: error: argument --n: invalid int value: 'x'"),
     ("verify --n-max -1 --m-set a",
@@ -556,7 +573,7 @@ PRECEDENCE = [
      "error: dobinski needs a numeric --lambda"),
     ("dobinski --m 0 --n -1 --x 1 --lambda 0 --tol -1",
      "error: --tol must be positive and finite"),
-    ("dobinski --m 0 --n -1 --x 1 --lambda 0", "error: m must be a positive integer"),
+    ("dobinski --m 0 --n -1 --x 1 --lambda 0", "error: m must be a positive integer, got 0"),
     ("dobinski --m 1 --n -1 --x 1/0 --lambda 0 --tol x",
      "dowlab dobinski: error: argument --tol: invalid float value: 'x'"),
 ]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st_
 
 from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, muladd
 from dowlab.series import TruncatedSeries
-from dowlab.whitney import DobinskiRequest, WhitneyParams
+from dowlab.whitney import DobinskiRequest
 
 l = LAMBDA
 
@@ -542,7 +542,6 @@ def test_muladd_serves_the_int_ring(p, w, q):
 # trailing fields.
 RECORDS = {
     "TruncatedSeries": (TruncatedSeries, (1, (ONE, LAMBDA)), {}),
-    "WhitneyParams": (WhitneyParams, (2,), {"r": 1}),
     "DobinskiRequest": (
         DobinskiRequest, (2, 3, Fraction(1, 2), Fraction(1, 3)), {"terms": 200, "tol": 1e-9}
     ),

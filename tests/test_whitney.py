@@ -50,8 +50,6 @@ class TestSecondKind:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             wh.whitney2(0, 1, 0)
-        with pytest.raises(ValueError):
-            wh.WhitneyParams(1, 0)
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_three_routes_agree(self, m):
@@ -273,9 +271,9 @@ class TestRWhitney:
         assert wh.r_whitney1_rows_gf(m, r, 6) == wh.r_whitney1_rows(m, r, 6)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            wh.r_whitney2(1, 0, 1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^r must be an integer >= 0, got -1$"):
+            wh.r_whitney2(1, -1, 1, 0)
+        with pytest.raises(ValueError, match="^m must be a positive integer, got 0$"):
             wh.r_whitney1(0, 1, 1, 0)
 
 
@@ -539,7 +537,7 @@ class TestTriangleBuilder:
         assert tri == tuple(tuple(map(LambdaPoly.coerce, row)) for row in store(*params, 12))
 
     def test_argument_errors_come_before_any_row(self):
-        for m, r in ((0, 1), (1, 0), (-2, 3)):
+        for m, r in ((0, 1), (1, -1), (-2, 3)):
             with pytest.raises(ValueError):
                 wh.family_rows("VdegR", m, r)
         with pytest.raises(ValueError, match="^r must be an integer >= 0, got -1$"):
@@ -591,9 +589,9 @@ SECOND_ROUTES = {
 @settings(deadline=None, max_examples=40)
 @given(m=st_.integers(1, 12), n_max=st_.integers(0, 10), data=st_.data())
 def test_routes_agree_over_the_accepted_domain(family, m, n_max, data):
-    # the catalog checks m, r in {1, 2, 3} only; the CLI exports any m >= 1,
-    # any r >= 1 for the r-Whitney families and any r >= 0 for r-Stirling
-    r = data.draw(st_.integers(1 if family.startswith(("W", "V")) else 0, 12))
+    # the catalog checks m, r in {1, 2, 3} only; the CLI exports every family
+    # over the one domain m >= 1, r >= 0
+    r = data.draw(st_.integers(0, 12))
     rows = tuple(islice(wh.family_rows(family, m, r), n_max + 1))
     assert rows == GF_ORACLES[family](m, r, n_max)
     if family in SECOND_ROUTES:
@@ -683,7 +681,6 @@ INT_ONLY = {
     "r_whitney1": (wh.r_whitney1, (1, 1, 3, 1)),
     "r_whitney2_rows": (wh.r_whitney2_rows, (1, 1, 3)),
     "r_whitney1_rows": (wh.r_whitney1_rows, (1, 1, 3)),
-    "WhitneyParams": (wh.WhitneyParams, (1, 1)),
     "dowling_poly": (wh.dowling_poly, (1, 3, 1)),
     "tanny_dowling_poly": (wh.tanny_dowling_poly, (1, 3, 1)),
     "build_triangle": (lambda m, r, n_max: wh.build_triangle("WdegR", m, r, n_max), (1, 1, 3)),
@@ -731,7 +728,7 @@ class TestRowStore:
         [
             pytest.param(wh.whitney2_rows, wh.whitney2_rows, (2, 3), (0, 3), id="whitney2_rows"),
             pytest.param(wh.whitney1_rows, wh.whitney1_rows, (2, 3), (-1, 3), id="whitney1_rows"),
-            pytest.param(st._first_kind_rows, wh.r_whitney1_rows, (2, 1, 3), (2, 0, 3),
+            pytest.param(st._first_kind_rows, wh.r_whitney1_rows, (2, 1, 3), (2, -1, 3),
                          id="r_whitney1_rows"),
             pytest.param(st._second_kind_rows, wh.r_whitney2_rows, (2, 1, 3), (0, 1, 3),
                          id="r_whitney2_rows"),
@@ -754,16 +751,16 @@ class TestRowStore:
     @pytest.mark.parametrize("store, read", [(st._second_kind_rows, wh.r_whitney2),
                                              (st._first_kind_rows, wh.r_whitney1)])
     def test_r_whitney_entry_refuses_what_its_store_takes(self, store, read):
-        # the kernel store takes r = 0 for the rescaled triangles; the r-Whitney
-        # numbers refuse it, after (n, k) and m, and store nothing
+        # the r-Whitney numbers take the kernel's one domain, r = 0 included;
+        # they refuse r < 0 after (n, k) and m, and store nothing
         store.cache_clear()
-        for r in (0, -1):
-            with pytest.raises(ValueError, match=f"^r must be a positive integer, got {r}$"):
+        for r in (-1, -2):
+            with pytest.raises(ValueError, match=f"^r must be an integer >= 0, got {r}$"):
                 read(2, r, 3, 1)
         with pytest.raises(IndexError):
-            read(0, 0, 1, 3)
+            read(0, -1, 1, 3)
         with pytest.raises(ValueError, match="^m must be a positive integer, got 0$"):
-            read(0, 0, 3, 1)
+            read(0, -1, 3, 1)
         assert store.cache_info().currsize == 0
 
 
@@ -897,21 +894,21 @@ KERNEL_READERS = {
     "deg_stirling2_rows": (st.deg_stirling2_rows, (), NEWTON_2, (1, 0), (-1,)),
     "deg_r_stirling2_rows": (st.deg_r_stirling2_rows, (2,), NEWTON_2, (1, 2), (-1, 4)),
     "whitney2_rows_newton": (wh.whitney2_rows_newton, (3,), NEWTON_2, (3, 1), (0, 4)),
-    "r_whitney2_rows": (wh.r_whitney2_rows, (3, 2), NEWTON_2, (3, 2), (3, 0, 4)),
+    "r_whitney2_rows": (wh.r_whitney2_rows, (3, 2), NEWTON_2, (3, 2), (3, -1, 4)),
     "deg_stirling1_rows": (st.deg_stirling1_rows, (), NEWTON_1, (1, 0), (-1,)),
     "deg_r_stirling1_unsigned_rows": (
         st.deg_r_stirling1_unsigned_rows, (2,), NEWTON_1, (1, 2), (-1, 4)
     ),
     "whitney1_rows_newton": (wh.whitney1_rows_newton, (3,), NEWTON_1, (3, 1), (0, 4)),
-    "r_whitney1_rows": (wh.r_whitney1_rows, (3, 2), NEWTON_1, (3, 2), (3, 0, 4)),
+    "r_whitney1_rows": (wh.r_whitney1_rows, (3, 2), NEWTON_1, (3, 2), (3, -1, 4)),
     "deg_stirling2_rows_gf": (st.deg_stirling2_rows_gf, (), GF_2, (1, 0), (-1,)),
     "deg_r_stirling2_rows_gf": (st.deg_r_stirling2_rows_gf, (2,), GF_2, (1, 2), (-1, 4)),
     "whitney2_rows_gf": (wh.whitney2_rows_gf, (3,), GF_2, (3, 1), (0, 4)),
-    "r_whitney2_rows_gf": (wh.r_whitney2_rows_gf, (3, 2), GF_2, (3, 2), (3, 0, 4)),
+    "r_whitney2_rows_gf": (wh.r_whitney2_rows_gf, (3, 2), GF_2, (3, 2), (3, -1, 4)),
     "deg_stirling1_rows_gf": (st.deg_stirling1_rows_gf, (), GF_1, (1, 0), (-1,)),
     "eq74_gf": (_eq74_gf, (2,), GF_1, (1, 2), (-1, 4)),
     "whitney1_rows_gf": (wh.whitney1_rows_gf, (3,), GF_1, (3, 1), (0, 4)),
-    "r_whitney1_rows_gf": (wh.r_whitney1_rows_gf, (3, 2), GF_1, (3, 2), (3, 0, 4)),
+    "r_whitney1_rows_gf": (wh.r_whitney1_rows_gf, (3, 2), GF_1, (3, 2), (3, -1, 4)),
 }
 # what a GF kernel fills: its triangles and the bases they are built from
 GF_CACHES = (series.gf_triangle, st._gf_base, st._gf_log_base)
