@@ -8,7 +8,7 @@ Usage:
 
 Each entry's line shows its point count and its time.  Exit code 0 when
 every identity passes (discrepancy findings are reported, not counted as
-failures), 1 otherwise.
+failures), 1 otherwise, and 2 when an m or r is refused, as the CLI does.
 """
 
 import argparse
@@ -35,7 +35,11 @@ def main() -> int:
     started = time.perf_counter()
     for ident in CATALOG:
         entry_started = time.perf_counter()
-        report = run_identity(ident, args.n_max, m_set, r_set, args.seed)
+        try:
+            report = run_identity(ident, args.n_max, m_set, r_set, args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         entry_s = time.perf_counter() - entry_started
         reports.append(report)
         line = f"{report.status:18s} {report.id:24s} ({report.params_tested} points, {entry_s:.3f}s)"

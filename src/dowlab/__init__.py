@@ -1,6 +1,8 @@
 """Exact arithmetic for degenerate Whitney, Stirling, Dowling, Bernoulli and
 Euler number families, with an identity engine that cross-checks every
-family along independent computation routes.
+family along independent computation routes.  Each route is one module that
+reads only ``exact``: ``recurrence``, ``newton`` and ``series``; ``stirling``
+and ``whitney`` read their triangles off them.
 
 The names listed in ``__all__`` load their defining module on first read
 (PEP 562): ``import dowlab`` runs none of the modules, ``dowlab.whitney2``
@@ -35,6 +37,8 @@ _EXPORTS = {
         "lambda_rising",
         "newton_convert",
     ),
+    "recurrence": (),
+    "newton": (),
     "series": (
         "TruncatedSeries",
         "binomial_series",

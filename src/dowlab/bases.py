@@ -1,24 +1,22 @@
 """Generalized falling factorials, the binomial transform pair over them, and
-Newton-form basis conversion.
+Newton-form basis conversion of one polynomial.
 
 The basis machinery expresses a polynomial in a formal variable X as a
 combination of products (X - a_0)(X - a_1)...; choosing the node sequence
 a_j = j gives the ordinary falling-factorial basis, a_j = j*l the
-step-l one, and so on.  ``newton_rows``, the kernel of every Newton route,
-extends the Newton rows of a product of monic linear factors (X - b_j), given
-by their roots, row by row over any ring, with one ``exact.muladd`` per entry.
-``newton_convert`` (one ``XPoly`` by repeated synthetic division, O(n^2)) is
-kept only as the tests' reference for that kernel.
+step-l one, and so on.  ``newton_convert`` (one ``XPoly`` by repeated
+synthetic division, O(n^2)) is no triangle's route: it is the tests'
+reference for ``newton.newton_rows``.  This module reads only ``exact``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import zip_longest
 from math import comb, factorial, lcm
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, bounded, check_ints, dot, muladd
+from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, bounded, check_ints, dot
 from .exact import _addmul, _canonical
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
@@ -251,40 +249,6 @@ def newton_convert(p: XPoly, nodes: NodeSequence) -> list[LambdaPoly]:
         out.append(rem)
     out.append(q.coeffs[0])
     return out
-
-
-def newton_rows(
-    one,
-    root: Callable[[int], object],
-    node: Callable[[int], object],
-) -> Iterator[tuple]:
-    """Endless rows of the monic products (X - b_0)...(X - b_{n-1}), n = 0, 1, ...
-
-    Row n is the tuple of Newton coefficients c_0..c_n of the nth product
-    over the nodes a_k = node(k), where b_j = root(j); row 0 is ``(one,)``.
-    Roots, nodes and ``one`` share one ring: ``ONE`` for Q[l], ``1`` for
-    plain integers.  Every triangle defined by a change of basis is one
-    choice of root and node.  The kth node may not depend on the row.
-
-    A product that is monic only in u = sX is passed as roots s b_j and
-    nodes s a_k, and then c_k comes out times s^(n-k).
-
-    Row n + 1 extends row n with one ``muladd`` per entry:
-    X N_k = N_{k+1} + a_k N_k in the basis N_k = (X - a_0)...(X - a_{k-1}),
-    so multiplying by X - b_n gives c'_k = c_{k-1} + (a_k - b_n) c_k, with
-    c'_{n+1} = c_n.
-    """
-    nodes = []
-    row = (one,)
-    for n in count():
-        yield row
-        b = root(n)
-        nodes.append(node(n))
-        row = (
-            (nodes[0] - b) * row[0],
-            *(muladd(row[k - 1], nodes[k] - b, row[k]) for k in range(1, n + 1)),
-            row[n],
-        )
 
 
 def int_nodes(n: int) -> list[LambdaPoly]:

@@ -20,7 +20,9 @@ identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
 ``Record`` is the base of the package's other immutable values
 (``TruncatedSeries``, ``DobinskiRequest``).  ``bounded``
-makes every cache of the package and lists it in ``CACHES``.
+makes every cache of the package and lists it in ``CACHES``; ``row_store``
+serves a triangle's endless rows from one of them, and ``_check_m`` and
+``_check_r`` are the one check of the kernels' domain, m >= 1 and r >= 0.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import zip_longest
 from math import gcd, lcm
 from operator import add, neg, sub
-from typing import Iterable, Union
+from threading import Lock
+from typing import Callable, Iterable, Iterator, Union
 
 Rational = Fraction
 
@@ -551,3 +554,85 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+# -- row stores -----------------------------------------------------------------
+
+# A triangle: a tuple of row tuples, whichever function returns it.
+Rows = tuple[tuple[LambdaPoly, ...], ...]
+
+# Parameter sets whose rows stay held per triangle; the least recently used goes.
+STORES_HELD = 64
+
+
+def _check_index(n: int, k: int) -> None:
+    check_ints(n, k)
+    if n < 0 or k < 0 or k > n:
+        raise IndexError(f"({n}, {k}) outside triangle")
+
+
+def _check_m(m: int) -> None:
+    check_ints(m)
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+
+
+def _check_r(r: int) -> None:
+    check_ints(r)
+    if r < 0:
+        raise ValueError(f"r must be an integer >= 0, got {r}")
+
+
+def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
+    """Serve the endless rows ``rows_of(*params)`` as ``f(*params, n_max) -> Rows``.
+
+    ``rows_of`` yields each row as a tuple, which the store keeps as it
+    comes.  It checks the values of its parameters (m >= 1, r >= 0 for the
+    kernels) before it returns the row iterator, so a refused call stores
+    nothing.  A store is the list of rows built so far plus the live
+    iterator; a longer ``n_max`` extends it.  The decorated function has
+    ``cache_info()`` and ``cache_clear()`` of its stores, and
+    ``entry(*params, n, k)``, which reads one entry of the same store in
+    place; only ``f`` copies rows out of it.  Both refuse a non-int argument
+    first, then a bad ``n_max`` or (n, k), then what ``rows_of`` refuses.
+    """
+
+    @bounded(STORES_HELD)
+    @wraps(rows_of)  # the store's cache is named after its triangle
+    def store(*params: int) -> tuple[list[tuple], Iterator]:
+        return [], rows_of(*params)
+
+    lock = Lock()  # one thread at a time drives a row iterator
+
+    def built_to(params: tuple[int, ...], n: int) -> list[tuple]:
+        """The rows of the store of ``params``, extended to hold row ``n``."""
+        built, source = store(*params)
+        if len(built) <= n:
+            with lock:
+                try:
+                    while len(built) <= n:
+                        built.append(next(source))
+                except BaseException:
+                    store.cache_clear()  # an interrupted iterator cannot be resumed
+                    raise
+        return built
+
+    @wraps(rows_of)
+    def rows(*args: int) -> Rows:
+        check_ints(*args)
+        n_max = args[-1]
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        return tuple(built_to(args[:-1], n_max)[: n_max + 1])
+
+    def entry(*args: int):
+        """Entry (n, k) of the triangle at ``params``, for ``args = (*params, n, k)``."""
+        params, (n, k) = args[:-2], args[-2:]
+        check_ints(*params)
+        _check_index(n, k)
+        return built_to(params, n)[n][k]
+
+    rows.entry = entry
+    rows.cache_info = store.cache_info
+    rows.cache_clear = store.cache_clear
+    return rows

@@ -32,7 +32,7 @@ from itertools import chain, product
 from math import factorial
 from typing import Callable, Generator, Iterable, Optional
 
-from .exact import LAMBDA, ONE, LambdaPoly, bounded, dot
+from .exact import LAMBDA, ONE, LambdaPoly, _check_m, _check_r, bounded, dot
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, rising_transform
 from .series import deg_exp, deg_log_of_one_plus, one_series, t_series
 from . import bernoulli_euler as be
@@ -359,9 +359,10 @@ def _thm20_sum(m: int, n: int, k: int, printed: bool) -> LambdaPoly:
 
 def _thm21_rhs(m: int, n: int, k: int) -> LambdaPoly:
     """W_{m+1}(n,k) as the step-ml rising transform of column k of the
-    rescaled triangle (m+1)^(j-k) W_m(j,k | m l/(m+1)), over m^(n-k)."""
-    entry = wh._whitney2_rescaled_rows.entry
-    terms = ((j, 1, entry(m, j, k)) for j in range(k, n + 1))
+    rescaled triangle (m+1)^(j-k) W_m(j,k | m l/(m+1)), the second-kind kernel
+    at (m(m+1), m+1, m), over m^(n-k)."""
+    entry = st._second_kind_rows.entry
+    terms = ((j, 1, entry(m * (m + 1), m + 1, m, j, k)) for j in range(k, n + 1))
     return rising_transform(n, terms, LAMBDA * m) / m ** (n - k)
 
 
@@ -371,10 +372,10 @@ def _cor22_sum(ordered: bool, rescale: bool, m: int, n: int, x: Fraction) -> Lam
     ``rescale`` the polynomial is taken at m l/(m+1), which makes term j the
     row sum of the rescaled triangle at m x; without it, at l as printed."""
     if rescale:
-        store, y, c = wh._whitney2_rescaled_rows, m * x, 1
+        store, key, y, c = st._second_kind_rows, (m * (m + 1), m + 1, m), m * x, 1
     else:
-        store, y, c = wh.whitney2_rows, x * Fraction(m, m + 1), m + 1
-    terms = ((j, c**j, st._row_sum(store, (m,), j, y, ordered)) for j in range(n + 1))
+        store, key, y, c = wh.whitney2_rows, (m,), x * Fraction(m, m + 1), m + 1
+    terms = ((j, c**j, st._row_sum(store, key, j, y, ordered)) for j in range(n + 1))
     return rising_transform(n, terms, LAMBDA * m) / m**n
 
 
@@ -386,7 +387,7 @@ def _terms(values: Iterable[LambdaPoly]) -> Iterable[tuple[int, int, LambdaPoly]
 def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
     """The falling transform of m^i Bdeg_i(x/m) at l -> l/m, i = 0..n, the
     right side of thm23; each is a row sum of the rescaled S2deg triangle."""
-    bells = (st._row_sum(st._second_kind_rows, (m, 0), i, x, False) for i in range(n + 1))
+    bells = (st._row_sum(st._second_kind_rows, (m, 0, 1), i, x, False) for i in range(n + 1))
     return falling_transform(n, _terms(bells))
 
 
@@ -613,7 +614,7 @@ _register("lemma24", _chk_lemma24)
 _register("thm25", _chk_thm25)
 _register("thm26", Row(
     _SERIES,
-    _each(NEWTON, lambda m, x, n: st._row_sum(st._second_kind_rows, (m, 0), n, x, False)),
+    _each(NEWTON, lambda m, x, n: st._row_sum(st._second_kind_rows, (m, 0, 1), n, x, False)),
     _each(EXPLICIT | RECURRENCE, _dowling_transform),
 ))
 _register("orthogonality", _chk_orthogonality)
@@ -691,6 +692,10 @@ def run_identity(
     if ident not in CATALOG:
         raise KeyError(f"unknown identity id {ident!r}")
     entry = CATALOG[ident]
+    for m in m_set:
+        _check_m(m)
+    for r in r_set:
+        _check_r(r)
     params = SweepParams(n_max=n_max, m_set=tuple(m_set), r_set=tuple(r_set), seed=seed)
     tested, counterexample, finding = entry.checker(params)
     if counterexample is not None:

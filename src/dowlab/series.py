@@ -1,9 +1,15 @@
-"""Truncated exponential generating functions over LambdaPoly.
+"""The generating-function route: truncated exponential generating
+functions over LambdaPoly, and the triangles read off them.
 
 A series of order N stores a_0..a_N with f(t) = sum a_n t^n / n!, so series
 products are binomial convolutions and the nth coefficient of a generating
 function IS the nth member of the number family it generates.  All binary
 operations truncate to the smaller order of their operands.
+
+``gf_triangle`` extracts the coefficients of prefactor * base^k / k!; every
+degenerate Stirling and r-Whitney oracle reads its kind's kernel over that,
+``_second_kind_gf`` or ``_first_kind_gf``, at its own (m, r).  Like the other
+two routes' modules, this one reads nothing of the package but ``exact``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ from .exact import (
     ZERO,
     LambdaPoly,
     Record,
+    Rows,
     Scalar,
+    _check_m,
+    _check_r,
     as_fraction,
     bounded,
     check_ints,
@@ -305,3 +314,35 @@ def gf_triangle(
         columns.append(acc.coeffs)
     # a series shorter than n_max is an IndexError
     return tuple(tuple(column[n] for column in columns[: n + 1]) for n in range(n_max + 1))
+
+
+# The bases of the generating functions, each built once per parameter set:
+# every r of a kernel, and thm3 and thm9 at each x, read the same one.
+@bounded(64)
+def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
+    """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
+    _check_m(m)
+    return (deg_exp(m, n_max) - one_series(n_max)).scaled(as_fraction(x) / m)
+
+
+@bounded(64)
+def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
+    """log_l(e_m(t)), the base of the first-kind generating functions: log_l(1 + g),
+    g = e_m(t) - 1, from its first-order recurrence rather than a composition."""
+    e_m = binomial_series(Fraction(1, m), m, n_max)
+    return deg_log_of_one_plus(e_m - one_series(n_max))
+
+
+def _second_kind_gf(m: int, r: int, n_max: int) -> Rows:
+    """Coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!: W_{m,r}(n, k)."""
+    _check_m(m)
+    _check_r(r)
+    return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max), n_max)
+
+
+def _first_kind_gf(m: int, r: int, n_max: int) -> Rows:
+    """Coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!: w_{m,r}(n, k)."""
+    _check_m(m)
+    _check_r(r)
+    prefactor = binomial_series(Fraction(-r, m), m, n_max)  # e_m(t) = (1+mt)^(1/m)
+    return gf_triangle(_gf_log_base(m, n_max), prefactor, n_max)

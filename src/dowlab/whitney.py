@@ -1,16 +1,9 @@
 """Degenerate Whitney numbers, Dowling/Tanny-Dowling polynomials, r-variants.
 
-Three independent computation routes exist:
-
-* the two-term recurrences, primary for W and V (cheapest),
-* Newton conversion of the defining change of basis, primary for the
-  r-triangles, which have no recurrence here; W and V are their r = 1 case,
-* coefficient extraction from the generating functions, for every triangle.
-
-The r-triangles of the last two read the kernels of ``stirling`` at (m, r),
-over their one domain m >= 1, r >= 0, which only the kernels check.
-The identity engine and the acceptance suite compare all three entry by
-entry, so none of the routes is ever trusted alone.
+W and V are read off ``recurrence``, the r-triangles and their r = 1 case off
+``newton``, and the ``*_gf`` oracles off ``series``, each at its own (m, r).
+The explicit formulas (``*_alt``, ``whitney2_diff``), the classical tables,
+``r_whitney1_rows_direct`` and the Dobinski series are computed here.
 """
 
 from __future__ import annotations
@@ -21,13 +14,13 @@ from itertools import islice
 from math import ceil, factorial, isfinite, prod
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, Record, as_fraction, bounded, check_ints, dot, linear
-from .bases import binom, falling_transform, lambda_falling, lambda_rising, newton_rows
-from .series import TruncatedSeries, deg_exp, one_series
-from .stirling import (Family, Rows, _alternating, _check_index, _check_m, _check_r,
-                       _first_kind_gf, _first_kind_rows, _gf_base, _recurrence, _row_sum,
-                       _second_kind_gf, _second_kind_rows, _stirling1_rows, _stirling2_rows,
-                       deg_stirling1_rows, row_store)
+from .exact import (LAMBDA, ONE, LambdaPoly, Record, Rows, _check_index, _check_m, _check_r,
+                    as_fraction, bounded, check_ints, dot)
+from .bases import binom, falling_transform, lambda_falling, lambda_rising
+from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows, newton_rows
+from .recurrence import _stirling1_rows, whitney1_rows, whitney2_rows
+from .series import TruncatedSeries, _first_kind_gf, _gf_base, _second_kind_gf, deg_exp, one_series
+from .stirling import Family, _alternating, _row_sum, deg_stirling1_rows
 
 
 def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
@@ -40,13 +33,6 @@ def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
 
 
 # -- second kind -------------------------------------------------------------
-
-
-@row_store
-def whitney2_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """Second-kind triangle from the two-term recurrence."""
-    _check_m(m)
-    return _recurrence(ONE, lambda n, k: linear(m * k + 1, 1 - n))
 
 
 def whitney2(m: int, n: int, k: int) -> LambdaPoly:
@@ -71,13 +57,6 @@ def whitney2_rows_gf(m: int, n_max: int) -> Rows:
 
 
 # -- first kind ---------------------------------------------------------------
-
-
-@row_store
-def whitney1_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """First-kind triangle from the two-term recurrence."""
-    _check_m(m)
-    return _recurrence(ONE, lambda n, k: linear(m - n * m - 1, k))
 
 
 def whitney1(m: int, n: int, k: int) -> LambdaPoly:
@@ -113,7 +92,7 @@ def whitney2_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:
     _check_index(n, k)
     if path == "stirling_T13":
         entry = _second_kind_rows.entry
-        return falling_transform(n, ((i, 1, entry(m, 0, i, k)) for i in range(k, n + 1)))
+        return falling_transform(n, ((i, 1, entry(m, 0, 1, i, k)) for i in range(k, n + 1)))
     raise ValueError(f"unknown second-kind path {path!r}")
 
 
@@ -228,33 +207,16 @@ def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     return deg_exp(1, n_max) * _gf_base(m, x, n_max).exp()
 
 
-# -- rescaled triangles ---------------------------------------------------------
-
-# Theorems 13, 19-21, 23 and 26 and Corollary 22 read degenerate Stirling and
-# Whitney numbers at l/m or m l/(m+1).  Cleared of powers of m or m+1, each such
-# triangle is a change of basis in u = mx (or m(m+1)x), which the Newton kernel
-# builds with no l rescaled.  The Stirling ones are the r = 0 triangles of
-# ``stirling._second_kind_rows`` and ``stirling._first_kind_rows``.
-
-
-@row_store
-def _whitney2_rescaled_rows(m: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """(m+1)^(n-k) W_m(n, k | m l/(m+1)): (m+1)^n (mx+1)_{n,m l/(m+1)}
-    = sum_k T(n,k) (m(m+1))^k (x)_k in u = m(m+1)x."""
-    _check_m(m)
-    return newton_rows(ONE, lambda j: linear(-(m + 1), j * m), lambda k: m * (m + 1) * k)
-
-
 # -- r-generalizations ----------------------------------------------------------
 
 
 def r_whitney2_rows(m: int, r: int, n_max: int) -> Rows:
     """Second-kind r-triangle: (mx+r)_{n,l} = sum W m^k (x)_k, by the Newton kernel."""
-    return _second_kind_rows(m, r, n_max)
+    return _second_kind_rows(m, r, 1, n_max)
 
 
 def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    return _second_kind_rows.entry(m, r, n, k)
+    return _second_kind_rows.entry(m, r, 1, n, k)
 
 
 def r_whitney1_rows(m: int, r: int, n_max: int) -> Rows:
@@ -511,12 +473,12 @@ _PRIMARY: dict[Family, Callable[[int, int], Iterator]] = {
     Family.S1: lambda m, r, rows=_stirling1_rows.__wrapped__: _const_rows(rows()),
     Family.S2: lambda m, r, rows=_stirling2_rows.__wrapped__: _const_rows(rows()),
     Family.S1DEG: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(1, 0),
-    Family.S2DEG: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, 0),
+    Family.S2DEG: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, 0, 1),
     Family.S1DEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: _alternating(rows(1, r)),
-    Family.S2DEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, r),
+    Family.S2DEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, r, 1),
     Family.WDEG: lambda m, r, rows=whitney2_rows.__wrapped__: rows(m),
     Family.VDEG: lambda m, r, rows=whitney1_rows.__wrapped__: rows(m),
-    Family.WDEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(m, r),
+    Family.WDEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(m, r, 1),
     Family.VDEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(m, r),
 }
 

@@ -23,9 +23,9 @@ from dowlab.bases import (
     lambda_nodes,
     lambda_rising,
     newton_convert,
-    newton_rows,
     rising_transform,
 )
+from dowlab.newton import newton_rows
 
 l = LAMBDA
 

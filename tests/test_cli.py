@@ -23,7 +23,6 @@ from dowlab.cli import latex_poly, main
 from dowlab.identities import CATALOG
 from dowlab.stirling import Family
 from dowlab.whitney import build_triangle
-from test_whitney import clear_caches
 
 
 def latex_poly_inverse(text: str) -> str:
@@ -321,9 +320,9 @@ class TestVerify:
         src = os.path.dirname(os.path.dirname(cli.__file__))
         script = os.path.join(os.path.dirname(src), "scripts", "run_verification.py")
 
-        def verify(command, out):
+        def verify(command, out, *extra):
             return subprocess.run(
-                [sys.executable, *command, "--n-max", "3", "--out", str(out)],
+                [sys.executable, *command, "--n-max", "3", "--out", str(out), *extra],
                 capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
             )
 
@@ -335,6 +334,13 @@ class TestVerify:
         lines = by_script.stdout.splitlines()
         printed = {line.split()[1] for line in lines if line and not line[0].isspace()}
         assert set(CATALOG) <= printed
+        # and both refuse a bad r alike, with the kernels' message, writing nothing
+        refused = [verify(command, tmp_path / "refused.json", "--r-set", "-5")
+                   for command in ([script], ["-m", "dowlab.cli", "verify"])]
+        assert {(done.returncode, done.stdout, done.stderr) for done in refused} == {
+            (2, "", "error: r must be an integer >= 0, got -5\n")
+        }
+        assert not (tmp_path / "refused.json").exists()
 
 
 class TestDobinski:
@@ -564,6 +570,11 @@ PRECEDENCE = [
      "error: --r-set must not repeat a value, got '2,3,2'"),
     ("verify --n-max -1 --id nosuch", "error: --n-max must be >= 0"),
     ("verify --m-set 0 --id nosuch", "error: unknown identity id 'nosuch'"),
+    # an entry that reads neither m nor r refuses a bad one all the same
+    ("verify --n-max 1 --id lemma24 --m-set 0 --r-set -5",
+     "error: m must be a positive integer, got 0"),
+    ("verify --n-max 1 --id lemma24 --m-set 1 --r-set -5",
+     "error: r must be an integer >= 0, got -5"),
     ("verify --n-max x --m-set a",
      "dowlab verify: error: argument --n-max: invalid int value: 'x'"),
     ("dobinski --m 1 --n 1 --x 1 --lambda 1/0 --terms 0", NOT_RATIONAL.format("--lambda", "1/0")),
@@ -800,7 +811,7 @@ class TestExportFillsNoStore:
 
     @pytest.mark.parametrize("command", ["triangle", "eval"])
     @pytest.mark.parametrize("family", [f.value for f in Family])
-    def test_every_store_stays_empty(self, capsys, family, command):
+    def test_every_store_stays_empty(self, capsys, family, command, clear_caches):
         clear_caches()  # an export or an entry evaluation leaves every cache empty
         if command == "triangle":
             argv = triangle_argv(family, 3, 2, 12, None, "csv")

@@ -14,11 +14,10 @@ from pathlib import Path
 import pytest
 
 from dowlab.exact import CACHES, LambdaPoly
-from dowlab import bases, cli, series
+from dowlab import cli, newton, recurrence, series
 from dowlab import identities as idn
 from dowlab import stirling as st
 from dowlab import whitney as wh
-from test_whitney import clear_caches, forbidden
 
 
 def test_catalog_is_large_enough():
@@ -52,18 +51,23 @@ def test_trivial_sweep_has_no_failures():
 
 
 # The entries that read degenerate Stirling or Whitney numbers at a rescaled
-# l, and the rescaled triangles they read them from.
+# l, and the rescaled triangles they read them from, as (kernel, key of m):
+# the Stirling ones are the r = 0 rows of the two Newton kernels, the W one
+# the second-kind kernel at (m(m+1), m+1, m).
 RESCALED_ENTRIES = ("thm13", "thm19", "thm20", "thm21", "cor22", "cor22_remark", "thm23", "thm26")
-# The Stirling ones are the r = 0 rows of the two Newton kernels.
-RESCALED_STORES = (st._second_kind_rows, st._first_kind_rows, wh._whitney2_rescaled_rows)
+RESCALED_STORES = (
+    (newton._second_kind_rows, lambda m: (m, 0, 1)),
+    (newton._first_kind_rows, lambda m: (m, 0)),
+    (newton._second_kind_rows, lambda m: (m * (m + 1), m + 1, m)),
+)
 
 
 def count_newton_rows(monkeypatch) -> list[int]:
-    """Route the ``newton_rows`` of stirling and whitney through a counter; the
-    list it returns gets one entry per triangle begun, the number of rows
-    drawn from it."""
+    """Route the ``newton_rows`` of the Newton kernels and of whitney through a
+    counter; the list it returns gets one entry per triangle begun, the number
+    of rows drawn from it."""
     built = []
-    real = bases.newton_rows
+    real = newton.newton_rows
 
     def counted(*args):
         built.append(0)
@@ -71,7 +75,7 @@ def count_newton_rows(monkeypatch) -> list[int]:
             built[-1] += 1
             yield row
 
-    monkeypatch.setattr(st, "newton_rows", counted)
+    monkeypatch.setattr(newton, "newton_rows", counted)
     monkeypatch.setattr(wh, "newton_rows", counted)
     return built
 
@@ -89,16 +93,16 @@ def count_newton_rows(monkeypatch) -> list[int]:
         # the ids name the per-row caches that these row stores replaced
         pytest.param("thm13", st._second_kind_rows, 3 * 13, id="thm13-_row_over_m-39"),
         pytest.param("thm19", st._first_kind_rows, 3 * 13, id="thm19-_row_over_m-39"),
-        pytest.param("thm21", wh._whitney2_rescaled_rows, 3 * 13, id="thm21-_thm21_row-39"),
+        pytest.param("thm21", st._second_kind_rows, 3 * 13, id="thm21-_thm21_row-39"),
     ],
 )
-def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys, monkeypatch):
+def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys, monkeypatch, clear_caches):
     built = count_newton_rows(monkeypatch)
     # all of them, since a warm l-sum of thm8 would skip its inner sums
     clear_caches()
     assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status == "pass"
     info = inner.cache_info()
-    if inner in RESCALED_STORES:
+    if hasattr(inner, "entry"):
         # one store per m, whose rows are each drawn once
         assert (info.misses, sum(built)) == (3, keys)
     else:
@@ -106,7 +110,7 @@ def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys, monkeypatc
     assert info.hits > info.misses
 
 
-def test_rescaled_entries_rescale_no_lambda(monkeypatch):
+def test_rescaled_entries_rescale_no_lambda(monkeypatch, clear_caches):
     # each rescaled value is an entry of a Newton-kernel triangle, so none is
     # made by substituting for l, even with every cache cold
     calls = []
@@ -118,14 +122,20 @@ def test_rescaled_entries_rescale_no_lambda(monkeypatch):
     assert calls == []
 
 
-def test_rescaled_stores_hold_one_triangle_per_m(monkeypatch):
-    # a cold run builds rows 0..12 once for each m and store, however many
-    # (n, k) read them; no other Newton-kernel triangle is read
+def test_rescaled_stores_hold_one_triangle_per_m(monkeypatch, clear_caches):
+    # a cold run builds rows 0..12 once for each m and rescaled triangle,
+    # however many (n, k) read them; no other Newton-kernel triangle is read
     built = count_newton_rows(monkeypatch)
     clear_caches()
     for ident in RESCALED_ENTRIES:
         assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status != "fail"
-    assert [store.cache_info().currsize for store in RESCALED_STORES] == [3, 3, 3]
+    kernels = (st._second_kind_rows, st._first_kind_rows)
+    assert [store.cache_info().currsize for store in kernels] == [6, 3]
+    assert built == [13] * 9
+    # each of the nine is held: reading its row 12 again builds nothing
+    for store, key in RESCALED_STORES:
+        for m in (1, 2, 3):
+            store.entry(*key(m), 12, 0)
     assert built == [13] * 9
 
 
@@ -306,19 +316,26 @@ for family in {FAMILIES!r}:
     assert done.stdout == untraced.getvalue()
 
 
-# The code that only one route reaches; an explicit formula has none of its own.
-# The product and quotient of the series ring count as GF code too: the series
-# oracles of thm3, thm9 and thm27 reach them without gf_triangle.  So does the
-# first-order solver behind powers and log_l of a series.
-ROUTE_PRIMITIVES = {
-    "recurrence": [(st, "_recurrence"), (wh, "_recurrence")],
-    "newton": [(bases, "newton_rows"), (st, "newton_rows"), (wh, "newton_rows"),
-               (bases, "newton_convert")],
-    "gf": [(series, "gf_triangle"), (st, "gf_triangle"),
-           (series.TruncatedSeries, "__mul__"), (series.TruncatedSeries, "divide"),
-           (series, "_first_order")],
-    "explicit": [],
-}
+def test_each_route_forbids_its_primitives(forbid_route):
+    # the bindings forbidden for a route derive from its module; they hold
+    # the code that only that route reaches, wherever it is bound: the row
+    # kernels, the GF triangles, the product and quotient of the series ring
+    # (the series oracles of thm3, thm9 and thm27 reach them without
+    # gf_triangle) and the first-order solver behind powers and log_l
+    primitives = {
+        "recurrence": [(recurrence, "_recurrence")],
+        "newton": [(newton, "newton_rows"), (wh, "newton_rows")],
+        "gf": [(series, "gf_triangle"), (st, "gf_triangle"),
+               (series.TruncatedSeries, "__mul__"), (series.TruncatedSeries, "divide"),
+               (series, "_first_order")],
+        "explicit": [],
+    }
+    for route, bindings in primitives.items():
+        forbidden = forbid_route(route)
+        assert all(binding in forbidden for binding in bindings), route
+        assert all(getattr(owner, name).__name__ == "_forbidden" for owner, name in bindings)
+
+
 SWEEP = idn.SweepParams(n_max=6, m_set=(1, 2, 3), r_set=(1, 2), seed=0)
 
 
@@ -326,7 +343,7 @@ SWEEP = idn.SweepParams(n_max=6, m_set=(1, 2, 3), r_set=(1, 2), seed=0)
 DECLARED = (idn.Row, idn.Parts, idn.Probe)
 
 
-def test_declared_route_sharings():
+def test_declared_route_sharings(routes):
     rows = idn.ROWS
     # every row of every declared entry, keyed by the entry's id and its tail
     declared = [
@@ -339,8 +356,8 @@ def test_declared_route_sharings():
     assert all(any(rows[key] is row for key in rows if key.partition("[")[0] == ident)
                for ident, row in declared)
     for row in rows.values():
-        assert row.lhs.route and row.lhs.route <= set(ROUTE_PRIMITIVES)
-        assert row.rhs.route and row.rhs.route <= set(ROUTE_PRIMITIVES)
+        assert row.lhs.route and row.lhs.route <= set(routes)
+        assert row.rhs.route and row.rhs.route <= set(routes)
     # any new sharing must be declared here on purpose: the explicit sides of
     # thm8, thm16, thm17 and thm18 read the recurrence's tables, and the other
     # three compare two triangles of the Newton kernel
@@ -361,7 +378,7 @@ def test_only_entries_without_a_route_pair_are_hand_written():
 
 @pytest.mark.parametrize("side_name", ("lhs", "rhs"))
 @pytest.mark.parametrize("ident", sorted(idn.ROWS))
-def test_row_side_needs_no_route_of_the_other_side(monkeypatch, ident, side_name):
+def test_row_side_needs_no_route_of_the_other_side(forbid_route, clear_caches, ident, side_name):
     # Each side alone, with cold caches and with every route that only the
     # other side declares patched to raise, reproduces the other side's values.
     row = idn.ROWS[ident]
@@ -384,22 +401,21 @@ def test_row_side_needs_no_route_of_the_other_side(monkeypatch, ident, side_name
     recorded = replace(row, **{other_name: idn.Side(other.route, record)})(SWEEP)
     assert recorded[0] > 0 and recorded[1] is None
     for route in other.route - side.route:
-        for module, name in ROUTE_PRIMITIVES[route]:
-            monkeypatch.setattr(module, name, forbidden)
+        forbid_route(route)
     clear_caches()
     assert replace(row, **{other_name: idn.Side(other.route, replay)})(SWEEP) == recorded
 
 
-def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch):
+def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch, clear_caches):
     # Corrupt S2deg(3, 1) in the Newton store behind deg_bell_number, the
-    # second-kind kernel at (1, 0): eq29's other side comes from the GF
+    # second-kind kernel at (1, 0, 1): eq29's other side comes from the GF
     # exp(e_l(t) - 1), so eq29 must fail at n = 2 (B(3)), before eq30 sees
     # the corrupted value.
     real = st._second_kind_rows
 
-    def corrupted(m, r, n_max):
-        rows = [list(row) for row in real(m, r, n_max)]
-        if (m, r) == (1, 0) and n_max >= 3:
+    def corrupted(m, r, s, n_max):
+        rows = [list(row) for row in real(m, r, s, n_max)]
+        if (m, r, s) == (1, 0, 1) and n_max >= 3:
             rows[3][1] = rows[3][1] + 1
         return rows
 
@@ -431,7 +447,7 @@ def test_lockstep_parts_alternate_point_by_point():
     assert [at.get("part") for at in eq77[12:]] == ["r=1"] * 12 + ["r=0"] * 6
 
 
-def test_a_cold_catalog_builds_each_gf_triangle_once():
+def test_a_cold_catalog_builds_each_gf_triangle_once(clear_caches):
     # thm1, thm5, eq74, eq75 and eq77 ask for triangles that eq17, eq18,
     # eq68 and eq71 build: 37 requests for 23 distinct triangles
     clear_caches()
@@ -441,19 +457,22 @@ def test_a_cold_catalog_builds_each_gf_triangle_once():
     assert info.currsize == 23
 
 
-def test_a_cold_catalog_builds_each_kernel_triangle_once():
-    # each Newton kernel is one store over (m, r): the rescaled triangles of
-    # thm13, thm19-20, thm23 and thm26 at (1..3, 0), the r-Whitney triangles
-    # at {1,2,3}^2; S1deg, S2deg and the Bell numbers at (1, 0) and the
-    # r-Stirling triangles at (1, r) are among those keys, not stores apart
+def test_a_cold_catalog_builds_each_kernel_triangle_once(clear_caches):
+    # each Newton kernel is one store over its key: the rescaled triangles of
+    # thm13, thm19-20, thm23 and thm26 at r = 0 for m = 1..3, the r-Whitney
+    # triangles at {1,2,3}^2, and for the second kind the rescaled W triangle
+    # of thm21 and cor22 at (m(m+1), m+1, m), whose m = 1 key is the
+    # r-Whitney triangle at (2, 2); S1deg, S2deg and the Bell numbers at
+    # m = 1, r = 0 and the r-Stirling triangles at (1, r) are among those
+    # keys, not stores apart
     clear_caches()
     idn.verify_all(10, (1, 2, 3), (1, 2, 3), 0)
-    for store in (st._second_kind_rows, st._first_kind_rows):
+    for store, stores in ((st._second_kind_rows, 14), (st._first_kind_rows, 12)):
         info = store.cache_info()
-        assert (info.misses, info.currsize) == (12, 12)
+        assert (info.misses, info.currsize) == (stores, stores)
 
 
-def test_a_warm_run_reports_what_a_cold_run_reports():
+def test_a_warm_run_reports_what_a_cold_run_reports(clear_caches):
     # the warm run reads back every memo and row store the cold one filled
     clear_caches()
     cold = json.dumps(idn.report_document(idn.verify_all(6), 6, (1, 2, 3), (1, 2, 3), 0))

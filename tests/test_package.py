@@ -78,6 +78,11 @@ def test_submodules_resolve_after_a_bare_import():
 # then (the catalog's two registered but not yet run; see the next tests).
 LOADS = {
     "exact": ["dowlab", "dowlab.exact"],
+    # each route's module needs exact alone, so no route can reach another's code
+    **{
+        name: ["dowlab", "dowlab.exact", f"dowlab.{name}"]
+        for name in ("newton", "recurrence", "series")
+    },
     "cli": ["dowlab", *(f"dowlab.{name}" for name in MODULES)],
 }
 

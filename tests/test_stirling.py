@@ -11,7 +11,8 @@ from itertools import product
 
 import pytest
 
-from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab.exact import LAMBDA, STORES_HELD, LambdaPoly
+from dowlab import newton
 from dowlab import stirling as st
 
 l = LAMBDA
@@ -266,12 +267,12 @@ class TestRowStore:
     def test_least_recently_used_store_is_evicted(self):
         store, rows = st._second_kind_rows, st.deg_r_stirling2_rows
         store.cache_clear()
-        for r in range(st.STORES_HELD):
+        for r in range(STORES_HELD):
             rows(r, 2)
         rows(0, 2)  # touched again, so r = 1 is now the least recently used
-        rows(st.STORES_HELD, 2)  # the 65th parameter tuple
+        rows(STORES_HELD, 2)  # the 65th parameter tuple
         info = store.cache_info()
-        assert info.currsize == st.STORES_HELD == 64
+        assert info.currsize == STORES_HELD == 64
         rows(0, 2)
         assert store.cache_info().hits == info.hits + 1
         rows(1, 2)
@@ -282,7 +283,7 @@ class TestRowStore:
         expected = rows(6)
         store.cache_clear()
         calls = []
-        newton_rows = st.newton_rows
+        newton_rows = newton.newton_rows
 
         def flaky_rows(one, root, node):
             # the store asks for one root per row: the fourth call is
@@ -295,7 +296,7 @@ class TestRowStore:
 
             return newton_rows(one, flaky, node)
 
-        monkeypatch.setattr(st, "newton_rows", flaky_rows)
+        monkeypatch.setattr(newton, "newton_rows", flaky_rows)
         with pytest.raises(KeyboardInterrupt):
             rows(6)
         assert calls == [0, 1, 2, 3]

@@ -2,6 +2,7 @@
 
 import decimal
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
@@ -12,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dowlab.exact import CACHES, LAMBDA, LambdaPoly
-from dowlab import bases
 from dowlab import identities as idn
-from dowlab import series
+from dowlab import newton, recurrence, series
 from dowlab import stirling as st
 from dowlab import whitney as wh
 
@@ -132,7 +132,7 @@ class TestAlternativeFormulas:
         for (m, n, k), value in expected.items():
             assert wh.whitney2_diff(m, n, k) == value
 
-    def test_forward_differences_take_no_binomial_sum(self, monkeypatch):
+    def test_forward_differences_take_no_binomial_sum(self, monkeypatch, forbidden):
         # the differences come from the difference table, not from the
         # binomial sum sum_i (-1)^(k-i) C(k,i) f(i), which is thm12's formula
         expected = {(3, n, k): wh.whitney2(3, n, k) for n in range(11) for k in range(n + 1)}
@@ -525,12 +525,12 @@ class TestTriangleBuilder:
             "S1": (st._stirling1_rows, ()),
             "S2": (st._stirling2_rows, ()),
             "S1deg": (st._first_kind_rows, (1, 0)),
-            "S2deg": (st._second_kind_rows, (1, 0)),
+            "S2deg": (st._second_kind_rows, (1, 0, 1)),
             "S1degR": (st.deg_r_stirling1_unsigned_rows, (2,)),
-            "S2degR": (st._second_kind_rows, (1, 2)),
+            "S2degR": (st._second_kind_rows, (1, 2, 1)),
             "Wdeg": (wh.whitney2_rows, (3,)),
             "Vdeg": (wh.whitney1_rows, (3,)),
-            "WdegR": (st._second_kind_rows, (3, 2)),
+            "WdegR": (st._second_kind_rows, (3, 2, 1)),
             "VdegR": (st._first_kind_rows, (3, 2)),
         }[family]
         tri = wh.build_triangle(family, 3, 2, 12)
@@ -600,20 +600,20 @@ def test_routes_agree_over_the_accepted_domain(family, m, n_max, data):
 
 # Each rescaled triangle of the catalog, as rows(m, n_max), and its
 # definition: an entry of the original triangle at (m, n, k) with l rescaled,
-# times the power of m or m+1 that clears the rescaling.  The Stirling ones
-# are the r = 0 rows of the Newton kernels; their keys name the stores that
-# held them before the kernels did.
+# times the power of m or m+1 that clears the rescaling.  All are rows of the
+# Newton kernels: the Stirling ones at r = 0, whose keys name the stores that
+# held them before the kernels did, and the W one at (m(m+1), m+1, m).
 RESCALED = {
     "_stirling2_over_m_rows": (
-        lambda m, n_max: st._second_kind_rows(m, 0, n_max),
+        lambda m, n_max: st._second_kind_rows(m, 0, 1, n_max),
         lambda m, n, k: st.deg_stirling2(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k),
     ),
     "_stirling1_over_m_rows": (
         lambda m, n_max: st._first_kind_rows(m, 0, n_max),
         lambda m, n, k: st.deg_stirling1(n, k).scale_lambda(Fraction(1, m)) * m ** (n - k),
     ),
-    "_whitney2_rescaled_rows": (
-        wh._whitney2_rescaled_rows,
+    "whitney2_rescaled": (
+        lambda m, n_max: st._second_kind_rows(m * (m + 1), m + 1, m, n_max),
         lambda m, n, k: wh.whitney2(m, n, k).scale_lambda(Fraction(m, m + 1)) * (m + 1) ** (n - k),
     ),
 }
@@ -635,16 +635,17 @@ def test_rescaled_store_is_the_rescaled_triangle(name, m, n_max):
 def test_rescaled_bell_value_is_a_row_sum(m, n, x):
     # m^n Bdeg_n(x/m) at l -> l/m, which thm23 transforms and thm26 compares
     expected = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
-    assert wh._row_sum(st._second_kind_rows, (m, 0), n, x, False) == expected
+    assert wh._row_sum(st._second_kind_rows, (m, 0, 1), n, x, False) == expected
 
 
 # The stores whose row sums the package reads, each at one parameter tuple:
-# the Bell store at (1, 0), the rescaled Bell store at (3, 0).
+# the Bell store at (1, 0, 1), the rescaled Bell store at (3, 0, 1), the
+# rescaled W store of cor22 at m = 2.
 ROW_SUM_STORES = (
-    (st._second_kind_rows, (1, 0)),
+    (st._second_kind_rows, (1, 0, 1)),
     (wh.whitney2_rows, (2,)),
-    (st._second_kind_rows, (3, 0)),
-    (wh._whitney2_rescaled_rows, (2,)),
+    (st._second_kind_rows, (3, 0, 1)),
+    (st._second_kind_rows, (6, 3, 2)),
 )
 
 
@@ -732,12 +733,12 @@ class TestRowStore:
                          id="r_whitney1_rows"),
             pytest.param(st._second_kind_rows, wh.r_whitney2_rows, (2, 1, 3), (0, 1, 3),
                          id="r_whitney2_rows"),
-            pytest.param(st._second_kind_rows, st._second_kind_rows, (2, 0, 3), (0, 0, 3),
+            pytest.param(st._second_kind_rows, st._second_kind_rows, (2, 0, 1, 3), (0, 0, 1, 3),
                          id="_stirling2_over_m_rows"),
             pytest.param(st._first_kind_rows, st._first_kind_rows, (2, 0, 3), (0, 0, 3),
                          id="_stirling1_over_m_rows"),
-            pytest.param(wh._whitney2_rescaled_rows, wh._whitney2_rescaled_rows, (2, 3), (0, 3),
-                         id="_whitney2_rescaled_rows"),
+            pytest.param(st._second_kind_rows, st._second_kind_rows, (6, 3, 2, 3), (0, 1, 0, 3),
+                         id="whitney2_rescaled"),
         ],
     )
     def test_refused_call_stores_nothing(self, store, rows, good, bad):
@@ -775,12 +776,12 @@ READERS = {
         st._first_kind_rows, st_.just((1, 0)), lambda m, r, n, k: st.deg_stirling1(n, k)
     ),
     "deg_stirling2": (
-        st._second_kind_rows, st_.just((1, 0)), lambda m, r, n, k: st.deg_stirling2(n, k)
+        st._second_kind_rows, st_.just((1, 0, 1)), lambda m, r, s, n, k: st.deg_stirling2(n, k)
     ),
     "deg_r_stirling2": (
         st._second_kind_rows,
-        st_.tuples(st_.just(1), st_.integers(0, 3)),
-        lambda m, r, n, k: st.deg_r_stirling2(n, k, r),
+        st_.tuples(st_.just(1), st_.integers(0, 3), st_.just(1)),
+        lambda m, r, s, n, k: st.deg_r_stirling2(n, k, r),
     ),
     # the unsigned first kind is the first-kind kernel at (1, r) under X -> -X
     "deg_r_stirling1_unsigned": (
@@ -790,25 +791,33 @@ READERS = {
     ),
     "whitney2": (wh.whitney2_rows, st_.tuples(M_), wh.whitney2),
     "whitney1": (wh.whitney1_rows, st_.tuples(M_), wh.whitney1),
-    "r_whitney2": (st._second_kind_rows, st_.tuples(M_, R_), wh.r_whitney2),
+    "r_whitney2": (
+        st._second_kind_rows,
+        st_.tuples(M_, R_, st_.just(1)),
+        lambda m, r, s, n, k: wh.r_whitney2(m, r, n, k),
+    ),
     "r_whitney1": (st._first_kind_rows, st_.tuples(M_, R_), wh.r_whitney1),
     # the rescaled triangles of the catalog are read through their entry alone
     "stirling2_over_m": (
-        st._second_kind_rows, st_.tuples(M_, st_.just(0)), st._second_kind_rows.entry
+        st._second_kind_rows, st_.tuples(M_, st_.just(0), st_.just(1)), st._second_kind_rows.entry
     ),
     "stirling1_over_m": (
         st._first_kind_rows, st_.tuples(M_, st_.just(0)), st._first_kind_rows.entry
     ),
     "whitney2_rescaled": (
-        wh._whitney2_rescaled_rows, st_.tuples(M_), wh._whitney2_rescaled_rows.entry
+        st._second_kind_rows,
+        M_.map(lambda m: (m * (m + 1), m + 1, m)),
+        st._second_kind_rows.entry,
     ),
 }
 
 
-# The number of leading store parameters that an accessor fixes: m = 1 for
-# the r-Stirling numbers, and r = 0 too for the degenerate Stirling numbers.
+# The positions of the store parameters that an accessor fixes: m = 1 for
+# the r-Stirling numbers, r = 0 too for the degenerate Stirling numbers, and
+# the step s = 1 of the second-kind kernel for each of its readers.
 FIXED_PARAMS = {
-    "deg_stirling1": 2, "deg_stirling2": 2, "deg_r_stirling2": 1, "deg_r_stirling1_unsigned": 1
+    "deg_stirling1": (0, 1), "deg_stirling2": (0, 1, 2), "deg_r_stirling2": (0, 2),
+    "deg_r_stirling1_unsigned": (0,), "r_whitney2": (2,),
 }
 
 
@@ -822,7 +831,8 @@ def refusal(call, *args) -> tuple:
 class TestEntryReader:
     def test_every_store_has_an_accessor(self):
         stores = {
-            fn for module in (st, wh) for fn in vars(module).values() if hasattr(fn, "entry")
+            fn for module in (recurrence, newton) for fn in vars(module).values()
+            if hasattr(fn, "entry")
         }
         assert stores == {store for store, _, _ in READERS.values()}
 
@@ -847,8 +857,9 @@ class TestEntryReader:
             expected = (IndexError, f"({n}, {k}) outside triangle")
             assert refusal(store.entry, *p, n, k) == refusal(accessor, *p, n, k) == expected
         args = (*p, abs(n), abs(k))
-        # an accessor that fixes leading store parameters does not take them
-        i = data.draw(st_.integers(FIXED_PARAMS.get(name, 0), len(args) - 1))
+        # an accessor that fixes store parameters does not take them
+        fixed = FIXED_PARAMS.get(name, ())
+        i = data.draw(st_.sampled_from([i for i in range(len(args)) if i not in fixed]))
         bad = data.draw(st_.sampled_from(equal_non_ints(args[i])))
         args = (*args[:i], bad, *args[i + 1 :])
         expected = (TypeError, f"expected an int, got {type(bad).__name__}")
@@ -869,16 +880,6 @@ class TestEntryReader:
         assert after.currsize == before.currsize == 1
 
 
-def forbidden(*args, **kwargs):
-    raise AssertionError("one triangle route reached the code of another")
-
-
-def clear_caches() -> None:
-    """Empty every memo and row store of the package."""
-    for cache in CACHES:
-        cache.cache_clear()
-
-
 def _eq74_gf(r: int, n_max: int) -> tuple:
     """The rows of eq74's GF side, read off the catalog's declared row."""
     read = idn.ROWS["eq74"].lhs.values(r, n_max)
@@ -886,15 +887,15 @@ def _eq74_gf(r: int, n_max: int) -> tuple:
 
 
 # Each triangle reader of the Newton and GF routes: its arguments before
-# n_max, its kernel and the (m, r) it reads that kernel at, and a call that
-# it refuses.  S1degR reads the first-kind kernel under X -> -X.
-NEWTON_2, NEWTON_1 = st._second_kind_rows, st._first_kind_rows
-GF_2, GF_1 = st._second_kind_gf, st._first_kind_gf
+# n_max, its kernel and the parameters it reads that kernel at, and a call
+# that it refuses.  S1degR reads the first-kind kernel under X -> -X.
+NEWTON_2, NEWTON_1 = newton._second_kind_rows, newton._first_kind_rows
+GF_2, GF_1 = series._second_kind_gf, series._first_kind_gf
 KERNEL_READERS = {
-    "deg_stirling2_rows": (st.deg_stirling2_rows, (), NEWTON_2, (1, 0), (-1,)),
-    "deg_r_stirling2_rows": (st.deg_r_stirling2_rows, (2,), NEWTON_2, (1, 2), (-1, 4)),
-    "whitney2_rows_newton": (wh.whitney2_rows_newton, (3,), NEWTON_2, (3, 1), (0, 4)),
-    "r_whitney2_rows": (wh.r_whitney2_rows, (3, 2), NEWTON_2, (3, 2), (3, -1, 4)),
+    "deg_stirling2_rows": (st.deg_stirling2_rows, (), NEWTON_2, (1, 0, 1), (-1,)),
+    "deg_r_stirling2_rows": (st.deg_r_stirling2_rows, (2,), NEWTON_2, (1, 2, 1), (-1, 4)),
+    "whitney2_rows_newton": (wh.whitney2_rows_newton, (3,), NEWTON_2, (3, 1, 1), (0, 4)),
+    "r_whitney2_rows": (wh.r_whitney2_rows, (3, 2), NEWTON_2, (3, 2, 1), (3, -1, 4)),
     "deg_stirling1_rows": (st.deg_stirling1_rows, (), NEWTON_1, (1, 0), (-1,)),
     "deg_r_stirling1_unsigned_rows": (
         st.deg_r_stirling1_unsigned_rows, (2,), NEWTON_1, (1, 2), (-1, 4)
@@ -911,32 +912,34 @@ KERNEL_READERS = {
     "r_whitney1_rows_gf": (wh.r_whitney1_rows_gf, (3, 2), GF_1, (3, 2), (3, -1, 4)),
 }
 # what a GF kernel fills: its triangles and the bases they are built from
-GF_CACHES = (series.gf_triangle, st._gf_base, st._gf_log_base)
+GF_CACHES = (series.gf_triangle, series._gf_base, series._gf_log_base)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_READERS))
-def test_reader_is_its_kernel_at_its_parameters(name):
-    reader, args, kernel, (m, r), refused = KERNEL_READERS[name]
+def test_reader_is_its_kernel_at_its_parameters(name, clear_caches):
+    reader, args, kernel, params, refused = KERNEL_READERS[name]
     filled = (kernel,) if hasattr(kernel, "cache_info") else GF_CACHES
     clear_caches()
     with pytest.raises(ValueError):
         reader(*refused)
     assert [cache.cache_info().currsize for cache in filled] == [0] * len(filled)
-    rows = kernel(m, r, 9)
+    rows = kernel(*params, 9)
     if name == "deg_r_stirling1_unsigned_rows":
         rows = tuple(tuple(v * (-1) ** (n - k) for k, v in enumerate(row))
                      for n, row in enumerate(rows))
     assert reader(*args, 9) == rows
 
 
-def test_seven_row_stores():
-    # the two recurrences, the classical Stirling tables, one Newton kernel per
-    # kind and the rescaled W triangle; every other triangle reads one of them
-    stores = {
+def test_six_row_stores():
+    # the two recurrences, the classical Stirling tables and one Newton kernel
+    # per kind; every other triangle reads one of them
+    stores = [c for c in CACHES if c.__module__ in ("dowlab.recurrence", "dowlab.newton")]
+    readers = {
         fn.cache_info.__self__
-        for module in (st, wh) for fn in vars(module).values() if hasattr(fn, "entry")
+        for name, module in sorted(sys.modules.items()) if name.startswith("dowlab.")
+        for fn in vars(module).values() if hasattr(fn, "entry")
     }
-    assert len(stores) == 7 and stores <= set(CACHES)
+    assert len(stores) == 6 and set(stores) == readers
 
 
 class TestRouteIndependence:
@@ -945,41 +948,35 @@ class TestRouteIndependence:
     M_SET = (1, 2, 3)
     N_MAX = 8
 
-    def test_recurrence_needs_no_newton_conversion(self, monkeypatch):
+    def test_recurrence_needs_no_newton_conversion(self, forbid_route, clear_caches):
         expected = {
             m: (wh.r_whitney2_rows(m, 1, self.N_MAX), wh.r_whitney1_rows(m, 1, self.N_MAX))
             for m in self.M_SET
         }
-        for module in (bases, st, wh):
-            monkeypatch.setattr(module, "newton_rows", forbidden)
-        monkeypatch.setattr(bases, "newton_convert", forbidden)
+        forbid_route("newton")
         clear_caches()
         for m, (second, first) in expected.items():
             assert wh.whitney2_rows(m, self.N_MAX) == second
             assert wh.whitney1_rows(m, self.N_MAX) == first
 
-    def test_newton_route_needs_no_recurrence(self, monkeypatch):
+    def test_newton_route_needs_no_recurrence(self, forbid_route, clear_caches):
         expected = {
             m: (wh.whitney2_rows(m, self.N_MAX), wh.whitney1_rows(m, self.N_MAX))
             for m in self.M_SET
         }
-        monkeypatch.setattr(st, "_recurrence", forbidden)
-        monkeypatch.setattr(wh, "_recurrence", forbidden)
+        forbid_route("recurrence")
         clear_caches()
         for m, (second, first) in expected.items():
             assert wh.r_whitney2_rows(m, 1, self.N_MAX) == second
             assert wh.r_whitney1_rows(m, 1, self.N_MAX) == first
 
-    def test_gf_route_needs_neither(self, monkeypatch):
+    def test_gf_route_needs_neither(self, forbid_route, clear_caches):
         expected = {
             m: (wh.whitney2_rows(m, self.N_MAX), wh.whitney1_rows(m, self.N_MAX))
             for m in self.M_SET
         }
-        for module in (bases, st, wh):
-            monkeypatch.setattr(module, "newton_rows", forbidden)
-        monkeypatch.setattr(bases, "newton_convert", forbidden)
-        monkeypatch.setattr(st, "_recurrence", forbidden)
-        monkeypatch.setattr(wh, "_recurrence", forbidden)
+        forbid_route("newton")
+        forbid_route("recurrence")
         clear_caches()
         for m, (second, first) in expected.items():
             assert wh.whitney2_rows_gf(m, self.N_MAX) == second
