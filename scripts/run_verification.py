@@ -8,7 +8,8 @@ Usage:
 
 Each entry's line shows its point count and its time.  Exit code 0 when
 every identity passes (discrepancy findings are reported, not counted as
-failures), 1 otherwise, and 2 when an m or r is refused, as the CLI does.
+failures), 1 otherwise, and 2 when an m or r is refused, or an --m-set or
+--r-set is not a list of distinct integers, as the CLI does.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import sys
 import time
 
 from dowlab import CATALOG, all_passed, report_document, run_identity
+from dowlab.cli import UsageError, _parse_int_set
 
 
 def main() -> int:
@@ -28,8 +30,12 @@ def main() -> int:
     parser.add_argument("--out", default="verification_report.json")
     args = parser.parse_args()
 
-    m_set = tuple(int(v) for v in args.m_set.split(","))
-    r_set = tuple(int(v) for v in args.r_set.split(","))
+    try:
+        m_set = _parse_int_set(args.m_set, "--m-set")
+        r_set = _parse_int_set(args.r_set, "--r-set")
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     reports = []
     started = time.perf_counter()

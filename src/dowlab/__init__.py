@@ -2,7 +2,8 @@
 Euler number families, with an identity engine that cross-checks every
 family along independent computation routes.  Each route is one module that
 reads only ``exact``: ``recurrence``, ``newton`` and ``series``; ``stirling``
-and ``whitney`` read their triangles off them.
+and ``whitney`` read their triangles off them, and ``families`` reads each
+exported triangle off ``recurrence`` or ``newton``.
 
 The names listed in ``__all__`` load their defining module on first read
 (PEP 562): ``import dowlab`` runs none of the modules, ``dowlab.whitney2``
@@ -10,14 +11,16 @@ imports ``dowlab.whitney`` and what it needs, and ``import dowlab.exact``
 runs only ``exact``.  The submodules ``dowlab.exact`` ... ``dowlab.identities``
 also resolve after a bare ``import dowlab``.
 
-``import dowlab.cli`` puts every module in ``sys.modules`` but runs the
-catalog's two, ``identities`` and ``bernoulli_euler``, only on their first
-attribute read (``importlib.util.LazyLoader``), which only ``verify`` makes.
-The registration exists for the benchmark's tracer (``perfbench/tracer.py``),
-which wraps the span targets of the modules it finds in ``sys.modules`` after
-``import dowlab.cli``; once the tracer imports the modules itself, it becomes
-a plain import inside ``cmd_verify``.  Under CPython 3.11 a lazily registered
-module is not safe when two threads race its first read.
+``import dowlab.cli`` puts every module in ``sys.modules`` but runs only what
+``triangle`` and ``eval`` read: ``exact``, ``recurrence``, ``newton`` and the
+export table ``families``.  The others run on their first attribute read
+(``importlib.util.LazyLoader``): ``dobinski`` runs ``whitney``, ``bases``,
+``series`` and ``stirling``, and ``verify`` every module.  The registration
+exists for the benchmark's tracer (``perfbench/tracer.py``), which wraps the
+span targets of the modules in ``sys.modules`` after ``import dowlab.cli``;
+once the tracer imports the modules itself, it becomes plain imports inside
+the commands.  Under CPython 3.11 a lazily registered module is not safe when
+two threads race its first read.
 """
 
 from importlib import import_module
@@ -39,6 +42,7 @@ _EXPORTS = {
     ),
     "recurrence": (),
     "newton": (),
+    "families": ("Family",),
     "series": (
         "TruncatedSeries",
         "binomial_series",
@@ -49,7 +53,6 @@ _EXPORTS = {
         "t_series",
     ),
     "stirling": (
-        "Family",
         "deg_bell",
         "deg_bell_number",
         "deg_r_stirling1_unsigned",

@@ -26,8 +26,7 @@ from types import ModuleType
 from typing import Iterable, Iterator, Optional
 
 from .exact import LambdaPoly
-from .stirling import Family
-from .whitney import DobinskiRequest, dobinski_eval, family_rows
+from .families import Family, family_rows
 
 
 def _lazy_module(name: str) -> ModuleType:
@@ -46,17 +45,20 @@ def _lazy_module(name: str) -> ModuleType:
     return module
 
 
-# The CLI registers every module but runs the catalog's two only for
-# ``verify``: ``triangle``, ``eval`` and ``dobinski`` never read them.  The
-# registration exists for the benchmark's tracer, which wraps the span targets
-# of the modules in sys.modules after ``import dowlab.cli``; its first read of
-# each lazy module runs it.  Both are registered, or ``bernoulli_euler`` would
-# first be loaded by ``identities`` after the tracer looked, and its spans
-# would go unwrapped.  Once the tracer imports the modules itself, this
-# becomes a plain import inside ``cmd_verify``.  Under CPython 3.11 a lazy
-# module is not safe when two threads race its first read; the CLI reads it
-# from one thread.
-_lazy_module("bernoulli_euler")
+# ``triangle`` and ``eval`` run only ``exact``, ``recurrence``, ``newton`` and
+# the export table ``families``; ``dobinski`` also runs ``whitney`` with
+# ``bases``, ``series`` and ``stirling``; ``verify`` runs every module.  The
+# CLI registers the other six here, to run on their first attribute read, for
+# the benchmark's tracer: it wraps the span targets of the modules in
+# sys.modules after ``import dowlab.cli``, and its first read of a lazy module
+# runs it.  A module left out would be loaded by another after the tracer
+# looked, and its spans would go unwrapped.  Once the tracer imports the
+# modules itself, these become plain imports inside the commands.  Under
+# CPython 3.11 a lazy module is not safe when two threads race its first
+# read; the CLI reads it from one thread.
+for _name in ("bases", "series", "stirling", "bernoulli_euler"):
+    _lazy_module(_name)
+whitney = _lazy_module("whitney")
 identities = _lazy_module("identities")
 
 FAMILY_ALIASES = {
@@ -262,10 +264,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_dobinski(cfg: argparse.Namespace) -> int:
-    request = DobinskiRequest(
+    request = whitney.DobinskiRequest(
         m=cfg.m, n=cfg.n, x=cfg.x, lam=cfg.lam, terms=cfg.terms, tol=cfg.tol
     )
-    truncated, exact = dobinski_eval(request)
+    truncated, exact = whitney.dobinski_eval(request)
     diff = abs(truncated - exact)
     ok = request.passes(truncated, exact)
     status = "pass" if ok else "fail"

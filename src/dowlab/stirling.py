@@ -10,29 +10,14 @@ accessor reads one entry in place through its store's ``entry``.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .exact import ONE, LambdaPoly, Rows, _check_r, as_fraction, bounded, check_ints, dot
+from .families import _alternating
 from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows
 from .recurrence import _stirling1_rows
 from .series import _first_kind_gf, _second_kind_gf, binomial_series, deg_log, gf_triangle
-
-
-class Family(str, Enum):
-    """Triangle families exportable through the CLI."""
-
-    S1 = "S1"
-    S2 = "S2"
-    S1DEG = "S1deg"
-    S2DEG = "S2deg"
-    S1DEG_R = "S1degR"
-    S2DEG_R = "S2degR"
-    WDEG = "Wdeg"
-    VDEG = "Vdeg"
-    WDEG_R = "WdegR"
-    VDEG_R = "VdegR"
 
 
 # thm23 and cor22 read every earlier row sum at each n, so each is built once per key.
@@ -115,12 +100,6 @@ def deg_r_stirling2_rows(r: int, n_max: int) -> Rows:
 
 def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
     return _second_kind_rows.entry(1, r, 1, n, k)
-
-
-def _alternating(rows: Iterable[tuple]) -> Iterator[tuple]:
-    """Each row n of ``rows`` with entry k times (-1)^(n-k)."""
-    for n, row in enumerate(rows):
-        yield tuple(-v if (n - k) % 2 else v for k, v in enumerate(row))
 
 
 def deg_r_stirling1_unsigned_rows(r: int, n_max: int) -> Rows:

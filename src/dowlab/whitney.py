@@ -12,15 +12,16 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, Overflow, Underflow, getcontext
 from fractions import Fraction
 from itertools import islice
 from math import ceil, factorial, isfinite, prod
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .exact import (LAMBDA, ONE, LambdaPoly, Record, Rows, _check_index, _check_m, _check_r,
                     as_fraction, bounded, check_ints, dot)
 from .bases import binom, falling_transform, lambda_falling, lambda_rising
+from .families import Family, family_rows
 from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows, newton_rows
 from .recurrence import _stirling1_rows, whitney1_rows, whitney2_rows
 from .series import TruncatedSeries, _first_kind_gf, _gf_base, _second_kind_gf, deg_exp, one_series
-from .stirling import Family, _alternating, _row_sum, deg_stirling1_rows
+from .stirling import _row_sum, deg_stirling1_rows
 
 
 def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
@@ -461,38 +462,6 @@ def _decimal_quotient(num: int, den: int) -> Decimal:
 
 
 # -- triangle export ------------------------------------------------------------
-
-
-def _const_rows(rows: Iterator[tuple[int, ...]]) -> Iterator[tuple[LambdaPoly, ...]]:
-    return (tuple(map(LambdaPoly.const, row)) for row in rows)
-
-
-# Each family's primary route, as its endless rows at (m, r): the generator its row
-# store wraps, bound here so that a wrapper later put on the store's name is not used.
-_PRIMARY: dict[Family, Callable[[int, int], Iterator]] = {
-    Family.S1: lambda m, r, rows=_stirling1_rows.__wrapped__: _const_rows(rows()),
-    Family.S2: lambda m, r, rows=_stirling2_rows.__wrapped__: _const_rows(rows()),
-    Family.S1DEG: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(1, 0),
-    Family.S2DEG: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, 0, 1),
-    Family.S1DEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: _alternating(rows(1, r)),
-    Family.S2DEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, r, 1),
-    Family.WDEG: lambda m, r, rows=whitney2_rows.__wrapped__: rows(m),
-    Family.VDEG: lambda m, r, rows=whitney1_rows.__wrapped__: rows(m),
-    Family.WDEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(m, r, 1),
-    Family.VDEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(m, r),
-}
-
-
-def family_rows(family: Family | str, m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
-    """The endless rows 0, 1, 2, ... of ``family`` at (m, r), by its primary route.
-
-    The rows come straight from the generator that the family's row store
-    wraps, so no store is filled and each row can be dropped once it is used.
-    The m and r that the family reads are checked by this call, before any
-    row is built, on the one domain m >= 1, r >= 0 of the kernels; the ones it
-    does not read are ignored.
-    """
-    return _PRIMARY[Family(family)](m, r)
 
 
 def build_triangle(family: Family | str, m: int, r: int, n_max: int) -> Rows:

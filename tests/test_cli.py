@@ -21,7 +21,7 @@ from dowlab import stirling as st
 from dowlab import whitney as wh
 from dowlab.cli import latex_poly, main
 from dowlab.identities import CATALOG
-from dowlab.stirling import Family
+from dowlab.families import Family
 from dowlab.whitney import build_triangle
 
 
@@ -334,13 +334,19 @@ class TestVerify:
         lines = by_script.stdout.splitlines()
         printed = {line.split()[1] for line in lines if line and not line[0].isspace()}
         assert set(CATALOG) <= printed
-        # and both refuse a bad r alike, with the kernels' message, writing nothing
-        refused = [verify(command, tmp_path / "refused.json", "--r-set", "-5")
-                   for command in ([script], ["-m", "dowlab.cli", "verify"])]
-        assert {(done.returncode, done.stdout, done.stderr) for done in refused} == {
-            (2, "", "error: r must be an integer >= 0, got -5\n")
-        }
-        assert not (tmp_path / "refused.json").exists()
+        # and both refuse a bad r (with the kernels' message), a value that is
+        # not an integer and a repeated value alike, writing nothing
+        for extra, message in [
+            (("--r-set", "-5"), "r must be an integer >= 0, got -5"),
+            (("--m-set", "1,x"), "--m-set must be a comma-separated integer list, got '1,x'"),
+            (("--m-set", "1,1"), "--m-set must not repeat a value, got '1,1'"),
+        ]:
+            refused = [verify(command, tmp_path / "refused.json", *extra)
+                       for command in ([script], ["-m", "dowlab.cli", "verify"])]
+            assert {(done.returncode, done.stdout, done.stderr) for done in refused} == {
+                (2, "", f"error: {message}\n")
+            }
+            assert not (tmp_path / "refused.json").exists()
 
 
 class TestDobinski:

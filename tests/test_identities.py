@@ -15,6 +15,7 @@ import pytest
 
 from dowlab.exact import CACHES, LambdaPoly
 from dowlab import cli, newton, recurrence, series
+from dowlab.families import Family
 from dowlab import identities as idn
 from dowlab import stirling as st
 from dowlab import whitney as wh
@@ -275,7 +276,7 @@ def test_benchmark_span_targets_exist():
     assert missing == []
 
 
-FAMILIES = [family.value for family in st.Family]
+FAMILIES = [family.value for family in Family]
 EXPORT_ARGS = ["--m", "2", "--r", "2", "--n-max", "4"]
 
 

@@ -83,6 +83,8 @@ LOADS = {
         name: ["dowlab", "dowlab.exact", f"dowlab.{name}"]
         for name in ("newton", "recurrence", "series")
     },
+    # the export table needs the two row routes it serves and nothing else
+    "families": ["dowlab", "dowlab.exact", "dowlab.families", "dowlab.newton", "dowlab.recurrence"],
     "cli": ["dowlab", *(f"dowlab.{name}" for name in MODULES)],
 }
 
@@ -99,18 +101,29 @@ def test_every_module_imports_on_its_own(name):
 
 
 def test_the_cli_registers_the_catalog_modules_without_running_them():
-    # only ``verify`` reads identities and bernoulli_euler: after
-    # ``import dowlab.cli`` neither has run, and a first read runs each
+    # triangle and eval read none of these six, dobinski reads whitney and
+    # what it imports, and only ``verify`` reads identities and
+    # bernoulli_euler: after ``import dowlab.cli`` none has run, and a first
+    # read runs each
     check = """
 import sys, types
 import dowlab.cli
-idn, be = sys.modules["dowlab.identities"], sys.modules["dowlab.bernoulli_euler"]
-assert dowlab.cli.identities is idn
-assert type(idn) is not types.ModuleType and type(be) is not types.ModuleType
-assert "eq12" in idn.CATALOG
-assert type(idn) is types.ModuleType
-assert str(be.deg_bernoulli(2, 1)) == "1/6 - 1/6*l^2"
-assert type(be) is types.ModuleType
+names = ["bases", "series", "stirling", "whitney", "bernoulli_euler", "identities"]
+mods = {name: sys.modules[f"dowlab.{name}"] for name in names}
+assert dowlab.cli.identities is mods["identities"] and dowlab.cli.whitney is mods["whitney"]
+assert [name for name, mod in mods.items() if type(mod) is types.ModuleType] == []
+reads = {
+    "bases": lambda mod: mod.binom(4, 2) == 6,
+    "series": lambda mod: mod.t_series(3).coeffs[1] == 1,
+    "stirling": lambda mod: mod.stirling2(3, 2) == 3,
+    "whitney": lambda mod: str(mod.whitney2(2, 2, 1)) == "4 - l",
+    "bernoulli_euler": lambda mod: str(mod.deg_bernoulli(2, 1)) == "1/6 - 1/6*l^2",
+    "identities": lambda mod: "eq12" in mod.CATALOG,
+}
+for name in names:
+    assert type(mods[name]) is not types.ModuleType, name
+    assert reads[name](mods[name]), name
+    assert type(mods[name]) is types.ModuleType, name
 """
     _run_fresh(check)
 
@@ -150,6 +163,41 @@ with redirect_stdout(io.StringIO()):
 assert type(sys.modules["dowlab.identities"]) is types.ModuleType
 """
     _run_fresh(check, "-S")
+
+
+def test_an_export_runs_only_the_row_routes():
+    # triangle and eval run dowlab, exact, the two row routes, the export
+    # table and the CLI; every other module stays registered and unrun until
+    # dobinski reads whitney, which still leaves the catalog unrun
+    check = """
+import io, sys, types
+from contextlib import redirect_stdout
+from dowlab.cli import main
+def executed():
+    return sorted(k for k, mod in sys.modules.items()
+                  if k.split(".")[0] == "dowlab" and type(mod) is types.ModuleType)
+calls = [
+    ["triangle", "--family", "VR", "--m", "3", "--r", "2", "--symbolic", "--n-max", "6"],
+    ["triangle", "--family", "S1", "--n-max", "4", "--format", "json"],
+    ["eval", "--family", "W", "--m", "2", "--n", "5", "--k", "2", "--lambda", "1/2"],
+    ["eval", "--poly", "1 - l", "--lambda", "3"],
+]
+with redirect_stdout(io.StringIO()):
+    assert [main(argv) for argv in calls] == [0, 0, 0, 0]
+lazy = ["bases", "series", "stirling", "whitney", "identities", "bernoulli_euler"]
+assert all(f"dowlab.{name}" in sys.modules for name in lazy)
+print(executed())
+with redirect_stdout(io.StringIO()):
+    assert main(["dobinski", "--m", "2", "--n", "3", "--x", "1/2", "--lambda", "1/3"]) == 0
+print(executed())
+"""
+    after_exports, after_dobinski = map(ast.literal_eval, _run_fresh(check).splitlines())
+    assert after_exports == [
+        "dowlab", "dowlab.cli", "dowlab.exact", "dowlab.families", "dowlab.newton",
+        "dowlab.recurrence",
+    ]
+    assert "dowlab.whitney" in after_dobinski and "dowlab.identities" not in after_dobinski
+    assert "dowlab.bernoulli_euler" not in after_dobinski
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st_
 from dowlab.exact import CACHES, LAMBDA, LambdaPoly
 from dowlab import identities as idn
 from dowlab import newton, recurrence, series
+from dowlab.families import Family
 from dowlab import stirling as st
 from dowlab import whitney as wh
 
@@ -518,7 +519,7 @@ class TestTriangleBuilder:
         with pytest.raises(ValueError):
             wh.family_rows("nosuch", 1, 1)
 
-    @pytest.mark.parametrize("family", [f.value for f in st.Family])
+    @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_rows_are_the_store_rows(self, family):
         # the export's rows and the catalog's store rows come from one generator
         store, params = {
