@@ -10,17 +10,6 @@ The names listed in ``__all__`` load their defining module on first read
 imports ``dowlab.whitney`` and what it needs, and ``import dowlab.exact``
 runs only ``exact``.  The submodules ``dowlab.exact`` ... ``dowlab.identities``
 also resolve after a bare ``import dowlab``.
-
-``import dowlab.cli`` puts every module in ``sys.modules`` but runs only what
-``triangle`` and ``eval`` read: ``exact``, ``recurrence``, ``newton`` and the
-export table ``families``.  The others run on their first attribute read
-(``importlib.util.LazyLoader``): ``dobinski`` runs ``whitney``, ``bases``,
-``series`` and ``stirling``, and ``verify`` every module.  The registration
-exists for the benchmark's tracer (``perfbench/tracer.py``), which wraps the
-span targets of the modules in ``sys.modules`` after ``import dowlab.cli``;
-once the tracer imports the modules itself, it becomes plain imports inside
-the commands.  Under CPython 3.11 a lazily registered module is not safe when
-two threads race its first read.
 """
 
 from importlib import import_module
@@ -29,7 +18,7 @@ __version__ = "0.1.0"
 
 # Each module of the package and the public names it defines.
 _EXPORTS = {
-    "exact": ("LAMBDA", "LambdaPoly", "Rational"),
+    "exact": ("LAMBDA", "LambdaPoly"),
     "bases": (
         "NodeSequence",
         "XPoly",

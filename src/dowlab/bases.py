@@ -60,7 +60,9 @@ def falling_transform(n: int, terms: TransformTerms, step: Scalar = LAMBDA) -> L
     With ``rising_transform`` at the same step, this is the degenerate
     binomial transform pair of Theorem 25: a_n = sum_k C(n,k) (1)_{n-k,l} b_k
     holds for all n exactly when b_n = sum_k (-1)^(n-k) C(n,k) <1>_{n-k,l} a_k
-    does, with l the step.
+    does, with l the step.  Every explicit side of that shape calls the pair:
+    ``stirling_T13`` (thm13), thm21, cor22 and its remark (step m l), thm23,
+    thm26, both forms of lemma24 and thm25's round trips.
     """
     return dot((binom(n, j) * c, v, lambda_falling(1, n - j, step)) for j, c, v in terms)
 

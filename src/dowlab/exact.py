@@ -23,6 +23,9 @@ Values are immutable and hashable and may be shared freely between threads.
 makes every cache of the package and lists it in ``CACHES``; ``row_store``
 serves a triangle's endless rows from one of them, and ``_check_m`` and
 ``_check_r`` are the one check of the kernels' domain, m >= 1 and r >= 0.
+Every integer parameter of a triangle or an accessor must be an ``int``
+(``check_ints``): a float or bool, even an equal one, is a ``TypeError``
+before any cache is read, so an answer never depends on what was asked before.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from math import gcd, lcm
 from operator import add, neg, sub
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction, "LambdaPoly"]
 
@@ -233,7 +234,8 @@ def muladd(p: "LambdaPoly | int", w: Scalar, q: "LambdaPoly | int") -> "LambdaPo
     and ``w`` has at most two coefficients, as in every row step of the
     package, each coefficient p_i + w_0 q_i + w_1 q_{i-1} is written once
     into one int list and canonicalized once; any other input goes through
-    ``dot``.
+    ``dot``.  The recurrence and Newton kernels share it; the GF route never
+    calls it, so a defect in it shows as a disagreement between routes.
     """
     if type(q) is int:
         return p + w * q

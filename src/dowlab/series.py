@@ -222,7 +222,9 @@ def _first_order(g: TruncatedSeries, beta: LambdaPoly, c: int, h0: int) -> Trunc
     n h_n = c n g_n + sum_{k=1}^{n} (beta k - (n-k)) g_k h_{n-k} (Miller's
     recurrence for powers of a series); in the EGF coefficients a_k of g
     this reads H_n = c a_n + sum_k (beta C(n-1,k-1) - C(n-1,k)) a_k H_{n-k},
-    so each coefficient costs O(n) products and needs no division.
+    so each coefficient costs O(n) products and needs no division (Knuth,
+    *TAOCP* vol. 2, section 4.7).  The eq12 check, the eq81 oracle
+    ``deg_euler_gf_binomial`` and the base of the first-kind GF kernel use it.
     """
     a = g.coeffs
     if not a[0].is_zero():

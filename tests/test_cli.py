@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import strategies as st_
 
 from dowlab.exact import CACHES, LambdaPoly
 from dowlab import cli
+from dowlab import identities as idn
 from dowlab import stirling as st
 from dowlab import whitney as wh
 from dowlab.cli import latex_poly, main
@@ -28,6 +30,13 @@ from dowlab.whitney import build_triangle
 def latex_poly_inverse(text: str) -> str:
     """LaTeX body -> canonical grammar, the inverse of ``latex_poly``."""
     return text.replace("\\lambda", "l")
+
+
+class Terminal(io.StringIO):
+    """A captured stream that reports itself as a terminal."""
+
+    def isatty(self) -> bool:
+        return True
 
 
 def run(capsys, *argv):
@@ -316,37 +325,45 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {option} must be a comma-separated integer list, got ''\n"
 
-    def test_script_writes_the_same_report_as_the_cli(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        script = os.path.join(os.path.dirname(src), "scripts", "run_verification.py")
+    @pytest.mark.parametrize("refused", (("--r-set", "-5"), ("--m-set", "1,x"), ("--m-set", "1,1")))
+    def test_a_refused_catalog_run_writes_no_out(self, capsys, tmp_path, refused):
+        target = tmp_path / "refused.json"
+        code, out, err = run(capsys, "verify", "--n-max", "3", *refused, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
-        def verify(command, out, *extra):
-            return subprocess.run(
-                [sys.executable, *command, "--n-max", "3", "--out", str(out), *extra],
-                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-            )
+    def test_terminal_stderr_gets_a_line_per_entry(self, capsys, monkeypatch):
+        argv = ("verify", "--n-max", "2", "--m-set", "1", "--r-set", "1")
+        code, plain, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(sys, "stderr", Terminal())
+        assert run(capsys, *argv) == (0, plain, "")
+        lines = sys.stderr.getvalue().splitlines()
+        # each entry line starts with its status and id, in catalog order; a
+        # probe's finding follows it, indented; then a blank line and the total
+        reports = json.loads(plain)["reports"]
+        assert [report["id"] for report in reports] == list(CATALOG)
+        entries = [line.split()[:2] for line in lines[:-2] if not line.startswith(" ")]
+        assert entries == [[report["status"], report["id"]] for report in reports]
+        probe = next(report for report in reports if report["status"] == "paper-discrepancy")
+        at = next(i for i, line in enumerate(lines) if line.split()[1:2] == [probe["id"]])
+        assert lines[at + 1] == f"{'':18s} finding: {probe['finding']}"
+        assert lines[-2] == ""
+        assert re.fullmatch(rf"{len(CATALOG)} identities in \d+\.\ds -> stdout", lines[-1])
 
-        by_script = verify([script], tmp_path / "script.json")
-        by_cli = verify(["-m", "dowlab.cli", "verify"], tmp_path / "cli.json")
-        assert (by_script.returncode, by_cli.returncode) == (0, 0)
-        assert (tmp_path / "script.json").read_bytes() == (tmp_path / "cli.json").read_bytes()
-        # each entry line starts with its status and id; detail lines are indented
-        lines = by_script.stdout.splitlines()
-        printed = {line.split()[1] for line in lines if line and not line[0].isspace()}
-        assert set(CATALOG) <= printed
-        # and both refuse a bad r (with the kernels' message), a value that is
-        # not an integer and a repeated value alike, writing nothing
-        for extra, message in [
-            (("--r-set", "-5"), "r must be an integer >= 0, got -5"),
-            (("--m-set", "1,x"), "--m-set must be a comma-separated integer list, got '1,x'"),
-            (("--m-set", "1,1"), "--m-set must not repeat a value, got '1,1'"),
-        ]:
-            refused = [verify(command, tmp_path / "refused.json", *extra)
-                       for command in ([script], ["-m", "dowlab.cli", "verify"])]
-            assert {(done.returncode, done.stdout, done.stderr) for done in refused} == {
-                (2, "", f"error: {message}\n")
-            }
-            assert not (tmp_path / "refused.json").exists()
+    def test_terminal_stderr_gets_the_counterexample(self, capsys, monkeypatch, tmp_path):
+        failing = idn.IdentityCheck(lambda params: (3, {"n": 2, "k": 1}, None))
+        monkeypatch.setitem(idn.CATALOG, "eq17", failing)
+        monkeypatch.setattr(sys, "stderr", Terminal())
+        target = tmp_path / "v.json"
+        code, out, _ = run(capsys, "verify", "--id", "eq17", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert json.loads(target.read_text())["reports"][0]["status"] == "fail"
+        lines = sys.stderr.getvalue().splitlines()
+        assert re.fullmatch(r"fail {15}eq17 {21}\(3 points, \d+\.\d{3}s\)", lines[0])
+        assert lines[1:3] == [f"{'':18s} counterexample: " + '{"n": 2, "k": 1}', ""]
+        assert re.fullmatch(rf"1 identities in \d+\.\ds -> {re.escape(str(target))}", lines[3])
 
 
 class TestDobinski:
@@ -532,10 +549,10 @@ UNKNOWN_Q = (
 )
 NOT_RATIONAL = "error: {} must be a rational like 3 or -1/4, got {!r}"
 
-# Calls with two or more bad arguments, and the one error each reports.  An
-# error of the CLI's own is the whole of stderr; an argparse error is the
-# last line, after the usage lines, up to the list of choices, whose quoting
-# differs between Python releases.
+# Calls with two or more bad arguments, and the one error each reports, and
+# the refusals of a whole catalog run.  An error of the CLI's own is the whole
+# of stderr; an argparse error is the last line, after the usage lines, up to
+# the list of choices, whose quoting differs between Python releases.
 PRECEDENCE = [
     ("triangle --family Q --n-max -1", UNKNOWN_Q),
     ("triangle --family Q --n-max 1 --lambda x --symbolic", UNKNOWN_Q),
@@ -581,6 +598,11 @@ PRECEDENCE = [
      "error: m must be a positive integer, got 0"),
     ("verify --n-max 1 --id lemma24 --m-set 1 --r-set -5",
      "error: r must be an integer >= 0, got -5"),
+    # a whole catalog run refuses a bad r before its first entry, as one
+    # entry does, and a value that is not an integer as the parser does
+    ("verify --n-max 3 --r-set -5", "error: r must be an integer >= 0, got -5"),
+    ("verify --n-max 3 --m-set 1,x",
+     "error: --m-set must be a comma-separated integer list, got '1,x'"),
     ("verify --n-max x --m-set a",
      "dowlab verify: error: argument --n-max: invalid int value: 'x'"),
     ("dobinski --m 1 --n 1 --x 1 --lambda 1/0 --terms 0", NOT_RATIONAL.format("--lambda", "1/0")),

@@ -1,5 +1,6 @@
 """The examples of README.md run and print what it shows."""
 
+import re
 import shlex
 from itertools import takewhile
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 from dowlab.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def fenced_block(heading: str) -> list[str]:
@@ -45,3 +47,14 @@ def test_library_sketch_returns_the_reprs_shown():
         else:
             exec(code, namespace)
     assert checked == 6
+
+
+def test_every_file_named_in_backticks_exists():
+    # the inline code spans outside the fenced blocks; a span that names a
+    # .py, .json, .md or .yml file names one of the repository, relative to
+    # its root, and a glob such as BENCH_*.json must match at least one
+    prose = "".join(README.split("```")[::2])
+    paths = [span for span in re.findall(r"`([^`\n]+)`", prose)
+             if re.fullmatch(r"[\w.*-]+(/[\w.*-]+)*\.(py|json|md|yml)", span)]
+    assert "BENCHMARK.json" in paths
+    assert [path for path in paths if not any(ROOT.glob(path))] == []
