@@ -2,12 +2,14 @@
 Euler number families, with an identity engine that cross-checks every
 family along independent computation routes.  Each route is one module that
 reads only ``exact``: ``recurrence``, ``newton`` and ``series``; ``stirling``
-and ``whitney`` read their triangles off them, and ``families`` reads each
-exported triangle off ``recurrence`` or ``newton``.
+and ``whitney`` read their triangles off them, ``families`` reads each
+exported triangle off ``recurrence`` or ``newton``, and ``dobinski``, the one
+inexact path, reads the W rows of ``recurrence``.
 
 The names listed in ``__all__`` load their defining module on first read
 (PEP 562): ``import dowlab`` runs none of the modules, ``dowlab.whitney2``
-imports ``dowlab.whitney`` and what it needs, and ``import dowlab.exact``
+imports ``dowlab.whitney`` and what it needs, ``dowlab.dobinski_eval`` runs
+only ``exact``, ``recurrence`` and ``dobinski``, and ``import dowlab.exact``
 runs only ``exact``.  The submodules ``dowlab.exact`` ... ``dowlab.identities``
 also resolve after a bare ``import dowlab``.
 """
@@ -51,10 +53,9 @@ _EXPORTS = {
         "stirling1",
         "stirling2",
     ),
+    "dobinski": ("DobinskiRequest", "dobinski_eval"),
     "whitney": (
-        "DobinskiRequest",
         "build_triangle",
-        "dobinski_eval",
         "dowling_number",
         "dowling_poly",
         "r_whitney1",

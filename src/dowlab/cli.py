@@ -28,7 +28,6 @@ from types import ModuleType
 from typing import Iterable, Iterator, Optional
 
 from .exact import LambdaPoly
-from .families import Family, family_rows
 
 
 def _lazy_module(name: str) -> ModuleType:
@@ -48,33 +47,33 @@ def _lazy_module(name: str) -> ModuleType:
 
 
 # The import graph of the commands, described here and nowhere else.
-# ``triangle`` and ``eval`` run only ``exact``, ``recurrence``, ``newton`` and
-# the export table ``families``; ``dobinski`` also runs ``whitney`` with
-# ``bases``, ``series`` and ``stirling``; ``verify`` runs every module, the
-# catalog's ``identities`` and ``bernoulli_euler`` included.  No module that
+# ``import dowlab.cli`` runs only ``dowlab``, ``exact`` and ``cli``, and each
+# command runs what it reads: ``triangle`` and ``eval`` the export table
+# ``families`` with the two row routes ``recurrence`` and ``newton``;
+# ``dobinski`` the evaluator ``dobinski`` with ``recurrence``; ``verify`` every
+# module, ``whitney`` with ``bases``, ``series`` and ``stirling``, and the
+# catalog's ``identities`` and ``bernoulli_euler``.  No module that
 # ``triangle``, ``eval`` or ``dobinski`` runs imports ``dataclasses`` (and with
-# it ``inspect``, ``ast`` and ``tokenize``), so ``import dowlab.cli`` takes
-# about 18 ms where running every module but the catalog's two took 28 ms
-# (CPython 3.11 on a 2-vCPU x86-64 host, ``BENCH_cold_triangle.json``).
-# The CLI registers the other six here, to run on their first attribute read,
-# for the benchmark's tracer: it wraps the span targets of the modules in
+# it ``inspect``, ``ast`` and ``tokenize``).  Without bytecode, ``import
+# dowlab.cli`` and one ``dobinski`` call take about 41 ms where they took 62 ms
+# with the evaluator in ``whitney`` and the export table imported up front
+# (CPython 3.11 on a 2-vCPU x86-64 host, ``BENCH_cold_dobinski.json``).
+# The CLI registers every other module here, to run on its first attribute
+# read, for the benchmark's tracer: it wraps the span targets of the modules in
 # sys.modules after ``import dowlab.cli``, and its first read of a lazy module
 # runs it.  A module left out would be loaded by another after the tracer
 # looked, and its spans would go unwrapped.  Once the tracer imports the
 # modules itself, these become plain imports inside the commands.  Under
 # CPython 3.11 a lazy module is not safe when two threads race its first
 # read; the CLI reads it from one thread.
-for _name in ("bases", "series", "stirling", "bernoulli_euler"):
+for _name in ("recurrence", "newton", "bases", "series", "stirling", "whitney", "bernoulli_euler"):
     _lazy_module(_name)
-whitney = _lazy_module("whitney")
+families = _lazy_module("families")
+dobinski = _lazy_module("dobinski")
 identities = _lazy_module("identities")
 
-FAMILY_ALIASES = {
-    "W": Family.WDEG,
-    "V": Family.VDEG,
-    "WR": Family.WDEG_R,
-    "VR": Family.VDEG_R,
-}
+# The short names of the four Whitney families, by the value of their Family
+FAMILY_ALIASES = {"W": "Wdeg", "V": "Vdeg", "WR": "WdegR", "VR": "VdegR"}
 
 FORMATS = ("csv", "json", "latex")
 
@@ -83,13 +82,11 @@ class UsageError(Exception):
     pass
 
 
-def _parse_family(text: str) -> Family:
-    if text in FAMILY_ALIASES:
-        return FAMILY_ALIASES[text]
+def _parse_family(text: str) -> families.Family:
     try:
-        return Family(text)
+        return families.Family(FAMILY_ALIASES.get(text, text))
     except ValueError:
-        names = ", ".join([f.value for f in Family] + list(FAMILY_ALIASES))
+        names = ", ".join([f.value for f in families.Family] + list(FAMILY_ALIASES))
         raise UsageError(f"unknown family {text!r}; choose one of: {names}")
 
 
@@ -126,7 +123,7 @@ def _entry_strings(cfg: argparse.Namespace) -> Iterator[list[str]]:
     is made by this call, which checks m and r, so every argument error is
     raised before any output is opened.
     """
-    rows = islice(family_rows(cfg.family, cfg.m, cfg.r), cfg.n_max + 1)
+    rows = islice(families.family_rows(cfg.family, cfg.m, cfg.r), cfg.n_max + 1)
     lam = cfg.lam
     if lam is None:
         return (list(map(str, row)) for row in rows)
@@ -252,7 +249,7 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
     else:
-        rows = family_rows(cfg.family, cfg.m, cfg.r)  # refuses a bad m or r first
+        rows = families.family_rows(cfg.family, cfg.m, cfg.r)  # refuses a bad m or r first
         if not 0 <= cfg.k <= cfg.n:
             raise UsageError(f"({cfg.n}, {cfg.k}) outside triangle of size {max(cfg.n, 0)}")
         value = next(islice(rows, cfg.n, None))[cfg.k]
@@ -294,10 +291,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_dobinski(cfg: argparse.Namespace) -> int:
-    request = whitney.DobinskiRequest(
+    request = dobinski.DobinskiRequest(
         m=cfg.m, n=cfg.n, x=cfg.x, lam=cfg.lam, terms=cfg.terms, tol=cfg.tol
     )
-    truncated, exact = whitney.dobinski_eval(request)
+    truncated, exact = dobinski.dobinski_eval(request)
     diff = abs(truncated - exact)
     ok = request.passes(truncated, exact)
     status = "pass" if ok else "fail"

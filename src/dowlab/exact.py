@@ -21,7 +21,8 @@ Values are immutable and hashable and may be shared freely between threads.
 ``Record`` is the base of the package's other immutable values
 (``TruncatedSeries``, ``DobinskiRequest``).  ``bounded``
 makes every cache of the package and lists it in ``CACHES``; ``row_store``
-serves a triangle's endless rows from one of them, and ``_check_m`` and
+serves a triangle's endless rows from one of them, ``_row_sum`` sums a row of
+any store against the powers of x, and ``_check_m`` and
 ``_check_r`` are the one check of the kernels' domain, m >= 1 and r >= 0.
 Every integer parameter of a triangle or an accessor must be an ``int``
 (``check_ints``): a float or bool, even an equal one, is a ``TypeError``
@@ -638,3 +639,21 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     rows.cache_info = store.cache_info
     rows.cache_clear = store.cache_clear
     return rows
+
+
+# A row sum belongs to no route: it reads the store it is given.  thm23 and
+# cor22 read every earlier row sum at each n, so each is built once per key.
+@bounded(4096)
+def _row_sum(store: Callable, params: tuple, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
+    """sum_k T(n,k) x^k over row n of ``store(*params, n)``, weighted by k! when
+    ``ordered``: the degenerate Bell polynomials at (1, 0, 1) of ``_second_kind_rows``,
+    m^n Bdeg_n(x/m) at l -> l/m at (m, 0, 1), the (Tanny-)Dowling polynomials over
+    ``whitney2_rows``.  At x = p/q, int weights p^k q^(n-k) (times k!) over q^n."""
+    row = store(*params, n)[n]
+    p, q = x.numerator, x.denominator
+    terms = []
+    weight = 1  # p^k, times k! when ordered
+    for k in range(n + 1):
+        terms.append((weight * q ** (n - k), row[k], ONE))
+        weight *= p * (k + 1) if ordered else p
+    return dot(terms) / q**n

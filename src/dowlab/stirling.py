@@ -11,30 +11,12 @@ accessor reads one entry in place through its store's ``entry``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
 
-from .exact import ONE, LambdaPoly, Rows, _check_r, as_fraction, bounded, check_ints, dot
+from .exact import LambdaPoly, Rows, _check_r, _row_sum, as_fraction, check_ints
 from .families import _alternating
 from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows
 from .recurrence import _stirling1_rows
 from .series import _first_kind_gf, _second_kind_gf, binomial_series, deg_log, gf_triangle
-
-
-# thm23 and cor22 read every earlier row sum at each n, so each is built once per key.
-@bounded(4096)
-def _row_sum(store: Callable, params: tuple, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
-    """sum_k T(n,k) x^k over row n of ``store(*params, n)``, weighted by k! when
-    ``ordered``: the degenerate Bell polynomials at (1, 0, 1) of ``_second_kind_rows``,
-    m^n Bdeg_n(x/m) at l -> l/m at (m, 0, 1), the (Tanny-)Dowling polynomials over
-    ``whitney2_rows``.  At x = p/q, int weights p^k q^(n-k) (times k!) over q^n."""
-    row = store(*params, n)[n]
-    p, q = x.numerator, x.denominator
-    terms = []
-    weight = 1  # p^k, times k! when ordered
-    for k in range(n + 1):
-        terms.append((weight * q ** (n - k), row[k], ONE))
-        weight *= p * (k + 1) if ordered else p
-    return dot(terms) / q**n
 
 
 # -- classical Stirling numbers ---------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st_
 
 from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, muladd
 from dowlab.series import TruncatedSeries
-from dowlab.whitney import DobinskiRequest
+from dowlab.dobinski import DobinskiRequest
 
 l = LAMBDA
 

@@ -15,6 +15,7 @@ import pytest
 
 from dowlab.exact import CACHES, LambdaPoly
 from dowlab import cli, newton, recurrence, series
+from dowlab import dobinski as dob
 from dowlab.families import Family
 from dowlab import identities as idn
 from dowlab import stirling as st
@@ -225,22 +226,23 @@ def test_fault_injection_yields_counterexample(monkeypatch, ident):
 
 def test_thm10_counterexample_keeps_both_floats(monkeypatch):
     # thm10 is the one tolerance comparison: a point whose exact side moves
-    # by 1e-6 fails, and the counterexample shows the two floats compared
-    real = wh.dowling_poly
-    at = (1, 2, Fraction(1))
+    # by 1e-6 fails, and the counterexample shows the two floats compared.
+    # The exact side is the evaluator's row sum of the W rows at (m,), n, x
+    real = dob._row_sum
+    at = ((1,), 2, Fraction(1))
 
-    def corrupted(m, n, x):
-        value = real(m, n, x)
-        return value + Fraction(1, 10**6) if (m, n, x) == at else value
+    def corrupted(store, params, n, x, ordered):
+        value = real(store, params, n, x, ordered)
+        return value + Fraction(1, 10**6) if (params, n, x) == at else value
 
-    monkeypatch.setattr(wh, "dowling_poly", corrupted)
+    monkeypatch.setattr(dob, "_row_sum", corrupted)
     report = idn.run_identity("thm10", 4, [1, 2], [1], 0)
     assert report.status == "fail"
     ce = report.counterexample
     assert ce["params"] == {"m": 1, "n": 2, "x": "1", "lambda": "0"}
     truncated, exact = float(ce["lhs"]), float(ce["rhs"])
     assert ce["lhs"] == repr(truncated) and ce["rhs"] == repr(exact)
-    assert exact == float(real(*at).eval(0) + Fraction(1, 10**6))
+    assert exact == float(wh.dowling_poly(1, 2, Fraction(1)).eval(0) + Fraction(1, 10**6))
     assert abs(truncated - exact) == pytest.approx(1e-6)
 
 

@@ -85,6 +85,8 @@ LOADS = {
     },
     # the export table needs the two row routes it serves and nothing else
     "families": ["dowlab", "dowlab.exact", "dowlab.families", "dowlab.newton", "dowlab.recurrence"],
+    # the Dobinski evaluator needs the W rows of the recurrence route and nothing else
+    "dobinski": ["dowlab", "dowlab.dobinski", "dowlab.exact", "dowlab.recurrence"],
     "cli": ["dowlab", *(f"dowlab.{name}" for name in MODULES)],
 }
 
@@ -101,21 +103,26 @@ def test_every_module_imports_on_its_own(name):
 
 
 def test_the_cli_registers_the_catalog_modules_without_running_them():
-    # triangle and eval read none of these six, dobinski reads whitney and
-    # what it imports, and only ``verify`` reads identities and
-    # bernoulli_euler: after ``import dowlab.cli`` none has run, and a first
-    # read runs each
+    # ``import dowlab.cli`` runs none of the ten modules that the commands
+    # read: each is registered, and a first read runs it (in this order, no
+    # read runs a module that a later one checks)
     check = """
 import sys, types
-import dowlab.cli
-names = ["bases", "series", "stirling", "whitney", "bernoulli_euler", "identities"]
+import dowlab.cli as cli
+names = ["recurrence", "newton", "families", "bases", "series", "stirling", "dobinski",
+         "whitney", "bernoulli_euler", "identities"]
 mods = {name: sys.modules[f"dowlab.{name}"] for name in names}
-assert dowlab.cli.identities is mods["identities"] and dowlab.cli.whitney is mods["whitney"]
+assert cli.families is mods["families"] and cli.dobinski is mods["dobinski"]
+assert cli.identities is mods["identities"]
 assert [name for name, mod in mods.items() if type(mod) is types.ModuleType] == []
 reads = {
+    "recurrence": lambda mod: mod._stirling1_rows.entry(3, 1) == 2,
+    "newton": lambda mod: mod._stirling2_rows.entry(3, 2) == 3,
+    "families": lambda mod: mod.Family("Wdeg") is mod.Family.WDEG,
     "bases": lambda mod: mod.binom(4, 2) == 6,
     "series": lambda mod: mod.t_series(3).coeffs[1] == 1,
     "stirling": lambda mod: mod.stirling2(3, 2) == 3,
+    "dobinski": lambda mod: mod.DobinskiRequest(m=1, n=0, x=0, lam=0).terms == 200,
     "whitney": lambda mod: str(mod.whitney2(2, 2, 1)) == "4 - l",
     "bernoulli_euler": lambda mod: str(mod.deg_bernoulli(2, 1)) == "1/6 - 1/6*l^2",
     "identities": lambda mod: "eq12" in mod.CATALOG,
@@ -165,39 +172,45 @@ assert type(sys.modules["dowlab.identities"]) is types.ModuleType
     _run_fresh(check, "-S")
 
 
-def test_an_export_runs_only_the_row_routes():
-    # triangle and eval run dowlab, exact, the two row routes, the export
-    # table and the CLI; every other module stays registered and unrun until
-    # dobinski reads whitney, which still leaves the catalog unrun
-    check = """
+EXPORT_CALLS = [
+    ["triangle", "--family", "VR", "--m", "3", "--r", "2", "--symbolic", "--n-max", "6"],
+    ["triangle", "--family", "S1", "--n-max", "4", "--format", "json"],
+    ["eval", "--family", "W", "--m", "2", "--n", "5", "--k", "2", "--lambda", "1/2"],
+    ["eval", "--poly", "1 - l", "--lambda", "3"],
+]
+DOBINSKI_CALLS = [["dobinski", "--m", "2", "--n", "3", "--x", "1/2", "--lambda", "1/3"]]
+
+
+def _executed_after(*groups: list) -> list[list[str]]:
+    """The dowlab modules that have run, in a fresh interpreter, after
+    ``import dowlab.cli`` and then after each group of CLI calls."""
+    check = f"""
 import io, sys, types
 from contextlib import redirect_stdout
 from dowlab.cli import main
 def executed():
     return sorted(k for k, mod in sys.modules.items()
                   if k.split(".")[0] == "dowlab" and type(mod) is types.ModuleType)
-calls = [
-    ["triangle", "--family", "VR", "--m", "3", "--r", "2", "--symbolic", "--n-max", "6"],
-    ["triangle", "--family", "S1", "--n-max", "4", "--format", "json"],
-    ["eval", "--family", "W", "--m", "2", "--n", "5", "--k", "2", "--lambda", "1/2"],
-    ["eval", "--poly", "1 - l", "--lambda", "3"],
-]
-with redirect_stdout(io.StringIO()):
-    assert [main(argv) for argv in calls] == [0, 0, 0, 0]
-lazy = ["bases", "series", "stirling", "whitney", "identities", "bernoulli_euler"]
-assert all(f"dowlab.{name}" in sys.modules for name in lazy)
 print(executed())
-with redirect_stdout(io.StringIO()):
-    assert main(["dobinski", "--m", "2", "--n", "3", "--x", "1/2", "--lambda", "1/3"]) == 0
-print(executed())
+for calls in {list(groups)!r}:
+    with redirect_stdout(io.StringIO()):
+        assert [main(argv) for argv in calls] == [0] * len(calls)
+    print(executed())
 """
-    after_exports, after_dobinski = map(ast.literal_eval, _run_fresh(check).splitlines())
-    assert after_exports == [
-        "dowlab", "dowlab.cli", "dowlab.exact", "dowlab.families", "dowlab.newton",
-        "dowlab.recurrence",
-    ]
-    assert "dowlab.whitney" in after_dobinski and "dowlab.identities" not in after_dobinski
-    assert "dowlab.bernoulli_euler" not in after_dobinski
+    return [ast.literal_eval(line) for line in _run_fresh(check).splitlines()]
+
+
+def test_an_export_runs_only_the_row_routes():
+    # ``import dowlab.cli`` runs dowlab, exact and the CLI; triangle and eval
+    # add the two row routes and the export table, and dobinski adds only its
+    # evaluator, whether or not an export ran before it
+    cli = ["dowlab", "dowlab.cli", "dowlab.exact"]
+    started, after_exports, after_dobinski = _executed_after(EXPORT_CALLS, DOBINSKI_CALLS)
+    assert started == cli
+    assert after_exports == sorted([*cli, "dowlab.families", "dowlab.newton", "dowlab.recurrence"])
+    assert after_dobinski == sorted([*after_exports, "dowlab.dobinski"])
+    _, after_dobinski_alone = _executed_after(DOBINSKI_CALLS)
+    assert after_dobinski_alone == sorted([*cli, "dowlab.dobinski", "dowlab.recurrence"])
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from dowlab.exact import CACHES, LAMBDA, LambdaPoly
+from dowlab import dobinski as dob
 from dowlab import identities as idn
 from dowlab import newton, recurrence, series
 from dowlab.families import Family
@@ -345,7 +346,7 @@ def check_dobinski_split(m: int, n: int, x: Fraction, lam: Fraction, terms: int)
     # S b^n from the split truncated exponential, against both oracles
     z = x / m
     p, q, a, b = z.numerator, z.denominator, lam.numerator, lam.denominator
-    num, den = wh._dobinski_sum(m, n, p, q, a, b, terms)
+    num, den = dob._dobinski_sum(m, n, p, q, a, b, terms)
     split = Fraction(num, den) * b**n
     assert split == dobinski_horner(m, n, p, q, a, b, terms)
     assert split == dobinski_series(m, n, x, lam, terms) * b**n
@@ -394,9 +395,39 @@ class TestDobinski:
             {"lam": 0.25},
             {"x": True},
             {"lam": False},
+            {"tol": True},
         ):
             with pytest.raises(TypeError):
                 wh.DobinskiRequest(**{"m": 1, "n": 1, "terms": 50, "x": 1, "lam": 0, **bad})
+
+    def test_whitney_binds_the_evaluator(self):
+        # the catalog's thm10 and the benchmark's tracer read it through whitney
+        assert wh.dobinski_eval is dob.dobinski_eval
+        assert wh.DobinskiRequest is dob.DobinskiRequest
+
+    def test_the_callers_decimal_context_is_neither_read_nor_changed(self, clear_caches):
+        grid = [
+            dob.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=150)
+            for m in (1, 2)
+            for n in (0, 5)
+            for x in (Fraction(7, 3), Fraction(-5, 2), Fraction(40))
+            for lam in (Fraction(0), Fraction(1, 2), Fraction(-1, 3))
+        ]
+        clear_caches()
+        expected = [dob.dobinski_eval(req) for req in grid]
+        clear_caches()
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = 12, decimal.ROUND_FLOOR
+            ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+            state = (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.clamp)
+            traps, flags = dict(ctx.traps), dict(ctx.flags)
+            got = [dob.dobinski_eval(req) for req in grid]
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.clamp) == state
+            assert dict(ctx.traps) == traps and dict(ctx.flags) == flags
+        assert got == expected
+        # the memo of e^{-z}, filled under that context, serves the default one alike
+        assert [dob.dobinski_eval(req) for req in grid] == expected
 
     def test_pass_rule_is_a_strict_tolerance(self):
         req = wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=0.5)
@@ -479,7 +510,7 @@ class TestDobinski:
         num, den, prec = case
         with localcontext() as ctx:
             ctx.prec, ctx.rounding = prec, rounding
-            assert wh._decimal_quotient(num, den) == Decimal(num) / Decimal(den)
+            assert dob._decimal_quotient(num, den) == Decimal(num) / Decimal(den)
 
     def test_quotient_digit_estimate_at_wide_bit_gaps(self):
         # 0.3 for log10(2) would lose a digit per ~1000 bits of den over num
@@ -487,7 +518,7 @@ class TestDobinski:
             for num, den in ((3, 7 << gap), (-(7 << gap), 3)):
                 with localcontext() as ctx:
                     ctx.prec = 30
-                    assert wh._decimal_quotient(num, den) == Decimal(num) / Decimal(den)
+                    assert dob._decimal_quotient(num, den) == Decimal(num) / Decimal(den)
 
 
 class TestTriangleBuilder:
