@@ -8,7 +8,8 @@ file is written atomically (temp file + rename) with the mode a new file
 gets from the umask.  A triangle is written row by row as it is rendered:
 if rendering fails part way, stdout holds a prefix of the document, while
 --out leaves the target as it was.  ``verify`` also writes a line per
-catalog entry to stderr as the entry finishes, when stderr is a terminal.
+catalog entry to stderr as the entry finishes, when stderr is a terminal, and
+a failing ``dobinski`` one note on the size of the first omitted term.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -161,13 +161,6 @@ def _json_chunks(cfg: argparse.Namespace, rows: Iterator[list[str]]) -> Iterator
     yield "\n  ]\n}\n"
 
 
-def _umask() -> int:
-    # os.umask reads the mask only by setting it, so set it back at once
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _discard_stdout(stdout) -> None:
     """Point the stdout descriptor at devnull once a write to it failed, so
     the interpreter's flush at exit does not fail again and print a warning."""
@@ -178,6 +171,20 @@ def _discard_stdout(stdout) -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _new_file(directory: str) -> tuple[int, str]:
+    """A new file in ``directory`` under a random name, open for writing, and
+    its path.  The kernel gives it the mode that ``open()`` gives a new file,
+    0o666 less the umask, so the umask is never set, and no thread that makes
+    a file meanwhile sees it change."""
+    for tries_left in reversed(range(100)):
+        path = os.path.join(directory, f".dowlab-{os.urandom(8).hex()}")
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), path
+        except FileExistsError:  # the name is taken: draw another
+            if not tries_left:
+                raise
 
 
 def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
@@ -202,10 +209,8 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
     directory = os.path.dirname(os.path.abspath(out))
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".dowlab-")
+        fd, tmp_path = _new_file(directory)
         with os.fdopen(fd, "w") as handle:
-            # mkstemp makes the file 0600; give it what open() gives a new file
-            os.fchmod(fd, 0o666 & ~_umask())
             for chunk in chunks:
                 handle.write(chunk)
         os.replace(tmp_path, out)
@@ -305,6 +310,17 @@ def cmd_dobinski(cfg: argparse.Namespace) -> int:
     else:
         line = f"truncated={truncated!r} exact={exact!r} diff={diff:.3e} tol={cfg.tol:g} {status}"
     _write_output(line + "\n", cfg.out)
+    if not ok:
+        term = dobinski.omitted_term(request)
+        hint = (
+            "not below --tol: more --terms may be needed"
+            if float(term) >= cfg.tol  # a Decimal compared with a float may trap
+            else "below --tol: if the terms fall fast from T on, the sides differ by rounding"
+        )
+        sys.stderr.write(
+            f"note: the first omitted term e^-z z^T/T! F(T), at T = {cfg.terms},"
+            f" has size {term or 0:.3e}, {hint}\n"  # a Decimal zero would print its exponent
+        )
     return 0 if ok else 1
 
 

@@ -91,10 +91,8 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     to a subnormal or 0, as any float conversion does.
     """
     m, n = req.m, req.n
-    z = Fraction(req.x) / m
     lam = Fraction(req.lam)
-    p, q = z.numerator, z.denominator
-    prec = 61 + Decimal(ceil(abs(z))).adjusted()  # 60 + digits(ceil|z|)
+    p, q, prec = _z_and_prec(req)
     with _decimal_context(prec):
         try:
             # first, so that an exponent out of range is refused before the sum
@@ -108,6 +106,33 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
         raise OverflowError(f"Dobinski sum {value:.6e} is outside double range")
     exact = float(_row_sum(whitney2_rows, (m,), n, as_fraction(req.x), False).eval(req.lam))
     return truncated, exact
+
+
+def omitted_term(req: DobinskiRequest) -> Decimal:
+    """The size |e^{-z} z^T/T! F(T)| of the first term that ``dobinski_eval``
+    leaves out of the series, with T = ``terms`` and
+    ``F(T) = prod_{j < n} (mT + 1 - j*lambda)``, at the precision of the sum.
+
+    It reads the powers that ``_truncated_exp`` and ``_exp_of_negated`` hold
+    for the point, so after ``dobinski_eval`` it costs one product.  When it
+    is not below ``tol``, more terms may close the gap; far below it, and with
+    the terms falling fast from T on, the sides differ by rounding alone.
+    """
+    m, n, terms = req.m, req.n, req.terms
+    lam = Fraction(req.lam)
+    a, b = lam.numerator, lam.denominator
+    p, q, prec = _z_and_prec(req)
+    power, den, _ = _truncated_exp(p, q, terms)  # p^(T-1) and q^(T-1) (T-1)!
+    weight = prod(b * (m * terms + 1) - j * a for j in range(n))  # F(T) b^n
+    with _decimal_context(prec):
+        term = _decimal_quotient(power * p * weight, den * q * terms * b**n)
+        return abs(_exp_of_negated(p, q, prec) * term)
+
+
+def _z_and_prec(req: DobinskiRequest) -> tuple[int, int, int]:
+    """``(p, q, P)`` for ``z = x/m = p/q`` and the precision ``P = 60 + digits(ceil|z|)``."""
+    z = Fraction(req.x) / req.m
+    return z.numerator, z.denominator, 61 + Decimal(ceil(abs(z))).adjusted()
 
 
 def _decimal_context(prec: int):

@@ -12,9 +12,9 @@ its shorter operand once, and every product is added into one int list by
 the schoolbook loop ``acc[i + j] += a_j * b_i``, which skips zero
 coefficients and which a product of two polynomials uses too; the sum is
 canonicalized once at the end.  The operands are short (a few coefficients
-under 32 bits), so plain int steps beat slicing or packing.  ``muladd`` is
-the row step ``p + w * q`` of every triangle's recurrence and Newton kernel,
-and ``linear`` builds its multiplier ``w`` from two ints.
+under 32 bits), so plain int steps beat slicing or packing.  ``row_step``
+builds a triangle's next row, r'_k = r_{k-1} + w_k r_k, in one pass for the
+recurrence and Newton routes, and ``linear`` builds a weight w_k from two ints.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import zip_longest
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Union
 
@@ -227,27 +227,30 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
     return _raw(tuple(acc), den)
 
 
-def muladd(p: "LambdaPoly | int", w: Scalar, q: "LambdaPoly | int") -> "LambdaPoly | int":
-    """``p + w * q``: the step c'_k = c_{k-1} + w c_k of a triangle's row.
+def row_step(row: tuple, weights: Iterable) -> tuple:
+    """The row after ``row``: r'_k = r_{k-1} + w_k r_k with r_{-1} = 0, for one
+    weight w_k per entry r_k, and then r'_n = r_{n-1}.
 
-    ``p`` and ``q`` are LambdaPolys and ``w`` an exact scalar, or all three
-    are ``int``s (the ring of plain integers).  When every denominator is 1
-    and ``w`` has at most two coefficients, as in every row step of the
-    package, each coefficient p_i + w_0 q_i + w_1 q_{i-1} is written once
-    into one int list and canonicalized once; any other input goes through
-    ``dot``.  The recurrence and Newton kernels share it; the GF route never
-    calls it, so a defect in it shows as a disagreement between routes.
+    Entries are LambdaPolys with exact scalar weights, or all are plain ints.
+    Where r_{k-1}, r_k and w_k are integral and w_k has degree <= 1, as in
+    every row of the package, each coefficient is written once into one int
+    list; any other entry goes through ``dot``.  The GF route never calls it,
+    so a defect in it shows as a disagreement between routes.
     """
-    if type(q) is int:
-        return p + w * q
-    w = LambdaPoly.coerce(w)
-    c = w.nums
-    if p.den != 1 or q.den != 1 or w.den != 1 or len(c) > 2:
-        return dot(((1, p, ONE), (1, w, q)))
-    w0, w1 = (*c, 0, 0)[:2]
-    b = q.nums
-    out = [x + w0 * y + w1 * z for x, y, z in zip_longest(p.nums, b, (0, *b), fillvalue=0)]
-    return _canonical(out, 1)
+    if type(row[0]) is int:
+        return (*map(add, (0, *row), map(mul, weights, row)), row[-1])
+    out, p = [], ZERO
+    for w, q in zip(weights, row):
+        w = LambdaPoly.coerce(w)
+        if p.den != 1 or q.den != 1 or w.den != 1 or len(w.nums) > 2:
+            out.append(dot(((1, p, ONE), (1, w, q))))
+        else:
+            w0, w1 = (*w.nums, 0, 0)[:2]
+            b = q.nums
+            terms = zip_longest(p.nums, b, (0, *b), fillvalue=0)
+            out.append(_canonical([x + w0 * y + w1 * z for x, y, z in terms], 1))
+        p = q
+    return (*out, p)
 
 
 class LambdaPoly:

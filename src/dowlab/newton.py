@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, _check_m, _check_r, linear, muladd, row_store
+from .exact import LAMBDA, ONE, LambdaPoly, _check_m, _check_r, linear, row_store, row_step
 
 
 def newton_rows(
@@ -35,7 +35,7 @@ def newton_rows(
     A product that is monic only in u = sX is passed as roots s b_j and
     nodes s a_k, and then c_k comes out times s^(n-k).
 
-    Row n + 1 extends row n with one ``muladd`` per entry:
+    Row n + 1 is one ``row_step`` of row n with the weights a_k - b_n:
     X N_k = N_{k+1} + a_k N_k in the basis N_k = (X - a_0)...(X - a_{k-1}),
     so multiplying by X - b_n gives c'_k = c_{k-1} + (a_k - b_n) c_k, with
     c'_{n+1} = c_n.
@@ -46,11 +46,7 @@ def newton_rows(
         yield row
         b = root(n)
         nodes.append(node(n))
-        row = (
-            (nodes[0] - b) * row[0],
-            *(muladd(row[k - 1], nodes[k] - b, row[k]) for k in range(1, n + 1)),
-            row[n],
-        )
+        row = row_step(row, [a - b for a in nodes])
 
 
 @row_store

@@ -1,5 +1,5 @@
 """The recurrence route: T(n, k) = T(n-1, k-1) + w(n, k) T(n-1, k) from
-T(0, 0) = 1, one ``exact.muladd`` per entry (``_recurrence``).
+T(0, 0) = 1, one ``exact.row_step`` per row (``_recurrence``).
 
 It builds the signed Stirling numbers of the first kind (w = 1 - n, over the
 integers) and the degenerate Whitney numbers W (w = mk + 1 - (n-1) l) and V
@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Iterator
 
-from .exact import ONE, LambdaPoly, _check_m, linear, muladd, row_store
+from .exact import ONE, LambdaPoly, _check_m, linear, row_step, row_store
 
 
 def _recurrence(one, weight: Callable[[int, int], object]) -> Iterator[tuple]:
@@ -20,8 +20,7 @@ def _recurrence(one, weight: Callable[[int, int], object]) -> Iterator[tuple]:
     row = (one,)
     for n in count(1):
         yield row
-        inner = (muladd(row[k - 1], weight(n, k), row[k]) for k in range(1, n))
-        row = (row[0] * weight(n, 0), *inner, row[-1])
+        row = row_step(row, [weight(n, k) for k in range(n)])
 
 
 @row_store

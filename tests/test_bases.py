@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from dowlab import exact, recurrence
 from dowlab.exact import LAMBDA, ONE, LambdaPoly
 from dowlab import stirling as st
 from dowlab import whitney as wh
@@ -287,21 +288,38 @@ def test_newton_rows_over_the_integers_are_the_constants_over_q_lambda(roots, no
     assert ints == [tuple(c.constant() for c in row) for row in polys]
 
 
+def count_products(monkeypatch, store, read):
+    """The entries of the triangle ``read()`` builds in the cleared ``store``,
+    and the polynomial products and ``dot`` sums made while it builds them."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(None)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(LambdaPoly, "__mul__", counted(LambdaPoly.__mul__))
+    monkeypatch.setattr(LambdaPoly, "__rmul__", counted(LambdaPoly.__rmul__))
+    monkeypatch.setattr(exact, "dot", counted(exact.dot))  # row_step's general path
+    store.cache_clear()
+    return sum(len(row) for row in read()), len(calls)
+
+
 def test_newton_rows_cost_a_few_multiplications_per_entry(monkeypatch):
     # each row extends the previous one with one multiplication per entry;
     # a full re-conversion per row costs O(n^2) multiplications per row
     # (14760 for this triangle)
-    calls = []
-    mul = LambdaPoly.__mul__
-
-    def counted(self, other):
-        calls.append(None)
-        return mul(self, other)
-
-    monkeypatch.setattr(LambdaPoly, "__mul__", counted)
-    monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
-    st._first_kind_rows.cache_clear()  # the store that r_whitney1_rows reads
-    rows = wh.r_whitney1_rows(3, 2, 40)
-    entries = sum(len(row) for row in rows)
+    read = lambda: wh.r_whitney1_rows(3, 2, 40)  # reads the first kind's Newton kernel
+    entries, products = count_products(monkeypatch, st._first_kind_rows, read)
     assert entries == 861
-    assert len(calls) <= entries
+    assert products <= entries
+
+
+@pytest.mark.parametrize("store", [recurrence.whitney2_rows, recurrence.whitney1_rows])
+def test_recurrence_rows_cost_a_few_multiplications_per_entry(monkeypatch, store):
+    # the same bound for the W and V rows of the recurrence route
+    entries, products = count_products(monkeypatch, store, lambda: store(3, 40))
+    assert entries == 861
+    assert products <= entries

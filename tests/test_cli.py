@@ -421,6 +421,33 @@ class TestDobinski:
         )
         assert code == 0, out
 
+    below = "below --tol: if the terms fall fast from T on, the sides differ by rounding"
+
+    @pytest.mark.parametrize(
+        "n, x, lam, terms, size, hint",
+        [
+            ("3", "-1", "0", "10", "9.970e-4", "not below --tol: more --terms may be needed"),
+            ("8", "101", "0", "375", "1.865e-76", below),
+            # F(10) = 0: a zero term prints as 0, not with the exponent of its digits
+            ("3", "5", "11/2", "10", "0.000e+00", below),
+        ],
+        ids=["too-few-terms", "halfway", "zero-term"],
+    )
+    def test_a_fail_notes_the_first_omitted_term(self, capsys, n, x, lam, terms, size, hint):
+        argv = ["dobinski", "--m", "1", "--n", n, "--x", x, "--lambda", lam, "--terms", terms]
+        code, out, err = run(capsys, *argv)
+        assert (code, out[-5:]) == (1, "fail\n")
+        assert err == (
+            f"note: the first omitted term e^-z z^T/T! F(T), at T = {terms}, has size {size}, {hint}\n"
+        )
+        # the JSON form fails alike and writes the same note
+        code, out, err_json = run(capsys, *argv, "--format", "json")
+        assert (code, json.loads(out)["status"], err_json) == (1, "fail", err)
+
+    def test_a_pass_writes_nothing_to_stderr(self, capsys):
+        argv = ["dobinski", "--m", "1", "--n", "3", "--x", "-1", "--lambda", "0", "--terms", "60"]
+        assert run(capsys, *argv)[::2] == (0, "")
+
     def test_float_overflow_exits_2(self, capsys):
         # The Dowling value is about 1e320; the CLI reports the
         # OverflowError on stderr instead of raising it.
@@ -927,14 +954,21 @@ class TestUnwritableStdout:
 class TestOutMode:
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
-    def test_out_gets_the_mode_of_a_new_file(self, capsys, tmp_path, command, umask):
-        old = os.umask(umask)
+    def test_out_gets_the_mode_of_a_new_file(self, monkeypatch, capsys, tmp_path, command, umask):
+        # the write never sets the umask, not even to read it and set it back:
+        # a thread that makes a file meanwhile would get a mode of 0o666
+        calls = []
+        set_umask = os.umask
+        old = set_umask(umask)
         try:
-            code, _, _ = run(capsys, *OUT_COMMANDS[command], "--out", str(tmp_path / "x"))
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", lambda mask: calls.append(mask) or set_umask(mask))
+                code, _, _ = run(capsys, *OUT_COMMANDS[command], "--out", str(tmp_path / "x"))
             with open(tmp_path / "plain", "w"):
                 pass
         finally:
-            os.umask(old)
+            set_umask(old)
+        assert calls == []
         assert code == 0
         mode = (tmp_path / "x").stat().st_mode & 0o777
         assert mode == 0o666 & ~umask == (tmp_path / "plain").stat().st_mode & 0o777

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, muladd
+from dowlab import exact
+from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, row_step
 from dowlab.series import TruncatedSeries
 from dowlab.dobinski import DobinskiRequest
 
@@ -507,15 +508,19 @@ def test_int_tuple_construction_matches_fraction_construction(a):
     assert form(linear(c0, c1)) == form(LambdaPoly((c0, c1)))
 
 
-# -- the row step p + w*q of the recurrence and Newton kernels -------------------
+# -- the row step of the recurrence and Newton routes ------------------------------
 #
 # Triangle entries grow past 2^64 within a few dozen rows, and their signs
-# alternate.  Integral operands with a multiplier of degree 0 or 1 take the
-# fast path; any other input the general one.
+# alternate.  Integral entries with weights of degree 0 or 1 take the fast
+# path; an entry with a denominator, or a weight of degree 2 or 3, the
+# general one.  A weight may be a scalar of the ring.  Each entry k of the
+# next row is r_{k-1} + w_k r_k, with r_{-1} = 0, and the last one is the
+# row's last entry.
 
 wide_ints = st_.one_of(small_ints, st_.integers(min_value=-(2**70), max_value=2**70))
-step_polys = st_.one_of(st_.just(ZERO), mixed_polys, st_.lists(wide_ints, max_size=6).map(LambdaPoly))
-multipliers = st_.one_of(
+wide_polys = st_.lists(wide_ints, max_size=6).map(LambdaPoly)
+step_polys = st_.one_of(st_.just(ZERO), mixed_polys, wide_polys)
+step_weights = st_.one_of(
     st_.just(ZERO),
     wide_ints,
     mixed,
@@ -524,18 +529,55 @@ multipliers = st_.one_of(
 )
 
 
-@given(step_polys, multipliers, step_polys)
-def test_muladd_is_p_plus_w_times_q(p, w, q):
-    got = muladd(p, w, q)
-    assert_canonical(got)
-    assert form(got) == form(p + w * q)
-    assert got.coeffs == ref_add(p.coeffs, ref_mul(LambdaPoly.coerce(w).coeffs, q.coeffs))
+def rows_and_weights(entries, weights):
+    """A row of 1 to 6 ``entries`` and one of ``weights`` per entry."""
+    sized = st_.integers(min_value=1, max_value=6)
+    return sized.flatmap(
+        lambda n: st_.tuples(
+            st_.lists(entries, min_size=n, max_size=n).map(tuple),
+            st_.lists(weights, min_size=n, max_size=n),
+        )
+    )
 
 
-@given(wide_ints, wide_ints, wide_ints)
-def test_muladd_serves_the_int_ring(p, w, q):
-    got = muladd(p, w, q)
-    assert type(got) is int and got == p + w * q
+def assert_next_row(got, row, weights, zero):
+    """``got`` is the row after ``row``, in the ring of ``zero``."""
+    assert type(got) is tuple and len(got) == len(row) + 1
+    assert got[-1] is row[-1]
+    for p, w, q, entry in zip((zero, *row), weights, row, got):
+        if type(zero) is LambdaPoly:
+            assert_canonical(entry)
+            assert form(entry) == form(p + w * q)
+            w = LambdaPoly.coerce(w)
+            assert entry.coeffs == ref_add(p.coeffs, ref_mul(w.coeffs, q.coeffs))
+        else:
+            assert type(entry) is int and entry == p + w * q
+
+
+@given(rows_and_weights(step_polys, step_weights))
+def test_row_step_is_p_plus_w_times_q(case):
+    row, ws = case
+    assert_next_row(row_step(row, ws), row, ws, ZERO)
+
+
+@given(rows_and_weights(wide_ints, wide_ints))
+def test_row_step_serves_the_int_ring(case):
+    row, ws = case
+    assert_next_row(row_step(row, ws), row, ws, 0)
+
+
+linear_weights = st_.tuples(wide_ints, wide_ints).map(lambda c: linear(*c))
+
+
+@given(rows_and_weights(st_.one_of(st_.just(ZERO), wide_polys), linear_weights))
+def test_row_step_of_integral_rows_needs_no_dot(case):
+    # every row of the package is integral with weights of degree <= 1, and
+    # each of its entries is written into one int list, never through dot
+    row, ws = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "dot", None)
+        got = row_step(row, ws)
+    assert_next_row(got, row, ws, ZERO)
 
 
 # Each Record class, the arguments of one instance, and the defaults of its

@@ -405,6 +405,27 @@ class TestDobinski:
         assert wh.dobinski_eval is dob.dobinski_eval
         assert wh.DobinskiRequest is dob.DobinskiRequest
 
+    @pytest.mark.parametrize(
+        "m, n, x, lam, terms",
+        [
+            (1, 3, Fraction(-1), Fraction(0), 10),
+            (1, 8, Fraction(101), Fraction(0), 375),
+            (2, 5, Fraction(7, 3), Fraction(1, 2), 6),
+            (3, 4, Fraction(-5, 2), Fraction(-1, 3), 1),
+            (2, 2, Fraction(0), Fraction(1, 4), 3),
+            (1, 3, Fraction(5), Fraction(11, 2), 10),  # F(10) = 0
+        ],
+    )
+    def test_omitted_term_is_the_next_term_of_the_series(self, m, n, x, lam, terms):
+        # |e^{-z} z^T/T! F(T)| with T = terms, from Fractions and one exp at 80 digits
+        z = x / m
+        rest = z**terms / factorial(terms) * prod(m * terms + 1 - j * lam for j in range(n))
+        got = dob.omitted_term(dob.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=terms))
+        with localcontext() as ctx:
+            ctx.prec = 80
+            want = abs((Decimal(-z.numerator) / z.denominator).exp() * rest.numerator / rest.denominator)
+            assert abs(got - want) <= want * Decimal("1e-55")
+
     def test_the_callers_decimal_context_is_neither_read_nor_changed(self, clear_caches):
         grid = [
             dob.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=150)
