@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar, as_fraction, bounded, check_ints, dot
+from .exact import LAMBDA, LambdaPoly, Scalar, _check_counts, as_fraction, bounded, dot
 from .exact import _addmul, _canonical
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
@@ -37,11 +37,9 @@ def binom(n: int, k: int) -> int:
 
 def gen_binom(alpha: int | Fraction, n: int) -> Fraction:
     """Generalized binomial C(alpha, n) = alpha(alpha-1)...(alpha-n+1)/n! over Q."""
+    _check_counts(n=n)
     a = as_fraction(alpha)
-    num = Fraction(1)
-    for j in range(n):
-        num *= a - j
-    return num / factorial(n)
+    return Fraction(prod(a - j for j in range(n)), factorial(n))
 
 
 def lambda_falling(x: Scalar, n: int, step: Scalar) -> LambdaPoly:
@@ -77,9 +75,7 @@ def rising_transform(n: int, terms: TransformTerms, step: Scalar = LAMBDA) -> La
 def _check_factorial(x: Scalar, n: int, step: Scalar) -> None:
     """Refuse what the cache must not hold: an order that is not an int >= 0
     (a negative one would cache 1), and a float or bool x or step."""
-    check_ints(n)
-    if n < 0:
-        raise ValueError("factorial order must be >= 0")
+    _check_counts(n=n)
     for value in (x, step):
         if type(value) not in (int, Fraction) and not isinstance(value, LambdaPoly):
             as_fraction(value)  # refuses a float or bool with the usual message
@@ -222,8 +218,7 @@ class XPoly:
 
 def basis_poly(n: int, nodes: NodeSequence) -> XPoly:
     """Monic degree-n product (X - a_0)...(X - a_{n-1}); n = 0 gives 1."""
-    if n < 0:
-        raise ValueError("basis degree must be >= 0")
+    _check_counts(n=n)
     if len(nodes) < n:
         raise ValueError(f"need at least {n} nodes, got {len(nodes)}")
     out = XPoly((LambdaPoly((1,)),))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ONE, LambdaPoly, as_fraction, bounded, check_ints, dot
+from .exact import ONE, LambdaPoly, _check_counts, as_fraction, bounded, dot
 from .bases import binom
 from .series import TruncatedSeries, deg_exp, one_series, power_of_one_plus, t_series
 from .stirling import deg_stirling1_rows, deg_stirling2_rows
@@ -20,9 +20,7 @@ from .stirling import deg_stirling1_rows, deg_stirling2_rows
 
 def deg_bernoulli(n: int, k: int) -> LambdaPoly:
     """Order-k degenerate Bernoulli number as a Stirling-pair sum."""
-    check_ints(n, k)
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be >= 0")
+    _check_counts(n=n, k=k)
     s1 = deg_stirling1_rows(n + k)
     s2 = deg_stirling2_rows(n)
     return dot((Fraction(1, binom(l + k, k)), s1[l + k][k], s2[n][l]) for l in range(n + 1))
@@ -36,9 +34,7 @@ def deg_euler(n: int, alpha: int | Fraction) -> LambdaPoly:
 def deg_euler_sum_variant(n: int, alpha: int | Fraction, shift: int) -> LambdaPoly:
     """The Euler sum with binomial top alpha + l + shift; shift = -1 is the
     theorem's form, shift = +1 the variant printed in the derivation."""
-    check_ints(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_counts(n=n)
     x = as_fraction(alpha) + shift
     row = deg_stirling2_rows(n)[n]
     # (-1/2)^l C(x + l, l) l! = prod_{i <= l} -(x + i)/2, one product per l
@@ -50,9 +46,7 @@ def deg_euler_sum_variant(n: int, alpha: int | Fraction, shift: int) -> LambdaPo
 
 def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
     """Oracle: coefficients 0..n_max of (t/(e_l(t)-1))^k."""
-    check_ints(n_max, k)
-    if n_max < 0 or k < 0:
-        raise ValueError("n_max and k must be >= 0")
+    _check_counts(n_max=n_max, k=k)
     powered = _bernoulli_quotient(n_max + 1) ** k
     return [powered.coeff(n) for n in range(n_max + 1)]
 
@@ -66,9 +60,7 @@ def _bernoulli_quotient(order: int) -> TruncatedSeries:
 
 def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
     """Oracle for positive integer order: coefficients of (2/(e_l(t)+1))^k."""
-    check_ints(n_max, order_k)
-    if n_max < 0 or order_k < 0:
-        raise ValueError("n_max and the order must be >= 0")
+    _check_counts(n_max=n_max, order_k=order_k)
     powered = _euler_quotient(n_max) ** order_k
     return [powered.coeff(n) for n in range(n_max + 1)]
 
@@ -82,9 +74,7 @@ def _euler_quotient(order: int) -> TruncatedSeries:
 def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]:
     """Oracle for any rational order: ((e_l(t)-1)/2 + 1)^(-alpha), solved from
     the first-order recurrence of a power of a series (``power_of_one_plus``)."""
-    check_ints(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_counts(n_max=n_max)
     half = (deg_exp(1, n_max) - one_series(n_max)).scaled(Fraction(1, 2))
     powered = power_of_one_plus(half, -as_fraction(alpha))
     return [powered.coeff(n) for n in range(n_max + 1)]

@@ -313,9 +313,9 @@ def cmd_dobinski(cfg: argparse.Namespace) -> int:
     if not ok:
         term = dobinski.omitted_term(request)
         hint = (
-            "not below --tol: more --terms may be needed"
-            if float(term) >= cfg.tol  # a Decimal compared with a float may trap
-            else "below --tol: if the terms fall fast from T on, the sides differ by rounding"
+            "below --tol/2, and the terms at least halve from T on: the sides differ by rounding"
+            if dobinski.tail_bound(request) < cfg.tol
+            else "and the tail from T on is not shown below --tol: more --terms may be needed"
         )
         sys.stderr.write(
             f"note: the first omitted term e^-z z^T/T! F(T), at T = {cfg.terms},"

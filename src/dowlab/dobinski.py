@@ -15,9 +15,9 @@ from __future__ import annotations
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
                      InvalidOperation, Overflow, Underflow, getcontext, localcontext)
 from fractions import Fraction
-from math import ceil, isfinite, prod
+from math import ceil, inf, isfinite, prod
 
-from .exact import Record, _check_m, _row_sum, as_fraction, bounded, check_ints
+from .exact import Record, _check_counts, _check_m, _row_sum, as_fraction, bounded, check_ints
 from .recurrence import whitney2_rows
 
 
@@ -37,8 +37,7 @@ class DobinskiRequest(Record):
         if type(tol) is bool:
             raise TypeError("expected a float tol, got bool")
         _check_m(m)
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        _check_counts(n=n)
         if terms < 1:
             raise ValueError("terms must be >= 1")
         if not (tol > 0 and isfinite(tol)):
@@ -114,9 +113,8 @@ def omitted_term(req: DobinskiRequest) -> Decimal:
     ``F(T) = prod_{j < n} (mT + 1 - j*lambda)``, at the precision of the sum.
 
     It reads the powers that ``_truncated_exp`` and ``_exp_of_negated`` hold
-    for the point, so after ``dobinski_eval`` it costs one product.  When it
-    is not below ``tol``, more terms may close the gap; far below it, and with
-    the terms falling fast from T on, the sides differ by rounding alone.
+    for the point, so after ``dobinski_eval`` it costs one product.  Its size
+    alone proves nothing: ``tail_bound`` says when it bounds the whole tail.
     """
     m, n, terms = req.m, req.n, req.terms
     lam = Fraction(req.lam)
@@ -127,6 +125,24 @@ def omitted_term(req: DobinskiRequest) -> Decimal:
     with _decimal_context(prec):
         term = _decimal_quotient(power * p * weight, den * q * terms * b**n)
         return abs(_exp_of_negated(p, q, prec) * term)
+
+
+def tail_bound(req: DobinskiRequest) -> float:
+    """A bound on everything ``dobinski_eval`` leaves out of the series: twice
+    the size of the first omitted term t_T (``omitted_term``, T = ``terms``),
+    or inf where the terms are not shown to halve from T on.
+
+    If every mT + 1 - j*lambda (j < n) is positive, each factor of
+    |t_{k+1}/t_k| = |z|/(k+1) prod_j (1 + m/(mk + 1 - j*lambda)) falls as k
+    grows past T, so the ratio is at most its value rho at k = T; with
+    rho <= 1/2 the omitted terms sum to at most 2|t_T|.
+    """
+    m, terms = req.m, req.terms
+    gaps = [m * terms + 1 - j * Fraction(req.lam) for j in range(req.n)]
+    if any(gap <= 0 for gap in gaps):
+        return inf
+    rho = abs(Fraction(req.x)) / (m * (terms + 1)) * prod(1 + Fraction(m) / gap for gap in gaps)
+    return 2 * float(omitted_term(req)) if rho <= Fraction(1, 2) else inf
 
 
 def _z_and_prec(req: DobinskiRequest) -> tuple[int, int, int]:

@@ -22,8 +22,8 @@ Values are immutable and hashable and may be shared freely between threads.
 (``TruncatedSeries``, ``DobinskiRequest``).  ``bounded``
 makes every cache of the package and lists it in ``CACHES``; ``row_store``
 serves a triangle's endless rows from one of them, ``_row_sum`` sums a row of
-any store against the powers of x, and ``_check_m`` and
-``_check_r`` are the one check of the kernels' domain, m >= 1 and r >= 0.
+any store against the powers of x, ``_check_m`` is the one check of m >= 1, and
+``_check_counts`` the one check of every count (n, k, n_max, r, an order) >= 0.
 Every integer parameter of a triangle or an accessor must be an ``int``
 (``check_ints``): a float or bool, even an equal one, is a ``TypeError``
 before any cache is read, so an answer never depends on what was asked before.
@@ -392,9 +392,7 @@ class LambdaPoly:
         return _canonical([n * q for n in self.nums], self.den * p)
 
     def __pow__(self, n: int) -> "LambdaPoly":
-        check_ints(n)
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        _check_counts(n=n)
         nums = self.nums
         if nums and not any(nums[:-1]):
             # A monomial c*l^d: its power is c^n * l^(d n), already in lowest terms.
@@ -583,10 +581,13 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be a positive integer, got {m}")
 
 
-def _check_r(r: int) -> None:
-    check_ints(r)
-    if r < 0:
-        raise ValueError(f"r must be an integer >= 0, got {r}")
+def _check_counts(**counts: int) -> None:
+    """Refuse a count that is not an int (``check_ints``) or is negative, by its
+    name; a non-int anywhere is refused before a negative int."""
+    for name, value in counts.items():
+        if type(value) is not int or value < 0:
+            check_ints(*counts.values())
+            raise ValueError(f"{name} must be an integer >= 0, got {value}")
 
 
 def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
@@ -610,7 +611,7 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
 
     lock = Lock()  # one thread at a time drives a row iterator
 
-    def built_to(params: tuple[int, ...], n: int) -> list[tuple]:
+    def built_to(params: list[int], n: int) -> list[tuple]:
         """The rows of the store of ``params``, extended to hold row ``n``."""
         built, source = store(*params)
         if len(built) <= n:
@@ -625,11 +626,10 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
 
     @wraps(rows_of)
     def rows(*args: int) -> Rows:
-        check_ints(*args)
-        n_max = args[-1]
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        return tuple(built_to(args[:-1], n_max)[: n_max + 1])
+        *params, n_max = args
+        check_ints(*params)
+        _check_counts(n_max=n_max)
+        return tuple(built_to(params, n_max)[: n_max + 1])
 
     def entry(*args: int):
         """Entry (n, k) of the triangle at ``params``, for ``args = (*params, n, k)``."""

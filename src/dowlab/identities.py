@@ -32,7 +32,8 @@ from itertools import chain, product
 from math import factorial
 from typing import Callable, Generator, Iterable, Optional
 
-from .exact import LAMBDA, ONE, LambdaPoly, _check_m, _check_r, _row_sum, bounded, dot
+from .exact import (LAMBDA, ONE, LambdaPoly, _check_counts, _check_m, _row_sum, bounded, check_ints,
+                    dot)
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, rising_transform
 from .series import deg_exp, deg_log_of_one_plus, one_series, t_series
 from . import bernoulli_euler as be
@@ -542,7 +543,11 @@ _R_S2 = _rows(NEWTON, lambda *a: st.deg_r_stirling2_rows(*a))
 # the explicit formulas of thm8 and thm18 read the classical first-kind table,
 # which the recurrence builds, and those of thm16 and thm17 read the
 # recurrence's own W and Dowling numbers; eq75's bracket, eq77's m = 1 and the
-# classical S2 limit compare two Newton-kernel triangles.
+# classical S2 limit compare two Newton-kernel triangles.  The recurrence and
+# Newton routes step rows through the same exact.row_step, and for W and V with
+# the same weights (the Newton kernels at r = 1), so thm6, thm7 and the r=1
+# parts of eq75 and eq77 cannot catch a row_step defect; the GF route never
+# steps a row, so eq17, eq18, thm1, thm5, eq68 and eq71 can.
 _register("eq12", _chk_eq12)
 _register("eq17", Row(_triangle(), _rows(GF, lambda *a: st.deg_stirling2_rows_gf(*a)),
                       _each(NEWTON, lambda *a: st.deg_stirling2(*a))))
@@ -692,10 +697,12 @@ def run_identity(
     if ident not in CATALOG:
         raise KeyError(f"unknown identity id {ident!r}")
     entry = CATALOG[ident]
+    _check_counts(n_max=n_max)
+    check_ints(seed)
     for m in m_set:
         _check_m(m)
     for r in r_set:
-        _check_r(r)
+        _check_counts(r=r)
     params = SweepParams(n_max=n_max, m_set=tuple(m_set), r_set=tuple(r_set), seed=seed)
     tested, counterexample, finding = entry.checker(params)
     if counterexample is not None:

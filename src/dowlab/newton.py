@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Iterator
 
-from .exact import LAMBDA, ONE, LambdaPoly, _check_m, _check_r, linear, row_store, row_step
+from .exact import LAMBDA, ONE, LambdaPoly, _check_counts, _check_m, linear, row_store, row_step
 
 
 def newton_rows(
@@ -61,7 +61,7 @@ def _second_kind_rows(m: int, r: int, s: int) -> Iterator[tuple[LambdaPoly, ...]
     nodes 0, m, 2m, ... with roots j s l - r, for any int s.  Readers take s = 1,
     but thm21 and cor22 read (m+1)^(n-k) W_m(n, k | m l/(m+1)) at (m(m+1), m+1, m)."""
     _check_m(m)
-    _check_r(r)
+    _check_counts(r=r)
     return newton_rows(ONE, lambda j: linear(-r, j * s), lambda k: m * k)
 
 
@@ -69,5 +69,5 @@ def _second_kind_rows(m: int, r: int, s: int) -> Iterator[tuple[LambdaPoly, ...]
 def _first_kind_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """w_{m,r}: m^n (x)_n = prod_j (u - (r+jm)) = sum_k w (u)_{k,l} in u = mx + r."""
     _check_m(m)
-    _check_r(r)
+    _check_counts(r=r)
     return newton_rows(ONE, lambda j: r + j * m, lambda k: LAMBDA * k)

@@ -27,11 +27,10 @@ from .exact import (
     Record,
     Rows,
     Scalar,
+    _check_counts,
     _check_m,
-    _check_r,
     as_fraction,
     bounded,
-    check_ints,
     dot,
 )
 
@@ -47,8 +46,7 @@ class TruncatedSeries(Record):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: tuple[LambdaPoly, ...]) -> None:
-        if order < 0:
-            raise ValueError("series order must be >= 0")
+        _check_counts(order=order)
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list must have length order + 1")
         self._set(order, coeffs)
@@ -60,10 +58,8 @@ class TruncatedSeries(Record):
         cs = [LambdaPoly.coerce(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs += [LambdaPoly()] * (order + 1 - len(cs))
-        return TruncatedSeries(order, tuple(cs))
+        _check_counts(order=order)
+        return TruncatedSeries(order, (*cs, *repeat(ZERO, order + 1))[: order + 1])
 
     def coeff(self, n: int) -> LambdaPoly:
         """The coefficient of t^n/n!; raises IndexError past the truncation order."""
@@ -72,6 +68,7 @@ class TruncatedSeries(Record):
         return self.coeffs[n]
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        _check_counts(order=order)
         if order >= self.order:
             return self
         return TruncatedSeries(order, self.coeffs[: order + 1])
@@ -106,9 +103,7 @@ class TruncatedSeries(Record):
         return TruncatedSeries(n, (*repeat(ZERO, lo), *out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        check_ints(n)
-        if n < 0:
-            raise ValueError("negative series power")
+        _check_counts(n=n)
         # binary powering with no product by one and no square left unused
         out = None
         base = self
@@ -146,8 +141,7 @@ class TruncatedSeries(Record):
         than auto-detected zeros) catches mis-built numerators early.
         """
         s = known_zero_order
-        if s < 0:
-            raise ValueError("known_zero_order must be >= 0")
+        _check_counts(known_zero_order=s)
         num = self._shift_down(s)
         den = other._shift_down(s)
         lead = den.coeffs[0]
@@ -261,28 +255,26 @@ def t_series(order: int) -> TruncatedSeries:
 
 def deg_exp(x: Scalar, order: int) -> TruncatedSeries:
     """e_l^x(t) = (1 + l*t)^(x/l) truncated: a_n = x(x-l)...(x-(n-1)l)."""
+    _check_counts(order=order)
     xp = LambdaPoly.coerce(x)
-    out = [LambdaPoly((1,))]
-    cur = LambdaPoly((1,))
-    for n in range(1, order + 1):
-        cur = cur * (xp - LAMBDA * (n - 1))
-        out.append(cur)
+    out = [ONE]
+    for n in range(order):
+        out.append(out[-1] * (xp - LAMBDA * n))
     return TruncatedSeries(order, tuple(out))
 
 
 def deg_log(order: int) -> TruncatedSeries:
     """Compositional inverse of deg_exp(1, .) - 1: a_n = (l-1)(l-2)...(l-(n-1))."""
-    out = [LambdaPoly()]
-    cur = LambdaPoly((1,))
-    for n in range(1, order + 1):
-        if n >= 2:
-            cur = cur * (LAMBDA - (n - 1))
-        out.append(cur)
-    return TruncatedSeries(order, tuple(out))
+    _check_counts(order=order)
+    out = [ZERO, ONE]
+    for n in range(1, order):
+        out.append(out[-1] * (LAMBDA - n))
+    return TruncatedSeries(order, tuple(out[: order + 1]))
 
 
 def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> TruncatedSeries:
     """(1 + c*t)^alpha as an EGF: a_n = n! * C(alpha, n) * c^n."""
+    _check_counts(order=order)
     a = as_fraction(alpha)
     q = as_fraction(c)
     out = [LambdaPoly((1,))]
@@ -307,7 +299,8 @@ def gf_triangle(
     when base(0) = 0) are left as they are.  Triangles are held by their
     (base, prefactor, n_max), so catalog entries share one build.
     """
-    acc = prefactor.truncate(n_max)  # a series of order n_max < 0 is a ValueError
+    _check_counts(n_max=n_max)  # a refused call stores nothing
+    acc = prefactor.truncate(n_max)
     columns = [acc.coeffs]
     for k in range(1, n_max + 1):
         acc = acc * base
@@ -338,13 +331,13 @@ def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
 def _second_kind_gf(m: int, r: int, n_max: int) -> Rows:
     """Coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!: W_{m,r}(n, k)."""
     _check_m(m)
-    _check_r(r)
+    _check_counts(r=r)
     return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max), n_max)
 
 
 def _first_kind_gf(m: int, r: int, n_max: int) -> Rows:
     """Coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!: w_{m,r}(n, k)."""
     _check_m(m)
-    _check_r(r)
+    _check_counts(r=r)
     prefactor = binomial_series(Fraction(-r, m), m, n_max)  # e_m(t) = (1+mt)^(1/m)
     return gf_triangle(_gf_log_base(m, n_max), prefactor, n_max)

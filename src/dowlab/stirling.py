@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import LambdaPoly, Rows, _check_r, _row_sum, as_fraction, check_ints
+from .exact import LambdaPoly, Rows, _check_counts, _row_sum, as_fraction, check_ints
 from .families import _alternating
 from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows
 from .recurrence import _stirling1_rows
@@ -62,9 +62,7 @@ def deg_stirling2_or_zero(n: int, k: int) -> LambdaPoly:
 
 def deg_bell(n: int, x: int | Fraction) -> LambdaPoly:
     """Degenerate Bell polynomial value: sum_k S2deg(n,k) x^k at rational x."""
-    check_ints(n)
-    if n < 0:
-        raise ValueError("Bell polynomial index must be >= 0")
+    _check_counts(n=n)
     return _row_sum(_second_kind_rows, (1, 0, 1), n, as_fraction(x), False)
 
 
@@ -114,7 +112,7 @@ def deg_r_stirling2_rows_gf(r: int, n_max: int) -> Rows:
 
 def deg_r_stirling1_unsigned_rows_gf(r: int, n_max: int) -> Rows:
     """Oracle: coefficients of (1-t)^(-r) (-log_l(1-t))^k / k!, by a series of its own."""
-    _check_r(r)
+    _check_counts(r=r)
     neg_log = deg_log(n_max).scale_t(-1).scaled(-1)
     prefactor = binomial_series(-r, -1, n_max)
     return gf_triangle(neg_log, prefactor, n_max)

@@ -15,8 +15,8 @@ from itertools import islice
 from math import factorial
 from typing import Iterator
 
-from .exact import (LAMBDA, ONE, LambdaPoly, Rows, _check_index, _check_m, _check_r, _row_sum,
-                    as_fraction, bounded, check_ints, dot)
+from .exact import (LAMBDA, ONE, LambdaPoly, Rows, _check_counts, _check_index, _check_m,
+                    _row_sum, as_fraction, bounded, check_ints, dot)
 from . import dobinski
 from .bases import binom, falling_transform, lambda_falling, lambda_rising
 from .families import Family, family_rows
@@ -29,9 +29,7 @@ from .stirling import deg_stirling1_rows
 def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
     """Rows 0..n_max of ``rows``; an ``n_max`` that is not an int >= 0 is refused
     as the row stores refuse it."""
-    check_ints(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_counts(n_max=n_max)
     return tuple(islice(rows, n_max + 1))
 
 
@@ -182,9 +180,8 @@ def _t18_inner(m: int, i: int, k: int) -> LambdaPoly:
 
 def dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Row polynomial sum_k W(n,k) x^k of the second-kind triangle."""
-    check_ints(m, n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_ints(m)
+    _check_counts(n=n)
     return _row_sum(whitney2_rows, (m,), n, as_fraction(x), False)
 
 
@@ -194,9 +191,8 @@ def dowling_number(m: int, n: int) -> LambdaPoly:
 
 def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Ordered variant sum_k k! W(n,k) x^k."""
-    check_ints(m, n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_ints(m)
+    _check_counts(n=n)
     return _row_sum(whitney2_rows, (m,), n, as_fraction(x), True)
 
 
@@ -236,7 +232,7 @@ def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
     roots onto its nodes, m^n (x)_n over the rational-in-l nodes (k*l - r)/m with
     coefficient k divided by m^k, i.e. expanded in u = mx over the nodes k*l - r."""
     _check_m(m)
-    _check_r(r)
+    _check_counts(r=r)
     return _first_rows(newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k - r), n_max)
 
 

@@ -421,17 +421,22 @@ class TestDobinski:
         )
         assert code == 0, out
 
-    below = "below --tol: if the terms fall fast from T on, the sides differ by rounding"
+    below = "below --tol/2, and the terms at least halve from T on: the sides differ by rounding"
+    more = "and the tail from T on is not shown below --tol: more --terms may be needed"
 
     @pytest.mark.parametrize(
         "n, x, lam, terms, size, hint",
         [
-            ("3", "-1", "0", "10", "9.970e-4", "not below --tol: more --terms may be needed"),
+            ("3", "-1", "0", "10", "9.970e-4", more),
+            # the terms fall from T on with ratio at most 0.274, so the tail is at most twice t_T
             ("8", "101", "0", "375", "1.865e-76", below),
-            # F(10) = 0: a zero term prints as 0, not with the exponent of its digits
-            ("3", "5", "11/2", "10", "0.000e+00", below),
+            # F(10) = 0: a zero term prints as 0, not with the exponent of its digits; with
+            # mT + 1 - 2 lambda = 0 the terms after it are not bounded by it
+            ("3", "5", "11/2", "10", "0.000e+00", more),
+            # T far below the peak of the terms near |z|: a tiny term, a diff of 1e9
+            ("3", "1000", "0", "10", "1.862e-408", more),
         ],
-        ids=["too-few-terms", "halfway", "zero-term"],
+        ids=["too-few-terms", "halfway", "zero-term", "before-the-peak"],
     )
     def test_a_fail_notes_the_first_omitted_term(self, capsys, n, x, lam, terms, size, hint):
         argv = ["dobinski", "--m", "1", "--n", n, "--x", x, "--lambda", lam, "--terms", terms]

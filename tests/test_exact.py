@@ -8,12 +8,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st_
 
-from dowlab import exact
+from dowlab import bernoulli_euler as be
+from dowlab import exact, identities, stirling
+from dowlab import whitney as wh
+from dowlab.bases import basis_poly, gen_binom, lambda_falling
 from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, row_step
-from dowlab.series import TruncatedSeries
+from dowlab.series import (TruncatedSeries, binomial_series, deg_exp, deg_log, gf_triangle,
+                           one_series, t_series)
 from dowlab.dobinski import DobinskiRequest
 
 l = LAMBDA
@@ -280,6 +284,9 @@ def test_kernel_scalar_ops_match_reference(a, q, k):
 
 
 @given(ref_lists, mixed)
+# past degree 256, str() extends its tables of suffixes and units
+@example([(i % 5) - 2 for i in range(300)] + [1], 3)
+@example([Fraction((i % 7) - 3, 3) for i in range(300)] + [Fraction(5, 3)], Fraction(-1, 2))
 def test_kernel_eval_and_str_match_reference(a, q):
     p = LambdaPoly(a)
     value = p.eval(q)
@@ -612,3 +619,62 @@ def test_record_behaves_as_a_frozen_dataclass(name):
     with pytest.raises(AttributeError):
         record.extra = None
     assert record == cls(*args)  # the refused writes changed nothing
+
+
+# Every count of the package, each as (its name, a call through a public entry
+# point that passes it the value), and each refused by exact._check_counts.
+COUNTS = {
+    "lambda_falling": ("n", lambda v: lambda_falling(1, v, LAMBDA)),
+    "basis_poly": ("n", lambda v: basis_poly(v, [])),
+    "gen_binom": ("n", lambda v: gen_binom(Fraction(1, 2), v)),
+    "LambdaPoly.__pow__": ("n", lambda v: LAMBDA**v),
+    "TruncatedSeries": ("order", lambda v: TruncatedSeries(v, ())),
+    "TruncatedSeries.__pow__": ("n", lambda v: t_series(3) ** v),
+    "TruncatedSeries.divide": ("known_zero_order", lambda v: t_series(3).divide(one_series(3), v)),
+    "TruncatedSeries.truncate": ("order", lambda v: t_series(3).truncate(v)),
+    "one_series": ("order", one_series),
+    "t_series": ("order", t_series),
+    "deg_exp": ("order", lambda v: deg_exp(1, v)),
+    "deg_log": ("order", deg_log),
+    "binomial_series": ("order", lambda v: binomial_series(1, 1, v)),
+    "gf_triangle": ("n_max", lambda v: gf_triangle(t_series(3), one_series(3), v)),
+    "row store": ("n_max", lambda v: stirling.deg_stirling2_rows(v)),
+    "first rows": ("n_max", lambda v: wh.classical_whitney2_rows(2, v)),
+    "dowling_poly": ("n", lambda v: wh.dowling_poly(2, v, 1)),
+    "tanny_dowling_poly": ("n", lambda v: wh.tanny_dowling_poly(2, v, 1)),
+    "deg_bell": ("n", lambda v: stirling.deg_bell(v, 1)),
+    "DobinskiRequest": ("n", lambda v: DobinskiRequest(1, v, 1, 0)),
+    "deg_bernoulli n": ("n", lambda v: be.deg_bernoulli(v, 1)),
+    "deg_bernoulli k": ("k", lambda v: be.deg_bernoulli(1, v)),
+    "deg_euler": ("n", lambda v: be.deg_euler(v, 1)),
+    "deg_bernoulli_gf n_max": ("n_max", lambda v: be.deg_bernoulli_gf(v, 1)),
+    "deg_bernoulli_gf k": ("k", lambda v: be.deg_bernoulli_gf(1, v)),
+    "deg_euler_gf n_max": ("n_max", lambda v: be.deg_euler_gf(v, 1)),
+    "deg_euler_gf order_k": ("order_k", lambda v: be.deg_euler_gf(1, v)),
+    "deg_euler_gf_binomial": ("n_max", lambda v: be.deg_euler_gf_binomial(v, 1)),
+    "second-kind Newton kernel": ("r", lambda v: wh.r_whitney2_rows(2, v, 3)),
+    "first-kind Newton kernel": ("r", lambda v: wh.r_whitney1_rows(2, v, 3)),
+    "r_whitney1_rows_direct": ("r", lambda v: wh.r_whitney1_rows_direct(2, v, 3)),
+    "second-kind GF kernel": ("r", lambda v: wh.r_whitney2_rows_gf(2, v, 3)),
+    "first-kind GF kernel": ("r", lambda v: wh.r_whitney1_rows_gf(2, v, 3)),
+    "unsigned r-Stirling GF": ("r", lambda v: stirling.deg_r_stirling1_unsigned_rows_gf(v, 3)),
+    "run_identity n_max": ("n_max", lambda v: identities.run_identity("eq17", v)),
+    "run_identity r_set": ("r", lambda v: identities.run_identity("eq75", 2, (1,), (v,))),
+}
+
+
+def held_entries() -> int:
+    return sum(cache.cache_info().currsize for cache in exact.CACHES)
+
+
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_every_count_is_refused_by_the_one_check(site):
+    name, call = COUNTS[site]
+    held = held_entries()
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got -1$"):
+        call(-1)
+    assert held_entries() == held
+    for bad in (True, 2.0):
+        with pytest.raises(TypeError, match=f"^expected an int, got {type(bad).__name__}$"):
+            call(bad)
+        assert held_entries() == held

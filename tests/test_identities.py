@@ -484,6 +484,22 @@ def test_a_warm_run_reports_what_a_cold_run_reports(clear_caches):
     assert [cache.cache_info().currsize for cache in CACHES] == held
 
 
+@pytest.mark.parametrize("ident", sorted(idn.CATALOG))
+def test_a_bad_n_max_or_seed_is_refused_before_the_entry_runs(ident):
+    held = [cache.cache_info().currsize for cache in CACHES]
+    for bad, error, message in (
+        ({"n_max": -1}, ValueError, "^n_max must be an integer >= 0, got -1$"),
+        ({"n_max": True}, TypeError, "^expected an int, got bool$"),
+        ({"n_max": 2.0}, TypeError, "^expected an int, got float$"),
+        ({"seed": True}, TypeError, "^expected an int, got bool$"),
+    ):
+        with pytest.raises(error, match=message):
+            idn.run_identity(ident, **bad)
+        with pytest.raises(error, match=message):
+            idn.verify_all(**bad)
+        assert [cache.cache_info().currsize for cache in CACHES] == held
+
+
 def test_report_document_shape():
     reports = [idn.run_identity("cor4", 4, [1], [1], 0)]
     doc = idn.report_document(reports, 4, [1], [1], 0)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,42 @@ def test_an_unused_import_is_found(tmp_path):
         "def f(n: int) -> int:\n    return comb(n, 2) + len(os.sep)\n"
     )
     assert _unused_imports(module) == ["regex"]
+
+
+def _count_refusals(path: Path) -> list[str]:
+    """The text of each ``ValueError`` that the module at ``path`` makes whose
+    message says that a value must be >= 0, the wording of exact._check_counts."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ValueError":
+            text = "".join(
+                part.value
+                for arg in node.args
+                for part in ast.walk(arg)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if re.search(r"must be (an integer )?>= 0", text):
+                found.append(text)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_exact_refuses_a_negative_count(path):
+    # every count goes through exact._check_counts, so that each is refused in
+    # one wording before any cache; the CLI's UsageErrors name their option
+    helper = [" must be an integer >= 0, got "] if path.name == "exact.py" else []
+    assert _count_refusals(path) == helper
+
+
+def test_a_count_refusal_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(n, k, tol):\n"
+        "    if n < 0:\n        raise ValueError('n must be >= 0')\n"
+        "    if k < 0:\n        raise ValueError(f'k must be an integer >= 0, got {k}')\n"
+        "    if tol <= 0:\n        raise ValueError('tol must be positive')\n"
+    )
+    assert _count_refusals(module) == ["n must be >= 0", "k must be an integer >= 0, got "]
 
 
 def _names(path: Path) -> set:

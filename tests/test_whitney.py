@@ -6,7 +6,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import ceil, e, factorial, prod
+from math import ceil, e, exp, factorial, inf, prod
 
 import pytest
 from hypothesis import given, settings
@@ -426,6 +426,33 @@ class TestDobinski:
             want = abs((Decimal(-z.numerator) / z.denominator).exp() * rest.numerator / rest.denominator)
             assert abs(got - want) <= want * Decimal("1e-55")
 
+    @pytest.mark.parametrize(
+        "m, n, x, lam, terms, bounded",
+        [
+            (1, 3, Fraction(-1), Fraction(0), 10, True),
+            (1, 8, Fraction(101), Fraction(0), 375, True),  # rho about 0.274
+            (2, 5, Fraction(7, 3), Fraction(1, 2), 6, True),
+            (2, 2, Fraction(0), Fraction(1, 4), 3, True),
+            (1, 0, Fraction(-3), Fraction(0), 5, True),  # F = 1, rho = 1/2
+            (1, 3, Fraction(1000), Fraction(0), 10, False),  # rho about 118
+            (1, 3, Fraction(5), Fraction(11, 2), 10, False),  # mT + 1 - 2 lambda = 0
+            (1, 2, Fraction(1), Fraction(-30), 1, False),  # rho about 0.77
+        ],
+    )
+    def test_tail_bound_holds_all_the_omitted_terms(self, m, n, x, lam, terms, bounded):
+        req = dob.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=terms)
+        bound = dob.tail_bound(req)
+        assert bound == (2 * float(dob.omitted_term(req)) if bounded else inf)
+        if not bounded:
+            return
+        # the next 400 omitted terms, exactly, times a float e^{-z}
+        z = x / m
+        tail = sum(
+            abs(z**k / factorial(k) * prod(m * k + 1 - j * lam for j in range(n)))
+            for k in range(terms, terms + 400)
+        )
+        assert float(tail) * exp(-z) <= bound
+
     def test_the_callers_decimal_context_is_neither_read_nor_changed(self, clear_caches):
         grid = [
             dob.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=150)
@@ -595,7 +622,7 @@ class TestTriangleBuilder:
                 wh.family_rows("VdegR", m, r)
         with pytest.raises(ValueError, match="^r must be an integer >= 0, got -1$"):
             wh.family_rows("S1degR", 1, -1)
-        with pytest.raises(ValueError, match="n_max must be >= 0"):
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 0, got -1$"):
             wh.build_triangle("Wdeg", 1, 1, -1)
 
 
@@ -615,7 +642,7 @@ def test_first_rows_refuse_a_bad_n_max(name):
     build = FIRST_ROWS[name]
     assert len(build(0)) == 1
     for n_max in (-1, -2):
-        with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        with pytest.raises(ValueError, match=f"^n_max must be an integer >= 0, got {n_max}$"):
             build(n_max)
     with pytest.raises(TypeError, match="^expected an int, got float$"):
         build(2.0)
