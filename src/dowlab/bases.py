@@ -16,7 +16,7 @@ from itertools import zip_longest
 from math import comb, factorial, lcm, prod
 from typing import Iterable, Sequence, Union
 
-from .exact import LAMBDA, LambdaPoly, Scalar, _check_counts, as_fraction, bounded, dot
+from .exact import LAMBDA, LambdaPoly, Scalar, _check_counts, as_fraction, bounded, check_ints, dot
 from .exact import _addmul, _canonical
 
 # A node sequence is just the list a_0, a_1, ... defining the Newton basis.
@@ -30,6 +30,7 @@ TransformTerms = Iterable[tuple[int, int, LambdaPoly]]
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient, 0 outside 0 <= k <= n (handy in identity sums)."""
+    check_ints(n, k)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -250,7 +251,8 @@ def newton_convert(p: XPoly, nodes: NodeSequence) -> list[LambdaPoly]:
 
 def int_nodes(n: int) -> list[LambdaPoly]:
     """Nodes 0, 1, ..., n-1 of the ordinary falling-factorial basis."""
-    return [LambdaPoly.const(j) for j in range(n)]
+    _check_counts(n=n)
+    return [LambdaPoly.coerce(j) for j in range(n)]
 
 
 def lambda_nodes(n: int, scale: int | Fraction = 1) -> list[LambdaPoly]:

@@ -54,18 +54,14 @@ def _lazy_module(name: str) -> ModuleType:
 # module, ``whitney`` with ``bases``, ``series`` and ``stirling``, and the
 # catalog's ``identities`` and ``bernoulli_euler``.  No module that
 # ``triangle``, ``eval`` or ``dobinski`` runs imports ``dataclasses`` (and with
-# it ``inspect``, ``ast`` and ``tokenize``).  Without bytecode, ``import
-# dowlab.cli`` and one ``dobinski`` call take about 41 ms where they took 62 ms
-# with the evaluator in ``whitney`` and the export table imported up front
-# (CPython 3.11 on a 2-vCPU x86-64 host, ``BENCH_cold_dobinski.json``).
-# The CLI registers every other module here, to run on its first attribute
-# read, for the benchmark's tracer: it wraps the span targets of the modules in
-# sys.modules after ``import dowlab.cli``, and its first read of a lazy module
-# runs it.  A module left out would be loaded by another after the tracer
-# looked, and its spans would go unwrapped.  Once the tracer imports the
-# modules itself, these become plain imports inside the commands.  Under
-# CPython 3.11 a lazy module is not safe when two threads race its first
-# read; the CLI reads it from one thread.
+# it ``inspect``, ``ast`` and ``tokenize``).  The CLI registers every other
+# module here, to run on its first attribute read, for the benchmark's tracer:
+# it wraps the span targets of the modules in sys.modules after ``import
+# dowlab.cli``, and its first read of a lazy module runs it.  A module left out
+# would be loaded by another after the tracer looked, and its spans would go
+# unwrapped.  Once the tracer imports the modules itself, these become plain
+# imports inside the commands.  Under CPython 3.11 a lazy module is not safe
+# when two threads race its first read; the CLI reads it from one thread.
 for _name in ("recurrence", "newton", "bases", "series", "stirling", "whitney", "bernoulli_euler"):
     _lazy_module(_name)
 families = _lazy_module("families")

@@ -11,8 +11,10 @@ over one denominator for the whole sum: each term's scalar is folded into
 its shorter operand once, and every product is added into one int list by
 the schoolbook loop ``acc[i + j] += a_j * b_i``, which skips zero
 coefficients and which a product of two polynomials uses too; the sum is
-canonicalized once at the end.  The operands are short (a few coefficients
-under 32 bits), so plain int steps beat slicing or packing.  ``row_step``
+canonicalized once at the end, by ``_canonical``, the one canonical form of
+the ring.  The operands are short (a few coefficients under 32 bits), so
+plain int steps beat slicing or packing.  ``_power`` is the one binary
+powering, of a LambdaPoly and of a ``TruncatedSeries`` alike.  ``row_step``
 builds a triangle's next row, r'_k = r_{k-1} + w_k r_k, in one pass for the
 recurrence and Newton routes, and ``linear`` builds a weight w_k from two ints.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
@@ -215,16 +217,21 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
             acc += [0] * (top - size)
             size = top
         _addmul(acc, a, b, cnum)
-    while acc and not acc[-1]:
-        acc.pop()
-    if not acc:
-        return _raw((), 1)
-    if den != 1:
-        g = gcd(den, *acc)
-        if g != 1:
-            den //= g
-            acc = [n // g for n in acc]
-    return _raw(tuple(acc), den)
+    return _canonical(acc, den)
+
+
+def _power(base, n: int, one):
+    """``base ** n`` for an int ``n >= 0`` by binary powering (Knuth, *TAOCP*
+    vol. 2, 4.6.3), with no product by ``one`` and no square left unused;
+    ``one`` is the answer at n = 0.  LambdaPoly and TruncatedSeries use it."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 def row_step(row: tuple, weights: Iterable) -> tuple:
@@ -275,10 +282,6 @@ class LambdaPoly:
         self.nums, self.den = _reduced([n * (den // d) for n, d in parts], den)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, value: int | Fraction) -> "LambdaPoly":
-        return cls((value,))
 
     @classmethod
     def coerce(cls, value: Scalar) -> "LambdaPoly":
@@ -397,14 +400,7 @@ class LambdaPoly:
         if nums and not any(nums[:-1]):
             # A monomial c*l^d: its power is c^n * l^(d n), already in lowest terms.
             return _raw((0,) * ((len(nums) - 1) * n) + (nums[-1] ** n,), self.den**n)
-        out = LambdaPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, ONE)
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -616,6 +612,8 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
         built, source = store(*params)
         if len(built) <= n:
             with lock:
+                # a build that held the lock and failed has cleared the store
+                built, source = store(*params)
                 try:
                     while len(built) <= n:
                         built.append(next(source))

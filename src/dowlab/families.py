@@ -38,7 +38,7 @@ def _alternating(rows: Iterable[tuple]) -> Iterator[tuple]:
 
 
 def _const_rows(rows: Iterator[tuple[int, ...]]) -> Iterator[tuple[LambdaPoly, ...]]:
-    return (tuple(map(LambdaPoly.const, row)) for row in rows)
+    return (tuple(map(LambdaPoly.coerce, row)) for row in rows)
 
 
 # Each family's primary route, as its endless rows at (m, r): the generator its row

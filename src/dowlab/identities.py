@@ -415,7 +415,7 @@ def _orthogonal(n_max: int, first: Callable, second: Callable, at: dict) -> Poin
     for n in range(n_max + 1):
         for j in range(n + 1):
             acc = dot((1, first(n, k), second(k, j)) for k in range(j, n + 1))
-            yield {**at, "n": n, "j": j}, acc, LambdaPoly.const(1 if n == j else 0)
+            yield {**at, "n": n, "j": j}, acc, LambdaPoly.coerce(1 if n == j else 0)
 
 
 def _chk_orthogonality(p: SweepParams) -> Points:
@@ -462,7 +462,7 @@ def _chk_lemma15(p: SweepParams) -> Points:
 def _chk_lemma24(p: SweepParams) -> Points:
     for n in range(p.n_max + 1):
         for j in range(n + 1):
-            want = LambdaPoly.const(1 if n == j else 0)
+            want = LambdaPoly.coerce(1 if n == j else 0)
             span = range(j, n + 1)
             rising = (
                 (k, (-1) ** (k - j) * binom(k, j), lambda_rising(1, k - j, LAMBDA)) for k in span

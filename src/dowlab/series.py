@@ -8,8 +8,11 @@ operations truncate to the smaller order of their operands.
 
 ``gf_triangle`` extracts the coefficients of prefactor * base^k / k!; every
 degenerate Stirling and r-Whitney oracle reads its kind's kernel over that,
-``_second_kind_gf`` or ``_first_kind_gf``, at its own (m, r).  Like the other
-two routes' modules, this one reads nothing of the package but ``exact``.
+``_second_kind_gf`` or ``_first_kind_gf``, at its own (m, r).  The
+coefficients of ``deg_exp``, ``deg_log`` and ``binomial_series`` are one
+running product, ``_falling``, and a power of a series is ``exact._power``.
+Like the other two routes' modules, this one reads nothing of the package
+but ``exact``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ from .exact import (
     Scalar,
     _check_counts,
     _check_m,
+    _power,
     as_fraction,
     bounded,
+    check_ints,
     dot,
 )
 
@@ -63,6 +68,7 @@ class TruncatedSeries(Record):
 
     def coeff(self, n: int) -> LambdaPoly:
         """The coefficient of t^n/n!; raises IndexError past the truncation order."""
+        check_ints(n)
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
         return self.coeffs[n]
@@ -104,16 +110,7 @@ class TruncatedSeries(Record):
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         _check_counts(n=n)
-        # binary powering with no product by one and no square left unused
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return one_series(self.order) if out is None else out
+        return _power(self, n, one_series(self.order))
 
     def scaled(self, factor: Union[int, Fraction, LambdaPoly]) -> "TruncatedSeries":
         """Multiply every coefficient by a scalar."""
@@ -224,7 +221,7 @@ def _first_order(g: TruncatedSeries, beta: LambdaPoly, c: int, h0: int) -> Trunc
     if not a[0].is_zero():
         raise ValueError(_NONZERO_INNER)
     beta_a = [beta * x for x in a]
-    h = [LambdaPoly.const(h0)]
+    h = [LambdaPoly.coerce(h0)]
     for n in range(1, g.order + 1):
         terms = chain(
             ((comb(n - 1, k - 1), beta_a[k], h[n - k]) for k in range(1, n + 1)),
@@ -253,36 +250,34 @@ def t_series(order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs((0, 1), order)
 
 
+def _falling(x: LambdaPoly, s: LambdaPoly, order: int) -> list[LambdaPoly]:
+    """The running products x(x-s)...(x-(n-1)s) for n = 0..order, one factor
+    per step: the coefficients of ``deg_exp``, ``deg_log`` and ``binomial_series``."""
+    out = [ONE]
+    for n in range(order):
+        out.append(out[-1] * (x - s * n))
+    return out
+
+
 def deg_exp(x: Scalar, order: int) -> TruncatedSeries:
     """e_l^x(t) = (1 + l*t)^(x/l) truncated: a_n = x(x-l)...(x-(n-1)l)."""
     _check_counts(order=order)
-    xp = LambdaPoly.coerce(x)
-    out = [ONE]
-    for n in range(order):
-        out.append(out[-1] * (xp - LAMBDA * n))
-    return TruncatedSeries(order, tuple(out))
+    return TruncatedSeries(order, tuple(_falling(LambdaPoly.coerce(x), LAMBDA, order)))
 
 
 def deg_log(order: int) -> TruncatedSeries:
     """Compositional inverse of deg_exp(1, .) - 1: a_n = (l-1)(l-2)...(l-(n-1))."""
     _check_counts(order=order)
-    out = [ZERO, ONE]
-    for n in range(1, order):
-        out.append(out[-1] * (LAMBDA - n))
-    return TruncatedSeries(order, tuple(out[: order + 1]))
+    return TruncatedSeries(order, (ZERO, *_falling(LAMBDA - 1, ONE, order - 1))[: order + 1])
 
 
 def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> TruncatedSeries:
-    """(1 + c*t)^alpha as an EGF: a_n = n! * C(alpha, n) * c^n."""
+    """(1 + c*t)^alpha as an EGF: a_n = n! C(alpha, n) c^n, the running product
+    at (c*alpha, c)."""
     _check_counts(order=order)
-    a = as_fraction(alpha)
-    q = as_fraction(c)
-    out = [LambdaPoly((1,))]
-    cur = Fraction(1)
-    for n in range(1, order + 1):
-        cur = cur * (a - (n - 1)) * q
-        out.append(LambdaPoly((cur,)))
-    return TruncatedSeries(order, tuple(out))
+    a, q = as_fraction(alpha), as_fraction(c)
+    x, s = LambdaPoly.coerce(a * q), LambdaPoly.coerce(q)
+    return TruncatedSeries(order, tuple(_falling(x, s, order)))
 
 
 # A default catalog run asks for 23 distinct triangles, so all of them stay held.

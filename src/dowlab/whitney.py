@@ -3,9 +3,10 @@
 W and V are read off ``recurrence``, the r-triangles and their r = 1 case off
 ``newton``, and the ``*_gf`` oracles off ``series``, each at its own (m, r).
 The explicit formulas (``*_alt``, ``whitney2_diff``), the classical tables
-and ``r_whitney1_rows_direct`` are computed here.  The Dobinski series is
-summed in ``dobinski``; ``DobinskiRequest`` and ``dobinski_eval`` are bound
-here as well, to the same objects.
+and ``r_whitney1_rows_direct`` are computed here, over the products of
+``bases`` (``v0`` is ``lambda_rising(1, n, m)`` with its sign).  The Dobinski
+series is summed in ``dobinski``; ``DobinskiRequest`` and ``dobinski_eval``
+are bound here as well, to the same objects.
 """
 
 from __future__ import annotations
@@ -122,10 +123,8 @@ def v0(m: int, n: int) -> LambdaPoly:
     """First-kind column k = 0: (-1)^n (m+1)(2m+1)...((n-1)m+1), free of l."""
     _check_m(m)
     _check_index(n, 0)
-    acc = 1
-    for j in range(n):
-        acc *= j * m + 1
-    return LambdaPoly.const(acc if n % 2 == 0 else -acc)
+    acc = lambda_rising(1, n, m)
+    return acc if n % 2 == 0 else -acc
 
 
 def whitney1_alt(m: int, n: int, k: int, path: str) -> LambdaPoly:

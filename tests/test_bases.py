@@ -242,7 +242,7 @@ def test_transform_pair_inverts_at_steps_l_and_ml(weighted, m):
 node_values = {
     "int": st_.integers(min_value=-4, max_value=4),
     "lambda": st_.fractions(min_value=-3, max_value=3, max_denominator=2).map(lambda q: l * q),
-    "rational": st_.fractions(min_value=-4, max_value=4, max_denominator=3).map(LambdaPoly.const),
+    "rational": st_.fractions(min_value=-4, max_value=4, max_denominator=3).map(LambdaPoly.coerce),
 }
 
 

@@ -3,8 +3,10 @@
 import copy
 import dataclasses
 import pickle
+import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st_
 from dowlab import bernoulli_euler as be
 from dowlab import exact, identities, stirling
 from dowlab import whitney as wh
-from dowlab.bases import basis_poly, gen_binom, lambda_falling
+from dowlab.bases import basis_poly, gen_binom, int_nodes, lambda_falling
 from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, row_step
 from dowlab.series import (TruncatedSeries, binomial_series, deg_exp, deg_log, gf_triangle,
                            one_series, t_series)
@@ -485,16 +487,24 @@ def test_eq_against_bools_and_floats():
         assert other not in {p} and p not in {other}
 
 
-@given(mixed, st_.integers(0, 4), st_.integers(0, 6))
-def test_monomial_pow_matches_repeated_product(c, d, n):
-    p = LambdaPoly((0,) * d + (c,))
-    want = LambdaPoly((1,))
+# monomials c*l^d, which take the shortcut, and any other polynomial, which
+# goes through the binary powering
+pow_bases = st_.one_of(
+    st_.tuples(mixed, st_.integers(0, 4)).map(lambda cd: (Fraction(0),) * cd[1] + (cd[0],)),
+    st_.lists(mixed, max_size=4),
+)
+
+
+@given(pow_bases, st_.integers(0, 6))
+def test_pow_matches_repeated_product(a, n):
+    p = LambdaPoly(a)
+    want, ref = ONE, (Fraction(1),)
     for _ in range(n):
-        want = want * p
+        want, ref = want * p, ref_mul(ref, a)
     got = p**n
     assert_canonical(got)
     assert form(got) == form(want)
-    assert got.coeffs == ref_strip(((0,) * (d * n) + (c**n,)) if c else (Fraction(int(n == 0)),))
+    assert got.coeffs == ref_strip(ref)
 
 
 def test_monomial_pow_of_negated_lambda():
@@ -626,6 +636,7 @@ def test_record_behaves_as_a_frozen_dataclass(name):
 COUNTS = {
     "lambda_falling": ("n", lambda v: lambda_falling(1, v, LAMBDA)),
     "basis_poly": ("n", lambda v: basis_poly(v, [])),
+    "int_nodes": ("n", int_nodes),
     "gen_binom": ("n", lambda v: gen_binom(Fraction(1, 2), v)),
     "LambdaPoly.__pow__": ("n", lambda v: LAMBDA**v),
     "TruncatedSeries": ("order", lambda v: TruncatedSeries(v, ())),
@@ -678,3 +689,56 @@ def test_every_count_is_refused_by_the_one_check(site):
         with pytest.raises(TypeError, match=f"^expected an int, got {type(bad).__name__}$"):
             call(bad)
         assert held_entries() == held
+
+
+def test_a_reader_waiting_on_a_failed_build_builds_its_rows_afresh(monkeypatch):
+    # Thread A's build fails at row 3 while thread B, which read the store
+    # before it failed, waits on the store's lock.  The failed build clears
+    # the store, so B must build from a new iterator, not resume A's dead one.
+    # The order is forced by events, with no timing: A fails only once B is
+    # at the lock.
+    reader_waits = threading.Event()
+
+    class Lock:
+        """The store's lock, which says when the reader has come to it."""
+
+        def __init__(self):
+            self.lock = threading.Lock()
+
+        def __enter__(self):
+            if threading.current_thread() is reader:
+                reader_waits.set()
+            self.lock.acquire()
+
+        def __exit__(self, *exc):
+            self.lock.release()
+
+    builds = []
+
+    def rows_of(x):
+        builds.append(x)
+        for n in count():
+            if n == 3 and len(builds) == 1:
+                reader.start()
+                assert reader_waits.wait(60)
+                raise RuntimeError("interrupted")
+            yield (x,) * (n + 1)
+
+    monkeypatch.setattr(exact, "CACHES", [])  # the test's store stays out of the registry
+    monkeypatch.setattr(exact, "Lock", Lock)
+    rows = exact.row_store(rows_of)
+    got = []
+
+    def read():
+        try:
+            got.append(rows(1, 5))
+        except Exception as exc:  # the outcome is the result
+            got.append(exc)
+
+    reader = threading.Thread(target=read)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        rows(1, 5)
+    reader.join(60)
+    assert not reader.is_alive()
+    assert got == [tuple((1,) * (n + 1) for n in range(6))]
+    assert builds == [1, 1]

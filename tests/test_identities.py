@@ -159,7 +159,7 @@ def test_discrepancy_entries_are_decided():
 
 def test_sweep_stops_at_the_first_mismatch():
     def points():
-        yield {"n": 0}, LambdaPoly.const(1), 1
+        yield {"n": 0}, LambdaPoly.coerce(1), 1
         yield {"n": 1}, LambdaPoly([0, 2]), LambdaPoly([0, 3])
         raise AssertionError("resumed after a mismatch")
 
@@ -169,8 +169,8 @@ def test_sweep_stops_at_the_first_mismatch():
 
 def test_sweep_returns_the_finding_of_a_sweep_without_mismatch():
     def points():
-        yield {"n": 0}, LambdaPoly.const(1), 1
-        yield {"n": 1}, 0, LambdaPoly.const(0)
+        yield {"n": 0}, LambdaPoly.coerce(1), 1
+        yield {"n": 1}, 0, LambdaPoly.coerce(0)
         return "decided"
 
     assert idn._sweep(points()) == (2, None, "decided")

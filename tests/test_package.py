@@ -307,3 +307,117 @@ def test_every_cache_is_registered():
     }
     assert found == set(CACHES)
     assert len({cache.__name__ for cache in CACHES}) == len(CACHES)  # the tests' ids
+
+
+def _private_defs(path: Path) -> dict[str, set]:
+    """Each function that the module at ``path`` defines at module or class
+    level under a private name (one underscore first, not a dunder), by its
+    qualified name, with the lines its code object can start at: its ``def``
+    and its first decorator."""
+    found = {}
+
+    def visit(body: list, prefix: str) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    found[prefix + name] = {node.lineno, *(d.lineno for d in node.decorator_list)}
+
+    visit(ast.parse(path.read_text(), str(path)).body, "")
+    return found
+
+
+def _not_entered(paths: list, code: str) -> list[str]:
+    """The private functions (``_private_defs``) of the modules at ``paths``
+    that ``code`` never enters, run in a fresh interpreter whose profiler is
+    installed before ``code`` imports anything, as ``module.qualname``."""
+    roots = sorted({str(path.resolve().parent) for path in paths})
+    census = f"""
+import os, sys, threading
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+threading.setprofile(profile)
+exec(compile({code!r}, "<census>", "exec"), {{"__name__": "__census__"}})
+sys.setprofile(None)
+print(sorted((os.path.realpath(f), line) for f, line in entered
+             if os.path.dirname(os.path.realpath(f)) in {roots!r}))
+"""
+    entered = ast.literal_eval(_run_fresh(census).splitlines()[-1])
+    return sorted(
+        f"{path.stem}.{name}"
+        for path in paths
+        for name, lines in _private_defs(path).items()
+        if not {(str(path.resolve()), line) for line in lines} & set(entered)
+    )
+
+
+def _census_calls(out: Path) -> list[tuple[list[str], int]]:
+    """The CLI forms of the census, each with its exit code: every family in
+    every format, symbolic and at lambda = 1/2, one --out export, both forms
+    of eval, verify with r = 0 in its set, and dobinski at a passing, a
+    failing and an overflowing point."""
+    from dowlab.families import Family
+
+    triangles = [
+        (["triangle", "--family", family.value, "--m", "2", "--r", "2", "--n-max", "3",
+          "--format", fmt, *lam], 0)
+        for family in Family
+        for fmt in ("csv", "json", "latex")
+        for lam in (["--symbolic"], ["--lambda", "1/2"])
+    ]
+    return [
+        *triangles,
+        (["triangle", "--family", "W", "--m", "2", "--n-max", "3", "--out", str(out)], 0),
+        (["eval", "--poly", "1 - l", "--lambda", "3"], 0),
+        (["eval", "--family", "VR", "--m", "2", "--r", "3", "--n", "5", "--k", "2"], 0),
+        (["verify", "--n-max", "2", "--r-set", "0,1"], 0),
+        (["dobinski", "--m", "1", "--n", "3", "--x", "-1", "--lambda", "0", "--terms", "60"], 0),
+        (["dobinski", "--m", "1", "--n", "3", "--x", "-1", "--lambda", "0", "--terms", "10"], 1),
+        (["dobinski", "--m", "1", "--n", "40", "--x", "100000000", "--lambda", "0",
+          "--terms", "1"], 2),
+    ]
+
+
+def test_every_private_function_is_entered_by_a_cli_form(tmp_path):
+    # a private function that no command reaches is dead code: the census
+    # runs every form of the CLI, with stderr a terminal (verify's progress
+    # lines), and then one call whose stdout cannot be written
+    calls = _census_calls(tmp_path / "w.csv")
+    code = f"""
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from dowlab.cli import main
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+class Closed(io.StringIO):
+    def write(self, text):
+        raise OSError(32, "Broken pipe")
+with redirect_stdout(io.StringIO()), redirect_stderr(Terminal()):
+    assert [(argv, main(argv)) for argv, _ in {calls!r}] == {calls!r}
+with redirect_stdout(Closed()), redirect_stderr(io.StringIO()):
+    assert main(["eval", "--poly", "l"]) == 2
+"""
+    assert _not_entered(sorted(SRC.glob("*.py")), code) == []
+
+
+def test_an_unentered_private_function_is_found(tmp_path):
+    module = tmp_path / "planted.py"
+    module.write_text(
+        "import functools\n"
+        "def _used():\n    return 1\n"
+        "@functools.lru_cache\n"
+        "def _cached():\n    return 2\n"
+        "def _unreachable():\n    return 3\n"
+        "class Kit:\n"
+        "    def _method(self):\n        return 4\n"
+        "    def __repr__(self):\n        return 'Kit'\n"
+        "def public():\n    return _used() + _cached()\n"
+    )
+    code = f"import sys\nsys.path.insert(0, {str(tmp_path)!r})\nimport planted\nplanted.public()\n"
+    assert _not_entered([module], code) == ["planted.Kit._method", "planted._unreachable"]

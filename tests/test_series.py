@@ -4,10 +4,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
-from dowlab.exact import LAMBDA, LambdaPoly
+from dowlab.bases import lambda_falling
+from dowlab.exact import LAMBDA, ZERO, LambdaPoly
 from dowlab.series import (
     TruncatedSeries,
     binomial_series,
@@ -93,12 +94,6 @@ def test_gf_triangle_refuses_short_inputs():
         gf_triangle(t_series(3), one_series(3), -1)
     with pytest.raises(IndexError):
         gf_triangle(t_series(3), one_series(2), 3)
-
-
-def test_pow_is_repeated_product():
-    e = deg_exp(1, 5)
-    assert e**0 == one_series(5)
-    assert e**3 == e * e * e
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, 0.0])
@@ -263,6 +258,16 @@ series = st_.lists(small_polys, min_size=1, max_size=5).map(
 
 
 @settings(deadline=None)
+@given(series, st_.integers(0, 7))
+@example(deg_exp(1, 5), 3)
+def test_pow_is_repeated_product(f, n):
+    want = one_series(f.order)
+    for _ in range(n):
+        want = want * f
+    assert f**n == want
+
+
+@settings(deadline=None)
 @given(series, series)
 def test_mul_commutative(f, g):
     assert f * g == g * f
@@ -298,6 +303,21 @@ rational_inner_series = st_.integers(min_value=0, max_value=12).flatmap(
     ).map(lambda cs: TruncatedSeries.from_coeffs([0] + cs, order))
 )
 exponents = st_.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+# The three series whose coefficients are one running product, against the
+# product of bases, coefficient by coefficient: x rational or a polynomial in l.
+@settings(deadline=None)
+@given(st_.one_of(exponents, small_polys), exponents, exponents, st_.integers(0, 12))
+@example(0, 0, 0, 12)
+@example(Fraction(1, 2), 0, 3, 5)
+@example(LAMBDA, 2, 0, 5)
+def test_running_products_are_lambda_falling(x, alpha, c, order):
+    n = range(order + 1)
+    assert deg_exp(x, order).coeffs == tuple(lambda_falling(x, k, LAMBDA) for k in n)
+    log_coeffs = (ZERO, *(lambda_falling(LAMBDA - 1, k - 1, 1) for k in n[1:]))
+    assert deg_log(order).coeffs == log_coeffs
+    assert binomial_series(alpha, c, order).coeffs == tuple(lambda_falling(c * alpha, k, c) for k in n)
 
 
 class TestFirstOrderSolver:

@@ -114,7 +114,7 @@ class TestDegenerate:
                 acc = LambdaPoly()
                 for k in range(j, n + 1):
                     acc = acc + st.deg_stirling1(n, k) * st.deg_stirling2(k, j)
-                assert acc == LambdaPoly.const(1 if n == j else 0)
+                assert acc == LambdaPoly.coerce(1 if n == j else 0)
 
     def test_gf_crosscheck(self):
         n_max = 12

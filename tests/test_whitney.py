@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
+from dowlab.bases import binom
 from dowlab.exact import CACHES, LAMBDA, LambdaPoly
 from dowlab import dobinski as dob
 from dowlab import identities as idn
@@ -176,7 +177,7 @@ class TestStructural:
                 acc = LambdaPoly()
                 for k in range(j, n + 1):
                     acc = acc + v_rows[n][k] * w_rows[k][j]
-                assert acc == LambdaPoly.const(1 if n == j else 0)
+                assert acc == LambdaPoly.coerce(1 if n == j else 0)
 
     def test_second_kind_stirling_link_to_twelve(self):
         # m = 1 rows against shifted second-kind degenerate Stirling numbers
@@ -747,8 +748,9 @@ def test_row_sum_is_the_fraction_power_sum(x, ordered):
             assert (got.nums, got.den) == (want.nums, want.den)
 
 
-# Each accessor with int arguments; every one of them must refuse an equal
-# float or bool even after the int call has filled the caches.
+# Each accessor with int arguments, and the two readers of an int index that
+# the identity sums use (binom, a series coefficient); every one of them must
+# refuse an equal float or bool even after the int call has filled the caches.
 INT_ONLY = {
     "whitney2": (wh.whitney2, (1, 3, 1)),
     "whitney1": (wh.whitney1, (1, 3, 1)),
@@ -766,6 +768,8 @@ INT_ONLY = {
     "tanny_dowling_poly": (wh.tanny_dowling_poly, (1, 3, 1)),
     "build_triangle": (lambda m, r, n_max: wh.build_triangle("WdegR", m, r, n_max), (1, 1, 3)),
     "family_rows": (lambda m, r: wh.family_rows("WdegR", m, r), (1, 1)),
+    "binom": (binom, (3, 1)),
+    "TruncatedSeries.coeff": (series.t_series(3).coeff, (1,)),
 }
 
 
