@@ -1,15 +1,16 @@
 """Exact arithmetic for degenerate Whitney, Stirling, Dowling, Bernoulli and
 Euler number families, with an identity engine that cross-checks every
 family along independent computation routes.  Each route is one module that
-reads only ``exact``: ``recurrence``, ``newton`` and ``series``; ``stirling``
-and ``whitney`` read their triangles off them, ``families`` reads each
-exported triangle off ``recurrence`` or ``newton``, and ``dobinski``, the one
-inexact path, reads the W rows of ``recurrence``.
+reads only ``exact``: ``newton``, which builds every row triangle, and
+``series``, which extracts them from generating functions; ``stirling`` and
+``whitney`` read their triangles off both, ``families`` reads each exported
+triangle off ``newton``, and ``dobinski``, the one inexact path, reads the W
+rows of ``newton``.
 
 The names listed in ``__all__`` load their defining module on first read
 (PEP 562): ``import dowlab`` runs none of the modules, ``dowlab.whitney2``
 imports ``dowlab.whitney`` and what it needs, ``dowlab.dobinski_eval`` runs
-only ``exact``, ``recurrence`` and ``dobinski``, and ``import dowlab.exact``
+only ``exact``, ``newton`` and ``dobinski``, and ``import dowlab.exact``
 runs only ``exact``.  The submodules ``dowlab.exact`` ... ``dowlab.identities``
 also resolve after a bare ``import dowlab``.
 """
@@ -31,7 +32,6 @@ _EXPORTS = {
         "lambda_rising",
         "newton_convert",
     ),
-    "recurrence": (),
     "newton": (),
     "families": ("Family",),
     "series": (

@@ -49,10 +49,10 @@ def _lazy_module(name: str) -> ModuleType:
 # The import graph of the commands, described here and nowhere else.
 # ``import dowlab.cli`` runs only ``dowlab``, ``exact`` and ``cli``, and each
 # command runs what it reads: ``triangle`` and ``eval`` the export table
-# ``families`` with the two row routes ``recurrence`` and ``newton``;
-# ``dobinski`` the evaluator ``dobinski`` with ``recurrence``; ``verify`` every
-# module, ``whitney`` with ``bases``, ``series`` and ``stirling``, and the
-# catalog's ``identities`` and ``bernoulli_euler``.  No module that
+# ``families`` with the row route ``newton``; ``dobinski`` the evaluator
+# ``dobinski`` with ``newton``; ``verify`` every module, ``whitney`` with
+# ``bases``, ``series`` and ``stirling``, and the catalog's ``identities`` and
+# ``bernoulli_euler``.  No module that
 # ``triangle``, ``eval`` or ``dobinski`` runs imports ``dataclasses`` (and with
 # it ``inspect``, ``ast`` and ``tokenize``).  The CLI registers every other
 # module here, to run on its first attribute read, for the benchmark's tracer:
@@ -62,7 +62,7 @@ def _lazy_module(name: str) -> ModuleType:
 # unwrapped.  Once the tracer imports the modules itself, these become plain
 # imports inside the commands.  Under CPython 3.11 a lazy module is not safe
 # when two threads race its first read; the CLI reads it from one thread.
-for _name in ("recurrence", "newton", "bases", "series", "stirling", "whitney", "bernoulli_euler"):
+for _name in ("newton", "bases", "series", "stirling", "whitney", "bernoulli_euler"):
     _lazy_module(_name)
 families = _lazy_module("families")
 dobinski = _lazy_module("dobinski")

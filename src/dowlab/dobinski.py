@@ -3,9 +3,10 @@ library's one inexact path.
 
 ``dobinski_eval`` sums the truncated series exactly, rounds it once through
 ``decimal`` in a context of its own, and compares it with the Dowling
-polynomial, read as a row sum (``exact._row_sum``) of the W rows of
-``recurrence``.  So this module reads nothing of the package but ``exact`` and
-``recurrence``, and ``dowlab dobinski`` runs no other module but the CLI.
+polynomial, read as a row sum (``exact._row_sum``) of the W rows, the
+second-kind kernel of ``newton`` at (m, 1, 1).  So this module reads nothing
+of the package but ``exact`` and ``newton``, and ``dowlab dobinski`` runs no
+other module but the CLI.
 ``whitney`` binds ``DobinskiRequest`` and ``dobinski_eval`` as well, for the
 catalog.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import ceil, inf, isfinite, prod
 
 from .exact import Record, _check_counts, _check_m, _row_sum, as_fraction, bounded, check_ints
-from .recurrence import whitney2_rows
+from .newton import _second_kind_rows
 
 
 class DobinskiRequest(Record):
@@ -57,7 +58,8 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     ``e^{-z} S`` with ``z = x/m`` and
     ``S = sum_{k < terms} z^k/k! prod_{j < n} (mk + 1 - j*lambda)``,
     and ``exact`` is the Dowling polynomial at ``(x, lambda)``, the row sum of
-    ``recurrence.whitney2_rows`` that ``whitney.dowling_poly`` reads too.
+    ``newton._second_kind_rows`` at (m, 1, 1) that ``whitney.dowling_poly``
+    reads too.
 
     ``S`` is exact: with ``z = p/q`` and ``lambda = a/b``, ``S b^n`` is one
     quotient of two integers (``_dobinski_sum``).  Its weight
@@ -103,7 +105,8 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     truncated = float(value)
     if not isfinite(truncated):
         raise OverflowError(f"Dobinski sum {value:.6e} is outside double range")
-    exact = float(_row_sum(whitney2_rows, (m,), n, as_fraction(req.x), False).eval(req.lam))
+    dowling = _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(req.x), False)
+    exact = float(dowling.eval(req.lam))
     return truncated, exact
 
 

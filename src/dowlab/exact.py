@@ -14,9 +14,7 @@ coefficients and which a product of two polynomials uses too; the sum is
 canonicalized once at the end, by ``_canonical``, the one canonical form of
 the ring.  The operands are short (a few coefficients under 32 bits), so
 plain int steps beat slicing or packing.  ``_power`` is the one binary
-powering, of a LambdaPoly and of a ``TruncatedSeries`` alike.  ``row_step``
-builds a triangle's next row, r'_k = r_{k-1} + w_k r_k, in one pass for the
-recurrence and Newton routes, and ``linear`` builds a weight w_k from two ints.
+powering, of a LambdaPoly and of a ``TruncatedSeries`` alike.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
@@ -37,9 +35,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import zip_longest
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, neg, sub
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Union
 
@@ -124,14 +121,6 @@ def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 def _canonical(nums: list[int], den: int) -> "LambdaPoly":
     return _raw(*_reduced(nums, den))
-
-
-def linear(c0: int, c1: int) -> "LambdaPoly":
-    """``c0 + c1*l`` from two ints, in canonical form (``c1``, or both, may be 0):
-    the multiplier of a row step, built without a pass over a list."""
-    if c1:
-        return _raw((c0, c1), 1)
-    return _raw((c0,) if c0 else (), 1)
 
 
 def _shift(a: tuple[int, ...], den: int, c: int) -> "LambdaPoly":
@@ -232,32 +221,6 @@ def _power(base, n: int, one):
         if n:
             base = base * base
     return one if out is None else out
-
-
-def row_step(row: tuple, weights: Iterable) -> tuple:
-    """The row after ``row``: r'_k = r_{k-1} + w_k r_k with r_{-1} = 0, for one
-    weight w_k per entry r_k, and then r'_n = r_{n-1}.
-
-    Entries are LambdaPolys with exact scalar weights, or all are plain ints.
-    Where r_{k-1}, r_k and w_k are integral and w_k has degree <= 1, as in
-    every row of the package, each coefficient is written once into one int
-    list; any other entry goes through ``dot``.  The GF route never calls it,
-    so a defect in it shows as a disagreement between routes.
-    """
-    if type(row[0]) is int:
-        return (*map(add, (0, *row), map(mul, weights, row)), row[-1])
-    out, p = [], ZERO
-    for w, q in zip(weights, row):
-        w = LambdaPoly.coerce(w)
-        if p.den != 1 or q.den != 1 or w.den != 1 or len(w.nums) > 2:
-            out.append(dot(((1, p, ONE), (1, w, q))))
-        else:
-            w0, w1 = (*w.nums, 0, 0)[:2]
-            b = q.nums
-            terms = zip_longest(p.nums, b, (0, *b), fillvalue=0)
-            out.append(_canonical([x + w0 * y + w1 * z for x, y, z in terms], 1))
-        p = q
-    return (*out, p)
 
 
 class LambdaPoly:
@@ -593,7 +556,8 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     comes.  It checks the values of its parameters (m >= 1, r >= 0 for the
     kernels) before it returns the row iterator, so a refused call stores
     nothing.  A store is the list of rows built so far plus the live
-    iterator; a longer ``n_max`` extends it.  The decorated function has
+    iterator; a longer ``n_max`` extends it, and a build that fails renews
+    the store of its own params only.  The decorated function has
     ``cache_info()`` and ``cache_clear()`` of its stores, and
     ``entry(*params, n, k)``, which reads one entry of the same store in
     place; only ``f`` copies rows out of it.  Both refuse a non-int argument
@@ -602,23 +566,25 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
 
     @bounded(STORES_HELD)
     @wraps(rows_of)  # the store's cache is named after its triangle
-    def store(*params: int) -> tuple[list[tuple], Iterator]:
-        return [], rows_of(*params)
+    def store(*params: int) -> list:
+        return [[], rows_of(*params)]
 
     lock = Lock()  # one thread at a time drives a row iterator
 
     def built_to(params: list[int], n: int) -> list[tuple]:
         """The rows of the store of ``params``, extended to hold row ``n``."""
-        built, source = store(*params)
+        held = store(*params)  # [the rows built so far, their live iterator]
+        built = held[0]
         if len(built) <= n:
             with lock:
-                # a build that held the lock and failed has cleared the store
-                built, source = store(*params)
+                built, source = held  # a build that failed meanwhile has renewed both
                 try:
                     while len(built) <= n:
                         built.append(next(source))
                 except BaseException:
-                    store.cache_clear()  # an interrupted iterator cannot be resumed
+                    # an interrupted iterator cannot be resumed, so these params
+                    # start afresh; a reader of the old list still reads its rows
+                    held[:] = [], rows_of(*params)
                     raise
         return built
 
@@ -648,8 +614,8 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
 def _row_sum(store: Callable, params: tuple, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
     """sum_k T(n,k) x^k over row n of ``store(*params, n)``, weighted by k! when
     ``ordered``: the degenerate Bell polynomials at (1, 0, 1) of ``_second_kind_rows``,
-    m^n Bdeg_n(x/m) at l -> l/m at (m, 0, 1), the (Tanny-)Dowling polynomials over
-    ``whitney2_rows``.  At x = p/q, int weights p^k q^(n-k) (times k!) over q^n."""
+    m^n Bdeg_n(x/m) at l -> l/m at (m, 0, 1), the (Tanny-)Dowling polynomials of W
+    at (m, 1, 1).  At x = p/q, int weights p^k q^(n-k) (times k!) over q^n."""
     row = store(*params, n)[n]
     p, q = x.numerator, x.denominator
     terms = []

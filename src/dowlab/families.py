@@ -2,8 +2,8 @@
 
 ``family_rows`` is the one table that ``triangle``, ``eval --family`` and
 ``whitney.build_triangle`` read.  Every family's rows come from
-``recurrence`` or ``newton``, so this module reads nothing of the package
-but those two and ``exact``, and an export runs no other module.
+``newton``, so this module reads nothing of the package but it and
+``exact``, and an export runs no other module.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 from .exact import LambdaPoly
-from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows
-from .recurrence import _stirling1_rows, whitney1_rows, whitney2_rows
+from .newton import _first_kind_rows, _second_kind_rows, _stirling1_rows, _stirling2_rows
 
 
 class Family(str, Enum):
@@ -50,8 +49,8 @@ _PRIMARY: dict[Family, Callable[[int, int], Iterator]] = {
     Family.S2DEG: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, 0, 1),
     Family.S1DEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: _alternating(rows(1, r)),
     Family.S2DEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(1, r, 1),
-    Family.WDEG: lambda m, r, rows=whitney2_rows.__wrapped__: rows(m),
-    Family.VDEG: lambda m, r, rows=whitney1_rows.__wrapped__: rows(m),
+    Family.WDEG: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(m, 1, 1),
+    Family.VDEG: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(m, 1),
     Family.WDEG_R: lambda m, r, rows=_second_kind_rows.__wrapped__: rows(m, r, 1),
     Family.VDEG_R: lambda m, r, rows=_first_kind_rows.__wrapped__: rows(m, r),
 }

@@ -8,8 +8,8 @@ counterexample.  ``params_tested`` is the number of comparisons made, the
 failing one included; nothing past the first counterexample is computed.
 
 An entry that compares two routes to the same values is a ``Row``: two sides,
-each naming the routes it computes by (recurrence, Newton conversion,
-generating function, explicit formula), read at the points of one runner.
+each naming the routes it computes by (Newton conversion, generating
+function, explicit formula), read at the points of one runner.
 An entry of several comparisons is a tuple of rows, its ``Parts``, each
 labelled by the ``tail`` params that end its points; the rows of an inner
 tuple run in lockstep, one point of each in turn.  ``ROWS`` lists them all.
@@ -143,9 +143,7 @@ def _rand_poly(rng: random.Random) -> LambdaPoly:
 # --------------------------------------------------------------------------
 
 # The routes a side may compute by; a side's route is their union.
-RECURRENCE, NEWTON, GF, EXPLICIT = (
-    frozenset({name}) for name in ("recurrence", "newton", "gf", "explicit")
-)
+NEWTON, GF, EXPLICIT = (frozenset({name}) for name in ("newton", "gf", "explicit"))
 
 
 @dataclass(frozen=True)
@@ -373,10 +371,10 @@ def _cor22_sum(ordered: bool, rescale: bool, m: int, n: int, x: Fraction) -> Lam
     ``rescale`` the polynomial is taken at m l/(m+1), which makes term j the
     row sum of the rescaled triangle at m x; without it, at l as printed."""
     if rescale:
-        store, key, y, c = st._second_kind_rows, (m * (m + 1), m + 1, m), m * x, 1
+        key, y, c = (m * (m + 1), m + 1, m), m * x, 1
     else:
-        store, key, y, c = wh.whitney2_rows, (m,), x * Fraction(m, m + 1), m + 1
-    terms = ((j, c**j, _row_sum(store, key, j, y, ordered)) for j in range(n + 1))
+        key, y, c = (m, 1, 1), x * Fraction(m, m + 1), m + 1
+    terms = ((j, c**j, _row_sum(st._second_kind_rows, key, j, y, ordered)) for j in range(n + 1))
     return rising_transform(n, terms, LAMBDA * m) / m**n
 
 
@@ -523,38 +521,36 @@ def _probe_cor22(ordered: bool, label: str) -> Probe:
                            for n in range(n_max + 1) for x in X_SAMPLES)
     poly = lambda m, n, x: (wh.tanny_dowling_poly if ordered else wh.dowling_poly)(m + 1, n, x)
     return Probe(
-        Row(_grid(("m",), cells), _each(RECURRENCE, poly),
+        Row(_grid(("m",), cells), _each(NEWTON, poly),
             _each(EXPLICIT | NEWTON, partial(_cor22_sum, ordered, True))),
-        _each(EXPLICIT | RECURRENCE, partial(_cor22_sum, ordered, False)),
+        _each(EXPLICIT | NEWTON, partial(_cor22_sum, ordered, False)),
         holds + "the printed form (no rescale) first fails at %s",
         holds + "the printed form agrees on this range (too small to separate)",
     )
 
 
-_W2 = _each(RECURRENCE, lambda *a: wh.whitney2(*a))
-_V1 = _each(RECURRENCE, lambda *a: wh.whitney1(*a))
-_DOWLING = _each(RECURRENCE, lambda m, x, n: wh.dowling_poly(m, n, x))
-_DOWLING_1 = _each(RECURRENCE, lambda n: wh.dowling_number(1, n))
+_W2 = _each(NEWTON, lambda *a: wh.whitney2(*a))
+_V1 = _each(NEWTON, lambda *a: wh.whitney1(*a))
+_DOWLING = _each(NEWTON, lambda m, x, n: wh.dowling_poly(m, n, x))
+_DOWLING_1 = _each(NEWTON, lambda n: wh.dowling_number(1, n))
 _BELL_STEP = _each(NEWTON, lambda n: st.deg_bell_number(n + 1) + LAMBDA * n * st.deg_bell_number(n))
 _SIGNED_R_S1 = _rows(NEWTON, lambda r, n: st._first_kind_rows(1, r, n))  # (-1)^(n-k) S1degR
 _R_S2 = _rows(NEWTON, lambda *a: st.deg_r_stirling2_rows(*a))
 
-# Each row checks that two routes agree.  Sharings, each listed in the tests:
-# the explicit formulas of thm8 and thm18 read the classical first-kind table,
-# which the recurrence builds, and those of thm16 and thm17 read the
-# recurrence's own W and Dowling numbers; eq75's bracket, eq77's m = 1 and the
-# classical S2 limit compare two Newton-kernel triangles.  The recurrence and
-# Newton routes step rows through the same exact.row_step, and for W and V with
-# the same weights (the Newton kernels at r = 1), so thm6, thm7 and the r=1
-# parts of eq75 and eq77 cannot catch a row_step defect; the GF route never
-# steps a row, so eq17, eq18, thm1, thm5, eq68 and eq71 can.
+# Each row checks that two routes agree.  Every row triangle is the Newton
+# route's, so the 26 rows whose sides both read it share it, each listed in the
+# tests, and none of them can catch a row_step defect; the GF route never steps
+# a row, so eq17, eq18, thm1, thm5, eq68 and eq71 can.  Among the 26, thm6, thm7
+# and the r=1 parts of eq75 and eq77 compare a kernel store with itself (W and V
+# are the kernels at r = 1), as eq77's m = 1 part does, so they cannot fail;
+# they are kept for params_tested.
 _register("eq12", _chk_eq12)
 _register("eq17", Row(_triangle(), _rows(GF, lambda *a: st.deg_stirling2_rows_gf(*a)),
                       _each(NEWTON, lambda *a: st.deg_stirling2(*a))))
 _register("eq18", Row(_triangle(), _rows(GF, lambda *a: st.deg_stirling1_rows_gf(*a)),
                       _each(NEWTON, lambda *a: st.deg_stirling1(*a))))
 _register("thm1", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney2_rows_gf(*a)), _W2))
-_register("cor2", Row(_triangle(), _each(RECURRENCE, lambda n, k: wh.whitney2(1, n, k)),
+_register("cor2", Row(_triangle(), _each(NEWTON, lambda n, k: wh.whitney2(1, n, k)),
                       _each(NEWTON, lambda n, k: st.deg_stirling2(n + 1, k + 1)
                             + LAMBDA * n * st.deg_stirling2_or_zero(n, k + 1))))
 _register("thm3", Row(_SERIES, Side(GF, lambda *a: wh.dowling_gf(*a).coeff), _DOWLING))
@@ -567,14 +563,14 @@ _register("cor4", Row(_column(), _DOWLING_1, _BELL_STEP))
 _register("thm5", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney1_rows_gf(*a)), _V1))
 _register("thm6", Row(_triangle("m"), _rows(NEWTON, lambda *a: wh.whitney2_rows_newton(*a)), _W2))
 _register("thm7", Row(_triangle("m"), _rows(NEWTON, lambda *a: wh.whitney1_rows_newton(*a)), _V1))
-_register("thm8", Row(_triangle("m"), _each(EXPLICIT | RECURRENCE | NEWTON,
+_register("thm8", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
                                             lambda *a: wh.whitney1_alt(*a, "quad_T8")), _V1))
 _register("thm9", Row(_SERIES, Side(GF, lambda *a: wh.tanny_dowling_gf(*a).coeff),
-                      _each(RECURRENCE, lambda m, x, n: wh.tanny_dowling_poly(m, n, x))))
+                      _each(NEWTON, lambda m, x, n: wh.tanny_dowling_poly(m, n, x))))
 _register("thm10", _chk_thm10)
 _register("cor11", Row(
     _column(x=X_SAMPLES),
-    _each(RECURRENCE, lambda x, n: wh.dowling_poly(1, n, x) * x),
+    _each(NEWTON, lambda x, n: wh.dowling_poly(1, n, x) * x),
     _each(NEWTON, lambda x, n: st.deg_bell(n + 1, x) + LAMBDA * n * st.deg_bell(n, x)),
 ))
 _register("thm12", Row(_triangle("m"), _each(EXPLICIT, lambda *a: wh.whitney2_alt(*a, "sum_T12")),
@@ -590,27 +586,27 @@ _thm16_verified = (
 )
 _register("thm16", Probe(
     Row(_triangle("m", ahead=1),
-        _each(EXPLICIT | RECURRENCE, partial(_thm16_sum, with_falling_factor=True)),
-        _each(RECURRENCE, lambda m, n, k: wh.whitney2(m, n + 1, k))),
-    _each(EXPLICIT | RECURRENCE, partial(_thm16_sum, with_falling_factor=False)),
+        _each(EXPLICIT | NEWTON, partial(_thm16_sum, with_falling_factor=True)),
+        _each(NEWTON, lambda m, n, k: wh.whitney2(m, n + 1, k))),
+    _each(EXPLICIT | NEWTON, partial(_thm16_sum, with_falling_factor=False)),
     _thm16_verified + "the displayed form (factor omitted) first fails at %s",
     _thm16_verified + "the displayed form agrees on this range (too small to separate)",
 ))
-_register("thm17", Row(_column("m", ahead=1), _each(EXPLICIT | RECURRENCE, _thm17_sum),
-                       _each(RECURRENCE, lambda m, n: wh.dowling_number(m, n + 1))))
-_register("thm18", Row(_triangle("m"), _each(EXPLICIT | RECURRENCE | NEWTON,
+_register("thm17", Row(_column("m", ahead=1), _each(EXPLICIT | NEWTON, _thm17_sum),
+                       _each(NEWTON, lambda m, n: wh.dowling_number(m, n + 1))))
+_register("thm18", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
                                              lambda *a: wh.whitney1_alt(*a, "v0_T18")), _V1))
 _register("thm19", Row(_triangle("m"), _each(EXPLICIT | NEWTON,
                                              lambda *a: wh.whitney1_alt(*a, "stirling_T19")), _V1))
 _register("thm20", Probe(
-    Row(_triangle("m"), _each(EXPLICIT | RECURRENCE, partial(_thm20_sum, printed=False)),
+    Row(_triangle("m"), _each(EXPLICIT | NEWTON, partial(_thm20_sum, printed=False)),
         _rows(NEWTON, lambda m, n: st._first_kind_rows(m, 0, n))),
-    _each(EXPLICIT | RECURRENCE, partial(_thm20_sum, printed=True)),
+    _each(EXPLICIT | NEWTON, partial(_thm20_sum, printed=True)),
     "printed binomial C(n,i) first fails at %s; "
     "the C(i,k) form from the derivation holds on the whole sweep",
     "printed and derived binomials agree on this range (too small to separate)",
 ))
-_register("thm21", Row(_triangle("m"), _each(RECURRENCE, lambda m, n, k: wh.whitney2(m + 1, n, k)),
+_register("thm21", Row(_triangle("m"), _each(NEWTON, lambda m, n, k: wh.whitney2(m + 1, n, k)),
                        _each(EXPLICIT | NEWTON, _thm21_rhs)))
 _register("cor22", _probe_cor22(False, "row-polynomial reduction"))
 _register("cor22_remark", _probe_cor22(True, "ordered-variant reduction"))
@@ -620,7 +616,7 @@ _register("thm25", _chk_thm25)
 _register("thm26", Row(
     _SERIES,
     _each(NEWTON, lambda m, x, n: _row_sum(st._second_kind_rows, (m, 0, 1), n, x, False)),
-    _each(EXPLICIT | RECURRENCE, _dowling_transform),
+    _each(EXPLICIT | NEWTON, _dowling_transform),
 ))
 _register("orthogonality", _chk_orthogonality)
 _register("stirling_orthogonality", _chk_stirling_orthogonality)
@@ -643,8 +639,8 @@ _register("eq75", (
     Row(_triangle(), _rows(GF, lambda n: st.deg_stirling1_rows_gf(n)),
         _rows(NEWTON, lambda n: st.deg_stirling1_rows(n)), {"part": "r=0"}),
 ))
-# r = 0 at m = 1 is S2deg, with its GF as the oracle; the m = 1 part reads the kernel
-# at (1, r) on both sides, so it cannot fail (it is kept for params_tested).
+# r = 0 at m = 1 is S2deg, with its GF as the oracle; the m = 1 and r = 1 parts read
+# the kernel at (1, r, 1) and (m, 1, 1) on both sides, so they cannot fail.
 _register("eq77", (
     (Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling2_rows_gf(*a)), _R_S2),
      Row(_triangle("r"), _rows(NEWTON, lambda r, n: wh.r_whitney2_rows(1, r, n)), _R_S2,
@@ -675,12 +671,12 @@ _register("eq81", Probe(
 ))
 # the l -> 0 limits against the classical tables
 _register("classical_limits", (
-    (Row(_triangle("m"), _each(RECURRENCE, lambda *a: wh.whitney2(*a).eval(0)),
+    (Row(_triangle("m"), _each(NEWTON, lambda *a: wh.whitney2(*a).eval(0)),
          _rows(NEWTON, lambda *a: wh.classical_whitney2_rows(*a)), {"family": "W"}),
-     Row(_triangle("m"), _each(RECURRENCE, lambda *a: wh.whitney1(*a).eval(0)),
+     Row(_triangle("m"), _each(NEWTON, lambda *a: wh.whitney1(*a).eval(0)),
          _rows(NEWTON, lambda *a: wh.classical_whitney1_rows(*a)), {"family": "V"})),
     (Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling1(*a).eval(0)),
-         _each(RECURRENCE, lambda *a: st.stirling1(*a)), {"family": "S1"}),
+         _each(NEWTON, lambda *a: st.stirling1(*a)), {"family": "S1"}),
      Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling2(*a).eval(0)),
          _each(NEWTON, lambda *a: st.stirling2(*a)), {"family": "S2"})),
 ))

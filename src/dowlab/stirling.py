@@ -1,9 +1,9 @@
 """Classical and degenerate Stirling numbers, Bell polynomials, r-variants.
 
 Every triangle here is read off a kernel of one route, at its own
-parameters: the classical first kind off ``recurrence``, the classical
-second kind and the degenerate (r-)Stirling numbers off ``newton`` (the
-r-Whitney kernels at m = 1), and the ``*_gf`` oracles off ``series``.
+parameters: the classical tables and the degenerate (r-)Stirling numbers
+off ``newton`` (the r-Whitney kernels at m = 1), and the ``*_gf`` oracles
+off ``series``.
 S1degR is the first-kind kernel at (1, r), signed (-1)^(n-k).  Each scalar
 accessor reads one entry in place through its store's ``entry``.
 """
@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .exact import LambdaPoly, Rows, _check_counts, _row_sum, as_fraction, check_ints
 from .families import _alternating
-from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows
-from .recurrence import _stirling1_rows
+from .newton import _first_kind_rows, _second_kind_rows, _stirling1_rows, _stirling2_rows
 from .series import _first_kind_gf, _second_kind_gf, binomial_series, deg_log, gf_triangle
 
 

@@ -1,7 +1,8 @@
 """Degenerate Whitney numbers, Dowling/Tanny-Dowling polynomials, r-variants.
 
-W and V are read off ``recurrence``, the r-triangles and their r = 1 case off
-``newton``, and the ``*_gf`` oracles off ``series``, each at its own (m, r).
+W, V and the r-triangles are read off the kernels of ``newton`` (W and V are
+their r = 1 case), and the ``*_gf`` oracles off ``series``, each at its own
+(m, r).
 The explicit formulas (``*_alt``, ``whitney2_diff``), the classical tables
 and ``r_whitney1_rows_direct`` are computed here, over the products of
 ``bases`` (``v0`` is ``lambda_rising(1, n, m)`` with its sign).  The Dobinski
@@ -21,8 +22,8 @@ from .exact import (LAMBDA, ONE, LambdaPoly, Rows, _check_counts, _check_index, 
 from . import dobinski
 from .bases import binom, falling_transform, lambda_falling, lambda_rising
 from .families import Family, family_rows
-from .newton import _first_kind_rows, _second_kind_rows, _stirling2_rows, newton_rows
-from .recurrence import _stirling1_rows, whitney1_rows, whitney2_rows
+from .newton import (_first_kind_rows, _second_kind_rows, _stirling1_rows, _stirling2_rows,
+                     newton_rows)
 from .series import TruncatedSeries, _first_kind_gf, _gf_base, _second_kind_gf, deg_exp, one_series
 from .stirling import deg_stirling1_rows
 
@@ -37,8 +38,13 @@ def _first_rows(rows: Iterator[tuple], n_max: int) -> tuple[tuple, ...]:
 # -- second kind -------------------------------------------------------------
 
 
+def whitney2_rows(m: int, n_max: int) -> Rows:
+    """Second-kind triangle W_{m,1}: the second-kind kernel at (m, 1, 1)."""
+    return _second_kind_rows(m, 1, 1, n_max)
+
+
 def whitney2(m: int, n: int, k: int) -> LambdaPoly:
-    return whitney2_rows.entry(m, n, k)
+    return _second_kind_rows.entry(m, 1, 1, n, k)
 
 
 def whitney2_or_zero(m: int, n: int, k: int) -> LambdaPoly:
@@ -49,7 +55,7 @@ def whitney2_or_zero(m: int, n: int, k: int) -> LambdaPoly:
 
 
 def whitney2_rows_newton(m: int, n_max: int) -> Rows:
-    """Second-kind triangle by expanding (mx+1)_{n,l} in the falling basis."""
+    """Second-kind triangle as the r-triangle at r = 1: the rows of ``whitney2_rows``."""
     return r_whitney2_rows(m, 1, n_max)
 
 
@@ -61,12 +67,17 @@ def whitney2_rows_gf(m: int, n_max: int) -> Rows:
 # -- first kind ---------------------------------------------------------------
 
 
+def whitney1_rows(m: int, n_max: int) -> Rows:
+    """First-kind triangle w_{m,1}: the first-kind kernel at (m, 1)."""
+    return _first_kind_rows(m, 1, n_max)
+
+
 def whitney1(m: int, n: int, k: int) -> LambdaPoly:
-    return whitney1_rows.entry(m, n, k)
+    return _first_kind_rows.entry(m, 1, n, k)
 
 
 def whitney1_rows_newton(m: int, n_max: int) -> Rows:
-    """First-kind triangle by Newton conversion of the defining relation."""
+    """First-kind triangle as the r-triangle at r = 1: the rows of ``whitney1_rows``."""
     return r_whitney1_rows(m, 1, n_max)
 
 
@@ -181,7 +192,7 @@ def dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Row polynomial sum_k W(n,k) x^k of the second-kind triangle."""
     check_ints(m)
     _check_counts(n=n)
-    return _row_sum(whitney2_rows, (m,), n, as_fraction(x), False)
+    return _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(x), False)
 
 
 def dowling_number(m: int, n: int) -> LambdaPoly:
@@ -192,7 +203,7 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Ordered variant sum_k k! W(n,k) x^k."""
     check_ints(m)
     _check_counts(n=n)
-    return _row_sum(whitney2_rows, (m,), n, as_fraction(x), True)
+    return _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(x), True)
 
 
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
@@ -264,7 +275,7 @@ def classical_whitney1_rows(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
 # -- Dobinski evaluation (the library's only inexact path) --------------------------
 
 # The evaluator is ``dobinski``'s, so that ``dowlab dobinski`` runs no module but
-# it, ``exact`` and ``recurrence``; thm10 and the benchmark's tracer read it here.
+# it, ``exact`` and ``newton``; thm10 and the benchmark's tracer read it here.
 DobinskiRequest = dobinski.DobinskiRequest
 dobinski_eval = dobinski.dobinski_eval
 

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from dowlab import newton, recurrence, series
+from dowlab import newton, series
 from dowlab.exact import CACHES
 
 # The module that holds each route's code; an explicit formula has none of its own.
-ROUTE_MODULES = {"recurrence": recurrence, "newton": newton, "gf": series, "explicit": None}
+ROUTE_MODULES = {"newton": newton, "gf": series, "explicit": None}
 
 
 def _forbidden(*args, **kwargs):

@@ -100,12 +100,12 @@ def test_criterion_1_triple_cross_check():
     with criterion(1, "triple cross-check of both triangles, three routes"):
         n_max = 12
         for m in M_SET:
-            recurrence = wh.whitney2_rows(m, n_max)
-            assert wh.whitney2_rows_newton(m, n_max) == recurrence
-            assert wh.whitney2_rows_gf(m, n_max) == recurrence
-            recurrence1 = wh.whitney1_rows(m, n_max)
-            assert wh.whitney1_rows_newton(m, n_max) == recurrence1
-            assert wh.whitney1_rows_gf(m, n_max) == recurrence1
+            second = wh.whitney2_rows(m, n_max)
+            assert wh.whitney2_rows_newton(m, n_max) == second
+            assert wh.whitney2_rows_gf(m, n_max) == second
+            first = wh.whitney1_rows(m, n_max)
+            assert wh.whitney1_rows_newton(m, n_max) == first
+            assert wh.whitney1_rows_gf(m, n_max) == first
 
 
 def test_criterion_2_explicit_formulas():

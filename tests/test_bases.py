@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from dowlab import exact, recurrence
+from dowlab import newton
 from dowlab.exact import LAMBDA, ONE, LambdaPoly
 from dowlab import stirling as st
 from dowlab import whitney as wh
@@ -302,7 +302,7 @@ def count_products(monkeypatch, store, read):
 
     monkeypatch.setattr(LambdaPoly, "__mul__", counted(LambdaPoly.__mul__))
     monkeypatch.setattr(LambdaPoly, "__rmul__", counted(LambdaPoly.__rmul__))
-    monkeypatch.setattr(exact, "dot", counted(exact.dot))  # row_step's general path
+    monkeypatch.setattr(newton, "dot", counted(newton.dot))  # row_step's general path
     store.cache_clear()
     return sum(len(row) for row in read()), len(calls)
 
@@ -317,9 +317,13 @@ def test_newton_rows_cost_a_few_multiplications_per_entry(monkeypatch):
     assert products <= entries
 
 
-@pytest.mark.parametrize("store", [recurrence.whitney2_rows, recurrence.whitney1_rows])
-def test_recurrence_rows_cost_a_few_multiplications_per_entry(monkeypatch, store):
-    # the same bound for the W and V rows of the recurrence route
-    entries, products = count_products(monkeypatch, store, lambda: store(3, 40))
+@pytest.mark.parametrize("store, rows", [
+    pytest.param(newton._second_kind_rows, wh.whitney2_rows, id="whitney2_rows"),
+    pytest.param(newton._first_kind_rows, wh.whitney1_rows, id="whitney1_rows"),
+])
+def test_recurrence_rows_cost_a_few_multiplications_per_entry(monkeypatch, store, rows):
+    # the same bound for the W and V rows, which the kernels build at r = 1 by
+    # the paper's two-term recurrence
+    entries, products = count_products(monkeypatch, store, lambda: rows(3, 40))
     assert entries == 861
     assert products <= entries

@@ -217,7 +217,7 @@ class TestEval:
             added = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the recurrence holds the row it extends and the one it builds; all
+        # the row step holds the row it extends and the one it builds; all
         # 61 rows take about 16 times the longest row's text
         assert added < 4 * longest_row
 
@@ -855,7 +855,8 @@ class TestExportFillsNoStore:
     def test_memory_is_about_one_row_without_a_held_triangle(self, capsys, tmp_path):
         target = tmp_path / "w.csv"
         main(triangle_argv("Wdeg", 3, 1, 1, None, "csv"))  # imports and the parser, untraced
-        wh.whitney2_rows.cache_clear()
+        store = st._second_kind_rows  # W is its key (m, 1, 1)
+        store.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -867,7 +868,7 @@ class TestExportFillsNoStore:
         # the rows being combined, one row's strings, its text and its bytes;
         # the triangle in a row store would be about 20 rows
         assert added < 8 * longest_row
-        assert wh.whitney2_rows.cache_info().currsize == 0
+        assert store.cache_info().currsize == 0
 
     @pytest.mark.parametrize("command", ["triangle", "eval"])
     @pytest.mark.parametrize("family", [f.value for f in Family])

@@ -14,10 +14,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st_
 
 from dowlab import bernoulli_euler as be
-from dowlab import exact, identities, stirling
+from dowlab import exact, identities, newton, stirling
 from dowlab import whitney as wh
 from dowlab.bases import basis_poly, gen_binom, int_nodes, lambda_falling
-from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot, linear, row_step
+from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot
+from dowlab.newton import linear, row_step
 from dowlab.series import (TruncatedSeries, binomial_series, deg_exp, deg_log, gf_triangle,
                            one_series, t_series)
 from dowlab.dobinski import DobinskiRequest
@@ -525,7 +526,7 @@ def test_int_tuple_construction_matches_fraction_construction(a):
     assert form(linear(c0, c1)) == form(LambdaPoly((c0, c1)))
 
 
-# -- the row step of the recurrence and Newton routes ------------------------------
+# -- the row step of the Newton route ---------------------------------------------
 #
 # Triangle entries grow past 2^64 within a few dozen rows, and their signs
 # alternate.  Integral entries with weights of degree 0 or 1 take the fast
@@ -592,7 +593,7 @@ def test_row_step_of_integral_rows_needs_no_dot(case):
     # each of its entries is written into one int list, never through dot
     row, ws = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact, "dot", None)
+        patch.setattr(newton, "dot", None)
         got = row_step(row, ws)
     assert_next_row(got, row, ws, ZERO)
 
@@ -742,3 +743,32 @@ def test_a_reader_waiting_on_a_failed_build_builds_its_rows_afresh(monkeypatch):
     assert not reader.is_alive()
     assert got == [tuple((1,) * (n + 1) for n in range(6))]
     assert builds == [1, 1]
+
+
+def test_a_failed_build_renews_only_the_store_of_its_params(monkeypatch):
+    # The rows built at (1,) outlive a build at (2,) that fails at row 3, and
+    # the next read at (2,) builds its rows afresh, from a new iterator.
+    starts, built = [], []
+
+    def rows_of(x):
+        starts.append(x)
+        for n in count():
+            if (x, n) == (2, 3) and starts.count(2) == 1:
+                raise RuntimeError("interrupted")
+            built.append((x, n))
+            yield (x,) * (n + 1)
+
+    monkeypatch.setattr(exact, "CACHES", [])  # the test's store stays out of the registry
+    rows = exact.row_store(rows_of)
+    triangle = lambda x, n_max: tuple((x,) * (n + 1) for n in range(n_max + 1))
+    assert rows(1, 50) == triangle(1, 50)
+    assert rows(2, 1) == triangle(2, 1)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        rows(2, 5)
+    assert rows.cache_info().currsize == 2
+    held = list(built)
+    assert rows(1, 50) == triangle(1, 50) and rows.entry(1, 50, 7) == 1
+    assert built == held  # no row of (1,) was built again
+    assert rows(2, 5) == triangle(2, 5)
+    assert starts == [1, 2, 2]
+    assert built[len(held):] == [(2, n) for n in range(6)]

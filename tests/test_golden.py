@@ -114,8 +114,9 @@ VERIFY_N16 = (
 
 
 # The commands of the export workload in perfbench/run.py, under the keys of
-# their digests in perfbench/reference.json, which is read as data: W is the
-# recurrence route and VR the Newton route at the sizes the benchmark runs.
+# their digests in perfbench/reference.json, which is read as data: W at
+# r = 1 and VR at r = 1, 2, 3, both from the Newton kernels, at the sizes the
+# benchmark runs.
 BENCHMARK_EXPORTS = {
     "W-m3-n80": ["--family", "W", "--m", "3", "--n-max", "80"],
     **{

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from dowlab.exact import CACHES, LambdaPoly
-from dowlab import cli, newton, recurrence, series
+from dowlab import cli, newton, series
 from dowlab import dobinski as dob
 from dowlab.families import Family
 from dowlab import identities as idn
@@ -73,8 +73,9 @@ def count_newton_rows(monkeypatch) -> list[int]:
 
     def counted(*args):
         built.append(0)
+        at = len(built) - 1  # triangles built side by side each count their own
         for row in real(*args):
-            built[-1] += 1
+            built[at] += 1
             yield row
 
     monkeypatch.setattr(newton, "newton_rows", counted)
@@ -92,7 +93,8 @@ def count_newton_rows(monkeypatch) -> list[int]:
         # one l-sum per pair 0 <= k <= j <= 12, whatever m and n
         ("thm8", wh._t8_outer, 91),
         # one rescaled row per m in {1, 2, 3} and row 0..12, whatever n and k;
-        # the ids name the per-row caches that these row stores replaced
+        # the ids name the per-row caches that these row stores replaced, and
+        # their counts
         pytest.param("thm13", st._second_kind_rows, 3 * 13, id="thm13-_row_over_m-39"),
         pytest.param("thm19", st._first_kind_rows, 3 * 13, id="thm19-_row_over_m-39"),
         pytest.param("thm21", st._second_kind_rows, 3 * 13, id="thm21-_thm21_row-39"),
@@ -105,8 +107,9 @@ def test_explicit_side_builds_each_inner_sum_once(ident, inner, keys, monkeypatc
     assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status == "pass"
     info = inner.cache_info()
     if hasattr(inner, "entry"):
-        # one store per m, whose rows are each drawn once
-        assert (info.misses, sum(built)) == (3, keys)
+        # per m one rescaled store and the W or V store of the other side,
+        # whose rows are each drawn once
+        assert (info.misses, sum(built)) == (6, 2 * keys)
     else:
         assert info.misses == keys
     assert info.hits > info.misses
@@ -125,20 +128,22 @@ def test_rescaled_entries_rescale_no_lambda(monkeypatch, clear_caches):
 
 
 def test_rescaled_stores_hold_one_triangle_per_m(monkeypatch, clear_caches):
-    # a cold run builds rows 0..12 once for each m and rescaled triangle,
-    # however many (n, k) read them; no other Newton-kernel triangle is read
+    # a cold run builds rows 0..12 once for each m and rescaled triangle (nine)
+    # and for each W and V triangle that the other sides read (W at m = 1..4,
+    # V at m = 1..3), however many (n, k) read them; no other Newton-kernel
+    # triangle is read
     built = count_newton_rows(monkeypatch)
     clear_caches()
     for ident in RESCALED_ENTRIES:
         assert idn.run_identity(ident, 12, (1, 2, 3), (1, 2, 3), 0).status != "fail"
     kernels = (st._second_kind_rows, st._first_kind_rows)
-    assert [store.cache_info().currsize for store in kernels] == [6, 3]
-    assert built == [13] * 9
-    # each of the nine is held: reading its row 12 again builds nothing
+    assert [store.cache_info().currsize for store in kernels] == [10, 6]
+    assert built == [13] * 16
+    # each of the nine rescaled ones is held: reading its row 12 again builds nothing
     for store, key in RESCALED_STORES:
         for m in (1, 2, 3):
             store.entry(*key(m), 12, 0)
-    assert built == [13] * 9
+    assert built == [13] * 16
 
 
 def test_determinism_same_seed():
@@ -227,9 +232,9 @@ def test_fault_injection_yields_counterexample(monkeypatch, ident):
 def test_thm10_counterexample_keeps_both_floats(monkeypatch):
     # thm10 is the one tolerance comparison: a point whose exact side moves
     # by 1e-6 fails, and the counterexample shows the two floats compared.
-    # The exact side is the evaluator's row sum of the W rows at (m,), n, x
+    # The exact side is the evaluator's row sum of the W rows at (m, 1, 1), n, x
     real = dob._row_sum
-    at = ((1,), 2, Fraction(1))
+    at = ((1, 1, 1), 2, Fraction(1))
 
     def corrupted(store, params, n, x, ordered):
         value = real(store, params, n, x, ordered)
@@ -322,12 +327,11 @@ for family in {FAMILIES!r}:
 def test_each_route_forbids_its_primitives(forbid_route):
     # the bindings forbidden for a route derive from its module; they hold
     # the code that only that route reaches, wherever it is bound: the row
-    # kernels, the GF triangles, the product and quotient of the series ring
+    # kernels and their row step, the GF triangles, the product and quotient of the series ring
     # (the series oracles of thm3, thm9 and thm27 reach them without
     # gf_triangle) and the first-order solver behind powers and log_l
     primitives = {
-        "recurrence": [(recurrence, "_recurrence")],
-        "newton": [(newton, "newton_rows"), (wh, "newton_rows")],
+        "newton": [(newton, "newton_rows"), (wh, "newton_rows"), (newton, "row_step")],
         "gf": [(series, "gf_triangle"), (st, "gf_triangle"),
                (series.TruncatedSeries, "__mul__"), (series.TruncatedSeries, "divide"),
                (series, "_first_order")],
@@ -361,12 +365,19 @@ def test_declared_route_sharings(routes):
     for row in rows.values():
         assert row.lhs.route and row.lhs.route <= set(routes)
         assert row.rhs.route and row.rhs.route <= set(routes)
-    # any new sharing must be declared here on purpose: the explicit sides of
-    # thm8, thm16, thm17 and thm18 read the recurrence's tables, and the other
-    # three compare two triangles of the Newton kernel
+    # any new sharing must be declared here on purpose.  Every row triangle is
+    # the Newton route's, so these rows read it on both sides: the explicit
+    # sides read its tables; thm6, thm7 and the r=1 parts of eq75 and eq77
+    # read one kernel key on both sides; the others compare two of its tables
+    # or two sums over them.  Only a GF side can catch a row_step defect.
     shared = {ident for ident, row in rows.items() if row.lhs.route & row.rhs.route}
     assert shared == {
-        "thm8", "thm16", "thm17", "thm18", "eq75[bracket]", "eq77[m=1]", "classical_limits[S2]"
+        "cor2", "eq29_30[eq30]", "cor4", "cor11",
+        "thm6", "thm7", "eq75[r=1]", "eq77[r=1]", "eq75[bracket]", "eq77[m=1]",
+        "thm8", "thm13", "thm16", "thm17", "thm18", "thm19", "thm20", "thm21",
+        "cor22", "cor22_remark", "thm23", "thm26",
+        "classical_limits[W]", "classical_limits[V]", "classical_limits[S1]",
+        "classical_limits[S2]",
     }
 
 
@@ -465,12 +476,13 @@ def test_a_cold_catalog_builds_each_kernel_triangle_once(clear_caches):
     # thm13, thm19-20, thm23 and thm26 at r = 0 for m = 1..3, the r-Whitney
     # triangles at {1,2,3}^2, and for the second kind the rescaled W triangle
     # of thm21 and cor22 at (m(m+1), m+1, m), whose m = 1 key is the
-    # r-Whitney triangle at (2, 2); S1deg, S2deg and the Bell numbers at
-    # m = 1, r = 0 and the r-Stirling triangles at (1, r) are among those
+    # r-Whitney triangle at (2, 2), and W at m = 4, which thm21 and cor22 read
+    # at m + 1; S1deg, S2deg and the Bell numbers at m = 1, r = 0, the
+    # r-Stirling triangles at (1, r) and W and V at m = 1..3 are among those
     # keys, not stores apart
     clear_caches()
     idn.verify_all(10, (1, 2, 3), (1, 2, 3), 0)
-    for store, stores in ((st._second_kind_rows, 14), (st._first_kind_rows, 12)):
+    for store, stores in ((st._second_kind_rows, 15), (st._first_kind_rows, 12)):
         info = store.cache_info()
         assert (info.misses, info.currsize) == (stores, stores)
 

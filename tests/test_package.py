@@ -82,12 +82,12 @@ LOADS = {
     # each route's module needs exact alone, so no route can reach another's code
     **{
         name: ["dowlab", "dowlab.exact", f"dowlab.{name}"]
-        for name in ("newton", "recurrence", "series")
+        for name in ("newton", "series")
     },
-    # the export table needs the two row routes it serves and nothing else
-    "families": ["dowlab", "dowlab.exact", "dowlab.families", "dowlab.newton", "dowlab.recurrence"],
-    # the Dobinski evaluator needs the W rows of the recurrence route and nothing else
-    "dobinski": ["dowlab", "dowlab.dobinski", "dowlab.exact", "dowlab.recurrence"],
+    # the export table needs the row route it serves and nothing else
+    "families": ["dowlab", "dowlab.exact", "dowlab.families", "dowlab.newton"],
+    # the Dobinski evaluator needs the W rows of the Newton route and nothing else
+    "dobinski": ["dowlab", "dowlab.dobinski", "dowlab.exact", "dowlab.newton"],
     "cli": ["dowlab", *(f"dowlab.{name}" for name in MODULES)],
 }
 
@@ -104,21 +104,20 @@ def test_every_module_imports_on_its_own(name):
 
 
 def test_the_cli_registers_the_catalog_modules_without_running_them():
-    # ``import dowlab.cli`` runs none of the ten modules that the commands
+    # ``import dowlab.cli`` runs none of the nine modules that the commands
     # read: each is registered, and a first read runs it (in this order, no
     # read runs a module that a later one checks)
     check = """
 import sys, types
 import dowlab.cli as cli
-names = ["recurrence", "newton", "families", "bases", "series", "stirling", "dobinski",
-         "whitney", "bernoulli_euler", "identities"]
+names = ["newton", "families", "bases", "series", "stirling", "dobinski", "whitney",
+         "bernoulli_euler", "identities"]
 mods = {name: sys.modules[f"dowlab.{name}"] for name in names}
 assert cli.families is mods["families"] and cli.dobinski is mods["dobinski"]
 assert cli.identities is mods["identities"]
 assert [name for name, mod in mods.items() if type(mod) is types.ModuleType] == []
 reads = {
-    "recurrence": lambda mod: mod._stirling1_rows.entry(3, 1) == 2,
-    "newton": lambda mod: mod._stirling2_rows.entry(3, 2) == 3,
+    "newton": lambda mod: mod._stirling1_rows.entry(3, 1) == 2,
     "families": lambda mod: mod.Family("Wdeg") is mod.Family.WDEG,
     "bases": lambda mod: mod.binom(4, 2) == 6,
     "series": lambda mod: mod.t_series(3).coeffs[1] == 1,
@@ -203,15 +202,15 @@ for calls in {list(groups)!r}:
 
 def test_an_export_runs_only_the_row_routes():
     # ``import dowlab.cli`` runs dowlab, exact and the CLI; triangle and eval
-    # add the two row routes and the export table, and dobinski adds only its
+    # add the row route and the export table, and dobinski adds only its
     # evaluator, whether or not an export ran before it
     cli = ["dowlab", "dowlab.cli", "dowlab.exact"]
     started, after_exports, after_dobinski = _executed_after(EXPORT_CALLS, DOBINSKI_CALLS)
     assert started == cli
-    assert after_exports == sorted([*cli, "dowlab.families", "dowlab.newton", "dowlab.recurrence"])
+    assert after_exports == sorted([*cli, "dowlab.families", "dowlab.newton"])
     assert after_dobinski == sorted([*after_exports, "dowlab.dobinski"])
     _, after_dobinski_alone = _executed_after(DOBINSKI_CALLS)
-    assert after_dobinski_alone == sorted([*cli, "dowlab.dobinski", "dowlab.recurrence"])
+    assert after_dobinski_alone == sorted([*cli, "dowlab.dobinski", "dowlab.newton"])
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -300,8 +300,11 @@ class TestRowStore:
         with pytest.raises(KeyboardInterrupt):
             rows(6)
         assert calls == [0, 1, 2, 3]
-        assert store.cache_info().currsize == 0
+        # the store of (1, 0) keeps its key but none of the rows the dead
+        # iterator built: the next read builds rows 1..6 afresh
+        assert store.cache_info().currsize == 1
         assert rows(6) == expected
+        assert calls == [0, 1, 2, 3, *range(6)]
 
     def test_threads_extend_one_store_in_order(self):
         rows = st._first_kind_rows  # the kernel behind S1degR, here at r = 2

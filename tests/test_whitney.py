@@ -16,7 +16,7 @@ from dowlab.bases import binom
 from dowlab.exact import CACHES, LAMBDA, LambdaPoly
 from dowlab import dobinski as dob
 from dowlab import identities as idn
-from dowlab import newton, recurrence, series
+from dowlab import newton, series
 from dowlab.families import Family
 from dowlab import stirling as st
 from dowlab import whitney as wh
@@ -122,15 +122,15 @@ class TestAlternativeFormulas:
                 for k in range(n + 1):
                     assert wh.whitney2_diff(m, n, k) == wh.whitney2(m, n, k)
 
-    def test_forward_difference_path_is_independent(self, monkeypatch):
-        # the chain of differences must not lean on the recurrence or on the
+    def test_forward_difference_path_is_independent(self, monkeypatch, forbid_route):
+        # the chain of differences must not lean on the row route or on the
         # alternating sum of thm12, or thm14 would check nothing
         def forbidden(*args):
             raise AssertionError("forward differences reached another route")
 
         expected = {(3, n, k): wh.whitney2(3, n, k) for n in range(11) for k in range(n + 1)}
         wh._forward_differences.cache_clear()
-        monkeypatch.setattr(wh, "whitney2_rows", forbidden)
+        forbid_route("newton")
         monkeypatch.setattr(wh, "whitney2_alt", forbidden)
         for (m, n, k), value in expected.items():
             assert wh.whitney2_diff(m, n, k) == value
@@ -609,8 +609,8 @@ class TestTriangleBuilder:
             "S2deg": (st._second_kind_rows, (1, 0, 1)),
             "S1degR": (st.deg_r_stirling1_unsigned_rows, (2,)),
             "S2degR": (st._second_kind_rows, (1, 2, 1)),
-            "Wdeg": (wh.whitney2_rows, (3,)),
-            "Vdeg": (wh.whitney1_rows, (3,)),
+            "Wdeg": (st._second_kind_rows, (3, 1, 1)),
+            "Vdeg": (st._first_kind_rows, (3, 1)),
             "WdegR": (st._second_kind_rows, (3, 2, 1)),
             "VdegR": (st._first_kind_rows, (3, 2)),
         }[family]
@@ -649,8 +649,7 @@ def test_first_rows_refuse_a_bad_n_max(name):
         build(2.0)
 
 
-# The GF oracle of each family that reads m or r, and the family's second
-# route where it has one, as functions of (m, r, n_max).
+# The GF oracle of each family that reads m or r, as a function of (m, r, n_max).
 GF_ORACLES = {
     "Wdeg": lambda m, r, n_max: wh.whitney2_rows_gf(m, n_max),
     "Vdeg": lambda m, r, n_max: wh.whitney1_rows_gf(m, n_max),
@@ -658,11 +657,6 @@ GF_ORACLES = {
     "VdegR": wh.r_whitney1_rows_gf,
     "S1degR": lambda m, r, n_max: st.deg_r_stirling1_unsigned_rows_gf(r, n_max),
     "S2degR": lambda m, r, n_max: st.deg_r_stirling2_rows_gf(r, n_max),
-}
-SECOND_ROUTES = {
-    "Wdeg": lambda m, r, n_max: wh.r_whitney2_rows(m, 1, n_max),
-    "Vdeg": lambda m, r, n_max: wh.r_whitney1_rows(m, 1, n_max),
-    "VdegR": wh.r_whitney1_rows_direct,
 }
 
 
@@ -675,8 +669,6 @@ def test_routes_agree_over_the_accepted_domain(family, m, n_max, data):
     r = data.draw(st_.integers(0, 12))
     rows = tuple(islice(wh.family_rows(family, m, r), n_max + 1))
     assert rows == GF_ORACLES[family](m, r, n_max)
-    if family in SECOND_ROUTES:
-        assert rows == SECOND_ROUTES[family](m, r, n_max)
 
 
 # Each rescaled triangle of the catalog, as rows(m, n_max), and its
@@ -720,11 +712,11 @@ def test_rescaled_bell_value_is_a_row_sum(m, n, x):
 
 
 # The stores whose row sums the package reads, each at one parameter tuple:
-# the Bell store at (1, 0, 1), the rescaled Bell store at (3, 0, 1), the
-# rescaled W store of cor22 at m = 2.
+# the Bell store at (1, 0, 1), the W store at (2, 1, 1), the rescaled Bell
+# store at (3, 0, 1), the rescaled W store of cor22 at m = 2.
 ROW_SUM_STORES = (
     (st._second_kind_rows, (1, 0, 1)),
-    (wh.whitney2_rows, (2,)),
+    (st._second_kind_rows, (2, 1, 1)),
     (st._second_kind_rows, (3, 0, 1)),
     (st._second_kind_rows, (6, 3, 2)),
 )
@@ -798,12 +790,13 @@ class TestIntArguments:
 
 class TestRowStore:
     def test_one_store_extends_by_prefix(self):
-        wh.whitney2_rows.cache_clear()
+        store = st._second_kind_rows  # W is its key (m, 1, 1)
+        store.cache_clear()
         built = [wh.whitney2_rows(3, n) for n in range(25)]
-        assert wh.whitney2_rows.cache_info().currsize == 1
+        assert store.cache_info().currsize == 1
         assert wh.whitney2_rows(3, 7) == built[7]
         for n, rows in enumerate(built):
-            wh.whitney2_rows.cache_clear()
+            store.cache_clear()
             assert rows == wh.whitney2_rows(3, n)
 
     # (the store, the rows function that reads it, a good and a bad call);
@@ -811,8 +804,10 @@ class TestRowStore:
     @pytest.mark.parametrize(
         "store, rows, good, bad",
         [
-            pytest.param(wh.whitney2_rows, wh.whitney2_rows, (2, 3), (0, 3), id="whitney2_rows"),
-            pytest.param(wh.whitney1_rows, wh.whitney1_rows, (2, 3), (-1, 3), id="whitney1_rows"),
+            pytest.param(st._second_kind_rows, wh.whitney2_rows, (2, 3), (0, 3),
+                         id="whitney2_rows"),
+            pytest.param(st._first_kind_rows, wh.whitney1_rows, (2, 3), (-1, 3),
+                         id="whitney1_rows"),
             pytest.param(st._first_kind_rows, wh.r_whitney1_rows, (2, 1, 3), (2, -1, 3),
                          id="r_whitney1_rows"),
             pytest.param(st._second_kind_rows, wh.r_whitney2_rows, (2, 1, 3), (0, 1, 3),
@@ -873,8 +868,15 @@ READERS = {
         st_.tuples(st_.just(1), st_.integers(0, 3)),
         lambda m, r, n, k: st.deg_r_stirling1_unsigned(n, k, r) * (-1) ** (n - k),
     ),
-    "whitney2": (wh.whitney2_rows, st_.tuples(M_), wh.whitney2),
-    "whitney1": (wh.whitney1_rows, st_.tuples(M_), wh.whitney1),
+    # W and V are the kernels at r = 1
+    "whitney2": (
+        st._second_kind_rows,
+        st_.tuples(M_, st_.just(1), st_.just(1)),
+        lambda m, r, s, n, k: wh.whitney2(m, n, k),
+    ),
+    "whitney1": (
+        st._first_kind_rows, st_.tuples(M_, st_.just(1)), lambda m, r, n, k: wh.whitney1(m, n, k)
+    ),
     "r_whitney2": (
         st._second_kind_rows,
         st_.tuples(M_, R_, st_.just(1)),
@@ -897,11 +899,12 @@ READERS = {
 
 
 # The positions of the store parameters that an accessor fixes: m = 1 for
-# the r-Stirling numbers, r = 0 too for the degenerate Stirling numbers, and
-# the step s = 1 of the second-kind kernel for each of its readers.
+# the r-Stirling numbers, r = 0 too for the degenerate Stirling numbers, r = 1
+# for W and V, and the step s = 1 of the second-kind kernel for each of its
+# readers.
 FIXED_PARAMS = {
     "deg_stirling1": (0, 1), "deg_stirling2": (0, 1, 2), "deg_r_stirling2": (0, 2),
-    "deg_r_stirling1_unsigned": (0,), "r_whitney2": (2,),
+    "deg_r_stirling1_unsigned": (0,), "r_whitney2": (2,), "whitney2": (1, 2), "whitney1": (1,),
 }
 
 
@@ -914,10 +917,7 @@ def refusal(call, *args) -> tuple:
 
 class TestEntryReader:
     def test_every_store_has_an_accessor(self):
-        stores = {
-            fn for module in (recurrence, newton) for fn in vars(module).values()
-            if hasattr(fn, "entry")
-        }
+        stores = {fn for fn in vars(newton).values() if hasattr(fn, "entry")}
         assert stores == {store for store, _, _ in READERS.values()}
 
     @pytest.mark.parametrize("name", sorted(READERS))
@@ -1014,45 +1014,23 @@ def test_reader_is_its_kernel_at_its_parameters(name, clear_caches):
     assert reader(*args, 9) == rows
 
 
-def test_six_row_stores():
-    # the two recurrences, the classical Stirling tables and one Newton kernel
-    # per kind; every other triangle reads one of them
-    stores = [c for c in CACHES if c.__module__ in ("dowlab.recurrence", "dowlab.newton")]
+def test_four_row_stores():
+    # the classical Stirling tables and one kernel per kind, all of the Newton
+    # route; every other triangle reads one of them
+    stores = [c for c in CACHES if c.__module__ == "dowlab.newton"]
     readers = {
         fn.cache_info.__self__
         for name, module in sorted(sys.modules.items()) if name.startswith("dowlab.")
         for fn in vars(module).values() if hasattr(fn, "entry")
     }
-    assert len(stores) == 6 and set(stores) == readers
+    assert len(stores) == 4 and set(stores) == readers
 
 
 class TestRouteIndependence:
-    # The identity catalog compares the recurrence, Newton and GF routes;
-    # that only checks something while no route leans on another's code.
+    # The identity catalog compares the Newton and GF routes; that only
+    # checks something while neither route leans on the other's code.
     M_SET = (1, 2, 3)
     N_MAX = 8
-
-    def test_recurrence_needs_no_newton_conversion(self, forbid_route, clear_caches):
-        expected = {
-            m: (wh.r_whitney2_rows(m, 1, self.N_MAX), wh.r_whitney1_rows(m, 1, self.N_MAX))
-            for m in self.M_SET
-        }
-        forbid_route("newton")
-        clear_caches()
-        for m, (second, first) in expected.items():
-            assert wh.whitney2_rows(m, self.N_MAX) == second
-            assert wh.whitney1_rows(m, self.N_MAX) == first
-
-    def test_newton_route_needs_no_recurrence(self, forbid_route, clear_caches):
-        expected = {
-            m: (wh.whitney2_rows(m, self.N_MAX), wh.whitney1_rows(m, self.N_MAX))
-            for m in self.M_SET
-        }
-        forbid_route("recurrence")
-        clear_caches()
-        for m, (second, first) in expected.items():
-            assert wh.r_whitney2_rows(m, 1, self.N_MAX) == second
-            assert wh.r_whitney1_rows(m, 1, self.N_MAX) == first
 
     def test_gf_route_needs_neither(self, forbid_route, clear_caches):
         expected = {
@@ -1060,7 +1038,6 @@ class TestRouteIndependence:
             for m in self.M_SET
         }
         forbid_route("newton")
-        forbid_route("recurrence")
         clear_caches()
         for m, (second, first) in expected.items():
             assert wh.whitney2_rows_gf(m, self.N_MAX) == second
