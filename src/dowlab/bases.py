@@ -257,4 +257,5 @@ def int_nodes(n: int) -> list[LambdaPoly]:
 
 def lambda_nodes(n: int, scale: int | Fraction = 1) -> list[LambdaPoly]:
     """Nodes 0, scale*l, 2*scale*l, ... of the step-l falling basis."""
-    return [LAMBDA * Fraction(scale) * j for j in range(n)]
+    _check_counts(n=n)
+    return [LAMBDA * as_fraction(scale) * j for j in range(n)]

@@ -87,6 +87,13 @@ def _parse_family(text: str) -> families.Family:
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
+    # Fraction builds 10^|e| for a decimal exponent e, and no digit limit bounds
+    # |e|: it may be ten times the int <-> str digit limit (4300 before CPython
+    # 3.11), so that 1e5000 still renders, and is unbounded once that is lifted
+    limit = 10 * getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    digits = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if limit and digits.isdigit() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise UsageError(f"{what} must have a decimal exponent of at most {limit}, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

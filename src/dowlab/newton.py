@@ -13,53 +13,42 @@ V at r = 1), and ``_stirling1_rows`` and ``_stirling2_rows`` the classical
 first and second kinds; each is served by a row store.  At r = 0, and at
 (m(m+1), m+1, m) for the second kind, the kernels hold the triangles that
 thm13, thm19-21, cor22, thm23 and thm26 read at l/m or at m l/(m+1),
-cleared of a power of m or m+1, so no l is ever substituted.  ``row_step``
-builds a row and ``linear`` a weight of it.  The GF route (``series``)
-never steps a row, so a defect here shows as a disagreement between the
-two routes.  This module reads nothing of the package but ``exact``.
+cleared of a power of m or m+1, so no l is ever substituted.  Every root
+and node over Q[l] is linear in l with int coefficients, and is passed as
+the int pair (c0, c1) for c0 + c1 l; ``row_step`` builds a row from them,
+so every row is integral.  The GF route (``series``) never steps a row, so
+a defect here shows as a disagreement between the two routes.  This module
+reads nothing of the package but ``exact``.
 """
 
 from __future__ import annotations
 
 from itertools import count, zip_longest
-from operator import add, mul
-from typing import Callable, Iterable, Iterator
+from operator import add
+from typing import Callable, Iterator
 
-from .exact import (LAMBDA, ONE, ZERO, LambdaPoly, _canonical, _check_counts, _check_m, _raw, dot,
-                    row_store)
-
-
-def linear(c0: int, c1: int) -> LambdaPoly:
-    """``c0 + c1*l`` from two ints, in canonical form (``c1``, or both, may be 0):
-    the multiplier of a row step, built without a pass over a list."""
-    if c1:
-        return _raw((c0, c1), 1)
-    return _raw((c0,) if c0 else (), 1)
+from .exact import ONE, LambdaPoly, _canonical, _check_counts, _check_m, row_store
 
 
-def row_step(row: tuple, weights: Iterable) -> tuple:
-    """The row after ``row``: r'_k = r_{k-1} + w_k r_k with r_{-1} = 0, for one
-    weight w_k per entry r_k, and then r'_n = r_{n-1}.
+def row_step(row: tuple, root, nodes: list) -> tuple:
+    """The row after ``row`` for the root b: r'_k = r_{k-1} + (a_k - b) r_k with
+    r_{-1} = 0, over the nodes a_k, and then r'_n = r_{n-1}.
 
-    Entries are LambdaPolys with exact scalar weights, or all are plain ints.
-    Where r_{k-1}, r_k and w_k are integral and w_k has degree <= 1, as in
-    every row of the package, each coefficient is written once into one int
-    list; any other entry goes through ``dot``.
+    The ring is read off the row, here only.  Over the ints, entries, root and
+    nodes are ints.  Over Q[l] the entries are integral LambdaPolys and the
+    root and nodes int pairs (c0, c1) for c0 + c1 l, so each weight a_k - b is
+    a pair and each entry's coefficients are written once into one int list.
     """
     if type(row[0]) is int:
-        return (*map(add, (0, *row), map(mul, weights, row)), row[-1])
-    out, p = [], ZERO
-    for w, q in zip(weights, row):
-        w = LambdaPoly.coerce(w)
-        if p.den != 1 or q.den != 1 or w.den != 1 or len(w.nums) > 2:
-            out.append(dot(((1, p, ONE), (1, w, q))))
-        else:
-            w0, w1 = (*w.nums, 0, 0)[:2]
-            b = q.nums
-            terms = zip_longest(p.nums, b, (0, *b), fillvalue=0)
-            out.append(_canonical([x + w0 * y + w1 * z for x, y, z in terms], 1))
+        return (*map(add, (0, *row), [(a - root) * q for a, q in zip(nodes, row)]), row[-1])
+    b0, b1 = root
+    out, p = [], ()
+    for (a0, a1), q in zip(nodes, row):
+        w0, w1, q = a0 - b0, a1 - b1, q.nums
+        terms = zip_longest(p, q, (0, *q), fillvalue=0)
+        out.append(_canonical([x + w0 * y + w1 * z for x, y, z in terms], 1))
         p = q
-    return (*out, p)
+    return (*out, row[-1])
 
 
 def newton_rows(
@@ -71,8 +60,9 @@ def newton_rows(
 
     Row n is the tuple of Newton coefficients c_0..c_n of the nth product
     over the nodes a_k = node(k), where b_j = root(j); row 0 is ``(one,)``.
-    Roots, nodes and ``one`` share one ring: ``ONE`` for Q[l], ``1`` for
-    plain integers.  The kth node may not depend on the row.
+    With ``one`` = 1 the roots and nodes are ints; with ``one`` = ``ONE`` (Q[l])
+    each is an int pair (c0, c1) for c0 + c1 l, the one form the paper's
+    weights take.  The kth node may not depend on the row.
 
     A product that is monic only in u = sX is passed as roots s b_j and
     nodes s a_k, and then c_k comes out times s^(n-k).
@@ -86,9 +76,8 @@ def newton_rows(
     row = (one,)
     for n in count():
         yield row
-        b = root(n)
         nodes.append(node(n))
-        row = row_step(row, [a - b for a in nodes])
+        row = row_step(row, root(n), nodes)
 
 
 @row_store
@@ -110,7 +99,7 @@ def _second_kind_rows(m: int, r: int, s: int) -> Iterator[tuple[LambdaPoly, ...]
     but thm21 and cor22 read (m+1)^(n-k) W_m(n, k | m l/(m+1)) at (m(m+1), m+1, m)."""
     _check_m(m)
     _check_counts(r=r)
-    return newton_rows(ONE, lambda j: linear(-r, j * s), lambda k: m * k)
+    return newton_rows(ONE, lambda j: (-r, j * s), lambda k: (m * k, 0))
 
 
 @row_store
@@ -118,4 +107,4 @@ def _first_kind_rows(m: int, r: int) -> Iterator[tuple[LambdaPoly, ...]]:
     """w_{m,r}: m^n (x)_n = prod_j (u - (r+jm)) = sum_k w (u)_{k,l} in u = mx + r."""
     _check_m(m)
     _check_counts(r=r)
-    return newton_rows(ONE, lambda j: r + j * m, lambda k: LAMBDA * k)
+    return newton_rows(ONE, lambda j: (r + j * m, 0), lambda k: (0, k))

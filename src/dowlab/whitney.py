@@ -176,13 +176,10 @@ def _t8_inner(j: int, l: int) -> LambdaPoly:
 
 @bounded(4096)
 def _t18_inner(m: int, i: int, k: int) -> LambdaPoly:
-    """sum_{j,l} S2(j,l) S1(i,j) m^(i-j) S1deg(l,k), the inner double sum of thm18."""
-    s1, s2, s1deg = _stirling1_rows(i), _stirling2_rows(i), deg_stirling1_rows(i)
-    return dot(
-        (s2[j][l] * s1[i][j] * m ** (i - j), s1deg[l][k], ONE)
-        for j in range(k, i + 1)
-        for l in range(k, j + 1)
-    )
+    """sum_{j,l} S2(j,l) S1(i,j) m^(i-j) S1deg(l,k), the inner double sum of thm18:
+    its l-sum is thm8's ``_t8_inner(j, k)``."""
+    s1 = _stirling1_rows(i)
+    return dot((s1[i][j] * m ** (i - j), _t8_inner(j, k), ONE) for j in range(k, i + 1))
 
 
 # -- Dowling and Tanny-Dowling polynomials ----------------------------------------
@@ -243,7 +240,7 @@ def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:
     coefficient k divided by m^k, i.e. expanded in u = mx over the nodes k*l - r."""
     _check_m(m)
     _check_counts(r=r)
-    return _first_rows(newton_rows(ONE, lambda j: j * m, lambda k: LAMBDA * k - r), n_max)
+    return _first_rows(newton_rows(ONE, lambda j: (j * m, 0), lambda k: (-r, k)), n_max)
 
 
 def r_whitney2_rows_gf(m: int, r: int, n_max: int) -> Rows:

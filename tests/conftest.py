@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from dowlab import newton, series
+from dowlab.bases import basis_poly, newton_convert
 from dowlab.exact import CACHES
 
 # The module that holds each route's code; an explicit formula has none of its own.
@@ -81,3 +82,17 @@ def forbid_route(monkeypatch):
         return bindings
 
     return forbid
+
+
+@pytest.fixture
+def converted_rows():
+    """``converted_rows(roots, nodes, n_max)``: rows 0..n_max of the Newton
+    coefficients of (X - b_0)...(X - b_{n-1}) over the nodes a_k, each row
+    one ``newton_convert`` of the whole product, so no row step is shared."""
+
+    def rows(roots, nodes, n_max):
+        return tuple(
+            tuple(newton_convert(basis_poly(n, roots), nodes[:n])) for n in range(n_max + 1)
+        )
+
+    return rows

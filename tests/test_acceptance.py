@@ -7,7 +7,7 @@ coefficient lists), so they share no code with the library paths they judge.
 
 from contextlib import contextmanager
 from fractions import Fraction
-from dowlab.exact import LambdaPoly
+from dowlab.exact import LAMBDA, LambdaPoly
 from dowlab import bernoulli_euler as be
 from dowlab import identities as idn
 from dowlab import stirling as st
@@ -96,15 +96,20 @@ def classical_s2(n_max: int) -> list[list[Fraction]]:
 # -- criteria -------------------------------------------------------------------
 
 
-def test_criterion_1_triple_cross_check():
+def test_criterion_1_triple_cross_check(converted_rows):
+    # the third route converts each row's whole product, with no row step:
+    # W has roots j l - 1 and nodes m k, V roots 1 + j m and nodes k l
     with criterion(1, "triple cross-check of both triangles, three routes"):
         n_max = 12
+        steps = range(n_max)
         for m in M_SET:
             second = wh.whitney2_rows(m, n_max)
-            assert wh.whitney2_rows_newton(m, n_max) == second
+            roots, nodes = [j * LAMBDA - 1 for j in steps], [m * k for k in steps]
+            assert converted_rows(roots, nodes, n_max) == second
             assert wh.whitney2_rows_gf(m, n_max) == second
             first = wh.whitney1_rows(m, n_max)
-            assert wh.whitney1_rows_newton(m, n_max) == first
+            roots, nodes = [1 + j * m for j in steps], [k * LAMBDA for k in steps]
+            assert converted_rows(roots, nodes, n_max) == first
             assert wh.whitney1_rows_gf(m, n_max) == first
 
 

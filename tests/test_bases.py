@@ -239,19 +239,14 @@ def test_transform_pair_inverts_at_steps_l_and_ml(weighted, m):
     assert [falling_transform(n, plain(inverse, n), step) for n in span] == seq
 
 
-node_values = {
-    "int": st_.integers(min_value=-4, max_value=4),
-    "lambda": st_.fractions(min_value=-3, max_value=3, max_denominator=2).map(lambda q: l * q),
-    "rational": st_.fractions(min_value=-4, max_value=4, max_denominator=3).map(LambdaPoly.coerce),
-}
+pairs = st_.tuples(st_.integers(-4, 4), st_.integers(-4, 4))
 
 
 @st_.composite
 def newton_row_cases(draw):
-    roots = draw(st_.lists(small_polys, min_size=0, max_size=6))
-    kind = draw(st_.sampled_from(sorted(node_values)))
-    nodes = draw(st_.lists(node_values[kind], min_size=len(roots), max_size=len(roots)))
-    scale = draw(st_.sampled_from([1, 3, Fraction(-2, 5)]))
+    roots = draw(st_.lists(pairs, min_size=0, max_size=6))
+    nodes = draw(st_.lists(pairs, min_size=len(roots), max_size=len(roots)))
+    scale = draw(st_.sampled_from([1, 3, -2, 5]))
     return roots, nodes, scale
 
 
@@ -263,11 +258,17 @@ def test_newton_rows_extend_like_a_full_conversion(case):
     roots, nodes, s = case
     n_rows = len(roots) + 1
     rows = list(islice(newton_rows(ONE, roots.__getitem__, nodes.__getitem__), n_rows))
-    scaled = newton_rows(ONE, lambda j: s * roots[j], lambda k: s * nodes[k])
+    scaled = newton_rows(
+        ONE,
+        lambda j: (s * roots[j][0], s * roots[j][1]),
+        lambda k: (s * nodes[k][0], s * nodes[k][1]),
+    )
     for n, (row, scaled_row) in enumerate(zip(rows, islice(scaled, n_rows))):
-        expected = newton_convert(basis_poly(n, roots), nodes[:n])
+        # the pair (c0, c1) is the LambdaPoly c0 + c1 l
+        product = basis_poly(n, [*map(LambdaPoly, roots)])
+        expected = newton_convert(product, [*map(LambdaPoly, nodes[:n])])
         assert row == tuple(expected)
-        assert scaled_row == tuple(c * Fraction(s) ** (n - k) for k, c in enumerate(row))
+        assert scaled_row == tuple(c * s ** (n - k) for k, c in enumerate(row))
 
 
 small_ints = st_.integers(min_value=-5, max_value=5)
@@ -279,18 +280,19 @@ small_ints = st_.integers(min_value=-5, max_value=5)
     st_.lists(small_ints, min_size=7, max_size=7),
 )
 def test_newton_rows_over_the_integers_are_the_constants_over_q_lambda(roots, nodes):
-    # one kernel, two rings: the row-0 entry alone picks the ring
+    # one kernel, two rings: int roots and nodes c give the constants of the
+    # rows over the pairs (c, 0)
     n_rows = len(roots) + 1
     ints = list(islice(newton_rows(1, roots.__getitem__, nodes.__getitem__), n_rows))
-    polys = list(islice(newton_rows(ONE, roots.__getitem__, nodes.__getitem__), n_rows))
+    polys = list(islice(newton_rows(ONE, lambda j: (roots[j], 0), lambda k: (nodes[k], 0)), n_rows))
     assert all(type(c) is int for row in ints for c in row)
-    assert all(type(c) is LambdaPoly for row in polys for c in row)
+    assert all(type(c) is LambdaPoly and c.degree <= 0 for row in polys for c in row)
     assert ints == [tuple(c.constant() for c in row) for row in polys]
 
 
 def count_products(monkeypatch, store, read):
     """The entries of the triangle ``read()`` builds in the cleared ``store``,
-    and the polynomial products and ``dot`` sums made while it builds them."""
+    and the polynomial products made while it builds them."""
     calls = []
 
     def counted(fn):
@@ -302,7 +304,6 @@ def count_products(monkeypatch, store, read):
 
     monkeypatch.setattr(LambdaPoly, "__mul__", counted(LambdaPoly.__mul__))
     monkeypatch.setattr(LambdaPoly, "__rmul__", counted(LambdaPoly.__rmul__))
-    monkeypatch.setattr(newton, "dot", counted(newton.dot))  # row_step's general path
     store.cache_clear()
     return sum(len(row) for row in read()), len(calls)
 

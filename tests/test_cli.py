@@ -281,6 +281,28 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err == f"error: number of more than {limit} digits in term: {'+' + term!r}\n"
 
+    # Fraction would build 10^|e| for any exponent e: an exponent past the
+    # bound is refused before it parses, so each run exits at once, not hangs
+    @pytest.mark.parametrize("option, text, argv", [
+        ("--lambda", "1e100000000000", ["eval", "--poly", "l"]),
+        ("--x", "1e-100000000000", ["dobinski", "--m", "1", "--n", "1", "--lambda", "0"]),
+    ], ids=["lambda", "x"])
+    def test_huge_decimal_exponent_is_a_usage_error(self, option, text, argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "dowlab.cli", *argv, option, text],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        )
+        limit = 10 * getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        assert (done.returncode, done.stdout) == (2, "")
+        want = f"error: {option} must have a decimal exponent of at most {limit}, got {text!r}\n"
+        assert done.stderr == want
+
+    def test_decimal_exponent_under_the_bound_evaluates(self, capsys):
+        code, out, err = run(capsys, "eval", "--poly", "l", "--lambda", "1e4000")
+        assert (code, err) == (0, "")
+        assert out == "1" + "0" * 4000 + "\n"
+
     # the list of coefficients is refused by its size check, before any
     # allocation: a MemoryError up to sys.maxsize entries, an OverflowError past it
     @pytest.mark.parametrize("degree", ["1000000000000000000", "100000000000000000000"])

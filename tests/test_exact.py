@@ -14,11 +14,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st_
 
 from dowlab import bernoulli_euler as be
-from dowlab import exact, identities, newton, stirling
+from dowlab import exact, identities, stirling
 from dowlab import whitney as wh
-from dowlab.bases import basis_poly, gen_binom, int_nodes, lambda_falling
+from dowlab.bases import basis_poly, gen_binom, int_nodes, lambda_falling, lambda_nodes
 from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot
-from dowlab.newton import linear, row_step
+from dowlab.newton import row_step
 from dowlab.series import (TruncatedSeries, binomial_series, deg_exp, deg_log, gf_triangle,
                            one_series, t_series)
 from dowlab.dobinski import DobinskiRequest
@@ -521,39 +521,29 @@ def test_int_tuple_construction_matches_fraction_construction(a):
     assert form(got) == form(LambdaPoly(map(Fraction, a)))
     assert form(LambdaPoly(iter(a))) == form(got)
     assert got.coeffs == ref_strip(map(Fraction, a))
-    # the two-int constructor of the row steps' multipliers, zeros included
-    c0, c1 = (*a, 0, 0)[:2]
-    assert form(linear(c0, c1)) == form(LambdaPoly((c0, c1)))
 
 
 # -- the row step of the Newton route ---------------------------------------------
 #
 # Triangle entries grow past 2^64 within a few dozen rows, and their signs
-# alternate.  Integral entries with weights of degree 0 or 1 take the fast
-# path; an entry with a denominator, or a weight of degree 2 or 3, the
-# general one.  A weight may be a scalar of the ring.  Each entry k of the
-# next row is r_{k-1} + w_k r_k, with r_{-1} = 0, and the last one is the
-# row's last entry.
+# alternate.  Over Q[l] the entries are integral and the root and nodes are
+# int pairs (c0, c1) for c0 + c1 l, zeros included; over the integers all
+# are ints.  Each entry k of the next row is r_{k-1} + (a_k - b) r_k, with
+# r_{-1} = 0, and the last one is the row's last entry.
 
 wide_ints = st_.one_of(small_ints, st_.integers(min_value=-(2**70), max_value=2**70))
 wide_polys = st_.lists(wide_ints, max_size=6).map(LambdaPoly)
-step_polys = st_.one_of(st_.just(ZERO), mixed_polys, wide_polys)
-step_weights = st_.one_of(
-    st_.just(ZERO),
-    wide_ints,
-    mixed,
-    st_.lists(wide_ints, min_size=1, max_size=4).map(LambdaPoly),  # degree 0 to 3
-    st_.lists(st_.one_of(wide_ints, mixed), min_size=1, max_size=4).map(LambdaPoly),
-)
+wide_pairs = st_.tuples(wide_ints, wide_ints)
 
 
-def rows_and_weights(entries, weights):
-    """A row of 1 to 6 ``entries`` and one of ``weights`` per entry."""
+def rows_and_nodes(entries, values):
+    """A row of 1 to 6 ``entries``, a root and one node per entry, of ``values``."""
     sized = st_.integers(min_value=1, max_value=6)
     return sized.flatmap(
         lambda n: st_.tuples(
             st_.lists(entries, min_size=n, max_size=n).map(tuple),
-            st_.lists(weights, min_size=n, max_size=n),
+            values,
+            st_.lists(values, min_size=n, max_size=n),
         )
     )
 
@@ -566,36 +556,22 @@ def assert_next_row(got, row, weights, zero):
         if type(zero) is LambdaPoly:
             assert_canonical(entry)
             assert form(entry) == form(p + w * q)
-            w = LambdaPoly.coerce(w)
             assert entry.coeffs == ref_add(p.coeffs, ref_mul(w.coeffs, q.coeffs))
         else:
             assert type(entry) is int and entry == p + w * q
 
 
-@given(rows_and_weights(step_polys, step_weights))
+@given(rows_and_nodes(st_.one_of(st_.just(ZERO), wide_polys), wide_pairs))
 def test_row_step_is_p_plus_w_times_q(case):
-    row, ws = case
-    assert_next_row(row_step(row, ws), row, ws, ZERO)
+    row, (b0, b1), nodes = case
+    weights = [LambdaPoly((a0 - b0, a1 - b1)) for a0, a1 in nodes]
+    assert_next_row(row_step(row, (b0, b1), nodes), row, weights, ZERO)
 
 
-@given(rows_and_weights(wide_ints, wide_ints))
+@given(rows_and_nodes(wide_ints, wide_ints))
 def test_row_step_serves_the_int_ring(case):
-    row, ws = case
-    assert_next_row(row_step(row, ws), row, ws, 0)
-
-
-linear_weights = st_.tuples(wide_ints, wide_ints).map(lambda c: linear(*c))
-
-
-@given(rows_and_weights(st_.one_of(st_.just(ZERO), wide_polys), linear_weights))
-def test_row_step_of_integral_rows_needs_no_dot(case):
-    # every row of the package is integral with weights of degree <= 1, and
-    # each of its entries is written into one int list, never through dot
-    row, ws = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(newton, "dot", None)
-        got = row_step(row, ws)
-    assert_next_row(got, row, ws, ZERO)
+    row, b, nodes = case
+    assert_next_row(row_step(row, b, nodes), row, [a - b for a in nodes], 0)
 
 
 # Each Record class, the arguments of one instance, and the defaults of its
@@ -638,6 +614,7 @@ COUNTS = {
     "lambda_falling": ("n", lambda v: lambda_falling(1, v, LAMBDA)),
     "basis_poly": ("n", lambda v: basis_poly(v, [])),
     "int_nodes": ("n", int_nodes),
+    "lambda_nodes": ("n", lambda_nodes),
     "gen_binom": ("n", lambda v: gen_binom(Fraction(1, 2), v)),
     "LambdaPoly.__pow__": ("n", lambda v: LAMBDA**v),
     "TruncatedSeries": ("order", lambda v: TruncatedSeries(v, ())),
@@ -690,6 +667,13 @@ def test_every_count_is_refused_by_the_one_check(site):
         with pytest.raises(TypeError, match=f"^expected an int, got {type(bad).__name__}$"):
             call(bad)
         assert held_entries() == held
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, True, False])
+def test_lambda_nodes_refuses_an_inexact_scale(scale):
+    # a bool is no scale 1, a float no rational, as for every exact scalar
+    with pytest.raises(TypeError, match=f"^expected an exact rational, got {type(scale).__name__}$"):
+        lambda_nodes(2, scale)
 
 
 def test_a_reader_waiting_on_a_failed_build_builds_its_rows_afresh(monkeypatch):

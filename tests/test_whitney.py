@@ -55,9 +55,11 @@ class TestSecondKind:
             wh.whitney2(0, 1, 0)
 
     @pytest.mark.parametrize("m", (1, 2, 3))
-    def test_three_routes_agree(self, m):
+    def test_three_routes_agree(self, m, converted_rows):
+        # roots j l - 1 and nodes m k, each row converted from its whole product
         n_max = 8
-        assert wh.whitney2_rows(m, n_max) == wh.whitney2_rows_newton(m, n_max)
+        roots, nodes = [j * l - 1 for j in range(n_max)], [m * k for k in range(n_max)]
+        assert wh.whitney2_rows(m, n_max) == converted_rows(roots, nodes, n_max)
         assert wh.whitney2_rows(m, n_max) == wh.whitney2_rows_gf(m, n_max)
 
 
@@ -84,9 +86,11 @@ class TestFirstKind:
                 column_zero(2, -1)
 
     @pytest.mark.parametrize("m", (1, 2, 3))
-    def test_three_routes_agree(self, m):
+    def test_three_routes_agree(self, m, converted_rows):
+        # roots 1 + j m and nodes k l, each row converted from its whole product
         n_max = 8
-        assert wh.whitney1_rows(m, n_max) == wh.whitney1_rows_newton(m, n_max)
+        roots, nodes = [1 + j * m for j in range(n_max)], [k * l for k in range(n_max)]
+        assert wh.whitney1_rows(m, n_max) == converted_rows(roots, nodes, n_max)
         assert wh.whitney1_rows(m, n_max) == wh.whitney1_rows_gf(m, n_max)
 
 
