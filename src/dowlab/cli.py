@@ -302,29 +302,23 @@ def cmd_dobinski(cfg: argparse.Namespace) -> int:
     request = dobinski.DobinskiRequest(
         m=cfg.m, n=cfg.n, x=cfg.x, lam=cfg.lam, terms=cfg.terms, tol=cfg.tol
     )
-    truncated, exact = dobinski.dobinski_eval(request)
-    diff = abs(truncated - exact)
-    ok = request.passes(truncated, exact)
-    status = "pass" if ok else "fail"
+    result = dobinski.dobinski_eval(request)
+    status = "pass" if result.passed else "fail"
     if cfg.fmt == "json":
-        line = json.dumps(
-            {"truncated": truncated, "exact": exact, "diff": diff, "tol": cfg.tol, "status": status}
-        )
+        line = json.dumps({"truncated": result.truncated, "exact": result.exact,
+                           "diff": result.diff, "tol": cfg.tol, "status": status})
     else:
-        line = f"truncated={truncated!r} exact={exact!r} diff={diff:.3e} tol={cfg.tol:g} {status}"
+        line = (f"truncated={result.truncated!r} exact={result.exact!r} diff={result.diff:.3e}"
+                f" tol={cfg.tol:g} {status}")
     _write_output(line + "\n", cfg.out)
-    if not ok:
+    if not result.passed:
         term = dobinski.omitted_term(request)
-        hint = (
-            "below --tol/2, and the terms at least halve from T on: the sides differ by rounding"
-            if dobinski.tail_bound(request) < cfg.tol
-            else "and the tail from T on is not shown below --tol: more --terms may be needed"
-        )
         sys.stderr.write(
             f"note: the first omitted term e^-z z^T/T! F(T), at T = {cfg.terms},"
-            f" has size {term or 0:.3e}, {hint}\n"  # a Decimal zero would print its exponent
+            f" has size {term or 0:.3e}, and the tail from T on is at least --tol:"
+            " more --terms are needed\n"  # a Decimal zero would print its exponent
         )
-    return 0 if ok else 1
+    return 0 if result.passed else 1
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -388,8 +382,11 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError("eval needs exactly one of --poly or --family")
         if args.family is not None:
             args.family = _parse_family(args.family)
-        if args.command == "triangle" and args.n_max < 0:
+        option, count = ("--n-max", args.n_max) if args.command == "triangle" else ("--n", args.n)
+        if args.command == "triangle" and count < 0:
             raise UsageError("--n-max must be >= 0")
+        if args.family is not None and count >= sys.maxsize:  # islice's indices stop there
+            raise UsageError(f"{option} must be below {sys.maxsize}")
         if args.lam is not None and args.symbolic:
             raise UsageError("--lambda and --symbolic are mutually exclusive")
         if args.lam is not None:

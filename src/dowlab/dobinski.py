@@ -1,22 +1,22 @@
 """The Dobinski-type series of the degenerate Dowling polynomials, the
 library's one inexact path.
 
-``dobinski_eval`` sums the truncated series exactly, rounds it once through
-``decimal`` in a context of its own, and compares it with the Dowling
-polynomial, read as a row sum (``exact._row_sum``) of the W rows, the
-second-kind kernel of ``newton`` at (m, 1, 1).  So this module reads nothing
-of the package but ``exact`` and ``newton``, and ``dowlab dobinski`` runs no
-other module but the CLI.
+``dobinski_eval`` sums the truncated series exactly, reads the Dowling
+polynomial as a row sum (``exact._row_sum``) of the W rows, the second-kind
+kernel of ``newton`` at (m, 1, 1), and decides the tolerance exactly.  So
+this module reads nothing of the package but ``exact`` and ``newton``, and
+``dowlab dobinski`` runs no other module but the CLI.
 ``whitney`` binds ``DobinskiRequest`` and ``dobinski_eval`` as well, for the
 catalog.
 """
 
 from __future__ import annotations
 
-from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
-                     InvalidOperation, Overflow, Underflow, getcontext, localcontext)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
+                     DivisionByZero, InvalidOperation, Overflow, Underflow, getcontext,
+                     localcontext)
 from fractions import Fraction
-from math import ceil, inf, isfinite, prod
+from math import ceil, isfinite, prod
 
 from .exact import Record, _check_counts, _check_m, _row_sum, as_fraction, bounded, check_ints
 from .newton import _second_kind_rows
@@ -45,21 +45,26 @@ class DobinskiRequest(Record):
             raise ValueError("tol must be positive and finite")
         self._set(m, n, x, lam, terms, tol)
 
-    def passes(self, truncated: float, exact: float) -> bool:
-        """Whether ``dobinski_eval``'s two sides agree: they differ by less
-        than ``tol``.  The CLI and the catalog both decide pass/fail here."""
-        return abs(truncated - exact) < self.tol
+
+class DobinskiResult(Record):
+    """``dobinski_eval``'s verdict ``passed``, the one the CLI and thm10 read."""
+
+    __slots__ = ("truncated", "exact", "diff", "passed")
+
+    def __init__(self, truncated: float, exact: float, diff: float, passed: bool) -> None:
+        self._set(truncated, exact, diff, passed)
 
 
-def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
+def dobinski_eval(req: DobinskiRequest) -> DobinskiResult:
     """Truncated Dobinski-type series for the Dowling polynomial vs the exact value.
 
-    Returns ``(truncated, exact)`` as floats, where ``truncated`` is
-    ``e^{-z} S`` with ``z = x/m`` and
-    ``S = sum_{k < terms} z^k/k! prod_{j < n} (mk + 1 - j*lambda)``,
-    and ``exact`` is the Dowling polynomial at ``(x, lambda)``, the row sum of
-    ``newton._second_kind_rows`` at (m, 1, 1) that ``whitney.dowling_poly``
-    reads too.
+    The truncated side is ``e^{-z} S`` with ``z = x/m`` and
+    ``S = sum_{k < terms} z^k/k! prod_{j < n} (mk + 1 - j*lambda)``; the
+    exact side ``D`` is the Dowling polynomial at ``(x, lambda)``, the row
+    sum of ``newton._second_kind_rows`` at (m, 1, 1) that
+    ``whitney.dowling_poly`` reads too.  ``passed`` is whether
+    ``|e^{-z} S - D| < tol``; ``truncated`` and ``exact`` are the sides as
+    doubles, and ``diff`` the upper end of a bracket of ``|e^{-z} S - D|``.
 
     ``S`` is exact: with ``z = p/q`` and ``lambda = a/b``, ``S b^n`` is one
     quotient of two integers (``_dobinski_sum``).  Its weight
@@ -71,43 +76,60 @@ def dobinski_eval(req: DobinskiRequest) -> tuple[float, float]:
     its cost is quasi-linear in ``terms`` rather than quadratic (the sum at
     ``x = 10^4``, ``terms = 27284`` takes about 0.07 s on one x86-64 core
     under CPython 3.11), and it is shared by every n and lambda at the same
-    ``z`` and ``terms``.  ``e^{-z}`` is ``Decimal.exp`` (correctly rounded)
-    at ``P = 60 + digits(ceil|z|)`` significant digits.  The quotient ``S``
-    is rounded to ``P`` digits from integer division (``_decimal_quotient``),
-    never by converting the bigints to ``Decimal``; the product with ``S``
-    is formed at the same precision and rounded to a float once.  Four
-    decimal roundings (of ``-z``, the exp, the quotient ``S`` and the
-    product) each cost at most half of 1e-60 relative, since
-    ``|z| < 10^(P-60)``; so the decimal value is within about 2e-60
-    relative of the exact ``e^{-z} S``, and ``truncated`` is that value
-    correctly rounded to a double unless it lies that close to a rounding
-    boundary.
-    Truncation of the series is the only approximation left.
+    ``z`` and ``terms``.
+
+    The verdict rounds outward, then compares exactly.  At ``P`` digits (at
+    first ``60 + d``, with ``|z| < 10^d``), ``E = _exp_of_negated`` is
+    ``e^w`` correctly rounded for ``w``, ``-z`` rounded to P digits, and
+    ``S~`` is ``S`` rounded to ``P + 2`` digits.  Then ``V = E S~`` lies
+    within ``|V| u`` of ``e^{-z} S``, ``u = 10^(d+1-P)``: ``|w + z| <= u/2``
+    costs at most ``e^{u/2} - 1`` relative, ``E`` and ``S~`` ``u/20`` more.
+    With ``D = g/h`` in lowest terms, ``V h (1 -+ u)`` and ``g -+ tol h``
+    are decimals (``tol`` is a double), compared where every sum and product
+    is exact: inside ``(g - tol h, g + tol h)`` passes, outside fails, and
+    otherwise P doubles.  This ends: ``S = 0`` makes ``V = 0`` exact,
+    ``z = 0`` makes ``S = D = prod_{j < n} (1 - j*lambda)``, and otherwise
+    ``e^{-z} S`` is irrational (Lindemann) while ``u`` shrinks.
+    ``truncated`` is ``V``, ``diff`` is ``|V - D| + |V| u``, and a fail
+    means that ``e^{-z}`` times the omitted tail is at least ``tol``.
 
     Domain: every rational ``x`` and ``lambda``.  ``OverflowError`` is
     raised, never a silent 0 or inf, when either side is beyond double
-    range, or when the decimal context's exponent limits cannot hold the
-    truncated side (``|z|`` above about 2e18), which its trapped
+    range, or when the decimal context's exponent limits cannot hold
+    ``e^{-z}`` (``|z|`` above about 2e18), which its trapped
     ``Underflow``/``Overflow`` signals.  A value below double range rounds
     to a subnormal or 0, as any float conversion does.
     """
     m, n = req.m, req.n
     lam = Fraction(req.lam)
     p, q, prec = _z_and_prec(req)
-    with _decimal_context(prec):
-        try:
-            # first, so that an exponent out of range is refused before the sum
-            weight = _exp_of_negated(p, q, prec)
-            num, den = _dobinski_sum(m, n, p, q, lam.numerator, lam.denominator, req.terms)
-            value = weight * _decimal_quotient(num, den)
-        except (Underflow, Overflow) as exc:
-            raise OverflowError("Dobinski sum is outside the decimal exponent range") from exc
+    size = prec - 60  # |z| < 10^size
+    try:
+        # first, so that an exponent out of range is refused before the sum
+        _exp_of_negated(p, q, prec)
+        num, den = _dobinski_sum(m, n, p, q, lam.numerator, lam.denominator, req.terms)
+        dowling = _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(req.x), False).eval(lam)
+        exact, h = float(dowling), dowling.denominator
+        with _decimal_context(MAX_PREC):
+            centre, width = Decimal(dowling.numerator), Decimal(req.tol) * h
+            while True:
+                with _decimal_context(prec + 2):
+                    cut = _decimal_quotient(num, den)
+                value = _exp_of_negated(p, q, prec) * cut
+                radius = abs(value * h).scaleb(size + 1 - prec)
+                lo, hi = value * h - radius, value * h + radius  # e^{-z} S h lies in [lo, hi]
+                passed = centre - width < lo and hi < centre + width
+                if passed or hi <= centre - width or lo >= centre + width:
+                    break
+                prec *= 2
+        with _decimal_context(prec):
+            diff = max(hi - centre, centre - lo) / h
+    except (Underflow, Overflow) as exc:
+        raise OverflowError("Dobinski sum is outside the decimal exponent range") from exc
     truncated = float(value)
     if not isfinite(truncated):
         raise OverflowError(f"Dobinski sum {value:.6e} is outside double range")
-    dowling = _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(req.x), False)
-    exact = float(dowling.eval(req.lam))
-    return truncated, exact
+    return DobinskiResult(truncated, exact, float(diff), passed)
 
 
 def omitted_term(req: DobinskiRequest) -> Decimal:
@@ -117,7 +139,7 @@ def omitted_term(req: DobinskiRequest) -> Decimal:
 
     It reads the powers that ``_truncated_exp`` and ``_exp_of_negated`` hold
     for the point, so after ``dobinski_eval`` it costs one product.  Its size
-    alone proves nothing: ``tail_bound`` says when it bounds the whole tail.
+    alone bounds nothing: the terms after it may grow.
     """
     m, n, terms = req.m, req.n, req.terms
     lam = Fraction(req.lam)
@@ -128,24 +150,6 @@ def omitted_term(req: DobinskiRequest) -> Decimal:
     with _decimal_context(prec):
         term = _decimal_quotient(power * p * weight, den * q * terms * b**n)
         return abs(_exp_of_negated(p, q, prec) * term)
-
-
-def tail_bound(req: DobinskiRequest) -> float:
-    """A bound on everything ``dobinski_eval`` leaves out of the series: twice
-    the size of the first omitted term t_T (``omitted_term``, T = ``terms``),
-    or inf where the terms are not shown to halve from T on.
-
-    If every mT + 1 - j*lambda (j < n) is positive, each factor of
-    |t_{k+1}/t_k| = |z|/(k+1) prod_j (1 + m/(mk + 1 - j*lambda)) falls as k
-    grows past T, so the ratio is at most its value rho at k = T; with
-    rho <= 1/2 the omitted terms sum to at most 2|t_T|.
-    """
-    m, terms = req.m, req.terms
-    gaps = [m * terms + 1 - j * Fraction(req.lam) for j in range(req.n)]
-    if any(gap <= 0 for gap in gaps):
-        return inf
-    rho = abs(Fraction(req.x)) / (m * (terms + 1)) * prod(1 + Fraction(m) / gap for gap in gaps)
-    return 2 * float(omitted_term(req)) if rho <= Fraction(1, 2) else inf
 
 
 def _z_and_prec(req: DobinskiRequest) -> tuple[int, int, int]:

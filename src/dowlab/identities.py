@@ -426,16 +426,15 @@ def _chk_stirling_orthogonality(p: SweepParams) -> Points:
 
 
 def _chk_thm10(p: SweepParams) -> Points:
-    # the one inexact comparison: within the tolerance, the sides count as equal
+    # the one inexact check: the evaluator's exact verdict, and on a fail the two doubles
     for m in p.m_set:
         for n in range(min(p.n_max, 8) + 1):
             for x in DOBINSKI_X:
                 for lam in DOBINSKI_LAMBDA:
                     req = wh.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=200, tol=1e-9)
-                    truncated, exact = wh.dobinski_eval(req)
-                    if req.passes(truncated, exact):
-                        exact = truncated
-                    yield {"m": m, "n": n, "x": str(x), "lambda": str(lam)}, truncated, exact
+                    res = wh.dobinski_eval(req)
+                    exact = res.truncated if res.passed else res.exact
+                    yield {"m": m, "n": n, "x": str(x), "lambda": str(lam)}, res.truncated, exact
 
 
 def _chk_thm12_zero(p: SweepParams) -> Points:

@@ -216,8 +216,9 @@ def test_criterion_7_dobinski():
                 for x in (Fraction(1, 2), Fraction(1), Fraction(2)):
                     for lam in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
                         req = wh.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=200)
-                        truncated, exact = wh.dobinski_eval(req)
-                        assert abs(truncated - exact) < 1e-9, (m, n, x, lam)
+                        res = wh.dobinski_eval(req)
+                        assert res.passed, (m, n, x, lam)
+                        assert abs(res.truncated - res.exact) < 1e-9, (m, n, x, lam)
 
 
 def test_criterion_8_discrepancy_findings():

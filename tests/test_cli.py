@@ -431,41 +431,36 @@ class TestDobinski:
         assert code == 0
         assert out.endswith(" pass\n")
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="pass/fail compares two rounded doubles: an exact value halfway "
-        "between two doubles fails however many terms are summed",
-    )
     def test_halfway_value_passes(self, capsys):
+        # the exact value 15207217719539247 lies halfway between two doubles, and
+        # the truncated sum a hair below it: the two doubles differ by 2, the sides
+        # by about 2.6e-76, and the verdict is read from the exact difference
         code, out, _ = run(
             capsys, "dobinski", "--m", "1", "--n", "8", "--x", "101",
             "--lambda", "0", "--terms", "375",
         )
         assert code == 0, out
-
-    below = "below --tol/2, and the terms at least halve from T on: the sides differ by rounding"
-    more = "and the tail from T on is not shown below --tol: more --terms may be needed"
+        assert out.startswith("truncated=1.5207217719539246e+16 exact=1.5207217719539248e+16 ")
+        assert out.endswith(" pass\n")
 
     @pytest.mark.parametrize(
-        "n, x, lam, terms, size, hint",
+        "n, x, lam, terms, size",
         [
-            ("3", "-1", "0", "10", "9.970e-4", more),
-            # the terms fall from T on with ratio at most 0.274, so the tail is at most twice t_T
-            ("8", "101", "0", "375", "1.865e-76", below),
-            # F(10) = 0: a zero term prints as 0, not with the exponent of its digits; with
-            # mT + 1 - 2 lambda = 0 the terms after it are not bounded by it
-            ("3", "5", "11/2", "10", "0.000e+00", more),
+            ("3", "-1", "0", "10", "9.970e-4"),
+            # F(10) = 0: a zero term prints as 0, not with the exponent of its digits
+            ("3", "5", "11/2", "10", "0.000e+00"),
             # T far below the peak of the terms near |z|: a tiny term, a diff of 1e9
-            ("3", "1000", "0", "10", "1.862e-408", more),
+            ("3", "1000", "0", "10", "1.862e-408"),
         ],
-        ids=["too-few-terms", "halfway", "zero-term", "before-the-peak"],
+        ids=["too-few-terms", "zero-term", "before-the-peak"],
     )
-    def test_a_fail_notes_the_first_omitted_term(self, capsys, n, x, lam, terms, size, hint):
+    def test_a_fail_notes_the_first_omitted_term(self, capsys, n, x, lam, terms, size):
         argv = ["dobinski", "--m", "1", "--n", n, "--x", x, "--lambda", lam, "--terms", terms]
         code, out, err = run(capsys, *argv)
         assert (code, out[-5:]) == (1, "fail\n")
         assert err == (
-            f"note: the first omitted term e^-z z^T/T! F(T), at T = {terms}, has size {size}, {hint}\n"
+            f"note: the first omitted term e^-z z^T/T! F(T), at T = {terms}, has size {size},"
+            " and the tail from T on is at least --tol: more --terms are needed\n"
         )
         # the JSON form fails alike and writes the same note
         code, out, err_json = run(capsys, *argv, "--format", "json")
@@ -553,7 +548,7 @@ class TestDobinski:
                      "--tol=1e-9")
         spaced = run(capsys, "dobinski", "--m", "1", "--n", "3", "--x", "1", "--lambda", "0",
                      "--tol", "1e-9")
-        line = "truncated=15.0 exact=15.0 diff=0.000e+00 tol=1e-09 pass\n"
+        line = "truncated=15.0 exact=15.0 diff=1.501e-58 tol=1e-09 pass\n"
         assert joined == spaced == (0, line, "")
 
 
@@ -636,6 +631,11 @@ PRECEDENCE = [
     ("eval --family VR --m 2 --r -1 --n 1 --k 5", "error: r must be an integer >= 0, got -1"),
     ("eval --family W --n -1 --k 5 --lambda 1/2", "error: (-1, 5) outside triangle of size 0"),
     ("eval --family Q --n x", "dowlab eval: error: argument --n: invalid int value: 'x'"),
+    # a family's rows are read through islice, whose indices stop at sys.maxsize
+    ("eval --family W --n 99999999999999999999 --k 0",
+     f"error: --n must be below {sys.maxsize}"),
+    ("triangle --family W --n-max 99999999999999999999 --symbolic",
+     f"error: --n-max must be below {sys.maxsize}"),
     ("verify --n-max -1 --m-set a",
      "error: --m-set must be a comma-separated integer list, got 'a'"),
     ("verify --m-set 1 --r-set a --n-max -1",

@@ -21,7 +21,7 @@ from dowlab.exact import LAMBDA, ONE, ZERO, LambdaPoly, dot
 from dowlab.newton import row_step
 from dowlab.series import (TruncatedSeries, binomial_series, deg_exp, deg_log, gf_triangle,
                            one_series, t_series)
-from dowlab.dobinski import DobinskiRequest
+from dowlab.dobinski import DobinskiRequest, DobinskiResult
 
 l = LAMBDA
 
@@ -581,6 +581,7 @@ RECORDS = {
     "DobinskiRequest": (
         DobinskiRequest, (2, 3, Fraction(1, 2), Fraction(1, 3)), {"terms": 200, "tol": 1e-9}
     ),
+    "DobinskiResult": (DobinskiResult, (2.5, 2.5, 1e-58, True), {}),
 }
 
 

@@ -6,7 +6,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import ceil, e, exp, factorial, inf, prod
+from math import ceil, e, exp, factorial, inf, nextafter, prod, ulp
 
 import pytest
 from hypothesis import given, settings
@@ -368,21 +368,21 @@ SPLIT_EDGES = (1, 2, 31, 32, 33, 63, 64, 65, 128, 129)
 class TestDobinski:
     def test_closed_form_two(self):
         req = wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), terms=50)
-        truncated, exact = wh.dobinski_eval(req)
-        assert exact == 2.0
-        assert abs(truncated - exact) < 1e-9
+        res = wh.dobinski_eval(req)
+        assert res.passed and res.exact == 2.0
+        assert abs(res.truncated - res.exact) < 1e-9
 
     def test_order_zero_is_one(self):
         for m in (1, 2, 3):
             req = wh.DobinskiRequest(m=m, n=0, x=Fraction(3), lam=Fraction(1, 2), terms=100)
-            truncated, exact = wh.dobinski_eval(req)
-            assert exact == 1.0
-            assert abs(truncated - 1.0) < 1e-9
+            res = wh.dobinski_eval(req)
+            assert res.passed and res.exact == 1.0
+            assert abs(res.truncated - 1.0) < 1e-9
 
     def test_quarter_lambda(self):
         req = wh.DobinskiRequest(m=2, n=4, x=Fraction(1), lam=Fraction(1, 4), terms=200)
-        truncated, exact = wh.dobinski_eval(req)
-        assert abs(truncated - exact) < 1e-9
+        res = wh.dobinski_eval(req)
+        assert res.passed and abs(res.truncated - res.exact) < 1e-9
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -445,18 +445,15 @@ class TestDobinski:
         ],
     )
     def test_tail_bound_holds_all_the_omitted_terms(self, m, n, x, lam, terms, bounded):
+        # diff, the upper end of the exact bracket, is at least e^{-z} times the
+        # whole omitted tail, |e^{-z} S - D|; where every mT + 1 - j*lambda is
+        # positive and the term ratio rho is at most 1/2, that tail is at most
+        # twice the first omitted term
         req = dob.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=terms)
-        bound = dob.tail_bound(req)
-        assert bound == (2 * float(dob.omitted_term(req)) if bounded else inf)
-        if not bounded:
-            return
-        # the next 400 omitted terms, exactly, times a float e^{-z}
-        z = x / m
-        tail = sum(
-            abs(z**k / factorial(k) * prod(m * k + 1 - j * lam for j in range(n)))
-            for k in range(terms, terms + 400)
-        )
-        assert float(tail) * exp(-z) <= bound
+        tail = self.exact_diff(m, n, x, lam, terms)
+        assert Decimal(dob.dobinski_eval(req).diff) >= tail * (1 - Decimal("1e-15"))
+        if bounded:
+            assert tail <= 2 * dob.omitted_term(req)
 
     def test_the_callers_decimal_context_is_neither_read_nor_changed(self, clear_caches):
         grid = [
@@ -482,12 +479,49 @@ class TestDobinski:
         # the memo of e^{-z}, filled under that context, serves the default one alike
         assert [dob.dobinski_eval(req) for req in grid] == expected
 
+    @staticmethod
+    def exact_diff(m, n, x, lam, terms) -> Decimal:
+        """|e^{-z} S - D| from Fractions and one exp at 200 digits."""
+        z, total = x / m, dobinski_series(m, n, x, lam, terms)
+        dowling = wh.dowling_poly(m, n, x).eval(lam)
+        with localcontext() as ctx:
+            ctx.prec = 200
+            weight = (Decimal(-z.numerator) / z.denominator).exp()
+            value = weight * Decimal(total.numerator) / total.denominator
+            return abs(value - Decimal(dowling.numerator) / dowling.denominator)
+
     def test_pass_rule_is_a_strict_tolerance(self):
-        req = wh.DobinskiRequest(m=1, n=1, x=Fraction(1), lam=Fraction(0), tol=0.5)
-        assert req.passes(2.0, 2.0)
-        assert req.passes(2.25, 2.0) and req.passes(2.0, 2.25)
-        assert not req.passes(2.5, 2.0)
-        assert not req.passes(2.0, 2.5)
+        # tol the doubles just above and just below the exact difference
+        # 7089.54...: the verdict is pass, then fail
+        diff = self.exact_diff(1, 6, Fraction(2), Fraction(0), 2)
+        near = float(diff)
+        above, below = (near, nextafter(near, 0)) if near > diff else (nextafter(near, inf), near)
+        for tol, passed in ((above, True), (below, False)):
+            req = wh.DobinskiRequest(m=1, n=6, x=Fraction(2), lam=Fraction(0), terms=2, tol=tol)
+            res = wh.dobinski_eval(req)
+            assert res.passed is passed
+            assert abs(Decimal(res.diff) - diff) <= diff * Decimal("1e-15")
+
+    @pytest.mark.parametrize("tol, passed", [(1e-70, True), (1e-80, False)])
+    def test_a_tolerance_below_the_first_bracket_takes_more_digits(self, tol, passed):
+        # the halfway point, whose value is near 1.5e16 and whose omitted tail
+        # is near 2.6e-76: at 63 digits the bracket of the difference is about
+        # 1.5e-43 wide, so either tolerance needs a second, wider precision;
+        # diff then bounds the difference to within its last printed digits
+        req = wh.DobinskiRequest(m=1, n=8, x=Fraction(101), lam=Fraction(0), terms=375, tol=tol)
+        res = wh.dobinski_eval(req)
+        diff = self.exact_diff(1, 8, Fraction(101), Fraction(0), 375)
+        assert res.passed is passed
+        assert abs(Decimal(res.diff) - diff) <= diff * Decimal("1e-15")
+        assert 2.5e-76 < res.diff < 2.7e-76
+
+    def test_zero_z_below_any_tolerance(self):
+        # at x = 0 both sides are prod_j (1 - j lambda), so even the least
+        # positive double passes, after as many doublings of the precision as it takes
+        req = wh.DobinskiRequest(m=2, n=5, x=Fraction(0), lam=Fraction(2, 7), terms=7, tol=5e-324)
+        res = wh.dobinski_eval(req)
+        assert res.passed and res.diff <= 5e-324
+        assert res.truncated == res.exact == -15 / 2401
 
     @pytest.mark.parametrize(
         "m, x, terms",
@@ -502,8 +536,9 @@ class TestDobinski:
     )
     def test_regressions(self, m, x, terms):
         req = wh.DobinskiRequest(m=m, n=3, x=x, lam=Fraction(1, 3), terms=terms)
-        truncated, _ = wh.dobinski_eval(req)
-        assert abs(truncated - float(wh.dowling_poly(m, 3, x).eval(Fraction(1, 3)))) < req.tol
+        res = wh.dobinski_eval(req)
+        assert res.passed
+        assert abs(res.truncated - float(wh.dowling_poly(m, 3, x).eval(Fraction(1, 3)))) < req.tol
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -515,8 +550,11 @@ class TestDobinski:
     def test_matches_exact_value(self, m, n, x, lam):
         terms = ceil(e * x / m) + 100
         req = wh.DobinskiRequest(m=m, n=n, x=x, lam=lam, terms=terms)
-        truncated, _ = wh.dobinski_eval(req)
-        assert abs(truncated - float(wh.dowling_poly(m, n, x).eval(lam))) < req.tol
+        res = wh.dobinski_eval(req)
+        # the exact verdict, and two doubles at most one rounding of each apart:
+        # an exact value halfway between two doubles passes too
+        assert res.passed and res.exact == float(wh.dowling_poly(m, n, x).eval(lam))
+        assert abs(res.truncated - res.exact) <= req.tol + 2 * ulp(res.exact)
 
     def test_beyond_double_range_raises(self):
         big = wh.DobinskiRequest(m=1, n=40, x=Fraction(10**8), lam=Fraction(0), terms=1)
