@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import ONE, LambdaPoly, _check_counts, as_fraction, bounded, dot
 from .bases import binom
-from .series import TruncatedSeries, deg_exp, one_series, power_of_one_plus, t_series
+from .series import TruncatedSeries, deg_exp, one_series, power_of_one_plus
 from .stirling import deg_stirling1_rows, deg_stirling2_rows
 
 
@@ -47,15 +47,18 @@ def deg_euler_sum_variant(n: int, alpha: int | Fraction, shift: int) -> LambdaPo
 def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
     """Oracle: coefficients 0..n_max of (t/(e_l(t)-1))^k."""
     _check_counts(n_max=n_max, k=k)
-    powered = _bernoulli_quotient(n_max + 1) ** k
+    powered = _bernoulli_quotient(n_max) ** k
     return [powered.coeff(n) for n in range(n_max + 1)]
 
 
 # Each order of the Bernoulli and Euler oracles powers the same quotient.
 @bounded(16)
 def _bernoulli_quotient(order: int) -> TruncatedSeries:
-    """t/(e_l(t)-1) to t^order."""
-    return t_series(order).divide(deg_exp(1, order) - one_series(order), 1)
+    """t/(e_l(t)-1) to t^order, as 1 over (e_l(t)-1)/t: coefficient n of that
+    divisor is a_{n+1}/(n+1), for the coefficients a_n of e_l(t)."""
+    a = deg_exp(1, order + 1).coeffs
+    divisor = TruncatedSeries(order, tuple(a[n + 1] / (n + 1) for n in range(order + 1)))
+    return one_series(order).divide(divisor)
 
 
 def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
@@ -68,7 +71,7 @@ def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
 @bounded(16)
 def _euler_quotient(order: int) -> TruncatedSeries:
     """2/(e_l(t)+1) to t^order."""
-    return one_series(order).scaled(2).divide(deg_exp(1, order) + one_series(order), 0)
+    return one_series(order).scaled(2).divide(deg_exp(1, order) + one_series(order))
 
 
 def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]:

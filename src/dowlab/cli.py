@@ -1,11 +1,11 @@
 """Command-line front end: triangle export, evaluation, verification, Dobinski.
 
 Exit codes: 0 success, 1 identity failure (or Dobinski outside tolerance),
-2 usage error, an arithmetic error such as a float overflow, an --out path
-that cannot be written, or a stdout that cannot be written (a closed pipe, a
-full disk).  Output goes to stdout unless --out is given, in which case the
-file is written atomically (temp file + rename) with the mode a new file
-gets from the umask.  A triangle is written row by row as it is rendered:
+2 usage error, an arithmetic error such as a float overflow, memory running
+out, an --out path that cannot be written, or a stdout that cannot be written
+(a closed pipe, a full disk).  Output goes to stdout unless --out is given,
+in which case the file is written atomically (temp file + rename) with the
+mode a new file gets from the umask.  A triangle is written row by row as it is rendered:
 if rendering fails part way, stdout holds a prefix of the document, while
 --out leaves the target as it was.  ``verify`` also writes a line per
 catalog entry to stderr as the entry finishes, when stderr is a terminal, and
@@ -373,6 +373,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_size(option: str, count: int) -> None:
+    """Refuse a count at sys.maxsize and above before the run starts: islice's
+    indices stop there, and no run that long ends before memory or time does."""
+    if count >= sys.maxsize:
+        raise UsageError(f"{option} must be below {sys.maxsize}")
+
+
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check ``args`` and convert their values in place; the namespace is the
     command's config.  When several arguments are bad, the first check that
@@ -385,8 +392,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         option, count = ("--n-max", args.n_max) if args.command == "triangle" else ("--n", args.n)
         if args.command == "triangle" and count < 0:
             raise UsageError("--n-max must be >= 0")
-        if args.family is not None and count >= sys.maxsize:  # islice's indices stop there
-            raise UsageError(f"{option} must be below {sys.maxsize}")
+        if args.family is not None:
+            _check_size(option, count)
         if args.lam is not None and args.symbolic:
             raise UsageError("--lambda and --symbolic are mutually exclusive")
         if args.lam is not None:
@@ -396,6 +403,7 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         args.r_set = _parse_int_set(args.r_set, "--r-set")
         if args.n_max < 0:
             raise UsageError("--n-max must be >= 0")
+        _check_size("--n-max", args.n_max)
     elif args.command == "dobinski":
         args.x = _parse_rational(args.x, "--x")
         if args.lam == "symbolic":
@@ -403,6 +411,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         args.lam = _parse_rational(args.lam, "--lambda")
         if args.terms < 1:
             raise UsageError("--terms must be >= 1")
+        _check_size("--n", args.n)
+        _check_size("--terms", args.terms)
         if not (args.tol > 0 and math.isfinite(args.tol)):
             raise UsageError("--tol must be positive and finite")
     return args
@@ -453,8 +463,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         return COMMANDS[cfg.command](cfg)
     except (UsageError, ValueError, IndexError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        message = str(exc)
+    except MemoryError:
+        message = "out of memory"  # written once the handler has let go of the frames
+    sys.stderr.write(f"error: {message}\n")
+    return 2
 
 
 def entrypoint() -> None:

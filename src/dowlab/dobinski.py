@@ -95,9 +95,9 @@ def dobinski_eval(req: DobinskiRequest) -> DobinskiResult:
 
     Domain: every rational ``x`` and ``lambda``.  ``OverflowError`` is
     raised, never a silent 0 or inf, when either side is beyond double
-    range, or when the decimal context's exponent limits cannot hold
-    ``e^{-z}`` (``|z|`` above about 2e18), which its trapped
-    ``Underflow``/``Overflow`` signals.  A value below double range rounds
+    range (its message names the side), or when the decimal context's
+    exponent limits cannot hold ``e^{-z}`` (``|z|`` above about 2e18),
+    which its trapped ``Underflow``/``Overflow`` signals.  A value below double range rounds
     to a subnormal or 0, as any float conversion does.
     """
     m, n = req.m, req.n
@@ -109,7 +109,12 @@ def dobinski_eval(req: DobinskiRequest) -> DobinskiResult:
         _exp_of_negated(p, q, prec)
         num, den = _dobinski_sum(m, n, p, q, lam.numerator, lam.denominator, req.terms)
         dowling = _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(req.x), False).eval(lam)
-        exact, h = float(dowling), dowling.denominator
+        try:
+            exact, h = float(dowling), dowling.denominator
+        except OverflowError:
+            with _decimal_context(7):
+                size = _decimal_quotient(dowling.numerator, dowling.denominator)
+            raise OverflowError(f"Dowling value {size:.6e} is outside double range") from None
         with _decimal_context(MAX_PREC):
             centre, width = Decimal(dowling.numerator), Decimal(req.tol) * h
             while True:

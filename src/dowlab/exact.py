@@ -123,16 +123,6 @@ def _canonical(nums: list[int], den: int) -> "LambdaPoly":
     return _raw(*_reduced(nums, den))
 
 
-def _shift(a: tuple[int, ...], den: int, c: int) -> "LambdaPoly":
-    """``a / den + c`` for canonical ``(a, den)`` and an int ``c``.  Only the
-    constant numerator moves, by a multiple of ``den``, so the gcd with ``den``
-    and the form stay canonical."""
-    head = (a[0] if a else 0) + c * den
-    if len(a) > 1:
-        return _raw((head, *a[1:]), den)
-    return _raw((head,), den) if head else _raw((), 1)
-
-
 def _addsub(p: "LambdaPoly", q: "LambdaPoly", op) -> "LambdaPoly":
     """``p + q`` or ``p - q`` (``op`` is ``operator.add`` or ``sub``)."""
     a, den = p.nums, p.den
@@ -307,8 +297,6 @@ class LambdaPoly:
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "LambdaPoly":
-        if type(other) is int:
-            return _shift(self.nums, self.den, other)
         return _addsub(self, LambdaPoly.coerce(other), add)
 
     __radd__ = __add__
@@ -317,13 +305,9 @@ class LambdaPoly:
         return _raw(tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other: Scalar) -> "LambdaPoly":
-        if type(other) is int:
-            return _shift(self.nums, self.den, -other)
         return _addsub(self, LambdaPoly.coerce(other), sub)
 
     def __rsub__(self, other: Scalar) -> "LambdaPoly":
-        if type(other) is int:
-            return _shift(tuple(map(neg, self.nums)), self.den, other)
         return _addsub(LambdaPoly.coerce(other), self, sub)
 
     def __mul__(self, other: Scalar) -> "LambdaPoly":

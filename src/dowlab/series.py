@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Union
 
 from .exact import (
@@ -59,10 +59,10 @@ class TruncatedSeries(Record):
     # -- construction ---------------------------------------------------------
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[Scalar], order: int | None = None) -> "TruncatedSeries":
+    def from_coeffs(coeffs: Iterable[Scalar], order: int) -> "TruncatedSeries":
+        """The series of order ``order`` with the leading ``coeffs``, the rest zero;
+        coefficients past ``order`` are dropped."""
         cs = [LambdaPoly.coerce(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
         _check_counts(order=order)
         return TruncatedSeries(order, (*cs, *repeat(ZERO, order + 1))[: order + 1])
 
@@ -129,46 +129,24 @@ class TruncatedSeries(Record):
 
     # -- division ------------------------------------------------------------
 
-    def divide(self, other: "TruncatedSeries", known_zero_order: int = 0) -> "TruncatedSeries":
-        """Exact quotient self/other after shifting both down by t^known_zero_order.
+    def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Exact quotient self/other, solved term by term from other * quotient = self.
 
-        Both operands must vanish to order ``known_zero_order``; after the
-        shift the divisor's constant term must be a nonzero rational, the
-        only units of the coefficient ring.  The explicit argument (rather
-        than auto-detected zeros) catches mis-built numerators early.
+        The divisor's constant term must be a nonzero rational, the only
+        units of the coefficient ring.  A divisor that vanishes at t = 0 has
+        its factor t divided out by the caller first, as ``_bernoulli_quotient``
+        does.
         """
-        s = known_zero_order
-        _check_counts(known_zero_order=s)
-        num = self._shift_down(s)
-        den = other._shift_down(s)
-        lead = den.coeffs[0]
+        lead = other.coeffs[0]
         if lead.is_zero() or not lead.is_rational():
-            raise ValueError(
-                f"divisor constant term {lead} after shift by {s} is not an invertible rational"
-            )
+            raise ValueError(f"divisor constant term {lead} is not an invertible rational")
         g0 = lead.constant()
-        n = min(num.order, den.order)
+        n = min(self.order, other.order)
         out: list[LambdaPoly] = []
         for i in range(n + 1):
-            terms = ((-comb(i, k), out[k], den.coeffs[i - k]) for k in range(i))
-            out.append(dot(chain([(1, num.coeffs[i], ONE)], terms)) / g0)
+            terms = ((-comb(i, k), out[k], other.coeffs[i - k]) for k in range(i))
+            out.append(dot(chain([(1, self.coeffs[i], ONE)], terms)) / g0)
         return TruncatedSeries(n, tuple(out))
-
-    def _shift_down(self, s: int) -> "TruncatedSeries":
-        """Divide by t^s as a function; errors unless the low coefficients vanish."""
-        if s == 0:
-            return self
-        if s > self.order:
-            raise ValueError(f"cannot shift a series of order {self.order} down by {s}")
-        for i in range(s):
-            if not self.coeffs[i].is_zero():
-                raise ValueError(
-                    f"series does not have {s} leading zero coefficients (a_{i} = {self.coeffs[i]})"
-                )
-        out = []
-        for n in range(self.order - s + 1):
-            out.append(self.coeffs[n + s] * Fraction(factorial(n), factorial(n + s)))
-        return TruncatedSeries(self.order - s, tuple(out))
 
     # -- composition and exponential ------------------------------------------
 

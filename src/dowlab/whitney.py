@@ -205,7 +205,7 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
 
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """Oracle: e_l(t) / (1 - x (e_l^m(t)-1)/m) generates the ordered polynomials."""
-    return deg_exp(1, n_max).divide(one_series(n_max) - _gf_base(m, x, n_max), 0)
+    return deg_exp(1, n_max).divide(one_series(n_max) - _gf_base(m, x, n_max))
 
 
 def dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:

@@ -472,14 +472,14 @@ class TestDobinski:
 
     def test_float_overflow_exits_2(self, capsys):
         # The Dowling value is about 1e320; the CLI reports the
-        # OverflowError on stderr instead of raising it.
+        # OverflowError on stderr instead of raising it, and names that side.
         code, out, err = run(
             capsys, "dobinski", "--m", "1", "--n", "40", "--x", "100000000",
             "--lambda", "0", "--terms", "1",
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err == "error: Dowling value 1.000008e+320 is outside double range\n"
 
     def test_negative_values_after_space(self, capsys):
         joined = run(
@@ -646,6 +646,9 @@ PRECEDENCE = [
     ("verify --m-set 1 --r-set 2,3,2 --n-max -1",
      "error: --r-set must not repeat a value, got '2,3,2'"),
     ("verify --n-max -1 --id nosuch", "error: --n-max must be >= 0"),
+    # a count at sys.maxsize and above is refused before any run starts
+    ("verify --n-max 99999999999999999999 --id nosuch",
+     f"error: --n-max must be below {sys.maxsize}"),
     ("verify --m-set 0 --id nosuch", "error: unknown identity id 'nosuch'"),
     # an entry that reads neither m nor r refuses a bad one all the same
     ("verify --n-max 1 --id lemma24 --m-set 0 --r-set -5",
@@ -667,6 +670,10 @@ PRECEDENCE = [
     ("dobinski --m 0 --n -1 --x 1 --lambda 0 --tol -1",
      "error: --tol must be positive and finite"),
     ("dobinski --m 0 --n -1 --x 1 --lambda 0", "error: m must be a positive integer, got 0"),
+    ("dobinski --m 0 --n 99999999999999999999 --x 1 --lambda 0",
+     f"error: --n must be below {sys.maxsize}"),
+    ("dobinski --m 0 --n 1 --x 1 --lambda 0 --terms 99999999999999999999",
+     f"error: --terms must be below {sys.maxsize}"),
     ("dobinski --m 1 --n -1 --x 1/0 --lambda 0 --tol x",
      "dowlab dobinski: error: argument --tol: invalid float value: 'x'"),
 ]
@@ -680,6 +687,23 @@ def test_error_precedence(capsys, argv, error):
         assert err == error + "\n"
     else:
         assert err.splitlines()[-1].startswith(error)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_exits_2():
+    # a catalog run at n_max 10^8 builds series until the address space runs
+    # out, in well under a second; the cap is set in the child process only
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "dowlab.cli", "verify", "--n-max", "100000000", "--id", "eq17"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 # One short run of every command that can write --out.

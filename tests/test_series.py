@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from dowlab.bases import lambda_falling
+from dowlab.bernoulli_euler import _bernoulli_quotient
 from dowlab.exact import LAMBDA, ZERO, LambdaPoly
 from dowlab.series import (
     TruncatedSeries,
@@ -109,36 +110,24 @@ def test_mul_t_squared():
 
 class TestDivision:
     def test_bernoulli_generator(self):
-        n = 4
-        q = t_series(n).divide(deg_exp(1, n) - one_series(n), 1)
+        q = _bernoulli_quotient(4)  # t/(e_l(t)-1), as 1 over (e_l(t)-1)/t
         assert q.coeff(0) == LambdaPoly((1,))
         assert q.coeff(1) == LambdaPoly((Fraction(-1, 2), Fraction(1, 2)))
 
     def test_self_division(self):
-        f = deg_exp(1, 5) - one_series(5)
-        assert f.divide(f, 1) == one_series(4)
-
-    def test_shifted_numerator(self):
-        # (e_l(t)-1)/t: true function division, so a_1 = (1-l)/2
-        n = 4
-        q = (deg_exp(1, n) - one_series(n)).divide(t_series(n), 1)
-        assert q.coeff(0) == LambdaPoly((1,))
-        assert q.coeff(1) == LambdaPoly((Fraction(1, 2), Fraction(-1, 2)))
+        f = deg_exp(1, 4)
+        assert f.divide(f) == one_series(4)
 
     def test_rejects_noninvertible_constant(self):
         f = one_series(3)
         g = deg_exp(1, 3) - one_series(3)  # constant term 0
         with pytest.raises(ValueError):
-            f.divide(g, 0)
+            f.divide(g)
 
     def test_rejects_polynomial_constant(self):
         g = TruncatedSeries.from_coeffs((LambdaPoly((1, 1)),), 3)  # 1 + l
         with pytest.raises(ValueError):
-            one_series(3).divide(g, 0)
-
-    def test_rejects_missing_zeros(self):
-        with pytest.raises(ValueError):
-            one_series(3).divide(t_series(3), 1)
+            one_series(3).divide(g)
 
 
 class TestComposition:
@@ -287,7 +276,7 @@ unit_series = st_.lists(small_polys, min_size=0, max_size=4).map(
 @settings(deadline=None)
 @given(series, unit_series)
 def test_div_inverts_mul(f, g):
-    assert (f * g).divide(g, 0) == f
+    assert (f * g).divide(g) == f
 
 
 # An inner series for the first-order solver: zero constant term, rational

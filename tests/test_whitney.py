@@ -558,7 +558,7 @@ class TestDobinski:
 
     def test_beyond_double_range_raises(self):
         big = wh.DobinskiRequest(m=1, n=40, x=Fraction(10**8), lam=Fraction(0), terms=1)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^Dowling value 1.000008e"):
             wh.dobinski_eval(big)
         # e^{-x} itself leaves the decimal exponent range
         huge = wh.DobinskiRequest(m=1, n=0, x=Fraction(10**19), lam=Fraction(0), terms=1)
