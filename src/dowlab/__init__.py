@@ -46,8 +46,6 @@ _EXPORTS = {
     "stirling": (
         "deg_bell",
         "deg_bell_number",
-        "deg_r_stirling1_unsigned",
-        "deg_r_stirling2",
         "deg_stirling1",
         "deg_stirling2",
         "stirling1",
@@ -58,8 +56,6 @@ _EXPORTS = {
         "build_triangle",
         "dowling_number",
         "dowling_poly",
-        "r_whitney1",
-        "r_whitney2",
         "tanny_dowling_poly",
         "whitney1",
         "whitney1_alt",
@@ -73,7 +69,6 @@ _EXPORTS = {
         "all_passed",
         "report_document",
         "run_identity",
-        "verify_all",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

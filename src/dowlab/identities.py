@@ -10,9 +10,9 @@ failing one included; nothing past the first counterexample is computed.
 An entry that compares two routes to the same values is a ``Row``: two sides,
 each naming the routes it computes by (Newton conversion, generating
 function, explicit formula), read at the points of one runner.
-An entry of several comparisons is a tuple of rows, its ``Parts``, each
-labelled by the ``tail`` params that end its points; the rows of an inner
-tuple run in lockstep, one point of each in turn.  ``ROWS`` lists them all.
+An entry of several comparisons is a tuple of rows, its ``Parts``, run one
+after another, each labelled by the ``tail`` params that end its points.
+``ROWS`` lists them all.
 
 Entries flagged as *discrepancy* probes exist because the source material
 prints two inconsistent readings of a formula.  A ``Probe`` holds a row whose
@@ -248,31 +248,17 @@ class Row:
         return _sweep(self.points(p))
 
 
-def _lockstep(streams: list[Points]) -> Points:
-    """One point of each stream in turn, until one ends."""
-    while True:
-        for stream in streams:
-            point = next(stream, None)
-            if point is None:
-                return
-            yield point
-
-
 @dataclass(frozen=True)
 class Parts:
-    """An entry of several parts run in turn, each a tuple of rows run in lockstep."""
+    """An entry of several rows, each run to its end before the next."""
 
-    parts: tuple[tuple[Row, ...], ...]
+    parts: tuple[Row, ...]
 
     def rows(self) -> Iterable[Row]:
-        return chain.from_iterable(self.parts)
-
-    def points(self, p: SweepParams) -> Points:
-        for rows in self.parts:
-            yield from _lockstep([row.points(p) for row in rows])
+        return self.parts
 
     def __call__(self, p: SweepParams) -> CheckResult:
-        return _sweep(self.points(p))
+        return _sweep(chain.from_iterable(row.points(p) for row in self.parts))
 
 
 @dataclass(frozen=True)
@@ -498,7 +484,7 @@ ROWS: dict[str, Row] = {}
 
 def _register(ident: str, entry: Row | Probe | tuple | Callable[[SweepParams], Points]) -> None:
     if isinstance(entry, tuple):
-        entry = Parts(tuple(part if isinstance(part, tuple) else (part,) for part in entry))
+        entry = Parts(entry)
     if isinstance(entry, (Row, Parts, Probe)):
         for row in entry.rows():
             label = ", ".join(map(str, row.tail.values()))
@@ -553,11 +539,11 @@ _register("cor2", Row(_triangle(), _each(NEWTON, lambda n, k: wh.whitney2(1, n, 
                       _each(NEWTON, lambda n, k: st.deg_stirling2(n + 1, k + 1)
                             + LAMBDA * n * st.deg_stirling2_or_zero(n, k + 1))))
 _register("thm3", Row(_SERIES, Side(GF, lambda *a: wh.dowling_gf(*a).coeff), _DOWLING))
-_register("eq29_30", ((
+_register("eq29_30", (
     Row(_column(), _each(NEWTON, lambda n: st.deg_bell_number(n + 1)), Side(GF, _bell_gf),
         {"part": "eq29"}),
     Row(_column(), _DOWLING_1, _BELL_STEP, {"part": "eq30"}),
-),))
+))
 _register("cor4", Row(_column(), _DOWLING_1, _BELL_STEP))
 _register("thm5", Row(_triangle("m"), _rows(GF, lambda *a: wh.whitney1_rows_gf(*a)), _V1))
 _register("thm6", Row(_triangle("m"), _rows(NEWTON, lambda *a: wh.whitney2_rows_newton(*a)), _W2))
@@ -641,9 +627,9 @@ _register("eq75", (
 # r = 0 at m = 1 is S2deg, with its GF as the oracle; the m = 1 and r = 1 parts read
 # the kernel at (1, r, 1) and (m, 1, 1) on both sides, so they cannot fail.
 _register("eq77", (
-    (Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling2_rows_gf(*a)), _R_S2),
-     Row(_triangle("r"), _rows(NEWTON, lambda r, n: wh.r_whitney2_rows(1, r, n)), _R_S2,
-         {"part": "m=1"})),
+    Row(_triangle("r"), _rows(GF, lambda *a: st.deg_r_stirling2_rows_gf(*a)), _R_S2),
+    Row(_triangle("r"), _rows(NEWTON, lambda r, n: wh.r_whitney2_rows(1, r, n)), _R_S2,
+        {"part": "m=1"}),
     Row(_triangle("m"), _rows(NEWTON, lambda m, n: wh.r_whitney2_rows(m, 1, n)), _W2,
         {"part": "r=1"}),
     Row(_triangle(), _rows(NEWTON, lambda n: st.deg_r_stirling2_rows(0, n)),
@@ -670,14 +656,14 @@ _register("eq81", Probe(
 ))
 # the l -> 0 limits against the classical tables
 _register("classical_limits", (
-    (Row(_triangle("m"), _each(NEWTON, lambda *a: wh.whitney2(*a).eval(0)),
-         _rows(NEWTON, lambda *a: wh.classical_whitney2_rows(*a)), {"family": "W"}),
-     Row(_triangle("m"), _each(NEWTON, lambda *a: wh.whitney1(*a).eval(0)),
-         _rows(NEWTON, lambda *a: wh.classical_whitney1_rows(*a)), {"family": "V"})),
-    (Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling1(*a).eval(0)),
-         _each(NEWTON, lambda *a: st.stirling1(*a)), {"family": "S1"}),
-     Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling2(*a).eval(0)),
-         _each(NEWTON, lambda *a: st.stirling2(*a)), {"family": "S2"})),
+    Row(_triangle("m"), _each(NEWTON, lambda *a: wh.whitney2(*a).eval(0)),
+        _rows(NEWTON, lambda *a: wh.classical_whitney2_rows(*a)), {"family": "W"}),
+    Row(_triangle("m"), _each(NEWTON, lambda *a: wh.whitney1(*a).eval(0)),
+        _rows(NEWTON, lambda *a: wh.classical_whitney1_rows(*a)), {"family": "V"}),
+    Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling1(*a).eval(0)),
+        _each(NEWTON, lambda *a: st.stirling1(*a)), {"family": "S1"}),
+    Row(_triangle(), _each(NEWTON, lambda *a: st.deg_stirling2(*a).eval(0)),
+        _each(NEWTON, lambda *a: st.stirling2(*a)), {"family": "S2"}),
 ))
 
 
@@ -713,16 +699,6 @@ def run_identity(
         counterexample=counterexample,
         finding=finding,
     )
-
-
-def verify_all(
-    n_max: int = 8,
-    m_set: tuple[int, ...] | list[int] = (1, 2, 3),
-    r_set: tuple[int, ...] | list[int] = (1, 2, 3),
-    seed: int = 0,
-) -> list[IdentityReport]:
-    """Run the whole catalog; reports come back in catalog order."""
-    return [run_identity(i, n_max, m_set, r_set, seed) for i in CATALOG]
 
 
 def all_passed(reports: list[IdentityReport]) -> bool:

@@ -77,18 +77,9 @@ def deg_r_stirling2_rows(r: int, n_max: int) -> Rows:
     return _second_kind_rows(1, r, 1, n_max)
 
 
-def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
-    return _second_kind_rows.entry(1, r, 1, n, k)
-
-
 def deg_r_stirling1_unsigned_rows(r: int, n_max: int) -> Rows:
     """<x+r>_n in the rising step-l basis: the first-kind kernel at (1, r) under X -> -X."""
     return tuple(_alternating(_first_kind_rows(1, r, n_max)))
-
-
-def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:
-    value = _first_kind_rows.entry(1, r, n, k)
-    return -value if (n - k) % 2 else value
 
 
 # -- generating-function oracles ------------------------------------------------

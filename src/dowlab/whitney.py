@@ -221,17 +221,9 @@ def r_whitney2_rows(m: int, r: int, n_max: int) -> Rows:
     return _second_kind_rows(m, r, 1, n_max)
 
 
-def r_whitney2(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    return _second_kind_rows.entry(m, r, 1, n, k)
-
-
 def r_whitney1_rows(m: int, r: int, n_max: int) -> Rows:
     """First-kind r-triangle: m^n (x)_n = sum w (mx+r)_{k,l}, by the Newton kernel."""
     return _first_kind_rows(m, r, n_max)
-
-
-def r_whitney1(m: int, r: int, n: int, k: int) -> LambdaPoly:
-    return _first_kind_rows.entry(m, r, n, k)
 
 
 def r_whitney1_rows_direct(m: int, r: int, n_max: int) -> Rows:

@@ -7,10 +7,20 @@ another one or this file, whatever pytest's import mode.
 import sys
 
 import pytest
+from hypothesis import settings
 
 from dowlab import newton, series
 from dowlab.bases import basis_poly, newton_convert
 from dowlab.exact import CACHES
+
+# Hypothesis profiles.  Tier-1, the default, draws its examples from a seed
+# fixed by each test and keeps no example database, so its verdict depends on
+# the commit alone.  ``pytest --hypothesis-profile=explore`` draws at random,
+# from the seed that ``--hypothesis-seed`` gives if any (pass it to replay a
+# run), with more examples wherever a test does not set its own count.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", max_examples=500, deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 # The module that holds each route's code; an explicit formula has none of its own.
 ROUTE_MODULES = {"newton": newton, "gf": series, "explicit": None}

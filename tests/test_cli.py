@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -552,36 +553,214 @@ class TestDobinski:
         assert joined == spaced == (0, line, "")
 
 
-fuzz_x = st_.one_of(
-    st_.tuples(st_.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4),
-               st_.integers(min_value=1, max_value=3000)),
-    st_.tuples(st_.integers(min_value=-10**30, max_value=10**30).map(Fraction), st_.just(1)),
+# The exit contract, by property, for every command: whole argument vectors
+# drawn from a small grammar.  Each option is absent, well-formed, malformed,
+# huge, negative, bool text or repeated, and is written as --opt=value or as
+# --opt value.  The well-formed sizes stay small (--n-max <= 12, --terms <=
+# 400), so one example takes milliseconds; HUGE is past sys.maxsize, where
+# every count is refused, since a count below it may run until memory runs out.
+HUGE = "99999999999999999999"
+
+
+def _option(well, malformed=(), huge=(), negative=()) -> dict:
+    """An option's values by form: ``well`` a strategy of well-formed ones,
+    each other form a list."""
+    bad = {"malformed": malformed, "huge": huge, "negative": negative, "bool": ("True", "false")}
+    return {"well": well, **{form: list(values) for form, values in bad.items() if values}}
+
+
+def _count(top: int, least: int = 0) -> dict:
+    return _option(st_.integers(least, top).map(str), ["x", "1.5", "", "0x10"], [HUGE],
+                   ["-1", "-7"] if least == 0 else ["-1", "0"])
+
+
+def _rational(well) -> dict:
+    return _option(well, ["x", "1/0", "1//2", "nan", "inf", "1e100000000000"], ["1e4000", HUGE],
+                   ["-5/2", "-1e3"])
+
+
+_FAMILIES = [family.value for family in Family] + list(cli.FAMILY_ALIASES)
+_SETS = {"malformed": ["a", "1,1", "", "1,,2", "1;2"], "huge": [HUGE]}
+_ENTRY = {
+    "--m": _count(4, least=1),
+    "--r": _count(3),
+    "--lambda": _rational(st_.sampled_from(["0", "1/2", "-1/3", "2", "1e-3", "-2.5"])),
+    "--symbolic": _option(st_.none()),  # a flag
+}
+GRAMMAR = {
+    "triangle": {
+        **_ENTRY,
+        "--family": _option(st_.sampled_from(_FAMILIES), ["Q", "w", ""], ["W" * 5000]),
+        "--n-max": _count(12),
+        "--format": _option(st_.sampled_from(cli.FORMATS), ["xml", ""]),
+    },
+    "eval": {
+        **_ENTRY,
+        "--poly": _option(st_.sampled_from(["1 - l", "l", "3/2*l^2 - 1", "0"]),
+                          ["1++2", "l^", "x", "", "1/0*l"], [f"l^{HUGE}", f"{HUGE}*l"],
+                          ["-l", "-1/2"]),
+        "--family": _option(st_.sampled_from(_FAMILIES), ["Q", ""]),
+        "--n": _count(12),
+        "--k": _count(12),
+    },
+    "verify": {
+        "--id": _option(st_.sampled_from(sorted(CATALOG)), ["nosuch", ""]),
+        "--n-max": _count(12),
+        "--m-set": _option(st_.sampled_from(["1", "1,2", "2,3", "1,5"]), **_SETS,
+                           negative=["-1", "1,-2", "0"]),
+        "--r-set": _option(st_.sampled_from(["0", "1", "0,2", "1,2,3"]), **_SETS,
+                           negative=["-1", "0,-2"]),
+        "--seed": _count(99),
+    },
+    "dobinski": {
+        "--m": _count(3),
+        "--n": _count(10),
+        "--x": _rational(st_.one_of(
+            st_.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4).map(str),
+            st_.integers(-10**30, 10**30).map(str),
+        )),
+        "--lambda": _rational(st_.fractions(max_denominator=10**6).map(str)),
+        "--terms": _count(400, least=1),
+        "--tol": _option(st_.floats(min_value=0, exclude_min=True, allow_infinity=False).map(repr),
+                         ["x", "nan", "inf", "0"], ["1e400"], ["-1", "-1e-9"]),
+        "--format": _option(st_.sampled_from(["text", "json"]), ["csv"]),
+    },
+}
+# --out, in a directory that exists or in one that does not (never bool
+# text: that would write a file named True where the tests run)
+OUT_OPTION = {"well": st_.just("{dir}/out.txt"), "malformed": ["{dir}/missing/out.txt"]}
+# the options a command cannot run without
+REQUIRED = {"triangle": {"--family", "--n-max"}, "dobinski": {"--m", "--n", "--x", "--lambda"}}
+# what may show that a message is the interpreter's, not the CLI's
+INTERNALS = re.compile(
+    r"Traceback|File \"|\w\(\)|Fraction\(|Decimal\(|<\w|NoneType|object|too large to convert"
+    r"|too large for a float|Exceeds the limit|invalid literal|unsupported operand"
+    r"|division by zero|not supported between|maximum recursion|index-sized"
 )
 
 
-@settings(deadline=None, max_examples=80)
-@given(
-    st_.integers(min_value=0, max_value=3),
-    st_.integers(min_value=-1, max_value=10),
-    fuzz_x,
-    st_.fractions(max_denominator=10**6),
-    st_.one_of(st_.floats(min_value=0, exclude_min=True, allow_infinity=False), st_.floats()),
-)
-def test_dobinski_fuzz_exit_codes(m, n, x_terms, lam, tol):
-    x, terms = x_terms
-    argv = [
-        "dobinski", f"--m={m}", f"--n={n}", f"--x={x}", f"--lambda={lam}",
-        f"--terms={terms}", f"--tol={tol!r}",
-    ]
+class Hang(BaseException):
+    """Raised by the alarm in a command that runs too long; no handler of the
+    CLI catches it."""
+
+
+def _on_alarm(signum, frame):
+    raise Hang
+
+
+def check_exit_contract(argv: list[str], directory) -> None:
+    """Run ``argv``, with ``{dir}`` read as ``directory``, under a 20 s alarm,
+    and check the exit contract: exit 0, 1 or 2; on exit 2 an empty stdout
+    and one error: line on stderr, the last (argparse writes its usage lines
+    before it), that shows no Python internal; on exit 0 or 1 no error: line,
+    and the verdict of a dobinski on stdout."""
+    argv = [arg.replace("{dir}", str(directory)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if "error: " in line]
+    assert code in (0, 1, 2), argv
     if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
-    else:
-        assert out.getvalue().endswith(" pass\n" if code == 0 else " fail\n")
+        assert out.getvalue() == "", argv
+        assert len(errors) == 1 and errors[0] == lines[-1], argv
+        if not re.match(r"dowlab( \w+)?: error: ", lines[-1]):  # not argparse's: the CLI's own
+            assert lines == errors and errors[0].startswith("error: "), argv
+        assert not INTERNALS.search(errors[0]), (argv, errors[0])
+        return
+    assert errors == [], argv
+    assert code == 0 or argv[0] in ("verify", "dobinski"), argv
+    if argv[0] == "dobinski" and not any(arg.startswith("--out") for arg in argv):
+        assert ("pass" if code == 0 else "fail") in out.getvalue(), argv
+
+
+@st_.composite
+def argv_vectors(draw) -> list[str]:
+    """A whole argument vector: a command, then its options in some order.
+    At most two options are bad (absent where required, or in a form other
+    than well-formed); every other one is well-formed, repeated or, unless
+    required, absent.  Each value is in the = or the space form."""
+    command = draw(st_.sampled_from(sorted(GRAMMAR)))
+    options = {**GRAMMAR[command], "--out": OUT_OPTION}
+    names = sorted(options)
+    bad = draw(st_.lists(st_.sampled_from(names), max_size=2, unique=True))
+    argv = [command]
+    for option in draw(st_.permutations(names)):
+        forms = options[option]
+        required = option in REQUIRED.get(command, ())
+        if option in bad:
+            choices = [form for form in forms if form != "well"] + ["absent"] * required
+        else:
+            choices = ["well", "repeated"] + ["absent"] * (not required)
+        form = draw(st_.sampled_from(choices))
+        if form == "absent":
+            continue
+        if form in ("well", "repeated"):
+            values = [draw(forms["well"]) for _ in range(1 + (form == "repeated"))]
+        else:
+            values = [draw(st_.sampled_from(forms[form]))]
+        for value in values:
+            if value is None:  # a flag
+                argv.append(option)
+            elif draw(st_.booleans()):
+                argv.append(f"{option}={value}")
+            else:
+                argv += [option, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+needs_alarm = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs setitimer")
+
+
+@needs_alarm
+@settings(deadline=None, max_examples=2 * settings.default.max_examples)
+@given(argv=argv_vectors())
+def test_every_command_keeps_the_exit_contract(argv, contract_dir):
+    # twice the profile's examples: 200 in tier-1, more under explore
+    check_exit_contract(argv, contract_dir)
+
+
+# A well-formed call of each command, as its options; the test below swaps
+# one option at a time for each of its bad values (eval's --poly replaces
+# its --family, since eval takes exactly one of them).
+BASE = {
+    "triangle": {"--family": "W", "--n-max": "3"},
+    "eval": {"--family": "W", "--n": "3", "--k": "1"},
+    "verify": {"--id": "eq17", "--n-max": "3"},
+    "dobinski": {"--m": "1", "--n": "3", "--x": "1/2", "--lambda": "1/4", "--terms": "60"},
+}
+
+
+@needs_alarm
+def test_each_bad_value_alone_keeps_the_exit_contract(contract_dir):
+    # every bad value of the grammar, each in an otherwise well-formed call,
+    # which a few hundred random draws cannot all reach
+    calls = 0
+    for command, base in BASE.items():
+        for option, forms in {**GRAMMAR[command], "--out": OUT_OPTION}.items():
+            dropped = {option, "--family" if option == "--poly" else option}
+            head = [command, *itertools.chain.from_iterable(
+                (name, value) for name, value in base.items() if name not in dropped
+            )]
+            bad = [value for form, values in forms.items() if form != "well" for value in values]
+            argvs = [[*head, f"{option}={value}"] for value in bad]
+            if option in base:
+                argvs.append(head)  # the option absent
+            for argv in argvs:
+                check_exit_contract(argv, contract_dir)
+                calls += 1
+    assert calls >= 200
 
 
 def test_usage_error_without_subcommand(capsys):

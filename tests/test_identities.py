@@ -47,7 +47,7 @@ def test_transform_pair_and_delta_at_twelve():
 
 
 def test_trivial_sweep_has_no_failures():
-    reports = idn.verify_all(0, [1], [1], 0)
+    reports = [idn.run_identity(ident, 0, [1], [1], 0) for ident in idn.CATALOG]
     assert len(reports) == len(idn.CATALOG)
     assert all(r.status != "fail" for r in reports)
 
@@ -147,8 +147,8 @@ def test_rescaled_stores_hold_one_triangle_per_m(monkeypatch, clear_caches):
 
 
 def test_determinism_same_seed():
-    a = idn.verify_all(3, [1], [1], 11)
-    b = idn.verify_all(3, [1], [1], 11)
+    a = [idn.run_identity(ident, 3, [1], [1], 11) for ident in idn.CATALOG]
+    b = [idn.run_identity(ident, 3, [1], [1], 11) for ident in idn.CATALOG]
     doc_a = json.dumps(idn.report_document(a, 3, [1], [1], 11), sort_keys=True)
     doc_b = json.dumps(idn.report_document(b, 3, [1], [1], 11), sort_keys=True)
     assert doc_a == doc_b
@@ -443,29 +443,12 @@ def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch, clear_caches
     assert report.counterexample["params"] == {"n": 2, "part": "eq29"}
 
 
-def test_lockstep_parts_alternate_point_by_point():
-    # the rows of an inner tuple take turns, so a failing run stops at the
-    # same first counterexample as when each entry was one loop
-    sweep = idn.SweepParams(n_max=2, m_set=(1, 2), r_set=(1,), seed=0)
-
-    def params(ident):
-        return [params for params, _, _ in idn.CATALOG[ident].checker.points(sweep)]
-
-    parts = [{"n": n, "part": part} for n in range(3) for part in ("eq29", "eq30")]
-    assert params("eq29_30") == parts
-    families = [at.get("family") for at in params("classical_limits")]
-    assert families == ["W", "V"] * 12 + ["S1", "S2"] * 6
-    eq77 = params("eq77")
-    assert eq77[:3] == [{"r": 1, "n": 0, "k": 0}, {"r": 1, "n": 0, "k": 0, "part": "m=1"},
-                        {"r": 1, "n": 1, "k": 0}]
-    assert [at.get("part") for at in eq77[12:]] == ["r=1"] * 12 + ["r=0"] * 6
-
-
 def test_a_cold_catalog_builds_each_gf_triangle_once(clear_caches):
     # thm1, thm5, eq74, eq75 and eq77 ask for triangles that eq17, eq18,
     # eq68 and eq71 build: 37 requests for 23 distinct triangles
     clear_caches()
-    idn.verify_all(10, (1, 2, 3), (1, 2, 3), 0)
+    for ident in idn.CATALOG:
+        idn.run_identity(ident, 10, (1, 2, 3), (1, 2, 3), 0)
     info = series.gf_triangle.cache_info()
     assert (info.misses, info.hits) == (23, 14)
     assert info.currsize == 23
@@ -481,7 +464,8 @@ def test_a_cold_catalog_builds_each_kernel_triangle_once(clear_caches):
     # r-Stirling triangles at (1, r) and W and V at m = 1..3 are among those
     # keys, not stores apart
     clear_caches()
-    idn.verify_all(10, (1, 2, 3), (1, 2, 3), 0)
+    for ident in idn.CATALOG:
+        idn.run_identity(ident, 10, (1, 2, 3), (1, 2, 3), 0)
     for store, stores in ((st._second_kind_rows, 15), (st._first_kind_rows, 12)):
         info = store.cache_info()
         assert (info.misses, info.currsize) == (stores, stores)
@@ -489,10 +473,14 @@ def test_a_cold_catalog_builds_each_kernel_triangle_once(clear_caches):
 
 def test_a_warm_run_reports_what_a_cold_run_reports(clear_caches):
     # the warm run reads back every memo and row store the cold one filled
+    def report():
+        reports = [idn.run_identity(ident, 6) for ident in idn.CATALOG]
+        return json.dumps(idn.report_document(reports, 6, (1, 2, 3), (1, 2, 3), 0))
+
     clear_caches()
-    cold = json.dumps(idn.report_document(idn.verify_all(6), 6, (1, 2, 3), (1, 2, 3), 0))
+    cold = report()
     held = [cache.cache_info().currsize for cache in CACHES]
-    assert json.dumps(idn.report_document(idn.verify_all(6), 6, (1, 2, 3), (1, 2, 3), 0)) == cold
+    assert report() == cold
     assert [cache.cache_info().currsize for cache in CACHES] == held
 
 
@@ -508,7 +496,8 @@ def test_a_bad_n_max_or_seed_is_refused_before_the_entry_runs(ident):
         with pytest.raises(error, match=message):
             idn.run_identity(ident, **bad)
         with pytest.raises(error, match=message):
-            idn.verify_all(**bad)
+            for each in idn.CATALOG:
+                idn.run_identity(each, **bad)
         assert [cache.cache_info().currsize for cache in CACHES] == held
 
 

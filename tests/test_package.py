@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -308,11 +310,10 @@ def test_every_cache_is_registered():
     assert len({cache.__name__ for cache in CACHES}) == len(CACHES)  # the tests' ids
 
 
-def _private_defs(path: Path) -> dict[str, set]:
+def _defs(path: Path) -> dict[str, set]:
     """Each function that the module at ``path`` defines at module or class
-    level under a private name (one underscore first, not a dunder), by its
-    qualified name, with the lines its code object can start at: its ``def``
-    and its first decorator."""
+    level, not a dunder, by its qualified name, with the lines its code object
+    can start at: its ``def`` and its first decorator."""
     found = {}
 
     def visit(body: list, prefix: str) -> None:
@@ -321,7 +322,7 @@ def _private_defs(path: Path) -> dict[str, set]:
                 visit(node.body, f"{prefix}{node.name}.")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = node.name
-                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                if not (name.startswith("__") and name.endswith("__")):
                     found[prefix + name] = {node.lineno, *(d.lineno for d in node.decorator_list)}
 
     visit(ast.parse(path.read_text(), str(path)).body, "")
@@ -329,9 +330,9 @@ def _private_defs(path: Path) -> dict[str, set]:
 
 
 def _not_entered(paths: list, code: str) -> list[str]:
-    """The private functions (``_private_defs``) of the modules at ``paths``
-    that ``code`` never enters, run in a fresh interpreter whose profiler is
-    installed before ``code`` imports anything, as ``module.qualname``."""
+    """The functions (``_defs``) of the modules at ``paths`` that ``code``
+    never enters, run in a fresh interpreter whose profiler is installed
+    before ``code`` imports anything, as ``module.qualname``."""
     roots = sorted({str(path.resolve().parent) for path in paths})
     census = f"""
 import os, sys, threading
@@ -350,9 +351,31 @@ print(sorted((os.path.realpath(f), line) for f, line in entered
     return sorted(
         f"{path.stem}.{name}"
         for path in paths
-        for name, lines in _private_defs(path).items()
+        for name, lines in _defs(path).items()
         if not {(str(path.resolve()), line) for line in lines} & set(entered)
     )
+
+
+def _unspanned(names: list[str]) -> list[str]:
+    """The names ``module.qualname`` among ``names`` that are neither a target
+    of the benchmark's span table, ``SPANS`` in perfbench/tracer.py, nor a
+    member of a class that holds one.  A target is named after the module
+    and class that define it, wherever the tracer finds it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets, classes = set(), set()
+    for module_name, target in chain.from_iterable(tracer.SPANS.values()):
+        owner, _, member = target.partition(".")
+        value = getattr(importlib.import_module(f"dowlab.{module_name}"), owner, None)
+        if value is not None:
+            name = f"{value.__module__.rpartition('.')[2]}.{value.__qualname__}"
+            (classes if member else targets).add(name)
+    return [
+        name for name in names
+        if name not in targets and name.rpartition(".")[0] not in classes
+    ]
 
 
 def _census_calls(out: Path) -> list[tuple[list[str], int]]:
@@ -382,15 +405,17 @@ def _census_calls(out: Path) -> list[tuple[list[str], int]]:
     ]
 
 
-def test_every_private_function_is_entered_by_a_cli_form(tmp_path):
-    # a private function that no command reaches is dead code: the census
-    # runs every form of the CLI, with stderr a terminal (verify's progress
-    # lines), and then one call whose stdout cannot be written
-    calls = _census_calls(tmp_path / "w.csv")
+@pytest.fixture(scope="module")
+def unentered(tmp_path_factory) -> list[str]:
+    """The functions of ``src/dowlab`` that no CLI form enters: the census
+    runs every form of the CLI, with stderr a terminal (verify's progress
+    lines), then one call whose stdout cannot be written, and then the
+    console script's ``entrypoint`` once, reading its argv from sys.argv."""
+    calls = _census_calls(tmp_path_factory.mktemp("census") / "w.csv")
     code = f"""
-import io
+import io, sys
 from contextlib import redirect_stderr, redirect_stdout
-from dowlab.cli import main
+from dowlab.cli import entrypoint, main
 class Terminal(io.StringIO):
     def isatty(self):
         return True
@@ -401,8 +426,28 @@ with redirect_stdout(io.StringIO()), redirect_stderr(Terminal()):
     assert [(argv, main(argv)) for argv, _ in {calls!r}] == {calls!r}
 with redirect_stdout(Closed()), redirect_stderr(io.StringIO()):
     assert main(["eval", "--poly", "l"]) == 2
+sys.argv = ["dowlab", "eval", "--poly", "l"]
+try:
+    with redirect_stdout(io.StringIO()):
+        entrypoint()
+except SystemExit as done:
+    assert done.code == 0
 """
-    assert _not_entered(sorted(SRC.glob("*.py")), code) == []
+    return _not_entered(sorted(SRC.glob("*.py")), code)
+
+
+def _private(name: str) -> bool:
+    return name.rpartition(".")[2].startswith("_")
+
+
+def test_every_private_function_is_entered_by_a_cli_form(unentered):
+    # a private function that no command reaches is dead code
+    assert [name for name in unentered if _private(name)] == []
+
+
+def test_every_public_function_is_entered_by_a_cli_form(unentered):
+    # so is a public one, unless the benchmark's tracer wraps it by name
+    assert _unspanned([name for name in unentered if not _private(name)]) == []
 
 
 def test_an_unentered_private_function_is_found(tmp_path):
@@ -416,7 +461,22 @@ def test_an_unentered_private_function_is_found(tmp_path):
         "class Kit:\n"
         "    def _method(self):\n        return 4\n"
         "    def __repr__(self):\n        return 'Kit'\n"
+        "    def reading(self):\n        return 5\n"
         "def public():\n    return _used() + _cached()\n"
+        "def unread():\n    return 6\n"
     )
     code = f"import sys\nsys.path.insert(0, {str(tmp_path)!r})\nimport planted\nplanted.public()\n"
-    assert _not_entered([module], code) == ["planted.Kit._method", "planted._unreachable"]
+    assert _not_entered([module], code) == [
+        "planted.Kit._method", "planted.Kit.reading", "planted._unreachable", "planted.unread"
+    ]
+
+
+def test_only_span_targets_and_their_classes_are_exempt():
+    # a target is exempt under the module that defines it (the tracer finds
+    # dobinski_eval in whitney), and so is every member of a class that
+    # holds one; a public function outside the table is not
+    names = ["dobinski.dobinski_eval", "whitney.build_triangle", "exact.LambdaPoly.eval",
+             "exact.LambdaPoly.coerce", "series.TruncatedSeries.coeff", "families.family_rows",
+             "identities.run_identity", "whitney.whitney2"]
+    assert _unspanned(names) == ["families.family_rows", "identities.run_identity",
+                                 "whitney.whitney2"]

@@ -143,12 +143,24 @@ class TestBell:
                 st.deg_bell(3, bad)
 
 
+def deg_r_stirling2(n: int, k: int, r: int) -> LambdaPoly:
+    """The degenerate r-Stirling number of the second kind: the second-kind
+    kernel's entry at (1, r, 1)."""
+    return newton._second_kind_rows.entry(1, r, 1, n, k)
+
+
+def deg_r_stirling1_unsigned(n: int, k: int, r: int) -> LambdaPoly:
+    """The unsigned degenerate r-Stirling number of the first kind: the
+    first-kind kernel's entry at (1, r), signed (-1)^(n-k)."""
+    return (-1) ** (n - k) * newton._first_kind_rows.entry(1, r, n, k)
+
+
 class TestRShifted:
     def test_second_kind_spot(self):
         # (x+r)_{1,l} = x + r
-        assert st.deg_r_stirling2(1, 0, 2) == LambdaPoly((2,))
-        assert st.deg_r_stirling2(1, 1, 2) == LambdaPoly((1,))
-        assert st.deg_r_stirling2(5, 5, 3) == LambdaPoly((1,))
+        assert deg_r_stirling2(1, 0, 2) == LambdaPoly((2,))
+        assert deg_r_stirling2(1, 1, 2) == LambdaPoly((1,))
+        assert deg_r_stirling2(5, 5, 3) == LambdaPoly((1,))
 
     def test_second_kind_r_zero_reduction(self):
         # deg_stirling2_rows is the r = 0 store itself, so the GF oracle is the check
@@ -156,18 +168,18 @@ class TestRShifted:
 
     def test_first_kind_spot(self):
         # <x+r>_1 = x + r
-        assert st.deg_r_stirling1_unsigned(1, 0, 2) == LambdaPoly((2,))
-        assert st.deg_r_stirling1_unsigned(1, 1, 2) == LambdaPoly((1,))
-        assert st.deg_r_stirling1_unsigned(4, 4, 1) == LambdaPoly((1,))
+        assert deg_r_stirling1_unsigned(1, 0, 2) == LambdaPoly((2,))
+        assert deg_r_stirling1_unsigned(1, 1, 2) == LambdaPoly((1,))
+        assert deg_r_stirling1_unsigned(4, 4, 1) == LambdaPoly((1,))
 
     def test_first_kind_hand_value(self):
         # <x>_2 = x(x+1) = x(x+l) + (1-l)x
-        assert st.deg_r_stirling1_unsigned(2, 1, 0) == 1 - l
+        assert deg_r_stirling1_unsigned(2, 1, 0) == 1 - l
 
     def test_first_kind_classical_limit(self):
         for n in range(9):
             for k in range(n + 1):
-                got = st.deg_r_stirling1_unsigned(n, k, 0).eval(0)
+                got = deg_r_stirling1_unsigned(n, k, 0).eval(0)
                 assert got == abs(st.stirling1(n, k))
 
     @pytest.mark.parametrize("r", (0, 1, 2, 3))
@@ -219,8 +231,9 @@ INT_ONLY = {
     "deg_stirling2_or_zero": (st.deg_stirling2_or_zero, (3, 1)),
     "deg_stirling1_rows": (st.deg_stirling1_rows, (3,)),
     "deg_stirling2_rows": (st.deg_stirling2_rows, (3,)),
-    "deg_r_stirling2": (st.deg_r_stirling2, (3, 1, 1)),
-    "deg_r_stirling1_unsigned": (st.deg_r_stirling1_unsigned, (3, 1, 1)),
+    # the degenerate r-Stirling numbers, read off their kernels at m = 1
+    "deg_r_stirling2": (newton._second_kind_rows.entry, (1, 1, 1, 3, 1)),
+    "deg_r_stirling1_unsigned": (newton._first_kind_rows.entry, (1, 1, 3, 1)),
     "deg_r_stirling2_rows": (st.deg_r_stirling2_rows, (1, 3)),
     "deg_r_stirling1_unsigned_rows": (st.deg_r_stirling1_unsigned_rows, (1, 3)),
     "deg_bell": (st.deg_bell, (1, 1)),
@@ -247,7 +260,7 @@ class TestIntArguments:
             with pytest.raises(IndexError):
                 fn(-1, 0)
         with pytest.raises(IndexError):
-            st.deg_r_stirling2(2, -1, 0)
+            deg_r_stirling2(2, -1, 0)
 
 
 class TestRowStore:

@@ -243,13 +243,16 @@ class TestDowling:
 
 
 class TestRWhitney:
+    # an r-Whitney number is an entry of a Newton kernel: the second kind's
+    # at (m, r, 1), the first kind's at (m, r)
     def test_row_one(self):
+        second, first = newton._second_kind_rows.entry, newton._first_kind_rows.entry
         for m in (1, 2, 3):
             for r in (1, 2, 3):
-                assert wh.r_whitney2(m, r, 1, 0) == LambdaPoly((r,))
-                assert wh.r_whitney2(m, r, 1, 1) == LambdaPoly((1,))
-                assert wh.r_whitney1(m, r, 1, 0) == LambdaPoly((-r,))
-                assert wh.r_whitney1(m, r, 1, 1) == LambdaPoly((1,))
+                assert second(m, r, 1, 1, 0) == LambdaPoly((r,))
+                assert second(m, r, 1, 1, 1) == LambdaPoly((1,))
+                assert first(m, r, 1, 0) == LambdaPoly((-r,))
+                assert first(m, r, 1, 1) == LambdaPoly((1,))
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_r_one_reduction(self, m):
@@ -279,9 +282,9 @@ class TestRWhitney:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="^r must be an integer >= 0, got -1$"):
-            wh.r_whitney2(1, -1, 1, 0)
+            newton._second_kind_rows.entry(1, -1, 1, 1, 0)
         with pytest.raises(ValueError, match="^m must be a positive integer, got 0$"):
-            wh.r_whitney1(0, 1, 1, 0)
+            newton._first_kind_rows.entry(0, 1, 1, 0)
 
 
 ROUNDINGS = (
@@ -794,8 +797,9 @@ INT_ONLY = {
     "whitney2_rows_newton": (wh.whitney2_rows_newton, (1, 3)),
     "whitney1_rows_newton": (wh.whitney1_rows_newton, (1, 3)),
     "whitney2_diff": (wh.whitney2_diff, (1, 3, 1)),
-    "r_whitney2": (wh.r_whitney2, (1, 1, 3, 1)),
-    "r_whitney1": (wh.r_whitney1, (1, 1, 3, 1)),
+    # the r-Whitney numbers, read off their kernels at (m, r, 1) and (m, r)
+    "r_whitney2": (newton._second_kind_rows.entry, (1, 1, 1, 3, 1)),
+    "r_whitney1": (newton._first_kind_rows.entry, (1, 1, 3, 1)),
     "r_whitney2_rows": (wh.r_whitney2_rows, (1, 1, 3)),
     "r_whitney1_rows": (wh.r_whitney1_rows, (1, 1, 3)),
     "dowling_poly": (wh.dowling_poly, (1, 3, 1)),
@@ -827,7 +831,7 @@ class TestIntArguments:
             with pytest.raises(IndexError):
                 fn(1, -1, 0)
         with pytest.raises(IndexError):
-            wh.r_whitney1(1, 1, 2, -1)
+            newton._first_kind_rows.entry(1, 1, 2, -1)
 
 
 class TestRowStore:
@@ -870,11 +874,15 @@ class TestRowStore:
         assert store.cache_info().currsize == 1
         assert len(rows(*good[:-1], 5)) == 6
 
-    @pytest.mark.parametrize("store, read", [(st._second_kind_rows, wh.r_whitney2),
-                                             (st._first_kind_rows, wh.r_whitney1)])
-    def test_r_whitney_entry_refuses_what_its_store_takes(self, store, read):
-        # the r-Whitney numbers take the kernel's one domain, r = 0 included;
-        # they refuse r < 0 after (n, k) and m, and store nothing
+    @pytest.mark.parametrize("store, step", [
+        pytest.param(st._second_kind_rows, (1,), id="_second_kind_rows-r_whitney2"),
+        pytest.param(st._first_kind_rows, (), id="_first_kind_rows-r_whitney1"),
+    ])
+    def test_r_whitney_entry_refuses_what_its_store_takes(self, store, step):
+        # the r-Whitney numbers, the entries at (m, r) with the second kind's
+        # step 1, take the kernel's one domain, r = 0 included; they refuse
+        # r < 0 after (n, k) and m, and store nothing
+        read = lambda m, r, n, k: store.entry(m, r, *step, n, k)
         store.cache_clear()
         for r in (-1, -2):
             with pytest.raises(ValueError, match=f"^r must be an integer >= 0, got {r}$"):
@@ -899,16 +907,15 @@ READERS = {
     "deg_stirling2": (
         st._second_kind_rows, st_.just((1, 0, 1)), lambda m, r, s, n, k: st.deg_stirling2(n, k)
     ),
+    # the degenerate r-Stirling numbers are the kernels' entries at m = 1
+    # (the unsigned first kind up to the sign (-1)^(n-k))
     "deg_r_stirling2": (
         st._second_kind_rows,
         st_.tuples(st_.just(1), st_.integers(0, 3), st_.just(1)),
-        lambda m, r, s, n, k: st.deg_r_stirling2(n, k, r),
+        st._second_kind_rows.entry,
     ),
-    # the unsigned first kind is the first-kind kernel at (1, r) under X -> -X
     "deg_r_stirling1_unsigned": (
-        st._first_kind_rows,
-        st_.tuples(st_.just(1), st_.integers(0, 3)),
-        lambda m, r, n, k: st.deg_r_stirling1_unsigned(n, k, r) * (-1) ** (n - k),
+        st._first_kind_rows, st_.tuples(st_.just(1), st_.integers(0, 3)), st._first_kind_rows.entry
     ),
     # W and V are the kernels at r = 1
     "whitney2": (
@@ -919,12 +926,11 @@ READERS = {
     "whitney1": (
         st._first_kind_rows, st_.tuples(M_, st_.just(1)), lambda m, r, n, k: wh.whitney1(m, n, k)
     ),
+    # and so are the r-Whitney numbers, at (m, r)
     "r_whitney2": (
-        st._second_kind_rows,
-        st_.tuples(M_, R_, st_.just(1)),
-        lambda m, r, s, n, k: wh.r_whitney2(m, r, n, k),
+        st._second_kind_rows, st_.tuples(M_, R_, st_.just(1)), st._second_kind_rows.entry
     ),
-    "r_whitney1": (st._first_kind_rows, st_.tuples(M_, R_), wh.r_whitney1),
+    "r_whitney1": (st._first_kind_rows, st_.tuples(M_, R_), st._first_kind_rows.entry),
     # the rescaled triangles of the catalog are read through their entry alone
     "stirling2_over_m": (
         st._second_kind_rows, st_.tuples(M_, st_.just(0), st_.just(1)), st._second_kind_rows.entry
@@ -940,14 +946,11 @@ READERS = {
 }
 
 
-# The positions of the store parameters that an accessor fixes: m = 1 for
-# the r-Stirling numbers, r = 0 too for the degenerate Stirling numbers, r = 1
-# for W and V, and the step s = 1 of the second-kind kernel for each of its
-# readers.
-FIXED_PARAMS = {
-    "deg_stirling1": (0, 1), "deg_stirling2": (0, 1, 2), "deg_r_stirling2": (0, 2),
-    "deg_r_stirling1_unsigned": (0,), "r_whitney2": (2,), "whitney2": (1, 2), "whitney1": (1,),
-}
+# The positions of the store parameters that an accessor fixes: m = 1 and
+# r = 0 for the degenerate Stirling numbers, r = 1 for W and V, and the step
+# s = 1 of the second-kind kernel for each of its accessors.
+FIXED_PARAMS = {"deg_stirling1": (0, 1), "deg_stirling2": (0, 1, 2), "whitney2": (1, 2),
+                "whitney1": (1,)}
 
 
 def refusal(call, *args) -> tuple:
