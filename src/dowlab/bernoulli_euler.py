@@ -2,17 +2,18 @@
 
 The closed sums over the two degenerate Stirling triangles are the primary
 route; extraction from the Carlitz generating functions is the independent
-oracle.  For non-integer Euler order the generating function is the power
-(1 + g)^(-alpha) of the series g = (e_l(t)-1)/2, whose constant term is 0,
-solved term by term from (1 + g) H' = -alpha g' H; no fractional power of a
-number is ever taken.
+oracle.  Every Bernoulli and Euler oracle is a power (1 + g)^beta of a series
+g whose constant term is 0, solved term by term from (1 + g) H' = beta g' H
+(``power_of_one_plus``): (t/(e_l(t)-1))^k has 1 + g = (e_l(t)-1)/t and
+beta = -k, (2/(e_l(t)+1))^alpha has g = (e_l(t)-1)/2 and beta = -alpha.  No
+series is divided and no fractional power of a number is ever taken.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ONE, LambdaPoly, _check_counts, as_fraction, bounded, dot
+from .exact import ONE, ZERO, LambdaPoly, _check_counts, as_fraction, dot
 from .bases import binom
 from .series import TruncatedSeries, deg_exp, one_series, power_of_one_plus
 from .stirling import deg_stirling1_rows, deg_stirling2_rows
@@ -45,33 +46,20 @@ def deg_euler_sum_variant(n: int, alpha: int | Fraction, shift: int) -> LambdaPo
 
 
 def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
-    """Oracle: coefficients 0..n_max of (t/(e_l(t)-1))^k."""
+    """Oracle: coefficients 0..n_max of (t/(e_l(t)-1))^k = (1 + g)^(-k), where
+    coefficient n of 1 + g = (e_l(t)-1)/t is a_{n+1}/(n+1), for the
+    coefficients a_n of e_l(t)."""
     _check_counts(n_max=n_max, k=k)
-    powered = _bernoulli_quotient(n_max) ** k
-    return [powered.coeff(n) for n in range(n_max + 1)]
-
-
-# Each order of the Bernoulli and Euler oracles powers the same quotient.
-@bounded(16)
-def _bernoulli_quotient(order: int) -> TruncatedSeries:
-    """t/(e_l(t)-1) to t^order, as 1 over (e_l(t)-1)/t: coefficient n of that
-    divisor is a_{n+1}/(n+1), for the coefficients a_n of e_l(t)."""
-    a = deg_exp(1, order + 1).coeffs
-    divisor = TruncatedSeries(order, tuple(a[n + 1] / (n + 1) for n in range(order + 1)))
-    return one_series(order).divide(divisor)
+    a = deg_exp(1, n_max + 1).coeffs
+    g = TruncatedSeries(n_max, (ZERO, *(a[n + 1] / (n + 1) for n in range(1, n_max + 1))))
+    return list(power_of_one_plus(g, -k).coeffs)
 
 
 def deg_euler_gf(n_max: int, order_k: int) -> list[LambdaPoly]:
-    """Oracle for positive integer order: coefficients of (2/(e_l(t)+1))^k."""
+    """Oracle for integer order: coefficients of (2/(e_l(t)+1))^k, the
+    rational-order oracle at alpha = k."""
     _check_counts(n_max=n_max, order_k=order_k)
-    powered = _euler_quotient(n_max) ** order_k
-    return [powered.coeff(n) for n in range(n_max + 1)]
-
-
-@bounded(16)
-def _euler_quotient(order: int) -> TruncatedSeries:
-    """2/(e_l(t)+1) to t^order."""
-    return one_series(order).scaled(2).divide(deg_exp(1, order) + one_series(order))
+    return deg_euler_gf_binomial(n_max, order_k)
 
 
 def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]:
@@ -79,5 +67,4 @@ def deg_euler_gf_binomial(n_max: int, alpha: int | Fraction) -> list[LambdaPoly]
     the first-order recurrence of a power of a series (``power_of_one_plus``)."""
     _check_counts(n_max=n_max)
     half = (deg_exp(1, n_max) - one_series(n_max)).scaled(Fraction(1, 2))
-    powered = power_of_one_plus(half, -as_fraction(alpha))
-    return [powered.coeff(n) for n in range(n_max + 1)]
+    return list(power_of_one_plus(half, -as_fraction(alpha)).coeffs)

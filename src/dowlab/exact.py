@@ -13,8 +13,10 @@ the schoolbook loop ``acc[i + j] += a_j * b_i``, which skips zero
 coefficients and which a product of two polynomials uses too; the sum is
 canonicalized once at the end, by ``_canonical``, the one canonical form of
 the ring.  The operands are short (a few coefficients under 32 bits), so
-plain int steps beat slicing or packing.  ``_power`` is the one binary
-powering, of a LambdaPoly and of a ``TruncatedSeries`` alike.
+plain int steps beat slicing or packing.  ``LambdaPoly.__pow__`` reads a
+monomial's power off directly and otherwise multiplies; no command powers
+any other polynomial, and every power of a series is solved term by term in
+``series``.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
@@ -34,9 +36,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Union
 
@@ -199,20 +202,6 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
     return _canonical(acc, den)
 
 
-def _power(base, n: int, one):
-    """``base ** n`` for an int ``n >= 0`` by binary powering (Knuth, *TAOCP*
-    vol. 2, 4.6.3), with no product by ``one`` and no square left unused;
-    ``one`` is the answer at n = 0.  LambdaPoly and TruncatedSeries use it."""
-    out = None
-    while n:
-        if n & 1:
-            out = base if out is None else out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return one if out is None else out
-
-
 class LambdaPoly:
     """Dense polynomial in ``l`` with exact rational coefficients.
 
@@ -347,7 +336,7 @@ class LambdaPoly:
         if nums and not any(nums[:-1]):
             # A monomial c*l^d: its power is c^n * l^(d n), already in lowest terms.
             return _raw((0,) * ((len(nums) - 1) * n) + (nums[-1] ** n,), self.den**n)
-        return _power(self, n, ONE)
+        return reduce(mul, repeat(self, n), ONE)
 
     # -- evaluation and substitution -----------------------------------------
 

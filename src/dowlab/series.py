@@ -10,7 +10,8 @@ operations truncate to the smaller order of their operands.
 degenerate Stirling and r-Whitney oracle reads its kind's kernel over that,
 ``_second_kind_gf`` or ``_first_kind_gf``, at its own (m, r).  The
 coefficients of ``deg_exp``, ``deg_log`` and ``binomial_series`` are one
-running product, ``_falling``, and a power of a series is ``exact._power``.
+running product, ``_falling``, and every power and log_l of 1 + g that a
+command reads is solved term by term by ``_first_order``.
 Like the other two routes' modules, this one reads nothing of the package
 but ``exact``.
 """
@@ -18,8 +19,10 @@ but ``exact``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
 from math import comb
+from operator import mul
 from typing import Iterable, Union
 
 from .exact import (
@@ -32,7 +35,6 @@ from .exact import (
     Scalar,
     _check_counts,
     _check_m,
-    _power,
     as_fraction,
     bounded,
     check_ints,
@@ -110,7 +112,7 @@ class TruncatedSeries(Record):
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         _check_counts(n=n)
-        return _power(self, n, one_series(self.order))
+        return reduce(mul, repeat(self, n), one_series(self.order))
 
     def scaled(self, factor: Union[int, Fraction, LambdaPoly]) -> "TruncatedSeries":
         """Multiply every coefficient by a scalar."""
@@ -133,9 +135,9 @@ class TruncatedSeries(Record):
         """Exact quotient self/other, solved term by term from other * quotient = self.
 
         The divisor's constant term must be a nonzero rational, the only
-        units of the coefficient ring.  A divisor that vanishes at t = 0 has
-        its factor t divided out by the caller first, as ``_bernoulli_quotient``
-        does.
+        units of the coefficient ring.  Only the Tanny-Dowling oracle,
+        ``whitney.tanny_dowling_gf``, divides; a power of a series is
+        ``power_of_one_plus``.
         """
         lead = other.coeffs[0]
         if lead.is_zero() or not lead.is_rational():
@@ -191,15 +193,27 @@ def _first_order(g: TruncatedSeries, beta: LambdaPoly, c: int, h0: int) -> Trunc
     n h_n = c n g_n + sum_{k=1}^{n} (beta k - (n-k)) g_k h_{n-k} (Miller's
     recurrence for powers of a series); in the EGF coefficients a_k of g
     this reads H_n = c a_n + sum_k (beta C(n-1,k-1) - C(n-1,k)) a_k H_{n-k},
-    so each coefficient costs O(n) products and needs no division (Knuth,
-    *TAOCP* vol. 2, section 4.7).  The eq12 check, the eq81 oracle
-    ``deg_euler_gf_binomial`` and the base of the first-kind GF kernel use it.
+    so each coefficient costs O(n) products and no series division (Knuth,
+    *TAOCP* vol. 2, section 4.7).  The eq12 check, every Bernoulli and Euler
+    oracle and the base of the first-kind GF kernel use it.  A rational
+    beta = p/q folds into each term's int scalar, p C(n-1,k-1) - q C(n-1,k):
+    one product per k, and one division by q per coefficient.
     """
     a = g.coeffs
     if not a[0].is_zero():
         raise ValueError(_NONZERO_INNER)
-    beta_a = [beta * x for x in a]
     h = [LambdaPoly.coerce(h0)]
+    if beta.is_rational():
+        b = beta.constant()
+        p, q = b.numerator, b.denominator
+        for n in range(1, g.order + 1):
+            terms = (
+                (p * comb(n - 1, k - 1) - q * comb(n - 1, k), a[k], h[n - k])
+                for k in range(1, n + 1)
+            )
+            h.append(dot(chain(terms, [(q * c, a[n], ONE)])) / q)
+        return TruncatedSeries(g.order, tuple(h))
+    beta_a = [beta * x for x in a]
     for n in range(1, g.order + 1):
         terms = chain(
             ((comb(n - 1, k - 1), beta_a[k], h[n - k]) for k in range(1, n + 1)),

@@ -17,7 +17,8 @@ from dowlab.exact import CACHES
 # fixed by each test and keeps no example database, so its verdict depends on
 # the commit alone.  ``pytest --hypothesis-profile=explore`` draws at random,
 # from the seed that ``--hypothesis-seed`` gives if any (pass it to replay a
-# run), with more examples wherever a test does not set its own count.
+# run), with five times as many examples; a test that sets its own count
+# scales it by the active profile's, so explore raises it too.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", max_examples=500, deadline=None, print_blob=True)
 settings.load_profile("tier1")
@@ -38,8 +39,8 @@ def _clear_caches() -> None:
 def _route_bindings(route: str) -> list[tuple[object, str]]:
     """Each (owner, name) that binds, in any loaded dowlab module, a function
     that the module of ``route`` defines.  The product and quotient of the
-    series ring count as GF code too: the series oracles of thm3, thm9 and
-    thm27 reach them without ``gf_triangle``."""
+    series ring count as GF code too: the series oracles of thm3 and thm9
+    reach them without ``gf_triangle``."""
     module = ROUTE_MODULES[route]
     if module is None:
         return []

@@ -31,6 +31,13 @@ from dowlab.newton import newton_rows
 l = LAMBDA
 
 
+def examples(tier1: int) -> int:
+    """A test's own Hypothesis count: ``tier1`` under the tier-1 profile (100
+    a test unless set), scaled by the active profile's count, so that the
+    explore profile's 500 draws five times as many."""
+    return tier1 * settings.default.max_examples // 100
+
+
 def test_falling_symbolic():
     assert lambda_falling(1, 3, l) == LambdaPoly((1, -3, 2))
 
@@ -175,7 +182,7 @@ def _nodes_for(kind: str, count: int, rng: random.Random):
     return nodes
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(xpolys, node_kinds, st_.integers(min_value=0, max_value=2**30))
 def test_newton_roundtrip(p, kind, seed):
     rng = random.Random(seed)
@@ -214,7 +221,7 @@ def test_alternating_falling_sum_is_factorial(n):
         assert acc == LambdaPoly((factorial(n),))
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(
     st_.lists(st_.tuples(st_.integers(-4, 4), small_polys), min_size=1, max_size=8),
     st_.integers(min_value=1, max_value=5),
@@ -250,7 +257,7 @@ def newton_row_cases(draw):
     return roots, nodes, scale
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=examples(80))
 @given(newton_row_cases())
 def test_newton_rows_extend_like_a_full_conversion(case):
     # row n, extended from row n - 1, equals one conversion of the whole
@@ -274,7 +281,7 @@ def test_newton_rows_extend_like_a_full_conversion(case):
 small_ints = st_.integers(min_value=-5, max_value=5)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=examples(60))
 @given(
     st_.lists(small_ints, min_size=0, max_size=7),
     st_.lists(small_ints, min_size=7, max_size=7),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from dowlab.bases import lambda_falling
-from dowlab.bernoulli_euler import _bernoulli_quotient
+from dowlab.bernoulli_euler import deg_bernoulli_gf, deg_euler_gf
 from dowlab.exact import LAMBDA, ZERO, LambdaPoly
 from dowlab.series import (
     TruncatedSeries,
@@ -108,11 +108,36 @@ def test_mul_t_squared():
     assert list(tt.coeffs) == [LambdaPoly(), LambdaPoly(), LambdaPoly((2,)), LambdaPoly(), LambdaPoly()]
 
 
+def bernoulli_quotient(order: int) -> TruncatedSeries:
+    """t/(e_l(t)-1) to t^order, as 1 over (e_l(t)-1)/t: coefficient n of that
+    divisor is a_{n+1}/(n+1), for the coefficients a_n of e_l(t)."""
+    a = deg_exp(1, order + 1).coeffs
+    divisor = TruncatedSeries(order, tuple(a[n + 1] / (n + 1) for n in range(order + 1)))
+    return one_series(order).divide(divisor)
+
+
+def euler_quotient(order: int) -> TruncatedSeries:
+    """2/(e_l(t)+1) to t^order."""
+    return one_series(order).scaled(2).divide(deg_exp(1, order) + one_series(order))
+
+
 class TestDivision:
     def test_bernoulli_generator(self):
-        q = _bernoulli_quotient(4)  # t/(e_l(t)-1), as 1 over (e_l(t)-1)/t
+        q = bernoulli_quotient(4)  # t/(e_l(t)-1), as 1 over (e_l(t)-1)/t
         assert q.coeff(0) == LambdaPoly((1,))
         assert q.coeff(1) == LambdaPoly((Fraction(-1, 2), Fraction(1, 2)))
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_bernoulli_and_euler_oracles_are_powers_of_the_quotients(self, k):
+        # the oracles solve (1 + g)^(-k) term by term; the reference divides
+        # once and multiplies k times
+        n = 12
+        for oracle, quotient in ((deg_bernoulli_gf, bernoulli_quotient(n)),
+                                 (deg_euler_gf, euler_quotient(n))):
+            powered = one_series(n)
+            for _ in range(k):
+                powered = powered * quotient
+            assert oracle(n, k) == list(powered.coeffs)
 
     def test_self_division(self):
         f = deg_exp(1, 4)
@@ -317,6 +342,19 @@ class TestFirstOrderSolver:
     @given(st_.one_of(rational_inner_series, inner_series), exponents)
     def test_power_equals_composition(self, g, beta):
         assert power_of_one_plus(g, beta) == binomial_series(beta, 1, g.order).compose(g)
+
+    @settings(deadline=None)
+    @given(st_.one_of(rational_inner_series, inner_series), st_.one_of(exponents, small_polys))
+    @example(t_series(6), LAMBDA)
+    def test_power_equals_exp_of_log(self, g, beta):
+        # a polynomial beta takes the solver's other branch, which no
+        # binomial series can check: (1 + g)^beta = exp(beta ln(1 + g)), with
+        # ln(1 + g) the ordinary log series ln(1 + t) composed with g
+        n = g.order
+        log = TruncatedSeries.from_coeffs(
+            [0, *((-1) ** (i - 1) * factorial(i - 1) for i in range(1, n + 1))], n
+        )
+        assert power_of_one_plus(g, beta) == log.compose(g).scaled(beta).exp()
 
     @settings(deadline=None)
     @given(st_.one_of(rational_inner_series, inner_series))

@@ -24,6 +24,13 @@ from dowlab import whitney as wh
 l = LAMBDA
 
 
+def examples(tier1: int) -> int:
+    """A test's own Hypothesis count: ``tier1`` under the tier-1 profile (100
+    a test unless set), scaled by the active profile's count, so that the
+    explore profile's 500 draws five times as many."""
+    return tier1 * settings.default.max_examples // 100
+
+
 class TestSecondKind:
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_row_two(self, m):
@@ -543,7 +550,7 @@ class TestDobinski:
         assert res.passed
         assert abs(res.truncated - float(wh.dowling_poly(m, 3, x).eval(Fraction(1, 3)))) < req.tol
 
-    @settings(deadline=None, max_examples=40)
+    @settings(deadline=None, max_examples=examples(40))
     @given(
         st_.integers(min_value=1, max_value=3),
         st_.integers(min_value=0, max_value=8),
@@ -568,7 +575,7 @@ class TestDobinski:
         with pytest.raises(OverflowError, match="decimal exponent range"):
             wh.dobinski_eval(huge)
 
-    @settings(deadline=None, max_examples=150)
+    @settings(deadline=None, max_examples=examples(150))
     @given(
         st_.integers(min_value=1, max_value=3),
         st_.integers(min_value=0, max_value=8),
@@ -598,7 +605,7 @@ class TestDobinski:
         for terms in range(1, n + 1):
             check_dobinski_split(m, n, x, lam, terms)
 
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=examples(300))
     @given(quotient_cases(), st_.sampled_from(ROUNDINGS))
     def test_quotient_is_decimal_division(self, case, rounding):
         num, den, prec = case
@@ -706,7 +713,7 @@ GF_ORACLES = {
 
 
 @pytest.mark.parametrize("family", sorted(GF_ORACLES))
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=examples(40))
 @given(m=st_.integers(1, 12), n_max=st_.integers(0, 10), data=st_.data())
 def test_routes_agree_over_the_accepted_domain(family, m, n_max, data):
     # the catalog checks m, r in {1, 2, 3} only; the CLI exports every family
@@ -738,7 +745,7 @@ RESCALED = {
 
 
 @pytest.mark.parametrize("name", sorted(RESCALED))
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=examples(15))
 @given(m=st_.integers(1, 12), n_max=st_.integers(0, 16))
 def test_rescaled_store_is_the_rescaled_triangle(name, m, n_max):
     rows, definition = RESCALED[name]
@@ -748,7 +755,7 @@ def test_rescaled_store_is_the_rescaled_triangle(name, m, n_max):
     assert rows(m, n_max) == expected
 
 
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=examples(15))
 @given(m=st_.integers(1, 12), n=st_.integers(0, 16), x=st_.fractions(max_denominator=10))
 def test_rescaled_bell_value_is_a_row_sum(m, n, x):
     # m^n Bdeg_n(x/m) at l -> l/m, which thm23 transforms and thm26 compares
@@ -966,7 +973,7 @@ class TestEntryReader:
         assert stores == {store for store, _, _ in READERS.values()}
 
     @pytest.mark.parametrize("name", sorted(READERS))
-    @settings(deadline=None, max_examples=30)
+    @settings(deadline=None, max_examples=examples(30))
     @given(data=st_.data())
     def test_entry_is_the_store_entry(self, name, data):
         store, params, accessor = READERS[name]
@@ -976,7 +983,7 @@ class TestEntryReader:
         assert store.entry(*p, n, k) == store(*p, n)[n][k] == accessor(*p, n, k)
 
     @pytest.mark.parametrize("name", sorted(READERS))
-    @settings(deadline=None, max_examples=30)
+    @settings(deadline=None, max_examples=examples(30))
     @given(data=st_.data())
     def test_refusals_match_the_accessor(self, name, data):
         store, params, accessor = READERS[name]
@@ -995,7 +1002,7 @@ class TestEntryReader:
         assert refusal(store.entry, *args) == refusal(accessor, *args) == expected
 
     @pytest.mark.parametrize("name", sorted(READERS))
-    @settings(deadline=None, max_examples=5)
+    @settings(deadline=None, max_examples=examples(5))
     @given(data=st_.data())
     def test_entry_fills_the_store_that_rows_reads(self, name, data):
         store, params, _ = READERS[name]
@@ -1091,7 +1098,6 @@ class TestRouteIndependence:
         # its triangles and the series they are built from, hold anything
         held = {cache.__name__: cache.cache_info().currsize for cache in CACHES}
         assert held["gf_triangle"] == 2 * len(self.M_SET)
-        gf_stores = {"gf_triangle", "_gf_base", "_gf_log_base", "_bernoulli_quotient",
-                     "_euler_quotient"}
+        gf_stores = {"gf_triangle", "_gf_base", "_gf_log_base"}
         assert gf_stores <= set(held)
         assert all(size == 0 for name, size in held.items() if name not in gf_stores)
