@@ -9,19 +9,27 @@ nearly every Whitney, Stirling and Dowling entry has integer coefficients,
 so the denominator is mostly 1.  ``dot`` sums many products the same way,
 over one denominator for the whole sum: each term's scalar is folded into
 its shorter operand once, and every product is added into one int list by
-the schoolbook loop ``acc[i + j] += a_j * b_i``, which skips zero
-coefficients and which a product of two polynomials uses too; the sum is
-canonicalized once at the end, by ``_canonical``, the one canonical form of
-the ring.  The operands are short (a few coefficients under 32 bits), so
-plain int steps beat slicing or packing.  ``LambdaPoly.__pow__`` reads a
-monomial's power off directly and otherwise multiplies; no command powers
-any other polynomial, and every power of a series is solved term by term in
-``series``.
+the schoolbook loop ``acc[i + j] += a_j * b_i``, which a product of two
+polynomials uses too; the sum is canonicalized once at the end, by
+``_canonical``, the one canonical form of the ring.  The operands are short
+(a few coefficients under 32 bits), so plain int steps beat slicing or
+packing.  ``dot`` and ``_addmul`` take one path for every term.  A fast
+path kept beside a general one is a fork.  These forks were each measured
+alone and kept: an int in ``_rational`` and ``LambdaPoly.coerce``, equal
+denominators in ``_addsub``, an integral polynomial and the degree tables in
+``__str__``, and in ``series`` the product's leading-zero bounds and the two
+GF-base memos.  Each says in a comment what removing it cost under CPython
+3.11.7 on a 2-core x86-64 host: the cold catalog (``run_identity`` over
+``CATALOG``, every cache cleared) in CPU time at n_max 10 or 20, or the
+symbolic W export at m = 3, n_max 80.
+``LambdaPoly.__pow__`` reads a monomial's power off directly and otherwise
+multiplies; no command powers any other polynomial, and every power of a
+series is solved term by term in ``series``.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
 ``Record`` is the base of the package's other immutable values
-(``TruncatedSeries``, ``DobinskiRequest``).  ``bounded``
+(``TruncatedSeries``, ``DobinskiRequest`` and ``DobinskiResult``).  ``bounded``
 makes every cache of the package and lists it in ``CACHES``; ``row_store``
 serves a triangle's endless rows from one of them, ``_row_sum`` sums a row of
 any store against the powers of x, ``_check_m`` is the one check of m >= 1, and
@@ -59,7 +67,7 @@ _TERM = re.compile(
 def _rational(value: int | Fraction) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational; floats and bools are refused."""
     kind = type(value)
-    if kind is int:
+    if kind is int:  # fork: +2-6% catalog CPU at n_max 20 without it
         return value, 1
     if kind is Fraction or (isinstance(value, (Fraction, int)) and kind is not bool):
         return value.numerator, value.denominator
@@ -96,6 +104,7 @@ def bounded(maxsize: int):
 
 # What follows a coefficient of degree d, and what stands for a coefficient
 # of magnitude 1 there; str() of a longer polynomial extends copies of both.
+# A fork: built on each call instead, the W export renders 39-42% slower.
 _SUFFIX = ("", "*l", *(f"*l^{d}" for d in range(2, 257)))
 _UNIT = ("1", "l", *(f"l^{d}" for d in range(2, 257)))
 
@@ -130,7 +139,7 @@ def _addsub(p: "LambdaPoly", q: "LambdaPoly", op) -> "LambdaPoly":
     """``p + q`` or ``p - q`` (``op`` is ``operator.add`` or ``sub``)."""
     a, den = p.nums, p.den
     b, bden = q.nums, q.den
-    if den != bden:
+    if den != bden:  # fork: +2% catalog CPU per pair at n_max 10 and 20 without it
         g = gcd(den, bden)
         a = [n * (bden // g) for n in a]
         b = [n * (den // g) for n in b]
@@ -145,16 +154,15 @@ def _addsub(p: "LambdaPoly", q: "LambdaPoly", op) -> "LambdaPoly":
 def _addmul(acc: list[int], a: tuple[int, ...], b: tuple[int, ...], c: int) -> None:
     """Add ``c * a * b`` into ``acc``, which reaches index ``len(a) + len(b) - 2``.
 
-    The one product loop of the kernel: ``c`` is folded into each nonzero
+    The one product loop of the kernel: ``c`` is folded into each
     coefficient of ``b`` (the shorter operand) once, and every product is
     added in place, since a few plain int steps cost less than slicing the
     list for operands this short.
     """
     for i, y in enumerate(b):
-        if y:
-            y *= c
-            for j, x in enumerate(a, i):
-                acc[j] += x * y
+        y *= c
+        for j, x in enumerate(a, i):
+            acc[j] += x * y
 
 
 def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "LambdaPoly":
@@ -170,10 +178,7 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
     size = 0  # len(acc)
     den = 1
     for c, p, q in terms:
-        if type(c) is int:
-            cnum, cden = c, 1
-        else:
-            cnum, cden = _rational(c)
+        cnum, cden = _rational(c)
         a, b = p.nums, q.nums
         if not cnum or not a or not b:
             continue
@@ -189,12 +194,6 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
         if len(a) < len(b):
             a, b = b, a
         top = len(a) + len(b) - 1
-        if not size and len(b) == 1:
-            # The first term, with one coefficient: a scaled copy of a.
-            y = b[0] * cnum
-            acc = [x * y for x in a]
-            size = top
-            continue
         if top > size:
             acc += [0] * (top - size)
             size = top
@@ -215,10 +214,6 @@ class LambdaPoly:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()) -> None:
-        coeffs = list(coeffs)
-        if all(type(c) is int for c in coeffs):
-            self.nums, self.den = _reduced(coeffs, 1)
-            return
         parts = [_rational(c) for c in coeffs]
         den = lcm(*[d for _, d in parts])
         self.nums, self.den = _reduced([n * (den // d) for n, d in parts], den)
@@ -229,7 +224,8 @@ class LambdaPoly:
     def coerce(cls, value: Scalar) -> "LambdaPoly":
         if isinstance(value, LambdaPoly):
             return value
-        if type(value) is int:  # not a bool: that goes on to be refused
+        # not a bool, which goes on to be refused; fork: +7.5% catalog CPU at n_max 20 without it
+        if type(value) is int:
             return _raw((value,) if value else (), 1)
         return cls((value,))
 
@@ -301,14 +297,6 @@ class LambdaPoly:
 
     def __mul__(self, other: Scalar) -> "LambdaPoly":
         a, den = self.nums, self.den
-        if type(other) is int:
-            if not other or not a:
-                return _raw((), 1)
-            if den != 1:
-                g = gcd(den, other)
-                den //= g
-                other //= g
-            return _raw(tuple(map(other.__mul__, a)), den)
         other = LambdaPoly.coerce(other)
         b = other.nums
         if not a or not b:
@@ -382,7 +370,7 @@ class LambdaPoly:
         if len(nums) > len(suffix):
             suffix = (*suffix, *(f"*l^{d}" for d in range(len(suffix), len(nums))))
             unit = (*unit, *(f"l^{d}" for d in range(len(unit), len(nums))))
-        if den == 1:
+        if den == 1:  # fork: the W export renders 29-33% slower without it
             text = str
         else:
 

@@ -99,7 +99,8 @@ class TruncatedSeries(Record):
         # EGF product = binomial convolution of the coefficient sequences.
         # Term k of coefficient i vanishes unless a[k] and b[i - k] are past
         # the leading zeros of their series, so the sum starts there, and the
-        # coefficients below lo_a + lo_b are zero.
+        # coefficients below lo_a + lo_b are zero.  A fork: with dot's int test
+        # gone, removing it too cost 10% more catalog CPU at n_max 20 (see exact).
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         lo_a, lo_b = _leading_zeros(a), _leading_zeros(b)
@@ -300,6 +301,7 @@ def gf_triangle(
 
 # The bases of the generating functions, each built once per parameter set:
 # every r of a kernel, and thm3 and thm9 at each x, read the same one.
+# A fork: without this memo the catalog took 7% more CPU at n_max 10 (see exact).
 @bounded(64)
 def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
@@ -307,6 +309,7 @@ def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     return (deg_exp(m, n_max) - one_series(n_max)).scaled(as_fraction(x) / m)
 
 
+# A fork: without this memo the catalog took 5% more CPU at n_max 20 (see exact).
 @bounded(64)
 def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
     """log_l(e_m(t)), the base of the first-kind generating functions: log_l(1 + g),

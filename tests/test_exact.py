@@ -439,7 +439,8 @@ def form(p):
     return p.nums, p.den
 
 
-# operands whose interior coefficients are often zero, which the product loop skips
+# operands whose interior coefficients are often zero, which the product loop
+# multiplies like any other coefficient
 gappy_polys = st_.lists(
     st_.one_of(st_.just(0), small_ints, mixed), min_size=3, max_size=7
 ).map(LambdaPoly)

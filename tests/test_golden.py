@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,6 +195,33 @@ def test_verify_report_digest(seed):
     with contextlib.redirect_stdout(out):
         assert cli.main(["verify", "--n-max", "6", "--seed", str(seed)]) == 0
     assert sha256(out.getvalue()) == VERIFY[seed]
+
+
+def test_memos_change_no_result(monkeypatch):
+    # Every memo is bound to the function it wraps, in every module that
+    # binds it, so each sub-term is computed afresh; the row stores stay,
+    # since the Newton route's rows are their contents.  The report is the
+    # default one byte for byte, so a memo may be deleted without changing a
+    # result.
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("dowlab.")]
+    stores = {
+        fn.cache_info.__self__ for m in modules for fn in vars(m).values() if hasattr(fn, "entry")
+    }
+    memos = {id(cache): cache for cache in exact.CACHES if cache not in stores}
+    unbound = set()
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if id(value) in memos:
+                monkeypatch.setattr(module, name, value.__wrapped__)
+                unbound.add(id(value))
+    assert len(stores) == 4 and unbound == set(memos)
+    for cache in exact.CACHES:
+        cache.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--n-max", "6", "--seed", "0"]) == 0
+    assert [memo.cache_info().misses for memo in memos.values()] == [0] * len(memos)
+    assert sha256(out.getvalue()) == VERIFY[0]
 
 
 def test_benchmark_verify_seeds_cover_the_reference():
