@@ -175,14 +175,14 @@ def _decimal_context(prec: int):
 
 # thm10 evaluates 27 points (n, lambda) at each z; the Dobinski sweeps of
 # the benchmark see a new z at nearly every call, so a few entries suffice.
-@bounded(8)
+@bounded(8)  # memo: +7% CPU on the benchmark's sweep, in process, without it (see exact)
 def _exp_of_negated(p: int, q: int, prec: int) -> Decimal:
     """``e^{-p/q}`` correctly rounded to ``prec`` digits, in ``_decimal_context(prec)``."""
     with _decimal_context(prec):
         return (Decimal(-p) / q).exp()
 
 
-@bounded(8)
+@bounded(8)  # memo: +4-6% catalog CPU per pair at n_max 10 without it (see exact)
 def _truncated_exp(p: int, q: int, terms: int) -> tuple[int, int, int]:
     """``(p^(terms-1), q^(terms-1) (terms-1)!, num)`` with ``E_{terms-1}(p/q)``
     equal to ``num`` over the second entry."""

@@ -14,17 +14,22 @@ polynomials uses too; the sum is canonicalized once at the end, by
 ``_canonical``, the one canonical form of the ring.  The operands are short
 (a few coefficients under 32 bits), so plain int steps beat slicing or
 packing.  ``dot`` and ``_addmul`` take one path for every term.  A fast
-path kept beside a general one is a fork.  These forks were each measured
-alone and kept: an int in ``_rational`` and ``LambdaPoly.coerce``, equal
-denominators in ``_addsub``, an integral polynomial and the degree tables in
-``__str__``, and in ``series`` the product's leading-zero bounds and the two
-GF-base memos.  Each says in a comment what removing it cost under CPython
-3.11.7 on a 2-core x86-64 host: the cold catalog (``run_identity`` over
-``CATALOG``, every cache cleared) in CPU time at n_max 10 or 20, or the
-symbolic W export at m = 3, n_max 80.
-``LambdaPoly.__pow__`` reads a monomial's power off directly and otherwise
-multiplies; no command powers any other polynomial, and every power of a
-series is solved term by term in ``series``.
+path kept beside a general one is a fork, and so is a memo.  Every fork and
+memo of the package was removed alone and timed, and these are kept: an int
+in ``_rational``, ``LambdaPoly.coerce`` and ``LambdaPoly.__eq__``, a
+denominator of 1 in ``_reduced`` and ``LambdaPoly.coeffs``, equal
+denominators in ``_addsub``, the integral paths of ``__hash__``, a monomial
+in ``__pow__``, an integral polynomial and the degree tables in ``__str__``;
+in ``series`` the product's leading-zero bounds, ``gf_triangle``'s
+leading-zero slice and ``_first_order``'s rational beta; and all 12 memos
+(``_row_sum`` here, the rest in ``bases``, ``series``, ``whitney``,
+``identities`` and ``dobinski``).  Each says in a comment what removing it
+cost under CPython 3.11.7 on a 2-core x86-64 host: the cold catalog
+(``run_identity`` over ``CATALOG``, every cache cleared) in CPU time at
+n_max 10 or 20, a symbolic export (W at m = 3, n_max 80, or VR at m = 3,
+r = 2, n_max 40), the benchmark's Dobinski sweep in process, or a memo's
+own entries at n_max 32.  No command powers a polynomial other than a
+monomial, and every power of a series is solved term by term in ``series``.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
@@ -123,7 +128,7 @@ def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
         nums.pop()
     if not nums:
         return (), 1
-    if den != 1:
+    if den != 1:  # fork: +3%/+9% catalog CPU at n_max 10/20, VR export +4%, without it
         g = gcd(den, *nums)
         if g != 1:
             den //= g
@@ -185,11 +190,9 @@ def dot(terms: Iterable[tuple[int | Fraction, "LambdaPoly", "LambdaPoly"]]) -> "
         tden = cden * p.den * q.den
         if tden != den:
             # Bring the sum and the term over lcm(den, tden).
-            g = gcd(den, tden)
-            if g != tden:
-                grow = tden // g
-                acc = [n * grow for n in acc]
-                den *= grow
+            grow = tden // gcd(den, tden)
+            acc = [n * grow for n in acc]
+            den *= grow
             cnum *= den // tden
         if len(a) < len(b):
             a, b = b, a
@@ -235,7 +238,7 @@ class LambdaPoly:
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients ascending by degree, as Fractions (built on each read)."""
         den = self.den
-        if den == 1:
+        if den == 1:  # fork: +4% catalog CPU at n_max 20 without it
             return tuple(map(Fraction, self.nums))
         return tuple(Fraction(n, den) for n in self.nums)
 
@@ -264,14 +267,14 @@ class LambdaPoly:
         nums = self.nums
         if len(nums) > 1:
             return hash(nums) if self.den == 1 else hash(self.coeffs)
-        if self.den == 1:
+        if self.den == 1:  # fork: both integral paths, +25%/+22% catalog CPU at n_max 10/20
             return hash(nums[0]) if nums else hash(0)
         return hash(Fraction(nums[0], self.den))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LambdaPoly):
             return self.nums == other.nums and self.den == other.den
-        if type(other) is int:
+        if type(other) is int:  # fork: +3% catalog CPU at n_max 20 without it, in one of two rounds
             return self.den == 1 and self.nums == ((other,) if other else ())
         if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return self == LambdaPoly.coerce(other)
@@ -321,7 +324,7 @@ class LambdaPoly:
     def __pow__(self, n: int) -> "LambdaPoly":
         _check_counts(n=n)
         nums = self.nums
-        if nums and not any(nums[:-1]):
+        if nums and not any(nums[:-1]):  # fork: +3-5% catalog CPU per pair without it
             # A monomial c*l^d: its power is c^n * l^(d n), already in lowest terms.
             return _raw((0,) * ((len(nums) - 1) * n) + (nums[-1] ** n,), self.den**n)
         return reduce(mul, repeat(self, n), ONE)
@@ -571,7 +574,7 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
 
 # A row sum belongs to no route: it reads the store it is given.  thm23 and
 # cor22 read every earlier row sum at each n, so each is built once per key.
-@bounded(4096)
+@bounded(4096)  # memo: +20%/+25% catalog CPU at n_max 10/20 without it
 def _row_sum(store: Callable, params: tuple, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
     """sum_k T(n,k) x^k over row n of ``store(*params, n)``, weighted by k! when
     ``ordered``: the degenerate Bell polynomials at (1, 0, 1) of ``_second_kind_rows``,

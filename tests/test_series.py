@@ -177,25 +177,6 @@ class TestComposition:
             deg_log(4).compose(one_series(4))
 
 
-class TestExp:
-    def test_exp_zero(self):
-        zero = TruncatedSeries.from_coeffs((), 5)
-        assert zero.exp() == one_series(5)
-
-    def test_exp_t(self):
-        assert t_series(6).exp() == TruncatedSeries.from_coeffs([1] * 7, 6)
-
-    def test_exp_matches_compose(self):
-        n = 8
-        inner = deg_exp(1, n) - one_series(n)
-        exp_t = TruncatedSeries.from_coeffs([1] * (n + 1), n)
-        assert inner.exp() == exp_t.compose(inner)
-
-    def test_rejects_nonzero_constant(self):
-        with pytest.raises(ValueError):
-            one_series(4).exp()
-
-
 def test_deg_log_closed_form():
     lg = deg_log(5)
     assert lg.coeff(0) == LambdaPoly()
@@ -261,6 +242,10 @@ def test_truncation_to_min_order():
     b = one_series(3)
     assert (a * b).order == 3
     assert (a + b).order == 3
+    assert a.truncate(3) == deg_exp(1, 3)
+    assert a.truncate(6) is a and a.truncate(9) is a
+    with pytest.raises(ValueError, match=r"^coefficient list must have length order \+ 1$"):
+        TruncatedSeries(3, a.coeffs)
 
 
 small_polys = st_.lists(
@@ -319,6 +304,31 @@ rational_inner_series = st_.integers(min_value=0, max_value=12).flatmap(
 exponents = st_.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def exp_series(order: int) -> TruncatedSeries:
+    """e^t to t^order: every EGF coefficient 1."""
+    return TruncatedSeries.from_coeffs([1] * (order + 1), order)
+
+
+class TestExp:
+    def test_exp_zero(self):
+        zero = TruncatedSeries.from_coeffs((), 5)
+        assert zero.exp() == one_series(5)
+
+    def test_exp_t(self):
+        assert t_series(6).exp() == exp_series(6)
+
+    # exp is the first-order solver at s = 0; the composition shares no code with it
+    @settings(deadline=None)
+    @given(st_.one_of(rational_inner_series, inner_series))
+    @example(deg_exp(1, 8) - one_series(8))
+    def test_exp_matches_compose(self, g):
+        assert g.exp() == exp_series(g.order).compose(g)
+
+    def test_rejects_nonzero_constant(self):
+        with pytest.raises(ValueError, match="^series exponential needs zero constant term$"):
+            one_series(4).exp()
+
+
 # The three series whose coefficients are one running product, against the
 # product of bases, coefficient by coefficient: x rational or a polynomial in l.
 @settings(deadline=None)
@@ -347,14 +357,15 @@ class TestFirstOrderSolver:
     @given(st_.one_of(rational_inner_series, inner_series), st_.one_of(exponents, small_polys))
     @example(t_series(6), LAMBDA)
     def test_power_equals_exp_of_log(self, g, beta):
-        # a polynomial beta takes the solver's other branch, which no
+        # a polynomial beta takes the solver's general branch, which no
         # binomial series can check: (1 + g)^beta = exp(beta ln(1 + g)), with
-        # ln(1 + g) the ordinary log series ln(1 + t) composed with g
+        # ln(1 + g) the ordinary log series ln(1 + t) composed with g, and exp
+        # the series e^t composed with that, since exp() is the solver too
         n = g.order
         log = TruncatedSeries.from_coeffs(
             [0, *((-1) ** (i - 1) * factorial(i - 1) for i in range(1, n + 1))], n
         )
-        assert power_of_one_plus(g, beta) == log.compose(g).scaled(beta).exp()
+        assert power_of_one_plus(g, beta) == exp_series(n).compose(log.compose(g).scaled(beta))
 
     @settings(deadline=None)
     @given(st_.one_of(rational_inner_series, inner_series))

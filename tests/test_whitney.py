@@ -839,6 +839,9 @@ class TestIntArguments:
                 fn(1, -1, 0)
         with pytest.raises(IndexError):
             newton._first_kind_rows.entry(1, 1, 2, -1)
+        for n, k in ((-1, 0), (0, -1)):
+            with pytest.raises(IndexError, match=rf"^\({n}, {k}\) outside domain$"):
+                wh.whitney2_alt(1, n, k, "sum_T12")
 
 
 class TestRowStore:
