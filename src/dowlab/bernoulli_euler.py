@@ -51,7 +51,7 @@ def deg_bernoulli_gf(n_max: int, k: int) -> list[LambdaPoly]:
     coefficients a_n of e_l(t)."""
     _check_counts(n_max=n_max, k=k)
     a = deg_exp(1, n_max + 1).coeffs
-    g = TruncatedSeries(n_max, (ZERO, *(a[n + 1] / (n + 1) for n in range(1, n_max + 1))))
+    g = TruncatedSeries((ZERO, *(a[n + 1] / (n + 1) for n in range(1, n_max + 1))))
     return list(power_of_one_plus(g, -k).coeffs)
 
 

@@ -33,12 +33,15 @@ monomial, and every power of a series is solved term by term in ``series``.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
-``Record`` is the base of the package's other immutable values
-(``TruncatedSeries``, ``DobinskiRequest`` and ``DobinskiResult``).  ``bounded``
-makes every cache of the package and lists it in ``CACHES``; ``row_store``
-serves a triangle's endless rows from one of them, ``_row_sum`` sums a row of
-any store against the powers of x, ``_check_m`` is the one check of m >= 1, and
-``_check_counts`` the one check of every count (n, k, n_max, r, an order) >= 0.
+``Record`` is the base of the package's other immutable values:
+``TruncatedSeries``, ``DobinskiRequest``, ``DobinskiResult`` and the catalog's
+``SweepParams``, ``IdentityReport``, ``Side``, ``Row``, ``Parts`` and
+``Probe``; the one dataclass left, ``identities.IdentityCheck``, is what the
+benchmark's tracer rebuilds.  ``bounded`` makes every cache of the package and
+lists it in ``CACHES``; ``row_store`` serves a triangle's endless rows from one
+of them, ``_row_sum`` sums a row of any store against the powers of x,
+``_check_m`` is the one check of m >= 1, and ``_check_counts`` the one check
+of every count (n, k, n_max, r, an order) >= 0.
 Every integer parameter of a triangle or an accessor must be an ``int``
 (``check_ints``): a float or bool, even an equal one, is a ``TypeError``
 before any cache is read, so an answer never depends on what was asked before.
@@ -106,6 +109,9 @@ def bounded(maxsize: int):
 
     return register
 
+
+# The highest degree ``LambdaPoly.parse`` reads, refused before its dense list is made.
+MAX_DEGREE = 10**6
 
 # What follows a coefficient of degree d, and what stands for a coefficient
 # of magnitude 1 there; str() of a longer polynomial extends copies of both.
@@ -427,11 +433,10 @@ class LambdaPoly:
                 raise ValueError(f"number of more than {limit} digits in term: {chunk!r}")
             by_degree[deg] = by_degree.get(deg, Fraction(0)) + sign * coef
         top = max(by_degree)
-        den = lcm(*[coef.denominator for coef in by_degree.values()])
-        try:
-            nums = [0] * (top + 1)
-        except (MemoryError, OverflowError):
+        if top > MAX_DEGREE:
             raise ValueError(f"degree {top} is too large for a polynomial")
+        den = lcm(*[coef.denominator for coef in by_degree.values()])
+        nums = [0] * (top + 1)
         for deg, coef in by_degree.items():
             nums[deg] = coef.numerator * (den // coef.denominator)
         return _canonical(nums, den)

@@ -17,23 +17,26 @@ after another, each labelled by the ``tail`` params that end its points.
 Entries flagged as *discrepancy* probes exist because the source material
 prints two inconsistent readings of a formula.  A ``Probe`` holds a row whose
 lhs is the reading the derivation supports, and the printed reading, deferred:
-its finding is the first point where the printed one differs from lhs, and
-it reports status ``paper-discrepancy``.  The entries with no route pair stay
-generators of points.
+its finding is the first point where the printed one differs from lhs.  The
+entries with no route pair stay generators of points.
+
+A report's status is read off what its sweep found: ``fail`` at a
+counterexample, else ``paper-discrepancy`` at a finding, which only a
+``Probe`` returns, else ``pass``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
 from math import factorial
 from typing import Callable, Generator, Iterable, Optional
 
-from .exact import (LAMBDA, ONE, LambdaPoly, _check_counts, _check_m, _row_sum, bounded, check_ints,
-                    dot)
+from .exact import (LAMBDA, ONE, LambdaPoly, Record, _check_counts, _check_m, _row_sum, bounded,
+                    check_ints, dot)
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, rising_transform
 from .series import deg_exp, deg_log_of_one_plus, one_series, t_series
 from . import bernoulli_euler as be
@@ -45,36 +48,39 @@ DOBINSKI_X = (Fraction(1, 2), Fraction(1), Fraction(2))
 DOBINSKI_LAMBDA = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class SweepParams:
+class SweepParams(Record):
     """Finite parameter space one identity run sweeps over."""
 
-    n_max: int
-    m_set: tuple[int, ...]
-    r_set: tuple[int, ...]
-    seed: int
+    __slots__ = ("n_max", "m_set", "r_set", "seed")
+
+    def __init__(self, n_max: int, m_set: tuple, r_set: tuple, seed: int) -> None:
+        self._set(n_max, m_set, r_set, seed)
 
     def rng(self, ident: str) -> random.Random:
         # str seeds hash via SHA-512 inside Random: stable across platforms
         return random.Random(f"{self.seed}:{ident}")
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of one identity sweep."""
+class IdentityReport(Record):
+    """Outcome of one identity sweep; its status is read off what it found."""
 
-    id: str
-    params_tested: int
-    status: str  # "pass" | "fail" | "paper-discrepancy"
-    counterexample: Optional[dict] = None
-    finding: Optional[str] = None
+    __slots__ = ("id", "params_tested", "counterexample", "finding")
+
+    def __init__(
+        self, id: str, params_tested: int, counterexample: Optional[dict] = None,
+        finding: Optional[str] = None,
+    ) -> None:
+        self._set(id, params_tested, counterexample, finding)
+
+    @property
+    def status(self) -> str:
+        """``fail`` at a counterexample, else ``paper-discrepancy`` at a finding, else ``pass``."""
+        if self.counterexample is not None:
+            return "fail"
+        return "pass" if self.finding is None else "paper-discrepancy"
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "params_tested": self.params_tested,
-            "status": self.status,
-        }
+        out: dict = {"id": self.id, "params_tested": self.params_tested, "status": self.status}
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         if self.finding is not None:
@@ -90,10 +96,11 @@ Checker = Callable[[SweepParams], CheckResult]
 Points = Generator[tuple[dict, object, object], None, Optional[str]]
 
 
+# The package's one dataclass: the benchmark's tracer (perfbench/tracer.py) times each
+# entry by rebuilding it with ``dataclasses.replace``, until it finds its spans itself.
 @dataclass(frozen=True)
 class IdentityCheck:
     checker: Checker
-    discrepancy: bool = False
 
 
 def _sweep(points: Points) -> CheckResult:
@@ -146,8 +153,7 @@ def _rand_poly(rng: random.Random) -> LambdaPoly:
 NEWTON, GF, EXPLICIT = (frozenset({name}) for name in ("newton", "gf", "explicit"))
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(Record):
     """One side of a row: the routes it reaches, and its values.
 
     ``values(*outer, n_max)`` runs once per tuple of the row's outer
@@ -155,8 +161,10 @@ class Side:
     Library functions are looked up on their module when a side runs.
     """
 
-    route: frozenset[str]
-    values: Callable[..., Callable[..., LambdaPoly]]
+    __slots__ = ("route", "values")
+
+    def __init__(self, route: frozenset[str], values: Callable) -> None:
+        self._set(route, values)
 
 
 def _entries(rows) -> Callable[[int, int], LambdaPoly]:
@@ -220,15 +228,14 @@ def _column(*outer: str, ahead: int = 0, **over: Iterable) -> Runner:
 _SERIES = _column("m", x=X_SAMPLES)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     """Two sides that must agree at every point of ``run``; as a part of an
     entry, its points' params end with ``tail``."""
 
-    run: Runner
-    lhs: Side
-    rhs: Side
-    tail: dict = field(default_factory=dict)
+    __slots__ = ("run", "lhs", "rhs", "tail")
+
+    def __init__(self, run: Runner, lhs: Side, rhs: Side, tail: Optional[dict] = None) -> None:
+        self._set(run, lhs, rhs, {} if tail is None else tail)
 
     def read(self, p: SweepParams, *sides: Side) -> Iterable[tuple[dict, tuple, list]]:
         """Each point's params and point, with the readers of ``sides`` there."""
@@ -248,11 +255,13 @@ class Row:
         return _sweep(self.points(p))
 
 
-@dataclass(frozen=True)
-class Parts:
+class Parts(Record):
     """An entry of several rows, each run to its end before the next."""
 
-    parts: tuple[Row, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Row, ...]) -> None:
+        self._set(parts)
 
     def rows(self) -> Iterable[Row]:
         return self.parts
@@ -261,16 +270,15 @@ class Parts:
         return _sweep(chain.from_iterable(row.points(p) for row in self.parts))
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(Record):
     """A discrepancy entry: ``row`` decides it, its lhs the reading the
     derivation supports; ``printed`` is the reading as printed, read at each
     point until it first differs from lhs (see ``_probe``)."""
 
-    row: Row
-    printed: Side
-    fails: str
-    agrees: str
+    __slots__ = ("row", "printed", "fails", "agrees")
+
+    def __init__(self, row: Row, printed: Side, fails: str, agrees: str) -> None:
+        self._set(row, printed, fails, agrees)
 
     def rows(self) -> Iterable[Row]:
         return (self.row,)
@@ -492,7 +500,7 @@ def _register(ident: str, entry: Row | Probe | tuple | Callable[[SweepParams], P
         checker = entry
     else:
         checker = lambda p: _sweep(entry(p))
-    CATALOG[ident] = IdentityCheck(checker, discrepancy=isinstance(entry, Probe))
+    CATALOG[ident] = IdentityCheck(checker)
 
 
 def _probe_cor22(ordered: bool, label: str) -> Probe:
@@ -677,7 +685,6 @@ def run_identity(
     """Run one catalog entry over the given parameter space."""
     if ident not in CATALOG:
         raise KeyError(f"unknown identity id {ident!r}")
-    entry = CATALOG[ident]
     _check_counts(n_max=n_max)
     check_ints(seed)
     for m in m_set:
@@ -685,20 +692,7 @@ def run_identity(
     for r in r_set:
         _check_counts(r=r)
     params = SweepParams(n_max=n_max, m_set=tuple(m_set), r_set=tuple(r_set), seed=seed)
-    tested, counterexample, finding = entry.checker(params)
-    if counterexample is not None:
-        status = "fail"
-    elif entry.discrepancy:
-        status = "paper-discrepancy"
-    else:
-        status = "pass"
-    return IdentityReport(
-        id=ident,
-        params_tested=tested,
-        status=status,
-        counterexample=counterexample,
-        finding=finding,
-    )
+    return IdentityReport(ident, *CATALOG[ident].checker(params))
 
 
 def all_passed(reports: list[IdentityReport]) -> bool:

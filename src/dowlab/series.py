@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, repeat
 from math import comb
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Union
 
 from .exact import (
@@ -49,15 +49,19 @@ def _leading_zeros(coeffs: tuple[LambdaPoly, ...]) -> int:
 
 
 class TruncatedSeries(Record):
-    """EGF truncated at t^order; coeffs[n] multiplies t^n/n!."""
+    """EGF truncated at t^order; coeffs[n] multiplies t^n/n!, so the order is
+    the length of ``coeffs`` less one."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, order: int, coeffs: tuple[LambdaPoly, ...]) -> None:
-        _check_counts(order=order)
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient list must have length order + 1")
-        self._set(order, coeffs)
+    def __init__(self, coeffs: tuple[LambdaPoly, ...]) -> None:
+        if not coeffs:
+            raise ValueError("a series holds at least its constant coefficient")
+        self._set(coeffs)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     # -- construction ---------------------------------------------------------
 
@@ -67,7 +71,7 @@ class TruncatedSeries(Record):
         coefficients past ``order`` are dropped."""
         cs = [LambdaPoly.coerce(c) for c in coeffs]
         _check_counts(order=order)
-        return TruncatedSeries(order, (*cs, *repeat(ZERO, order + 1))[: order + 1])
+        return TruncatedSeries((*cs, *repeat(ZERO, order + 1))[: order + 1])
 
     def coeff(self, n: int) -> LambdaPoly:
         """The coefficient of t^n/n!; raises IndexError past the truncation order."""
@@ -80,21 +84,15 @@ class TruncatedSeries(Record):
         _check_counts(order=order)
         if order >= self.order:
             return self
-        return TruncatedSeries(order, self.coeffs[: order + 1])
+        return TruncatedSeries(self.coeffs[: order + 1])
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
-        )
+        return TruncatedSeries(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            n, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1))
-        )
+        return TruncatedSeries(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # EGF product = binomial convolution of the coefficient sequences.
@@ -110,7 +108,7 @@ class TruncatedSeries(Record):
             dot((comb(i, k), a[k], b[i - k]) for k in range(lo_a, i - lo_b + 1))
             for i in range(lo, n + 1)
         )
-        return TruncatedSeries(n, (*repeat(ZERO, lo), *out))
+        return TruncatedSeries((*repeat(ZERO, lo), *out))
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         _check_counts(n=n)
@@ -119,7 +117,7 @@ class TruncatedSeries(Record):
     def scaled(self, factor: Union[int, Fraction, LambdaPoly]) -> "TruncatedSeries":
         """Multiply every coefficient by a scalar."""
         f = LambdaPoly.coerce(factor)
-        return TruncatedSeries(self.order, tuple(c * f for c in self.coeffs))
+        return TruncatedSeries(tuple(c * f for c in self.coeffs))
 
     def scale_t(self, factor: int | Fraction) -> "TruncatedSeries":
         """Substitute t -> factor*t."""
@@ -129,7 +127,7 @@ class TruncatedSeries(Record):
         for c in self.coeffs:
             out.append(c * power)
             power *= q
-        return TruncatedSeries(self.order, tuple(out))
+        return TruncatedSeries(tuple(out))
 
     # -- division ------------------------------------------------------------
 
@@ -150,7 +148,7 @@ class TruncatedSeries(Record):
         for i in range(n + 1):
             terms = ((-comb(i, k), out[k], other.coeffs[i - k]) for k in range(i))
             out.append(dot(chain([(1, self.coeffs[i], ONE)], terms)) / g0)
-        return TruncatedSeries(n, tuple(out))
+        return TruncatedSeries(tuple(out))
 
     # -- composition and exponential ------------------------------------------
 
@@ -167,9 +165,7 @@ class TruncatedSeries(Record):
         n = min(self.order, inner.order)
         a = self.coeffs
         rows = gf_triangle(inner, one_series(n), n)
-        return TruncatedSeries(
-            n, tuple(dot((1, a[k], c) for k, c in enumerate(row)) for row in rows)
-        )
+        return TruncatedSeries(tuple(dot((1, a[k], c) for k, c in enumerate(row)) for row in rows))
 
     def exp(self) -> "TruncatedSeries":
         """exp(self), defined only for zero constant term: H = exp(g) solves
@@ -211,7 +207,7 @@ def _first_order(g: TruncatedSeries, beta: LambdaPoly, c: int, h0: int, s: int) 
                 for k in range(1, n + 1)
             )
             h.append(dot(chain(terms, [(q * c, a[n], ONE)])) / q)
-        return TruncatedSeries(g.order, tuple(h))
+        return TruncatedSeries(tuple(h))
     beta_a = [beta * x for x in a]
     for n in range(1, g.order + 1):
         terms = chain(
@@ -220,7 +216,7 @@ def _first_order(g: TruncatedSeries, beta: LambdaPoly, c: int, h0: int, s: int) 
             [(c, a[n], ONE)],
         )
         h.append(dot(terms))
-    return TruncatedSeries(g.order, tuple(h))
+    return TruncatedSeries(tuple(h))
 
 
 def power_of_one_plus(g: TruncatedSeries, beta: Scalar) -> TruncatedSeries:
@@ -253,13 +249,13 @@ def _falling(x: LambdaPoly, s: LambdaPoly, order: int) -> list[LambdaPoly]:
 def deg_exp(x: Scalar, order: int) -> TruncatedSeries:
     """e_l^x(t) = (1 + l*t)^(x/l) truncated: a_n = x(x-l)...(x-(n-1)l)."""
     _check_counts(order=order)
-    return TruncatedSeries(order, tuple(_falling(LambdaPoly.coerce(x), LAMBDA, order)))
+    return TruncatedSeries(tuple(_falling(LambdaPoly.coerce(x), LAMBDA, order)))
 
 
 def deg_log(order: int) -> TruncatedSeries:
     """Compositional inverse of deg_exp(1, .) - 1: a_n = (l-1)(l-2)...(l-(n-1))."""
     _check_counts(order=order)
-    return TruncatedSeries(order, (ZERO, *_falling(LAMBDA - 1, ONE, order - 1))[: order + 1])
+    return TruncatedSeries((ZERO, *_falling(LAMBDA - 1, ONE, order - 1))[: order + 1])
 
 
 def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> TruncatedSeries:
@@ -268,7 +264,7 @@ def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> Tru
     _check_counts(order=order)
     a, q = as_fraction(alpha), as_fraction(c)
     x, s = LambdaPoly.coerce(a * q), LambdaPoly.coerce(q)
-    return TruncatedSeries(order, tuple(_falling(x, s, order)))
+    return TruncatedSeries(tuple(_falling(x, s, order)))
 
 
 # A default catalog run asks for 23 distinct triangles, so all of them stay held.
@@ -292,7 +288,7 @@ def gf_triangle(
         acc = acc * base
         # fork: alone within noise, but the deleted set took 3% more at n_max 20 without it
         a, lo = acc.coeffs, _leading_zeros(acc.coeffs)
-        acc = TruncatedSeries(acc.order, (*a[:lo], *(c / k for c in a[lo:])))
+        acc = TruncatedSeries((*a[:lo], *(c / k for c in a[lo:])))
         columns.append(acc.coeffs)
     # a series shorter than n_max is an IndexError
     return tuple(tuple(column[n] for column in columns[: n + 1]) for n in range(n_max + 1))

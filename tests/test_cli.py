@@ -304,9 +304,9 @@ class TestEval:
         assert (code, err) == (0, "")
         assert out == "1" + "0" * 4000 + "\n"
 
-    # the list of coefficients is refused by its size check, before any
-    # allocation: a MemoryError up to sys.maxsize entries, an OverflowError past it
-    @pytest.mark.parametrize("degree", ["1000000000000000000", "100000000000000000000"])
+    # a degree past exact.MAX_DEGREE is refused before the list of coefficients
+    # is made, 10^7 (README's case) as much as one past sys.maxsize
+    @pytest.mark.parametrize("degree", ["10000000", "1000000000000000000", "100000000000000000000"])
     def test_huge_exponent_is_a_usage_error(self, capsys, degree):
         code, out, err = run(capsys, "eval", "--poly", f"l^{degree}")
         assert (code, out) == (2, "")

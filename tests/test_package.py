@@ -1,6 +1,7 @@
 """The package namespace and the hygiene of its modules."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -308,6 +309,36 @@ def test_every_cache_is_registered():
     }
     assert found == set(CACHES)
     assert len({cache.__name__ for cache in CACHES}) == len(CACHES)  # the tests' ids
+
+
+def test_identity_check_is_the_one_dataclass():
+    # every other value class is an exact.Record; the benchmark's tracer
+    # rebuilds each catalog entry with dataclasses.replace, which keeps this one
+    importers = [
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and "dataclasses" in {alias.name for alias in node.names}
+    ]
+    assert importers == ["identities"]
+    modules = [importlib.import_module(f"dowlab.{name}") for name in MODULES]
+    decorated = {
+        f"{value.__module__}.{value.__qualname__}"
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and dataclasses.is_dataclass(value)
+    }
+    assert decorated == {"dowlab.identities.IdentityCheck"}
+
+
+def test_an_entry_reports_a_discrepancy_exactly_when_it_is_a_probe():
+    # a status is read off what the sweep found, and only a Probe finds anything
+    from dowlab import identities as idn
+
+    for ident, entry in idn.CATALOG.items():
+        status = idn.run_identity(ident, 6).status
+        assert status == ("paper-discrepancy" if isinstance(entry.checker, idn.Probe) else "pass")
 
 
 def _defs(path: Path) -> dict[str, set]:

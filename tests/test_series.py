@@ -112,7 +112,7 @@ def bernoulli_quotient(order: int) -> TruncatedSeries:
     """t/(e_l(t)-1) to t^order, as 1 over (e_l(t)-1)/t: coefficient n of that
     divisor is a_{n+1}/(n+1), for the coefficients a_n of e_l(t)."""
     a = deg_exp(1, order + 1).coeffs
-    divisor = TruncatedSeries(order, tuple(a[n + 1] / (n + 1) for n in range(order + 1)))
+    divisor = TruncatedSeries(tuple(a[n + 1] / (n + 1) for n in range(order + 1)))
     return one_series(order).divide(divisor)
 
 
@@ -241,11 +241,14 @@ def test_truncation_to_min_order():
     a = deg_exp(1, 6)
     b = one_series(3)
     assert (a * b).order == 3
-    assert (a + b).order == 3
+    assert (a + b).order == 3 and (b - a).order == 3
     assert a.truncate(3) == deg_exp(1, 3)
     assert a.truncate(6) is a and a.truncate(9) is a
-    with pytest.raises(ValueError, match=r"^coefficient list must have length order \+ 1$"):
-        TruncatedSeries(3, a.coeffs)
+    # the order is the number of coefficients less one, and there is at least one
+    assert TruncatedSeries(a.coeffs[:4]) == deg_exp(1, 3)
+    assert TruncatedSeries(a.coeffs[:1]).order == 0
+    with pytest.raises(ValueError, match="^a series holds at least its constant coefficient$"):
+        TruncatedSeries(())
 
 
 small_polys = st_.lists(
