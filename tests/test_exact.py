@@ -668,7 +668,8 @@ COUNTS = {
     "lambda_nodes": ("n", lambda_nodes),
     "gen_binom": ("n", lambda v: gen_binom(Fraction(1, 2), v)),
     "LambdaPoly.__pow__": ("n", lambda v: LAMBDA**v),
-    "TruncatedSeries.from_coeffs": ("order", lambda v: TruncatedSeries.from_coeffs((), v)),
+    # a series takes its order from its coefficients, so from_coeffs checks it
+    "TruncatedSeries": ("order", lambda v: TruncatedSeries.from_coeffs((), v)),
     "TruncatedSeries.__pow__": ("n", lambda v: t_series(3) ** v),
     "TruncatedSeries.truncate": ("order", lambda v: t_series(3).truncate(v)),
     "one_series": ("order", one_series),
