@@ -2,7 +2,7 @@
 library's one inexact path.
 
 ``dobinski_eval`` sums the truncated series exactly, reads the Dowling
-polynomial as a row sum (``exact._row_sum``) of the W rows, the second-kind
+polynomial as a row sum (``newton._row_sum``) of the W rows, the second-kind
 kernel of ``newton`` at (m, 1, 1), and decides the tolerance exactly.  So
 this module reads nothing of the package but ``exact`` and ``newton``, and
 ``dowlab dobinski`` runs no other module but the CLI.
@@ -18,8 +18,8 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Dec
 from fractions import Fraction
 from math import ceil, isfinite, prod
 
-from .exact import Record, _check_counts, _check_m, _row_sum, as_fraction, bounded, check_ints
-from .newton import _second_kind_rows
+from .exact import Record, _check_counts, _check_m, as_fraction, bounded, check_ints
+from .newton import _row_sum
 
 
 class DobinskiRequest(Record):
@@ -108,7 +108,7 @@ def dobinski_eval(req: DobinskiRequest) -> DobinskiResult:
         # first, so that an exponent out of range is refused before the sum
         _exp_of_negated(p, q, prec)
         num, den = _dobinski_sum(m, n, p, q, lam.numerator, lam.denominator, req.terms)
-        dowling = _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(req.x), False).eval(lam)
+        dowling = _row_sum((m, 1, 1), n, as_fraction(req.x), False).eval(lam)
         try:
             exact, h = float(dowling), dowling.denominator
         except OverflowError:

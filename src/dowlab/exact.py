@@ -21,15 +21,15 @@ denominator of 1 in ``_reduced`` and ``LambdaPoly.coeffs``, equal
 denominators in ``_addsub``, the integral paths of ``__hash__``, a monomial
 in ``__pow__``, an integral polynomial and the degree tables in ``__str__``;
 in ``series`` the product's leading-zero bounds, ``gf_triangle``'s
-leading-zero slice and ``_first_order``'s rational beta; and all 12 memos
-(``_row_sum`` here, the rest in ``bases``, ``series``, ``whitney``,
-``identities`` and ``dobinski``).  Each says in a comment what removing it
-cost under CPython 3.11.7 on a 2-core x86-64 host: the cold catalog
-(``run_identity`` over ``CATALOG``, every cache cleared) in CPU time at
-n_max 10 or 20, a symbolic export (W at m = 3, n_max 80, or VR at m = 3,
-r = 2, n_max 40), the benchmark's Dobinski sweep in process, or a memo's
-own entries at n_max 32.  No command powers a polynomial other than a
-monomial, and every power of a series is solved term by term in ``series``.
+leading-zero slice and ``_first_order``'s rational beta; and all 11 memos
+(in ``bases``, ``newton``, ``series``, ``whitney``, ``identities`` and
+``dobinski``), whose keys hold no series and no function.  Each says in a
+comment what removing it cost under CPython 3.11.7 on a 2-core x86-64 host:
+the cold catalog (``run_identity`` over ``CATALOG``, every cache cleared) in
+CPU time at n_max 10 or 20, a symbolic export (W at m = 3, n_max 80, or VR
+at m = 3, r = 2, n_max 40), the benchmark's Dobinski sweep in process, or a
+memo's own entries at n_max 32.  No command powers a polynomial other than
+a monomial, and every power of a series is solved term by term in ``series``.
 Coefficients read back as exact rationals (``fractions.Fraction``), so all
 identity checks are decided by literal equality, never by tolerance.
 Values are immutable and hashable and may be shared freely between threads.
@@ -38,10 +38,9 @@ Values are immutable and hashable and may be shared freely between threads.
 ``SweepParams``, ``IdentityReport``, ``Side``, ``Row``, ``Parts`` and
 ``Probe``; the one dataclass left, ``identities.IdentityCheck``, is what the
 benchmark's tracer rebuilds.  ``bounded`` makes every cache of the package and
-lists it in ``CACHES``; ``row_store`` serves a triangle's endless rows from one
-of them, ``_row_sum`` sums a row of any store against the powers of x,
-``_check_m`` is the one check of m >= 1, and ``_check_counts`` the one check
-of every count (n, k, n_max, r, an order) >= 0.
+lists it in ``CACHES``; ``row_store`` serves a triangle's endless rows from
+one of them, ``_check_m`` is the one check of m >= 1, and ``_check_counts``
+the one check of every count (n, k, n_max, r, an order) >= 0.
 Every integer parameter of a triangle or an accessor must be an ``int``
 (``check_ints``): a float or bool, even an equal one, is a ``TypeError``
 before any cache is read, so an answer never depends on what was asked before.
@@ -463,23 +462,20 @@ class Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            return self.__reduce__()[1] == other.__reduce__()[1]
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self.__reduce__()[1])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -575,21 +571,3 @@ def row_store(rows_of: Callable[..., Iterator]) -> Callable[..., Rows]:
     rows.cache_info = store.cache_info
     rows.cache_clear = store.cache_clear
     return rows
-
-
-# A row sum belongs to no route: it reads the store it is given.  thm23 and
-# cor22 read every earlier row sum at each n, so each is built once per key.
-@bounded(4096)  # memo: +20%/+25% catalog CPU at n_max 10/20 without it
-def _row_sum(store: Callable, params: tuple, n: int, x: Fraction, ordered: bool) -> LambdaPoly:
-    """sum_k T(n,k) x^k over row n of ``store(*params, n)``, weighted by k! when
-    ``ordered``: the degenerate Bell polynomials at (1, 0, 1) of ``_second_kind_rows``,
-    m^n Bdeg_n(x/m) at l -> l/m at (m, 0, 1), the (Tanny-)Dowling polynomials of W
-    at (m, 1, 1).  At x = p/q, int weights p^k q^(n-k) (times k!) over q^n."""
-    row = store(*params, n)[n]
-    p, q = x.numerator, x.denominator
-    terms = []
-    weight = 1  # p^k, times k! when ordered
-    for k in range(n + 1):
-        terms.append((weight * q ** (n - k), row[k], ONE))
-        weight *= p * (k + 1) if ordered else p
-    return dot(terms) / q**n

@@ -35,9 +35,10 @@ from itertools import chain, product
 from math import factorial
 from typing import Callable, Generator, Iterable, Optional
 
-from .exact import (LAMBDA, ONE, LambdaPoly, Record, _check_counts, _check_m, _row_sum, bounded,
+from .exact import (LAMBDA, ONE, LambdaPoly, Record, _check_counts, _check_m, bounded,
                     check_ints, dot)
 from .bases import binom, falling_transform, lambda_falling, lambda_rising, rising_transform
+from .newton import _row_sum
 from .series import deg_exp, deg_log_of_one_plus, one_series, t_series
 from . import bernoulli_euler as be
 from . import stirling as st
@@ -368,7 +369,7 @@ def _cor22_sum(ordered: bool, rescale: bool, m: int, n: int, x: Fraction) -> Lam
         key, y, c = (m * (m + 1), m + 1, m), m * x, 1
     else:
         key, y, c = (m, 1, 1), x * Fraction(m, m + 1), m + 1
-    terms = ((j, c**j, _row_sum(st._second_kind_rows, key, j, y, ordered)) for j in range(n + 1))
+    terms = ((j, c**j, _row_sum(key, j, y, ordered)) for j in range(n + 1))
     return rising_transform(n, terms, LAMBDA * m) / m**n
 
 
@@ -380,7 +381,7 @@ def _terms(values: Iterable[LambdaPoly]) -> Iterable[tuple[int, int, LambdaPoly]
 def _bell_transform(m: int, x: Fraction, n: int) -> LambdaPoly:
     """The falling transform of m^i Bdeg_i(x/m) at l -> l/m, i = 0..n, the
     right side of thm23; each is a row sum of the rescaled S2deg triangle."""
-    bells = (_row_sum(st._second_kind_rows, (m, 0, 1), i, x, False) for i in range(n + 1))
+    bells = (_row_sum((m, 0, 1), i, x, False) for i in range(n + 1))
     return falling_transform(n, _terms(bells))
 
 
@@ -608,7 +609,7 @@ _register("lemma24", _chk_lemma24)
 _register("thm25", _chk_thm25)
 _register("thm26", Row(
     _SERIES,
-    _each(NEWTON, lambda m, x, n: _row_sum(st._second_kind_rows, (m, 0, 1), n, x, False)),
+    _each(NEWTON, lambda m, x, n: _row_sum((m, 0, 1), n, x, False)),
     _each(EXPLICIT | NEWTON, _dowling_transform),
 ))
 _register("orthogonality", _chk_orthogonality)

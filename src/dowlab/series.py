@@ -8,11 +8,13 @@ operations truncate to the smaller order of their operands.
 
 ``gf_triangle`` extracts the coefficients of prefactor * base^k / k!; every
 degenerate Stirling and r-Whitney oracle reads its kind's kernel over that,
-``_second_kind_gf`` or ``_first_kind_gf``, at its own (m, r).  The
-coefficients of ``deg_exp``, ``deg_log`` and ``binomial_series`` are one
-running product, ``_falling``, and every exponential, power and log_l of a
-series that a command reads is solved term by term by ``_first_order``: exp
-is its case s = 0, the powers and log_l of 1 + g its case s = 1.
+``_second_kind_gf`` or ``_first_kind_gf``, at its own (m, r).  The kernels
+hold their triangles by (m, r, n_max); ``gf_triangle`` and the bases hold
+nothing.  The coefficients of ``deg_exp``, ``deg_log`` and
+``binomial_series`` are one running product, ``_falling``, and every
+exponential, power and log_l of a series that a command reads is solved
+term by term by ``_first_order``: exp is its case s = 0, the powers and
+log_l of 1 + g its case s = 1.
 Like the other two routes' modules, this one reads nothing of the package
 but ``exact``.
 """
@@ -267,8 +269,6 @@ def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> Tru
     return TruncatedSeries(tuple(_falling(x, s, order)))
 
 
-# A default catalog run asks for 23 distinct triangles, so all of them stay held.
-@bounded(32)  # memo: +30% catalog CPU at n_max 20 without it (see exact)
 def gf_triangle(
     base: TruncatedSeries, prefactor: TruncatedSeries, n_max: int
 ) -> tuple[tuple[LambdaPoly, ...], ...]:
@@ -278,10 +278,10 @@ def gf_triangle(
     package: the running product starts at the prefactor and takes one more
     factor base/k per column, each coefficient divided by the int k, so the
     whole triangle costs n_max series products; the leading zeros (k of them
-    when base(0) = 0) are left as they are.  Triangles are held by their
-    (base, prefactor, n_max), so catalog entries share one build.
+    when base(0) = 0) are left as they are.  It holds nothing: the GF kernels
+    hold their triangles by (m, r, n_max).
     """
-    _check_counts(n_max=n_max)  # a refused call stores nothing
+    _check_counts(n_max=n_max)
     acc = prefactor.truncate(n_max)
     columns = [acc.coeffs]
     for k in range(1, n_max + 1):
@@ -294,18 +294,12 @@ def gf_triangle(
     return tuple(tuple(column[n] for column in columns[: n + 1]) for n in range(n_max + 1))
 
 
-# The bases of the generating functions, each built once per parameter set:
-# every r of a kernel, and thm3 and thm9 at each x, read the same one.
-# A fork: without this memo the catalog took 7% more CPU at n_max 10 (see exact).
-@bounded(64)
 def _gf_base(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:
     """x (e_l^m(t)-1)/m, the base of the second-kind generating functions."""
     _check_m(m)
     return (deg_exp(m, n_max) - one_series(n_max)).scaled(as_fraction(x) / m)
 
 
-# A fork: without this memo the catalog took 5% more CPU at n_max 20 (see exact).
-@bounded(64)
 def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
     """log_l(e_m(t)), the base of the first-kind generating functions: log_l(1 + g),
     g = e_m(t) - 1, from its first-order recurrence rather than a composition."""
@@ -313,6 +307,9 @@ def _gf_log_base(m: int, n_max: int) -> TruncatedSeries:
     return deg_log_of_one_plus(e_m - one_series(n_max))
 
 
+# Each kernel holds its triangles by (m, r, n_max); a default catalog run asks
+# each for 10, so all of them stay held.
+@bounded(16)  # memo: +5%/+7% coefficient products at n_max 10/20 without it, CPU in noise
 def _second_kind_gf(m: int, r: int, n_max: int) -> Rows:
     """Coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!: W_{m,r}(n, k)."""
     _check_m(m)
@@ -320,6 +317,7 @@ def _second_kind_gf(m: int, r: int, n_max: int) -> Rows:
     return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max), n_max)
 
 
+@bounded(16)  # memo: +6%/+7% coefficient products at n_max 10/20 without it, CPU in noise
 def _first_kind_gf(m: int, r: int, n_max: int) -> Rows:
     """Coefficients of (log_l e_m(t))^k e_m^{-r}(t) / k!: w_{m,r}(n, k)."""
     _check_m(m)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import LambdaPoly, Rows, _check_counts, _row_sum, as_fraction, check_ints
+from .exact import LambdaPoly, Rows, _check_counts, as_fraction, check_ints
 from .families import _alternating
-from .newton import _first_kind_rows, _second_kind_rows, _stirling1_rows, _stirling2_rows
+from .newton import _first_kind_rows, _row_sum, _second_kind_rows, _stirling1_rows, _stirling2_rows
 from .series import _first_kind_gf, _second_kind_gf, binomial_series, deg_log, gf_triangle
 
 
@@ -62,7 +62,7 @@ def deg_stirling2_or_zero(n: int, k: int) -> LambdaPoly:
 def deg_bell(n: int, x: int | Fraction) -> LambdaPoly:
     """Degenerate Bell polynomial value: sum_k S2deg(n,k) x^k at rational x."""
     _check_counts(n=n)
-    return _row_sum(_second_kind_rows, (1, 0, 1), n, as_fraction(x), False)
+    return _row_sum((1, 0, 1), n, as_fraction(x), False)
 
 
 def deg_bell_number(n: int) -> LambdaPoly:

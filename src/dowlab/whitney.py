@@ -18,12 +18,12 @@ from math import factorial
 from typing import Iterator
 
 from .exact import (LAMBDA, ONE, LambdaPoly, Rows, _check_counts, _check_index, _check_m,
-                    _row_sum, as_fraction, bounded, check_ints, dot)
+                    as_fraction, bounded, check_ints, dot)
 from . import dobinski
 from .bases import binom, falling_transform, lambda_falling, lambda_rising
 from .families import Family, family_rows
-from .newton import (_first_kind_rows, _second_kind_rows, _stirling1_rows, _stirling2_rows,
-                     newton_rows)
+from .newton import (_first_kind_rows, _row_sum, _second_kind_rows, _stirling1_rows,
+                     _stirling2_rows, newton_rows)
 from .series import TruncatedSeries, _first_kind_gf, _gf_base, _second_kind_gf, deg_exp, one_series
 from .stirling import deg_stirling1_rows
 
@@ -48,6 +48,7 @@ def whitney2(m: int, n: int, k: int) -> LambdaPoly:
 
 
 def whitney2_or_zero(m: int, n: int, k: int) -> LambdaPoly:
+    _check_m(m)
     check_ints(n, k)
     if k < 0 or k > n or n < 0:
         return LambdaPoly()
@@ -189,7 +190,7 @@ def dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Row polynomial sum_k W(n,k) x^k of the second-kind triangle."""
     check_ints(m)
     _check_counts(n=n)
-    return _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(x), False)
+    return _row_sum((m, 1, 1), n, as_fraction(x), False)
 
 
 def dowling_number(m: int, n: int) -> LambdaPoly:
@@ -200,7 +201,7 @@ def tanny_dowling_poly(m: int, n: int, x: int | Fraction) -> LambdaPoly:
     """Ordered variant sum_k k! W(n,k) x^k."""
     check_ints(m)
     _check_counts(n=n)
-    return _row_sum(_second_kind_rows, (m, 1, 1), n, as_fraction(x), True)
+    return _row_sum((m, 1, 1), n, as_fraction(x), True)
 
 
 def tanny_dowling_gf(m: int, x: int | Fraction, n_max: int) -> TruncatedSeries:

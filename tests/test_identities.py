@@ -235,8 +235,8 @@ def test_thm10_counterexample_keeps_both_floats(monkeypatch):
     real = dob._row_sum
     at = ((1, 1, 1), 2, Fraction(1))
 
-    def corrupted(store, params, n, x, ordered):
-        value = real(store, params, n, x, ordered)
+    def corrupted(params, n, x, ordered):
+        value = real(params, n, x, ordered)
         return value + Fraction(1, 10**6) if (params, n, x) == at else value
 
     monkeypatch.setattr(dob, "_row_sum", corrupted)
@@ -428,10 +428,10 @@ def test_row_side_needs_no_route_of_the_other_side(forbid_route, clear_caches, i
 
 def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch, clear_caches):
     # Corrupt S2deg(3, 1) in the Newton store behind deg_bell_number, the
-    # second-kind kernel at (1, 0, 1): eq29's other side comes from the GF
-    # exp(e_l(t) - 1), so eq29 must fail at n = 2 (B(3)), before eq30 sees
-    # the corrupted value.
-    real = st._second_kind_rows
+    # second-kind kernel at (1, 0, 1), as the row sum reads it: eq29's other
+    # side comes from the GF exp(e_l(t) - 1), so eq29 must fail at n = 2
+    # (B(3)), before eq30 sees the corrupted value.
+    real = newton._second_kind_rows
 
     def corrupted(m, r, s, n_max):
         rows = [list(row) for row in real(m, r, s, n_max)]
@@ -439,7 +439,7 @@ def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch, clear_caches
             rows[3][1] = rows[3][1] + 1
         return rows
 
-    monkeypatch.setattr(st, "_second_kind_rows", corrupted)
+    monkeypatch.setattr(newton, "_second_kind_rows", corrupted)
     clear_caches()
     try:
         report = idn.run_identity("eq29_30", 4, [1], [1], 0)
@@ -449,15 +449,92 @@ def test_eq29_reads_the_bell_numbers_off_another_route(monkeypatch, clear_caches
     assert report.counterexample["params"] == {"n": 2, "part": "eq29"}
 
 
-def test_a_cold_catalog_builds_each_gf_triangle_once(clear_caches):
-    # thm1, thm5, eq74, eq75 and eq77 ask for triangles that eq17, eq18,
-    # eq68 and eq71 build: 37 requests for 23 distinct triangles
+def test_a_cold_catalog_builds_each_gf_triangle_once(monkeypatch, clear_caches):
+    # thm1, thm5, eq74, eq75 and eq77 ask the GF kernels for triangles that
+    # eq17, eq18, eq68 and eq71 build: 34 requests for 20 distinct keys, 10
+    # per kind.  eq73's unsigned oracle holds nothing, so its 3 triangles
+    # are built once each too: 23 builds of gf_triangle in all.
+    real, builds = series.gf_triangle, []
+
+    def counted(*args):
+        builds.append(args[2])  # n_max
+        return real(*args)
+
+    for module in (series, st):
+        monkeypatch.setattr(module, "gf_triangle", counted)
     clear_caches()
     for ident in idn.CATALOG:
         idn.run_identity(ident, 10, (1, 2, 3), (1, 2, 3), 0)
-    info = series.gf_triangle.cache_info()
-    assert (info.misses, info.hits) == (23, 14)
-    assert info.currsize == 23
+    assert builds == [10] * 23
+    for kernel in (series._second_kind_gf, series._first_kind_gf):
+        info = kernel.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (10, 7, 10)
+
+
+# The rows whose two sides are route triangles, a Newton kernel against a GF
+# one, each with the sweep sets its runner reads.  The other rows of a GF
+# side against a Newton side compare series coefficients at sampled x.
+CERTIFIED = {
+    "eq17": (), "eq18": (), "thm1": ("m",), "thm5": ("m",), "eq68": ("m", "r"),
+    "eq71": ("m", "r"), "eq73": ("r",), "eq74": ("r",), "eq75[r=0]": (), "eq77": ("r",),
+    "eq77[r=0]": (),
+}
+SERIES_ROWS = {"thm3", "eq29_30[eq29]", "thm9"}
+# CI runs the same certification at n_max 12 through this variable.
+CERTIFY_N_MAX = int(os.environ.get("DOWLAB_CERTIFY_N_MAX", "8"))
+
+
+def test_the_certified_rows_are_every_route_triangle_row():
+    routes = {ident: {row.lhs.route, row.rhs.route} for ident, row in idn.ROWS.items()}
+    gf_newton = {ident for ident, pair in routes.items() if pair == {idn.GF, idn.NEWTON}}
+    assert set(CERTIFIED) == gf_newton - SERIES_ROWS
+
+
+@pytest.mark.parametrize("ident", sorted(CERTIFIED))
+def test_route_triangles_agree_for_every_m_and_r(ident):
+    """A pass on the grid m in 1..N+1, r in 0..N holds for every m >= 1 and
+    r >= 0 at every n <= N = CERTIFY_N_MAX.
+
+    Both sides are polynomials in (m, r, l) whose entry (n, k) has total
+    degree at most n - k:
+    - Newton: row n + 1 is a ``row_step`` of row n with the weights
+      mk + r - nl (second kind, at s = 1) and kl - nm - r (first kind), each
+      linear in (m, r, l), so entry (n, k) sums products of n - k weights.
+      S1degR's sign (-1)^(n-k) changes no degree.
+    - GF: entry (n, k) is sum_i C(n, i) p_i c_(n-i), where p is the
+      prefactor and c holds the coefficients of base^k/k!.  Coefficient i of
+      the prefactor has degree i: r(r-l)...(r-(i-1)l) for e_l^r(t),
+      (-r)(-r-m)...(-r-(i-1)m) for e_m^(-r)(t), r(r+1)...(r+i-1) for eq73's
+      (1-t)^(-r).  Coefficient j >= 1 of the base has degree j - 1:
+      (m-l)...(m-(j-1)l) for (e_l^m(t)-1)/m; for log_l e_m(t), ``_first_order``
+      solves H_j = a_j + sum_k (l C(j-1,k-1) - C(j-1,k)) a_k H_(j-k) over the
+      coefficients a_k = (1-m)...(1-(k-1)m) of e_m(t) - 1, of degree k - 1,
+      so H_j has degree j - 1; eq73's -log_l(1-t) holds no m or r.  So
+      c_(n-i) has degree n - i - k, and the entry n - k.
+    Each l-coefficient of the difference of the two sides is then a
+    polynomial in (m, r) of degree at most N in each.  One that vanishes on
+    N + 1 values of m times N + 1 values of r is zero: at each such r it has
+    N + 1 roots in m, so each of its coefficients in m has N + 1 roots in r.
+    So N + 1 values per variable suffice.
+
+    The argument needs each route to compute one formula for every m and r,
+    and this was checked in the code, not assumed.  No route branches on m
+    or r, beyond refusing m < 1 and r < 0 before anything is built; the
+    forks that read values (``dot``'s zero skip, the series product's
+    leading-zero bounds, ``gf_triangle``'s slice) skip only zero terms.
+    ``_first_order`` divides only by the denominator of a rational beta, and
+    the GF kernels call it only at beta = l, so it divides by nothing there;
+    ``gf_triangle`` divides column k by the int k.  The GF bases divide by m
+    only where the quotient is a polynomial: ``_gf_base`` scales
+    e_l^m(t) - 1, each of whose coefficients has m as its first factor
+    (``_falling`` at x = m), by 1/m, and ``binomial_series`` multiplies
+    alpha = 1/m or -r/m by c = m before its running product.
+    """
+    n = CERTIFY_N_MAX
+    grid = idn.SweepParams(n, tuple(range(1, n + 2)), tuple(range(n + 1)), 0)
+    tested, counterexample, _ = idn.ROWS[ident](grid)
+    assert counterexample is None
+    assert tested == (n + 1) ** len(CERTIFIED[ident]) * (n + 1) * (n + 2) // 2
 
 
 def test_a_cold_catalog_builds_each_kernel_triangle_once(clear_caches):

@@ -66,9 +66,12 @@ def test_gf_triangle_costs_one_product_per_column(monkeypatch, n):
         return mul(self, other)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
-    gf_triangle.cache_clear()  # a triangle held from an earlier test costs no product
     gf_triangle(base, prefactor, n)
     assert len(products) == n
+    # gf_triangle holds nothing (the GF kernels hold their triangles), so a
+    # second call costs its products again
+    gf_triangle(base, prefactor, n)
+    assert len(products) == 2 * n
 
 
 def test_gf_triangle_divides_no_leading_zero(monkeypatch):
@@ -83,8 +86,7 @@ def test_gf_triangle_divides_no_leading_zero(monkeypatch):
         return div(self, other)
 
     monkeypatch.setattr(LambdaPoly, "__truediv__", counted)
-    gf_triangle.cache_clear()  # a held triangle would cost no division
-    rows = gf_triangle(base, prefactor, 10)
+    rows = gf_triangle(base, prefactor, 10)  # it holds no triangle, so each call divides
     assert len(divisions) == 55
     # the coefficients of (e_l(t)-1)^k e_l^2(t) / k!, by the Newton route
     assert rows == deg_r_stirling2_rows(2, 10)

@@ -56,6 +56,10 @@ class TestSecondKind:
         assert wh.whitney2_or_zero(2, 1, 2) == LambdaPoly()
         assert wh.whitney2_or_zero(2, 3, -1) == LambdaPoly()
         assert wh.whitney2_or_zero(2, 2, 1) == wh.whitney2(2, 2, 1)
+        # m is checked before (n, k) is found outside the triangle
+        for n, k in ((1, 2), (3, 1)):
+            with pytest.raises(ValueError):
+                wh.whitney2_or_zero(0, n, k)
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -760,18 +764,13 @@ def test_rescaled_store_is_the_rescaled_triangle(name, m, n_max):
 def test_rescaled_bell_value_is_a_row_sum(m, n, x):
     # m^n Bdeg_n(x/m) at l -> l/m, which thm23 transforms and thm26 compares
     expected = st.deg_bell(n, x / m).scale_lambda(Fraction(1, m)) * m**n
-    assert wh._row_sum(st._second_kind_rows, (m, 0, 1), n, x, False) == expected
+    assert wh._row_sum((m, 0, 1), n, x, False) == expected
 
 
-# The stores whose row sums the package reads, each at one parameter tuple:
-# the Bell store at (1, 0, 1), the W store at (2, 1, 1), the rescaled Bell
-# store at (3, 0, 1), the rescaled W store of cor22 at m = 2.
-ROW_SUM_STORES = (
-    (st._second_kind_rows, (1, 0, 1)),
-    (st._second_kind_rows, (2, 1, 1)),
-    (st._second_kind_rows, (3, 0, 1)),
-    (st._second_kind_rows, (6, 3, 2)),
-)
+# The keys of the second-kind kernel whose row sums the package reads: the
+# Bell store at (1, 0, 1), the W store at (2, 1, 1), the rescaled Bell store
+# at (3, 0, 1), the rescaled W store of cor22 at m = 2.
+ROW_SUM_KEYS = ((1, 0, 1), (2, 1, 1), (3, 0, 1), (6, 3, 2))
 
 
 @pytest.mark.parametrize("ordered", (False, True))
@@ -782,13 +781,13 @@ def test_row_sum_is_the_fraction_power_sum(x, ordered):
     # the int weights p^k q^(n-k) k! over q^n give the canonical form of
     # sum_k T(n,k) x^k k! taken with Fraction powers
     row_sum = wh._row_sum.__wrapped__  # past the memo
-    for store, params in ROW_SUM_STORES:
+    for params in ROW_SUM_KEYS:
         for n in range(10):
-            row = store(*params, n)[n]
+            row = newton._second_kind_rows(*params, n)[n]
             want = LambdaPoly()
             for k in range(n + 1):
                 want = want + row[k] * (x**k * (factorial(k) if ordered else 1))
-            got = row_sum(store, params, n, x, ordered)
+            got = row_sum(params, n, x, ordered)
             assert (got.nums, got.den) == (want.nums, want.den)
 
 
@@ -799,6 +798,8 @@ INT_ONLY = {
     "whitney2": (wh.whitney2, (1, 3, 1)),
     "whitney1": (wh.whitney1, (1, 3, 1)),
     "whitney2_or_zero": (wh.whitney2_or_zero, (1, 3, 1)),
+    # outside the triangle too: m is checked before the range test
+    "whitney2_or_zero_outside": (wh.whitney2_or_zero, (1, 3, 5)),
     "whitney2_rows": (wh.whitney2_rows, (1, 3)),
     "whitney1_rows": (wh.whitney1_rows, (1, 3)),
     "whitney2_rows_newton": (wh.whitney2_rows_newton, (1, 3)),
@@ -1050,18 +1051,16 @@ KERNEL_READERS = {
     "whitney1_rows_gf": (wh.whitney1_rows_gf, (3,), GF_1, (3, 1), (0, 4)),
     "r_whitney1_rows_gf": (wh.r_whitney1_rows_gf, (3, 2), GF_1, (3, 2), (3, -1, 4)),
 }
-# what a GF kernel fills: its triangles and the bases they are built from
-GF_CACHES = (series.gf_triangle, series._gf_base, series._gf_log_base)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_READERS))
 def test_reader_is_its_kernel_at_its_parameters(name, clear_caches):
     reader, args, kernel, params, refused = KERNEL_READERS[name]
-    filled = (kernel,) if hasattr(kernel, "cache_info") else GF_CACHES
     clear_caches()
     with pytest.raises(ValueError):
         reader(*refused)
-    assert [cache.cache_info().currsize for cache in filled] == [0] * len(filled)
+    # a refused call stores nothing, in its kernel or in any other cache
+    assert [cache.cache_info().currsize for cache in CACHES] == [0] * len(CACHES)
     rows = kernel(*params, 9)
     if name == "deg_r_stirling1_unsigned_rows":
         rows = tuple(tuple(v * (-1) ** (n - k) for k, v in enumerate(row))
@@ -1071,14 +1070,18 @@ def test_reader_is_its_kernel_at_its_parameters(name, clear_caches):
 
 def test_four_row_stores():
     # the classical Stirling tables and one kernel per kind, all of the Newton
-    # route; every other triangle reads one of them
-    stores = [c for c in CACHES if c.__module__ == "dowlab.newton"]
+    # route; every other triangle reads one of them.  A store is counted by its
+    # entry reader, since newton also holds the row-sum memo over its kernel
     readers = {
         fn.cache_info.__self__
         for name, module in sorted(sys.modules.items()) if name.startswith("dowlab.")
         for fn in vars(module).values() if hasattr(fn, "entry")
     }
+    stores = [c for c in CACHES if c in readers]
     assert len(stores) == 4 and set(stores) == readers
+    assert {c.__module__ for c in stores} == {"dowlab.newton"}
+    others = [c for c in CACHES if c.__module__ == "dowlab.newton" and c not in readers]
+    assert others == [newton._row_sum]
 
 
 class TestRouteIndependence:
@@ -1098,9 +1101,9 @@ class TestRouteIndependence:
             assert wh.whitney2_rows_gf(m, self.N_MAX) == second
             assert wh.whitney1_rows_gf(m, self.N_MAX) == first
         # no row store and no memo was read: only the GF route's own stores,
-        # its triangles and the series they are built from, hold anything
+        # its two kernels, hold anything, a triangle per kind and m
         held = {cache.__name__: cache.cache_info().currsize for cache in CACHES}
-        assert held["gf_triangle"] == 2 * len(self.M_SET)
-        gf_stores = {"gf_triangle", "_gf_base", "_gf_log_base"}
+        assert held["_second_kind_gf"] == held["_first_kind_gf"] == len(self.M_SET)
+        gf_stores = {"_second_kind_gf", "_first_kind_gf"}
         assert gf_stores <= set(held)
         assert all(size == 0 for name, size in held.items() if name not in gf_stores)
