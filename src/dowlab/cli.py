@@ -10,6 +10,9 @@ if rendering fails part way, stdout holds a prefix of the document, while
 --out leaves the target as it was.  ``verify`` also writes a line per
 catalog entry to stderr as the entry finishes, when stderr is a terminal, and
 a failing ``dobinski`` one note on the size of the first omitted term.
+``main`` parses and checks every input under the interpreter's int <-> str
+digit limit, then runs the command with the limit lifted, so an exact value
+of any size renders, in a report as in an export.
 """
 
 from __future__ import annotations
@@ -228,8 +231,9 @@ def _write_output(chunks: Iterable[str], out: Optional[str]) -> None:
 def _unlimited_int_str() -> Iterator[None]:
     """Lift the interpreter's limit on the digits of int <-> str conversions
     (CPython 3.11 and later; 4300 by default) for the duration, so that exact
-    results of any size render.  The limit is process-wide, so it is restored
-    afterwards: inputs are parsed under it."""
+    results of any size render.  ``main`` runs every command under it, once
+    its inputs are parsed and checked under the limit; the limit is
+    process-wide, so it is restored afterwards."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -245,25 +249,19 @@ def _unlimited_int_str() -> Iterator[None]:
 
 
 def cmd_triangle(cfg: argparse.Namespace) -> int:
-    with _unlimited_int_str():
-        _write_output(_render_triangle(cfg), cfg.out)
+    _write_output(_render_triangle(cfg), cfg.out)
     return 0
 
 
 def cmd_eval(cfg: argparse.Namespace) -> int:
-    if cfg.poly is not None:
-        try:
-            value = LambdaPoly.parse(cfg.poly)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    else:
+    value = cfg.poly
+    if value is None:
         rows = families.family_rows(cfg.family, cfg.m, cfg.r)  # refuses a bad m or r first
         if not 0 <= cfg.k <= cfg.n:
             raise UsageError(f"({cfg.n}, {cfg.k}) outside triangle of size {max(cfg.n, 0)}")
         value = next(islice(rows, cfg.n, None))[cfg.k]
-    with _unlimited_int_str():
-        text = str(value) if cfg.lam is None else str(value.eval(cfg.lam))
-        _write_output(text + "\n", cfg.out)
+    text = str(value) if cfg.lam is None else str(value.eval(cfg.lam))
+    _write_output(text + "\n", cfg.out)
     return 0
 
 
@@ -398,6 +396,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError("--lambda and --symbolic are mutually exclusive")
         if args.lam is not None:
             args.lam = _parse_rational(args.lam, "--lambda")
+        if args.command == "eval" and args.poly is not None:
+            args.poly = LambdaPoly.parse(args.poly)
     elif args.command == "verify":
         args.m_set = _parse_int_set(args.m_set, "--m-set")
         args.r_set = _parse_int_set(args.r_set, "--r-set")
@@ -461,7 +461,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        with _unlimited_int_str():
+            return COMMANDS[cfg.command](cfg)
     except (UsageError, ValueError, IndexError, ArithmeticError) as exc:
         message = str(exc)
     except MemoryError:

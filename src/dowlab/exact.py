@@ -247,11 +247,6 @@ class LambdaPoly:
             return tuple(map(Fraction, self.nums))
         return tuple(Fraction(n, den) for n in self.nums)
 
-    @property
-    def degree(self) -> int:
-        """Degree in ``l``; the zero polynomial has degree -1."""
-        return len(self.nums) - 1
-
     def is_zero(self) -> bool:
         return not self.nums
 

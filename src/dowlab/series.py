@@ -158,7 +158,7 @@ class TruncatedSeries(Record):
         """self(inner(t)), defined only when inner has zero constant term.
 
         The sum of a_k inner^k/k!, read off the columns of
-        ``gf_triangle(inner, 1, n)``: O(order^3) coefficient products; powers
+        ``gf_triangle(inner, one_series(n))``: O(order^3) coefficient products; powers
         and log_l of 1 + inner are cheaper by ``power_of_one_plus`` and
         ``deg_log_of_one_plus``.
         """
@@ -166,7 +166,7 @@ class TruncatedSeries(Record):
             raise ValueError(_NONZERO_INNER)
         n = min(self.order, inner.order)
         a = self.coeffs
-        rows = gf_triangle(inner, one_series(n), n)
+        rows = gf_triangle(inner, one_series(n))
         return TruncatedSeries(tuple(dot((1, a[k], c) for k, c in enumerate(row)) for row in rows))
 
     def exp(self) -> "TruncatedSeries":
@@ -269,20 +269,20 @@ def binomial_series(alpha: int | Fraction, c: int | Fraction, order: int) -> Tru
     return TruncatedSeries(tuple(_falling(x, s, order)))
 
 
-def gf_triangle(
-    base: TruncatedSeries, prefactor: TruncatedSeries, n_max: int
-) -> tuple[tuple[LambdaPoly, ...], ...]:
+def gf_triangle(base: TruncatedSeries, prefactor: TruncatedSeries) -> Rows:
     """Lower triangle whose (n,k) entry is the nth coefficient of prefactor*base^k/k!.
 
     This is the shared extraction step for every generating function of the
-    package: the running product starts at the prefactor and takes one more
-    factor base/k per column, each coefficient divided by the int k, so the
-    whole triangle costs n_max series products; the leading zeros (k of them
-    when base(0) = 0) are left as they are.  It holds nothing: the GF kernels
-    hold their triangles by (m, r, n_max).
+    package.  Like every binary operation, it truncates to the smaller order
+    of its two series, which is the triangle's n_max: the running product
+    starts at the prefactor and takes one more factor base/k per column, each
+    coefficient divided by the int k, so the whole triangle costs n_max
+    series products; the leading zeros (k of them when base(0) = 0) are left
+    as they are.  It holds nothing: the GF kernels hold their triangles by
+    (m, r, n_max).
     """
-    _check_counts(n_max=n_max)
-    acc = prefactor.truncate(n_max)
+    n_max = min(base.order, prefactor.order)
+    acc = prefactor
     columns = [acc.coeffs]
     for k in range(1, n_max + 1):
         acc = acc * base
@@ -290,7 +290,6 @@ def gf_triangle(
         a, lo = acc.coeffs, _leading_zeros(acc.coeffs)
         acc = TruncatedSeries((*a[:lo], *(c / k for c in a[lo:])))
         columns.append(acc.coeffs)
-    # a series shorter than n_max is an IndexError
     return tuple(tuple(column[n] for column in columns[: n + 1]) for n in range(n_max + 1))
 
 
@@ -314,7 +313,7 @@ def _second_kind_gf(m: int, r: int, n_max: int) -> Rows:
     """Coefficients of ((e_l^m(t)-1)/m)^k e_l^r(t) / k!: W_{m,r}(n, k)."""
     _check_m(m)
     _check_counts(r=r)
-    return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max), n_max)
+    return gf_triangle(_gf_base(m, 1, n_max), deg_exp(r, n_max))
 
 
 @bounded(16)  # memo: +6%/+7% coefficient products at n_max 10/20 without it, CPU in noise
@@ -323,4 +322,4 @@ def _first_kind_gf(m: int, r: int, n_max: int) -> Rows:
     _check_m(m)
     _check_counts(r=r)
     prefactor = binomial_series(Fraction(-r, m), m, n_max)  # e_m(t) = (1+mt)^(1/m)
-    return gf_triangle(_gf_log_base(m, n_max), prefactor, n_max)
+    return gf_triangle(_gf_log_base(m, n_max), prefactor)

@@ -105,4 +105,4 @@ def deg_r_stirling1_unsigned_rows_gf(r: int, n_max: int) -> Rows:
     _check_counts(r=r)
     neg_log = deg_log(n_max).scale_t(-1).scaled(-1)
     prefactor = binomial_series(-r, -1, n_max)
-    return gf_triangle(neg_log, prefactor, n_max)
+    return gf_triangle(neg_log, prefactor)

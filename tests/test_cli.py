@@ -388,6 +388,21 @@ class TestVerify:
         assert lines[1:3] == [f"{'':18s} counterexample: " + '{"n": 2, "k": 1}', ""]
         assert re.fullmatch(rf"1 identities in \d+\.\ds -> {re.escape(str(target))}", lines[3])
 
+    def test_a_counterexample_past_the_int_str_digit_limit_is_reported(self, capsys, monkeypatch):
+        # a coefficient of 5000 digits, past CPython's default int -> str limit
+        # (4300): the report holds it in full, and the limit is restored after
+        def points(params):
+            yield {"n": 0}, LambdaPoly((10**4999,)), 1
+
+        failing = idn.IdentityCheck(lambda params: idn._sweep(points(params)))
+        monkeypatch.setitem(idn.CATALOG, "huge", failing)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "verify", "--id", "huge", "--n-max", "1")
+        assert (code, err) == (1, "")
+        report = json.loads(out)["reports"][0]
+        assert report["counterexample"] == {"params": {"n": 0}, "lhs": "1" + "0" * 4999, "rhs": "1"}
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestDobinski:
     def test_text_line(self, capsys):

@@ -453,12 +453,13 @@ def test_a_cold_catalog_builds_each_gf_triangle_once(monkeypatch, clear_caches):
     # thm1, thm5, eq74, eq75 and eq77 ask the GF kernels for triangles that
     # eq17, eq18, eq68 and eq71 build: 34 requests for 20 distinct keys, 10
     # per kind.  eq73's unsigned oracle holds nothing, so its 3 triangles
-    # are built once each too: 23 builds of gf_triangle in all.
+    # are built once each too: 23 builds of gf_triangle in all, each of the
+    # size its series' order gives.
     real, builds = series.gf_triangle, []
 
-    def counted(*args):
-        builds.append(args[2])  # n_max
-        return real(*args)
+    def counted(base, prefactor):
+        builds.append(min(base.order, prefactor.order))  # n_max
+        return real(base, prefactor)
 
     for module in (series, st):
         monkeypatch.setattr(module, "gf_triangle", counted)

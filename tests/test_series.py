@@ -66,11 +66,11 @@ def test_gf_triangle_costs_one_product_per_column(monkeypatch, n):
         return mul(self, other)
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
-    gf_triangle(base, prefactor, n)
+    gf_triangle(base, prefactor)
     assert len(products) == n
     # gf_triangle holds nothing (the GF kernels hold their triangles), so a
     # second call costs its products again
-    gf_triangle(base, prefactor, n)
+    gf_triangle(base, prefactor)
     assert len(products) == 2 * n
 
 
@@ -86,17 +86,25 @@ def test_gf_triangle_divides_no_leading_zero(monkeypatch):
         return div(self, other)
 
     monkeypatch.setattr(LambdaPoly, "__truediv__", counted)
-    rows = gf_triangle(base, prefactor, 10)  # it holds no triangle, so each call divides
+    rows = gf_triangle(base, prefactor)  # it holds no triangle, so each call divides
     assert len(divisions) == 55
     # the coefficients of (e_l(t)-1)^k e_l^2(t) / k!, by the Newton route
     assert rows == deg_r_stirling2_rows(2, 10)
 
 
-def test_gf_triangle_refuses_short_inputs():
-    with pytest.raises(ValueError):
-        gf_triangle(t_series(3), one_series(3), -1)
-    with pytest.raises(IndexError):
-        gf_triangle(t_series(3), one_series(2), 3)
+@pytest.mark.parametrize("short", ("base", "prefactor"))
+def test_gf_triangle_is_as_long_as_its_shorter_series(short):
+    # the triangle's n_max is the smaller order of its two series, and its
+    # rows are the leading rows of the triangle at the larger order
+    base, prefactor = deg_exp(1, 10) - one_series(10), deg_exp(2, 10)
+    full = gf_triangle(base, prefactor)
+    assert len(full) == 11
+    for n_max in (0, 1, 6):
+        if short == "base":
+            rows = gf_triangle(base.truncate(n_max), prefactor)
+        else:
+            rows = gf_triangle(base, prefactor.truncate(n_max))
+        assert rows == full[: n_max + 1]
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, 0.0])
